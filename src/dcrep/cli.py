@@ -22,7 +22,6 @@ from .gaussian import (CovarianceSpec, square_threshold_law_exact,
                        threshold_law_mc, zero_threshold_law_3)
 from .partitions import BinaryLaw, simulate_color_process
 from .reports import _plain
-from .simplex import SimplexError
 from .solver import (TolPolicy, lp_feasibility, signed_rep_3, square_circle_solver,
                      symmetric_rep_family_3)
 
@@ -85,7 +84,7 @@ def load_model(spec: str) -> dict:
 def _config_echo(args, extra=None) -> dict:
     cfg = {"schema": SCHEMA, "command": args.command}
     for key in ("model", "h", "p", "samples", "seed", "tol", "format",
-                "scan", "a_step", "grid", "simulator", "n", "alpha", "a", "b", "theta"):
+                "scan", "a_step", "simulator", "n", "alpha", "a"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     if extra:
@@ -326,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float, default=None)
         p.add_argument("--p", type=float, default=None)
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--format", choices=["json", "csv"], default=None)
 
     p = sub.add_parser("analyze", help="condition checkers + regime classifiers")
     common(p)
@@ -343,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="samplers + verification")
     common(p)
     p.add_argument("--simulator", choices=["color", "ou", "stable-chain"], required=True)
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--a", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p = sub.add_parser("asymptotics", help="closed-form limit reports")
     common(p)
@@ -365,7 +364,18 @@ def _apply_config_file(args) -> None:
         if key in ("schema", "command"):
             continue
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
+        if hasattr(args, attr) and getattr(args, attr) is None:
+            setattr(args, attr, val)
+
+
+def _fill_defaults(args) -> None:
+    """Flag defaults, applied after the config file: a config value stands in
+    for an absent flag but never overrides an explicit one."""
+    defaults = {"seed": 0, "format": "json"}
+    if args.command == "simulate":
+        defaults.update(a=0.5, alpha=1.0)
+    for attr, val in defaults.items():
+        if getattr(args, attr) is None:
             setattr(args, attr, val)
 
 
@@ -374,6 +384,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         _apply_config_file(args)
+        _fill_defaults(args)
         if args.command == "scan":
             cmd_scan(args)
             return 0
@@ -390,7 +401,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimplexError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -326,8 +326,6 @@ def verify_color_property(batch, min_expected: float = 5.0,
         expected = count / 2 ** k
         chi2 = float(np.sum((obs - expected) ** 2 / expected))
         dof = 2 ** k - 1
-        if dof == 0:
-            continue  # one block: a single fair coin has no dof at fixed count
         p = float(stats.chi2.sf(chi2, dof))
         bins.append(BinVerdict(key=key, count=count, chi2=chi2, dof=dof, p_value=p))
 

@@ -27,7 +27,7 @@ PROB_TOL = 1e-12
 # Bell numbers B_0..B_12.
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 
-# Beyond this, color_map is built column-on-demand rather than dense.
+# Largest n for the dense coloring map (2^8 x 4140).
 DENSE_N_MAX = 8
 
 
@@ -169,8 +169,7 @@ def color_map(n: int, p: float) -> np.ndarray:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0,1), got {p}")
     if n > DENSE_N_MAX:
-        raise ValueError(f"dense color_map is limited to n <= {DENSE_N_MAX}; "
-                         "use color_map_column for larger n")
+        raise ValueError(f"color_map is limited to n <= {DENSE_N_MAX}, got {n}")
     sigs = enumerate_partitions(n)
     mat = np.zeros((2 ** n, len(sigs)))
     for j, sig in enumerate(sigs):
@@ -180,18 +179,8 @@ def color_map(n: int, p: float) -> np.ndarray:
     return mat
 
 
-def color_map_column(sig: Partition, p) -> np.ndarray:
-    """Single column of the coloring map, for column-on-demand use."""
-    n = sig.n
-    col = np.zeros(2 ** n)
-    kk = sig.num_blocks
-    for row, k in _column_cells(sig, n):
-        col[row] = p ** k * (1 - p) ** (kk - k)
-    return col
-
-
 def color_map_exact(n: int, p: Fraction) -> list[list[Fraction]]:
-    """Fraction-valued coloring map (row-major) for the exact LP mode."""
+    """Fraction-valued coloring map (row-major), for exact certificate checks."""
     _check_n(n)
     p = Fraction(p)
     sigs = enumerate_partitions(n)

@@ -2,9 +2,7 @@
 
 All randomness flows through numpy's PCG64.  Samplers take an explicit
 ``seed`` argument and never touch ambient RNG state, so any result is
-reproducible from (inputs, seed).  Routines that need several independent
-streams derive them with :func:`split`, which is deterministic in
-``(seed, k)``.
+reproducible from (inputs, seed).
 """
 
 from __future__ import annotations
@@ -17,9 +15,3 @@ def make_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def split(seed, k: int) -> list[np.random.Generator]:
-    """Derive ``k`` independent child generators from ``seed``."""
-    rng = make_rng(seed)
-    return list(rng.spawn(k))

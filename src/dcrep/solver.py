@@ -3,8 +3,10 @@
 Three routes, used where each is exact:
   * n = 3, p != 1/2: the unique signed representation in closed form;
   * n = 3, p = 1/2 ({0,1}-symmetric): the one-parameter t-family;
-  * general n: phase-I LP feasibility over the coloring map, with a Farkas
-    certificate on infeasibility and a +-3 stderr relaxation for MC laws.
+  * general n: phase-I LP feasibility over the coloring map, solved by HiGHS,
+    with a Farkas certificate on infeasibility and a +-3 stderr relaxation
+    for MC laws.  ``exact=True`` keeps the float solve and checks the
+    certificate in Fraction arithmetic before calling a law Infeasible.
 A symmetry-reduced solver handles the four-points-on-a-circle family, where
 the alternating pattern is forbidden and the dihedral symmetry collapses the
 problem to the t-family of the first three coordinates.
@@ -17,12 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .partitions import (BinaryLaw, Partition, PartitionDistribution,
                          color_map, color_map_exact, enumerate_partitions,
                          push_forward)
 from .reports import Verdict
-from .simplex import phase_one, phase_one_exact
 
 FEAS_TOL = 1e-9
 P_HALF_TOL = 1e-9
@@ -207,6 +209,55 @@ def _extract_q(n: int, x: np.ndarray) -> PartitionDistribution:
     return PartitionDistribution.from_vector(n, x)
 
 
+@dataclass(frozen=True)
+class PhaseOneResult:
+    objective: float            # minimal total slack mass (0 <=> feasible)
+    x: np.ndarray               # the point q
+    y: np.ndarray               # equality multipliers (Farkas certificate if infeasible)
+    pivots: int                 # HiGHS simplex iterations
+
+
+def phase_one(a, b, slack=None) -> PhaseOneResult:
+    """Phase-I LP by HiGHS: minimize 1'(s+ + s-) subject to
+    A q + e + s+ - s- = b, with q, s+, s- >= 0 and |e| <= slack cellwise
+    (e = 0 when ``slack`` is None).
+
+    The optimum is 0 iff some q >= 0 has |A q - b| <= slack.  The equality
+    multipliers y satisfy y'A <= 0 and, without slack, y'b = objective, so on
+    a positive optimum they are a Farkas certificate.
+    """
+    a = np.asarray(a, dtype=float)
+    m, k = a.shape
+    eye = np.eye(m)
+    blocks = [a, eye, -eye]
+    cost = np.concatenate([np.zeros(k), np.ones(2 * m)])
+    bounds = [(0.0, None)] * (k + 2 * m)
+    if slack is not None:
+        blocks.append(eye)
+        cost = np.concatenate([cost, np.zeros(m)])
+        bounds += [(-s, s) for s in np.asarray(slack, dtype=float)]
+    res = linprog(cost, A_eq=np.hstack(blocks), b_eq=b, bounds=bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS phase I failed: {res.message}")
+    return PhaseOneResult(objective=float(res.fun), x=res.x[:k],
+                          y=res.eqlin.marginals, pivots=int(res.nit))
+
+
+def phase_one_exact(n: int, p: float, nu, y) -> bool:
+    """Does y prove, in exact arithmetic, that nu = color_map(n, p) q has no
+    solution q >= 0?  The floats p, nu and y are taken exactly as Fractions.
+
+    Every column of the coloring map sums to 1, so with delta = max_j (y'A)_j
+    the shifted y - delta 1 satisfies y'A <= 0 exactly; it is a certificate
+    iff y'nu - delta sum(nu) > 0.
+    """
+    ys = [Fraction(float(v)) for v in y]
+    nus = [Fraction(float(v)) for v in nu]
+    columns = zip(*color_map_exact(n, Fraction(p)))
+    delta = max(sum(yi * a for yi, a in zip(ys, col) if a) for col in columns)
+    return sum(yi * vi for yi, vi in zip(ys, nus)) - delta * sum(nus) > 0
+
+
 def lp_feasibility(nu: BinaryLaw, p: float | None = None,
                    policy: TolPolicy | None = None,
                    exact: bool = False) -> FeasibilityResult:
@@ -214,8 +265,11 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None,
 
     Exact laws get the strict verdict; MC laws that fail strictly are retried
     on the polytope widened by ``relax_sigma`` stderr per cell, and only a
-    failure there is reported Infeasible.  ``exact=True`` reruns the strict
-    problem in Fraction arithmetic (the float inputs are taken exactly).
+    failure there is reported Infeasible.  With ``exact=True`` a verdict
+    that would be Infeasible or Borderline becomes Infeasible exactly when the
+    Farkas certificate verifies in Fraction arithmetic (the float inputs taken
+    exactly), and Borderline otherwise; ``detail["certificate_verified"]``
+    holds the outcome.
     """
     policy = policy or TolPolicy()
     p_detected = _require_equal_marginals(nu, policy.marginal_tolerance(nu))
@@ -226,62 +280,33 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None,
     n = nu.n
     mat = color_map(n, p)
 
-    if exact:
-        pf = Fraction(p)
-        rows = color_map_exact(n, pf)
-        obj, x, y = phase_one_exact(rows, [Fraction(v) for v in nu.probs])
-        if obj == 0:
-            q = PartitionDistribution.from_vector(n, [float(v) for v in x])
-            margin = float(np.max(np.abs(mat @ q.as_vector() - nu.probs)))
-            return FeasibilityResult("Feasible", q, margin, detail={"mode": "exact"})
-        y = np.array([float(v) for v in y])
-        return FeasibilityResult("Infeasible", None, float(obj),
-                                 certificate=_clean_certificate(mat, nu.probs, y),
-                                 detail={"mode": "exact"})
-
     strict = phase_one(mat, nu.probs)
+    detail = {"phase1_objective": strict.objective}
+    if exact:
+        detail["mode"] = "exact"
     if strict.objective <= policy.feas_tol:
         q = _extract_q(n, strict.x)
         margin = float(np.max(np.abs(mat @ q.as_vector() - nu.probs)))
-        return FeasibilityResult("Feasible", q, margin,
-                                 detail={"phase1_objective": strict.objective})
+        return FeasibilityResult("Feasible", q, margin, detail=detail)
 
-    relax = None
+    objective, status = strict.objective, "Infeasible"
     if nu.stderr is not None and float(np.max(nu.stderr)) > 0.0:
-        relax = policy.relax_sigma * nu.stderr
-    if relax is None:
-        status = "Borderline" if strict.objective <= policy.borderline_tol else "Infeasible"
-        cert = _clean_certificate(mat, nu.probs, strict.y) if status == "Infeasible" else None
-        return FeasibilityResult(status, None, strict.objective, certificate=cert,
-                                 detail={"phase1_objective": strict.objective})
-
-    relaxed = _phase_one_relaxed(mat, nu.probs, relax)
-    if relaxed.objective <= policy.feas_tol:
-        q = _extract_q(n, relaxed.x[:mat.shape[1]])
-        margin = float(np.max(np.abs(mat @ q.as_vector() - nu.probs)))
-        return FeasibilityResult("Borderline", q, margin,
-                                 detail={"phase1_objective": strict.objective,
-                                         "relaxed_objective": relaxed.objective})
-    return FeasibilityResult("Infeasible", None, relaxed.objective,
-                             certificate=_clean_certificate(mat, nu.probs, strict.y),
-                             detail={"phase1_objective": strict.objective,
-                                     "relaxed_objective": relaxed.objective})
-
-
-def _phase_one_relaxed(mat: np.ndarray, nu: np.ndarray, slack: np.ndarray):
-    """Feasibility of |A q - nu| <= slack, q >= 0, in equality standard form.
-
-    Variables [q, u, v, su, sv]: A q + u - v = nu, u + su = slack, v + sv = slack.
-    """
-    m, k = mat.shape
-    eye = np.eye(m)
-    zero = np.zeros((m, m))
-    top = np.hstack([mat, eye, -eye, zero, zero])
-    mid = np.hstack([np.zeros((m, k)), eye, zero, eye, zero])
-    bot = np.hstack([np.zeros((m, k)), zero, eye, zero, eye])
-    a = np.vstack([top, mid, bot])
-    b = np.concatenate([nu, slack, slack])
-    return phase_one(a, b)
+        relaxed = phase_one(mat, nu.probs, slack=policy.relax_sigma * nu.stderr)
+        objective = detail["relaxed_objective"] = relaxed.objective
+        if objective <= policy.feas_tol:
+            q = _extract_q(n, relaxed.x)
+            margin = float(np.max(np.abs(mat @ q.as_vector() - nu.probs)))
+            return FeasibilityResult("Borderline", q, margin, detail=detail)
+    elif objective <= policy.borderline_tol:
+        status = "Borderline"
+    cert = _clean_certificate(mat, nu.probs, strict.y)
+    if exact:
+        verified = cert is not None and phase_one_exact(n, p, nu.probs, cert)
+        detail["certificate_verified"] = verified
+        status = "Infeasible" if verified else "Borderline"
+    return FeasibilityResult(status, None, objective,
+                             certificate=cert if status == "Infeasible" else None,
+                             detail=detail)
 
 
 def _clean_certificate(mat: np.ndarray, nu: np.ndarray, y: np.ndarray) -> np.ndarray | None:

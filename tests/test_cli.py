@@ -179,3 +179,17 @@ def test_simulate_csv_sample_stream(tmp_path):
     row = lines[2].split(",")
     assert row[0] in ("-1", "1")
     assert "|" in row[3] or row[3] == "123"
+
+
+def test_config_file_precedence(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "a": 0.3}))
+    base = ["simulate", "--simulator", "ou", "--samples", "10000", "--config", str(cfg)]
+    code, out = run(base + ["--seed", "0"], tmp_path, "a.json")
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["seed"], config["a"]) == (0, 0.3)
+    code, out = run(base + ["--a", "0.7"], tmp_path, "b.json")
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["seed"], config["a"]) == (5, 0.7)

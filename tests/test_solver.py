@@ -1,9 +1,12 @@
+import itertools
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dcrep.gaussian import (correlations3, square_on_sphere_cov,
+from dcrep.gaussian import (correlations3, markov_chain_cov, square_on_sphere_cov,
                             square_threshold_law_exact, symmetric_plus_mean_cov,
                             threshold_law_mc, zero_threshold_law_3)
 from dcrep.partitions import (BinaryLaw, PartitionDistribution, color_map,
@@ -22,6 +25,18 @@ def product_law(n, p):
     probs = np.array([p ** bin(i).count("1") * (1 - p) ** (n - bin(i).count("1"))
                       for i in range(2 ** n)])
     return BinaryLaw(n, probs)
+
+
+def negative_pair_law(p=0.4, delta=0.05):
+    """X1 an independent coin; (X2, X3) negatively correlated with the same
+    marginal: no color process."""
+    pair = {"11": p * p - delta, "10": p * (1 - p) + delta,
+            "01": p * (1 - p) + delta, "00": (1 - p) ** 2 - delta}
+    probs = np.zeros(8)
+    for bc, w in pair.items():
+        probs[int("1" + bc, 2)] = p * w
+        probs[int("0" + bc, 2)] = (1 - p) * w
+    return BinaryLaw(3, probs)
 
 
 def test_signed_rep_3_product_law():
@@ -156,14 +171,41 @@ def test_lp_matches_signed_rep_on_infeasible(rng):
     assert found_infeasible > 10
 
 
+def shifted_farkas_value(y, nu):
+    """(y - max(y'A) 1)'nu in Fraction arithmetic, with the coloring map A at
+    the law's marginal built from the block colorings; > 0 proves nu
+    infeasible."""
+    n, p = nu.n, Fraction(nu.marginal_p)
+    ys = [Fraction(float(v)) for v in y]
+    nus = [Fraction(float(v)) for v in nu.probs]
+    best = None
+    for sig in enumerate_partitions(n):
+        col = Fraction(0)
+        for colors in itertools.product((0, 1), repeat=sig.num_blocks):
+            row = sum(1 << (n - i) for b, c in zip(sig.blocks, colors) if c for i in b)
+            k = sum(colors)
+            col += ys[row] * p ** k * (1 - p) ** (sig.num_blocks - k)
+        best = col if best is None else max(best, col)
+    return sum(a * b for a, b in zip(ys, nus)) - best * sum(nus)
+
+
 def test_lp_exact_mode():
-    nu = BinaryLaw(2, [0.2, 0.3, 0.3, 0.2])
-    res = lp_feasibility(nu, exact=True)
-    assert res.status == "Infeasible"
+    for nu in (BinaryLaw(2, [0.2, 0.3, 0.3, 0.2]), negative_pair_law(),
+               square_threshold_law_exact(1.2)):
+        res = lp_feasibility(nu, exact=True)
+        assert res.status == "Infeasible"
+        assert res.detail["certificate_verified"] is True
+        assert shifted_farkas_value(res.certificate, nu) > 0
     q = PartitionDistribution(2, {"12": 0.5, "1|2": 0.5})
     res = lp_feasibility(push_forward(q, 0.25), exact=True)
     assert res.status == "Feasible"
     assert np.allclose(res.q.as_vector(), q.as_vector(), atol=1e-12)
+    # feasible by construction: float roundoff must not read as infeasibility
+    for n, p in itertools.product((3, 4, 5), (0.25, 0.3)):
+        nu = push_forward(random_probability_q(np.random.default_rng(n), n), p)
+        res = lp_feasibility(nu, exact=True)
+        assert res.status == "Feasible", (n, p)
+        assert np.allclose(push_forward(res.q, p).probs, nu.probs, atol=1e-8)
 
 
 def test_lp_mc_relaxation_borderline():
@@ -175,6 +217,8 @@ def test_lp_mc_relaxation_borderline():
     nu = BinaryLaw.from_counts(counts, m)
     res = lp_feasibility(nu)
     assert res.status in ("Feasible", "Borderline")
+    # exact mode checks certificates, it does not drop the MC relaxation
+    assert lp_feasibility(nu, exact=True).status in ("Feasible", "Borderline")
 
 
 def test_lp_dimension_and_marginal_errors():
@@ -270,16 +314,8 @@ def test_lp_roundtrip_larger_n(rng, n, p):
 
 
 def test_lp_rejects_negative_pairwise_correlation_n3():
-    # X1 an independent coin; (X2, X3) negatively correlated with the same marginal
-    p, delta = 0.4, 0.05
-    pair = {"11": p * p - delta, "10": p * (1 - p) + delta,
-            "01": p * (1 - p) + delta, "00": (1 - p) ** 2 - delta}
-    probs = np.zeros(8)
-    for bc, w in pair.items():
-        probs[int("1" + bc, 2)] = p * w
-        probs[int("0" + bc, 2)] = (1 - p) * w
-    nu = BinaryLaw(3, probs)
-    assert np.allclose(nu.marginals(), p, atol=1e-12)
+    nu = negative_pair_law()
+    assert np.allclose(nu.marginals(), 0.4, atol=1e-12)
     assert lp_feasibility(nu).status == "Infeasible"
 
 
@@ -311,3 +347,39 @@ def test_square_circle_solver_mc_small_positive_h():
     assert res.status == "Feasible"
     assert min(res.q.weights.values()) >= -1e-9
     assert res.infeasibility_margin < 0.01
+
+
+@pytest.mark.parametrize("n, support", [(7, 30), (8, None)])
+def test_lp_feasible_by_construction_large_n(n, support):
+    # the degenerate p = 0.3 LPs at n = 7, 8 are decided fast and to roundoff
+    rng = np.random.default_rng(n)
+    sigs = enumerate_partitions(n)
+    picked = rng.choice(len(sigs), size=support or len(sigs), replace=False)
+    w = rng.dirichlet(np.ones(picked.size))
+    mat = color_map(n, 0.3)
+    nu = BinaryLaw(n, mat[:, picked] @ w)
+    t0 = time.perf_counter()
+    res = lp_feasibility(nu)
+    elapsed = time.perf_counter() - t0
+    assert res.status == "Feasible"
+    assert float(np.max(np.abs(mat @ res.q.as_vector() - nu.probs))) <= 1e-8
+    assert elapsed < 2.0
+
+
+def test_lp_feasible_verdicts_reproduce_the_law_n6():
+    mat = color_map(6, 0.3)
+    for seed in range(200):
+        w = np.random.default_rng(seed).dirichlet(np.ones(mat.shape[1]))
+        nu = BinaryLaw(6, mat @ w)
+        res = lp_feasibility(nu)
+        assert res.status == "Feasible", seed
+        assert float(np.max(np.abs(mat @ res.q.as_vector() - nu.probs))) <= 1e-8, seed
+
+
+def test_lp_relaxed_mc_markov_n6():
+    law = threshold_law_mc(markov_chain_cov(6, 0.5), 0.0, 10 ** 6, seed=5)
+    t0 = time.perf_counter()
+    res = lp_feasibility(law)
+    elapsed = time.perf_counter() - t0
+    assert res.status in ("Feasible", "Borderline")
+    assert elapsed < 2.0
