@@ -247,10 +247,10 @@ def _emit_sample_csv(args, batch) -> None:
     header = (["sign_" + str(i + 1) for i in range(batch.n)]
               + ["partition"]
               + ["crossing_p_" + str(i + 1) for i in range(batch.crossing_probs.shape[1])])
-    rows = []
-    for i in range(batch.m):
-        s = batch.sample(i)
-        rows.append(list(s.signs) + [s.partition.key] + list(s.crossing_probs))
+    parts, _, inverse, _ = batch.partition_groups()
+    keys = [sig.key for sig in parts]
+    rows = [signs + [keys[g]] + probs for signs, g, probs in
+            zip(batch.signs.tolist(), inverse.tolist(), batch.crossing_probs.tolist())]
     _emit_csv(args, header, rows)
 
 
@@ -350,7 +350,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_file(args) -> None:
+# JSON types a config value may have, by the argparse type of its flag
+_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _config_value(action, key: str, val):
+    """A config value checked as its flag would check it on the command line."""
+    allowed = _CONFIG_TYPES[action.type]
+    if isinstance(val, bool) or not isinstance(val, allowed):
+        raise UsageError(f"config {key!r} must be of type "
+                         f"{(action.type or str).__name__}, got {val!r}")
+    if action.type is not None:
+        val = action.type(val)
+    if action.choices is not None and val not in action.choices:
+        raise UsageError(f"config {key!r} must be one of {sorted(action.choices)}, got {val!r}")
+    return val
+
+
+def _apply_config_file(args, ap: argparse.ArgumentParser) -> None:
     if not args.config:
         return
     try:
@@ -360,11 +377,16 @@ def _apply_config_file(args) -> None:
         raise UsageError(f"bad config file: {exc}") from exc
     if cfg.get("schema", SCHEMA) != SCHEMA:
         raise UsageError(f"config schema {cfg.get('schema')!r} != {SCHEMA!r}")
+    subcommands = next(a for a in ap._actions if a.dest == "command").choices
+    actions = {a.dest: a for a in subcommands[args.command]._actions}
     for key, val in cfg.items():
         if key in ("schema", "command"):
             continue
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
+        if not hasattr(args, attr):
+            continue
+        val = _config_value(actions[attr], key, val)
+        if getattr(args, attr) is None:
             setattr(args, attr, val)
 
 
@@ -383,7 +405,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        _apply_config_file(args)
+        _apply_config_file(args, ap)
         _fill_defaults(args)
         if args.command == "scan":
             cmd_scan(args)

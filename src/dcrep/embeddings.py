@@ -59,11 +59,24 @@ class EmbeddingSample:
 
 
 class EmbeddingBatch:
-    """Vectorized batch of embedding samples (memory-friendly for large m)."""
+    """Vectorized batch of embedding samples (memory-friendly for large m).
+
+    Each row of ``labels`` is a restricted-growth string (Knuth, TAOCP 4A
+    7.2.1.5): element 1 has label 0, and every later label is at most one more
+    than the largest label before it.  So block b is the b-th block in order
+    of least element, and a row's labels name its partition in exactly one
+    way.  Read as base-n digits, the row is one int64 code,
+    ``labels @ n ** arange(n - 1, -1, -1)``, below n^n <= 12^12; rows share a
+    code iff they share a partition.
+    """
 
     def __init__(self, signs: np.ndarray, labels: np.ndarray,
                  crossing_probs: np.ndarray, topology: str = "path",
                  values: np.ndarray | None = None):
+        top = np.maximum.accumulate(labels, axis=1)
+        if ((labels[:, 0] != 0).any() or (labels < 0).any()
+                or (labels[:, 1:] > top[:, :-1] + 1).any()):
+            raise ValueError("labels must be restricted-growth strings")
         self.signs = signs              # (m, n) of +-1
         self.labels = labels            # (m, n) block labels, 0-based per sample
         self.crossing_probs = crossing_probs
@@ -75,17 +88,30 @@ class EmbeddingBatch:
         return self.m
 
     def sample(self, i: int) -> EmbeddingSample:
-        lab = self.labels[i]
-        blocks = [tuple(int(j + 1) for j in np.nonzero(lab == b)[0])
-                  for b in range(lab.max() + 1)]
         return EmbeddingSample(
             signs=tuple(int(s) for s in self.signs[i]),
-            partition=Partition.of(blocks),
+            partition=self._partition(i),
             crossing_probs=tuple(float(c) for c in self.crossing_probs[i]),
             topology=self.topology)
 
     def __iter__(self):
         return (self.sample(i) for i in range(self.m))
+
+    def _partition(self, i: int) -> Partition:
+        lab = self.labels[i]
+        return Partition.of([tuple(int(j + 1) for j in np.nonzero(lab == b)[0])
+                             for b in range(lab.max() + 1)])
+
+    def partition_groups(self) -> tuple[list[Partition], np.ndarray, np.ndarray, np.ndarray]:
+        """Rows grouped by their partition code, groups in code order.
+
+        Returns ``(partitions, first, inverse, counts)``: one Partition per
+        group, the group's first row, each row's group and each group's size.
+        """
+        codes = self.labels.astype(np.int64) @ (self.n ** np.arange(self.n - 1, -1, -1))
+        _, first, inverse, counts = np.unique(
+            codes, return_index=True, return_inverse=True, return_counts=True)
+        return [self._partition(i) for i in first], first, inverse, counts
 
     def empirical_sign_law(self) -> BinaryLaw:
         bits = (self.signs > 0).astype(np.int64)
@@ -94,18 +120,11 @@ class EmbeddingBatch:
         return BinaryLaw.from_counts(counts, self.m)
 
     def empirical_partition_distribution(self) -> PartitionDistribution:
-        keys: dict[str, int] = {}
-        for i in range(self.m):
-            key = self._key(i)
-            keys[key] = keys.get(key, 0) + 1
+        parts, first, _, counts = self.partition_groups()
+        # weights in the order a pass over the rows first meets each partition,
+        # which fixes the order in which push_forward sums them
         return PartitionDistribution(
-            self.n, {k: c / self.m for k, c in keys.items()})
-
-    def _key(self, i: int) -> str:
-        lab = self.labels[i]
-        blocks = [tuple(int(j + 1) for j in np.nonzero(lab == b)[0])
-                  for b in range(lab.max() + 1)]
-        return Partition.of(blocks).key
+            self.n, {parts[g].key: int(counts[g]) / self.m for g in np.argsort(first)})
 
     def pair_cluster_frequency(self, i: int, j: int) -> float:
         return float(np.mean(self.labels[:, i - 1] == self.labels[:, j - 1]))
@@ -190,13 +209,9 @@ def _star_batch(y: np.ndarray, expo: np.ndarray, rng: np.random.Generator) -> Em
     cross_p = np.where(signs[:, :1] == signs[:, 1:],
                        np.exp(-2.0 * np.clip(expo, 0.0, None)), 1.0)
     crossing = rng.random((m, n1 - 1)) < cross_p
+    # a leaf that crosses opens the next block; one that does not joins the root's
     labels = np.zeros((m, n1), dtype=np.int16)
-    for i in range(m):
-        nxt = 1
-        for j in range(n1 - 1):
-            if crossing[i, j]:
-                labels[i, j + 1] = nxt
-                nxt += 1
+    labels[:, 1:] = np.where(crossing, np.cumsum(crossing, axis=1), 0)
     return EmbeddingBatch(signs, labels, cross_p, topology="star", values=y)
 
 
@@ -302,32 +317,28 @@ def verify_color_property(batch, min_expected: float = 5.0,
         batch = batch_from_samples(batch)
     if len(batch) < 10_000:
         raise ValueError("verification needs at least 10^4 samples")
-    m, n = batch.m, batch.n
-    pow2_cache = {}
-    groups: dict[str, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(batch._key(i), []).append(i)
+    m = batch.m
+    parts, _, inverse, counts = batch.partition_groups()
+    rows_of = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
 
     bins = []
     excluded = []
-    for key, rows in sorted(groups.items()):
-        sig = Partition.from_key(key)
+    for g in sorted(range(len(parts)), key=lambda g: parts[g].key):
+        sig = parts[g]
         k = sig.num_blocks
-        count = len(rows)
+        count = int(counts[g])
         if count / 2 ** k < min_expected:
-            excluded.append(key)
+            excluded.append(sig.key)
             continue
         # observed distribution over the 2^k block colorings
-        obs = np.zeros(2 ** k, dtype=np.int64)
         firsts = [b[0] - 1 for b in sig.blocks]
-        sub = (batch.signs[np.ix_(rows, firsts)] > 0).astype(np.int64)
-        pw = pow2_cache.setdefault(k, 1 << np.arange(k - 1, -1, -1))
-        np.add.at(obs, sub @ pw, 1)
+        sub = (batch.signs[np.ix_(rows_of[g], firsts)] > 0).astype(np.int64)
+        obs = np.bincount(sub @ (1 << np.arange(k - 1, -1, -1)), minlength=2 ** k)
         expected = count / 2 ** k
         chi2 = float(np.sum((obs - expected) ** 2 / expected))
         dof = 2 ** k - 1
         p = float(stats.chi2.sf(chi2, dof))
-        bins.append(BinVerdict(key=key, count=count, chi2=chi2, dof=dof, p_value=p))
+        bins.append(BinVerdict(key=sig.key, count=count, chi2=chi2, dof=dof, p_value=p))
 
     sign_law = batch.empirical_sign_law()
     part_law = batch.empirical_partition_distribution()

@@ -151,12 +151,40 @@ def index_string(idx: int, n: int) -> str:
     return format(idx, f"0{n}b")
 
 
+def _block_bits(sig: Partition, n: int) -> list[int]:
+    """Each block of sig as a row-index bit mask (element 1 is the high bit)."""
+    return [sum(1 << (n - i) for i in b) for b in sig.blocks]
+
+
 def _column_cells(sig: Partition, n: int):
     """Yield (row, #blocks colored 1) for the strings constant on sig's blocks."""
-    bits = [sum(1 << (n - i) for i in b) for b in sig.blocks]
+    bits = _block_bits(sig, n)
     for colors in itertools.product((0, 1), repeat=len(bits)):
         row = sum(bit for bit, c in zip(bits, colors) if c)
         yield row, sum(colors)
+
+
+@lru_cache(maxsize=None)
+def _color_map_cells(n: int) -> tuple[np.ndarray, ...]:
+    """Nonzero cells of ``color_map(n, .)`` as read-only index arrays shared by
+    every call: row, column, #blocks colored 1 (k) and #blocks (K)."""
+    sigs = enumerate_partitions(n)
+    parts = []
+    for big in range(1, n + 1):
+        cols = [j for j, sig in enumerate(sigs) if sig.num_blocks == big]
+        # the 2^K colorings of K blocks
+        colorings = np.array(list(itertools.product((0, 1), repeat=big)))
+        bits = np.array([_block_bits(sigs[j], n) for j in cols])
+        parts.append(((bits @ colorings.T).ravel(),
+                      np.repeat(cols, 2 ** big),
+                      np.tile(colorings.sum(axis=1), len(cols)),
+                      np.full(len(cols) * 2 ** big, big)))
+    # rows < 2^8 and columns < Bell(8) fit int16, block counts int8
+    dtypes = (np.int16, np.int16, np.int8, np.int8)
+    arrays = tuple(np.concatenate(a).astype(t) for a, t in zip(zip(*parts), dtypes))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def color_map(n: int, p: float) -> np.ndarray:
@@ -170,12 +198,12 @@ def color_map(n: int, p: float) -> np.ndarray:
         raise ValueError(f"p must lie in (0,1), got {p}")
     if n > DENSE_N_MAX:
         raise ValueError(f"color_map is limited to n <= {DENSE_N_MAX}, got {n}")
-    sigs = enumerate_partitions(n)
-    mat = np.zeros((2 ** n, len(sigs)))
-    for j, sig in enumerate(sigs):
-        kk = sig.num_blocks
-        for row, k in _column_cells(sig, n):
-            mat[row, j] = p ** k * (1.0 - p) ** (kk - k)
+    row, col, k, kk = _color_map_cells(n)
+    # weight[K, k] = p^k (1-p)^(K-k), by scalar powers: the bits of the cell formula
+    weight = np.array([[p ** j * (1.0 - p) ** (big - j) for j in range(n + 1)]
+                       for big in range(n + 1)])
+    mat = np.zeros((2 ** n, bell_number(n)))
+    mat[row, col] = weight[kk, k]
     return mat
 
 
@@ -409,17 +437,24 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     keys = sorted(k for k, w in q.weights.items() if w > 0.0)
     weights = np.array([q.weights[k] for k in keys])
     weights = weights / weights.sum()
-    which = rng.choice(len(keys), size=m, p=weights)
-    samples = np.zeros((m, n), dtype=np.uint8)
-    for j, key in enumerate(keys):
-        rows = np.nonzero(which == j)[0]
-        if rows.size == 0:
+    # each sample's partition, in a small dtype so that one stable (radix)
+    # sort lists each partition's rows in ascending order
+    small = np.int16 if len(keys) <= np.iinfo(np.int16).max else np.int32
+    which = rng.choice(len(keys), size=m, p=weights).astype(small)
+    counts = np.bincount(which, minlength=len(keys))
+    order = np.argsort(which, kind="stable")
+    idx = np.empty(m, dtype=np.uint16)   # each sample's string index, < 2^MAX_N
+    cells = np.zeros(2 ** n, dtype=np.int64)
+    start = 0
+    for key, count in zip(keys, counts.tolist()):
+        if count == 0:
             continue
         sig = Partition.from_key(key)
-        colors = (rng.random((rows.size, sig.num_blocks)) < p)
-        for b, block in enumerate(sig.blocks):
-            for i in block:
-                samples[rows, i - 1] = colors[:, b]
-    pow2 = 1 << np.arange(n - 1, -1, -1)
-    counts = np.bincount(samples @ pow2, minlength=2 ** n)
-    return samples, BinaryLaw.from_counts(counts, m)
+        rho = (rng.random((count, sig.num_blocks)) < p) @ np.array(_block_bits(sig, n))
+        idx[order[start:start + count]] = rho
+        cells += np.bincount(rho, minlength=2 ** n)
+        start += count
+    samples = np.empty((m, n), dtype=np.uint8)
+    for i in range(n):
+        samples[:, i] = (idx >> (n - 1 - i)) & 1
+    return samples, BinaryLaw.from_counts(cells, m)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dcrep import cli
 from dcrep.cli import main
 from dcrep.gaussian import zero_threshold_law_3, fully_symmetric_cov
 
@@ -193,3 +194,47 @@ def test_config_file_precedence(tmp_path):
     assert code == 0
     config = json.loads(out.read_text())["config"]
     assert (config["seed"], config["a"]) == (5, 0.7)
+
+
+@pytest.mark.parametrize("config", [{"seed": "5"}, {"a": "x"}, {"format": "xml"},
+                                    {"seed": True}, {"samples": 1.5}])
+def test_config_values_are_typed(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _ = run(["simulate", "--simulator", "ou", "--samples", "10000",
+                   "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_config_values_of_the_flag_type_apply(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "a": 1, "format": "json"}))
+    code, out = run(["simulate", "--simulator", "ou", "--a", "0.4", "--samples", "10000",
+                     "--config", str(cfg)], tmp_path)
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["seed"], config["a"], config["format"]) == (5, 0.4, "json")
+
+
+def reference_emit_sample_csv(args, batch):
+    """The sample CSV built row by row from EmbeddingSample objects."""
+    header = (["sign_" + str(i + 1) for i in range(batch.n)] + ["partition"]
+              + ["crossing_p_" + str(i + 1) for i in range(batch.crossing_probs.shape[1])])
+    rows = [list(s.signs) + [s.partition.key] + list(s.crossing_probs) for s in batch]
+    cli._emit_csv(args, header, rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--simulator", "ou", "--a", "0.5", "--n", "4", "--samples", "2000", "--seed", "3"],
+    ["--simulator", "stable-chain", "--alpha", "0.8", "--a", "0.5", "--n", "5",
+     "--samples", "2000", "--seed", "4"],
+])
+def test_sample_csv_matches_per_row_path(tmp_path, monkeypatch, argv):
+    argv = ["simulate"] + argv + ["--format", "csv"]
+    code, out = run(argv, tmp_path, "codes.csv")
+    assert code == 0
+    monkeypatch.setattr(cli, "_emit_sample_csv", reference_emit_sample_csv)
+    code, ref = run(argv, tmp_path, "rows.csv")
+    assert code == 0
+    assert out.read_bytes() == ref.read_bytes()

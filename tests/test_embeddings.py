@@ -2,16 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from dcrep.embeddings import (EmbeddingBatch, EmbeddingSample,
+from dcrep.embeddings import (BinVerdict, ColorPropertyReport, EmbeddingBatch,
+                              EmbeddingSample, _star_batch, batch_from_samples,
                               ou_partition_batch, ou_partition_sample,
                               ou_star_partition_batch, stable_chain_partition_batch,
                               stable_chain_partition_sample,
                               stable_star_partition_batch, verify_color_property)
 from dcrep.gaussian import markov_chain_cov, pair_cluster_weight, zero_threshold_law_3
-from dcrep.partitions import BinaryLaw, Partition
+from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution,
+                              enumerate_partitions, push_forward, simulate_color_process)
+from dcrep.rng import make_rng
 from dcrep.stable import common_shock_model, sample_sym_stable, stable_threshold_law_mc
+
+from conftest import random_probability_q
 
 
 def test_single_sample_shape():
@@ -198,3 +205,180 @@ def test_stable_chain_marginals_are_stationary():
         assert stats.kstest(batch.values[:, i], "cauchy").pvalue > 0.01
     direct = sample_sym_stable(1.0, 1.0, 100_000, seed=22)
     assert stats.ks_2samp(batch.values[:, 2], direct).pvalue > 0.01
+
+
+# -- integer partition codes against the per-row reference ---------------------
+
+def reference_key(labels_row):
+    """A row's partition key built block by block, as the per-row grouping did."""
+    blocks = [tuple(int(j + 1) for j in np.nonzero(labels_row == b)[0])
+              for b in range(labels_row.max() + 1)]
+    return Partition.of(blocks).key
+
+
+def reference_groups(batch):
+    """Rows by partition key, keys in order of first occurrence."""
+    groups = {}
+    for i in range(batch.m):
+        groups.setdefault(reference_key(batch.labels[i]), []).append(i)
+    return groups
+
+
+def reference_verify(batch, groups, min_expected=5.0, significance=1e-3):
+    """verify_color_property with one string key per row."""
+    m = batch.m
+    bins, excluded = [], []
+    for key, rows in sorted(groups.items()):
+        sig = Partition.from_key(key)
+        k = sig.num_blocks
+        count = len(rows)
+        if count / 2 ** k < min_expected:
+            excluded.append(key)
+            continue
+        obs = np.zeros(2 ** k, dtype=np.int64)
+        firsts = [b[0] - 1 for b in sig.blocks]
+        sub = (batch.signs[np.ix_(rows, firsts)] > 0).astype(np.int64)
+        np.add.at(obs, sub @ (1 << np.arange(k - 1, -1, -1)), 1)
+        expected = count / 2 ** k
+        chi2 = float(np.sum((obs - expected) ** 2 / expected))
+        dof = 2 ** k - 1
+        bins.append(BinVerdict(key=key, count=count, chi2=chi2, dof=dof,
+                               p_value=float(stats.chi2.sf(chi2, dof))))
+    weights = {key: len(rows) / m for key, rows in groups.items()}
+    sign_law = batch.empirical_sign_law()
+    pf = push_forward(PartitionDistribution(batch.n, weights), 0.5)
+    se = np.sqrt(np.maximum(sign_law.probs * (1.0 - sign_law.probs), 1.0 / m) / m)
+    return ColorPropertyReport(
+        n_samples=m, bins=tuple(bins), excluded_bins=tuple(excluded),
+        aggregate_max_dev_se=float(np.max(np.abs(sign_law.probs - pf.probs) / se)),
+        significance=significance)
+
+
+def every_partition_batch(n, m, seed):
+    """Uniform over all partitions of [n], fair block colors.  Unlike path and
+    star batches it has partitions whose code order is not their key order,
+    such as 1|234 (labels 0111) before 14|2|3 (labels 0120)."""
+    sigs = enumerate_partitions(n)
+    table = np.zeros((len(sigs), n), dtype=np.int16)
+    for r, sig in enumerate(sigs):
+        for b, block in enumerate(sig.blocks):
+            table[r, [j - 1 for j in block]] = b
+    gen = np.random.default_rng(seed)
+    labels = table[gen.integers(len(sigs), size=m)]
+    colors = gen.choice(np.array([-1, 1], dtype=np.int8), size=(m, n))
+    signs = np.take_along_axis(colors, labels.astype(np.intp), axis=1)
+    return EmbeddingBatch(signs, labels, np.ones((m, n - 1)), topology="star")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: every_partition_batch(4, 12_000, seed=29),
+    lambda: ou_partition_batch(0.5, 1, 10_000, seed=30),
+    lambda: ou_partition_batch(0.5, 3, 10_000, seed=31),
+    lambda: ou_partition_batch(0.3, 6, 10_000, seed=32),
+    lambda: stable_chain_partition_batch(1.2, 0.5, 4, 10_000, seed=33),
+    lambda: ou_star_partition_batch(0.5, 3, 10_000, seed=34),
+    lambda: stable_star_partition_batch(1.2, 0.5, 4, 10_000, seed=35),
+    lambda: batch_from_samples(list(ou_partition_batch(0.4, 4, 10_000, seed=36))),
+], ids=["all_partitions", "ou1", "ou3", "ou6", "stable4", "ou_star", "stable_star", "sample_list"])
+def test_verify_matches_per_row_reference(make):
+    batch = make()
+    groups = reference_groups(batch)
+    assert verify_color_property(batch) == reference_verify(batch, groups)
+    weights = batch.empirical_partition_distribution().weights
+    assert list(weights.items()) == [(k, len(rows) / batch.m) for k, rows in groups.items()]
+
+
+@st.composite
+def restricted_growth_labels(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(m):
+        row = [0]
+        for _ in range(n - 1):
+            row.append(draw(st.integers(0, max(row) + 1)))
+        rows.append(row)
+    return np.array(rows, dtype=np.int16)
+
+
+@given(restricted_growth_labels())
+@settings(max_examples=200, deadline=None)
+def test_codes_group_rows_as_partitions(labels):
+    m, n = labels.shape
+    batch = EmbeddingBatch(np.ones((m, n), dtype=np.int8), labels, np.zeros((m, n - 1)))
+    parts, first, inverse, counts = batch.partition_groups()
+    keys = [reference_key(row) for row in labels]
+    assert [parts[g].key for g in inverse] == keys
+    assert len(parts) == len(set(keys))
+    assert [keys[i] for i in first] == [p.key for p in parts]
+    assert counts.tolist() == [keys.count(p.key) for p in parts]
+
+
+def test_labels_must_be_restricted_growth():
+    signs = np.ones((1, 3), dtype=np.int8)
+    for labels in ([[1, 0, 0]], [[0, 2, 1]], [[0, 1, -1]]):
+        with pytest.raises(ValueError):
+            EmbeddingBatch(signs, np.array(labels, dtype=np.int16), np.zeros((1, 2)))
+
+
+def reference_star_batch(y, expo, rng):
+    """_star_batch with its per-row labelling loop."""
+    m, n1 = y.shape
+    signs = np.where(y > 0.0, 1, -1).astype(np.int8)
+    cross_p = np.where(signs[:, :1] == signs[:, 1:],
+                       np.exp(-2.0 * np.clip(expo, 0.0, None)), 1.0)
+    crossing = rng.random((m, n1 - 1)) < cross_p
+    labels = np.zeros((m, n1), dtype=np.int16)
+    for i in range(m):
+        nxt = 1
+        for j in range(n1 - 1):
+            if crossing[i, j]:
+                labels[i, j + 1] = nxt
+                nxt += 1
+    return labels
+
+
+@pytest.mark.parametrize("leaves", [1, 3, 6])
+def test_star_labels_match_per_row_loop(leaves):
+    a, m = 0.4, 5000
+    gen = np.random.default_rng(leaves)
+    y = gen.standard_normal((m, leaves + 1))
+    expo = a * y[:, :1] * y[:, 1:] / (1.0 - a * a)
+    batch = _star_batch(y, expo, make_rng(40))
+    expect = reference_star_batch(y, expo, make_rng(40))
+    assert batch.labels.dtype == expect.dtype
+    assert np.array_equal(batch.labels, expect)
+
+
+def reference_simulate_color_process(q, p, m, seed):
+    """simulate_color_process with one pass over the samples per partition."""
+    rng = make_rng(seed)
+    n = q.n
+    keys = sorted(k for k, w in q.weights.items() if w > 0.0)
+    weights = np.array([q.weights[k] for k in keys])
+    weights = weights / weights.sum()
+    which = rng.choice(len(keys), size=m, p=weights)
+    samples = np.zeros((m, n), dtype=np.uint8)
+    for j, key in enumerate(keys):
+        rows = np.nonzero(which == j)[0]
+        if rows.size == 0:
+            continue
+        sig = Partition.from_key(key)
+        colors = (rng.random((rows.size, sig.num_blocks)) < p)
+        for b, block in enumerate(sig.blocks):
+            for i in block:
+                samples[rows, i - 1] = colors[:, b]
+    counts = np.bincount(samples @ (1 << np.arange(n - 1, -1, -1)), minlength=2 ** n)
+    return samples, BinaryLaw.from_counts(counts, m)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_color_process_matches_per_partition_loop(n, seed):
+    q = random_probability_q(np.random.default_rng(100 + n), n)
+    samples, law = simulate_color_process(q, 0.3, 20_000, seed)
+    expect, expect_law = reference_simulate_color_process(q, 0.3, 20_000, seed)
+    assert samples.dtype == expect.dtype
+    assert np.array_equal(samples, expect)
+    assert np.array_equal(law.probs, expect_law.probs)
+    assert np.array_equal(law.stderr, expect_law.stderr)

@@ -243,3 +243,25 @@ def test_color_map_columns_stochastic_property(n, p):
     mat = color_map(n, p)
     assert np.allclose(mat.sum(axis=0), 1.0, atol=1e-12)
     assert mat.min() >= 0.0
+
+
+def reference_color_map(n, p):
+    """color_map built by a double loop over partitions and their colorings."""
+    sigs = enumerate_partitions(n)
+    mat = np.zeros((2 ** n, len(sigs)))
+    for j, sig in enumerate(sigs):
+        bits = [sum(1 << (n - i) for i in b) for b in sig.blocks]
+        for colors in itertools.product((0, 1), repeat=len(bits)):
+            row = sum(bit for bit, c in zip(bits, colors) if c)
+            k = sum(colors)
+            mat[row, j] = p ** k * (1.0 - p) ** (sig.num_blocks - k)
+    return mat
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_color_map_matches_double_loop(n):
+    for p in (0.1, 0.3, 0.5, 0.77):
+        assert np.array_equal(color_map(n, p), reference_color_map(n, p))
+    mat = color_map(n, 0.3)
+    mat[0, 0] = 5.0   # each call returns a fresh matrix
+    assert np.array_equal(color_map(n, 0.3), reference_color_map(n, 0.3))
