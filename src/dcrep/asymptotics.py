@@ -66,18 +66,30 @@ def small_h_limits_3(cov: CovarianceSpec) -> SmallHLimits3:
         raise ValueError("small_h_limits_3 needs a standard n = 3 matrix")
     if not cov.is_pd:
         raise ValueError("small_h_limits_3 needs a positive definite matrix")
-    a = cov.a
-    th = cov.angles
-    t12, t13, t23 = th[0, 1], th[0, 2], th[1, 2]
-    prod = (1.0 + a[0, 1]) * (1.0 + a[0, 2]) * (1.0 + a[1, 2])
-    kappa = math.acos(max(-1.0, min(1.0, cov.det / prod - 1.0))) / math.pi
-    q_sing = 2.0 - 2.0 * kappa
-    q12_3 = (t13 + t23 - t12) / math.pi - 1.0 + kappa
-    q13_2 = (t12 + t23 - t13) / math.pi - 1.0 + kappa
-    q1_23 = (t12 + t13 - t23) / math.pi - 1.0 + kappa
-    q123 = 2.0 - (t12 + t13 + t23) / math.pi - kappa
-    return SmallHLimits3(q_1_2_3=q_sing, q_12_3=q12_3, q_13_2=q13_2,
-                         q_1_23=q1_23, q_123=q123, kappa=kappa)
+    q, kappa = small_h_limits_stack(cov.a[None], cov.eigvals[None])
+    return SmallHLimits3(*q[0].tolist(), kappa=float(kappa[0]))
+
+
+def small_h_limits_stack(mats: np.ndarray, eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The h -> 0 limits of an (N, 3, 3) stack of standard PD matrices.
+
+    ``eigvals`` are their ascending spectra, det A = their product.  Returns
+    the (N, 5) limits in ``SmallHLimits3`` field order and the (N,) kappa.
+    """
+    off = mats[:, [0, 0, 1], [1, 2, 2]]
+    t12, t13, t23 = np.arccos(np.clip(off, -1.0, 1.0)).T
+    prod = (1.0 + off[:, 0]) * (1.0 + off[:, 1]) * (1.0 + off[:, 2])
+    det = eigvals[:, 0] * eigvals[:, 1] * eigvals[:, 2]
+    arg = np.clip(det / prod - 1.0, -1.0, 1.0)
+    # math.acos, not np.arccos: the two differ in the last ulp on about one
+    # input in ten, and kappa is printed
+    kappa = np.array([math.acos(x) for x in arg.tolist()]) / math.pi
+    q = np.stack([2.0 - 2.0 * kappa,
+                  (t13 + t23 - t12) / math.pi - 1.0 + kappa,
+                  (t12 + t23 - t13) / math.pi - 1.0 + kappa,
+                  (t12 + t13 - t23) / math.pi - 1.0 + kappa,
+                  2.0 - (t12 + t13 + t23) / math.pi - kappa], axis=1)
+    return q, kappa
 
 
 def small_h_positive_families(family: str, a_values) -> list[tuple[float, SmallHLimits3, bool]]:

@@ -189,24 +189,29 @@ def cmd_solve(args) -> dict:
     return out
 
 
+def _scan_ab_columns(values: np.ndarray) -> list:
+    """Columns of ``scan ab`` over the grid values x values, classified in one
+    array pass.  Only these 1-D columns outlive the call, not the stacked
+    matrices, so the CSV text is built without them."""
+    grid = cond.ab_region_grid(np.repeat(values, len(values)), np.tile(values, len(values)))
+    usable = grid.numerically_pd
+    small = np.full(len(usable), "", dtype=object)
+    q, _ = asym.small_h_limits_stack(grid.classified.mats[usable],
+                                     grid.classified.eigvals[usable])
+    small[usable] = (q.min(axis=1) > 1e-10).astype(int)
+    return [grid.a, grid.b, grid.pd.astype(int), grid.dgff.astype(int),
+            grid.large_h_color.astype(int), (np.abs(grid.markov_gap) <= 1e-12).astype(int),
+            small, grid.savage_min, grid.pd_margin, grid.markov_gap,
+            [tag or "" for tag in grid.case_tag]]
+
+
 def cmd_scan(args):
     if args.scan == "ab":
         step = args.a_step or 0.005
         values = np.arange(step, 1.0, step)
         header = ["a", "b", "pd", "dgff", "large_h_color", "markov_boundary",
                   "small_h_feasible", "savage_min", "pd_margin", "markov_gap", "case_tag"]
-        rows = []
-        for a in values:
-            for b in values:
-                reg = cond.ab_region_classify(float(a), float(b))
-                small = ""
-                if reg.numerically_pd:
-                    small = 1 if asym.small_h_limits_3(reg.cov()).minimum > 1e-10 else 0
-                rows.append([reg.a, reg.b, int(reg.pd), int(reg.dgff),
-                             int(reg.large_h_color), int(reg.markov_boundary),
-                             small, reg.savage_min, reg.pd_margin, reg.markov_gap,
-                             reg.case_tag or ""])
-        _emit_csv(args, header, rows)
+        _emit_csv(args, header, zip(*_scan_ab_columns(values)))
         return None
     if args.scan == "theta":
         step = args.a_step or (math.pi / 80)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gaussian import CovarianceSpec, ab_cov
+from .gaussian import RANK_RTOL, CovarianceSpec, ab_cov
 from .reports import ClassificationReport, Regime, Verdict
 
 ZERO_BAND = 1e-10       # Savage coordinates within this of 0 count as zero
@@ -175,33 +175,88 @@ def classify_large_h_3(cov: CovarianceSpec) -> LargeHVerdict:
     All covariances positive: representable for large h iff the Savage vector
     is strictly positive (i), or its minimum is zero (ii), or its minimum is
     negative with 1'A^{-1}1 < 2 (iii).  Exactly one zero covariance kills
-    large-h representability; two zeros make it trivial.
+    large-h representability; two zeros make it trivial.  The verdict comes
+    from ``classify_stack_3`` on a stack of one.
     """
     if cov.n != 3:
         raise ValueError("classify_large_h_3 needs n = 3")
     if not cov.is_standard:
         raise ValueError("classifier needs a unit-diagonal matrix")
-    off = cov.offdiag()
-    if np.min(off) < -POS_ENTRY_TOL:
+    if np.min(cov.offdiag()) < -POS_ENTRY_TOL:
         raise ValueError("classifier needs nonnegative correlations")
     if not cov.is_pd:
         raise ValueError("degenerate covariance: use classify_degenerate")
-    zeros = int(np.sum(np.abs(off) <= POS_ENTRY_TOL))
-    if zeros >= 2:
-        # at most one nontrivial pair: a product structure, trivially representable
-        return LargeHVerdict(Verdict.COLOR_REP, "zero-cov")
-    if zeros == 1:
-        return LargeHVerdict(Verdict.NO_COLOR_REP, "zero-cov")
-    vec = savage_vector(cov)
-    quad = float(np.ones(3) @ cov.inverse @ np.ones(3))
-    low = float(np.min(vec))
-    if low > ZERO_BAND:
-        return LargeHVerdict(Verdict.COLOR_REP, "i", vec, quad)
-    if low >= -ZERO_BAND:
-        return LargeHVerdict(Verdict.COLOR_REP, "ii", vec, quad)
-    if quad < 2.0:
-        return LargeHVerdict(Verdict.COLOR_REP, "iii", vec, quad)
-    return LargeHVerdict(Verdict.NO_COLOR_REP, "iii", vec, quad)
+    k = classify_stack_3(cov.a[None])
+    verdict = Verdict.COLOR_REP if k.large_h_color[0] else Verdict.NO_COLOR_REP
+    tag = str(k.case_tag[0])
+    if tag == "zero-cov":
+        return LargeHVerdict(verdict, tag)
+    return LargeHVerdict(verdict, tag, k.savage_vector[0], float(k.quadratic[0]))
+
+
+# -- stacked n = 3 classifier -------------------------------------------------
+
+_IU3 = (np.array([0, 0, 1]), np.array([1, 2, 2]))   # upper off-diagonal of 3x3
+
+
+@dataclass(frozen=True)
+class Classified3:
+    """Classifier output for a stack of standard 3x3 matrices, one row each.
+
+    Rows that are not numerically PD hold NaN in ``savage_vector`` and
+    ``quadratic``, False in the flags and "" as tag.
+    """
+
+    mats: np.ndarray               # (N, 3, 3)
+    eigvals: np.ndarray            # (N, 3), ascending
+    pd: np.ndarray                 # (N,) smallest eigenvalue above RANK_RTOL * largest
+    savage_vector: np.ndarray      # (N, 3) 1'A^{-1}
+    quadratic: np.ndarray          # (N,) 1'A^{-1}1
+    dgff: np.ndarray               # (N,) is_dgff says True
+    large_h_color: np.ndarray      # (N,) classify_large_h_3 says ColorRep
+    case_tag: np.ndarray           # (N,) "i" | "ii" | "iii" | "zero-cov" | ""
+
+
+def classify_stack_3(mats) -> Classified3:
+    """``is_dgff`` and the large-h trichotomy of ``classify_large_h_3`` on an
+    (N, 3, 3) stack of unit-diagonal symmetric matrices, as array operations.
+
+    Each matrix goes through the same LAPACK/BLAS calls as a lone
+    ``CovarianceSpec`` (eigvalsh, inv, 1'A^{-1} as a vector-matrix product,
+    1'A^{-1}1 as a dot product), so every row matches the per-matrix path
+    bit for bit.  Input checks are the callers' job.
+    """
+    mats = np.asarray(mats, dtype=float)
+    eig = np.linalg.eigvalsh(mats)
+    pd = eig[:, 0] > RANK_RTOL * eig[:, -1]
+    inv = np.linalg.inv(mats[pd])
+    inv += np.swapaxes(inv, 1, 2)
+    inv *= 0.5
+    ones = np.ones(3)
+    vec = np.full((len(mats), 3), np.nan)
+    vec[pd] = ones @ inv
+    quad = (vec[:, None, :] @ ones)[:, 0]
+    low = vec.min(axis=1)
+
+    # large h: zero covariances first, then the Savage trichotomy
+    zeros = np.sum(np.abs(mats[:, _IU3[0], _IU3[1]]) <= POS_ENTRY_TOL, axis=1)
+    color = np.where(zeros >= 2, True,
+                     np.where(zeros == 1, False, (low >= -ZERO_BAND) | (quad < 2.0)))
+    case = np.select([zeros >= 1, low > ZERO_BAND, low >= -ZERO_BAND],
+                     ["zero-cov", "i", "ii"], "iii")
+
+    # free field: with three indices, paths of length <= 2 reach a whole block.
+    # Condition (iv) follows from (iii) here: a block's Savage coordinates sum
+    # to 1'A_B^{-1}1 >= |B| / lambda_max(A_B) >= 1, so one is at least 1/3.
+    edge = mats > POS_ENTRY_TOL
+    blocks_positive = np.all(edge @ edge == edge, axis=(1, 2))
+    stieltjes = np.ones(len(mats), dtype=bool)
+    stieltjes[pd] = ~np.any(inv[:, _IU3[0], _IU3[1]] > STIELTJES_TOL, axis=1)
+    dgff = blocks_positive & stieltjes & (low >= -ZERO_BAND)
+
+    return Classified3(mats=mats, eigvals=eig, pd=pd, savage_vector=vec,
+                       quadratic=quad, dgff=pd & dgff, large_h_color=pd & color,
+                       case_tag=np.where(pd, case, ""))
 
 
 # -- degeneracy obstructions --------------------------------------------------
@@ -282,37 +337,78 @@ class ABRegion:
         return ab_cov(self.a, self.b)
 
 
+@dataclass(frozen=True)
+class ABGrid:
+    """``ABRegion`` fields as arrays over N points (a_k, b_k), plus the stacked
+    classifier output for the matrices ab_cov(a_k, b_k)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    pd: np.ndarray
+    numerically_pd: np.ndarray
+    large_h_color: np.ndarray
+    dgff: np.ndarray
+    markov_gap: np.ndarray
+    savage_min: np.ndarray
+    pd_margin: np.ndarray
+    case_tag: np.ndarray           # object array: str, or None off the PD region
+    classified: Classified3
+
+    def region(self, k: int) -> ABRegion:
+        return ABRegion(a=float(self.a[k]), b=float(self.b[k]), pd=bool(self.pd[k]),
+                        numerically_pd=bool(self.numerically_pd[k]),
+                        large_h_color=bool(self.large_h_color[k]), dgff=bool(self.dgff[k]),
+                        markov_gap=float(self.markov_gap[k]),
+                        savage_min=float(self.savage_min[k]),
+                        pd_margin=float(self.pd_margin[k]), case_tag=self.case_tag[k])
+
+
+def ab_region_grid(a, b) -> ABGrid:
+    """``ab_region_classify`` on the points (a[k], b[k]) in one array pass.
+
+    Points are taken in order, and the first one outside (0,1)^2 or with
+    classifier and closed form in disagreement raises, as a loop over
+    ``ab_region_classify`` would.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    outside = ~((0.0 < a) & (a < 1.0) & (0.0 < b) & (b < 1.0))
+    stop = int(np.argmax(outside)) if outside.any() else len(a)
+    a, b = a[:stop], b[:stop]
+    pd = 2.0 * a * a < 1.0 + b
+    # float_power is libm pow, as Python's ** on floats; x * x differs from it
+    # in the last ulp on about one input in a thousand
+    large = (2.0 * a - 1.0 <= b) | (np.float_power(2.0 * a - 1.0, 2.0) < b)
+    mats = np.empty((stop, 3, 3))
+    mats[:] = np.eye(3)
+    mats[:, 0, 1] = mats[:, 1, 0] = mats[:, 0, 2] = mats[:, 2, 0] = a
+    mats[:, 1, 2] = mats[:, 2, 1] = b
+    k = classify_stack_3(mats)
+    usable = pd & k.pd         # False on the razor edge of the PD boundary
+    zero_cov = k.case_tag == "zero-cov"
+    # exactly on b = (2a-1)^2 the quadratic form equals 2 and rounding may land
+    # either side; anywhere else the two forms must agree
+    on_boundary = ~zero_cov & (np.abs(k.quadratic - 2.0) <= 1e-9)
+    wrong = np.flatnonzero(usable & (k.large_h_color != large) & ~on_boundary)
+    if wrong.size:
+        i = wrong[0]
+        raise AssertionError("classifier and closed-form region disagree at "
+                             f"(a={float(a[i])}, b={float(b[i])})")
+    if stop < len(outside):
+        raise ValueError("a and b must lie in (0,1)")
+    case = np.where(usable, k.case_tag, None)
+    return ABGrid(a=a, b=b, pd=pd, numerically_pd=usable, large_h_color=large,
+                  dgff=usable & k.dgff, markov_gap=b - a * a,
+                  savage_min=np.where(usable & ~zero_cov, k.savage_vector.min(axis=1), np.nan),
+                  pd_margin=1.0 + b - 2.0 * a * a, case_tag=case, classified=k)
+
+
 def ab_region_classify(a: float, b: float) -> ABRegion:
     """Evaluate the displayed inequalities for the two-parameter family.
 
     PD iff 2a^2 < 1 + b; representable for large h iff 2a - 1 <= b or
     (2a - 1)^2 < b; the line b = a^2 is the Gaussian Markov chain boundary
-    (also the free-field boundary).
+    (also the free-field boundary).  The classifier's large-h verdict is
+    checked against the closed form.
     """
-    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-        raise ValueError("a and b must lie in (0,1)")
-    pd = 2.0 * a * a < 1.0 + b
-    large = (2.0 * a - 1.0 <= b) or ((2.0 * a - 1.0) ** 2 < b)
-    dgff = False
-    savage_min = float("nan")
-    case = None
-    cov = ab_cov(a, b) if pd else None
-    if cov is not None and not cov.is_pd:
-        cov = None  # razor-edge of the PD boundary: skip matrix enrichments
-    if cov is not None:
-        dgff = is_dgff(cov)[0]
-        verdict = classify_large_h_3(cov)
-        savage_min = float(np.min(verdict.savage_vector)) \
-            if verdict.savage_vector is not None else float("nan")
-        case = verdict.case_tag
-        on_boundary = (verdict.quadratic is not None
-                       and abs(verdict.quadratic - 2.0) <= 1e-9)
-        if verdict.color_for_large_h != large and not on_boundary:
-            # exactly on b = (2a-1)^2 the quadratic form equals 2 and rounding
-            # may land either side; anywhere else the two forms must agree
-            raise AssertionError(
-                f"classifier and closed-form region disagree at (a={a}, b={b})")
-    return ABRegion(a=a, b=b, pd=pd, numerically_pd=cov is not None,
-                    large_h_color=large, dgff=dgff,
-                    markov_gap=b - a * a, savage_min=savage_min,
-                    pd_margin=1.0 + b - 2.0 * a * a, case_tag=case)
+    return ab_region_grid([a], [b]).region(0)

@@ -121,13 +121,18 @@ class EmbeddingBatch:
 
     def empirical_partition_distribution(self) -> PartitionDistribution:
         parts, first, _, counts = self.partition_groups()
-        # weights in the order a pass over the rows first meets each partition,
-        # which fixes the order in which push_forward sums them
-        return PartitionDistribution(
-            self.n, {parts[g].key: int(counts[g]) / self.m for g in np.argsort(first)})
+        return _partition_law(self.n, self.m, parts, first, counts)
 
     def pair_cluster_frequency(self, i: int, j: int) -> float:
         return float(np.mean(self.labels[:, i - 1] == self.labels[:, j - 1]))
+
+
+def _partition_law(n: int, m: int, parts, first, counts) -> PartitionDistribution:
+    """Empirical partition law from the groups of ``partition_groups``, with
+    weights in the order a pass over the rows first meets each partition,
+    which fixes the order in which push_forward sums them."""
+    return PartitionDistribution(
+        n, {parts[g].key: int(counts[g]) / m for g in np.argsort(first)})
 
 
 def _path_batch_from_chain(y: np.ndarray, bridge_exponent: np.ndarray,
@@ -318,10 +323,10 @@ def verify_color_property(batch, min_expected: float = 5.0,
     if len(batch) < 10_000:
         raise ValueError("verification needs at least 10^4 samples")
     m = batch.m
-    parts, _, inverse, counts = batch.partition_groups()
+    parts, first, inverse, counts = batch.partition_groups()
     rows_of = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
 
-    bins = []
+    tested = []                     # (key, count, chi2, dof) per tested bin
     excluded = []
     for g in sorted(range(len(parts)), key=lambda g: parts[g].key):
         sig = parts[g]
@@ -335,19 +340,18 @@ def verify_color_property(batch, min_expected: float = 5.0,
         sub = (batch.signs[np.ix_(rows_of[g], firsts)] > 0).astype(np.int64)
         obs = np.bincount(sub @ (1 << np.arange(k - 1, -1, -1)), minlength=2 ** k)
         expected = count / 2 ** k
-        chi2 = float(np.sum((obs - expected) ** 2 / expected))
-        dof = 2 ** k - 1
-        p = float(stats.chi2.sf(chi2, dof))
-        bins.append(BinVerdict(key=sig.key, count=count, chi2=chi2, dof=dof, p_value=p))
+        tested.append((sig.key, count, float(np.sum((obs - expected) ** 2 / expected)),
+                       2 ** k - 1))
+    p_values = stats.chi2.sf([t[2] for t in tested], [t[3] for t in tested])
+    bins = tuple(BinVerdict(*t, p_value=float(p)) for t, p in zip(tested, p_values))
 
     sign_law = batch.empirical_sign_law()
-    part_law = batch.empirical_partition_distribution()
-    pf = push_forward(part_law, 0.5)
+    pf = push_forward(_partition_law(batch.n, m, parts, first, counts), 0.5)
     se = np.sqrt(np.maximum(sign_law.probs * (1.0 - sign_law.probs), 1.0 / m) / m)
     dev = np.abs(sign_law.probs - pf.probs) / se
     return ColorPropertyReport(
         n_samples=m,
-        bins=tuple(bins),
+        bins=bins,
         excluded_bins=tuple(excluded),
         aggregate_max_dev_se=float(np.max(dev)),
         significance=significance,

@@ -14,6 +14,7 @@ problem to the t-family of the first three coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -326,14 +327,19 @@ _ROTATE = (2, 3, 4, 1)   # square rotation 1->2->3->4->1
 _REFLECT = (1, 4, 3, 2)  # reflection fixing the 1-3 diagonal
 
 
+@functools.cache
+def _permutation_cells(n: int, perm: tuple[int, ...]) -> np.ndarray:
+    """Cell of (X_{perm(1)}, ..., X_{perm(n)}) that each cell of X maps to."""
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    cells = bits[:, np.array(perm) - 1] @ (1 << np.arange(n - 1, -1, -1))
+    cells.setflags(write=False)
+    return cells
+
+
 def _permute_law(nu: BinaryLaw, perm: tuple[int, ...]) -> np.ndarray:
     """Cells of the law of (X_{perm(1)}, ..., X_{perm(n)})."""
-    n = nu.n
-    out = np.zeros_like(nu.probs)
-    for idx in range(2 ** n):
-        bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
-        new = sum(bits[perm[i] - 1] << (n - 1 - i) for i in range(n))
-        out[new] = nu.probs[idx]
+    out = np.empty_like(nu.probs)
+    out[_permutation_cells(nu.n, perm)] = nu.probs
     return out
 
 

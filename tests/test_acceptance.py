@@ -268,4 +268,4 @@ def test_12_ab_region_scan(tmp_path):
             ok &= abs(max(not_color) + step / 2 - analytic) <= step
         if not ok:
             break
-    report("12 (a,b) region scan recovers the three analytic boundaries", ok, t0, 30.0)
+    report("12 (a,b) region scan recovers the three analytic boundaries", ok, t0, 5.0)

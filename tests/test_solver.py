@@ -241,6 +241,20 @@ def test_square_circle_solver_feasible_at_quarter_pi():
     assert res.infeasibility_margin <= 1e-10
 
 
+def test_permute_law_matches_bit_loop(rng):
+    """The cached index gather against the per-cell bit permutation it replaced."""
+    from dcrep.solver import _permute_law
+
+    for n in (1, 2, 3, 4):
+        law = BinaryLaw(n, rng.dirichlet(np.ones(2 ** n)))
+        for perm in itertools.permutations(range(1, n + 1)):
+            expect = np.zeros(2 ** n)
+            for idx in range(2 ** n):
+                bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
+                expect[sum(bits[perm[i] - 1] << (n - 1 - i) for i in range(n))] = law.probs[idx]
+            assert np.array_equal(_permute_law(law, perm), expect), perm
+
+
 def test_square_circle_solver_small_theta_small_h():
     law = square_threshold_law_exact(0.25)
     res = square_circle_solver(0.25, 0.0, law)
