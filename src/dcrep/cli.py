@@ -8,6 +8,7 @@ so rerunning a command with the same config is byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -101,18 +102,31 @@ def _emit(args, payload: dict) -> None:
         print(text)
 
 
-def _emit_csv(args, header: list[str], rows: list[list]) -> None:
-    lines = ["# " + json.dumps(_config_echo(args), sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, bool, np.floating))
-                              else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+CSV_BLOCK_ROWS = 1024
+
+
+def _column_text(col) -> list[str]:
+    """One CSV column as text.  Integer arrays print by ``str`` and float
+    arrays by ``format(x, ".17g")``, which spells nan, inf and -0 as ``_fmt``
+    does; any other column goes cell by cell."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "biu":
+        return list(map(str, col.astype(np.int64).tolist()))
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return list(map("{:.17g}".format, col.tolist()))
+    return [_fmt(v) if isinstance(v, (int, float, bool, np.floating)) else str(v)
+            for v in col]
+
+
+def _emit_csv(args, header: list[str], columns: list) -> None:
+    """Write equal-length columns as CSV rows, formatted a block of rows at a
+    time so that only one block of text is held at once."""
+    rows = len(columns[0])
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("# " + json.dumps(_config_echo(args), sort_keys=True) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            cells = [_column_text(col[start:start + CSV_BLOCK_ROWS]) for col in columns]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def _policy_for(args) -> TolPolicy:
@@ -183,7 +197,7 @@ def cmd_solve(args) -> dict:
         fam = symmetric_rep_family_3(law)
         out["symmetric_family"] = {
             "t_interval": list(fam.t_interval) if fam.t_interval else None,
-            "canonical": None if fam.is_empty else fam.canonical().weights,
+            "canonical": None if fam.is_empty else dict(fam.canonical().weights),
         }
     out["lp"] = lp_feasibility(law, p=args.p, policy=_policy_for(args)).to_json_dict()
     return out
@@ -198,7 +212,7 @@ def _scan_ab_columns(values: np.ndarray) -> list:
     small = np.full(len(usable), "", dtype=object)
     q, _ = asym.small_h_limits_stack(grid.classified.mats[usable],
                                      grid.classified.eigvals[usable])
-    small[usable] = (q.min(axis=1) > 1e-10).astype(int)
+    small[usable] = np.where(q.min(axis=1) > 1e-10, "1", "0")
     return [grid.a, grid.b, grid.pd.astype(int), grid.dgff.astype(int),
             grid.large_h_color.astype(int), (np.abs(grid.markov_gap) <= 1e-12).astype(int),
             small, grid.savage_min, grid.pd_margin, grid.markov_gap,
@@ -211,21 +225,21 @@ def cmd_scan(args):
         values = np.arange(step, 1.0, step)
         header = ["a", "b", "pd", "dgff", "large_h_color", "markov_boundary",
                   "small_h_feasible", "savage_min", "pd_margin", "markov_gap", "case_tag"]
-        _emit_csv(args, header, zip(*_scan_ab_columns(values)))
+        _emit_csv(args, header, _scan_ab_columns(values))
         return None
     if args.scan == "theta":
         step = args.a_step or (math.pi / 80)
         values = np.arange(step, math.pi / 2, step)
         header = ["theta", "feasible", "t_lo", "t_hi", "adjacency_gap"]
-        rows = []
-        for th in values:
-            law = square_threshold_law_exact(float(th))
-            res = square_circle_solver(float(th), 0.0, law)
-            rows.append([float(th), int(res.status == "Feasible"),
-                         res.detail.get("t_lo", float("nan")),
-                         res.detail.get("t_hi", float("nan")),
-                         math.pi / 8 - (math.acos(math.cos(th) ** 2) - th)])
-        _emit_csv(args, header, rows)
+        feasible, t_lo, t_hi, gap = [], [], [], []
+        for th in values.tolist():
+            res = square_circle_solver(th, 0.0, square_threshold_law_exact(th))
+            feasible.append(res.status == "Feasible")
+            t_lo.append(res.detail.get("t_lo", math.nan))
+            t_hi.append(res.detail.get("t_hi", math.nan))
+            gap.append(math.pi / 8 - (math.acos(math.cos(th) ** 2) - th))
+        _emit_csv(args, header, [values, np.array(feasible), np.array(t_lo),
+                                 np.array(t_hi), np.array(gap)])
         return None
     if args.scan == "alpha":
         a = args.a if args.a is not None else 0.5
@@ -233,17 +247,16 @@ def cmd_scan(args):
         values = np.arange(step, 2.0, step)
         header = ["alpha", "gamma_factor", "order2_101", "coupling_threshold",
                   "large_h_color"]
-        rows = []
-        for al in values:
-            al = float(al)
-            t = a ** al
+        gamma, order2, thresholds = [], [], []
+        for al in values.tolist():
             # q_{12,3}(h) >= 0 for large h iff lim nu_110/nu_1^2 exceeds
-            # (1-t)^2 + t(1-t) = 1 - t
-            threshold = 1.0 - t
-            o2 = asym.stable_order2_limit_101_symmetric(a, al)
-            gf = asym.gamma_factor(al) if al < 1.0 else float("inf")
-            rows.append([al, gf, o2, threshold, int(o2 > threshold)])
-        _emit_csv(args, header, rows)
+            # (1-t)^2 + t(1-t) = 1 - t, t = a^alpha
+            thresholds.append(1.0 - a ** al)
+            order2.append(asym.stable_order2_limit_101_symmetric(a, al))
+            gamma.append(asym.gamma_factor(al) if al < 1.0 else math.inf)
+        order2, thresholds = np.array(order2), np.array(thresholds)
+        _emit_csv(args, header, [values, np.array(gamma), order2, thresholds,
+                                 order2 > thresholds])
         return None
     raise UsageError(f"unknown scan {args.scan!r}")
 
@@ -253,10 +266,8 @@ def _emit_sample_csv(args, batch) -> None:
               + ["partition"]
               + ["crossing_p_" + str(i + 1) for i in range(batch.crossing_probs.shape[1])])
     parts, _, inverse, _ = batch.partition_groups()
-    keys = [sig.key for sig in parts]
-    rows = [signs + [keys[g]] + probs for signs, g, probs in
-            zip(batch.signs.tolist(), inverse.tolist(), batch.crossing_probs.tolist())]
-    _emit_csv(args, header, rows)
+    keys = np.array([sig.key for sig in parts], dtype=object)
+    _emit_csv(args, header, list(batch.signs.T) + [keys[inverse]] + list(batch.crossing_probs.T))
 
 
 def cmd_simulate(args) -> dict | None:

@@ -368,7 +368,9 @@ def ab_region_grid(a, b) -> ABGrid:
 
     Points are taken in order, and the first one outside (0,1)^2 or with
     classifier and closed form in disagreement raises, as a loop over
-    ``ab_region_classify`` would.
+    ``ab_region_classify`` would: ValueError where b <= POS_ENTRY_TOL, which
+    the classifier reads as a zero covariance and the closed form as a
+    positive one, AssertionError anywhere else.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -392,6 +394,11 @@ def ab_region_grid(a, b) -> ABGrid:
     wrong = np.flatnonzero(usable & (k.large_h_color != large) & ~on_boundary)
     if wrong.size:
         i = wrong[0]
+        if zero_cov[i]:
+            # b in (0, POS_ENTRY_TOL]: a zero covariance to the classifier,
+            # a positive one to the closed form
+            raise ValueError(f"(a={float(a[i])}, b={float(b[i])}): a covariance within "
+                             f"{POS_ENTRY_TOL} of 0 leaves the large-h verdict unresolved")
         raise AssertionError("classifier and closed-form region disagree at "
                              f"(a={float(a[i])}, b={float(b[i])})")
     if stop < len(outside):
@@ -409,6 +416,7 @@ def ab_region_classify(a: float, b: float) -> ABRegion:
     PD iff 2a^2 < 1 + b; representable for large h iff 2a - 1 <= b or
     (2a - 1)^2 < b; the line b = a^2 is the Gaussian Markov chain boundary
     (also the free-field boundary).  The classifier's large-h verdict is
-    checked against the closed form.
+    checked against the closed form; where they disagree because b is within
+    POS_ENTRY_TOL of 0, the point raises ValueError.
     """
     return ab_region_grid([a], [b]).region(0)

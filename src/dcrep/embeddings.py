@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .partitions import BinaryLaw, Partition, PartitionDistribution, push_forward
+from .partitions import (BinaryLaw, Partition, PartitionDistribution, bell_number,
+                         partition_index, push_forward)
 from .rng import make_rng
 from .stable import sample_pos_stable, sample_sym_stable, subordinator_scale
 
@@ -120,19 +121,20 @@ class EmbeddingBatch:
         return BinaryLaw.from_counts(counts, self.m)
 
     def empirical_partition_distribution(self) -> PartitionDistribution:
-        parts, first, _, counts = self.partition_groups()
-        return _partition_law(self.n, self.m, parts, first, counts)
+        parts, _, _, counts = self.partition_groups()
+        return _partition_law(self.n, self.m, parts, counts)
 
     def pair_cluster_frequency(self, i: int, j: int) -> float:
         return float(np.mean(self.labels[:, i - 1] == self.labels[:, j - 1]))
 
 
-def _partition_law(n: int, m: int, parts, first, counts) -> PartitionDistribution:
-    """Empirical partition law from the groups of ``partition_groups``, with
-    weights in the order a pass over the rows first meets each partition,
-    which fixes the order in which push_forward sums them."""
-    return PartitionDistribution(
-        n, {parts[g].key: int(counts[g]) / m for g in np.argsort(first)})
+def _partition_law(n: int, m: int, parts, counts) -> PartitionDistribution:
+    """Empirical partition law from the groups of ``partition_groups``: group
+    g puts counts[g] / m on the column of parts[g]."""
+    vec = np.zeros(bell_number(n))
+    index = partition_index(n)
+    vec[[index[sig.blocks] for sig in parts]] = counts / m
+    return PartitionDistribution.from_vector(n, vec)
 
 
 def _path_batch_from_chain(y: np.ndarray, bridge_exponent: np.ndarray,
@@ -323,7 +325,7 @@ def verify_color_property(batch, min_expected: float = 5.0,
     if len(batch) < 10_000:
         raise ValueError("verification needs at least 10^4 samples")
     m = batch.m
-    parts, first, inverse, counts = batch.partition_groups()
+    parts, _, inverse, counts = batch.partition_groups()
     rows_of = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
 
     tested = []                     # (key, count, chi2, dof) per tested bin
@@ -346,7 +348,7 @@ def verify_color_property(batch, min_expected: float = 5.0,
     bins = tuple(BinVerdict(*t, p_value=float(p)) for t, p in zip(tested, p_values))
 
     sign_law = batch.empirical_sign_law()
-    pf = push_forward(_partition_law(batch.n, m, parts, first, counts), 0.5)
+    pf = push_forward(_partition_law(batch.n, m, parts, counts), 0.5)
     se = np.sqrt(np.maximum(sign_law.probs * (1.0 - sign_law.probs), 1.0 / m) / m)
     dev = np.abs(sign_law.probs - pf.probs) / se
     return ColorPropertyReport(

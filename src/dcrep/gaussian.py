@@ -9,6 +9,7 @@ asymptotics by design.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -236,47 +237,65 @@ def zero_threshold_law_3(cov: CovarianceSpec) -> BinaryLaw:
     return BinaryLaw(3, probs)
 
 
+_SQUARE_ADJACENT = ({1, 2}, {2, 3}, {3, 4}, {1, 4})
+
+
+def _square_mass_kind(corners: set) -> int:
+    """Which orthant mass P(X_i > 0 for i in corners) of the square: 0 none,
+    1 one corner, 2 an adjacent pair, 3 a diagonal pair, 4 three, 5 all four."""
+    if len(corners) == 2:
+        return 2 if corners in _SQUARE_ADJACENT else 3
+    return {0: 0, 1: 1, 3: 4, 4: 5}[len(corners)]
+
+
+@functools.cache
+def _square_inclusion_exclusion() -> tuple[np.ndarray, np.ndarray]:
+    """The inclusion-exclusion of ``square_threshold_law_exact`` as two
+    (16, 16) tables, one row per cell.
+
+    Cell idx (element 1 the high bit) with ones O and the rest R is
+    sum over E within R, by |E| and then in combinations order, of
+    (-1)^|E| P(X_i > 0 for i in O | E).  Row idx lists the kind of each
+    term's orthant mass (``_square_mass_kind``) and its sign; rows are padded
+    with sign 0.
+    """
+    kinds = np.zeros((16, 16), dtype=np.intp)
+    signs = np.zeros((16, 16))
+    for idx in range(16):
+        ones = {i + 1 for i in range(4) if (idx >> (3 - i)) & 1}
+        rest = sorted({1, 2, 3, 4} - ones)
+        terms = [(ones | set(extra), (-1.0) ** r) for r in range(len(rest) + 1)
+                 for extra in itertools.combinations(rest, r)]
+        for t, (corners, sign) in enumerate(terms):
+            kinds[idx, t] = _square_mass_kind(corners)
+            signs[idx, t] = sign
+    kinds.setflags(write=False)
+    signs.setflags(write=False)
+    return kinds, signs
+
+
 def square_threshold_law_exact(theta: float) -> BinaryLaw:
     """Exact zero-threshold law of the square-on-sphere quadruple.
 
     All P(X_i > 0 for i in T) with |T| <= 3 are arccos expressions; the single
     four-fold orthant mass is pinned by the forbidden alternating pattern
     (X_1 + X_3 = X_2 + X_4 makes 0101 impossible), and the 16 cells follow by
-    inclusion-exclusion.
+    inclusion-exclusion, summed term by term from the left (``cumsum``).
     """
     if not (0.0 < theta <= math.pi / 2):
         raise ValueError("theta must lie in (0, pi/2]")
     th_adj = math.acos(math.cos(theta) ** 2)
     th_diag = 2.0 * theta
-    singles = 0.5
-    pair = {frozenset(t): 0.5 - th_adj / (2 * math.pi)
-            for t in [(1, 2), (2, 3), (3, 4), (1, 4)]}
-    pair[frozenset((1, 3))] = 0.5 - th_diag / (2 * math.pi)
-    pair[frozenset((2, 4))] = 0.5 - th_diag / (2 * math.pi)
-    triple = 0.5 - (2 * th_adj + th_diag) / (4 * math.pi)  # every triple: 2 adjacent + 1 diagonal
-    quad = 0.5 - th_adj / math.pi  # from nu_0101 = 0
-
-    def upper(T: frozenset) -> float:
-        if len(T) == 0:
-            return 1.0
-        if len(T) == 1:
-            return singles
-        if len(T) == 2:
-            return pair[T]
-        if len(T) == 3:
-            return triple
-        return quad
-
-    probs = np.zeros(16)
-    full = frozenset((1, 2, 3, 4))
-    for idx in range(16):
-        ones = frozenset(i + 1 for i in range(4) if (idx >> (3 - i)) & 1)
-        rest = sorted(full - ones)
-        total = 0.0
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                total += (-1.0) ** r * upper(ones | frozenset(extra))
-        probs[idx] = total
+    masses = np.array([     # indexed by _square_mass_kind
+        1.0,
+        0.5,
+        0.5 - th_adj / (2 * math.pi),
+        0.5 - th_diag / (2 * math.pi),
+        0.5 - (2 * th_adj + th_diag) / (4 * math.pi),  # every triple: 2 adjacent + 1 diagonal
+        0.5 - th_adj / math.pi,  # from nu_0101 = 0
+    ])
+    kinds, signs = _square_inclusion_exclusion()
+    probs = np.cumsum(signs * masses[kinds], axis=1)[:, -1]
     if probs.min() < -1e-12:
         raise ValueError(f"inconsistent construction: min cell {probs.min()}")
     probs = np.clip(probs, 0.0, None)

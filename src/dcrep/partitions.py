@@ -13,9 +13,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,6 +32,10 @@ BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 # Largest n for the dense coloring map (2^8 x 4140).
 DENSE_N_MAX = 8
 
+# Largest n for partition distributions: their keys spell each element as one
+# digit, and the int16 columns of ``_color_map_cells`` stop below Bell(10).
+DIST_N_MAX = 9
+
 
 def bell_number(n: int) -> int:
     _check_n(n)
@@ -39,6 +45,12 @@ def bell_number(n: int) -> int:
 def _check_n(n: int) -> None:
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must be in [1, {MAX_N}], got {n}")
+
+
+def _check_dist_n(n: int) -> None:
+    _check_n(n)
+    if n > DIST_N_MAX:
+        raise ValueError(f"partition distributions are limited to n <= {DIST_N_MAX}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +150,33 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def partition_index(n: int) -> dict[tuple, int]:
-    """Map canonical block tuple -> column index in ``enumerate_partitions``."""
+    """Map canonical block tuple -> column index in ``enumerate_partitions``,
+    which is also the entry of a ``PartitionDistribution`` vector."""
+    _check_dist_n(n)
     return {sig.blocks: j for j, sig in enumerate(enumerate_partitions(n))}
+
+
+@lru_cache(maxsize=None)
+def _column_keys(n: int) -> tuple[str, ...]:
+    """Canonical key of each column of ``enumerate_partitions(n)``."""
+    _check_dist_n(n)
+    return tuple(sig.key for sig in enumerate_partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _key_columns(n: int) -> dict[str, int]:
+    """Column of each canonical key: the inverse of ``_column_keys``."""
+    return {key: j for j, key in enumerate(_column_keys(n))}
+
+
+@lru_cache(maxsize=None)
+def _key_order(n: int) -> np.ndarray:
+    """The columns of ``enumerate_partitions(n)`` in sorted-key order, which
+    is not column order ('12|3' < '1|2|3')."""
+    keys = _column_keys(n)
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
+    order.setflags(write=False)
+    return order
 
 
 def string_index(rho: str) -> int:
@@ -179,7 +216,7 @@ def _color_map_cells(n: int) -> tuple[np.ndarray, ...]:
                       np.repeat(cols, 2 ** big),
                       np.tile(colorings.sum(axis=1), len(cols)),
                       np.full(len(cols) * 2 ** big, big)))
-    # rows < 2^8 and columns < Bell(8) fit int16, block counts int8
+    # rows < 2^9 and columns < Bell(9) fit int16, block counts int8
     dtypes = (np.int16, np.int16, np.int8, np.int8)
     arrays = tuple(np.concatenate(a).astype(t) for a, t in zip(zip(*parts), dtypes))
     for a in arrays:
@@ -199,12 +236,16 @@ def color_map(n: int, p: float) -> np.ndarray:
     if n > DENSE_N_MAX:
         raise ValueError(f"color_map is limited to n <= {DENSE_N_MAX}, got {n}")
     row, col, k, kk = _color_map_cells(n)
-    # weight[K, k] = p^k (1-p)^(K-k), by scalar powers: the bits of the cell formula
-    weight = np.array([[p ** j * (1.0 - p) ** (big - j) for j in range(n + 1)]
-                       for big in range(n + 1)])
     mat = np.zeros((2 ** n, bell_number(n)))
-    mat[row, col] = weight[kk, k]
+    mat[row, col] = _coloring_weights(n, p)[kk, k]
     return mat
+
+
+def _coloring_weights(n: int, p: float) -> np.ndarray:
+    """weight[K, k] = p^k (1-p)^(K-k), by scalar powers: the bits of the cell
+    formula.  Indexed by the K and k arrays of ``_color_map_cells``."""
+    return np.array([[p ** j * (1.0 - p) ** (big - j) for j in range(n + 1)]
+                     for big in range(n + 1)])
 
 
 def color_map_exact(n: int, p: Fraction) -> list[list[Fraction]]:
@@ -221,52 +262,89 @@ def color_map_exact(n: int, p: Fraction) -> list[list[Fraction]]:
     return rows
 
 
-@dataclass(frozen=True)
 class PartitionDistribution:
-    """A (possibly signed) weight vector q over B_n, keyed by canonical key."""
+    """A (possibly signed) weight vector q over B_n.
 
-    n: int
-    weights: dict[str, float]
-    signed: bool = False
+    ``vector[j]`` is the weight of ``enumerate_partitions(n)[j]``, and the
+    vector is read-only.  Canonical keys such as '13|2' exist only at the
+    boundary: the dict constructor, ``to_json``/``from_json``, ``repr`` and
+    the ``weights`` view.
+    """
 
-    def __post_init__(self):
-        _check_n(self.n)
-        for key in self.weights:
-            sig = Partition.from_key(key)
-            if sig.n != self.n:
-                raise ValueError(f"key {key!r} is not a partition of [{self.n}]")
-            if sig.key != key:
-                raise ValueError(f"key {key!r} is not canonical (expected {sig.key!r})")
-        total = math.fsum(self.weights.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-        if not self.signed:
-            worst = min(self.weights.values(), default=0.0)
-            if worst < -PROB_TOL:
-                raise ValueError(f"negative weight {worst!r} in unsigned distribution")
+    def __init__(self, n: int, weights: Mapping[str, float], signed: bool = False):
+        """From canonical keys; a key left out weighs 0."""
+        _check_dist_n(n)
+        columns = _key_columns(n)
+        vec = np.zeros(BELL[n])
+        for key, w in weights.items():
+            j = columns.get(key)
+            if j is None:
+                raise _bad_key(n, key)
+            vec[j] = w
+        self._freeze(n, vec, signed)
 
     @staticmethod
     def from_vector(n: int, vec, signed: bool = False) -> "PartitionDistribution":
-        sigs = enumerate_partitions(n)
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (len(sigs),):
-            raise ValueError(f"expected vector of length {len(sigs)}, got {vec.shape}")
-        return PartitionDistribution(
-            n, {sig.key: float(w) for sig, w in zip(sigs, vec)}, signed=signed)
+        """From weights in ``enumerate_partitions(n)`` order (copied)."""
+        _check_dist_n(n)
+        vec = np.array(vec, dtype=float)
+        if vec.shape != (BELL[n],):
+            raise ValueError(f"expected vector of length {BELL[n]}, got {vec.shape}")
+        q = PartitionDistribution.__new__(PartitionDistribution)
+        q._freeze(n, vec, signed)
+        return q
+
+    def _freeze(self, n: int, vec: np.ndarray, signed: bool) -> None:
+        """Check that vec sums to 1 (and, unless signed, has no negative
+        weight), then keep it, read-only, as this distribution's weights."""
+        total = math.fsum(vec.tolist())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to 1, got {total!r}")
+        if not signed:
+            worst = float(vec.min())
+            if worst < -PROB_TOL:
+                raise ValueError(f"negative weight {worst!r} in unsigned distribution")
+        vec.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "signed", bool(signed))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PartitionDistribution is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PartitionDistribution):
+            return NotImplemented
+        return ((self.n, self.signed) == (other.n, other.signed)
+                and np.array_equal(self.vector, other.vector))
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return PartitionDistribution.from_vector, (self.n, np.array(self.vector), self.signed)
+
+    def __repr__(self) -> str:
+        return (f"PartitionDistribution(n={self.n}, weights={dict(self.weights)!r}, "
+                f"signed={self.signed})")
+
+    @cached_property
+    def weights(self) -> Mapping[str, float]:
+        """Read-only {canonical key: weight} over every partition of [n],
+        zeros included, in column order."""
+        return MappingProxyType(dict(zip(_column_keys(self.n), self.vector.tolist())))
 
     def as_vector(self) -> np.ndarray:
-        sigs = enumerate_partitions(self.n)
-        return np.array([self.weights.get(sig.key, 0.0) for sig in sigs])
+        return self.vector.copy()
 
     def weight(self, key: str) -> float:
-        return self.weights.get(Partition.from_key(key).key, 0.0)
+        j = _key_columns(self.n).get(Partition.from_key(key).key)
+        return 0.0 if j is None else float(self.vector[j])
 
     def support(self) -> list[str]:
         return [k for k, w in sorted(self.weights.items()) if abs(w) > PROB_TOL]
 
     def to_json(self) -> str:
-        entries = [{"key": sig.key, "q": self.weights.get(sig.key, 0.0)}
-                   for sig in enumerate_partitions(self.n)]
+        entries = [{"key": key, "q": w} for key, w in self.weights.items()]
         return json.dumps({"n": self.n, "signed": self.signed, "entries": entries})
 
     @staticmethod
@@ -275,6 +353,14 @@ class PartitionDistribution:
         weights = {e["key"]: float(e["q"]) for e in obj["entries"]}
         return PartitionDistribution(int(obj["n"]), weights,
                                      signed=bool(obj.get("signed", False)))
+
+
+def _bad_key(n: int, key: str) -> ValueError:
+    """Why ``key`` names no column of B_n."""
+    sig = Partition.from_key(key)
+    if sig.n != n:
+        return ValueError(f"key {key!r} is not a partition of [{n}]")
+    return ValueError(f"key {key!r} is not canonical (expected {sig.key!r})")
 
 
 @dataclass(frozen=True)
@@ -325,11 +411,7 @@ class BinaryLaw:
 
     def marginals(self) -> np.ndarray:
         """P(X_i = 1) for each coordinate i."""
-        idx = np.arange(2 ** self.n)
-        return np.array([
-            self.probs[(idx >> (self.n - 1 - i)) & 1 == 1].sum()
-            for i in range(self.n)
-        ])
+        return self.probs[_one_cells(self.n)].sum(axis=1)
 
     @property
     def marginal_p(self) -> float:
@@ -348,24 +430,16 @@ class BinaryLaw:
 
     def marginalize(self, subset) -> "BinaryLaw":
         """Law of (X_i)_{i in subset}, coordinates relabeled in subset order."""
-        s = sorted(set(subset))
+        s = tuple(sorted(set(subset)))
         if not s or s[0] < 1 or s[-1] > self.n:
             raise ValueError(f"bad subset {subset} for n={self.n}")
         k = len(s)
-        shifts = [self.n - i for i in s]  # bit index (from LSB) of each kept coord
-        submap = np.zeros(2 ** self.n, dtype=np.int64)
-        for idx in range(2 ** self.n):
-            sub = 0
-            for j, sh in enumerate(shifts):
-                sub |= ((idx >> sh) & 1) << (k - 1 - j)
-            submap[idx] = sub
-        out = np.zeros(2 ** k)
-        np.add.at(out, submap, self.probs)
+        submap = _subset_cells(self.n, s)
+        out = np.bincount(submap, weights=self.probs, minlength=2 ** k)
         se = None
         if self.stderr is not None:
-            var = np.zeros(2 ** k)  # aggregated cells: combine variances
-            np.add.at(var, submap, self.stderr ** 2)
-            se = np.sqrt(var)
+            # aggregated cells: combine variances
+            se = np.sqrt(np.bincount(submap, weights=self.stderr ** 2, minlength=2 ** k))
         return BinaryLaw(k, out, stderr=se)
 
     def to_json(self) -> str:
@@ -395,32 +469,54 @@ class BinaryLaw:
         return BinaryLaw(n, probs, stderr=se)
 
 
+@lru_cache(maxsize=None)
+def _one_cells(n: int) -> np.ndarray:
+    """Row i lists, ascending, the cells whose coordinate i + 1 is 1."""
+    idx = np.arange(2 ** n)
+    cells = np.array([idx[(idx >> (n - 1 - i)) & 1 == 1] for i in range(n)])
+    cells.setflags(write=False)
+    return cells
+
+
+@lru_cache(maxsize=None)
+def _subset_cells(n: int, subset: tuple[int, ...]) -> np.ndarray:
+    """The cell of (X_i)_{i in subset} that each cell of X falls in."""
+    idx = np.arange(2 ** n)
+    k = len(subset)
+    cells = np.zeros(2 ** n, dtype=np.int64)
+    for j, i in enumerate(subset):
+        cells |= ((idx >> (n - i)) & 1) << (k - 1 - j)
+    cells.setflags(write=False)
+    return cells
+
+
 def push_forward(q: PartitionDistribution, p: float) -> BinaryLaw:
     """Law of the color process with partition distribution q and bias p."""
-    if q.signed or min(q.weights.values(), default=0.0) < -PROB_TOL:
+    if q.signed or q.vector.min() < -PROB_TOL:
         raise ValueError("push_forward requires a probability distribution over partitions")
-    n = q.n
-    probs = np.zeros(2 ** n)
-    for key, w in q.weights.items():
-        if w == 0.0:
-            continue
-        sig = Partition.from_key(key)
-        kk = sig.num_blocks
-        for row, k in _column_cells(sig, n):
-            probs[row] += w * p ** k * (1.0 - p) ** (kk - k)
-    return BinaryLaw(n, probs)
+    row, col, k, kk = _color_map_cells(q.n)
+    cells = q.vector[col] * _coloring_weights(q.n, p)[kk, k]
+    return BinaryLaw(q.n, np.bincount(row, weights=cells, minlength=2 ** q.n))
+
+
+@lru_cache(maxsize=None)
+def _restriction_columns(n: int, subset: tuple[int, ...]) -> np.ndarray:
+    """Column in B_|subset| of the induced partition of each column of B_n."""
+    index = partition_index(len(subset))
+    cols = np.array([index[sig.restrict(subset).blocks] for sig in enumerate_partitions(n)])
+    cols.setflags(write=False)
+    return cols
 
 
 def marginalize_partition(q: PartitionDistribution, subset) -> PartitionDistribution:
     """Distribution of the induced partition on ``subset`` (relabeled)."""
-    s = sorted(set(subset))
+    s = tuple(sorted(set(subset)))
     if not s:
         raise ValueError("subset must be nonempty")
-    out: dict[str, float] = {}
-    for key, w in q.weights.items():
-        restricted = Partition.from_key(key).restrict(s).key
-        out[restricted] = out.get(restricted, 0.0) + w
-    return PartitionDistribution(len(s), out, signed=q.signed)
+    if s[0] < 1 or s[-1] > q.n:
+        raise ValueError(f"subset {list(s)} not within [{q.n}]")
+    vec = np.bincount(_restriction_columns(q.n, s), weights=q.vector, minlength=BELL[len(s)])
+    return PartitionDistribution.from_vector(len(s), vec, signed=q.signed)
 
 
 def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
@@ -434,22 +530,25 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
         raise ValueError("cannot simulate a signed distribution")
     rng = make_rng(seed)
     n = q.n
-    keys = sorted(k for k, w in q.weights.items() if w > 0.0)
-    weights = np.array([q.weights[k] for k in keys])
+    # the partitions drawn, in sorted-key order: that order fixes the samples
+    key_order = _key_order(n)
+    cols = key_order[q.vector[key_order] > 0.0]
+    weights = q.vector[cols]
     weights = weights / weights.sum()
     # each sample's partition, in a small dtype so that one stable (radix)
     # sort lists each partition's rows in ascending order
-    small = np.int16 if len(keys) <= np.iinfo(np.int16).max else np.int32
-    which = rng.choice(len(keys), size=m, p=weights).astype(small)
-    counts = np.bincount(which, minlength=len(keys))
+    small = np.int16 if len(cols) <= np.iinfo(np.int16).max else np.int32
+    which = rng.choice(len(cols), size=m, p=weights).astype(small)
+    counts = np.bincount(which, minlength=len(cols))
     order = np.argsort(which, kind="stable")
     idx = np.empty(m, dtype=np.uint16)   # each sample's string index, < 2^MAX_N
     cells = np.zeros(2 ** n, dtype=np.int64)
+    sigs = enumerate_partitions(n)
     start = 0
-    for key, count in zip(keys, counts.tolist()):
+    for j, count in zip(cols.tolist(), counts.tolist()):
         if count == 0:
             continue
-        sig = Partition.from_key(key)
+        sig = sigs[j]
         rho = (rng.random((count, sig.num_blocks)) < p) @ np.array(_block_bits(sig, n))
         idx[order[start:start + count]] = rho
         cells += np.bincount(rho, minlength=2 ** n)

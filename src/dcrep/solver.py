@@ -22,13 +22,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from .partitions import (BinaryLaw, Partition, PartitionDistribution,
-                         color_map, color_map_exact, enumerate_partitions,
-                         push_forward)
+from .partitions import (BinaryLaw, PartitionDistribution, color_map, color_map_exact,
+                         enumerate_partitions, push_forward)
 from .reports import Verdict
 
 FEAS_TOL = 1e-9
 P_HALF_TOL = 1e-9
+PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,10 @@ def phase_one(a, b, slack=None) -> PhaseOneResult:
         blocks.append(eye)
         cost = np.concatenate([cost, np.zeros(m)])
         bounds += [(-s, s) for s in np.asarray(slack, dtype=float)]
-    res = linprog(cost, A_eq=np.hstack(blocks), b_eq=b, bounds=bounds, method="highs")
+    # at HiGHS's default primal feasibility tolerance, 1e-7, an optimum of 0
+    # can leave |A q - b| near 1e-7 (8.5e-8 on an n = 6 law at p = 1/2)
+    res = linprog(cost, A_eq=np.hstack(blocks), b_eq=b, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": PRIMAL_FEAS_TOL})
     if res.status != 0:
         raise RuntimeError(f"HiGHS phase I failed: {res.message}")
     return PhaseOneResult(objective=float(res.fun), x=res.x[:k],
@@ -287,7 +290,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None,
         detail["mode"] = "exact"
     if strict.objective <= policy.feas_tol:
         q = _extract_q(n, strict.x)
-        margin = float(np.max(np.abs(mat @ q.as_vector() - nu.probs)))
+        margin = float(np.max(np.abs(mat @ q.vector - nu.probs)))
         return FeasibilityResult("Feasible", q, margin, detail=detail)
 
     objective, status = strict.objective, "Infeasible"
@@ -296,7 +299,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None,
         objective = detail["relaxed_objective"] = relaxed.objective
         if objective <= policy.feas_tol:
             q = _extract_q(n, relaxed.x)
-            margin = float(np.max(np.abs(mat @ q.as_vector() - nu.probs)))
+            margin = float(np.max(np.abs(mat @ q.vector - nu.probs)))
             return FeasibilityResult("Borderline", q, margin, detail=detail)
     elif objective <= policy.borderline_tol:
         status = "Borderline"
@@ -406,6 +409,8 @@ def square_circle_solver(theta: float | None, h: float | None, nu4: BinaryLaw,
     return FeasibilityResult(status, q4, margin, detail=meta)
 
 
+# the seven orbits of B_4 under the square's dihedral group, by representative
+_SQUARE_ORBITS = ("1234", "123|4", "12|34", "13|24", "12|3|4", "13|2|4", "1|2|3|4")
 _SQUARE_ORBIT = {
     "1234": "1234",
     "123|4": "123|4", "124|3": "123|4", "134|2": "123|4", "1|234": "123|4",
@@ -417,6 +422,15 @@ _SQUARE_ORBIT = {
 }
 
 
+@functools.cache
+def _square_orbit_index() -> np.ndarray:
+    """Orbit of each column of B_4, as an index into ``_SQUARE_ORBITS``."""
+    index = np.array([_SQUARE_ORBITS.index(_SQUARE_ORBIT[sig.key])
+                      for sig in enumerate_partitions(4)])
+    index.setflags(write=False)
+    return index
+
+
 def _reconstruct_square_b4(rep3: dict[str, float]) -> PartitionDistribution:
     """Lift a 3-marginal representation to B_4 via the dihedral zero pattern."""
     q123 = rep3["123"]
@@ -424,25 +438,22 @@ def _reconstruct_square_b4(rep3: dict[str, float]) -> PartitionDistribution:
     q_sing = rep3["1|2|3"]
     # adjacent-pair weights agree in exact arithmetic; average out MC noise
     q12_3 = 0.5 * (rep3["12|3"] + rep3["1|23"])
-    vals = {
-        "1234": q123 - q13_2,
-        "123|4": q13_2,     # orbit: the four 3+1 partitions
-        "12|34": q12_3 - q13_2 - q_sing / 2.0,  # orbit: {12|34, 14|23}
-        "13|24": 0.0,
-        "12|3|4": q_sing / 2.0,  # orbit: the four edge-pair partitions
-        "13|2|4": 0.0,           # orbit: the two diagonal-pair partitions
-        "1|2|3|4": 0.0,
-    }
-    weights = {}
-    for sig in enumerate_partitions(4):
-        v = vals[_SQUARE_ORBIT[sig.key]]
-        weights[sig.key] = 0.0 if -1e-7 < v < 1e-15 else v
-    signed = min(weights.values()) < -FEAS_TOL
-    total = math.fsum(weights.values())
+    orbit_weights = np.array([          # in _SQUARE_ORBITS order
+        q123 - q13_2,
+        q13_2,                          # the four 3+1 partitions
+        q12_3 - q13_2 - q_sing / 2.0,   # {12|34, 14|23}
+        0.0,
+        q_sing / 2.0,                   # the four edge-pair partitions
+        0.0,                            # the two diagonal-pair partitions
+        0.0,
+    ])
+    vec = orbit_weights[_square_orbit_index()]
+    vec[(-1e-7 < vec) & (vec < 1e-15)] = 0.0
+    signed = bool(vec.min() < -FEAS_TOL)
+    total = math.fsum(vec.tolist())
     if abs(total - 1.0) > 1e-5:
         raise RuntimeError(f"reconstructed weights sum to {total}; input too noisy")
-    weights = {k: v / total for k, v in weights.items()}
-    return PartitionDistribution(4, weights, signed=signed)
+    return PartitionDistribution.from_vector(4, vec / total, signed=signed)
 
 
 def _square_margin(q4: PartitionDistribution, nu4: BinaryLaw, p: float) -> float:

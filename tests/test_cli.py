@@ -222,7 +222,7 @@ def reference_emit_sample_csv(args, batch):
     header = (["sign_" + str(i + 1) for i in range(batch.n)] + ["partition"]
               + ["crossing_p_" + str(i + 1) for i in range(batch.crossing_probs.shape[1])])
     rows = [list(s.signs) + [s.partition.key] + list(s.crossing_probs) for s in batch]
-    cli._emit_csv(args, header, rows)
+    cli._emit_csv(args, header, list(zip(*rows)))
 
 
 @pytest.mark.parametrize("argv", [

@@ -233,6 +233,23 @@ def test_ab_region_paper_points():
         ab_region_classify(0.0, 0.5)
 
 
+def test_ab_region_near_zero_covariance_is_a_typed_error():
+    # b = 1e-13 is a zero covariance to the classifier (NoColorRep) but a
+    # positive one to the closed form (ColorRep for a < 1/2)
+    for a in (0.3, 0.5):
+        with pytest.raises(ValueError, match="unresolved"):
+            ab_region_classify(a, 1e-13)
+    with pytest.raises(ValueError, match="unresolved"):
+        ab_region_classify(0.3, 1e-12)
+    # where the two agree, the near-zero points keep their answers
+    reg = ab_region_classify(0.6, 1e-13)
+    assert (reg.case_tag, reg.large_h_color) == ("zero-cov", False)
+    reg = ab_region_classify(1e-13, 0.5)
+    assert (reg.case_tag, reg.large_h_color) == ("zero-cov", True)
+    reg = ab_region_classify(0.3, 1.1e-12)
+    assert (reg.case_tag, reg.large_h_color) == ("i", True)
+
+
 def test_ab_region_markov_boundary_is_dgff_boundary(rng):
     # free field exactly when b >= a^2 (inside the PD region)
     for _ in range(200):

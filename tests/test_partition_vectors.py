@@ -1,0 +1,325 @@
+"""The vector-backed partition distribution against the key-based code it
+replaced.
+
+``reference_*`` below are the implementations that walked ``"13|2"`` keys
+(``Partition.from_key`` per key, a Python loop over colorings or subsets),
+kept as they were.  Where the arithmetic is unchanged the comparison is exact;
+``push_forward`` now sums each cell in column order, so it is compared within
+1e-15.
+"""
+
+import itertools
+import json
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+from dcrep import cli
+from dcrep.gaussian import square_threshold_law_exact
+from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution,
+                              enumerate_partitions, marginalize_partition,
+                              push_forward, simulate_color_process)
+from dcrep.rng import make_rng
+from dcrep.solver import _reconstruct_square_b4, square_circle_solver
+
+from conftest import random_probability_q
+
+SIZES = range(1, 9)
+
+
+def reference_push_forward(weights: dict, n: int, p: float) -> np.ndarray:
+    probs = np.zeros(2 ** n)
+    for key, w in weights.items():
+        if w == 0.0:
+            continue
+        sig = Partition.from_key(key)
+        bits = [sum(1 << (n - i) for i in b) for b in sig.blocks]
+        for colors in itertools.product((0, 1), repeat=len(bits)):
+            row = sum(bit for bit, c in zip(bits, colors) if c)
+            k = sum(colors)
+            probs[row] += w * p ** k * (1.0 - p) ** (sig.num_blocks - k)
+    return probs
+
+
+def reference_marginalize_partition(weights: dict, subset) -> dict:
+    out: dict[str, float] = {}
+    for key, w in weights.items():
+        restricted = Partition.from_key(key).restrict(subset).key
+        out[restricted] = out.get(restricted, 0.0) + w
+    return out
+
+
+def reference_to_json(weights: dict, n: int, signed: bool) -> str:
+    entries = [{"key": sig.key, "q": weights.get(sig.key, 0.0)}
+               for sig in enumerate_partitions(n)]
+    return json.dumps({"n": n, "signed": signed, "entries": entries})
+
+
+def reference_simulate(weights: dict, n: int, p: float, m: int, seed):
+    """The sampler as it drew from sorted keys, one ``from_key`` per key."""
+    rng = make_rng(seed)
+    keys = sorted(k for k, w in weights.items() if w > 0.0)
+    probs = np.array([weights[k] for k in keys])
+    probs = probs / probs.sum()
+    small = np.int16 if len(keys) <= np.iinfo(np.int16).max else np.int32
+    which = rng.choice(len(keys), size=m, p=probs).astype(small)
+    counts = np.bincount(which, minlength=len(keys))
+    order = np.argsort(which, kind="stable")
+    idx = np.empty(m, dtype=np.uint16)
+    start = 0
+    for key, count in zip(keys, counts.tolist()):
+        if count == 0:
+            continue
+        sig = Partition.from_key(key)
+        bits = np.array([sum(1 << (n - i) for i in b) for b in sig.blocks])
+        idx[order[start:start + count]] = (rng.random((count, sig.num_blocks)) < p) @ bits
+        start += count
+    samples = np.empty((m, n), dtype=np.uint8)
+    for i in range(n):
+        samples[:, i] = (idx >> (n - 1 - i)) & 1
+    return samples
+
+
+def reference_square_law(theta: float) -> np.ndarray:
+    """Inclusion-exclusion over frozensets, one Python sum per cell."""
+    th_adj = math.acos(math.cos(theta) ** 2)
+    th_diag = 2.0 * theta
+    pair = {frozenset(t): 0.5 - th_adj / (2 * math.pi)
+            for t in [(1, 2), (2, 3), (3, 4), (1, 4)]}
+    pair[frozenset((1, 3))] = 0.5 - th_diag / (2 * math.pi)
+    pair[frozenset((2, 4))] = 0.5 - th_diag / (2 * math.pi)
+    triple = 0.5 - (2 * th_adj + th_diag) / (4 * math.pi)
+    quad = 0.5 - th_adj / math.pi
+
+    def upper(t: frozenset) -> float:
+        return {0: 1.0, 1: 0.5, 3: triple, 4: quad}[len(t)] if len(t) != 2 else pair[t]
+
+    probs = np.zeros(16)
+    full = frozenset((1, 2, 3, 4))
+    for idx in range(16):
+        ones = frozenset(i + 1 for i in range(4) if (idx >> (3 - i)) & 1)
+        rest = sorted(full - ones)
+        total = 0.0
+        for r in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, r):
+                total += (-1.0) ** r * upper(ones | frozenset(extra))
+        probs[idx] = total
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    return probs
+
+
+SQUARE_ORBIT = {
+    "1234": "1234",
+    "123|4": "123|4", "124|3": "123|4", "134|2": "123|4", "1|234": "123|4",
+    "12|34": "12|34", "14|23": "12|34",
+    "13|24": "13|24",
+    "12|3|4": "12|3|4", "14|2|3": "12|3|4", "1|23|4": "12|3|4", "1|2|34": "12|3|4",
+    "13|2|4": "13|2|4", "1|24|3": "13|2|4",
+    "1|2|3|4": "1|2|3|4",
+}
+
+
+def reference_reconstruct_square_b4(rep3: dict) -> dict:
+    """The dihedral lift, one orbit lookup per key."""
+    q12_3 = 0.5 * (rep3["12|3"] + rep3["1|23"])
+    vals = {"1234": rep3["123"] - rep3["13|2"], "123|4": rep3["13|2"],
+            "12|34": q12_3 - rep3["13|2"] - rep3["1|2|3"] / 2.0, "13|24": 0.0,
+            "12|3|4": rep3["1|2|3"] / 2.0, "13|2|4": 0.0, "1|2|3|4": 0.0}
+    weights = {}
+    for sig in enumerate_partitions(4):
+        v = vals[SQUARE_ORBIT[sig.key]]
+        weights[sig.key] = 0.0 if -1e-7 < v < 1e-15 else v
+    total = math.fsum(weights.values())
+    return {k: v / total for k, v in weights.items()}
+
+
+def reference_marginals(law: BinaryLaw) -> np.ndarray:
+    idx = np.arange(2 ** law.n)
+    return np.array([law.probs[(idx >> (law.n - 1 - i)) & 1 == 1].sum()
+                     for i in range(law.n)])
+
+
+def reference_marginalize(law: BinaryLaw, subset):
+    s = sorted(set(subset))
+    k = len(s)
+    submap = np.zeros(2 ** law.n, dtype=np.int64)
+    for idx in range(2 ** law.n):
+        sub = 0
+        for j, i in enumerate(s):
+            sub |= ((idx >> (law.n - i)) & 1) << (k - 1 - j)
+        submap[idx] = sub
+    out = np.zeros(2 ** k)
+    np.add.at(out, submap, law.probs)
+    var = np.zeros(2 ** k)
+    np.add.at(var, submap, law.stderr ** 2)
+    return out, np.sqrt(var)
+
+
+def distributions(n: int):
+    """Random q at n: full support, and a sparse one with zeros."""
+    gen = np.random.default_rng(1000 + n)
+    full = random_probability_q(gen, n)
+    vec = gen.dirichlet(np.ones(len(full.vector)))
+    vec[gen.random(len(vec)) < 0.6] = 0.0
+    vec[gen.integers(len(vec))] += 0.5
+    return [full, PartitionDistribution.from_vector(n, vec / vec.sum())]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_push_forward_matches_key_loop(n, p):
+    for q in distributions(n):
+        expect = reference_push_forward(dict(q.weights), n, p)
+        assert np.max(np.abs(push_forward(q, p).probs - expect)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_marginalize_partition_matches_key_loop(n):
+    gen = np.random.default_rng(n)
+    for q in distributions(n):
+        subsets = [list(range(1, n + 1))] + [
+            sorted(gen.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
+            for size in range(1, n)]
+        for subset in subsets:
+            out = marginalize_partition(q, subset)
+            expect = reference_marginalize_partition(dict(q.weights), subset)
+            assert dict(out.weights) == expect
+            assert out.signed is q.signed
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_json_round_trip_is_byte_identical(n):
+    for q in distributions(n):
+        text = q.to_json()
+        assert text == reference_to_json(dict(q.weights), n, q.signed)
+        back = PartitionDistribution.from_json(text)
+        assert back.to_json() == text
+        assert back == q
+        assert pickle.loads(pickle.dumps(q)) == q
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_simulate_draws_the_key_order_samples(n, p):
+    for seed, q in enumerate(distributions(n)):
+        samples, _ = simulate_color_process(q, p, 3000, seed)
+        assert np.array_equal(samples, reference_simulate(dict(q.weights), n, p, 3000, seed))
+
+
+def test_sparse_dict_constructor_places_each_key():
+    q = PartitionDistribution(4, {"13|24": 0.25, "1|2|3|4": 0.5, "1234": 0.25})
+    assert q.support() == ["1234", "13|24", "1|2|3|4"]
+    assert q.weight("24|13") == 0.25          # any spelling of the partition
+    assert q.weight("12") == 0.0              # a partition of another n
+    cols = [j for j, sig in enumerate(enumerate_partitions(4)) if sig.key in q.support()]
+    assert np.flatnonzero(q.vector).tolist() == cols
+    with pytest.raises(ValueError, match="read-only"):
+        q.vector[0] = 1.0
+    with pytest.raises(AttributeError):
+        q.n = 5
+
+
+@pytest.mark.parametrize("key, message", [
+    ("2|13", "not canonical"),
+    ("13|2|", "nonempty"),
+    ("1|2", r"not a partition of \[3\]"),
+    ("1|2|3|4", r"not a partition of \[3\]"),
+    ("1|1|2", "partition"),
+])
+def test_bad_keys_are_rejected(key, message):
+    with pytest.raises(ValueError, match=message):
+        PartitionDistribution(3, {key: 1.0})
+
+
+def test_from_vector_checks_length_sum_and_sign():
+    with pytest.raises(ValueError, match="length 5"):
+        PartitionDistribution.from_vector(3, np.full(4, 0.25))
+    with pytest.raises(ValueError, match="sum to 1"):
+        PartitionDistribution.from_vector(3, np.full(5, 0.1))
+    with pytest.raises(ValueError, match="negative"):
+        PartitionDistribution.from_vector(3, [1.5, -0.5, 0.0, 0.0, 0.0])
+    PartitionDistribution.from_vector(3, [1.5, -0.5, 0.0, 0.0, 0.0], signed=True)
+    with pytest.raises(ValueError, match="n <= 9"):
+        PartitionDistribution.from_vector(10, [1.0])
+
+
+def test_square_law_matches_inclusion_exclusion_loop():
+    gen = np.random.default_rng(5)
+    thetas = np.concatenate([np.linspace(0.001, math.pi / 2, 500),
+                             gen.uniform(0.0, math.pi / 2, 498), [math.pi / 4, math.pi / 2]])
+    for theta in thetas.tolist():
+        if theta == 0.0:
+            continue
+        assert np.array_equal(square_threshold_law_exact(theta).probs,
+                              reference_square_law(theta)), theta
+
+
+def test_square_reconstruction_matches_orbit_dict():
+    gen = np.random.default_rng(6)
+    for _ in range(200):
+        q123, a, q13_2, b, q_sing = gen.dirichlet(np.ones(5))
+        rep3 = {"123": q123, "12|3": (a + b) / 2, "13|2": q13_2, "1|23": (a + b) / 2,
+                "1|2|3": q_sing}
+        expect = reference_reconstruct_square_b4(rep3)
+        assert dict(_reconstruct_square_b4(rep3).weights) == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 12])
+def test_binary_law_marginals_match_mask_loop(n):
+    gen = np.random.default_rng(n)
+    law = BinaryLaw.from_counts(gen.multinomial(5000, gen.dirichlet(np.ones(2 ** n))), 5000)
+    assert np.array_equal(law.marginals(), reference_marginals(law))
+    subsets = [[1], list(range(1, n + 1))] + [
+        sorted(gen.choice(np.arange(1, n + 1), size=gen.integers(1, n + 1),
+                          replace=False).tolist()) for _ in range(4)]
+    for subset in subsets:
+        out = law.marginalize(subset)
+        probs, se = reference_marginalize(law, subset)
+        assert np.array_equal(out.probs, probs)
+        assert np.array_equal(out.stderr, se)
+
+
+def reference_scan_lines(kind: str, step: float, a: float = 0.5) -> list[str]:
+    """Header and rows of a scan CSV, one point and one ``_fmt`` at a time."""
+    if kind == "theta":
+        header = ["theta", "feasible", "t_lo", "t_hi", "adjacency_gap"]
+        rows = []
+        for th in np.arange(step, math.pi / 2, step):
+            law = BinaryLaw(4, reference_square_law(float(th)))
+            res = square_circle_solver(float(th), 0.0, law)
+            rows.append([float(th), int(res.status == "Feasible"),
+                         res.detail.get("t_lo", float("nan")),
+                         res.detail.get("t_hi", float("nan")),
+                         math.pi / 8 - (math.acos(math.cos(th) ** 2) - th)])
+    else:
+        from dcrep import asymptotics as asym
+        header = ["alpha", "gamma_factor", "order2_101", "coupling_threshold",
+                  "large_h_color"]
+        rows = []
+        for al in np.arange(step, 2.0, step):
+            al = float(al)
+            threshold = 1.0 - a ** al
+            o2 = asym.stable_order2_limit_101_symmetric(a, al)
+            gf = asym.gamma_factor(al) if al < 1.0 else float("inf")
+            rows.append([al, gf, o2, threshold, int(o2 > threshold)])
+    return [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("argv, kind, step, a", [
+    (["--scan", "theta", "--a-step", "0.001"], "theta", 0.001, None),
+    (["--scan", "theta"], "theta", math.pi / 80, None),
+    (["--scan", "alpha"], "alpha", 0.01, 0.5),
+    (["--scan", "alpha", "--a-step", "0.0002", "--a", "0.37"], "alpha", 0.0002, 0.37),
+], ids=["theta_0.001", "theta_default", "alpha_default", "alpha_0.0002"])
+def test_scan_csv_matches_per_point_loop(tmp_path, argv, kind, step, a):
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan"] + argv + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# {")
+    assert lines[1:] == reference_scan_lines(kind, step, a)
+    if step == 0.0002:      # rows that span several blocks of formatted text
+        assert len(lines) - 2 > 2 * cli.CSV_BLOCK_ROWS
+

@@ -139,10 +139,10 @@ def test_push_forward_rejects_signed():
 def test_marginalize_partition_examples():
     q = PartitionDistribution(4, {"12|34": 1.0})
     out = marginalize_partition(q, [1, 2, 3])
-    assert out.weights == {"12|3": 1.0}
+    assert out.weights == {"12|3": 1.0, "123": 0.0, "13|2": 0.0, "1|23": 0.0, "1|2|3": 0.0}
 
     singles = PartitionDistribution(4, {"1|2|3|4": 1.0})
-    assert marginalize_partition(singles, [2, 4]).weights == {"1|2": 1.0}
+    assert marginalize_partition(singles, [2, 4]).weights == {"1|2": 1.0, "12": 0.0}
 
     with pytest.raises(ValueError):
         marginalize_partition(q, [])

@@ -390,6 +390,38 @@ def test_lp_feasible_verdicts_reproduce_the_law_n6():
         assert float(np.max(np.abs(mat @ res.q.as_vector() - nu.probs))) <= 1e-8, seed
 
 
+# An n = 6 push-forward of a Dirichlet q at p = 1/2 whose marginals average to
+# 0.5000000000000001.  At HiGHS's default primal feasibility tolerance (1e-7)
+# phase I stopped at objective 0 with a q that missed the law by 8.5e-8.
+P_HALF_ULP_LAW_6 = [
+    0.11975543114778421, 0.018938558723704813, 0.02011671019462443, 0.012245215549376772,
+    0.020126719499939376, 0.0095719840657397, 0.012080942971886737, 0.010721128344475424,
+    0.016849410104195515, 0.0092569877600335, 0.010278566886896934, 0.004947323464277356,
+    0.011595587785559911, 0.009355797872042463, 0.011394235480521285, 0.007766156593045058,
+    0.022073712533434806, 0.010938136818181185, 0.013601937555050722, 0.01464701609215748,
+    0.0075863002819806635, 0.00891188413772374, 0.009780041030880702, 0.010565937231366403,
+    0.014778163063607632, 0.009307374302819105, 0.008338795134345293, 0.01150593357507936,
+    0.009004344726330108, 0.013515496975518739, 0.008452154602141384, 0.02199201549527933,
+    0.02199201549527933, 0.008452154602141384, 0.013515496975518739, 0.009004344726330108,
+    0.01150593357507936, 0.008338795134345293, 0.009307374302819105, 0.014778163063607632,
+    0.010565937231366403, 0.009780041030880702, 0.00891188413772374, 0.0075863002819806635,
+    0.01464701609215748, 0.013601937555050722, 0.010938136818181185, 0.022073712533434806,
+    0.007766156593045058, 0.011394235480521285, 0.009355797872042463, 0.011595587785559911,
+    0.004947323464277356, 0.010278566886896934, 0.0092569877600335, 0.016849410104195515,
+    0.010721128344475424, 0.012080942971886737, 0.0095719840657397, 0.020126719499939376,
+    0.012245215549376772, 0.02011671019462443, 0.018938558723704813, 0.11975543114778421,
+]
+
+
+def test_lp_feasible_q_reproduces_law_at_p_one_ulp_above_half():
+    nu = BinaryLaw(6, P_HALF_ULP_LAW_6)
+    assert nu.marginal_p == 0.5000000000000001
+    res = lp_feasibility(nu)
+    assert res.status == "Feasible"
+    assert res.infeasibility_margin <= 1e-8
+    assert float(np.max(np.abs(push_forward(res.q, nu.marginal_p).probs - nu.probs))) <= 1e-8
+
+
 def test_lp_relaxed_mc_markov_n6():
     law = threshold_law_mc(markov_chain_cov(6, 0.5), 0.0, 10 ** 6, seed=5)
     t0 = time.perf_counter()
