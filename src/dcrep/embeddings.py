@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .partitions import (BinaryLaw, Partition, PartitionDistribution, bell_number,
+from .partitions import (BinaryLaw, Partition, PartitionDistribution, _check_n, bell_number,
                          partition_index, push_forward)
 from .rng import make_rng
 from .stable import sample_pos_stable, sample_sym_stable, subordinator_scale
@@ -67,7 +67,7 @@ class EmbeddingBatch:
     than the largest label before it.  So block b is the b-th block in order
     of least element, and a row's labels name its partition in exactly one
     way.  Read as base-n digits, the row is one int64 code,
-    ``labels @ n ** arange(n - 1, -1, -1)``, below n^n <= 12^12; rows share a
+    ``labels @ n ** arange(n - 1, -1, -1)``, below n^n <= 9^9; rows share a
     code iff they share a partition.
     """
 
@@ -163,8 +163,9 @@ def ou_partition_batch(a: float, n: int, m: int, seed) -> EmbeddingBatch:
     chain with step correlation a (covariances a^{|i-j|})."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    _check_n(n)
+    if m < 1:
+        raise ValueError("m must be >= 1")
     rng = make_rng(seed)
     y = np.empty((m, n))
     y[:, 0] = rng.standard_normal(m)
@@ -187,8 +188,9 @@ def stable_chain_partition_batch(alpha: float, a: float, n: int, m: int, seed) -
         raise ValueError("alpha must lie in (0,2)")
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    _check_n(n)
+    if m < 1:
+        raise ValueError("m must be >= 1")
     rng = make_rng(seed)
     c = (1.0 - a ** alpha) ** (1.0 / alpha)
     scale = subordinator_scale(alpha)
@@ -227,6 +229,7 @@ def ou_star_partition_batch(a: float, leaves: int, m: int, seed) -> EmbeddingBat
     Index 1 is the root, indices 2..leaves+1 the leaves."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
+    _check_n(leaves + 1)
     if leaves < 1 or m < 1:
         raise ValueError("leaves and m must be >= 1")
     rng = make_rng(seed)
@@ -245,6 +248,7 @@ def stable_star_partition_batch(alpha: float, a: float, leaves: int, m: int, see
         raise ValueError("alpha must lie in (0,2)")
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
+    _check_n(leaves + 1)
     if leaves < 1 or m < 1:
         raise ValueError("leaves and m must be >= 1")
     rng = make_rng(seed)

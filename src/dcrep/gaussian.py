@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erfc, ndtri
 
-from .partitions import BinaryLaw
+from .partitions import BinaryLaw, _check_n
 from .rng import make_rng
 
 SYM_TOL = 1e-12
@@ -346,6 +346,7 @@ def threshold_law_mc(cov: CovarianceSpec, h: float, m: int, seed) -> BinaryLaw:
     Unreliable for h > 4 at n >= 3: the orthant mass decays like exp(-h^2)
     and should be handled by tail_asymptote or quadrature instead.
     """
+    _check_n(cov.n)
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = make_rng(seed)

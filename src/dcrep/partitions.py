@@ -23,18 +23,11 @@ import numpy as np
 
 from .rng import make_rng
 
-MAX_N = 12
+MAX_N = 9  # the one size limit (``_check_n``): keys spell each element as one digit
 PROB_TOL = 1e-12
 
-# Bell numbers B_0..B_12.
-BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
-
-# Largest n for the dense coloring map (2^8 x 4140).
-DENSE_N_MAX = 8
-
-# Largest n for partition distributions: their keys spell each element as one
-# digit, and the int16 columns of ``_color_map_cells`` stop below Bell(10).
-DIST_N_MAX = 9
+# Bell numbers B_0..B_9.
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
 
 
 def bell_number(n: int) -> int:
@@ -45,12 +38,6 @@ def bell_number(n: int) -> int:
 def _check_n(n: int) -> None:
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must be in [1, {MAX_N}], got {n}")
-
-
-def _check_dist_n(n: int) -> None:
-    _check_n(n)
-    if n > DIST_N_MAX:
-        raise ValueError(f"partition distributions are limited to n <= {DIST_N_MAX}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +60,7 @@ class Partition:
         canon = tuple(sorted(blocks, key=lambda b: b[0]))
         flat = [i for b in canon for i in b]
         n = len(flat)
+        _check_n(n)
         if sorted(flat) != list(range(1, n + 1)):
             raise ValueError(f"blocks must partition {{1,...,{n}}}, got {blocks}")
         return Partition(canon)
@@ -87,9 +75,7 @@ class Partition:
 
     @property
     def key(self) -> str:
-        """Canonical string key, e.g. '13|2' (1-based digits; needs n <= 9)."""
-        if self.n > 9:
-            raise ValueError("string keys are only defined for n <= 9")
+        """Canonical string key, e.g. '13|2' (1-based digits)."""
         return "|".join("".join(str(i) for i in b) for b in self.blocks)
 
     @staticmethod
@@ -152,14 +138,14 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 def partition_index(n: int) -> dict[tuple, int]:
     """Map canonical block tuple -> column index in ``enumerate_partitions``,
     which is also the entry of a ``PartitionDistribution`` vector."""
-    _check_dist_n(n)
+    _check_n(n)
     return {sig.blocks: j for j, sig in enumerate(enumerate_partitions(n))}
 
 
 @lru_cache(maxsize=None)
 def _column_keys(n: int) -> tuple[str, ...]:
     """Canonical key of each column of ``enumerate_partitions(n)``."""
-    _check_dist_n(n)
+    _check_n(n)
     return tuple(sig.key for sig in enumerate_partitions(n))
 
 
@@ -193,18 +179,11 @@ def _block_bits(sig: Partition, n: int) -> list[int]:
     return [sum(1 << (n - i) for i in b) for b in sig.blocks]
 
 
-def _column_cells(sig: Partition, n: int):
-    """Yield (row, #blocks colored 1) for the strings constant on sig's blocks."""
-    bits = _block_bits(sig, n)
-    for colors in itertools.product((0, 1), repeat=len(bits)):
-        row = sum(bit for bit, c in zip(bits, colors) if c)
-        yield row, sum(colors)
-
-
 @lru_cache(maxsize=None)
 def _color_map_cells(n: int) -> tuple[np.ndarray, ...]:
     """Nonzero cells of ``color_map(n, .)`` as read-only index arrays shared by
-    every call: row, column, #blocks colored 1 (k) and #blocks (K)."""
+    every call: row, column, #blocks colored 1 (k) and #blocks (K).  The
+    cells of each column are contiguous."""
     sigs = enumerate_partitions(n)
     parts = []
     for big in range(1, n + 1):
@@ -233,8 +212,6 @@ def color_map(n: int, p: float) -> np.ndarray:
     _check_n(n)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0,1), got {p}")
-    if n > DENSE_N_MAX:
-        raise ValueError(f"color_map is limited to n <= {DENSE_N_MAX}, got {n}")
     row, col, k, kk = _color_map_cells(n)
     mat = np.zeros((2 ** n, bell_number(n)))
     mat[row, col] = _coloring_weights(n, p)[kk, k]
@@ -248,18 +225,19 @@ def _coloring_weights(n: int, p: float) -> np.ndarray:
                      for big in range(n + 1)])
 
 
-def color_map_exact(n: int, p: Fraction) -> list[list[Fraction]]:
-    """Fraction-valued coloring map (row-major), for exact certificate checks."""
+def color_map_exact(n: int, p) -> tuple[np.ndarray, int]:
+    """The cells of ``color_map(n, p)`` in exact arithmetic, for certificate
+    checks: Python integers in ``_color_map_cells`` order, and their common
+    denominator.  With p = a/b exactly, cell (k, K) is
+    a^k (b-a)^(K-k) b^(n-K) over the denominator b^n."""
     _check_n(n)
-    p = Fraction(p)
-    sigs = enumerate_partitions(n)
-    rows = [[Fraction(0)] * len(sigs) for _ in range(2 ** n)]
-    q1 = 1 - p
-    for j, sig in enumerate(sigs):
-        kk = sig.num_blocks
-        for row, k in _column_cells(sig, n):
-            rows[row][j] = p ** k * q1 ** (kk - k)
-    return rows
+    a, b = Fraction(p).as_integer_ratio()
+    weight = np.empty((n + 1, n + 1), dtype=object)
+    for big in range(n + 1):
+        for j in range(big + 1):
+            weight[big, j] = a ** j * (b - a) ** (big - j) * b ** (n - big)
+    _, _, k, kk = _color_map_cells(n)
+    return weight[kk, k], b ** n
 
 
 class PartitionDistribution:
@@ -273,7 +251,7 @@ class PartitionDistribution:
 
     def __init__(self, n: int, weights: Mapping[str, float], signed: bool = False):
         """From canonical keys; a key left out weighs 0."""
-        _check_dist_n(n)
+        _check_n(n)
         columns = _key_columns(n)
         vec = np.zeros(BELL[n])
         for key, w in weights.items():
@@ -286,7 +264,7 @@ class PartitionDistribution:
     @staticmethod
     def from_vector(n: int, vec, signed: bool = False) -> "PartitionDistribution":
         """From weights in ``enumerate_partitions(n)`` order (copied)."""
-        _check_dist_n(n)
+        _check_n(n)
         vec = np.array(vec, dtype=float)
         if vec.shape != (BELL[n],):
             raise ValueError(f"expected vector of length {BELL[n]}, got {vec.shape}")

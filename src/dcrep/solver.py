@@ -6,7 +6,7 @@ Three routes, used where each is exact:
   * general n: phase-I LP feasibility over the coloring map, solved by HiGHS,
     with a Farkas certificate on infeasibility and a +-3 stderr relaxation
     for MC laws.  ``exact=True`` keeps the float solve and checks the
-    certificate in Fraction arithmetic before calling a law Infeasible.
+    certificate by an integer check over the cells before calling a law Infeasible.
 A symmetry-reduced solver handles the four-points-on-a-circle family, where
 the alternating pattern is forbidden and the dihedral symmetry collapses the
 problem to the t-family of the first three coordinates.
@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from .partitions import (BinaryLaw, PartitionDistribution, color_map, color_map_exact,
-                         enumerate_partitions, push_forward)
+from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, color_map,
+                         color_map_exact, enumerate_partitions, push_forward)
 from .reports import Verdict
 
 FEAS_TOL = 1e-9
@@ -53,11 +53,12 @@ class TolPolicy:
 
 
 def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
-    gap = nu.max_marginal_gap()
+    marginals = nu.marginals()
+    gap = float(marginals.max() - marginals.min())
     if gap > tol:
         raise ValueError(f"marginals differ by {gap:.3g} (> {tol:.3g}); "
                          "a color process has equal marginals")
-    return nu.marginal_p
+    return float(marginals.mean())
 
 
 @dataclass(frozen=True)
@@ -249,17 +250,27 @@ def phase_one(a, b, slack=None) -> PhaseOneResult:
 
 def phase_one_exact(n: int, p: float, nu, y) -> bool:
     """Does y prove, in exact arithmetic, that nu = color_map(n, p) q has no
-    solution q >= 0?  The floats p, nu and y are taken exactly as Fractions.
+    solution q >= 0?  The floats p, nu and y are taken exactly.
 
     Every column of the coloring map sums to 1, so with delta = max_j (y'A)_j
     the shifted y - delta 1 satisfies y'A <= 0 exactly; it is a certificate
-    iff y'nu - delta sum(nu) > 0.
+    iff y'nu - delta sum(nu) > 0.  Scaled to integers (A = cells / b^n, and
+    y and nu by their largest denominators), that is
+    y'nu b^n - max_j (y'cells)_j sum(nu) > 0.
     """
-    ys = [Fraction(float(v)) for v in y]
-    nus = [Fraction(float(v)) for v in nu]
-    columns = zip(*color_map_exact(n, Fraction(p)))
-    delta = max(sum(yi * a for yi, a in zip(ys, col) if a) for col in columns)
-    return sum(yi * vi for yi, vi in zip(ys, nus)) - delta * sum(nus) > 0
+    ys, nus = _dyadic_integers(y), _dyadic_integers(nu)
+    cells, den = color_map_exact(n, p)
+    row, col, _, _ = _color_map_cells(n)
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    columns = np.add.reduceat(np.array(ys, dtype=object)[row] * cells, starts)
+    return sum(yi * vi for yi, vi in zip(ys, nus)) * den - max(columns) * sum(nus) > 0
+
+
+def _dyadic_integers(values) -> list[int]:
+    """Floats times their largest denominator, a power of two: exact integers."""
+    fracs = [Fraction(float(v)) for v in values]
+    scale = max(f.denominator for f in fracs)
+    return [f.numerator * (scale // f.denominator) for f in fracs]
 
 
 def lp_feasibility(nu: BinaryLaw, p: float | None = None,
@@ -271,15 +282,16 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None,
     on the polytope widened by ``relax_sigma`` stderr per cell, and only a
     failure there is reported Infeasible.  With ``exact=True`` a verdict
     that would be Infeasible or Borderline becomes Infeasible exactly when the
-    Farkas certificate verifies in Fraction arithmetic (the float inputs taken
-    exactly), and Borderline otherwise; ``detail["certificate_verified"]``
-    holds the outcome.
+    Farkas certificate verifies in an integer check over the coloring map's
+    cells (the float inputs taken exactly), and Borderline otherwise;
+    ``detail["certificate_verified"]`` holds the outcome.
     """
     policy = policy or TolPolicy()
-    p_detected = _require_equal_marginals(nu, policy.marginal_tolerance(nu))
+    tol = policy.marginal_tolerance(nu)
+    p_detected = _require_equal_marginals(nu, tol)
     if p is None:
         p = p_detected
-    elif abs(p - p_detected) > max(policy.marginal_tolerance(nu), 1e-6):
+    elif abs(p - p_detected) > max(tol, 1e-6):
         raise ValueError(f"stated p={p} inconsistent with marginals {p_detected:.6g}")
     n = nu.n
     mat = color_map(n, p)

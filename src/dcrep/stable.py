@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .partitions import BinaryLaw
+from .partitions import BinaryLaw, _check_n
 from .rng import make_rng
 
 MC_CHUNK = 1_000_000
@@ -239,6 +239,7 @@ def sample_stable_vector(model: StableLinearModel, m: int, seed) -> np.ndarray:
 def stable_threshold_law_mc(model: StableLinearModel, h: float, m: int, seed) -> BinaryLaw:
     """Monte Carlo threshold law of the model; refuses h != 0 on
     non-standardized rows (unequal marginals cannot be a color process)."""
+    _check_n(model.d)
     if m < 1:
         raise ValueError("m must be >= 1")
     if h != 0.0 and not model.standardized:

@@ -242,7 +242,7 @@ def test_from_vector_checks_length_sum_and_sign():
     with pytest.raises(ValueError, match="negative"):
         PartitionDistribution.from_vector(3, [1.5, -0.5, 0.0, 0.0, 0.0])
     PartitionDistribution.from_vector(3, [1.5, -0.5, 0.0, 0.0, 0.0], signed=True)
-    with pytest.raises(ValueError, match="n <= 9"):
+    with pytest.raises(ValueError, match=r"n must be in \[1, 9\], got 10"):
         PartitionDistribution.from_vector(10, [1.0])
 
 
@@ -267,7 +267,7 @@ def test_square_reconstruction_matches_orbit_dict():
         assert dict(_reconstruct_square_b4(rep3).weights) == expect
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 7, 12])
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 9])
 def test_binary_law_marginals_match_mask_loop(n):
     gen = np.random.default_rng(n)
     law = BinaryLaw.from_counts(gen.multinomial(5000, gen.dirichlet(np.ones(2 ** n))), 5000)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -13,7 +14,7 @@ from dcrep.partitions import (BinaryLaw, PartitionDistribution, color_map,
                               enumerate_partitions, marginalize_partition,
                               push_forward)
 from dcrep.reports import Verdict
-from dcrep.solver import (gaussian_sym_family_interval, lp_feasibility,
+from dcrep.solver import (gaussian_sym_family_interval, lp_feasibility, phase_one_exact,
                           quick_sufficient_symmetric, signed_rep_3,
                           square_circle_solver, symmetric_plus_mean_gap,
                           symmetric_rep_family_3)
@@ -206,6 +207,47 @@ def test_lp_exact_mode():
         res = lp_feasibility(nu, exact=True)
         assert res.status == "Feasible", (n, p)
         assert np.allclose(push_forward(res.q, p).probs, nu.probs, atol=1e-8)
+
+
+@functools.cache
+def reference_color_map_exact(n, p):
+    """The dense 2^n x Bell(n) coloring map in Fraction arithmetic, row-major,
+    built by a double loop over partitions and their colorings."""
+    p = Fraction(p)
+    sigs = enumerate_partitions(n)
+    rows = [[Fraction(0)] * len(sigs) for _ in range(2 ** n)]
+    for j, sig in enumerate(sigs):
+        bits = [sum(1 << (n - i) for i in b) for b in sig.blocks]
+        for colors in itertools.product((0, 1), repeat=len(bits)):
+            row = sum(bit for bit, c in zip(bits, colors) if c)
+            k = sum(colors)
+            rows[row][j] = p ** k * (1 - p) ** (sig.num_blocks - k)
+    return rows
+
+
+def reference_phase_one_exact(n, p, nu, y):
+    """The Farkas check of ``phase_one_exact`` over the dense Fraction map."""
+    ys = [Fraction(float(v)) for v in y]
+    nus = [Fraction(float(v)) for v in nu]
+    columns = zip(*reference_color_map_exact(n, p))
+    delta = max(sum(yi * a for yi, a in zip(ys, col) if a) for col in columns)
+    return sum(yi * vi for yi, vi in zip(ys, nus)) - delta * sum(nus) > 0
+
+
+def test_integer_certificate_check_matches_fraction_map():
+    gen = np.random.default_rng(77)
+    verdicts = []
+    for n, p in itertools.product(range(2, 8), (0.3, 0.5, 1 / 3, 1e-3, 0.999)):
+        mat = color_map(n, p)
+        nu = gen.dirichlet(np.full(2 ** n, 0.3))
+        y = gen.normal(size=2 ** n)
+        # shifted so that y'A <= 0 in floats: the certificates that the LP
+        # route hands to the check, true or off by a rounding
+        for cand in (y, y - np.max(y @ mat), nu - np.max(nu @ mat)):
+            got = phase_one_exact(n, p, nu, cand)
+            assert got == reference_phase_one_exact(n, p, nu, cand), (n, p)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def test_lp_mc_relaxation_borderline():
