@@ -26,7 +26,7 @@ from .partitions import (BinaryLaw, Partition, PartitionDistribution, bell_numbe
                          color_map, enumerate_partitions, marginalize_partition,
                          push_forward, simulate_color_process)
 from .reports import ClassificationReport, Regime, Verdict
-from .solver import (FeasibilityResult, SignedRep3, SymmetricRepFamily3, TolPolicy,
+from .solver import (FeasibilityResult, SignedRep3, SymmetricRepFamily3,
                      lp_feasibility, quick_sufficient_symmetric, signed_rep_3,
                      square_circle_solver, symmetric_plus_mean_gap,
                      symmetric_rep_family_3)

@@ -23,7 +23,7 @@ from .gaussian import (CovarianceSpec, square_threshold_law_exact,
                        threshold_law_mc, zero_threshold_law_3)
 from .partitions import BinaryLaw, simulate_color_process
 from .reports import _plain
-from .solver import (TolPolicy, lp_feasibility, signed_rep_3, square_circle_solver,
+from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3, square_circle_solver,
                      symmetric_rep_family_3)
 
 SCHEMA = "dcrep/1"
@@ -129,10 +129,9 @@ def _emit_csv(args, header: list[str], columns: list) -> None:
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
-def _policy_for(args) -> TolPolicy:
-    if args.tol is None:
-        return TolPolicy()
-    return TolPolicy(feas_tol=args.tol, borderline_tol=max(args.tol * 100, args.tol))
+def _given(value, default):
+    """A flag's value, or its default when the flag is absent; 0 is a value."""
+    return default if value is None else value
 
 
 def _law_for(args, obj) -> BinaryLaw:
@@ -180,7 +179,7 @@ def cmd_analyze(args) -> dict:
             results["order1_limits"] = asym.stable_limit_report(measure).to_json_dict()
     if args.h is not None or obj["kind"] == "law":
         law = _law_for(args, obj)
-        res = lp_feasibility(law, p=args.p, policy=_policy_for(args))
+        res = lp_feasibility(law, p=args.p, tol=_given(args.tol, FEAS_TOL))
         results["lp"] = res.to_json_dict()
     return results
 
@@ -199,7 +198,7 @@ def cmd_solve(args) -> dict:
             "t_interval": list(fam.t_interval) if fam.t_interval else None,
             "canonical": None if fam.is_empty else dict(fam.canonical().weights),
         }
-    out["lp"] = lp_feasibility(law, p=args.p, policy=_policy_for(args)).to_json_dict()
+    out["lp"] = lp_feasibility(law, p=args.p, tol=_given(args.tol, FEAS_TOL)).to_json_dict()
     return out
 
 
@@ -219,16 +218,23 @@ def _scan_ab_columns(values: np.ndarray) -> list:
             [tag or "" for tag in grid.case_tag]]
 
 
+def _scan_step(args, default: float) -> float:
+    step = _given(args.a_step, default)
+    if not step > 0.0:
+        raise UsageError(f"--a-step must be > 0, got {step!r}")
+    return step
+
+
 def cmd_scan(args):
     if args.scan == "ab":
-        step = args.a_step or 0.005
+        step = _scan_step(args, 0.005)
         values = np.arange(step, 1.0, step)
         header = ["a", "b", "pd", "dgff", "large_h_color", "markov_boundary",
                   "small_h_feasible", "savage_min", "pd_margin", "markov_gap", "case_tag"]
         _emit_csv(args, header, _scan_ab_columns(values))
         return None
     if args.scan == "theta":
-        step = args.a_step or (math.pi / 80)
+        step = _scan_step(args, math.pi / 80)
         values = np.arange(step, math.pi / 2, step)
         header = ["theta", "feasible", "t_lo", "t_hi", "adjacency_gap"]
         feasible, t_lo, t_hi, gap = [], [], [], []
@@ -242,8 +248,8 @@ def cmd_scan(args):
                                  np.array(t_hi), np.array(gap)])
         return None
     if args.scan == "alpha":
-        a = args.a if args.a is not None else 0.5
-        step = args.a_step or 0.01
+        a = _given(args.a, 0.5)
+        step = _scan_step(args, 0.01)
         values = np.arange(step, 2.0, step)
         header = ["alpha", "gamma_factor", "order2_101", "coupling_threshold",
                   "large_h_color"]
@@ -273,13 +279,13 @@ def _emit_sample_csv(args, batch) -> None:
 def cmd_simulate(args) -> dict | None:
     sim = args.simulator
     seed = args.seed
-    m = args.samples or 100_000
+    m = _given(args.samples, 100_000)
     if sim in ("ou", "stable-chain"):
+        n = _given(args.n, 3)
         if sim == "ou":
-            batch = emb.ou_partition_batch(args.a, args.n or 3, m, seed)
+            batch = emb.ou_partition_batch(args.a, n, m, seed)
         else:
-            batch = emb.stable_chain_partition_batch(args.alpha, args.a,
-                                                     args.n or 3, m, seed)
+            batch = emb.stable_chain_partition_batch(args.alpha, args.a, n, m, seed)
         if args.format == "csv":
             _emit_sample_csv(args, batch)
             return None

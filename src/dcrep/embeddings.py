@@ -15,8 +15,10 @@ a^{-2i} overflow of the naive clock.  The stable chain jumps from Y_i to
 a Y_i at each integer (never over zero, as a > 0) and then runs a Brownian
 segment of subordinated length to Y_{i+1}.
 
-Star trees (one root, n leaves) reuse the one-step sampler per edge; general
-trees are out of scope.
+Both chains run on one tree sampler: counting columns from 0, column i >= 1
+hangs off column parents[i - 1], so a path has parents range(n - 1) and a star
+(one root, its leaves) has parents [0] * leaves.  Each edge is one step of the
+chain, and its crossing is drawn as above.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from scipy import stats
 
 from .partitions import (BinaryLaw, Partition, PartitionDistribution, _check_n, bell_number,
-                         partition_index, push_forward)
+                         partition_index, pattern_counts, push_forward)
 from .rng import make_rng
 from .stable import sample_pos_stable, sample_sym_stable, subordinator_scale
 
@@ -115,10 +117,7 @@ class EmbeddingBatch:
         return [self._partition(i) for i in first], first, inverse, counts
 
     def empirical_sign_law(self) -> BinaryLaw:
-        bits = (self.signs > 0).astype(np.int64)
-        pow2 = 1 << np.arange(self.n - 1, -1, -1)
-        counts = np.bincount(bits @ pow2, minlength=2 ** self.n)
-        return BinaryLaw.from_counts(counts, self.m)
+        return BinaryLaw.from_counts(pattern_counts(self.signs > 0), self.m)
 
     def empirical_partition_distribution(self) -> PartitionDistribution:
         parts, _, _, counts = self.partition_groups()
@@ -137,44 +136,99 @@ def _partition_law(n: int, m: int, parts, counts) -> PartitionDistribution:
     return PartitionDistribution.from_vector(n, vec)
 
 
-def _path_batch_from_chain(y: np.ndarray, bridge_exponent: np.ndarray,
-                           rng: np.random.Generator) -> EmbeddingBatch:
-    """Assemble a batch from chain values and per-step bridge exponents.
+def _assemble_tree(y: np.ndarray, expo: np.ndarray, parents, rng: np.random.Generator,
+                   topology: str) -> EmbeddingBatch:
+    """Assemble a batch from node values and per-edge bridge exponents.
 
-    ``bridge_exponent[:, i]`` is u v / T for the step i -> i+1; the no-crossing
-    probability for same-sign endpoints is 1 - exp(-2 u v / T).
+    Column i >= 1 hangs off the earlier column ``parents[i - 1]``, and
+    ``expo[:, i - 1]`` is u v / T on that edge.  An edge whose endpoints differ
+    in sign is always crossed; otherwise it is crossed with probability
+    exp(-2 u v / T).  A crossed edge opens the next block, and an uncrossed one
+    keeps its parent's block, so the labels are restricted-growth strings.
     """
     m, n = y.shape
     signs = np.where(y > 0.0, 1, -1).astype(np.int8)
-    cross_p = np.where(
-        signs[:, :-1] == signs[:, 1:],
-        np.exp(-2.0 * np.clip(bridge_exponent, 0.0, None)),
-        1.0,
-    )
-    crossing = rng.random((m, n - 1)) < cross_p if n > 1 else np.zeros((m, 0), bool)
+    cross_p = np.where(signs[:, parents] == signs[:, 1:],
+                       np.exp(-2.0 * np.clip(expo, 0.0, None)), 1.0)
+    crossing = rng.random((m, n - 1)) < cross_p
+    opened = np.cumsum(crossing, axis=1)
     labels = np.zeros((m, n), dtype=np.int16)
-    if n > 1:
-        labels[:, 1:] = np.cumsum(crossing, axis=1)
-    return EmbeddingBatch(signs, labels, cross_p, values=y)
+    for i, parent in enumerate(parents, start=1):
+        labels[:, i] = np.where(crossing[:, i - 1], opened[:, i - 1], labels[:, parent])
+    return EmbeddingBatch(signs, labels, cross_p, topology=topology, values=y)
+
+
+def _sample_tree(rule, parents, m: int, seed, topology: str) -> EmbeddingBatch:
+    """m draws of a chain run down the tree ``parents`` (see ``_assemble_tree``).
+
+    ``rule`` is ``(root, step)``: ``root(m, rng)`` draws the root, and
+    ``step(prev, rng)`` draws a child from its parent's values ``prev`` and
+    returns it with the edge's bridge exponent.  The draws come in a fixed
+    order: the root, each child in index order, then the crossings.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    root, step = rule
+    rng = make_rng(seed)
+    n = len(parents) + 1
+    y = np.empty((m, n))
+    expo = np.empty((m, n - 1))
+    y[:, 0] = root(m, rng)
+    for i, parent in enumerate(parents, start=1):
+        y[:, i], expo[:, i - 1] = step(y[:, parent], rng)
+    return _assemble_tree(y, expo, parents, rng, topology)
+
+
+def _path_parents(n: int) -> list[int]:
+    _check_n(n)
+    return list(range(n - 1))
+
+
+def _star_parents(leaves: int) -> list[int]:
+    """Index 1 is the root, indices 2..leaves+1 the leaves."""
+    _check_n(leaves + 1)
+    if leaves < 1:
+        raise ValueError("leaves must be >= 1")
+    return [0] * leaves
+
+
+def _check_a(a: float) -> None:
+    if not (0.0 < a < 1.0):
+        raise ValueError("a must lie in (0,1)")
+
+
+def _gaussian_rule(a: float):
+    """The Gaussian chain with step correlation a."""
+    _check_a(a)
+    c = math.sqrt(1.0 - a * a)
+
+    def step(prev, rng):
+        y = a * prev + c * rng.standard_normal(len(prev))
+        # bridge exponent u v / T in the Brownian clock == a Y_i Y_{i+1} / (1 - a^2)
+        return y, a * prev * y / (1.0 - a * a)
+    return (lambda m, rng: rng.standard_normal(m)), step
+
+
+def _stable_rule(alpha: float, a: float):
+    """The symmetric stable chain Y' = a Y + (1-a^alpha)^{1/alpha} S^{1/2} B_1."""
+    if not (0.0 < alpha < 2.0):
+        raise ValueError("alpha must lie in (0,2)")
+    _check_a(a)
+    c = (1.0 - a ** alpha) ** (1.0 / alpha)
+    scale = subordinator_scale(alpha)
+
+    def step(prev, rng):
+        s = sample_pos_stable(alpha / 2.0, scale, len(prev), rng)
+        y = a * prev + c * np.sqrt(s) * rng.standard_normal(len(prev))
+        # segment runs from a Y_i to Y_{i+1} with bridge time c^2 S
+        return y, a * prev * y / (c * c * s)
+    return (lambda m, rng: sample_sym_stable(alpha, 1.0, m, rng)), step
 
 
 def ou_partition_batch(a: float, n: int, m: int, seed) -> EmbeddingBatch:
     """m draws from the zero-crossing construction for the Gaussian Markov
     chain with step correlation a (covariances a^{|i-j|})."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0,1)")
-    _check_n(n)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = make_rng(seed)
-    y = np.empty((m, n))
-    y[:, 0] = rng.standard_normal(m)
-    c = math.sqrt(1.0 - a * a)
-    for i in range(1, n):
-        y[:, i] = a * y[:, i - 1] + c * rng.standard_normal(m)
-    # bridge exponent u v / T in the Brownian clock == a Y_i Y_{i+1} / (1 - a^2)
-    expo = a * y[:, :-1] * y[:, 1:] / (1.0 - a * a) if n > 1 else np.zeros((m, 0))
-    return _path_batch_from_chain(y, expo, rng)
+    return _sample_tree(_gaussian_rule(a), _path_parents(n), m, seed, "path")
 
 
 def ou_partition_sample(a: float, n: int, seed) -> EmbeddingSample:
@@ -184,84 +238,22 @@ def ou_partition_sample(a: float, n: int, seed) -> EmbeddingSample:
 def stable_chain_partition_batch(alpha: float, a: float, n: int, m: int, seed) -> EmbeddingBatch:
     """m draws from the subordinated-Brownian construction for the symmetric
     stable Markov chain Y_{i+1} = a Y_i + (1-a^alpha)^{1/alpha} S^{1/2} B_1."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0,2)")
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0,1)")
-    _check_n(n)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = make_rng(seed)
-    c = (1.0 - a ** alpha) ** (1.0 / alpha)
-    scale = subordinator_scale(alpha)
-    y = np.empty((m, n))
-    expo = np.empty((m, max(n - 1, 0)))
-    y[:, 0] = sample_sym_stable(alpha, 1.0, m, rng)
-    for i in range(1, n):
-        s = sample_pos_stable(alpha / 2.0, scale, m, rng)
-        y[:, i] = a * y[:, i - 1] + c * np.sqrt(s) * rng.standard_normal(m)
-        # segment runs from a Y_{i-1} to Y_i with bridge time c^2 S
-        expo[:, i - 1] = a * y[:, i - 1] * y[:, i] / (c * c * s)
-    return _path_batch_from_chain(y, expo, rng)
+    return _sample_tree(_stable_rule(alpha, a), _path_parents(n), m, seed, "path")
 
 
 def stable_chain_partition_sample(alpha: float, a: float, n: int, seed) -> EmbeddingSample:
     return stable_chain_partition_batch(alpha, a, n, 1, seed).sample(0)
 
 
-# -- star trees ----------------------------------------------------------------
-
-def _star_batch(y: np.ndarray, expo: np.ndarray, rng: np.random.Generator) -> EmbeddingBatch:
-    """y[:, 0] is the root, y[:, 1:] the leaves; expo per root-leaf edge."""
-    m, n1 = y.shape
-    signs = np.where(y > 0.0, 1, -1).astype(np.int8)
-    cross_p = np.where(signs[:, :1] == signs[:, 1:],
-                       np.exp(-2.0 * np.clip(expo, 0.0, None)), 1.0)
-    crossing = rng.random((m, n1 - 1)) < cross_p
-    # a leaf that crosses opens the next block; one that does not joins the root's
-    labels = np.zeros((m, n1), dtype=np.int16)
-    labels[:, 1:] = np.where(crossing, np.cumsum(crossing, axis=1), 0)
-    return EmbeddingBatch(signs, labels, cross_p, topology="star", values=y)
-
-
 def ou_star_partition_batch(a: float, leaves: int, m: int, seed) -> EmbeddingBatch:
     """Gaussian star tree: one root, ``leaves`` children at step correlation a.
     Index 1 is the root, indices 2..leaves+1 the leaves."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0,1)")
-    _check_n(leaves + 1)
-    if leaves < 1 or m < 1:
-        raise ValueError("leaves and m must be >= 1")
-    rng = make_rng(seed)
-    c = math.sqrt(1.0 - a * a)
-    y = np.empty((m, leaves + 1))
-    y[:, 0] = rng.standard_normal(m)
-    for j in range(1, leaves + 1):
-        y[:, j] = a * y[:, 0] + c * rng.standard_normal(m)
-    expo = a * y[:, :1] * y[:, 1:] / (1.0 - a * a)
-    return _star_batch(y, expo, rng)
+    return _sample_tree(_gaussian_rule(a), _star_parents(leaves), m, seed, "star")
 
 
 def stable_star_partition_batch(alpha: float, a: float, leaves: int, m: int, seed) -> EmbeddingBatch:
     """Stable star tree; the leaf marginals realize the common-shock family."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0,2)")
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0,1)")
-    _check_n(leaves + 1)
-    if leaves < 1 or m < 1:
-        raise ValueError("leaves and m must be >= 1")
-    rng = make_rng(seed)
-    c = (1.0 - a ** alpha) ** (1.0 / alpha)
-    scale = subordinator_scale(alpha)
-    y = np.empty((m, leaves + 1))
-    expo = np.empty((m, leaves))
-    y[:, 0] = sample_sym_stable(alpha, 1.0, m, rng)
-    for j in range(1, leaves + 1):
-        s = sample_pos_stable(alpha / 2.0, scale, m, rng)
-        y[:, j] = a * y[:, 0] + c * np.sqrt(s) * rng.standard_normal(m)
-        expo[:, j - 1] = a * y[:, 0] * y[:, j] / (c * c * s)
-    return _star_batch(y, expo, rng)
+    return _sample_tree(_stable_rule(alpha, a), _star_parents(leaves), m, seed, "star")
 
 
 # -- verification ----------------------------------------------------------------
@@ -343,8 +335,7 @@ def verify_color_property(batch, min_expected: float = 5.0,
             continue
         # observed distribution over the 2^k block colorings
         firsts = [b[0] - 1 for b in sig.blocks]
-        sub = (batch.signs[np.ix_(rows_of[g], firsts)] > 0).astype(np.int64)
-        obs = np.bincount(sub @ (1 << np.arange(k - 1, -1, -1)), minlength=2 ** k)
+        obs = pattern_counts(batch.signs[np.ix_(rows_of[g], firsts)] > 0)
         expected = count / 2 ** k
         tested.append((sig.key, count, float(np.sum((obs - expected) ** 2 / expected)),
                        2 ** k - 1))

@@ -18,12 +18,10 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erfc, ndtri
 
-from .partitions import BinaryLaw, _check_n
-from .rng import make_rng
+from .partitions import BinaryLaw, _check_n, threshold_mc_law
 
 SYM_TOL = 1e-12
 RANK_RTOL = 1e-10  # eigenvalue cutoff, relative to the largest
-MC_CHUNK = 1_000_000
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -347,21 +345,9 @@ def threshold_law_mc(cov: CovarianceSpec, h: float, m: int, seed) -> BinaryLaw:
     and should be handled by tail_asymptote or quadrature instead.
     """
     _check_n(cov.n)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = make_rng(seed)
     ell = sampling_factor(cov)
-    n = cov.n
-    pow2 = 1 << np.arange(n - 1, -1, -1)
-    counts = np.zeros(2 ** n, dtype=np.int64)
-    done = 0
-    while done < m:
-        chunk = min(MC_CHUNK, m - done)
-        z = rng.standard_normal((chunk, ell.shape[1]))
-        bits = (z @ ell.T > h).astype(np.int64)
-        counts += np.bincount(bits @ pow2, minlength=2 ** n)
-        done += chunk
-    return BinaryLaw.from_counts(counts, m)
+    return threshold_mc_law(lambda k, rng: rng.standard_normal((k, ell.shape[1])) @ ell.T,
+                            cov.n, h, m, seed)
 
 
 # -- large-h tail asymptote ---------------------------------------------------

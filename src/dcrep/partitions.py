@@ -25,6 +25,7 @@ from .rng import make_rng
 
 MAX_N = 9  # the one size limit (``_check_n``): keys spell each element as one digit
 PROB_TOL = 1e-12
+MC_CHUNK = 1_000_000  # rows per Monte Carlo chunk (``threshold_mc_law``)
 
 # Bell numbers B_0..B_9.
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
@@ -445,6 +446,34 @@ class BinaryLaw:
         probs = counts / m
         se = np.sqrt(probs * (1.0 - probs) / m)
         return BinaryLaw(n, probs, stderr=se)
+
+
+def pattern_counts(bits: np.ndarray) -> np.ndarray:
+    """How many rows of the (m, n) 0/1 array ``bits`` fall in each of the 2^n
+    cells, a row read as the binary digits of its cell's index."""
+    n = bits.shape[1]
+    return np.bincount(bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1)),
+                       minlength=2 ** n)
+
+
+def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
+    """Monte Carlo threshold law of m draws, with per-cell stderr.
+
+    ``draw(k, rng)`` returns k draws of the vector as a (k, n) array of
+    values; the samples are drawn and counted in chunks of at most
+    ``MC_CHUNK`` rows, so memory stays bounded for any m.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    rng = make_rng(seed)
+    counts = np.zeros(2 ** n, dtype=np.int64)
+    for done in range(0, m, MC_CHUNK):
+        # ``values`` stays alive until it is counted: freeing it first gives the
+        # same counts, but glibc's heap then fragments so that peak RSS over a
+        # sequence of MC laws rose by 15 MB
+        values = draw(min(MC_CHUNK, m - done), rng)
+        counts += pattern_counts(values > h)
+    return BinaryLaw.from_counts(counts, m)
 
 
 @lru_cache(maxsize=None)

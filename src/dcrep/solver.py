@@ -29,27 +29,21 @@ from .reports import Verdict
 FEAS_TOL = 1e-9
 P_HALF_TOL = 1e-9
 PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
+# an MC law's cells are widened by this many stderr before it is called
+# Infeasible, so sampling noise can only soften a verdict to Borderline
+RELAX_SIGMA = 3.0
 
 
-@dataclass(frozen=True)
-class TolPolicy:
-    """Numerical policy for the LP route.
+def _noise_tol(nu: BinaryLaw) -> float:
+    """Tolerance for one cell: 1e-9 on an exact law, 5 stderr on an MC law."""
+    return 1e-9 if nu.stderr is None else max(1e-9, 5.0 * float(np.max(nu.stderr)))
 
-    ``relax`` widens each law cell by 3 stderr before declaring Infeasible on
-    an MC law, so sampling noise can only soften a verdict to Borderline.
-    """
 
-    feas_tol: float = FEAS_TOL
-    borderline_tol: float = 1e-7
-    marginal_tol: float | None = None  # None: 1e-9 exact, 5*max stderr for MC
-    relax_sigma: float = 3.0
-
-    def marginal_tolerance(self, nu: BinaryLaw) -> float:
-        if self.marginal_tol is not None:
-            return self.marginal_tol
-        if nu.stderr is None:
-            return 1e-9
-        return max(1e-9, 5.0 * float(np.max(nu.stderr)) * nu.n)
+def _marginal_tol(nu: BinaryLaw) -> float:
+    """Tolerance for a marginal, a sum of 2^(n-1) cells: 5 n stderr on an MC law."""
+    if nu.stderr is None:
+        return 1e-9
+    return max(1e-9, 5.0 * float(np.max(nu.stderr)) * nu.n)
 
 
 def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
@@ -92,7 +86,7 @@ def signed_rep_3(nu: BinaryLaw, tol: float = FEAS_TOL) -> SignedRep3:
     """
     if nu.n != 3:
         raise ValueError("signed_rep_3 needs n = 3")
-    p = _require_equal_marginals(nu, TolPolicy().marginal_tolerance(nu))
+    p = _require_equal_marginals(nu, _marginal_tol(nu))
     if abs(p - 0.5) <= P_HALF_TOL:
         raise ValueError("p = 1/2 has a one-parameter family; "
                          "use symmetric_rep_family_3")
@@ -154,13 +148,11 @@ class SymmetricRepFamily3:
         return self.at(self.t_lo)
 
 
-def symmetric_rep_family_3(nu: BinaryLaw, sym_tol: float | None = None) -> SymmetricRepFamily3:
+def symmetric_rep_family_3(nu: BinaryLaw) -> SymmetricRepFamily3:
     """All representations of a {0,1}-symmetric n=3 law, as the t-interval."""
     if nu.n != 3:
         raise ValueError("symmetric_rep_family_3 needs n = 3")
-    if sym_tol is None:
-        sym_tol = 1e-9 if nu.stderr is None else max(1e-9, 5.0 * float(np.max(nu.stderr)))
-    if not nu.is_zero_one_symmetric(sym_tol):
+    if not nu.is_zero_one_symmetric(_noise_tol(nu)):
         raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
     c = nu.cell
     nu001, nu010, nu100 = c("001"), c("010"), c("100")
@@ -273,25 +265,26 @@ def _dyadic_integers(values) -> list[int]:
     return [f.numerator * (scale // f.denominator) for f in fracs]
 
 
-def lp_feasibility(nu: BinaryLaw, p: float | None = None,
-                   policy: TolPolicy | None = None,
+def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
                    exact: bool = False) -> FeasibilityResult:
     """Phase-I LP: is nu = color_map(n, p) q solvable with q >= 0?
 
-    Exact laws get the strict verdict; MC laws that fail strictly are retried
-    on the polytope widened by ``relax_sigma`` stderr per cell, and only a
+    A phase-I objective up to ``tol`` is Feasible.  Exact laws get the strict
+    verdict, Borderline up to 100 tol; MC laws that fail strictly are retried
+    on the polytope widened by ``RELAX_SIGMA`` stderr per cell, and only a
     failure there is reported Infeasible.  With ``exact=True`` a verdict
     that would be Infeasible or Borderline becomes Infeasible exactly when the
     Farkas certificate verifies in an integer check over the coloring map's
     cells (the float inputs taken exactly), and Borderline otherwise;
     ``detail["certificate_verified"]`` holds the outcome.
     """
-    policy = policy or TolPolicy()
-    tol = policy.marginal_tolerance(nu)
-    p_detected = _require_equal_marginals(nu, tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    marginal_tol = _marginal_tol(nu)
+    p_detected = _require_equal_marginals(nu, marginal_tol)
     if p is None:
         p = p_detected
-    elif abs(p - p_detected) > max(tol, 1e-6):
+    elif abs(p - p_detected) > max(marginal_tol, 1e-6):
         raise ValueError(f"stated p={p} inconsistent with marginals {p_detected:.6g}")
     n = nu.n
     mat = color_map(n, p)
@@ -300,20 +293,20 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None,
     detail = {"phase1_objective": strict.objective}
     if exact:
         detail["mode"] = "exact"
-    if strict.objective <= policy.feas_tol:
+    if strict.objective <= tol:
         q = _extract_q(n, strict.x)
         margin = float(np.max(np.abs(mat @ q.vector - nu.probs)))
         return FeasibilityResult("Feasible", q, margin, detail=detail)
 
     objective, status = strict.objective, "Infeasible"
     if nu.stderr is not None and float(np.max(nu.stderr)) > 0.0:
-        relaxed = phase_one(mat, nu.probs, slack=policy.relax_sigma * nu.stderr)
+        relaxed = phase_one(mat, nu.probs, slack=RELAX_SIGMA * nu.stderr)
         objective = detail["relaxed_objective"] = relaxed.objective
-        if objective <= policy.feas_tol:
+        if objective <= tol:
             q = _extract_q(n, relaxed.x)
             margin = float(np.max(np.abs(mat @ q.vector - nu.probs)))
             return FeasibilityResult("Borderline", q, margin, detail=detail)
-    elif objective <= policy.borderline_tol:
+    elif objective <= 100.0 * tol:
         status = "Borderline"
     cert = _clean_certificate(mat, nu.probs, strict.y)
     if exact:
@@ -358,8 +351,8 @@ def _permute_law(nu: BinaryLaw, perm: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def square_circle_solver(theta: float | None, h: float | None, nu4: BinaryLaw,
-                         policy: TolPolicy | None = None) -> FeasibilityResult:
+def square_circle_solver(theta: float | None, h: float | None,
+                         nu4: BinaryLaw) -> FeasibilityResult:
     """Representability of the dihedral four-point law with nu_0101 = 0.
 
     The four-dimensional problem reduces to the first three coordinates: a
@@ -368,18 +361,17 @@ def square_circle_solver(theta: float | None, h: float | None, nu4: BinaryLaw,
     B_4 distribution is then reconstructed from it (zero pattern on the
     partitions separating the 1-3 and 2-4 diagonals).
     """
-    policy = policy or TolPolicy()
     if nu4.n != 4:
         raise ValueError("square_circle_solver needs n = 4")
     noise = 0.0 if nu4.stderr is None else float(np.max(nu4.stderr))
-    tol = max(1e-9, policy.relax_sigma * noise)
+    tol = max(1e-9, RELAX_SIGMA * noise)
     for perm in (_ROTATE, _REFLECT):
         if float(np.max(np.abs(_permute_law(nu4, perm) - nu4.probs))) > 4.0 * tol:
             raise ValueError("law is not dihedral-symmetric")
     if nu4.cell("0101") > 4.0 * tol or nu4.cell("1010") > 4.0 * tol:
         raise ValueError("nu_0101 must vanish for this family")
 
-    p = _require_equal_marginals(nu4, policy.marginal_tolerance(nu4))
+    p = _require_equal_marginals(nu4, _marginal_tol(nu4))
     nu3 = nu4.marginalize([1, 2, 3])
     meta = {"theta": theta, "h": h, "p": p}
 
@@ -477,12 +469,10 @@ def _square_margin(q4: PartitionDistribution, nu4: BinaryLaw, p: float) -> float
 
 # -- quick checks -------------------------------------------------------------
 
-def quick_sufficient_symmetric(nu: BinaryLaw, sym_tol: float | None = None) -> Verdict:
+def quick_sufficient_symmetric(nu: BinaryLaw) -> Verdict:
     """One-sided test: a {0,1}-symmetric law with nu_{0^n} >= 1/4 is a color
     process; anything else stays Undetermined (never NoColorRep)."""
-    if sym_tol is None:
-        sym_tol = 1e-9 if nu.stderr is None else max(1e-9, 5.0 * float(np.max(nu.stderr)))
-    if not nu.is_zero_one_symmetric(sym_tol):
+    if not nu.is_zero_one_symmetric(_noise_tol(nu)):
         raise ValueError("quick check needs a {0,1}-symmetric law")
     return Verdict.COLOR_REP if nu.probs[0] >= 0.25 else Verdict.UNDETERMINED
 

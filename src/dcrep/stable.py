@@ -18,10 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .partitions import BinaryLaw, _check_n
+from .partitions import BinaryLaw, _check_n, threshold_mc_law
 from .rng import make_rng
 
-MC_CHUNK = 1_000_000
 DIRECTION_MERGE_TOL = 1e-10
 STANDARD_ROW_TOL = 1e-9
 
@@ -240,23 +239,11 @@ def stable_threshold_law_mc(model: StableLinearModel, h: float, m: int, seed) ->
     """Monte Carlo threshold law of the model; refuses h != 0 on
     non-standardized rows (unequal marginals cannot be a color process)."""
     _check_n(model.d)
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if h != 0.0 and not model.standardized:
         raise ValueError("rows are not standardized: marginals differ, so a "
                          "nonzero threshold cannot give a color process")
-    rng = make_rng(seed)
-    n = model.d
-    pow2 = 1 << np.arange(n - 1, -1, -1)
-    counts = np.zeros(2 ** n, dtype=np.int64)
-    done = 0
-    while done < m:
-        chunk = min(MC_CHUNK, m - done)
-        x = sample_stable_vector(model, chunk, rng)
-        bits = (x > h).astype(np.int64)
-        counts += np.bincount(bits @ pow2, minlength=2 ** n)
-        done += chunk
-    return BinaryLaw.from_counts(counts, m)
+    return threshold_mc_law(lambda k, rng: sample_stable_vector(model, k, rng),
+                            model.d, h, m, seed)
 
 
 # -- named models -------------------------------------------------------------

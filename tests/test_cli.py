@@ -238,3 +238,28 @@ def test_sample_csv_matches_per_row_path(tmp_path, monkeypatch, argv):
     code, ref = run(argv, tmp_path, "rows.csv")
     assert code == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_tol_exits_2(tol, tmp_path, capsys):
+    model = json.dumps({"a": [[1, .5, .3], [.5, 1, .2], [.3, .2, 1]]})
+    code, out = run(["solve", "--model", model], tmp_path)
+    assert code == 0
+    assert json.loads(out.read_text())["results"]["lp"]["status"] == "Feasible"
+    assert main(["solve", "--model", model, "--tol", tol]) == 2
+    assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--simulator", "ou", "--n", "0"],
+    ["simulate", "--simulator", "stable-chain", "--n", "0"],
+    ["simulate", "--simulator", "ou", "--samples", "0"],
+    ["scan", "--scan", "ab", "--a-step", "0"],
+    ["scan", "--scan", "theta", "--a-step", "0"],
+    ["scan", "--scan", "alpha", "--a-step", "-0.1"],
+    ["scan", "--scan", "ab", "--a-step", "-0.1"],
+])
+def test_zero_or_negative_values_are_not_replaced_by_defaults(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dcrep.embeddings import (BinVerdict, ColorPropertyReport, EmbeddingBatch,
-                              EmbeddingSample, _star_batch, batch_from_samples,
+                              EmbeddingSample, _assemble_tree, batch_from_samples,
                               ou_partition_batch, ou_partition_sample,
                               ou_star_partition_batch, stable_chain_partition_batch,
                               stable_chain_partition_sample,
@@ -323,7 +323,7 @@ def test_labels_must_be_restricted_growth():
 
 
 def reference_star_batch(y, expo, rng):
-    """_star_batch with its per-row labelling loop."""
+    """The star assembler with a per-row labelling loop."""
     m, n1 = y.shape
     signs = np.where(y > 0.0, 1, -1).astype(np.int8)
     cross_p = np.where(signs[:, :1] == signs[:, 1:],
@@ -345,7 +345,7 @@ def test_star_labels_match_per_row_loop(leaves):
     gen = np.random.default_rng(leaves)
     y = gen.standard_normal((m, leaves + 1))
     expo = a * y[:, :1] * y[:, 1:] / (1.0 - a * a)
-    batch = _star_batch(y, expo, make_rng(40))
+    batch = _assemble_tree(y, expo, [0] * leaves, make_rng(40), "star")
     expect = reference_star_batch(y, expo, make_rng(40))
     assert batch.labels.dtype == expect.dtype
     assert np.array_equal(batch.labels, expect)

@@ -1,0 +1,214 @@
+"""The tree sampler and the shared threshold-law MC loop against reference
+implementations with one body per family and topology and one MC loop per
+family: every array must match bit for bit, dtype included."""
+
+import math
+
+import numpy as np
+import pytest
+
+from dcrep.embeddings import (EmbeddingBatch, ou_partition_batch, ou_star_partition_batch,
+                              stable_chain_partition_batch, stable_star_partition_batch)
+from dcrep.gaussian import markov_chain_cov, sampling_factor, threshold_law_mc
+from dcrep.partitions import MC_CHUNK, BinaryLaw
+from dcrep.rng import make_rng
+from dcrep.stable import (common_shock_model, sample_pos_stable, sample_stable_vector,
+                          sample_sym_stable, stable_markov_model, stable_threshold_law_mc,
+                          subordinator_scale)
+
+SEEDS = (0, 1, 2)
+REFERENCE_CHUNK = 1_000_000  # rows per chunk in the reference MC loops
+
+
+# -- references: one body per family and topology ------------------------------
+
+def reference_path_batch(y, bridge_exponent, rng):
+    m, n = y.shape
+    signs = np.where(y > 0.0, 1, -1).astype(np.int8)
+    cross_p = np.where(signs[:, :-1] == signs[:, 1:],
+                       np.exp(-2.0 * np.clip(bridge_exponent, 0.0, None)), 1.0)
+    crossing = rng.random((m, n - 1)) < cross_p if n > 1 else np.zeros((m, 0), bool)
+    labels = np.zeros((m, n), dtype=np.int16)
+    if n > 1:
+        labels[:, 1:] = np.cumsum(crossing, axis=1)
+    return EmbeddingBatch(signs, labels, cross_p, values=y)
+
+
+def reference_star_batch(y, expo, rng):
+    m, n1 = y.shape
+    signs = np.where(y > 0.0, 1, -1).astype(np.int8)
+    cross_p = np.where(signs[:, :1] == signs[:, 1:],
+                       np.exp(-2.0 * np.clip(expo, 0.0, None)), 1.0)
+    crossing = rng.random((m, n1 - 1)) < cross_p
+    labels = np.zeros((m, n1), dtype=np.int16)
+    labels[:, 1:] = np.where(crossing, np.cumsum(crossing, axis=1), 0)
+    return EmbeddingBatch(signs, labels, cross_p, topology="star", values=y)
+
+
+def reference_ou_path(a, n, m, seed):
+    rng = make_rng(seed)
+    y = np.empty((m, n))
+    y[:, 0] = rng.standard_normal(m)
+    c = math.sqrt(1.0 - a * a)
+    for i in range(1, n):
+        y[:, i] = a * y[:, i - 1] + c * rng.standard_normal(m)
+    expo = a * y[:, :-1] * y[:, 1:] / (1.0 - a * a) if n > 1 else np.zeros((m, 0))
+    return reference_path_batch(y, expo, rng)
+
+
+def reference_stable_path(alpha, a, n, m, seed):
+    rng = make_rng(seed)
+    c = (1.0 - a ** alpha) ** (1.0 / alpha)
+    scale = subordinator_scale(alpha)
+    y = np.empty((m, n))
+    expo = np.empty((m, max(n - 1, 0)))
+    y[:, 0] = sample_sym_stable(alpha, 1.0, m, rng)
+    for i in range(1, n):
+        s = sample_pos_stable(alpha / 2.0, scale, m, rng)
+        y[:, i] = a * y[:, i - 1] + c * np.sqrt(s) * rng.standard_normal(m)
+        expo[:, i - 1] = a * y[:, i - 1] * y[:, i] / (c * c * s)
+    return reference_path_batch(y, expo, rng)
+
+
+def reference_ou_star(a, leaves, m, seed):
+    rng = make_rng(seed)
+    c = math.sqrt(1.0 - a * a)
+    y = np.empty((m, leaves + 1))
+    y[:, 0] = rng.standard_normal(m)
+    for j in range(1, leaves + 1):
+        y[:, j] = a * y[:, 0] + c * rng.standard_normal(m)
+    expo = a * y[:, :1] * y[:, 1:] / (1.0 - a * a)
+    return reference_star_batch(y, expo, rng)
+
+
+def reference_stable_star(alpha, a, leaves, m, seed):
+    rng = make_rng(seed)
+    c = (1.0 - a ** alpha) ** (1.0 / alpha)
+    scale = subordinator_scale(alpha)
+    y = np.empty((m, leaves + 1))
+    expo = np.empty((m, leaves))
+    y[:, 0] = sample_sym_stable(alpha, 1.0, m, rng)
+    for j in range(1, leaves + 1):
+        s = sample_pos_stable(alpha / 2.0, scale, m, rng)
+        y[:, j] = a * y[:, 0] + c * np.sqrt(s) * rng.standard_normal(m)
+        expo[:, j - 1] = a * y[:, 0] * y[:, j] / (c * c * s)
+    return reference_star_batch(y, expo, rng)
+
+
+def reference_sign_law(batch):
+    bits = (batch.signs > 0).astype(np.int64)
+    pow2 = 1 << np.arange(batch.n - 1, -1, -1)
+    return BinaryLaw.from_counts(np.bincount(bits @ pow2, minlength=2 ** batch.n), batch.m)
+
+
+def reference_gaussian_mc(cov, h, m, seed):
+    rng = make_rng(seed)
+    ell = sampling_factor(cov)
+    n = cov.n
+    pow2 = 1 << np.arange(n - 1, -1, -1)
+    counts = np.zeros(2 ** n, dtype=np.int64)
+    done = 0
+    while done < m:
+        chunk = min(REFERENCE_CHUNK, m - done)
+        z = rng.standard_normal((chunk, ell.shape[1]))
+        bits = (z @ ell.T > h).astype(np.int64)
+        counts += np.bincount(bits @ pow2, minlength=2 ** n)
+        done += chunk
+    return BinaryLaw.from_counts(counts, m)
+
+
+def reference_stable_mc(model, h, m, seed):
+    rng = make_rng(seed)
+    n = model.d
+    pow2 = 1 << np.arange(n - 1, -1, -1)
+    counts = np.zeros(2 ** n, dtype=np.int64)
+    done = 0
+    while done < m:
+        chunk = min(REFERENCE_CHUNK, m - done)
+        x = sample_stable_vector(model, chunk, rng)
+        bits = (x > h).astype(np.int64)
+        counts += np.bincount(bits @ pow2, minlength=2 ** n)
+        done += chunk
+    return BinaryLaw.from_counts(counts, m)
+
+
+# -- comparisons ----------------------------------------------------------------
+
+def assert_same_arrays(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def assert_same_batch(got, want):
+    assert got.topology == want.topology
+    for name in ("signs", "labels", "crossing_probs", "values"):
+        assert_same_arrays(getattr(got, name), getattr(want, name))
+
+
+def assert_same_law(got, want):
+    assert got.n == want.n
+    assert_same_arrays(got.probs, want.probs)
+    assert_same_arrays(got.stderr, want.stderr)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_path_batches_match_reference(n, seed):
+    m = 3000
+    for got, want in [
+        (ou_partition_batch(0.6, n, m, seed), reference_ou_path(0.6, n, m, seed)),
+        (stable_chain_partition_batch(1.3, 0.5, n, m, seed),
+         reference_stable_path(1.3, 0.5, n, m, seed)),
+    ]:
+        assert_same_batch(got, want)
+        assert_same_law(got.empirical_sign_law(), reference_sign_law(want))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("leaves", range(1, 9))
+def test_star_batches_match_reference(leaves, seed):
+    m = 3000
+    for got, want in [
+        (ou_star_partition_batch(0.6, leaves, m, seed), reference_ou_star(0.6, leaves, m, seed)),
+        (stable_star_partition_batch(0.8, 0.4, leaves, m, seed),
+         reference_stable_star(0.8, 0.4, leaves, m, seed)),
+    ]:
+        assert_same_batch(got, want)
+        assert_same_law(got.empirical_sign_law(), reference_sign_law(want))
+
+
+def test_samplers_draw_from_a_passed_generator_as_the_reference():
+    """A Generator seed is used in place, so what is left of it must match too."""
+    for sample, reference in [
+        (lambda rng: ou_partition_batch(0.5, 1, 100, rng),
+         lambda rng: reference_ou_path(0.5, 1, 100, rng)),
+        (lambda rng: stable_chain_partition_batch(1.5, 0.3, 4, 100, rng),
+         lambda rng: reference_stable_path(1.5, 0.3, 4, 100, rng)),
+        (lambda rng: stable_star_partition_batch(1.5, 0.3, 3, 100, rng),
+         lambda rng: reference_stable_star(1.5, 0.3, 3, 100, rng)),
+    ]:
+        rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
+        assert_same_batch(sample(rng_got), reference(rng_want))
+        assert rng_got.random() == rng_want.random()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_threshold_laws_match_reference_below_one_chunk(n, seed):
+    m = 20_000
+    cov = markov_chain_cov(n, 0.5)
+    for h in (0.0, 0.7):
+        assert_same_law(threshold_law_mc(cov, h, m, seed), reference_gaussian_mc(cov, h, m, seed))
+    model = stable_markov_model(0.5, 1.2, n)
+    assert_same_law(stable_threshold_law_mc(model, 0.0, m, seed),
+                    reference_stable_mc(model, 0.0, m, seed))
+
+
+def test_threshold_laws_match_reference_over_several_chunks():
+    m = 2 * MC_CHUNK + 500_001
+    cov = markov_chain_cov(3, 0.5)
+    assert_same_law(threshold_law_mc(cov, 0.3, m, 11), reference_gaussian_mc(cov, 0.3, m, 11))
+    model = common_shock_model(0.5, 1.2, 3)
+    assert_same_law(stable_threshold_law_mc(model, 0.3, m, 12),
+                    reference_stable_mc(model, 0.3, m, 12))

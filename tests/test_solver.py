@@ -471,3 +471,10 @@ def test_lp_relaxed_mc_markov_n6():
     elapsed = time.perf_counter() - t0
     assert res.status in ("Feasible", "Borderline")
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12])
+def test_lp_feasibility_rejects_a_bad_tol(tol):
+    # a nan tol used to compare False everywhere and report a Feasible law Infeasible
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        lp_feasibility(product_law(3, 0.3), tol=tol)
