@@ -27,6 +27,7 @@ from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3, square_circle_solve
                      symmetric_rep_family_3)
 
 SCHEMA = "dcrep/1"
+SCAN_MAX_ROWS = 1_000_000  # rows one scan may write; a finer --a-step is refused up front
 
 
 class UsageError(Exception):
@@ -218,24 +219,30 @@ def _scan_ab_columns(values: np.ndarray) -> list:
             [tag or "" for tag in grid.case_tag]]
 
 
-def _scan_step(args, default: float) -> float:
+def _scan_values(args, default: float, stop: float, square: bool = False) -> np.ndarray:
+    """The scan axis ``arange(step, stop, step)``; the ab scan writes the
+    square of the axis.  A step that gives more than ``SCAN_MAX_ROWS`` rows is
+    refused before the axis is built."""
     step = _given(args.a_step, default)
-    if not step > 0.0:
-        raise UsageError(f"--a-step must be > 0, got {step!r}")
-    return step
+    if not 0.0 < step < math.inf:
+        raise UsageError(f"--a-step must be a finite number > 0, got {step!r}")
+    length = (stop - step) / step   # np.arange holds ceil(length) values
+    if (length > SCAN_MAX_ROWS
+            or max(math.ceil(length), 0) ** (2 if square else 1) > SCAN_MAX_ROWS):
+        raise UsageError(f"--a-step {step!r} gives a scan of more than "
+                         f"{SCAN_MAX_ROWS} rows, the limit; use a larger step")
+    return np.arange(step, stop, step)
 
 
 def cmd_scan(args):
     if args.scan == "ab":
-        step = _scan_step(args, 0.005)
-        values = np.arange(step, 1.0, step)
+        values = _scan_values(args, 0.005, 1.0, square=True)
         header = ["a", "b", "pd", "dgff", "large_h_color", "markov_boundary",
                   "small_h_feasible", "savage_min", "pd_margin", "markov_gap", "case_tag"]
         _emit_csv(args, header, _scan_ab_columns(values))
         return None
     if args.scan == "theta":
-        step = _scan_step(args, math.pi / 80)
-        values = np.arange(step, math.pi / 2, step)
+        values = _scan_values(args, math.pi / 80, math.pi / 2)
         header = ["theta", "feasible", "t_lo", "t_hi", "adjacency_gap"]
         feasible, t_lo, t_hi, gap = [], [], [], []
         for th in values.tolist():
@@ -249,8 +256,7 @@ def cmd_scan(args):
         return None
     if args.scan == "alpha":
         a = _given(args.a, 0.5)
-        step = _scan_step(args, 0.01)
-        values = np.arange(step, 2.0, step)
+        values = _scan_values(args, 0.01, 2.0)
         header = ["alpha", "gamma_factor", "order2_101", "coupling_threshold",
                   "large_h_color"]
         gamma, order2, thresholds = [], [], []

@@ -25,7 +25,8 @@ from .rng import make_rng
 
 MAX_N = 9  # the one size limit (``_check_n``): keys spell each element as one digit
 PROB_TOL = 1e-12
-MC_CHUNK = 1_000_000  # rows per Monte Carlo chunk (``threshold_mc_law``)
+MC_CHUNK = 1_000_000  # rows per Monte Carlo chunk: the chunk sizes fix the random stream
+MC_BLOCK = 1 << 15    # rows per block of values: bounds the memory of ``threshold_mc_law``
 
 # Bell numbers B_0..B_9.
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
@@ -449,30 +450,33 @@ class BinaryLaw:
 
 
 def pattern_counts(bits: np.ndarray) -> np.ndarray:
-    """How many rows of the (m, n) 0/1 array ``bits`` fall in each of the 2^n
-    cells, a row read as the binary digits of its cell's index."""
+    """How many rows of the (m, n) boolean array ``bits`` fall in each of the
+    2^n cells, a row read as the binary digits of its cell's index."""
     n = bits.shape[1]
-    return np.bincount(bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1)),
-                       minlength=2 ** n)
+    codes = np.zeros(bits.shape[0], dtype=np.uint16)   # 2^MAX_N cells fit
+    for i in range(n):
+        codes <<= 1
+        codes |= bits[:, i]
+    return np.bincount(codes, minlength=2 ** n)
 
 
 def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
     """Monte Carlo threshold law of m draws, with per-cell stderr.
 
-    ``draw(k, rng)`` returns k draws of the vector as a (k, n) array of
-    values; the samples are drawn and counted in chunks of at most
-    ``MC_CHUNK`` rows, so memory stays bounded for any m.
+    The m draws come in chunks of ``MC_CHUNK`` rows; ``draw(k, rng)`` yields
+    the k draws of one chunk, in order, as (b, n) value blocks of at most
+    ``MC_BLOCK`` rows.  The chunk fixes the random stream, since a sampler may
+    draw all of a chunk's variates of one kind before the next kind (stable
+    angles before exponentials).  The block bounds memory: values are counted
+    block by block, so only what a chunk draws up front outlives a block.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = make_rng(seed)
     counts = np.zeros(2 ** n, dtype=np.int64)
     for done in range(0, m, MC_CHUNK):
-        # ``values`` stays alive until it is counted: freeing it first gives the
-        # same counts, but glibc's heap then fragments so that peak RSS over a
-        # sequence of MC laws rose by 15 MB
-        values = draw(min(MC_CHUNK, m - done), rng)
-        counts += pattern_counts(values > h)
+        for values in draw(min(MC_CHUNK, m - done), rng):
+            counts += pattern_counts(values > h)
     return BinaryLaw.from_counts(counts, m)
 
 
@@ -526,6 +530,28 @@ def marginalize_partition(q: PartitionDistribution, subset) -> PartitionDistribu
     return PartitionDistribution.from_vector(len(s), vec, signed=q.signed)
 
 
+def _categorical(weights: np.ndarray, m: int, rng) -> np.ndarray:
+    """m draws of an index with probabilities ``weights``: the same uniforms
+    and the same indices as ``rng.choice(len(weights), size=m, p=weights)``.
+
+    ``choice`` looks up each uniform u in the normalized CDF by binary search.
+    Here a guide table (Chen & Asau 1974) over K = 2^k > 8 len(weights) equal
+    cells holds, per cell, the first index whose CDF value exceeds the cell's
+    left end.  u K is exact, so that index is a lower bound of u's answer, and
+    it is the answer unless the CDF steps again inside the cell before u:
+    at most about one uniform in 16 then takes the binary search.
+    """
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    u = rng.random(m)
+    k = 1 << (8 * len(cdf)).bit_length()
+    guide = np.searchsorted(cdf, np.arange(k) / k, side="right")
+    idx = guide[(u * k).astype(np.intp)]
+    later = np.flatnonzero(cdf[idx] <= u)
+    idx[later] = np.searchsorted(cdf, u[later], side="right")
+    return idx
+
+
 def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     """Draw m color-process samples; returns (samples, empirical BinaryLaw).
 
@@ -545,7 +571,7 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     # each sample's partition, in a small dtype so that one stable (radix)
     # sort lists each partition's rows in ascending order
     small = np.int16 if len(cols) <= np.iinfo(np.int16).max else np.int32
-    which = rng.choice(len(cols), size=m, p=weights).astype(small)
+    which = _categorical(weights, m, rng).astype(small)
     counts = np.bincount(which, minlength=len(cols))
     order = np.argsort(which, kind="stable")
     idx = np.empty(m, dtype=np.uint16)   # each sample's string index, < 2^MAX_N

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .partitions import BinaryLaw, _check_n, threshold_mc_law
+from .partitions import MC_BLOCK, BinaryLaw, _check_n, threshold_mc_law
 from .rng import make_rng
 
 DIRECTION_MERGE_TOL = 1e-10
@@ -46,13 +46,38 @@ def sample_sym_stable(alpha: float, sigma: float, m: int, seed) -> np.ndarray:
     rng = make_rng(seed)
     if alpha == 2.0:
         return sigma * math.sqrt(2.0) * rng.standard_normal(m)
-    u = (rng.random(m) - 0.5) * math.pi  # uniform on (-pi/2, pi/2)
+    u = _angles(m, rng)
     if alpha == 1.0:
         return sigma * np.tan(u)
-    w = rng.exponential(1.0, m)
-    x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-         * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
-    return sigma * x
+    return sigma * _cms(alpha, u, rng.exponential(1.0, m))
+
+
+def _angles(m: int, rng) -> np.ndarray:
+    """m uniform angles on (-pi/2, pi/2): (U - 1/2) pi for U uniform on [0, 1)."""
+    u = rng.random(m)
+    u -= 0.5
+    u *= math.pi
+    return u
+
+
+def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The symmetric Chambers-Mallows-Stuck transform, in place:
+    sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / w)^((1 - alpha)/alpha)
+    for angles u and Exp(1) draws w.  Returns u, which holds the values; w is
+    overwritten.  Each element goes through the same floating-point operations
+    as the whole-array expression, so the values match it bit for bit.
+    """
+    t = np.multiply(1.0 - alpha, u)
+    np.cos(t, out=t)
+    t /= w
+    t **= (1.0 - alpha) / alpha
+    np.cos(u, out=w)
+    w **= 1.0 / alpha
+    u *= alpha
+    np.sin(u, out=u)
+    u /= w
+    u *= t
+    return u
 
 
 def sample_pos_stable(alpha_half: float, scale: float, m: int, seed) -> np.ndarray:
@@ -242,8 +267,22 @@ def stable_threshold_law_mc(model: StableLinearModel, h: float, m: int, seed) ->
     if h != 0.0 and not model.standardized:
         raise ValueError("rows are not standardized: marginals differ, so a "
                          "nonzero threshold cannot give a color process")
-    return threshold_mc_law(lambda k, rng: sample_stable_vector(model, k, rng),
-                            model.d, h, m, seed)
+    cols = model.m
+
+    def draw(k, rng):
+        # the stream holds the chunk's angles first, then its exponentials:
+        # draw the angles at once, then the exponentials block by block
+        u = _angles(k * cols, rng)
+        for start in range(0, k, MC_BLOCK):
+            b = min(MC_BLOCK, k - start)
+            s = u[start * cols:(start + b) * cols]
+            if model.alpha == 1.0:
+                np.tan(s, out=s)
+            else:
+                _cms(model.alpha, s, rng.exponential(1.0, b * cols))
+            yield s.reshape(b, cols) @ model.loadings.T
+
+    return threshold_mc_law(draw, model.d, h, m, seed)
 
 
 # -- named models -------------------------------------------------------------

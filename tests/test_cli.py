@@ -112,6 +112,28 @@ def test_scan_alpha_flips_at_half(tmp_path):
         assert (cells[color_col] == "1") == (alpha > 0.5), row
 
 
+@pytest.mark.parametrize("scan, step", [("ab", "1e-7"), ("ab", "0.0009"), ("theta", "1e-7"),
+                                        ("alpha", "1e-7"), ("alpha", "1e-320")])
+def test_scan_refuses_a_grid_over_the_row_limit(scan, step, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--scan", scan, "--a-step", step, "--out", str(out)]) == 2
+    assert f"more than {cli.SCAN_MAX_ROWS} rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scan, fits, refused", [
+    ("ab", 0.1, 0.09),                                    # 9^2 = 81 rows; 11^2 = 121
+    ("theta", math.pi / 200, math.pi / 205),              # 99 rows; 102
+    ("alpha", 0.02, 0.0198),                              # 99 rows; 101
+])
+def test_scan_row_limit_counts_the_rows_exactly(scan, fits, refused, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SCAN_MAX_ROWS", 100)
+    code, out = run(["scan", "--scan", scan, "--a-step", str(fits)], tmp_path)
+    assert code == 0
+    assert len(out.read_text().splitlines()) - 2 <= 100
+    assert main(["scan", "--scan", scan, "--a-step", str(refused)]) == 2
+
+
 def test_simulate_ou(tmp_path):
     code, out = run(["simulate", "--simulator", "ou", "--a", "0.5", "--n", "3",
                      "--samples", "20000", "--seed", "3"], tmp_path)

@@ -1,16 +1,21 @@
 """The tree sampler and the shared threshold-law MC loop against reference
 implementations with one body per family and topology and one MC loop per
-family: every array must match bit for bit, dtype included."""
+family: every array must match bit for bit, dtype included.  The same holds
+for the cache-blocked MC kernels: the stable transform against its textbook
+expression, the blocked threshold laws at block edges, and the guide-table
+categorical draw against ``Generator.choice``."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dcrep.embeddings import (EmbeddingBatch, ou_partition_batch, ou_star_partition_batch,
                               stable_chain_partition_batch, stable_star_partition_batch)
-from dcrep.gaussian import markov_chain_cov, sampling_factor, threshold_law_mc
-from dcrep.partitions import MC_CHUNK, BinaryLaw
+from dcrep.gaussian import (markov_chain_cov, sampling_factor, symmetric_plus_mean_cov,
+                            threshold_law_mc)
+from dcrep.partitions import BELL, MC_BLOCK, MC_CHUNK, BinaryLaw, _categorical
 from dcrep.rng import make_rng
 from dcrep.stable import (common_shock_model, sample_pos_stable, sample_stable_vector,
                           sample_sym_stable, stable_markov_model, stable_threshold_law_mc,
@@ -212,3 +217,99 @@ def test_threshold_laws_match_reference_over_several_chunks():
     model = common_shock_model(0.5, 1.2, 3)
     assert_same_law(stable_threshold_law_mc(model, 0.3, m, 12),
                     reference_stable_mc(model, 0.3, m, 12))
+
+
+# -- cache-blocked MC kernels ---------------------------------------------------
+
+def reference_sym_stable(alpha, sigma, m, seed):
+    """The symmetric Chambers-Mallows-Stuck transform as one whole-array expression."""
+    rng = make_rng(seed)
+    if alpha == 2.0:
+        return sigma * math.sqrt(2.0) * rng.standard_normal(m)
+    u = (rng.random(m) - 0.5) * math.pi
+    if alpha == 1.0:
+        return sigma * np.tan(u)
+    w = rng.exponential(1.0, m)
+    return sigma * (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+                    * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+
+
+@pytest.mark.parametrize("sigma", (1.0, 0.7))
+@pytest.mark.parametrize("alpha", (0.4, 0.5, 2 / 3, 1.0, 1.2, 1.5, 2.0))
+def test_sym_stable_matches_the_whole_array_expression(alpha, sigma):
+    # alpha = 1/2 and 2/3 take numpy's square, identity and sqrt shortcuts for
+    # the powers 2, 1, 1.5 and 0.5, which the in-place transform must take too
+    assert_same_arrays(sample_sym_stable(alpha, sigma, 50_001, 4),
+                       reference_sym_stable(alpha, sigma, 50_001, 4))
+
+
+@pytest.mark.parametrize("m", (MC_BLOCK - 1, MC_CHUNK + MC_BLOCK + 1))
+def test_threshold_laws_match_reference_at_block_edges(m):
+    """A partial last block, in one chunk and after a full one; the generator
+    left over must match too, so the blocks draw exactly the chunk's stream."""
+    cov = symmetric_plus_mean_cov(4, 0.0)   # rank 3: three normals per row
+    tan_model = stable_markov_model(0.5, 1.0, 4)   # alpha = 1: no exponentials
+    cms_model = stable_markov_model(0.5, 0.5, 4)
+    for law, reference in [
+        (lambda rng: threshold_law_mc(cov, 0.0, m, rng),
+         lambda rng: reference_gaussian_mc(cov, 0.0, m, rng)),
+        (lambda rng: stable_threshold_law_mc(tan_model, 0.2, m, rng),
+         lambda rng: reference_stable_mc(tan_model, 0.2, m, rng)),
+        (lambda rng: stable_threshold_law_mc(cms_model, 0.0, m, rng),
+         lambda rng: reference_stable_mc(cms_model, 0.0, m, rng)),
+    ]:
+        rng_got, rng_want = np.random.default_rng(21), np.random.default_rng(21)
+        assert_same_law(law(rng_got), reference(rng_want))
+        assert rng_got.random() == rng_want.random()
+
+
+def test_mc_laws_peak_memory_is_bounded():
+    """Only a stable chunk's angles stay alive for the whole chunk; every
+    other array is one block."""
+    model = stable_markov_model(0.5, 1.2, 5)
+    tracemalloc.start()
+    try:
+        stable_threshold_law_mc(model, 0.0, 10 ** 6, 3)
+        stable_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        threshold_law_mc(symmetric_plus_mean_cov(4, 0.0), 0.0, 10 ** 7, 3)
+        gaussian_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stable_peak <= 8 * MC_CHUNK * model.m + 16 * 2 ** 20
+    assert gaussian_peak < 16 * 2 ** 20
+
+
+def assert_categorical_matches_choice(weights, m=20_000):
+    rng_got, rng_want = np.random.default_rng(8), np.random.default_rng(8)
+    got = _categorical(weights, m, rng_got)
+    want = rng_want.choice(len(weights), size=m, p=weights)
+    assert np.array_equal(got, want)
+    assert rng_got.random() == rng_want.random()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_categorical_matches_choice_on_dirichlet_weights(n):
+    assert_categorical_matches_choice(np.random.default_rng(n).dirichlet(np.ones(BELL[n])))
+
+
+def test_categorical_matches_choice_on_one_partition():
+    assert_categorical_matches_choice(np.array([1.0]))
+
+
+def test_categorical_matches_choice_next_to_tiny_weights():
+    assert_categorical_matches_choice(np.array([1e-300, 0.3, 1e-300, 1e-300, 0.7, 1e-300]))
+
+
+def test_categorical_matches_choice_with_many_steps_in_one_guide_cell():
+    # 1000 steps of 1e-8 right after 0.4: a guide cell is about 1.2e-4 wide
+    weights = np.r_[0.4, np.full(1000, 1e-8), 0.6 - 1e-5]
+    assert_categorical_matches_choice(weights, m=10 ** 6)
+
+
+@pytest.mark.parametrize("ulps", (-3, 3))
+def test_categorical_matches_choice_on_weights_a_few_ulps_off_one(ulps):
+    weights = np.random.default_rng(5).dirichlet(np.ones(52))
+    weights[-1] = 1.0 - np.sum(weights[:-1]) + ulps * np.finfo(float).eps
+    assert np.cumsum(weights)[-1] != 1.0
+    assert_categorical_matches_choice(weights)
