@@ -12,11 +12,9 @@ from .asymptotics import (AltExampleConstants, SmallHLimits3, StableLimitReport,
 from .conditions import (ABRegion, ConditionReport, LargeHVerdict, SavageStatus,
                          ab_region_classify, classify_degenerate, classify_large_h_3,
                          is_dgff, is_inverse_stieltjes, savage_report, savage_vector)
-from .embeddings import (ColorPropertyReport, EmbeddingBatch, EmbeddingSample,
-                         ou_partition_batch, ou_partition_sample,
+from .embeddings import (ColorPropertyReport, EmbeddingBatch, ou_partition_batch,
                          ou_star_partition_batch, stable_chain_partition_batch,
-                         stable_chain_partition_sample, stable_star_partition_batch,
-                         verify_color_property)
+                         stable_star_partition_batch, verify_color_property)
 from .gaussian import (CovarianceSpec, ThresholdQuery, ab_cov, bivariate_threshold_exact,
                        correlations3, fully_symmetric_cov, markov_chain_cov,
                        pair_cluster_weight, sheppard_pair, square_on_sphere_cov,

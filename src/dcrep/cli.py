@@ -21,7 +21,7 @@ from . import embeddings as emb
 from . import stable as stb
 from .gaussian import (CovarianceSpec, square_threshold_law_exact,
                        threshold_law_mc, zero_threshold_law_3)
-from .partitions import BinaryLaw, simulate_color_process
+from .partitions import BinaryLaw, _column_keys, simulate_color_process
 from .reports import _plain
 from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3, square_circle_solver,
                      symmetric_rep_family_3)
@@ -60,6 +60,8 @@ def load_model(spec: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"model is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"model must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind is None:
         if "loadings" in obj:
@@ -277,8 +279,8 @@ def _emit_sample_csv(args, batch) -> None:
     header = (["sign_" + str(i + 1) for i in range(batch.n)]
               + ["partition"]
               + ["crossing_p_" + str(i + 1) for i in range(batch.crossing_probs.shape[1])])
-    parts, _, inverse, _ = batch.partition_groups()
-    keys = np.array([sig.key for sig in parts], dtype=object)
+    cols, _, inverse, _ = batch.partition_groups()
+    keys = np.array(_column_keys(batch.n), dtype=object)[cols]
     _emit_csv(args, header, list(batch.signs.T) + [keys[inverse]] + list(batch.crossing_probs.T))
 
 
@@ -403,6 +405,8 @@ def _apply_config_file(args, ap: argparse.ArgumentParser) -> None:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad config file: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError(f"bad config file: expected a JSON object, got {type(cfg).__name__}")
     if cfg.get("schema", SCHEMA) != SCHEMA:
         raise UsageError(f"config schema {cfg.get('schema')!r} != {SCHEMA!r}")
     subcommands = next(a for a in ap._actions if a.dest == "command").choices

@@ -110,18 +110,22 @@ def is_dgff(cov: CovarianceSpec) -> tuple[bool, list[str]]:
     (iii) weak Savage, (iv) in each block some row with a strictly positive
     Savage coordinate.
     """
-    failures = []
     if not cov.is_pd:
         return False, ["matrix is not positive definite"]
+    return _dgff(cov, savage_vector(cov), is_inverse_stieltjes(cov)[1])
+
+
+def _dgff(cov: CovarianceSpec, vec: np.ndarray, bad) -> tuple[bool, list[str]]:
+    """``is_dgff`` of a positive definite cov, given its Savage vector and the
+    offending entries of ``is_inverse_stieltjes``."""
+    failures = []
     comps = _blocks(cov)
     for comp in comps:
         sub = cov.a[np.ix_([i - 1 for i in comp], [i - 1 for i in comp])]
         if np.min(sub) <= POS_ENTRY_TOL:
             failures.append(f"block {comp} is not strictly positive")
-    ok, bad = is_inverse_stieltjes(cov)
-    if not ok:
+    if bad:
         failures.append(f"inverse has positive off-diagonal entries {bad}")
-    vec = savage_vector(cov)
     if savage_status(vec) is SavageStatus.FAILS:
         failures.append("weak Savage fails: min 1'A^-1 = %.3g" % float(np.min(vec)))
     else:
@@ -132,9 +136,9 @@ def is_dgff(cov: CovarianceSpec) -> tuple[bool, list[str]]:
 
 
 def savage_report(cov: CovarianceSpec) -> ConditionReport:
-    vec = savage_vector(cov)
+    vec = savage_vector(cov)            # raises unless cov is positive definite
     ok, bad = is_inverse_stieltjes(cov)
-    dgff, fails = is_dgff(cov)
+    dgff, fails = _dgff(cov, vec, bad)
     return ConditionReport(
         savage_vector=vec,
         savage=savage_status(vec),

@@ -29,48 +29,29 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .partitions import (BinaryLaw, Partition, PartitionDistribution, _check_n, bell_number,
-                         partition_index, pattern_counts, push_forward)
+from .partitions import (BinaryLaw, PartitionDistribution, _check_n, _column_keys,
+                         _label_codes, _partition_table, bell_number, pattern_counts,
+                         push_forward)
 from .rng import make_rng
 from .stable import sample_pos_stable, sample_sym_stable, subordinator_scale
 
 
-@dataclass(frozen=True)
-class EmbeddingSample:
-    """One draw: signs, the crossing partition, and the step crossing odds.
-
-    Signs are constant on every block.  For path topology the blocks are
-    intervals of consecutive indices; for star topology element 1 is the root
-    and every other element is a leaf tied only to it.
-    """
-
-    signs: tuple[int, ...]
-    partition: Partition
-    crossing_probs: tuple[float, ...]
-    topology: str = "path"
-
-    def __post_init__(self):
-        n = len(self.signs)
-        if self.partition.n != n:
-            raise ValueError("partition size must match signs")
-        for block in self.partition.blocks:
-            vals = {self.signs[i - 1] for i in block}
-            if len(vals) != 1:
-                raise ValueError("signs must be constant on blocks")
-            if self.topology == "path" and list(block) != list(range(block[0], block[-1] + 1)):
-                raise ValueError("path blocks must be consecutive intervals")
-
-
 class EmbeddingBatch:
-    """Vectorized batch of embedding samples (memory-friendly for large m).
+    """m embedding samples as arrays, one row per sample: the one sample
+    representation.
 
     Each row of ``labels`` is a restricted-growth string (Knuth, TAOCP 4A
     7.2.1.5): element 1 has label 0, and every later label is at most one more
     than the largest label before it.  So block b is the b-th block in order
     of least element, and a row's labels name its partition in exactly one
-    way.  Read as base-n digits, the row is one int64 code,
-    ``labels @ n ** arange(n - 1, -1, -1)``, below n^n <= 9^9; rows share a
-    code iff they share a partition.
+    way.  Read as base-n digits, the row is one int64 code
+    (``partitions._label_codes``); rows share a code iff they share a
+    partition, and the partition table maps the code to its column of
+    ``enumerate_partitions(n)``.
+
+    Signs are constant on every block.  For path topology the blocks are
+    intervals of consecutive indices; for star topology element 1 is the root
+    and every other element is a leaf tied only to it.
     """
 
     def __init__(self, signs: np.ndarray, labels: np.ndarray,
@@ -87,52 +68,34 @@ class EmbeddingBatch:
         self.values = values            # underlying chain values, when kept
         self.m, self.n = signs.shape
 
-    def __len__(self) -> int:
-        return self.m
-
-    def sample(self, i: int) -> EmbeddingSample:
-        return EmbeddingSample(
-            signs=tuple(int(s) for s in self.signs[i]),
-            partition=self._partition(i),
-            crossing_probs=tuple(float(c) for c in self.crossing_probs[i]),
-            topology=self.topology)
-
-    def __iter__(self):
-        return (self.sample(i) for i in range(self.m))
-
-    def _partition(self, i: int) -> Partition:
-        lab = self.labels[i]
-        return Partition.of([tuple(int(j + 1) for j in np.nonzero(lab == b)[0])
-                             for b in range(lab.max() + 1)])
-
-    def partition_groups(self) -> tuple[list[Partition], np.ndarray, np.ndarray, np.ndarray]:
+    def partition_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Rows grouped by their partition code, groups in code order.
 
-        Returns ``(partitions, first, inverse, counts)``: one Partition per
-        group, the group's first row, each row's group and each group's size.
+        Returns ``(columns, first, inverse, counts)``: each group's column of
+        ``enumerate_partitions(n)``, its first row, each row's group and each
+        group's size.
         """
-        codes = self.labels.astype(np.int64) @ (self.n ** np.arange(self.n - 1, -1, -1))
-        _, first, inverse, counts = np.unique(
-            codes, return_index=True, return_inverse=True, return_counts=True)
-        return [self._partition(i) for i in first], first, inverse, counts
+        codes, first, inverse, counts = np.unique(
+            _label_codes(self.labels), return_index=True, return_inverse=True,
+            return_counts=True)
+        return _partition_table(self.n).columns(codes), first, inverse, counts
 
     def empirical_sign_law(self) -> BinaryLaw:
         return BinaryLaw.from_counts(pattern_counts(self.signs > 0), self.m)
 
     def empirical_partition_distribution(self) -> PartitionDistribution:
-        parts, _, _, counts = self.partition_groups()
-        return _partition_law(self.n, self.m, parts, counts)
+        cols, _, _, counts = self.partition_groups()
+        return _partition_law(self.n, self.m, cols, counts)
 
     def pair_cluster_frequency(self, i: int, j: int) -> float:
         return float(np.mean(self.labels[:, i - 1] == self.labels[:, j - 1]))
 
 
-def _partition_law(n: int, m: int, parts, counts) -> PartitionDistribution:
+def _partition_law(n: int, m: int, cols, counts) -> PartitionDistribution:
     """Empirical partition law from the groups of ``partition_groups``: group
-    g puts counts[g] / m on the column of parts[g]."""
+    g puts counts[g] / m on column cols[g]."""
     vec = np.zeros(bell_number(n))
-    index = partition_index(n)
-    vec[[index[sig.blocks] for sig in parts]] = counts / m
+    vec[cols] = counts / m
     return PartitionDistribution.from_vector(n, vec)
 
 
@@ -231,18 +194,10 @@ def ou_partition_batch(a: float, n: int, m: int, seed) -> EmbeddingBatch:
     return _sample_tree(_gaussian_rule(a), _path_parents(n), m, seed, "path")
 
 
-def ou_partition_sample(a: float, n: int, seed) -> EmbeddingSample:
-    return ou_partition_batch(a, n, 1, seed).sample(0)
-
-
 def stable_chain_partition_batch(alpha: float, a: float, n: int, m: int, seed) -> EmbeddingBatch:
     """m draws from the subordinated-Brownian construction for the symmetric
     stable Markov chain Y_{i+1} = a Y_i + (1-a^alpha)^{1/alpha} S^{1/2} B_1."""
     return _sample_tree(_stable_rule(alpha, a), _path_parents(n), m, seed, "path")
-
-
-def stable_chain_partition_sample(alpha: float, a: float, n: int, seed) -> EmbeddingSample:
-    return stable_chain_partition_batch(alpha, a, n, 1, seed).sample(0)
 
 
 def ou_star_partition_batch(a: float, leaves: int, m: int, seed) -> EmbeddingBatch:
@@ -295,55 +250,38 @@ class ColorPropertyReport:
         return self.bins_pass and self.aggregate_pass
 
 
-def batch_from_samples(samples) -> EmbeddingBatch:
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no samples")
-    n = len(samples[0].signs)
-    m = len(samples)
-    signs = np.empty((m, n), dtype=np.int8)
-    labels = np.empty((m, n), dtype=np.int16)
-    probs = np.empty((m, len(samples[0].crossing_probs)))
-    for i, s in enumerate(samples):
-        signs[i] = s.signs
-        for b, block in enumerate(s.partition.blocks):
-            for j in block:
-                labels[i, j - 1] = b
-        probs[i] = s.crossing_probs
-    return EmbeddingBatch(signs, labels, probs, topology=samples[0].topology)
-
-
-def verify_color_property(batch, min_expected: float = 5.0,
+def verify_color_property(batch: EmbeddingBatch, min_expected: float = 5.0,
                           significance: float = 1e-3) -> ColorPropertyReport:
     """Statistical check of the color property on >= 10^4 samples."""
     if not isinstance(batch, EmbeddingBatch):
-        batch = batch_from_samples(batch)
-    if len(batch) < 10_000:
+        raise TypeError(f"expected an EmbeddingBatch, got {type(batch).__name__}")
+    if batch.m < 10_000:
         raise ValueError("verification needs at least 10^4 samples")
     m = batch.m
-    parts, _, inverse, counts = batch.partition_groups()
+    cols, _, inverse, counts = batch.partition_groups()
     rows_of = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    table, keys = _partition_table(batch.n), _column_keys(batch.n)
 
     tested = []                     # (key, count, chi2, dof) per tested bin
     excluded = []
-    for g in sorted(range(len(parts)), key=lambda g: parts[g].key):
-        sig = parts[g]
-        k = sig.num_blocks
-        count = int(counts[g])
+    for g in sorted(range(len(cols)), key=lambda g: keys[cols[g]]):
+        col, count = cols[g], int(counts[g])
+        k = int(table.num_blocks[col])
         if count / 2 ** k < min_expected:
-            excluded.append(sig.key)
+            excluded.append(keys[col])
             continue
-        # observed distribution over the 2^k block colorings
-        firsts = [b[0] - 1 for b in sig.blocks]
+        # observed distribution over the 2^k block colorings, read at the
+        # least element of each block
+        firsts = np.unique(table.labels[col], return_index=True)[1]
         obs = pattern_counts(batch.signs[np.ix_(rows_of[g], firsts)] > 0)
         expected = count / 2 ** k
-        tested.append((sig.key, count, float(np.sum((obs - expected) ** 2 / expected)),
+        tested.append((keys[col], count, float(np.sum((obs - expected) ** 2 / expected)),
                        2 ** k - 1))
     p_values = stats.chi2.sf([t[2] for t in tested], [t[3] for t in tested])
     bins = tuple(BinVerdict(*t, p_value=float(p)) for t, p in zip(tested, p_values))
 
     sign_law = batch.empirical_sign_law()
-    pf = push_forward(_partition_law(batch.n, m, parts, counts), 0.5)
+    pf = push_forward(_partition_law(batch.n, m, cols, counts), 0.5)
     se = np.sqrt(np.maximum(sign_law.probs * (1.0 - sign_law.probs), 1.0 / m) / m)
     dev = np.abs(sign_law.probs - pf.probs) / se
     return ColorPropertyReport(

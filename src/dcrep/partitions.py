@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,12 +137,45 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(sorted(out, key=lambda sig: sig.blocks))
 
 
+def _label_codes(labels: np.ndarray) -> np.ndarray:
+    """One int64 code per row of restricted-growth labels (see ``EmbeddingBatch``):
+    the row read as base-n digits, below n^n <= 9^9.  Rows share a code iff
+    they name the same partition."""
+    n = labels.shape[1]
+    return labels.astype(np.int64) @ (n ** np.arange(n - 1, -1, -1))
+
+
+class PartitionTable(NamedTuple):
+    """The partitions of [n] as read-only arrays, row j for
+    ``enumerate_partitions(n)[j]``: restricted-growth ``labels``,
+    ``num_blocks``, and ``bits[j, b]``, the row-index bit mask of block b
+    (element 1 is the high bit; 0 past the last block).  ``codes`` lists every
+    ``_label_codes`` value in ascending order, ``code_columns`` the column of
+    each."""
+
+    labels: np.ndarray
+    num_blocks: np.ndarray
+    bits: np.ndarray
+    codes: np.ndarray
+    code_columns: np.ndarray
+
+    def columns(self, codes) -> np.ndarray:
+        """The column of each label code."""
+        return self.code_columns[np.searchsorted(self.codes, codes)]
+
+
 @lru_cache(maxsize=None)
-def partition_index(n: int) -> dict[tuple, int]:
-    """Map canonical block tuple -> column index in ``enumerate_partitions``,
-    which is also the entry of a ``PartitionDistribution`` vector."""
-    _check_n(n)
-    return {sig.blocks: j for j, sig in enumerate(enumerate_partitions(n))}
+def _partition_table(n: int) -> PartitionTable:
+    """The one ``PartitionTable`` of [n], shared by every caller."""
+    labels = np.array([[sig.block_of(i) for i in range(1, n + 1)]
+                       for sig in enumerate_partitions(n)], dtype=np.int8)
+    bits = (labels[:, None, :] == np.arange(n)[:, None]) @ (1 << np.arange(n - 1, -1, -1))
+    codes = _label_codes(labels)
+    order = np.argsort(codes)
+    table = PartitionTable(labels, labels.max(axis=1) + 1, bits, codes[order], order)
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -176,24 +210,18 @@ def index_string(idx: int, n: int) -> str:
     return format(idx, f"0{n}b")
 
 
-def _block_bits(sig: Partition, n: int) -> list[int]:
-    """Each block of sig as a row-index bit mask (element 1 is the high bit)."""
-    return [sum(1 << (n - i) for i in b) for b in sig.blocks]
-
-
 @lru_cache(maxsize=None)
 def _color_map_cells(n: int) -> tuple[np.ndarray, ...]:
     """Nonzero cells of ``color_map(n, .)`` as read-only index arrays shared by
     every call: row, column, #blocks colored 1 (k) and #blocks (K).  The
     cells of each column are contiguous."""
-    sigs = enumerate_partitions(n)
+    table = _partition_table(n)
     parts = []
     for big in range(1, n + 1):
-        cols = [j for j, sig in enumerate(sigs) if sig.num_blocks == big]
+        cols = np.flatnonzero(table.num_blocks == big)
         # the 2^K colorings of K blocks
         colorings = np.array(list(itertools.product((0, 1), repeat=big)))
-        bits = np.array([_block_bits(sigs[j], n) for j in cols])
-        parts.append(((bits @ colorings.T).ravel(),
+        parts.append(((table.bits[cols, :big] @ colorings.T).ravel(),
                       np.repeat(cols, 2 ** big),
                       np.tile(colorings.sum(axis=1), len(cols)),
                       np.full(len(cols) * 2 ** big, big)))
@@ -275,10 +303,10 @@ class PartitionDistribution:
         return q
 
     def _freeze(self, n: int, vec: np.ndarray, signed: bool) -> None:
-        """Check that vec sums to 1 (and, unless signed, has no negative
-        weight), then keep it, read-only, as this distribution's weights."""
+        """Check that vec is finite and sums to 1 (and, unless signed, has no
+        negative weight), then keep it, read-only, as this distribution's weights."""
         total = math.fsum(vec.tolist())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:    # also refuses nan and inf weights
             raise ValueError(f"weights must sum to 1, got {total!r}")
         if not signed:
             worst = float(vec.min())
@@ -330,9 +358,11 @@ class PartitionDistribution:
     @staticmethod
     def from_json(text: str) -> "PartitionDistribution":
         obj = json.loads(text)
+        signed = obj.get("signed", False)
+        if not isinstance(signed, bool):
+            raise ValueError(f"signed must be true or false, got {signed!r}")
         weights = {e["key"]: float(e["q"]) for e in obj["entries"]}
-        return PartitionDistribution(int(obj["n"]), weights,
-                                     signed=bool(obj.get("signed", False)))
+        return PartitionDistribution(int(obj["n"]), weights, signed=signed)
 
 
 def _bad_key(n: int, key: str) -> ValueError:
@@ -361,7 +391,7 @@ class BinaryLaw:
         if probs.shape != (2 ** self.n,):
             raise ValueError(f"expected {2 ** self.n} cells, got {probs.shape}")
         total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:    # also refuses nan and inf cells
             raise ValueError(f"cells must sum to 1, got {total!r}")
         if probs.min() < -PROB_TOL:
             raise ValueError(f"negative cell {probs.min()!r}")
@@ -372,6 +402,8 @@ class BinaryLaw:
             se = np.asarray(self.stderr, dtype=float).copy()
             if se.shape != probs.shape:
                 raise ValueError("stderr must match probs shape")
+            if not (np.isfinite(se).all() and (se >= 0.0).all()):
+                raise ValueError("stderr must be finite and >= 0")
             se.setflags(write=False)
             object.__setattr__(self, "stderr", se)
 
@@ -434,9 +466,17 @@ class BinaryLaw:
     def from_json(text: str) -> "BinaryLaw":
         obj = json.loads(text)
         n = int(obj["n"])
+        _check_n(n)
         probs = np.zeros(2 ** n)
+        seen = set()
         for e in obj["entries"]:
-            probs[string_index(e["key"])] = float(e["p"])
+            key = e["key"]
+            if not (isinstance(key, str) and len(key) == n and set(key) <= {"0", "1"}):
+                raise ValueError(f"key {key!r} is not a string of {n} 0/1 digits")
+            if key in seen:
+                raise ValueError(f"key {key!r} is given twice")
+            seen.add(key)
+            probs[string_index(key)] = float(e["p"])
         se = obj.get("stderr")
         return BinaryLaw(n, probs, stderr=None if se is None else np.asarray(se))
 
@@ -513,8 +553,8 @@ def push_forward(q: PartitionDistribution, p: float) -> BinaryLaw:
 @lru_cache(maxsize=None)
 def _restriction_columns(n: int, subset: tuple[int, ...]) -> np.ndarray:
     """Column in B_|subset| of the induced partition of each column of B_n."""
-    index = partition_index(len(subset))
-    cols = np.array([index[sig.restrict(subset).blocks] for sig in enumerate_partitions(n)])
+    columns = _key_columns(len(subset))
+    cols = np.array([columns[sig.restrict(subset).key] for sig in enumerate_partitions(n)])
     cols.setflags(write=False)
     return cols
 
@@ -576,13 +616,13 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     order = np.argsort(which, kind="stable")
     idx = np.empty(m, dtype=np.uint16)   # each sample's string index, < 2^MAX_N
     cells = np.zeros(2 ** n, dtype=np.int64)
-    sigs = enumerate_partitions(n)
+    table = _partition_table(n)
     start = 0
     for j, count in zip(cols.tolist(), counts.tolist()):
         if count == 0:
             continue
-        sig = sigs[j]
-        rho = (rng.random((count, sig.num_blocks)) < p) @ np.array(_block_bits(sig, n))
+        big = int(table.num_blocks[j])
+        rho = (rng.random((count, big)) < p) @ table.bits[j, :big]
         idx[order[start:start + count]] = rho
         cells += np.bincount(rho, minlength=2 ** n)
         start += count

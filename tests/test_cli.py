@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dcrep import cli
@@ -239,11 +240,18 @@ def test_config_values_of_the_flag_type_apply(tmp_path):
     assert (config["seed"], config["a"], config["format"]) == (5, 0.4, "json")
 
 
+def reference_row_key(labels_row):
+    """A row's partition key, block by block from its labels."""
+    return "|".join("".join(str(j + 1) for j in np.flatnonzero(labels_row == b))
+                    for b in range(labels_row.max() + 1))
+
+
 def reference_emit_sample_csv(args, batch):
-    """The sample CSV built row by row from EmbeddingSample objects."""
+    """The sample CSV built row by row, one partition key per row."""
     header = (["sign_" + str(i + 1) for i in range(batch.n)] + ["partition"]
               + ["crossing_p_" + str(i + 1) for i in range(batch.crossing_probs.shape[1])])
-    rows = [list(s.signs) + [s.partition.key] + list(s.crossing_probs) for s in batch]
+    rows = [[int(v) for v in batch.signs[i]] + [reference_row_key(batch.labels[i])]
+            + [float(c) for c in batch.crossing_probs[i]] for i in range(batch.m)]
     cli._emit_csv(args, header, list(zip(*rows)))
 
 
@@ -285,3 +293,38 @@ def test_zero_or_negative_values_are_not_replaced_by_defaults(args, tmp_path, ca
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entries,n", [
+    ([{"key": "111", "p": 1.0}], 2),
+    ([{"key": "0", "p": 0.5}, {"key": "11", "p": 0.5}], 2),    # read as "00"
+    ([{"key": "00", "p": 0.5}, {"key": "-1", "p": 0.5}], 2),   # read as "11"
+    ([{"key": "11", "p": 0.5}, {"key": "11", "p": 0.5}, {"key": "00", "p": 0.5}], 2),
+    ([], 36),
+], ids=["long_key", "short_key", "minus_key", "repeated_key", "n36"])
+def test_solve_refuses_bad_law_keys(entries, n, tmp_path, capsys):
+    model = json.dumps({"n": n, "entries": entries})
+    code, out = run(["solve", "--model", model], tmp_path)
+    assert code == 2
+    assert not out.exists()
+    assert "error" in capsys.readouterr().err
+
+
+def test_solve_refuses_negative_stderr(tmp_path, capsys):
+    entries = [{"key": k, "p": 0.25} for k in ("00", "01", "10", "11")]
+    model = json.dumps({"n": 2, "entries": entries, "stderr": [-1, 0, 0, 0]})
+    code, _ = run(["solve", "--model", model], tmp_path)
+    assert code == 2
+    assert "stderr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"a"', "null"])
+def test_non_object_model_or_config_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, _ = run(["solve", "--model", str(path)], tmp_path)
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err
+    code, _ = run(["simulate", "--simulator", "ou", "--config", str(path)], tmp_path)
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err

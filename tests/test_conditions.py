@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dcrep import conditions
 from dcrep.conditions import (SavageStatus, ab_region_classify, classify_degenerate,
                               classify_large_h_3, is_dgff, is_inverse_stieltjes,
                               savage_closed_form_3, savage_report, savage_status,
@@ -287,3 +288,19 @@ def test_symmetric_plus_mean_blocked_for_positive_h():
         any_h = next(r for r in reports if r.regime is Regime.ALL_POSITIVE_H)
         # the mean coordinate is forced up whenever the others are up
         assert any_h.witness["forbidden_pattern"].count("1") in (1, n - 1)
+
+
+@pytest.mark.parametrize("make", [lambda: correlations3(0.1, 0.5, 0.5),
+                                  lambda: CovarianceSpec(SAVAGE_COUNTEREXAMPLE)])
+def test_savage_report_computes_each_condition_once(make, monkeypatch):
+    cov = make()
+    expect = savage_report(cov)
+    calls = []
+    for name in ("savage_vector", "is_inverse_stieltjes"):
+        func = getattr(conditions, name)
+        monkeypatch.setattr(conditions, name,
+                            lambda c, name=name, func=func: calls.append(name) or func(c))
+    rep = savage_report(cov)
+    assert sorted(calls) == ["is_inverse_stieltjes", "savage_vector"]
+    assert rep.to_json_dict() == expect.to_json_dict()
+    assert (rep.dgff, rep.dgff_failures) == is_dgff(cov)

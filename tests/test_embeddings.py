@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dcrep.embeddings import (BinVerdict, ColorPropertyReport, EmbeddingBatch,
-                              EmbeddingSample, _assemble_tree, batch_from_samples,
-                              ou_partition_batch, ou_partition_sample,
+                              _assemble_tree, ou_partition_batch,
                               ou_star_partition_batch, stable_chain_partition_batch,
-                              stable_chain_partition_sample,
                               stable_star_partition_batch, verify_color_property)
 from dcrep.gaussian import markov_chain_cov, pair_cluster_weight, zero_threshold_law_3
-from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution,
+from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution, _column_keys,
                               enumerate_partitions, push_forward, simulate_color_process)
 from dcrep.rng import make_rng
 from dcrep.stable import common_shock_model, sample_sym_stable, stable_threshold_law_mc
@@ -21,19 +19,18 @@ from dcrep.stable import common_shock_model, sample_sym_stable, stable_threshold
 from conftest import random_probability_q
 
 
-def test_single_sample_shape():
-    s = ou_partition_sample(0.5, 4, seed=0)
-    assert len(s.signs) == 4
-    assert s.partition.n == 4
-    assert len(s.crossing_probs) == 3
-    assert all(v in (-1, 1) for v in s.signs)
-
-
 def test_blocks_are_intervals_and_signs_constant():
-    batch = ou_partition_batch(0.3, 5, 2000, seed=1)
-    for i in range(0, 2000, 97):
-        s = batch.sample(i)  # validation inside EmbeddingSample
-        assert s.topology == "path"
+    m, n = 2000, 5
+    batch = ou_partition_batch(0.3, n, m, seed=1)
+    assert batch.topology == "path"
+    assert batch.signs.shape == batch.labels.shape == (m, n)
+    assert batch.crossing_probs.shape == (m, n - 1)
+    assert np.isin(batch.signs, (-1, 1)).all()
+    # every row: each element's sign is that of its block's least element
+    first = np.argmax(batch.labels[:, None, :] == batch.labels[:, :, None], axis=2)
+    assert (np.take_along_axis(batch.signs, first, axis=1) == batch.signs).all()
+    # on a path a block is an interval: the labels never fall and rise by at most one
+    assert np.isin(np.diff(batch.labels, axis=1), (0, 1)).all()
 
 
 def test_pair_cluster_frequency_matches_pair_weight():
@@ -96,9 +93,10 @@ def test_verification_on_sample_list_and_n1():
     batch = ou_partition_batch(0.5, 1, 12_000, seed=8)
     report = verify_color_property(batch)
     assert report.passed
-    samples = list(ou_partition_batch(0.4, 2, 12_000, seed=9))
-    report = verify_color_property(samples)
-    assert report.passed
+    # only a batch is checked: a list of per-sample rows is refused
+    batch = ou_partition_batch(0.4, 2, 12_000, seed=9)
+    with pytest.raises(TypeError, match="EmbeddingBatch"):
+        verify_color_property(list(zip(batch.signs, batch.labels)))
     with pytest.raises(ValueError):
         verify_color_property(ou_partition_batch(0.5, 2, 100, seed=10))
 
@@ -160,17 +158,6 @@ def test_star_color_property():
     report = verify_color_property(batch)
     assert report.passed
     assert batch.topology == "star"
-
-
-def test_embedding_sample_invariants():
-    with pytest.raises(ValueError):
-        EmbeddingSample(signs=(1, -1), partition=Partition.of([[1, 2]]),
-                        crossing_probs=(0.5,))
-    with pytest.raises(ValueError):
-        EmbeddingSample(signs=(1, -1, 1), partition=Partition.of([[1, 3], [2]]),
-                        crossing_probs=(1.0, 1.0))  # non-interval block on a path
-    EmbeddingSample(signs=(1, -1, 1), partition=Partition.of([[1, 3], [2]]),
-                    crossing_probs=(1.0, 1.0), topology="star")
 
 
 def test_determinism_in_seed():
@@ -278,8 +265,7 @@ def every_partition_batch(n, m, seed):
     lambda: stable_chain_partition_batch(1.2, 0.5, 4, 10_000, seed=33),
     lambda: ou_star_partition_batch(0.5, 3, 10_000, seed=34),
     lambda: stable_star_partition_batch(1.2, 0.5, 4, 10_000, seed=35),
-    lambda: batch_from_samples(list(ou_partition_batch(0.4, 4, 10_000, seed=36))),
-], ids=["all_partitions", "ou1", "ou3", "ou6", "stable4", "ou_star", "stable_star", "sample_list"])
+], ids=["all_partitions", "ou1", "ou3", "ou6", "stable4", "ou_star", "stable_star"])
 def test_verify_matches_per_row_reference(make):
     batch = make()
     groups = reference_groups(batch)
@@ -307,12 +293,13 @@ def restricted_growth_labels(draw):
 def test_codes_group_rows_as_partitions(labels):
     m, n = labels.shape
     batch = EmbeddingBatch(np.ones((m, n), dtype=np.int8), labels, np.zeros((m, n - 1)))
-    parts, first, inverse, counts = batch.partition_groups()
+    cols, first, inverse, counts = batch.partition_groups()
+    group_keys = [_column_keys(n)[j] for j in cols]
     keys = [reference_key(row) for row in labels]
-    assert [parts[g].key for g in inverse] == keys
-    assert len(parts) == len(set(keys))
-    assert [keys[i] for i in first] == [p.key for p in parts]
-    assert counts.tolist() == [keys.count(p.key) for p in parts]
+    assert [group_keys[g] for g in inverse] == keys
+    assert len(cols) == len(set(keys))
+    assert [keys[i] for i in first] == group_keys
+    assert counts.tolist() == [keys.count(k) for k in group_keys]
 
 
 def test_labels_must_be_restricted_growth():

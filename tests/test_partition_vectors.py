@@ -18,9 +18,9 @@ import pytest
 
 from dcrep import cli
 from dcrep.gaussian import square_threshold_law_exact
-from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution,
-                              enumerate_partitions, marginalize_partition,
-                              push_forward, simulate_color_process)
+from dcrep.partitions import (MAX_N, BinaryLaw, Partition, PartitionDistribution,
+                              _label_codes, _partition_table, enumerate_partitions,
+                              marginalize_partition, push_forward, simulate_color_process)
 from dcrep.rng import make_rng
 from dcrep.solver import _reconstruct_square_b4, square_circle_solver
 
@@ -323,3 +323,25 @@ def test_scan_csv_matches_per_point_loop(tmp_path, argv, kind, step, a):
     if step == 0.0002:      # rows that span several blocks of formatted text
         assert len(lines) - 2 > 2 * cli.CSV_BLOCK_ROWS
 
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_partition_table_matches_the_blocks(n):
+    """Each row of the table against the blocks of its column's Partition."""
+    sigs = enumerate_partitions(n)
+    labels = np.zeros((len(sigs), n), dtype=np.int64)
+    bits = np.zeros((len(sigs), n), dtype=np.int64)
+    for j, sig in enumerate(sigs):
+        for b, block in enumerate(sig.blocks):
+            labels[j, [i - 1 for i in block]] = b
+            bits[j, b] = sum(1 << (n - i) for i in block)
+    table = _partition_table(n)
+    assert np.array_equal(table.labels, labels)
+    assert np.array_equal(table.bits, bits)
+    assert table.num_blocks.tolist() == [sig.num_blocks for sig in sigs]
+    # every code names its own column, and the lookup is the inverse
+    assert np.array_equal(table.columns(_label_codes(labels)), np.arange(len(sigs)))
+    assert len(np.unique(table.codes)) == len(sigs)
+    assert _partition_table(n) is table
+    for array in table:
+        assert not array.flags.writeable

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -213,9 +214,46 @@ def test_binary_law_validation_and_marginals():
         BinaryLaw(2, [0.3, 0.3, 0.3, 0.3])
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "entries": [{"key": "111", "p": 1.0}]}',           # too long
+    '{"n": 2, "entries": [{"key": "1", "p": 1.0}]}',             # too short
+    '{"n": 2, "entries": [{"key": "-1", "p": 1.0}]}',            # not 0/1
+    '{"n": 2, "entries": [{"key": 11, "p": 1.0}]}',              # not a string
+    '{"n": 2, "entries": [{"key": "11", "p": 0.5}, {"key": "11", "p": 0.5},'
+    ' {"key": "00", "p": 0.5}]}',                                # repeated key
+    '{"n": 36, "entries": []}',                                  # n before any array
+])
+def test_binary_law_from_json_checks_n_and_keys(text):
+    with pytest.raises(ValueError):
+        BinaryLaw.from_json(text)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BinaryLaw(2, [math.nan, 0, 0, 1]),
+    lambda: BinaryLaw(2, [math.inf, 0, 0, 1]),
+    lambda: BinaryLaw(2, [math.inf, -math.inf, 0, 1]),
+    lambda: BinaryLaw(2, [0.25] * 4, stderr=[-1, 0, 0, 0]),
+    lambda: BinaryLaw(2, [0.25] * 4, stderr=[math.nan, 0, 0, 0]),
+    lambda: BinaryLaw(2, [0.25] * 4, stderr=[math.inf, 0, 0, 0]),
+    lambda: PartitionDistribution.from_vector(2, [math.nan, 1.0]),
+    lambda: PartitionDistribution.from_vector(2, [math.inf, 1.0], signed=True),
+    lambda: PartitionDistribution(2, {"12": math.nan, "1|2": 1.0}, signed=True),
+    lambda: PartitionDistribution.from_json(
+        '{"n": 2, "signed": "no", "entries": [{"key": "12", "q": 1.0}]}'),
+    lambda: PartitionDistribution.from_json(
+        '{"n": 2, "signed": 0, "entries": [{"key": "12", "q": 1.0}]}'),
+], ids=["nan_cell", "inf_cell", "inf_minus_inf_cells", "negative_stderr", "nan_stderr", "inf_stderr",
+        "nan_weight", "inf_signed_weight", "nan_key_weight", "signed_string", "signed_int"])
+def test_non_finite_values_and_non_bool_signed_are_refused(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_json_roundtrips(rng):
     q = random_probability_q(rng, 3)
     back = PartitionDistribution.from_json(q.to_json())
+    signed = PartitionDistribution.from_vector(3, q.vector, signed=True)
+    assert PartitionDistribution.from_json(signed.to_json()) == signed
     assert back.weights == pytest.approx(
         {sig.key: q.weights.get(sig.key, 0.0) for sig in enumerate_partitions(3)})
 
