@@ -19,12 +19,14 @@ from . import asymptotics as asym
 from . import conditions as cond
 from . import embeddings as emb
 from . import stable as stb
-from .gaussian import (CovarianceSpec, square_threshold_law_exact,
-                       threshold_law_mc, zero_threshold_law_3)
+# square_threshold_law_exact and square_circle_solver stay importable from
+# here: bench/tracing.py times them under these names
+from .gaussian import (CovarianceSpec, square_threshold_law_exact,  # noqa: F401
+                       square_threshold_laws_exact, threshold_law_mc, zero_threshold_law_3)
 from .partitions import BinaryLaw, _column_keys, simulate_color_process
 from .reports import _plain
-from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3, square_circle_solver,
-                     symmetric_rep_family_3)
+from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3,  # noqa: F401
+                     square_circle_intervals, square_circle_solver, symmetric_rep_family_3)
 
 SCHEMA = "dcrep/1"
 SCAN_MAX_ROWS = 1_000_000  # rows one scan may write; a finer --a-step is refused up front
@@ -221,6 +223,26 @@ def _scan_ab_columns(values: np.ndarray) -> list:
             [tag or "" for tag in grid.case_tag]]
 
 
+SCAN_BLOCK_ROWS = 1024  # scan theta's rows per array pass: bounds its temporaries
+
+
+def _scan_theta_columns(values: np.ndarray) -> list:
+    """Columns of ``scan theta`` after theta: the exact square law at h = 0
+    and its t-interval, in one array pass per block of rows.  Every such law
+    has p = 1/2, so its row is feasible iff the interval is not empty."""
+    feasible = np.empty(len(values), dtype=bool)
+    t_lo, t_hi, gap = np.empty(len(values)), np.empty(len(values)), np.empty(len(values))
+    for start in range(0, len(values), SCAN_BLOCK_ROWS):
+        rows = slice(start, start + SCAN_BLOCK_ROWS)
+        laws = square_threshold_laws_exact(values[rows])
+        iv = square_circle_intervals(laws.probs)
+        if not iv.half.all():
+            raise RuntimeError("an exact square law at h = 0 has a marginal off 1/2")
+        feasible[rows], t_lo[rows], t_hi[rows] = ~iv.infeasible, iv.t_lo, iv.t_hi
+        gap[rows] = math.pi / 8 - (laws.th_adj - laws.theta)
+    return [feasible, t_lo, t_hi, gap]
+
+
 def _scan_values(args, default: float, stop: float, square: bool = False) -> np.ndarray:
     """The scan axis ``arange(step, stop, step)``; the ab scan writes the
     square of the axis.  A step that gives more than ``SCAN_MAX_ROWS`` rows is
@@ -246,15 +268,7 @@ def cmd_scan(args):
     if args.scan == "theta":
         values = _scan_values(args, math.pi / 80, math.pi / 2)
         header = ["theta", "feasible", "t_lo", "t_hi", "adjacency_gap"]
-        feasible, t_lo, t_hi, gap = [], [], [], []
-        for th in values.tolist():
-            res = square_circle_solver(th, 0.0, square_threshold_law_exact(th))
-            feasible.append(res.status == "Feasible")
-            t_lo.append(res.detail.get("t_lo", math.nan))
-            t_hi.append(res.detail.get("t_hi", math.nan))
-            gap.append(math.pi / 8 - (math.acos(math.cos(th) ** 2) - th))
-        _emit_csv(args, header, [values, np.array(feasible), np.array(t_lo),
-                                 np.array(t_hi), np.array(gap)])
+        _emit_csv(args, header, [values] + _scan_theta_columns(values))
         return None
     if args.scan == "alpha":
         a = _given(args.a, 0.5)

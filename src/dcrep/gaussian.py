@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -272,33 +273,63 @@ def _square_inclusion_exclusion() -> tuple[np.ndarray, np.ndarray]:
     return kinds, signs
 
 
+class SquareLaws(NamedTuple):
+    """Exact zero-threshold laws of the square-on-sphere quadruple, row i at
+    ``theta[i]``: ``th_adj`` is the adjacent-pair angle arccos(cos^2 theta)
+    and ``probs`` the (N, 16) cells."""
+
+    theta: np.ndarray
+    th_adj: np.ndarray
+    probs: np.ndarray
+
+
+def square_threshold_laws_exact(theta) -> SquareLaws:
+    """``square_threshold_law_exact`` for each value of the 1-D ``theta``, in
+    one array pass with the same bits.
+
+    The 16 inclusion-exclusion terms are added one at a time, in ``cumsum``
+    order, so no (N, 16, 16) temporary is built; the cells are normalized by
+    their sum in the order of numpy's 1-D sum of 16 values.
+    """
+    theta = np.array(theta, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError(f"theta must be a 1-D array, got shape {theta.shape}")
+    if not np.all((0.0 < theta) & (theta <= math.pi / 2)):
+        raise ValueError("theta must lie in (0, pi/2]")
+    # libm's cos and acos per value: numpy's ufuncs may round differently
+    th_adj = np.array([math.acos(math.cos(t) ** 2) for t in theta.tolist()])
+    th_diag = 2.0 * theta
+    masses = np.empty((len(theta), 6))  # column k: the orthant mass of kind k
+    masses[:, 0] = 1.0
+    masses[:, 1] = 0.5
+    masses[:, 2] = 0.5 - th_adj / (2 * math.pi)
+    masses[:, 3] = 0.5 - th_diag / (2 * math.pi)
+    # every triple: 2 adjacent + 1 diagonal
+    masses[:, 4] = 0.5 - (2 * th_adj + th_diag) / (4 * math.pi)
+    masses[:, 5] = 0.5 - th_adj / math.pi  # from nu_0101 = 0
+    kinds, signs = _square_inclusion_exclusion()
+    probs = signs[:, 0] * masses[:, kinds[:, 0]]
+    for t in range(1, 16):
+        probs += signs[:, t] * masses[:, kinds[:, t]]
+    if probs.size and probs.min() < -1e-12:
+        raise ValueError(f"inconsistent construction: min cell {probs.min()}")
+    np.clip(probs, 0.0, None, out=probs)
+    r = probs[:, :8] + probs[:, 8:]
+    probs /= (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+              + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))[:, None]
+    return SquareLaws(theta, th_adj, probs)
+
+
 def square_threshold_law_exact(theta: float) -> BinaryLaw:
     """Exact zero-threshold law of the square-on-sphere quadruple.
 
     All P(X_i > 0 for i in T) with |T| <= 3 are arccos expressions; the single
     four-fold orthant mass is pinned by the forbidden alternating pattern
     (X_1 + X_3 = X_2 + X_4 makes 0101 impossible), and the 16 cells follow by
-    inclusion-exclusion, summed term by term from the left (``cumsum``).
+    inclusion-exclusion, summed term by term from the left.  A stack of one
+    over ``square_threshold_laws_exact``.
     """
-    if not (0.0 < theta <= math.pi / 2):
-        raise ValueError("theta must lie in (0, pi/2]")
-    th_adj = math.acos(math.cos(theta) ** 2)
-    th_diag = 2.0 * theta
-    masses = np.array([     # indexed by _square_mass_kind
-        1.0,
-        0.5,
-        0.5 - th_adj / (2 * math.pi),
-        0.5 - th_diag / (2 * math.pi),
-        0.5 - (2 * th_adj + th_diag) / (4 * math.pi),  # every triple: 2 adjacent + 1 diagonal
-        0.5 - th_adj / math.pi,  # from nu_0101 = 0
-    ])
-    kinds, signs = _square_inclusion_exclusion()
-    probs = np.cumsum(signs * masses[kinds], axis=1)[:, -1]
-    if probs.min() < -1e-12:
-        raise ValueError(f"inconsistent construction: min cell {probs.min()}")
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return BinaryLaw(4, probs)
+    return BinaryLaw(4, square_threshold_laws_exact([theta]).probs[0])
 
 
 def bivariate_threshold_exact(a: float, h: float) -> float:

@@ -357,12 +357,38 @@ class PartitionDistribution:
 
     @staticmethod
     def from_json(text: str) -> "PartitionDistribution":
-        obj = json.loads(text)
+        obj, n, entries = _json_entries(text, "q")
         signed = obj.get("signed", False)
         if not isinstance(signed, bool):
             raise ValueError(f"signed must be true or false, got {signed!r}")
-        weights = {e["key"]: float(e["q"]) for e in obj["entries"]}
-        return PartitionDistribution(int(obj["n"]), weights, signed=signed)
+        return PartitionDistribution(n, dict(entries), signed=signed)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _json_entries(text: str, value: str) -> tuple[dict, int, list[tuple[str, float]]]:
+    """The object of a law's or a partition distribution's JSON, its n and
+    its (key, value) entries.  Raises ValueError unless the object has an
+    integer n in [1, MAX_N] and a list of entries, each an object with a
+    string "key" and a number under ``value``."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    n = obj.get("n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    _check_n(n)
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
+        raise ValueError(f"entries must be a list, got {entries!r}")
+    for e in entries:
+        if not (isinstance(e, dict) and isinstance(e.get("key"), str)
+                and _is_number(e.get(value))):
+            raise ValueError(f'each entry must be an object with a string "key" and a number '
+                             f'"{value}", got {e!r}')
+    return obj, n, [(e["key"], float(e[value])) for e in entries]
 
 
 def _bad_key(n: int, key: str) -> ValueError:
@@ -464,21 +490,20 @@ class BinaryLaw:
 
     @staticmethod
     def from_json(text: str) -> "BinaryLaw":
-        obj = json.loads(text)
-        n = int(obj["n"])
-        _check_n(n)
+        obj, n, entries = _json_entries(text, "p")
         probs = np.zeros(2 ** n)
         seen = set()
-        for e in obj["entries"]:
-            key = e["key"]
-            if not (isinstance(key, str) and len(key) == n and set(key) <= {"0", "1"}):
+        for key, p in entries:
+            if not (len(key) == n and set(key) <= {"0", "1"}):
                 raise ValueError(f"key {key!r} is not a string of {n} 0/1 digits")
             if key in seen:
                 raise ValueError(f"key {key!r} is given twice")
             seen.add(key)
-            probs[string_index(key)] = float(e["p"])
+            probs[string_index(key)] = p
         se = obj.get("stderr")
-        return BinaryLaw(n, probs, stderr=None if se is None else np.asarray(se))
+        if not (se is None or isinstance(se, list) and all(map(_is_number, se))):
+            raise ValueError(f"stderr must be a list of numbers, got {se!r}")
+        return BinaryLaw(n, probs, stderr=None if se is None else np.asarray(se, dtype=float))
 
     @staticmethod
     def from_counts(counts, m: int) -> "BinaryLaw":
@@ -552,9 +577,21 @@ def push_forward(q: PartitionDistribution, p: float) -> BinaryLaw:
 
 @lru_cache(maxsize=None)
 def _restriction_columns(n: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Column in B_|subset| of the induced partition of each column of B_n."""
-    columns = _key_columns(len(subset))
-    cols = np.array([columns[sig.restrict(subset).key] for sig in enumerate_partitions(n)])
+    """Column in B_|subset| of the induced partition of each column of B_n.
+
+    The table's labels on ``subset`` name the induced partition; relabelled
+    in order of first occurrence they are its restricted-growth labels."""
+    labels = _partition_table(n).labels[:, np.array(subset) - 1]
+    relabelled = np.zeros_like(labels)
+    blocks = np.ones(len(labels), dtype=labels.dtype)    # blocks seen so far
+    rows = np.arange(len(labels))
+    for j in range(1, labels.shape[1]):
+        same = labels[:, :j] == labels[:, j:j + 1]
+        earlier = same.argmax(axis=1)   # the first earlier element in j's block
+        new = ~same.any(axis=1)
+        relabelled[:, j] = np.where(new, blocks, relabelled[rows, earlier])
+        blocks += new
+    cols = _partition_table(len(subset)).columns(_label_codes(relabelled))
     cols.setflags(write=False)
     return cols
 

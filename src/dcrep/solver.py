@@ -18,12 +18,13 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, color_map,
-                         color_map_exact, enumerate_partitions, push_forward)
+from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, _one_cells,
+                         color_map, color_map_exact, enumerate_partitions, push_forward)
 from .reports import Verdict
 
 FEAS_TOL = 1e-9
@@ -156,10 +157,33 @@ def symmetric_rep_family_3(nu: BinaryLaw) -> SymmetricRepFamily3:
         raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
     c = nu.cell
     nu001, nu010, nu100 = c("001"), c("010"), c("100")
-    t_lo = max(0.0, 4.0 * (nu001 + nu010 + nu100) - 1.0)
-    t_hi = 4.0 * min(nu001, nu010, nu100)
+    t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
     return SymmetricRepFamily3(nu_001=nu001, nu_010=nu010, nu_100=nu100,
-                               t_lo=t_lo, t_hi=t_hi)
+                               t_lo=float(t_lo), t_hi=float(t_hi))
+
+
+def _first_max(*values):
+    """Elementwise ``max(*values)`` as Python's ``max`` picks it: the first
+    of the values that no later one exceeds."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def _first_min(*values):
+    """Elementwise ``min(*values)`` as Python's ``min`` picks it."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v < out, v, out)
+    return out
+
+
+def _t_family_bounds(nu001, nu010, nu100):
+    """t_lo = max(0, 4(nu_001 + nu_010 + nu_100) - 1) and
+    t_hi = 4 min(nu_001, nu_010, nu_100), elementwise."""
+    return (_first_max(0.0, 4.0 * (nu001 + nu010 + nu100) - 1.0),
+            4.0 * _first_min(nu001, nu010, nu100))
 
 
 def gaussian_sym_family_interval(cov) -> tuple[float, float]:
@@ -344,11 +368,98 @@ def _permutation_cells(n: int, perm: tuple[int, ...]) -> np.ndarray:
     return cells
 
 
-def _permute_law(nu: BinaryLaw, perm: tuple[int, ...]) -> np.ndarray:
-    """Cells of the law of (X_{perm(1)}, ..., X_{perm(n)})."""
-    out = np.empty_like(nu.probs)
-    out[_permutation_cells(nu.n, perm)] = nu.probs
+def _permute_law(probs: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    """Cells of the law of (X_{perm(1)}, ..., X_{perm(n)}), for the laws
+    whose 2^n cells lie along the last axis of ``probs``."""
+    out = np.empty_like(probs)
+    out[..., _permutation_cells(len(perm), perm)] = probs
     return out
+
+
+def _sum8(x: np.ndarray) -> np.ndarray:
+    """Sum of each row of 8 columns, in the order of numpy's 1-D sum of 8 values."""
+    return (((x[:, 0] + x[:, 1]) + (x[:, 2] + x[:, 3]))
+            + ((x[:, 4] + x[:, 5]) + (x[:, 6] + x[:, 7])))
+
+
+class SquareIntervals(NamedTuple):
+    """The t-intervals of ``square_circle_solver``, row i for law i.
+
+    ``p`` is the common marginal and ``tol`` the cell tolerance.  Rows with
+    ``half`` (p = 1/2 within noise) have the 3-marginal cells ``nu3``
+    (nu_001, nu_010, nu_100), the capped interval [``t_lo``, ``t_hi``] and
+    ``infeasible`` = t_lo > t_hi + tol; the other rows have nan bounds and
+    are not ``infeasible``: their law takes the p != 1/2 route.
+    """
+
+    p: np.ndarray
+    tol: np.ndarray
+    half: np.ndarray
+    nu3: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+    infeasible: np.ndarray
+
+
+def square_circle_intervals(probs, stderr=None) -> SquareIntervals:
+    """The checks and the p = 1/2 t-interval of ``square_circle_solver`` for
+    each row of the (N, 16) laws ``probs``, in one array pass with the same
+    bits as one law at a time.
+
+    Raises ValueError, as the one-law solver does, if a law is not
+    dihedral-symmetric, has nu_0101 or nu_1010 above tolerance, has unequal
+    marginals, or has p = 1/2 and a 3-marginal that is not {0,1}-symmetric.
+    ``stderr`` holds the cells' standard errors of MC laws, which widen
+    every tolerance.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2 or probs.shape[1] != 16:
+        raise ValueError(f"expected (N, 16) laws, got shape {probs.shape}")
+    if stderr is None:
+        noise = np.zeros(len(probs))
+        marginal_tol = np.full(len(probs), 1e-9)
+    else:
+        stderr = np.asarray(stderr, dtype=float)
+        noise = stderr.max(axis=1)
+        marginal_tol = np.maximum(1e-9, 5.0 * noise * 4)   # _marginal_tol at n = 4
+    tol = np.maximum(1e-9, RELAX_SIGMA * noise)
+    for perm in (_ROTATE, _REFLECT):
+        if np.any(np.abs(_permute_law(probs, perm) - probs).max(axis=1) > 4.0 * tol):
+            raise ValueError("law is not dihedral-symmetric")
+    if np.any((probs[:, 0b0101] > 4.0 * tol) | (probs[:, 0b1010] > 4.0 * tol)):
+        raise ValueError("nu_0101 must vanish for this family")
+
+    marginals = np.stack([_sum8(probs[:, cells]) for cells in _one_cells(4)], axis=1)
+    gap = marginals.max(axis=1) - marginals.min(axis=1)
+    bad = np.flatnonzero(gap > marginal_tol)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"marginals differ by {gap[i]:.3g} (> {marginal_tol[i]:.3g}); "
+                         "a color process has equal marginals")
+    p = (((marginals[:, 0] + marginals[:, 1]) + marginals[:, 2]) + marginals[:, 3]) / 4
+    half = np.abs(p - 0.5) <= np.maximum(P_HALF_TOL, 2.0 * noise)
+
+    # the 3-marginal on coordinates 1, 2, 3, summed from 0.0 as the bincount of
+    # ``BinaryLaw.marginalize`` sums it (a -0.0 cell adds as 0.0)
+    nu3 = (0.0 + probs[:, 0::2]) + probs[:, 1::2]
+    if stderr is None:
+        tol3 = np.full(len(probs), 1e-9)
+    else:
+        se3 = np.sqrt((0.0 + stderr[:, 0::2] ** 2) + stderr[:, 1::2] ** 2)
+        tol3 = np.maximum(1e-9, 5.0 * se3.max(axis=1))    # _noise_tol
+    flip_gap = np.abs(nu3 - nu3[:, ::-1]).max(axis=1)
+    if np.any(half & (flip_gap > tol3)):
+        raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
+    nu001, nu010, nu100 = nu3[:, 1], nu3[:, 2], nu3[:, 4]
+    t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
+    singles = nu001 + nu010 + nu100
+    # extra caps from the 4-point reconstruction, linear in t:
+    lo = _first_max(t_lo, (4.0 * nu010 + 4.0 * singles - 1.0) / 2.0, 0.0)
+    hi = _first_min(t_hi, 4.0 * (nu001 - nu010))
+    return SquareIntervals(p=p, tol=tol, half=half,
+                           nu3=np.stack([nu001, nu010, nu100], axis=1),
+                           t_lo=np.where(half, lo, math.nan), t_hi=np.where(half, hi, math.nan),
+                           infeasible=half & (lo > hi + tol))
 
 
 def square_circle_solver(theta: float | None, h: float | None,
@@ -359,38 +470,28 @@ def square_circle_solver(theta: float | None, h: float | None,
     representation exists iff the 3-marginal admits one with
     q_123 >= q_13_2 >= 0 and 2 q_12_3 - 2 q_13_2 >= q_1_2_3 >= 0, and the full
     B_4 distribution is then reconstructed from it (zero pattern on the
-    partitions separating the 1-3 and 2-4 diagonals).
+    partitions separating the 1-3 and 2-4 diagonals).  At p = 1/2 the checks
+    and the t-interval are ``square_circle_intervals`` on a stack of one law.
     """
     if nu4.n != 4:
         raise ValueError("square_circle_solver needs n = 4")
-    noise = 0.0 if nu4.stderr is None else float(np.max(nu4.stderr))
-    tol = max(1e-9, RELAX_SIGMA * noise)
-    for perm in (_ROTATE, _REFLECT):
-        if float(np.max(np.abs(_permute_law(nu4, perm) - nu4.probs))) > 4.0 * tol:
-            raise ValueError("law is not dihedral-symmetric")
-    if nu4.cell("0101") > 4.0 * tol or nu4.cell("1010") > 4.0 * tol:
-        raise ValueError("nu_0101 must vanish for this family")
-
-    p = _require_equal_marginals(nu4, _marginal_tol(nu4))
-    nu3 = nu4.marginalize([1, 2, 3])
+    iv = square_circle_intervals(nu4.probs[None],
+                                 None if nu4.stderr is None else nu4.stderr[None])
+    p, tol = float(iv.p[0]), float(iv.tol[0])
     meta = {"theta": theta, "h": h, "p": p}
 
-    if abs(p - 0.5) <= max(P_HALF_TOL, 2.0 * noise):
-        fam = symmetric_rep_family_3(nu3)
-        singles = fam.nu_001 + fam.nu_010 + fam.nu_100
-        # extra caps from the 4-point reconstruction, linear in t:
-        lo = max(fam.t_lo, (4.0 * fam.nu_010 + 4.0 * singles - 1.0) / 2.0, 0.0)
-        hi = min(fam.t_hi, 4.0 * (fam.nu_001 - fam.nu_010))
+    if iv.half[0]:
+        lo, hi = float(iv.t_lo[0]), float(iv.t_hi[0])
         meta.update(t_lo=lo, t_hi=hi)
-        if lo > hi + tol:
+        if iv.infeasible[0]:
             return FeasibilityResult("Infeasible", None, lo - hi, detail=meta)
         t = min(max(lo, 0.0), hi) if hi >= lo else lo
-        rep3 = fam.weights_at(t)
-        q4 = _reconstruct_square_b4(rep3)
+        fam = SymmetricRepFamily3(*iv.nu3[0].tolist(), t_lo=lo, t_hi=hi)
+        q4 = _reconstruct_square_b4(fam.weights_at(t))
         margin = _square_margin(q4, nu4, p)
         return FeasibilityResult("Feasible", q4, margin, detail=meta)
 
-    rep = signed_rep_3(nu3)
+    rep = signed_rep_3(nu4.marginalize([1, 2, 3]))
     checks = {
         "q_123 >= q_13_2": rep.q_123 - rep.q_13_2,
         "q_13_2 >= 0": rep.q_13_2,

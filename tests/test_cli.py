@@ -310,6 +310,32 @@ def test_solve_refuses_bad_law_keys(entries, n, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+MALFORMED_LAWS = {
+    "entries_number": {"n": 2, "entries": 5},
+    "entry_number": {"n": 2, "entries": [1]},
+    "entries_object": {"n": 2, "entries": {"00": 0.5, "11": 0.5}},
+    "entry_without_key": {"n": 2, "entries": [{"p": 1.0}]},
+    "entry_value_string": {"n": 2, "entries": [{"key": "00", "p": "1"}]},
+    "entry_value_bool": {"n": 2, "entries": [{"key": "00", "p": True}]},
+    "n_float": {"n": 2.7, "entries": [{"key": "00", "p": 1.0}]},
+    "n_whole_float": {"n": 2.0, "entries": [{"key": "00", "p": 1.0}]},
+    "n_bool": {"n": True, "entries": [{"key": "0", "p": 1.0}]},
+    "n_string": {"n": "2", "entries": [{"key": "00", "p": 1.0}]},
+    "entries_missing": {"kind": "law", "n": 2},
+    "stderr_string": {"n": 2, "entries": [{"key": "00", "p": 0.5}, {"key": "11", "p": 0.5}],
+                      "stderr": "small"},
+}
+
+
+@pytest.mark.parametrize("model", MALFORMED_LAWS.values(), ids=MALFORMED_LAWS)
+def test_solve_refuses_malformed_law_json(model, tmp_path, capsys):
+    """A law of the wrong shape is a usage error (exit 2), not a traceback."""
+    code, out = run(["solve", "--model", json.dumps(model)], tmp_path)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_refuses_negative_stderr(tmp_path, capsys):
     entries = [{"key": k, "p": 0.25} for k in ("00", "01", "10", "11")]
     model = json.dumps({"n": 2, "entries": entries, "stderr": [-1, 0, 0, 0]})

@@ -19,7 +19,8 @@ import pytest
 from dcrep import cli
 from dcrep.gaussian import square_threshold_law_exact
 from dcrep.partitions import (MAX_N, BinaryLaw, Partition, PartitionDistribution,
-                              _label_codes, _partition_table, enumerate_partitions,
+                              _label_codes, _partition_table, _restriction_columns,
+                              enumerate_partitions,
                               marginalize_partition, push_forward, simulate_color_process)
 from dcrep.rng import make_rng
 from dcrep.solver import _reconstruct_square_b4, square_circle_solver
@@ -188,6 +189,19 @@ def test_marginalize_partition_matches_key_loop(n):
             expect = reference_marginalize_partition(dict(q.weights), subset)
             assert dict(out.weights) == expect
             assert out.signed is q.signed
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_restriction_columns_match_partition_restrict(n):
+    """The relabelled label columns against one ``Partition.restrict`` per column."""
+    gen = np.random.default_rng(100 + n)
+    subsets = {tuple(range(1, n + 1)), (1,), (n,), tuple(range(1, n, 2)) or (1,)}
+    subsets |= {tuple(sorted(gen.choice(np.arange(1, n + 1), size=size, replace=False).tolist()))
+                for size in gen.integers(1, n + 1, size=4).tolist()}
+    for subset in sorted(subsets):
+        columns = {sig.key: j for j, sig in enumerate(enumerate_partitions(len(subset)))}
+        expect = [columns[sig.restrict(subset).key] for sig in enumerate_partitions(n)]
+        assert _restriction_columns(n, subset).tolist() == expect, subset
 
 
 @pytest.mark.parametrize("n", SIZES)

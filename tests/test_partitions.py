@@ -249,6 +249,24 @@ def test_non_finite_values_and_non_bool_signed_are_refused(make):
         make()
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 2, "entries": 5},
+    {"n": 2, "entries": [1]},
+    {"n": 2, "entries": {"12": 1.0}},
+    {"n": 2, "entries": [{"q": 1.0}]},
+    {"n": 2, "entries": [{"key": "12", "q": "1"}]},
+    {"n": 2, "entries": [{"key": "12", "q": None}]},
+    {"n": 2.7, "entries": [{"key": "12", "q": 1.0}]},
+    {"n": True, "entries": [{"key": "1", "q": 1.0}]},
+    {"n": None, "entries": []},
+    [{"key": "12", "q": 1.0}],
+], ids=["entries_number", "entry_number", "entries_object", "entry_without_key",
+        "value_string", "value_null", "n_float", "n_bool", "n_null", "not_an_object"])
+def test_partition_distribution_from_json_checks_shape(obj):
+    with pytest.raises(ValueError):
+        PartitionDistribution.from_json(json.dumps(obj))
+
+
 def test_json_roundtrips(rng):
     q = random_probability_q(rng, 3)
     back = PartitionDistribution.from_json(q.to_json())

@@ -294,7 +294,7 @@ def test_permute_law_matches_bit_loop(rng):
             for idx in range(2 ** n):
                 bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
                 expect[sum(bits[perm[i] - 1] << (n - 1 - i) for i in range(n))] = law.probs[idx]
-            assert np.array_equal(_permute_law(law, perm), expect), perm
+            assert np.array_equal(_permute_law(law.probs, perm), expect), perm
 
 
 def test_square_circle_solver_small_theta_small_h():
