@@ -164,11 +164,20 @@ class PartitionTable(NamedTuple):
         return self.code_columns[np.searchsorted(self.codes, codes)]
 
 
+def _block_labels(sig: Partition, n: int) -> list[int]:
+    """``sig.block_of(i)`` for i = 1..n, filled one block at a time."""
+    row = [0] * n
+    for b, block in enumerate(sig.blocks):
+        for i in block:
+            row[i - 1] = b
+    return row
+
+
 @lru_cache(maxsize=None)
 def _partition_table(n: int) -> PartitionTable:
     """The one ``PartitionTable`` of [n], shared by every caller."""
-    labels = np.array([[sig.block_of(i) for i in range(1, n + 1)]
-                       for sig in enumerate_partitions(n)], dtype=np.int8)
+    labels = np.array([_block_labels(sig, n) for sig in enumerate_partitions(n)],
+                      dtype=np.int8)
     bits = (labels[:, None, :] == np.arange(n)[:, None]) @ (1 << np.arange(n - 1, -1, -1))
     codes = _label_codes(labels)
     order = np.argsort(codes)

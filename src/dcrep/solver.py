@@ -3,10 +3,12 @@
 Three routes, used where each is exact:
   * n = 3, p != 1/2: the unique signed representation in closed form;
   * n = 3, p = 1/2 ({0,1}-symmetric): the one-parameter t-family;
-  * general n: phase-I LP feasibility over the coloring map, solved by HiGHS,
-    with a Farkas certificate on infeasibility and a +-3 stderr relaxation
-    for MC laws.  ``exact=True`` keeps the float solve and checks the
-    certificate by an integer check over the cells before calling a law Infeasible.
+  * general n: phase-I LP feasibility over the coloring map, solved by one
+    direct call into the HiGHS bindings that scipy ships
+    (``scipy.optimize._highspy._core``), with a Farkas certificate on
+    infeasibility and a +-3 stderr relaxation for MC laws.  ``exact=True``
+    keeps the float solve and checks the certificate by an integer check over
+    the cells before calling a law Infeasible.
 A symmetry-reduced solver handles the four-points-on-a-circle family, where
 the alternating pattern is forbidden and the dihedral symmetry collapses the
 problem to the t-family of the first three coordinates.
@@ -21,7 +23,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.sparse import csc_array
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:
+    raise ImportError("dcrep needs scipy >= 1.15: it solves its LPs through the HiGHS "
+                      "bindings scipy.optimize._highspy._core, which older scipy "
+                      "releases do not ship") from exc
 
 from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, _one_cells,
                          color_map, color_map_exact, enumerate_partitions, push_forward)
@@ -235,6 +244,34 @@ class PhaseOneResult:
     pivots: int                 # HiGHS simplex iterations
 
 
+# the settings that scipy's own HiGHS LP interface passes, with the primal
+# tolerance below: at HiGHS's default, 1e-7, an optimum of 0 can leave
+# |A q - b| near 1e-7 (8.5e-8 on an n = 6 law at p = 1/2)
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.primal_feasibility_tolerance = PRIMAL_FEAS_TOL
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+# the post-solve check of that interface: bounds and equality residual within
+# 10 sqrt(1e-9)
+_SOLUTION_TOL = 10.0 * math.sqrt(1e-9)
+
+
+def _phase_one_columns(a: np.ndarray, signs: list[float]):
+    """CSC arrays (indptr, indices, data) of [A | s_1 I | s_2 I ...] for the
+    ``signs`` s_i: the sparse A, then one entry per identity column."""
+    csc = csc_array(a)
+    m = a.shape[0]
+    eyes = len(signs)
+    indptr = np.concatenate([csc.indptr, csc.nnz + np.arange(1, eyes * m + 1,
+                                                             dtype=csc.indptr.dtype)])
+    indices = np.concatenate([csc.indices, np.tile(np.arange(m, dtype=csc.indices.dtype),
+                                                   eyes)])
+    return indptr, indices, np.concatenate([csc.data, np.repeat(signs, m)])
+
+
 def phase_one(a, b, slack=None) -> PhaseOneResult:
     """Phase-I LP by HiGHS: minimize 1'(s+ + s-) subject to
     A q + e + s+ - s- = b, with q, s+, s- >= 0 and |e| <= slack cellwise
@@ -243,25 +280,53 @@ def phase_one(a, b, slack=None) -> PhaseOneResult:
     The optimum is 0 iff some q >= 0 has |A q - b| <= slack.  The equality
     multipliers y satisfy y'A <= 0 and, without slack, y'b = objective, so on
     a positive optimum they are a Farkas certificate.
+
+    Raises ValueError on a non-finite ``b`` or ``slack`` and RuntimeError when
+    HiGHS ends without an optimum or its optimum misses the constraints.
     """
     a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     m, k = a.shape
-    eye = np.eye(m)
-    blocks = [a, eye, -eye]
+    if b.shape != (m,) or not np.all(np.isfinite(b)):
+        raise ValueError(f"b must be {m} finite values")
+    signs = [1.0, -1.0]                     # the columns of s+ and s-
+    lower = np.zeros(k + 2 * m)
+    upper = np.full(k + 2 * m, math.inf)
     cost = np.concatenate([np.zeros(k), np.ones(2 * m)])
-    bounds = [(0.0, None)] * (k + 2 * m)
     if slack is not None:
-        blocks.append(eye)
+        signs.append(1.0)                   # and of e
+        slack = np.asarray(slack, dtype=float)
+        if slack.shape != (m,) or not np.all(np.isfinite(slack)):
+            raise ValueError(f"slack must be {m} finite values")
+        lower, upper = np.concatenate([lower, -slack]), np.concatenate([upper, slack])
         cost = np.concatenate([cost, np.zeros(m)])
-        bounds += [(-s, s) for s in np.asarray(slack, dtype=float)]
-    # at HiGHS's default primal feasibility tolerance, 1e-7, an optimum of 0
-    # can leave |A q - b| near 1e-7 (8.5e-8 on an n = 6 law at p = 1/2)
-    res = linprog(cost, A_eq=np.hstack(blocks), b_eq=b, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": PRIMAL_FEAS_TOL})
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS phase I failed: {res.message}")
-    return PhaseOneResult(objective=float(res.fun), x=res.x[:k],
-                          y=res.eqlin.marginals, pivots=int(res.nit))
+    indptr, indices, data = _phase_one_columns(a, signs)
+
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = indptr, indices, data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+    lp.row_lower_ = lp.row_upper_ = b
+    highs = _highs._Highs()
+    error = _highs.HighsStatus.kError
+    if (highs.passOptions(_HIGHS_OPTIONS) == error or highs.passModel(lp) == error
+            or highs.run() == error
+            or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+        raise RuntimeError("HiGHS phase I failed: "
+                           + highs.modelStatusToString(highs.getModelStatus()))
+    info, solution = highs.getInfo(), highs.getSolution()
+    x = np.array(solution.col_value)
+    residual = b - np.array(solution.row_value)
+    if not (math.isfinite(info.objective_function_value)
+            and np.all(x >= lower - _SOLUTION_TOL) and np.all(x <= upper + _SOLUTION_TOL)
+            and np.all(np.abs(residual) <= _SOLUTION_TOL)):
+        raise RuntimeError("HiGHS phase I failed: the solution misses the bounds or "
+                           f"the equalities by more than {_SOLUTION_TOL:.2e}")
+    return PhaseOneResult(objective=float(info.objective_function_value), x=x[:k],
+                          y=np.array(solution.row_dual),
+                          pivots=int(info.simplex_iteration_count))
 
 
 def phase_one_exact(n: int, p: float, nu, y) -> bool:

@@ -359,3 +359,18 @@ def test_partition_table_matches_the_blocks(n):
     assert _partition_table(n) is table
     for array in table:
         assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_partition_table_is_the_block_of_table(n):
+    """Every array of the table, dtype included, equals the table built from
+    one ``Partition.block_of`` call per element."""
+    labels = np.array([[sig.block_of(i) for i in range(1, n + 1)]
+                       for sig in enumerate_partitions(n)], dtype=np.int8)
+    bits = (labels[:, None, :] == np.arange(n)[:, None]) @ (1 << np.arange(n - 1, -1, -1))
+    codes = _label_codes(labels)
+    order = np.argsort(codes)
+    reference = (labels, labels.max(axis=1) + 1, bits, codes[order], order)
+    for got, want in zip(_partition_table(n), reference, strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

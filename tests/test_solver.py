@@ -1,23 +1,29 @@
 import functools
+import importlib
 import itertools
 import math
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from dcrep import solver
 from dcrep.gaussian import (correlations3, markov_chain_cov, square_on_sphere_cov,
                             square_threshold_law_exact, symmetric_plus_mean_cov,
                             threshold_law_mc, zero_threshold_law_3)
 from dcrep.partitions import (BinaryLaw, PartitionDistribution, color_map,
                               enumerate_partitions, marginalize_partition,
-                              push_forward)
+                              push_forward, simulate_color_process)
 from dcrep.reports import Verdict
-from dcrep.solver import (gaussian_sym_family_interval, lp_feasibility, phase_one_exact,
-                          quick_sufficient_symmetric, signed_rep_3,
+from dcrep.solver import (gaussian_sym_family_interval, lp_feasibility, phase_one,
+                          phase_one_exact, quick_sufficient_symmetric, signed_rep_3,
                           square_circle_solver, symmetric_plus_mean_gap,
                           symmetric_rep_family_3)
+from dcrep.stable import stable_markov_model, stable_threshold_law_mc
 
 from conftest import random_probability_q
 
@@ -478,3 +484,136 @@ def test_lp_feasibility_rejects_a_bad_tol(tol):
     # a nan tol used to compare False everywhere and report a Feasible law Infeasible
     with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         lp_feasibility(product_law(3, 0.3), tol=tol)
+
+
+# -- phase_one against scipy's linprog ------------------------------------------
+
+def linprog_phase_one(a, b, slack=None):
+    """The oracle: the same phase-I LP through ``scipy.optimize.linprog``,
+    whose ``method="highs"`` wraps the same HiGHS solve in input cleaning and
+    a dense [A | I | -I (| I)]."""
+    m, k = a.shape
+    eye = np.eye(m)
+    blocks = [a, eye, -eye]
+    cost = np.concatenate([np.zeros(k), np.ones(2 * m)])
+    bounds = [(0.0, None)] * (k + 2 * m)
+    if slack is not None:
+        blocks.append(eye)
+        cost = np.concatenate([cost, np.zeros(m)])
+        bounds += [(-s, s) for s in slack]
+    res = linprog(cost, A_eq=np.hstack(blocks), b_eq=b, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": solver.PRIMAL_FEAS_TOL})
+    assert res.status == 0, res.message
+    return res
+
+
+def dirichlet_law(n, p):
+    return push_forward(random_probability_q(np.random.default_rng(n), n), p)
+
+
+PARITY_CORPUS = {
+    **{f"dirichlet n={n} p={p}": functools.partial(dirichlet_law, n, p)
+       for n in range(3, 8) for p in (0.3, 0.5)},
+    "negative pair": negative_pair_law,
+    "square theta=pi/3": functools.partial(square_threshold_law_exact, math.pi / 3),
+    "gaussian chain MC": lambda: threshold_law_mc(markov_chain_cov(4, 0.5), 0.0, 10 ** 4,
+                                                  seed=0),
+    "stable chain MC": lambda: stable_threshold_law_mc(stable_markov_model(0.5, 1.2, 4), 0.5,
+                                                       10 ** 4, seed=0),
+    "color process MC": lambda: simulate_color_process(
+        random_probability_q(np.random.default_rng(5), 5), 0.3, 10 ** 4, seed=0)[1],
+}
+
+
+@pytest.mark.parametrize("name", PARITY_CORPUS)
+def test_phase_one_matches_linprog_bit_for_bit(monkeypatch, name):
+    law = PARITY_CORPUS[name]()
+    calls = []
+
+    def recording(a, b, slack=None):
+        result = phase_one(a, b, slack)
+        calls.append((a, b, slack, result))
+        return result
+
+    monkeypatch.setattr(solver, "phase_one", recording)
+    status = lp_feasibility(law).status
+    if name.endswith("MC"):
+        assert status == "Borderline" and [c[2] is not None for c in calls] == [False, True]
+    elif name.startswith("dirichlet"):
+        assert status == "Feasible" and len(calls) == 1
+    else:
+        assert status == "Infeasible" and len(calls) == 1
+    for a, b, slack, got in calls:
+        want = linprog_phase_one(a, b, slack)
+        assert got.objective == want.fun
+        assert got.pivots == want.nit
+        assert got.x.tobytes() == want.x[:a.shape[1]].tobytes()
+        assert got.y.tobytes() == want.eqlin.marginals.tobytes()
+
+
+@pytest.mark.parametrize("which", ["b", "slack"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_phase_one_rejects_a_non_finite_rhs_or_slack(which, value):
+    # linprog refused such a b; a nan slack it passed on, and HiGHS called the LP solved
+    mat = color_map(3, 0.3)
+    b, slack = mat @ np.full(5, 0.2), np.full(8, 0.01)
+    (b if which == "b" else slack)[2] = value
+    with pytest.raises(ValueError, match=f"{which} must be 8 finite values"):
+        phase_one(mat, b, slack)
+
+
+def test_phase_one_raises_when_highs_finds_no_optimum():
+    mat = color_map(3, 0.3)
+    slack = np.full(8, 0.01)
+    slack[2] = -0.01            # the box of e_2 is empty
+    with pytest.raises(RuntimeError, match="HiGHS phase I failed: Infeasible"):
+        phase_one(mat, mat @ np.full(5, 0.2), slack)
+
+
+@pytest.mark.parametrize("getter, field, spoil", [
+    ("getSolution", "row_value", lambda v: [v[0] + 1e-3, *v[1:]]),   # A x + ... misses b
+    ("getSolution", "col_value", lambda v: [-1e-3, *v[1:]]),         # q_1 < 0
+    ("getSolution", "col_value", lambda v: [math.nan, *v[1:]]),
+    ("getInfo", "objective_function_value", lambda v: math.nan),
+])
+def test_phase_one_checks_the_solution_it_returns(monkeypatch, getter, field, spoil):
+    """HiGHS's optimum is checked as scipy's LP interface checks it: bounds
+    and equality residual within 10 sqrt(1e-9), and no nan."""
+    highs = solver._highs._Highs
+
+    def spoiled(self):
+        got = getattr(highs, getter)(self)
+        setattr(got, field, spoil(getattr(got, field)))
+        return got
+
+    mat = color_map(3, 0.3)
+    b = mat @ np.full(5, 0.2)
+    assert phase_one(mat, b).objective <= 1e-12
+    monkeypatch.setattr(solver._highs, "_Highs", type("Spoiled", (highs,), {getter: spoiled}))
+    with pytest.raises(RuntimeError, match="HiGHS phase I failed: the solution misses"):
+        phase_one(mat, b)
+
+
+def test_lp_feasibility_n8_peak_memory_is_bounded():
+    """The LP goes to HiGHS as CSC arrays: no dense [A | I | -I] next to the
+    256 x 4,140 map (a 39 MB peak when it did)."""
+    law = dirichlet_law(8, 0.3)
+    assert lp_feasibility(law).status == "Feasible"     # warm the caches
+    tracemalloc.start()
+    try:
+        result = lp_feasibility(law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "Feasible"
+    assert peak < 20 * 2 ** 20
+
+
+def test_import_names_the_scipy_floor(monkeypatch):
+    import scipy.optimize._highspy as highspy
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    monkeypatch.delattr(highspy, "_core")
+    monkeypatch.delitem(sys.modules, "dcrep.solver")
+    with pytest.raises(ImportError, match=r"dcrep needs scipy >= 1\.15"):
+        importlib.import_module("dcrep.solver")
