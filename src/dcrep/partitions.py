@@ -21,6 +21,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csc_array
 
 from .rng import make_rng
 
@@ -242,19 +243,41 @@ def _color_map_cells(n: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def color_map(n: int, p: float) -> np.ndarray:
-    """Dense 2^n x Bell(n) matrix of the coloring map at bias p.
+@lru_cache(maxsize=None)
+def _color_map_csc_structure(n: int) -> tuple[np.ndarray, ...]:
+    """The sparsity structure of ``color_map_csc(n, .)``, shared by every p:
+    int32 ``indptr`` and ``indices`` of the cells sorted by (column, row),
+    and each sorted cell's index into the flattened ``_coloring_weights``."""
+    row, col, k, kk = _color_map_cells(n)
+    order = np.lexsort((row, col))
+    indptr = np.zeros(BELL[n] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=BELL[n]), out=indptr[1:])
+    arrays = (indptr, row[order].astype(np.int32),
+              (kk.astype(np.intp) * (n + 1) + k)[order])
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def color_map_csc(n: int, p: float) -> csc_array:
+    """The 2^n x Bell(n) coloring map at bias p, as a CSC matrix.
 
     Column sigma puts weight p^k (1-p)^(K-k) on each string that colors k of
-    sigma's K blocks 1; every column sums to 1.
+    sigma's K blocks 1; every column sums to 1.  Its arrays equal those of
+    ``csc_array(color_map(n, p))``; only ``data`` is computed per p, by one
+    gather from the (n+1) x (n+1) weight table.
     """
     _check_n(n)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0,1), got {p}")
-    row, col, k, kk = _color_map_cells(n)
-    mat = np.zeros((2 ** n, bell_number(n)))
-    mat[row, col] = _coloring_weights(n, p)[kk, k]
-    return mat
+    indptr, indices, weight = _color_map_csc_structure(n)
+    data = _coloring_weights(n, p).ravel()[weight]
+    return csc_array((data, indices, indptr), shape=(2 ** n, BELL[n]))
+
+
+def color_map(n: int, p: float) -> np.ndarray:
+    """``color_map_csc(n, p)`` as a dense 2^n x Bell(n) array."""
+    return color_map_csc(n, p).toarray()
 
 
 def _coloring_weights(n: int, p: float) -> np.ndarray:

@@ -6,9 +6,15 @@ Three routes, used where each is exact:
   * general n: phase-I LP feasibility over the coloring map, solved by one
     direct call into the HiGHS bindings that scipy ships
     (``scipy.optimize._highspy._core``), with a Farkas certificate on
-    infeasibility and a +-3 stderr relaxation for MC laws.  ``exact=True``
-    keeps the float solve and checks the certificate by an integer check over
-    the cells before calling a law Infeasible.
+    infeasibility and a +-3 stderr relaxation for MC laws.  The map exists
+    on this path only as a CSC matrix whose columns are the cached cells
+    (``color_map_csc``); it goes to HiGHS by one array ``passModel``, with
+    presolve off, and the margin and the certificate check read the cells
+    too (``push_forward``, ``A.T @ y``).  At n = 9 (512 x 21,147) the LP of a
+    Dirichlet law takes 2.1 s on a 2-core x86-64 box, with a 14 MiB
+    ``tracemalloc`` peak once the caches are warm.  ``exact=True`` keeps the
+    float solve and checks the certificate by an integer check over the
+    cells before calling a law Infeasible.
 A symmetry-reduced solver handles the four-points-on-a-circle family, where
 the alternating pattern is forbidden and the dihedral symmetry collapses the
 problem to the t-family of the first three coordinates.
@@ -32,8 +38,10 @@ except ImportError as exc:
                       "bindings scipy.optimize._highspy._core, which older scipy "
                       "releases do not ship") from exc
 
+# color_map is off the LP path; code outside it still imports it from here
 from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, _one_cells,
-                         color_map, color_map_exact, enumerate_partitions, push_forward)
+                         color_map, color_map_csc, color_map_exact, enumerate_partitions,
+                         push_forward)
 from .reports import Verdict
 
 FEAS_TOL = 1e-9
@@ -246,24 +254,27 @@ class PhaseOneResult:
 
 # the settings that scipy's own HiGHS LP interface passes, with the primal
 # tolerance below: at HiGHS's default, 1e-7, an optimum of 0 can leave
-# |A q - b| near 1e-7 (8.5e-8 on an n = 6 law at p = 1/2)
+# |A q - b| near 1e-7 (8.5e-8 on an n = 6 law at p = 1/2).  Presolve is off:
+# on laws with no zero cell it changed neither x, y nor the pivot count, and
+# it took a third of an n = 6 solve
 _HIGHS_OPTIONS = _highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.presolve = "off"
 _HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _HIGHS_OPTIONS.primal_feasibility_tolerance = PRIMAL_FEAS_TOL
 _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 # the post-solve check of that interface: bounds and equality residual within
 # 10 sqrt(1e-9)
 _SOLUTION_TOL = 10.0 * math.sqrt(1e-9)
 
 
-def _phase_one_columns(a: np.ndarray, signs: list[float]):
+def _phase_one_columns(csc: csc_array, signs: list[float]):
     """CSC arrays (indptr, indices, data) of [A | s_1 I | s_2 I ...] for the
-    ``signs`` s_i: the sparse A, then one entry per identity column."""
-    csc = csc_array(a)
-    m = a.shape[0]
+    ``signs`` s_i: the CSC A, then one entry per identity column."""
+    m = csc.shape[0]
     eyes = len(signs)
     indptr = np.concatenate([csc.indptr, csc.nnz + np.arange(1, eyes * m + 1,
                                                              dtype=csc.indptr.dtype)])
@@ -275,7 +286,8 @@ def _phase_one_columns(a: np.ndarray, signs: list[float]):
 def phase_one(a, b, slack=None) -> PhaseOneResult:
     """Phase-I LP by HiGHS: minimize 1'(s+ + s-) subject to
     A q + e + s+ - s- = b, with q, s+, s- >= 0 and |e| <= slack cellwise
-    (e = 0 when ``slack`` is None).
+    (e = 0 when ``slack`` is None).  ``a`` is a dense or sparse matrix; it
+    goes to HiGHS as CSC arrays, by one array call.
 
     The optimum is 0 iff some q >= 0 has |A q - b| <= slack.  The equality
     multipliers y satisfy y'A <= 0 and, without slack, y'b = objective, so on
@@ -284,7 +296,7 @@ def phase_one(a, b, slack=None) -> PhaseOneResult:
     Raises ValueError on a non-finite ``b`` or ``slack`` and RuntimeError when
     HiGHS ends without an optimum or its optimum misses the constraints.
     """
-    a = np.asarray(a, dtype=float)
+    a = csc_array(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, k = a.shape
     if b.shape != (m,) or not np.all(np.isfinite(b)):
@@ -302,16 +314,14 @@ def phase_one(a, b, slack=None) -> PhaseOneResult:
         cost = np.concatenate([cost, np.zeros(m)])
     indptr, indices, data = _phase_one_columns(a, signs)
 
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = indptr, indices, data
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
-    lp.row_lower_ = lp.row_upper_ = b
+    num_col = len(cost)
     highs = _highs._Highs()
     error = _highs.HighsStatus.kError
-    if (highs.passOptions(_HIGHS_OPTIONS) == error or highs.passModel(lp) == error
+    # an empty integrality array is an error: all zeros is continuous
+    if (highs.passOptions(_HIGHS_OPTIONS) == error
+            or highs.passModel(num_col, m, len(data), _COLWISE, _MINIMIZE, 0.0, cost, lower,
+                               upper, b, b, indptr, indices, data,
+                               np.zeros(num_col, dtype=np.int32)) == error
             or highs.run() == error
             or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal):
         raise RuntimeError("HiGHS phase I failed: "
@@ -376,7 +386,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     elif abs(p - p_detected) > max(marginal_tol, 1e-6):
         raise ValueError(f"stated p={p} inconsistent with marginals {p_detected:.6g}")
     n = nu.n
-    mat = color_map(n, p)
+    mat = color_map_csc(n, p)
 
     strict = phase_one(mat, nu.probs)
     detail = {"phase1_objective": strict.objective}
@@ -384,7 +394,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
         detail["mode"] = "exact"
     if strict.objective <= tol:
         q = _extract_q(n, strict.x)
-        margin = float(np.max(np.abs(mat @ q.vector - nu.probs)))
+        margin = float(np.max(np.abs(push_forward(q, p).probs - nu.probs)))
         return FeasibilityResult("Feasible", q, margin, detail=detail)
 
     objective, status = strict.objective, "Infeasible"
@@ -393,7 +403,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
         objective = detail["relaxed_objective"] = relaxed.objective
         if objective <= tol:
             q = _extract_q(n, relaxed.x)
-            margin = float(np.max(np.abs(mat @ q.vector - nu.probs)))
+            margin = float(np.max(np.abs(push_forward(q, p).probs - nu.probs)))
             return FeasibilityResult("Borderline", q, margin, detail=detail)
     elif objective <= 100.0 * tol:
         status = "Borderline"
@@ -407,13 +417,13 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
                              detail=detail)
 
 
-def _clean_certificate(mat: np.ndarray, nu: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+def _clean_certificate(mat: csc_array, nu: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     """Validate and normalize a Farkas certificate; None if it fails to verify."""
     scale = float(np.max(np.abs(y)))
     if scale == 0.0:
         return None
     y = y / scale
-    if float(np.max(y @ mat)) > 1e-7 or float(y @ nu) <= 0.0:
+    if float(np.max(mat.T @ y)) > 1e-7 or float(y @ nu) <= 0.0:
         return None
     return y
 

@@ -1,14 +1,22 @@
-"""Every name the benchmark's tracer wraps must still exist in dcrep.
+"""Every name the benchmark's tracer wraps must still exist in dcrep, and
+its LP counters must read what ``lp_feasibility`` solves.
 
-``bench/tracing.py`` is loaded as a plain module and only read: no wrapper is
-installed.  A refactor that drops or renames a traced function otherwise
+``bench/tracing.py`` is loaded as a plain module.  A refactor that drops or
+renames a traced function, or changes what ``phase_one`` takes, otherwise
 fails only a traced benchmark run (``bench/run.py --trace 1``).
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from dcrep import solver
+from dcrep.partitions import bell_number, push_forward, simulate_color_process
+from dcrep.solver import phase_one
+
+from conftest import random_probability_q
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -29,3 +37,39 @@ def test_traced_name_is_defined_by_its_owner(path, attr):
     owner = tracing._owner(path)
     assert attr in vars(owner), f"{path} has no attribute {attr!r} of its own"
     assert callable(vars(owner)[attr])
+
+
+LAWS = {
+    "dirichlet n=4": lambda: push_forward(random_probability_q(np.random.default_rng(4), 4), 0.3),
+    "color process MC": lambda: simulate_color_process(
+        random_probability_q(np.random.default_rng(5), 5), 0.3, 10 ** 4, seed=0)[1],
+}
+
+
+@pytest.mark.parametrize("name", LAWS)
+def test_installed_tracer_counts_the_phase_one_lp_shapes(monkeypatch, name):
+    """The installed tracer's ``simplex.phase_one`` counters read the matrix
+    that ``lp_feasibility`` hands ``phase_one``: rows 2^n and columns Bell(n)
+    per call, and HiGHS's pivots."""
+    law = LAWS[name]()
+    calls = []
+
+    def recording(a, b, slack=None):
+        result = phase_one(a, b, slack)
+        calls.append((a.shape, result.pivots))
+        return result
+
+    monkeypatch.setattr(solver, "phase_one", recording)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        solver.lp_feasibility(law)
+    finally:
+        tracer.uninstall()
+    assert len(calls) == (2 if name.endswith("MC") else 1)
+    assert all(shape == (2 ** law.n, bell_number(law.n)) for shape, _ in calls)
+    counts = {key: tracer.counts[f"simplex.phase_one.{key}"] for key in ("rows", "cols", "pivots")}
+    assert counts == {"rows": sum(shape[0] for shape, _ in calls),
+                      "cols": sum(shape[1] for shape, _ in calls),
+                      "pivots": sum(pivots for _, pivots in calls)}
+    assert min(counts.values()) > 0

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib
 import itertools
 import math
@@ -10,12 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from dcrep import solver
 from dcrep.gaussian import (correlations3, markov_chain_cov, square_on_sphere_cov,
                             square_threshold_law_exact, symmetric_plus_mean_cov,
                             threshold_law_mc, zero_threshold_law_3)
-from dcrep.partitions import (BinaryLaw, PartitionDistribution, color_map,
+from dcrep.partitions import (BinaryLaw, PartitionDistribution, _color_map_cells,
+                              _coloring_weights, bell_number, color_map, color_map_csc,
                               enumerate_partitions, marginalize_partition,
                               push_forward, simulate_color_process)
 from dcrep.reports import Verdict
@@ -140,6 +143,16 @@ def test_lp_feasibility_negative_correlation_certificate():
     mat = color_map(2, 0.5)
     assert float(np.max(y @ mat)) <= 1e-9
     assert float(y @ nu.probs) > 0.0
+
+
+def test_clean_certificate_refuses_a_y_with_a_positive_column():
+    nu = BinaryLaw(2, [0.2, 0.3, 0.3, 0.2])
+    mat = color_map_csc(2, 0.5)
+    y = lp_feasibility(nu).certificate
+    assert solver._clean_certificate(mat, nu.probs, y).tobytes() == y.tobytes()
+    # every column of the map sums to 1: y + 0.01 raises each (y'A)_j by 0.01
+    assert float((y + 0.01) @ nu.probs) > 0.0
+    assert solver._clean_certificate(mat, nu.probs, y + 0.01) is None
 
 
 def test_lp_roundtrip_and_oracle_agreement(rng):
@@ -491,7 +504,8 @@ def test_lp_feasibility_rejects_a_bad_tol(tol):
 def linprog_phase_one(a, b, slack=None):
     """The oracle: the same phase-I LP through ``scipy.optimize.linprog``,
     whose ``method="highs"`` wraps the same HiGHS solve in input cleaning and
-    a dense [A | I | -I (| I)]."""
+    a dense [A | I | -I (| I)], with presolve off as in ``phase_one``."""
+    a = a.toarray()
     m, k = a.shape
     eye = np.eye(m)
     blocks = [a, eye, -eye]
@@ -502,7 +516,8 @@ def linprog_phase_one(a, b, slack=None):
         cost = np.concatenate([cost, np.zeros(m)])
         bounds += [(-s, s) for s in slack]
     res = linprog(cost, A_eq=np.hstack(blocks), b_eq=b, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": solver.PRIMAL_FEAS_TOL})
+                  options={"primal_feasibility_tolerance": solver.PRIMAL_FEAS_TOL,
+                           "presolve": False})
     assert res.status == 0, res.message
     return res
 
@@ -607,6 +622,68 @@ def test_lp_feasibility_n8_peak_memory_is_bounded():
         tracemalloc.stop()
     assert result.status == "Feasible"
     assert peak < 20 * 2 ** 20
+
+
+def test_lp_feasibility_n9_peak_memory_is_bounded():
+    """The coloring map reaches HiGHS as CSC arrays gathered from the cached
+    cells: no dense 512 x 21,147 map (a 102 MiB peak when it was built)."""
+    law = dirichlet_law(9, 0.3)
+    assert lp_feasibility(law).status == "Feasible"     # warm the caches
+    tracemalloc.start()
+    try:
+        result = lp_feasibility(law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "Feasible"
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_color_map_csc_equals_the_sparse_dense_map(n):
+    row, col, k, kk = _color_map_cells(n)
+    for p in (0.3, 1 / 3, 0.5, np.nextafter(0.5, 0.0)):
+        dense = np.zeros((2 ** n, bell_number(n)))      # the map as a scatter of the cells
+        dense[row, col] = _coloring_weights(n, p)[kk, k]
+        assert np.array_equal(color_map(n, p), dense)
+        got, want = color_map_csc(n, p), csc_array(color_map(n, p))
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+# lp_feasibility before the LP took the CSC map, with presolve on: the verdict
+# and the first 16 hex digits of the sha256 of q.vector's bytes (of the
+# certificate for the negative-pair law).  Laws without a zero cell keep them.
+RECORDED_LP_OUTPUTS = {
+    (3, 0.3): ("Feasible", "1c58f987b022cb76"),
+    (3, 1 / 3): ("Feasible", "a0ae83cfb29d90aa"),
+    (3, 0.5): ("Feasible", "6d4e6b75dc64f004"),
+    (4, 0.3): ("Feasible", "dee7732236b41d82"),
+    (4, 1 / 3): ("Feasible", "09abec3e4a315c32"),
+    (4, 0.5): ("Feasible", "fae097f7f1bc4f74"),
+    (5, 0.3): ("Feasible", "744978d98f36905c"),
+    (5, 1 / 3): ("Feasible", "684d716df20addbf"),
+    (5, 0.5): ("Feasible", "522ead8b30503097"),
+    (6, 0.3): ("Feasible", "5748f89ce6b9200c"),
+    (6, 1 / 3): ("Feasible", "bdaba9f8338b0de8"),
+    (6, 0.5): ("Feasible", "5b65285a8ce05b4a"),
+    (7, 0.3): ("Feasible", "9f196360434c102a"),
+    (7, 1 / 3): ("Feasible", "7caff983a7d5e005"),
+    (7, 0.5): ("Feasible", "078f8359659f3367"),
+    "negative pair": ("Infeasible", "fb9bdd4acd799a9b"),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED_LP_OUTPUTS, ids=str)
+def test_lp_feasibility_keeps_its_recorded_outputs(case):
+    law = negative_pair_law() if case == "negative pair" else dirichlet_law(*case)
+    assert np.all(law.probs > 0.0)
+    result = lp_feasibility(law)
+    vector = result.certificate if result.q is None else result.q.vector
+    assert (result.status, hashlib.sha256(vector.tobytes()).hexdigest()[:16]) \
+        == RECORDED_LP_OUTPUTS[case]
 
 
 def test_import_names_the_scipy_floor(monkeypatch):
