@@ -170,17 +170,14 @@ class StableLimitReport:
 
     order1: dict[str, float]
     q_limits: dict[str, float]
-    order2_101: float | None = None
 
     def to_json_dict(self) -> dict:
         return {"formula": "nu-ratio and q limits as h -> infinity",
                 "order1": dict(sorted(self.order1.items())),
-                "q_limits": dict(sorted(self.q_limits.items())),
-                "order2_101": self.order2_101}
+                "q_limits": dict(sorted(self.q_limits.items()))}
 
 
-def stable_limit_report(measure: SpectralMeasure,
-                        order2_101: float | None = None) -> StableLimitReport:
+def stable_limit_report(measure: SpectralMeasure) -> StableLimitReport:
     """All order-1 limits of a 3-dim measure plus the derived q-limits.
 
     As h -> infinity the five representation weights converge to
@@ -197,7 +194,7 @@ def stable_limit_report(measure: SpectralMeasure,
         "1|23": order1["011"],
         "123": order1["111"],
     }
-    return StableLimitReport(order1=order1, q_limits=q_limits, order2_101=order2_101)
+    return StableLimitReport(order1=order1, q_limits=q_limits)
 
 
 def gamma_factor(alpha: float) -> float:

@@ -1,7 +1,10 @@
 """Command-line surface: analyze / solve / scan / simulate / asymptotics.
 
-Every output embeds the schema tag, the resolved configuration and the seed,
-so rerunning a command with the same config is byte-identical.  Exit codes:
+Each subcommand takes only the flags it reads, plus ``--config`` and
+``--out``; any other flag exits 2.  Every output embeds the schema tag and
+each flag value the command read, from the command line, the config file or
+the default (the seed among them wherever the command draws samples), so
+rerunning a command with the echoed config is byte-identical.  Exit codes:
 0 success, 2 usage or configuration error, 3 numerical failure.
 """
 
@@ -49,6 +52,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; the json module also reads NaN and Infinity."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_matrix(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(row, list) and all(map(_is_number, row)) for row in x)
+
+
+# The JSON fields each model kind needs, checked before they are read; a law's
+# fields are checked by BinaryLaw.from_json
+_MODEL_FIELDS = {
+    "gaussian": {"a": (_is_matrix, "a list of lists of finite numbers")},
+    "stable": {"alpha": (_is_number, "a finite number"),
+               "loadings": (_is_matrix, "a list of lists of finite numbers")},
+}
+
+
 def load_model(spec: str) -> dict:
     """Model spec: inline JSON or a path to a JSON file."""
     text = spec
@@ -76,25 +98,30 @@ def load_model(spec: str) -> dict:
             raise UsageError("cannot infer model kind: give 'kind' or one of "
                              "'a' / 'loadings' / 'entries'")
         obj = {**obj, "kind": kind}
+    if kind not in ("gaussian", "stable", "law"):
+        raise UsageError(f"unknown model kind {kind!r}")
+    for field, (check, what) in _MODEL_FIELDS.get(kind, {}).items():
+        if field not in obj:
+            raise UsageError(f"a {kind} model needs the field {field!r}")
+        if not check(obj[field]):
+            raise UsageError(f"model field {field!r} must be {what}, got {obj[field]!r}")
     if kind == "gaussian":
         obj["_cov"] = CovarianceSpec(obj["a"])
     elif kind == "stable":
         obj["_model"] = stb.StableLinearModel(float(obj["alpha"]), obj["loadings"])
-    elif kind == "law":
-        obj["_law"] = BinaryLaw.from_json(json.dumps(obj))
     else:
-        raise UsageError(f"unknown model kind {kind!r}")
+        obj["_law"] = BinaryLaw.from_json(json.dumps(obj))
     return obj
 
 
-def _config_echo(args, extra=None) -> dict:
-    cfg = {"schema": SCHEMA, "command": args.command}
-    for key in ("model", "h", "p", "samples", "seed", "tol", "format",
-                "scan", "a_step", "simulator", "n", "alpha", "a"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    if extra:
-        cfg.update(extra)
+def _config_echo(args) -> dict:
+    """The schema tag, the command and every flag value it holds: its parser
+    has only the flags the command reads.  ``--config`` and ``--out`` name
+    where the values came from and where the output goes, so they are left
+    out."""
+    cfg = {"schema": SCHEMA}
+    cfg.update((key, val) for key, val in vars(args).items()
+               if val is not None and key not in ("config", "out"))
     return cfg
 
 
@@ -319,6 +346,9 @@ def cmd_simulate(args) -> dict | None:
                                  "bins": [vars(b) for b in report.bins],
                                  "excluded_bins": list(report.excluded_bins)}}
     if sim == "color":
+        if args.format == "csv":
+            raise UsageError("simulator 'color' writes a JSON report; --format csv "
+                             "is for the samples of 'ou' and 'stable-chain'")
         obj = load_model(args.model) if args.model else None
         if obj is None or obj["kind"] != "law":
             raise UsageError("simulator 'color' needs --model with an explicit law; "
@@ -358,39 +388,48 @@ def cmd_asymptotics(args) -> dict:
     return out
 
 
+# Every flag of the CLI; an absent flag is None until _fill_defaults
+_FLAGS = {
+    "model": {"help": "model JSON (inline or path)"},
+    "h": {"type": float},
+    "p": {"type": float},
+    "samples": {"type": int},
+    "seed": {"type": int},
+    "tol": {"type": float},
+    "format": {"choices": ["json", "csv"]},
+    "scan": {"choices": ["ab", "theta", "alpha"], "required": True},
+    "a-step": {"type": float},
+    "a": {"type": float},
+    "simulator": {"choices": ["color", "ou", "stable-chain"], "required": True},
+    "alpha": {"type": float},
+    "n": {"type": int},
+}
+
+_LAW_FLAGS = ("model", "h", "p", "samples", "seed", "tol")
+
+# Each subcommand's help and the flags its cmd_* reads
+_COMMANDS = {
+    "analyze": ("condition checkers + regime classifiers", _LAW_FLAGS),
+    "solve": ("representations of a law", _LAW_FLAGS),
+    "scan": ("parameter-region scans (CSV)", ("scan", "a-step", "a")),
+    "simulate": ("samplers + verification",
+                 ("simulator", "model", "samples", "seed", "format", "a", "alpha", "n")),
+    "asymptotics": ("closed-form limit reports", ("model",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dcrep",
                                  description="divide-and-color representability toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, flags) in _COMMANDS.items():
+        # no prefix matching: a command without --h must refuse --h, not
+        # read it as --help
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--model", help="model JSON (inline or path)")
-        p.add_argument("--h", type=float, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-
-    p = sub.add_parser("analyze", help="condition checkers + regime classifiers")
-    common(p)
-    p = sub.add_parser("solve", help="representations of a law")
-    common(p)
-    p = sub.add_parser("scan", help="parameter-region scans (CSV)")
-    common(p)
-    p.add_argument("--scan", choices=["ab", "theta", "alpha"], required=True)
-    p.add_argument("--a-step", dest="a_step", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p = sub.add_parser("simulate", help="samplers + verification")
-    common(p)
-    p.add_argument("--simulator", choices=["color", "ou", "stable-chain"], required=True)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p = sub.add_parser("asymptotics", help="closed-form limit reports")
-    common(p)
+        p.add_argument("--out")
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
     return ap
 
 
@@ -437,13 +476,18 @@ def _apply_config_file(args, ap: argparse.ArgumentParser) -> None:
 
 
 def _fill_defaults(args) -> None:
-    """Flag defaults, applied after the config file: a config value stands in
-    for an absent flag but never overrides an explicit one."""
+    """Defaults of the flags a command reads, applied after the config file: a
+    config value stands in for an absent flag but never overrides an explicit
+    one.  Of the simulators, ``ou`` and ``stable-chain`` read ``--a`` and
+    only ``stable-chain`` reads ``--alpha``."""
     defaults = {"seed": 0, "format": "json"}
-    if args.command == "simulate":
-        defaults.update(a=0.5, alpha=1.0)
+    simulator = getattr(args, "simulator", None)
+    if simulator in ("ou", "stable-chain"):
+        defaults["a"] = 0.5
+    if simulator == "stable-chain":
+        defaults["alpha"] = 1.0
     for attr, val in defaults.items():
-        if getattr(args, attr) is None:
+        if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, val)
 
 

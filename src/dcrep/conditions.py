@@ -54,10 +54,10 @@ def savage_vector(cov: CovarianceSpec) -> np.ndarray:
     return np.ones(cov.n) @ cov.inverse
 
 
-def savage_status(vec: np.ndarray, band: float = ZERO_BAND) -> SavageStatus:
-    if np.min(vec) > band:
+def savage_status(vec: np.ndarray) -> SavageStatus:
+    if np.min(vec) > ZERO_BAND:
         return SavageStatus.STRICT
-    if np.min(vec) >= -band:
+    if np.min(vec) >= -ZERO_BAND:
         return SavageStatus.WEAK
     return SavageStatus.FAILS
 
@@ -82,8 +82,8 @@ def is_inverse_stieltjes(cov: CovarianceSpec) -> tuple[bool, list[tuple[int, int
     return (len(bad) == 0, bad)
 
 
-def _blocks(cov: CovarianceSpec, tol: float = POS_ENTRY_TOL) -> list[list[int]]:
-    """Connected components of the graph with edges a_ij > tol (1-based)."""
+def _blocks(cov: CovarianceSpec) -> list[list[int]]:
+    """Connected components of the graph with edges a_ij > POS_ENTRY_TOL (1-based)."""
     n = cov.n
     seen = [False] * n
     comps = []
@@ -96,7 +96,7 @@ def _blocks(cov: CovarianceSpec, tol: float = POS_ENTRY_TOL) -> list[list[int]]:
             u = stack.pop()
             comp.append(u)
             for v in range(n):
-                if not seen[v] and cov.a[u, v] > tol:
+                if not seen[v] and cov.a[u, v] > POS_ENTRY_TOL:
                     seen[v] = True
                     stack.append(v)
         comps.append(sorted(i + 1 for i in comp))

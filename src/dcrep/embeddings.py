@@ -213,6 +213,10 @@ def stable_star_partition_batch(alpha: float, a: float, leaves: int, m: int, see
 
 # -- verification ----------------------------------------------------------------
 
+MIN_EXPECTED = 5.0     # a bin with fewer expected samples per block coloring is not tested
+SIGNIFICANCE = 1e-3    # a tested bin fails below this chi-square p-value
+
+
 @dataclass(frozen=True)
 class BinVerdict:
     key: str
@@ -250,8 +254,7 @@ class ColorPropertyReport:
         return self.bins_pass and self.aggregate_pass
 
 
-def verify_color_property(batch: EmbeddingBatch, min_expected: float = 5.0,
-                          significance: float = 1e-3) -> ColorPropertyReport:
+def verify_color_property(batch: EmbeddingBatch) -> ColorPropertyReport:
     """Statistical check of the color property on >= 10^4 samples."""
     if not isinstance(batch, EmbeddingBatch):
         raise TypeError(f"expected an EmbeddingBatch, got {type(batch).__name__}")
@@ -267,7 +270,7 @@ def verify_color_property(batch: EmbeddingBatch, min_expected: float = 5.0,
     for g in sorted(range(len(cols)), key=lambda g: keys[cols[g]]):
         col, count = cols[g], int(counts[g])
         k = int(table.num_blocks[col])
-        if count / 2 ** k < min_expected:
+        if count / 2 ** k < MIN_EXPECTED:
             excluded.append(keys[col])
             continue
         # observed distribution over the 2^k block colorings, read at the
@@ -289,5 +292,5 @@ def verify_color_property(batch: EmbeddingBatch, min_expected: float = 5.0,
         bins=bins,
         excluded_bins=tuple(excluded),
         aggregate_max_dev_se=float(np.max(dev)),
-        significance=significance,
+        significance=SIGNIFICANCE,
     )

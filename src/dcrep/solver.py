@@ -89,14 +89,11 @@ class SignedRep3:
         return {"1|2|3": self.q_1_2_3, "12|3": self.q_12_3, "13|2": self.q_13_2,
                 "1|23": self.q_1_23, "123": self.q_123}
 
-    def as_distribution(self) -> PartitionDistribution:
-        return PartitionDistribution(3, self.weights(), signed=not self.feasible)
-
     def min_weight(self) -> float:
         return min(self.weights().values())
 
 
-def signed_rep_3(nu: BinaryLaw, tol: float = FEAS_TOL) -> SignedRep3:
+def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     """Closed-form signed representation for n = 3, marginal p != 1/2.
 
     q_{1,2,3} = (nu_100 - nu_011) / ((1-p) p (1-2p)) and cyclic variants;
@@ -115,7 +112,7 @@ def signed_rep_3(nu: BinaryLaw, tol: float = FEAS_TOL) -> SignedRep3:
     q13_2 = ((1.0 - p) * c("101") - p * c("010")) / den
     q1_23 = ((1.0 - p) * c("011") - p * c("100")) / den
     q123 = 1.0 - (p * c("000") - (1.0 - p) * c("111")) / den
-    feasible = min(q_sing, q12_3, q13_2, q1_23, q123) >= -tol
+    feasible = min(q_sing, q12_3, q13_2, q1_23, q123) >= -FEAS_TOL
     return SignedRep3(p=p, q_1_2_3=q_sing, q_12_3=q12_3, q_13_2=q13_2,
                       q_1_23=q1_23, q_123=q123, feasible=feasible)
 

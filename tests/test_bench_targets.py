@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcrep import solver
+from dcrep import cli, solver
 from dcrep.partitions import bell_number, push_forward, simulate_color_process
 from dcrep.solver import phase_one
 
 from conftest import random_probability_q
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -73,3 +74,17 @@ def test_installed_tracer_counts_the_phase_one_lp_shapes(monkeypatch, name):
                       "cols": sum(shape[1] for shape, _ in calls),
                       "pivots": sum(pivots for _, pivots in calls)}
     assert min(counts.values()) > 0
+
+
+def test_parser_takes_every_cli_argv_of_the_benchmark(monkeypatch, tmp_path):
+    """Every argv of the benchmark's ``cli`` round, with the ``--out`` it adds,
+    parses: a removed or renamed flag fails here, not in a benchmark run."""
+    monkeypatch.syspath_prepend(str(BENCH))     # workloads.py imports its oracle
+    workloads = importlib.import_module("workloads")
+    parser = cli.build_parser()
+    for seed in (1, 2, 3):
+        ops = workloads.round_ops("cli", seed, str(tmp_path))
+        assert {op.tags["subcommand"] for op in ops} == set(cli._COMMANDS)
+        for op in ops:
+            args = parser.parse_args(op.inputs["argv"] + ["--out", str(tmp_path / "out")])
+            assert args.command == op.tags["subcommand"]

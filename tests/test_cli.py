@@ -354,3 +354,98 @@ def test_non_object_model_or_config_exits_2(text, tmp_path, capsys):
     code, _ = run(["simulate", "--simulator", "ou", "--config", str(path)], tmp_path)
     assert code == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+# A base argv per subcommand that runs, and the flags the subcommand does not
+# read: each such flag is refused by argparse instead of being echoed unread.
+BASE_ARGV = {
+    "analyze": ["analyze", "--model", GAUSS3],
+    "solve": ["solve", "--model", GAUSS3],
+    "scan": ["scan", "--scan", "theta", "--a-step", "0.5"],
+    "simulate": ["simulate", "--simulator", "ou", "--samples", "10000"],
+    "asymptotics": ["asymptotics", "--model", STABLE3],
+}
+UNREAD_FLAGS = {
+    "analyze": ["format"],
+    "solve": ["format"],
+    "scan": ["model", "h", "p", "samples", "seed", "tol", "format"],
+    "simulate": ["h", "p", "tol"],
+    "asymptotics": ["h", "p", "samples", "seed", "tol", "format"],
+}
+FLAG_VALUES = {"model": GAUSS3, "h": "0.5", "p": "0.5", "samples": "10000", "seed": "3",
+               "tol": "1e-9", "format": "csv"}
+UNREAD_PAIRS = [(c, f) for c, flags in UNREAD_FLAGS.items() for f in flags]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_PAIRS, ids=[f"{c}--{f}" for c, f in UNREAD_PAIRS])
+def test_a_flag_the_command_does_not_read_exits_2(command, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + [f"--{flag}", FLAG_VALUES[flag], "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_echo_holds_only_what_the_command_read(tmp_path):
+    law = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json()
+    cases = [
+        (BASE_ARGV["analyze"], {"model", "seed"}),
+        (BASE_ARGV["solve"], {"model", "seed"}),
+        (BASE_ARGV["asymptotics"], {"model"}),
+        (BASE_ARGV["simulate"], {"simulator", "samples", "seed", "format", "a"}),
+        (["simulate", "--simulator", "stable-chain", "--samples", "10000"],
+         {"simulator", "samples", "seed", "format", "a", "alpha"}),
+        (["simulate", "--simulator", "color", "--model", law, "--samples", "10000"],
+         {"simulator", "model", "samples", "seed", "format"}),
+    ]
+    for argv, read in cases:
+        code, out = run(argv, tmp_path)
+        assert code == 0
+        config = json.loads(out.read_text())["config"]
+        assert set(config) == {"schema", "command"} | read, argv
+    code, out = run(BASE_ARGV["scan"], tmp_path, "scan.csv")
+    assert code == 0
+    config = json.loads(out.read_text().splitlines()[0][2:])
+    assert set(config) == {"schema", "command", "scan", "a_step"}
+
+
+def test_one_config_file_serves_scan_with_keys_it_does_not_read(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": "dcrep/1", "tol": 3.0, "format": "csv",
+                               "a_step": 0.5}))
+    code, out = run(["scan", "--scan", "theta", "--config", str(cfg)], tmp_path, "scan.csv")
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[0][2:]) == {"schema": "dcrep/1", "command": "scan",
+                                        "scan": "theta", "a_step": 0.5}
+    assert len(lines) == 2 + 3     # theta = 0.5, 1.0 and 1.5: the a_step of the file
+
+
+def test_simulate_color_refuses_csv(tmp_path, capsys):
+    law = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json()
+    code, out = run(["simulate", "--simulator", "color", "--model", law,
+                     "--samples", "10000", "--format", "csv"], tmp_path)
+    assert code == 2
+    assert not out.exists()
+    assert "--format csv" in capsys.readouterr().err
+
+
+MALFORMED_MODELS = {
+    "stable_alpha_list": ({"alpha": [1], "loadings": [[1]]}, "alpha"),
+    "stable_alpha_null": ({"alpha": None, "loadings": [[1, 0]]}, "alpha"),
+    "gaussian_a_object": ({"a": {"x": 1}}, "a"),
+    "stable_loadings_object": ({"alpha": 1.0, "loadings": {"x": 1}}, "loadings"),
+    "gaussian_a_missing": ({"kind": "gaussian"}, "a"),
+    "gaussian_a_nan": ({"a": [[1, math.nan], [math.nan, 1]]}, "a"),
+}
+
+
+@pytest.mark.parametrize("model,field", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+def test_malformed_model_exits_2_naming_the_field(model, field, tmp_path, capsys):
+    code, out = run(["analyze", "--model", json.dumps(model)], tmp_path)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"field {field!r}" in err
