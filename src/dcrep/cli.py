@@ -1,11 +1,13 @@
 """Command-line surface: analyze / solve / scan / simulate / asymptotics.
 
 Each subcommand takes only the flags it reads, plus ``--config`` and
-``--out``; any other flag exits 2.  Every output embeds the schema tag and
-each flag value the command read, from the command line, the config file or
-the default (the seed among them wherever the command draws samples), so
-rerunning a command with the echoed config is byte-identical.  Exit codes:
-0 success, 2 usage or configuration error, 3 numerical failure.
+``--out``, and each kind of ``scan`` or ``simulate`` only the flags that kind
+reads; any other flag exits 2, and so does a config key that names no flag.
+Every output embeds the schema tag and each flag value the command read,
+from the command line, the config file or the default (the seed among them
+wherever the command draws samples), so rerunning a command with the echoed
+config is byte-identical.  Exit codes: 0 success, 2 usage or configuration
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -298,7 +300,7 @@ def cmd_scan(args):
         _emit_csv(args, header, [values] + _scan_theta_columns(values))
         return None
     if args.scan == "alpha":
-        a = _given(args.a, 0.5)
+        a = args.a
         values = _scan_values(args, 0.01, 2.0)
         header = ["alpha", "gamma_factor", "order2_101", "coupling_threshold",
                   "large_h_color"]
@@ -397,25 +399,51 @@ _FLAGS = {
     "seed": {"type": int},
     "tol": {"type": float},
     "format": {"choices": ["json", "csv"]},
-    "scan": {"choices": ["ab", "theta", "alpha"], "required": True},
+    "scan": {"required": True},
     "a-step": {"type": float},
     "a": {"type": float},
-    "simulator": {"choices": ["color", "ou", "stable-chain"], "required": True},
+    "simulator": {"required": True},
     "alpha": {"type": float},
     "n": {"type": int},
 }
 
 _LAW_FLAGS = ("model", "h", "p", "samples", "seed", "tol")
+_SAMPLE_FLAGS = ("samples", "seed", "format")
 
-# Each subcommand's help and the flags its cmd_* reads
+# Each subcommand's help and the flags its cmd_* reads.  scan and simulate
+# name a kind (_KIND_FLAG), and each kind reads only the flags listed for it
 _COMMANDS = {
     "analyze": ("condition checkers + regime classifiers", _LAW_FLAGS),
     "solve": ("representations of a law", _LAW_FLAGS),
-    "scan": ("parameter-region scans (CSV)", ("scan", "a-step", "a")),
+    "scan": ("parameter-region scans (CSV)",
+             {"ab": ("a-step",), "theta": ("a-step",), "alpha": ("a-step", "a")}),
     "simulate": ("samplers + verification",
-                 ("simulator", "model", "samples", "seed", "format", "a", "alpha", "n")),
+                 {"color": ("model",) + _SAMPLE_FLAGS,
+                  "ou": _SAMPLE_FLAGS + ("a", "n"),
+                  "stable-chain": _SAMPLE_FLAGS + ("a", "alpha", "n")}),
     "asymptotics": ("closed-form limit reports", ("model",)),
 }
+_KIND_FLAG = {"scan": "scan", "simulate": "simulator"}
+
+# Defaults of the flags that have one, filled in for the commands that read them
+_DEFAULTS = {"seed": 0, "format": "json", "a": 0.5, "alpha": 1.0}
+
+
+def _command_flags(command: str) -> list[str]:
+    """Every flag of a subcommand: the flags of all its kinds, kind flag first."""
+    flags = _COMMANDS[command][1]
+    if isinstance(flags, tuple):
+        return list(flags)
+    return [_KIND_FLAG[command]] + list(dict.fromkeys(f for kind in flags.values() for f in kind))
+
+
+def _read_flags(args) -> set[str]:
+    """The flags, as ``args`` attributes, that the command and its kind read."""
+    flags = _COMMANDS[args.command][1]
+    if isinstance(flags, dict):
+        kind_flag = _KIND_FLAG[args.command]
+        flags = (kind_flag,) + flags[getattr(args, kind_flag)]
+    return {f.replace("-", "_") for f in flags}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,9 +456,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--out")
-        for flag in flags:
-            p.add_argument("--" + flag, **_FLAGS[flag])
+        for flag in _command_flags(command):
+            kinds = {"choices": list(flags)} if flag == _KIND_FLAG.get(command) else {}
+            p.add_argument("--" + flag, **_FLAGS[flag], **kinds)
     return ap
+
+
+def _refuse_unread_flags(args) -> None:
+    """A flag that the chosen kind of scan or simulator does not read is a
+    usage error, as argparse makes one of a flag of another subcommand."""
+    read = _read_flags(args)
+    for flag in _command_flags(args.command):
+        attr = flag.replace("-", "_")
+        if attr not in read and getattr(args, attr) is not None:
+            kind_flag = _KIND_FLAG[args.command]
+            raise UsageError(f"{args.command} --{kind_flag} {getattr(args, kind_flag)} "
+                             f"does not read --{flag}")
 
 
 # JSON types a config value may have, by the argparse type of its flag
@@ -464,11 +505,15 @@ def _apply_config_file(args, ap: argparse.ArgumentParser) -> None:
         raise UsageError(f"config schema {cfg.get('schema')!r} != {SCHEMA!r}")
     subcommands = next(a for a in ap._actions if a.dest == "command").choices
     actions = {a.dest: a for a in subcommands[args.command]._actions}
+    known = {f.replace("-", "_") for f in _FLAGS} | {"config", "out"}
+    read = _read_flags(args) | {"config", "out"}
     for key, val in cfg.items():
         if key in ("schema", "command"):
             continue
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in known:
+            raise UsageError(f"config key {key!r} names no flag of any subcommand")
+        if attr not in read:    # a key of another subcommand or kind
             continue
         val = _config_value(actions[attr], key, val)
         if getattr(args, attr) is None:
@@ -476,25 +521,19 @@ def _apply_config_file(args, ap: argparse.ArgumentParser) -> None:
 
 
 def _fill_defaults(args) -> None:
-    """Defaults of the flags a command reads, applied after the config file: a
-    config value stands in for an absent flag but never overrides an explicit
-    one.  Of the simulators, ``ou`` and ``stable-chain`` read ``--a`` and
-    only ``stable-chain`` reads ``--alpha``."""
-    defaults = {"seed": 0, "format": "json"}
-    simulator = getattr(args, "simulator", None)
-    if simulator in ("ou", "stable-chain"):
-        defaults["a"] = 0.5
-    if simulator == "stable-chain":
-        defaults["alpha"] = 1.0
-    for attr, val in defaults.items():
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, val)
+    """Defaults of the flags the command reads, applied after the config file:
+    a config value stands in for an absent flag but never overrides an
+    explicit one."""
+    for attr in _read_flags(args) & _DEFAULTS.keys():
+        if getattr(args, attr) is None:
+            setattr(args, attr, _DEFAULTS[attr])
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        _refuse_unread_flags(args)
         _apply_config_file(args, ap)
         _fill_defaults(args)
         if args.command == "scan":

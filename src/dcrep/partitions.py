@@ -5,7 +5,10 @@ A partition distribution q together with a coin bias p induces a law nu on
 binary strings: pick a partition, then color each block 1 with probability p,
 independently across blocks.  ``color_map`` materializes that map as a
 2^n x Bell(n) column-stochastic matrix, ``push_forward`` applies it, and
-``simulate_color_process`` samples from it.
+``simulate_color_process`` samples from it.  All three read the same cells
+(``_color_map_cells``), one per (partition, coloring) pair: the sampler draws
+each sample's cell with one uniform, by a guide-table categorical over the
+cells' masses, rather than a partition and then one uniform per block.
 """
 
 from __future__ import annotations
@@ -201,16 +204,6 @@ def _key_columns(n: int) -> dict[str, int]:
     return {key: j for j, key in enumerate(_column_keys(n))}
 
 
-@lru_cache(maxsize=None)
-def _key_order(n: int) -> np.ndarray:
-    """The columns of ``enumerate_partitions(n)`` in sorted-key order, which
-    is not column order ('12|3' < '1|2|3')."""
-    keys = _column_keys(n)
-    order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
-    order.setflags(write=False)
-    return order
-
-
 def string_index(rho: str) -> int:
     """Row index of a binary string; the first coordinate is the high bit."""
     return int(rho, 2)
@@ -281,10 +274,18 @@ def color_map(n: int, p: float) -> np.ndarray:
 
 
 def _coloring_weights(n: int, p: float) -> np.ndarray:
-    """weight[K, k] = p^k (1-p)^(K-k), by scalar powers: the bits of the cell
-    formula.  Indexed by the K and k arrays of ``_color_map_cells``."""
-    return np.array([[p ** j * (1.0 - p) ** (big - j) for j in range(n + 1)]
-                     for big in range(n + 1)])
+    """weight[K, k] = p^k (1-p)^(K-k) for k <= K, and 0 past K, by scalar
+    powers: the bits of the cell formula.  Indexed by the K and k arrays of
+    ``_color_map_cells``."""
+    return np.array([[p ** j * (1.0 - p) ** (big - j) if j <= big else 0.0
+                      for j in range(n + 1)] for big in range(n + 1)])
+
+
+def _cell_weights(q: "PartitionDistribution", p: float) -> np.ndarray:
+    """The mass q(sigma) p^k (1-p)^(K-k) of each cell of ``_color_map_cells``:
+    the law of the color process, one (partition, coloring) pair per cell."""
+    _, col, k, kk = _color_map_cells(q.n)
+    return q.vector[col] * _coloring_weights(q.n, p)[kk, k]
 
 
 def color_map_exact(n: int, p) -> tuple[np.ndarray, int]:
@@ -602,9 +603,8 @@ def push_forward(q: PartitionDistribution, p: float) -> BinaryLaw:
     """Law of the color process with partition distribution q and bias p."""
     if q.signed or q.vector.min() < -PROB_TOL:
         raise ValueError("push_forward requires a probability distribution over partitions")
-    row, col, k, kk = _color_map_cells(q.n)
-    cells = q.vector[col] * _coloring_weights(q.n, p)[kk, k]
-    return BinaryLaw(q.n, np.bincount(row, weights=cells, minlength=2 ** q.n))
+    row = _color_map_cells(q.n)[0]
+    return BinaryLaw(q.n, np.bincount(row, weights=_cell_weights(q, p), minlength=2 ** q.n))
 
 
 @lru_cache(maxsize=None)
@@ -639,63 +639,66 @@ def marginalize_partition(q: PartitionDistribution, subset) -> PartitionDistribu
     return PartitionDistribution.from_vector(len(s), vec, signed=q.signed)
 
 
-def _categorical(weights: np.ndarray, m: int, rng) -> np.ndarray:
+GUIDE_MAX = 1 << 20   # guide-table cells of ``_categorical``: 8 MiB of indices
+
+
+def _categorical(weights: np.ndarray, m: int, rng, values: np.ndarray | None = None):
     """m draws of an index with probabilities ``weights``: the same uniforms
     and the same indices as ``rng.choice(len(weights), size=m, p=weights)``.
+    With ``values``, each draw is ``values[index]`` instead, in values' dtype.
 
     ``choice`` looks up each uniform u in the normalized CDF by binary search.
     Here a guide table (Chen & Asau 1974) over K = 2^k > 8 len(weights) equal
-    cells holds, per cell, the first index whose CDF value exceeds the cell's
-    left end.  u K is exact, so that index is a lower bound of u's answer, and
-    it is the answer unless the CDF steps again inside the cell before u:
-    at most about one uniform in 16 then takes the binary search.
+    cells, at most ``GUIDE_MAX``, holds, per cell, the first index whose CDF
+    value exceeds the cell's left end.  u K is exact, so that index is a lower
+    bound of u's answer, and it is the answer unless the CDF steps again
+    inside the cell before u: at most about one uniform in 16 then takes the
+    binary search (more once the cap binds, past 131,072 weights).  The
+    uniforms come ``MC_BLOCK`` at a time, the same stream as one draw of m, so
+    only the m draws outlive a block.
     """
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    u = rng.random(m)
-    k = 1 << (8 * len(cdf)).bit_length()
-    guide = np.searchsorted(cdf, np.arange(k) / k, side="right")
-    idx = guide[(u * k).astype(np.intp)]
-    later = np.flatnonzero(cdf[idx] <= u)
-    idx[later] = np.searchsorted(cdf, u[later], side="right")
-    return idx
+    k = min(1 << (8 * len(cdf)).bit_length(), GUIDE_MAX)
+    guide = np.empty(k, dtype=np.intp)
+    for c in range(0, k, MC_BLOCK):
+        guide[c:c + MC_BLOCK] = np.searchsorted(
+            cdf, np.arange(c, min(c + MC_BLOCK, k)) / k, side="right")
+    out = np.empty(m, dtype=np.intp if values is None else values.dtype)
+    for start in range(0, m, MC_BLOCK):
+        u = rng.random(min(MC_BLOCK, m - start))
+        idx = guide[(u * k).astype(np.intp)]
+        later = np.flatnonzero(cdf[idx] <= u)
+        idx[later] = np.searchsorted(cdf, u[later], side="right")
+        out[start:start + len(u)] = idx if values is None else values[idx]
+    return out
 
 
 def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     """Draw m color-process samples; returns (samples, empirical BinaryLaw).
 
-    Deterministic given seed.  ``samples`` is an (m, n) 0/1 array.
+    Deterministic given seed.  ``samples`` is an (m, n) 0/1 uint8 array.  Each
+    sample takes one uniform: a categorical draw over the cells of
+    ``_color_map_cells`` of positive mass, each a (partition, coloring) pair
+    of mass q(sigma) p^k (1-p)^(K-k), read as the cell's string.  Dropping the
+    massless cells changes no draw, since they add no step to the CDF.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if q.signed:
         raise ValueError("cannot simulate a signed distribution")
-    rng = make_rng(seed)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
     n = q.n
-    # the partitions drawn, in sorted-key order: that order fixes the samples
-    key_order = _key_order(n)
-    cols = key_order[q.vector[key_order] > 0.0]
-    weights = q.vector[cols]
-    weights = weights / weights.sum()
-    # each sample's partition, in a small dtype so that one stable (radix)
-    # sort lists each partition's rows in ascending order
-    small = np.int16 if len(cols) <= np.iinfo(np.int16).max else np.int32
-    which = _categorical(weights, m, rng).astype(small)
-    counts = np.bincount(which, minlength=len(cols))
-    order = np.argsort(which, kind="stable")
-    idx = np.empty(m, dtype=np.uint16)   # each sample's string index, < 2^MAX_N
-    cells = np.zeros(2 ** n, dtype=np.int64)
-    table = _partition_table(n)
-    start = 0
-    for j, count in zip(cols.tolist(), counts.tolist()):
-        if count == 0:
-            continue
-        big = int(table.num_blocks[j])
-        rho = (rng.random((count, big)) < p) @ table.bits[j, :big]
-        idx[order[start:start + count]] = rho
-        cells += np.bincount(rho, minlength=2 ** n)
-        start += count
+    weights = _cell_weights(q, p)
+    drawn = weights > 0.0   # not the cells of zero (or, within PROB_TOL, negative) mass
+    weights, rows = weights[drawn], _color_map_cells(n)[0][drawn]
+    rows = _categorical(weights, m, make_rng(seed), rows)
+    strings = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     samples = np.empty((m, n), dtype=np.uint8)
-    for i in range(n):
-        samples[:, i] = (idx >> (n - 1 - i)) & 1
-    return samples, BinaryLaw.from_counts(cells, m)
+    counts = np.zeros(2 ** n, dtype=np.int64)
+    for start in range(0, m, MC_BLOCK):
+        block = rows[start:start + MC_BLOCK]
+        np.take(strings, block, axis=0, out=samples[start:start + MC_BLOCK])
+        counts += np.bincount(block, minlength=2 ** n)
+    return samples, BinaryLaw.from_counts(counts, m)

@@ -63,3 +63,31 @@ def random_probability_q(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_color_process(weights: dict, n, p, m, seed):
+    """The color process drawn by ``rng.choice`` over its (partition, coloring)
+    pairs of positive mass q(sigma) p^k (1-p)^(K-k), built from ``Partition``
+    objects and listed as the coloring map lists its cells: by number of
+    blocks K, then partition, then coloring.  Returns (samples, law)."""
+    from dcrep.partitions import BinaryLaw, enumerate_partitions
+    from dcrep.rng import make_rng
+
+    masses, strings = [], []
+    for big in range(1, n + 1):
+        for sig in enumerate_partitions(n):
+            if sig.num_blocks != big:
+                continue
+            for colors in itertools.product((0, 1), repeat=big):
+                k = sum(colors)
+                mass = weights.get(sig.key, 0.0) * (p ** k * (1.0 - p) ** (big - k))
+                if mass > 0.0:
+                    string = np.zeros(n, dtype=np.uint8)
+                    for block, c in zip(sig.blocks, colors):
+                        string[np.array(block) - 1] = c
+                    masses.append(mass)
+                    strings.append(string)
+    which = make_rng(seed).choice(len(masses), size=m, p=np.array(masses))
+    samples = np.array(strings)[which]
+    counts = np.bincount(samples @ (1 << np.arange(n - 1, -1, -1)), minlength=2 ** n)
+    return samples, BinaryLaw.from_counts(counts, m)

@@ -422,6 +422,55 @@ def test_one_config_file_serves_scan_with_keys_it_does_not_read(tmp_path):
     assert len(lines) == 2 + 3     # theta = 0.5, 1.0 and 1.5: the a_step of the file
 
 
+
+COLOR_LAW = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json()
+KIND_ARGV = {
+    "color": ["simulate", "--simulator", "color", "--model", COLOR_LAW, "--samples", "10000"],
+    "ou": ["simulate", "--simulator", "ou", "--samples", "10000"],
+    "ab": ["scan", "--scan", "ab", "--a-step", "0.5"],
+    "theta": ["scan", "--scan", "theta", "--a-step", "0.5"],
+}
+UNREAD_KIND_FLAGS = [("color", "a", "0.3"), ("color", "alpha", "2"), ("color", "n", "5"),
+                     ("ou", "model", COLOR_LAW), ("ou", "alpha", "2"),
+                     ("ab", "a", "0.3"), ("theta", "a", "0.3")]
+
+
+@pytest.mark.parametrize("kind,flag,value", UNREAD_KIND_FLAGS,
+                         ids=[f"{k}--{f}" for k, f, _ in UNREAD_KIND_FLAGS])
+def test_a_flag_the_kind_does_not_read_exits_2(kind, flag, value, tmp_path, capsys):
+    code, out = run(KIND_ARGV[kind] + [f"--{flag}", value], tmp_path)
+    assert code == 2
+    assert f"{kind} does not read --{flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_key_that_names_no_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sede": 5, "samples": 10000}))
+    code, out = run(["simulate", "--simulator", "ou", "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert "'sede'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_key_of_another_kind_is_skipped(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": 0.3, "alpha": 2.0, "n": 5, "h": 0.5, "seed": 4}))
+    code, out = run(KIND_ARGV["color"] + ["--config", str(cfg)], tmp_path)
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == {"schema", "command", "simulator", "model", "samples", "seed",
+                           "format"}
+    assert config["seed"] == 4
+
+
+def test_scan_alpha_echoes_the_default_a(tmp_path):
+    code, out = run(["scan", "--scan", "alpha", "--a-step", "0.5"], tmp_path, "scan.csv")
+    assert code == 0
+    config = json.loads(out.read_text().splitlines()[0][2:])
+    assert config == {"schema": "dcrep/1", "command": "scan", "scan": "alpha",
+                      "a_step": 0.5, "a": 0.5}
+
 def test_simulate_color_refuses_csv(tmp_path, capsys):
     law = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json()
     code, out = run(["simulate", "--simulator", "color", "--model", law,

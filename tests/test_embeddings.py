@@ -16,7 +16,7 @@ from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution, _colu
 from dcrep.rng import make_rng
 from dcrep.stable import common_shock_model, sample_sym_stable, stable_threshold_law_mc
 
-from conftest import random_probability_q
+from conftest import random_probability_q, reference_color_process
 
 
 def test_blocks_are_intervals_and_signs_constant():
@@ -338,34 +338,12 @@ def test_star_labels_match_per_row_loop(leaves):
     assert np.array_equal(batch.labels, expect)
 
 
-def reference_simulate_color_process(q, p, m, seed):
-    """simulate_color_process with one pass over the samples per partition."""
-    rng = make_rng(seed)
-    n = q.n
-    keys = sorted(k for k, w in q.weights.items() if w > 0.0)
-    weights = np.array([q.weights[k] for k in keys])
-    weights = weights / weights.sum()
-    which = rng.choice(len(keys), size=m, p=weights)
-    samples = np.zeros((m, n), dtype=np.uint8)
-    for j, key in enumerate(keys):
-        rows = np.nonzero(which == j)[0]
-        if rows.size == 0:
-            continue
-        sig = Partition.from_key(key)
-        colors = (rng.random((rows.size, sig.num_blocks)) < p)
-        for b, block in enumerate(sig.blocks):
-            for i in block:
-                samples[rows, i - 1] = colors[:, b]
-    counts = np.bincount(samples @ (1 << np.arange(n - 1, -1, -1)), minlength=2 ** n)
-    return samples, BinaryLaw.from_counts(counts, m)
-
-
 @pytest.mark.parametrize("n", [4, 5])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_color_process_matches_per_partition_loop(n, seed):
     q = random_probability_q(np.random.default_rng(100 + n), n)
     samples, law = simulate_color_process(q, 0.3, 20_000, seed)
-    expect, expect_law = reference_simulate_color_process(q, 0.3, 20_000, seed)
+    expect, expect_law = reference_color_process(dict(q.weights), n, 0.3, 20_000, seed)
     assert samples.dtype == expect.dtype
     assert np.array_equal(samples, expect)
     assert np.array_equal(law.probs, expect_law.probs)

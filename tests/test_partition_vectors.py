@@ -12,20 +12,22 @@ import itertools
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dcrep import cli
 from dcrep.gaussian import square_threshold_law_exact
-from dcrep.partitions import (MAX_N, BinaryLaw, Partition, PartitionDistribution,
+from dcrep.partitions import (BELL, MAX_N, BinaryLaw, Partition, PartitionDistribution,
                               _label_codes, _partition_table, _restriction_columns,
                               enumerate_partitions,
                               marginalize_partition, push_forward, simulate_color_process)
 from dcrep.rng import make_rng
 from dcrep.solver import _reconstruct_square_b4, square_circle_solver
 
-from conftest import random_probability_q
+from conftest import random_probability_q, reference_color_process
 
 SIZES = range(1, 9)
 
@@ -59,7 +61,9 @@ def reference_to_json(weights: dict, n: int, signed: bool) -> str:
 
 
 def reference_simulate(weights: dict, n: int, p: float, m: int, seed):
-    """The sampler as it drew from sorted keys, one ``from_key`` per key."""
+    """The sampler as it drew before one uniform per sample: a partition from
+    sorted keys (one ``from_key`` per key), then one uniform per block.  Its
+    stream differs from ``simulate_color_process``'s, its law does not."""
     rng = make_rng(seed)
     keys = sorted(k for k, w in weights.items() if w > 0.0)
     probs = np.array([weights[k] for k in keys])
@@ -218,10 +222,73 @@ def test_json_round_trip_is_byte_identical(n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("p", [0.3, 0.5])
 def test_simulate_draws_the_key_order_samples(n, p):
+    """The samples of one ``rng.choice`` over the (partition, coloring) pairs."""
     for seed, q in enumerate(distributions(n)):
         samples, _ = simulate_color_process(q, p, 3000, seed)
-        assert np.array_equal(samples, reference_simulate(dict(q.weights), n, p, 3000, seed))
+        expect, _ = reference_color_process(dict(q.weights), n, p, 3000, seed)
+        assert samples.dtype == expect.dtype
+        assert np.array_equal(samples, expect)
 
+
+def assert_binomial_fit(counts, m, probs, level=1e-4):
+    """Each cell's count lies inside its two-sided Binomial(m, probs) tails at
+    ``level`` over the cells (Bonferroni): the z of a normal test, but exact
+    for the cells with few expected counts."""
+    tail = np.minimum(stats.binom.cdf(counts, m, probs), stats.binom.sf(counts - 1, m, probs))
+    assert 2.0 * tail.min() >= level / len(counts), np.argmin(tail)
+
+
+@pytest.mark.parametrize("n", range(3, MAX_N + 1))
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize("support", ["full", "five"])
+def test_simulate_law_matches_push_forward_and_the_per_partition_sampler(n, p, support):
+    gen = np.random.default_rng(2000 + n)
+    vec = gen.dirichlet(np.ones(BELL[n]))
+    if support == "five":
+        vec = np.zeros(BELL[n])
+        vec[gen.choice(BELL[n], 5, replace=False)] = gen.dirichlet(np.ones(5))
+    q, m = PartitionDistribution.from_vector(n, vec), 100_000
+    _, law = simulate_color_process(q, p, m, 31 * n)
+    counts = np.rint(law.probs * m).astype(np.int64)
+    assert counts.sum() == m
+    assert_binomial_fit(counts, m, push_forward(q, p).probs)
+    old = reference_simulate(dict(q.weights), n, p, m, 31 * n + 1)
+    old_counts = np.bincount(old @ (1 << np.arange(n - 1, -1, -1)), minlength=2 ** n)
+    # given a cell's total over both samplers, its count from the new one is
+    # Binomial(total, 1/2) when the two laws agree
+    assert_binomial_fit(counts, counts + old_counts, 0.5)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_simulate_at_p_zero_and_one_colors_every_block_alike(p):
+    q = distributions(4)[0]
+    samples, law = simulate_color_process(q, p, 1000, 5)
+    assert np.all(samples == p)
+    assert law.probs[-1 if p else 0] == 1.0
+    assert np.allclose(law.probs, push_forward(q, p).probs, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.2, math.nan, math.inf])
+def test_simulate_refuses_a_bias_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match="p must lie in"):
+        simulate_color_process(distributions(3)[0], p, 100, 0)
+
+
+def test_simulate_peak_memory_at_max_n():
+    """A warm 10^6-sample draw at n = 9 peaks in the draw itself, at about
+    22 MiB: the masses and CDF of 610,182 cells (9.3 MiB), an 8 MiB guide
+    table and each sample's row (1.9 MiB); the (m, n) samples (8.6 MiB) come
+    after.  The per-partition sampler peaked at 26.5 MiB."""
+    q = PartitionDistribution.from_vector(MAX_N, np.random.default_rng(9).dirichlet(
+        np.ones(BELL[MAX_N])))
+    simulate_color_process(q, 0.3, 1000, 0)
+    tracemalloc.start()
+    try:
+        simulate_color_process(q, 0.3, 10 ** 6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
 
 def test_sparse_dict_constructor_places_each_key():
     q = PartitionDistribution(4, {"13|24": 0.25, "1|2|3|4": 0.5, "1234": 0.25})
