@@ -6,8 +6,8 @@ reads; any other flag exits 2, and so does a config key that names no flag.
 Every output embeds the schema tag and each flag value the command read,
 from the command line, the config file or the default (the seed among them
 wherever the command draws samples), so rerunning a command with the echoed
-config is byte-identical.  Exit codes: 0 success, 2 usage or configuration
-error, 3 numerical failure.
+config is byte-identical.  Exit codes: 0 success, 1 stdout closed early, 2
+usage or configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -163,25 +164,19 @@ def _emit_csv(args, header: list[str], columns: list) -> None:
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
-def _given(value, default):
-    """A flag's value, or its default when the flag is absent; 0 is a value."""
-    return default if value is None else value
-
-
 def _law_for(args, obj) -> BinaryLaw:
     if obj["kind"] == "law":
         return obj["_law"]
-    h = args.h or 0.0
     if obj["kind"] == "gaussian":
         cov = obj["_cov"]
-        if h == 0.0 and cov.n == 3 and cov.is_standard:
+        if args.h == 0.0 and cov.n == 3 and cov.is_standard:
             return zero_threshold_law_3(cov)
         if args.samples is None:
             raise UsageError("this model needs --samples for a Monte Carlo law")
-        return threshold_law_mc(cov, h, args.samples, args.seed)
+        return threshold_law_mc(cov, args.h, args.samples, args.seed)
     if args.samples is None:
         raise UsageError("stable laws need --samples for a Monte Carlo law")
-    return stb.stable_threshold_law_mc(obj["_model"], h, args.samples, args.seed)
+    return stb.stable_threshold_law_mc(obj["_model"], args.h, args.samples, args.seed)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -213,7 +208,7 @@ def cmd_analyze(args) -> dict:
             results["order1_limits"] = asym.stable_limit_report(measure).to_json_dict()
     if args.h is not None or obj["kind"] == "law":
         law = _law_for(args, obj)
-        res = lp_feasibility(law, p=args.p, tol=_given(args.tol, FEAS_TOL))
+        res = lp_feasibility(law, p=args.p, tol=args.tol)
         results["lp"] = res.to_json_dict()
     return results
 
@@ -232,7 +227,7 @@ def cmd_solve(args) -> dict:
             "t_interval": list(fam.t_interval) if fam.t_interval else None,
             "canonical": None if fam.is_empty else dict(fam.canonical().weights),
         }
-    out["lp"] = lp_feasibility(law, p=args.p, tol=_given(args.tol, FEAS_TOL)).to_json_dict()
+    out["lp"] = lp_feasibility(law, p=args.p, tol=args.tol).to_json_dict()
     return out
 
 
@@ -272,11 +267,11 @@ def _scan_theta_columns(values: np.ndarray) -> list:
     return [feasible, t_lo, t_hi, gap]
 
 
-def _scan_values(args, default: float, stop: float, square: bool = False) -> np.ndarray:
+def _scan_values(args, stop: float, square: bool = False) -> np.ndarray:
     """The scan axis ``arange(step, stop, step)``; the ab scan writes the
     square of the axis.  A step that gives more than ``SCAN_MAX_ROWS`` rows is
     refused before the axis is built."""
-    step = _given(args.a_step, default)
+    step = args.a_step
     if not 0.0 < step < math.inf:
         raise UsageError(f"--a-step must be a finite number > 0, got {step!r}")
     length = (stop - step) / step   # np.arange holds ceil(length) values
@@ -287,21 +282,19 @@ def _scan_values(args, default: float, stop: float, square: bool = False) -> np.
     return np.arange(step, stop, step)
 
 
-def cmd_scan(args):
+def cmd_scan(args) -> None:
     if args.scan == "ab":
-        values = _scan_values(args, 0.005, 1.0, square=True)
+        values = _scan_values(args, 1.0, square=True)
         header = ["a", "b", "pd", "dgff", "large_h_color", "markov_boundary",
                   "small_h_feasible", "savage_min", "pd_margin", "markov_gap", "case_tag"]
         _emit_csv(args, header, _scan_ab_columns(values))
-        return None
-    if args.scan == "theta":
-        values = _scan_values(args, math.pi / 80, math.pi / 2)
+    elif args.scan == "theta":
+        values = _scan_values(args, math.pi / 2)
         header = ["theta", "feasible", "t_lo", "t_hi", "adjacency_gap"]
         _emit_csv(args, header, [values] + _scan_theta_columns(values))
-        return None
-    if args.scan == "alpha":
+    else:   # alpha: argparse admits no other --scan
         a = args.a
-        values = _scan_values(args, 0.01, 2.0)
+        values = _scan_values(args, 2.0)
         header = ["alpha", "gamma_factor", "order2_101", "coupling_threshold",
                   "large_h_color"]
         gamma, order2, thresholds = [], [], []
@@ -314,8 +307,6 @@ def cmd_scan(args):
         order2, thresholds = np.array(order2), np.array(thresholds)
         _emit_csv(args, header, [values, np.array(gamma), order2, thresholds,
                                  order2 > thresholds])
-        return None
-    raise UsageError(f"unknown scan {args.scan!r}")
 
 
 def _emit_sample_csv(args, batch) -> None:
@@ -328,15 +319,12 @@ def _emit_sample_csv(args, batch) -> None:
 
 
 def cmd_simulate(args) -> dict | None:
-    sim = args.simulator
-    seed = args.seed
-    m = _given(args.samples, 100_000)
+    sim, seed, m = args.simulator, args.seed, args.samples
     if sim in ("ou", "stable-chain"):
-        n = _given(args.n, 3)
         if sim == "ou":
-            batch = emb.ou_partition_batch(args.a, n, m, seed)
+            batch = emb.ou_partition_batch(args.a, args.n, m, seed)
         else:
-            batch = emb.stable_chain_partition_batch(args.alpha, args.a, n, m, seed)
+            batch = emb.stable_chain_partition_batch(args.alpha, args.a, args.n, m, seed)
         if args.format == "csv":
             _emit_sample_csv(args, batch)
             return None
@@ -425,8 +413,16 @@ _COMMANDS = {
 }
 _KIND_FLAG = {"scan": "scan", "simulate": "simulator"}
 
-# Defaults of the flags that have one, filled in for the commands that read them
-_DEFAULTS = {"seed": 0, "format": "json", "a": 0.5, "alpha": 1.0}
+# Every default each subcommand reads, for the kinds that read the flag; a dict
+# is one default per kind.  analyze and solve read an absent --samples, and
+# analyze an absent --h, as no Monte Carlo law and no LP: they have no default
+_DEFAULTS = {
+    "analyze": {"seed": 0, "tol": FEAS_TOL},
+    "solve": {"h": 0.0, "seed": 0, "tol": FEAS_TOL},
+    "scan": {"a-step": {"ab": 0.005, "theta": math.pi / 80, "alpha": 0.01}, "a": 0.5},
+    "simulate": {"samples": 100_000, "seed": 0, "format": "json", "a": 0.5, "alpha": 1.0, "n": 3},
+    "asymptotics": {},
+}
 
 
 def _command_flags(command: str) -> list[str]:
@@ -524,9 +520,13 @@ def _fill_defaults(args) -> None:
     """Defaults of the flags the command reads, applied after the config file:
     a config value stands in for an absent flag but never overrides an
     explicit one."""
-    for attr in _read_flags(args) & _DEFAULTS.keys():
-        if getattr(args, attr) is None:
-            setattr(args, attr, _DEFAULTS[attr])
+    read = _read_flags(args)
+    for flag, default in _DEFAULTS[args.command].items():
+        attr = flag.replace("-", "_")
+        if attr in read and getattr(args, attr) is None:
+            if isinstance(default, dict):
+                default = default[getattr(args, _KIND_FLAG[args.command])]
+            setattr(args, attr, default)
 
 
 def main(argv=None) -> int:
@@ -536,16 +536,18 @@ def main(argv=None) -> int:
         _refuse_unread_flags(args)
         _apply_config_file(args, ap)
         _fill_defaults(args)
-        if args.command == "scan":
-            cmd_scan(args)
-            return 0
-        handler = {"analyze": cmd_analyze, "solve": cmd_solve,
+        handler = {"analyze": cmd_analyze, "solve": cmd_solve, "scan": cmd_scan,
                    "simulate": cmd_simulate, "asymptotics": cmd_asymptotics}[args.command]
         results = handler(args)
         if results is not None:
             payload = {"config": _config_echo(args), "results": _plain(results)}
             _emit(args, payload)
+        sys.stdout.flush()      # so that a closed pipe shows here, not at exit
         return 0
+    except BrokenPipeError:
+        # stdout was closed (``| head -1``): point it at devnull, as Python's docs do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

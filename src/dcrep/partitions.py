@@ -117,28 +117,13 @@ class Partition:
 
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All of B_n exactly once, sorted by canonical key.
+    """All of B_n exactly once, read from the partition table's keys: sorted
+    by ``blocks``, so '1|2|3|4' comes first and '1234' ninth.
 
     The order is what fixes LP column indexing, so it must never change.
     """
-    _check_n(n)
-    out = []
-
-    def grow(i: int, blocks: list[list[int]]) -> None:
-        if i > n:
-            out.append(Partition.of([tuple(b) for b in blocks]))
-            return
-        for b in blocks:
-            b.append(i)
-            grow(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        grow(i + 1, blocks)
-        blocks.pop()
-
-    grow(1, [])
-    assert len(out) == BELL[n]
-    return tuple(sorted(out, key=lambda sig: sig.blocks))
+    return tuple(Partition(tuple(tuple(map(int, block)) for block in key.split("|")))
+                 for key in _column_keys(n))
 
 
 def _label_codes(labels: np.ndarray) -> np.ndarray:
@@ -150,8 +135,8 @@ def _label_codes(labels: np.ndarray) -> np.ndarray:
 
 
 class PartitionTable(NamedTuple):
-    """The partitions of [n] as read-only arrays, row j for
-    ``enumerate_partitions(n)[j]``: restricted-growth ``labels``,
+    """The partitions of [n] as read-only arrays, row j for column j of B_n
+    (``enumerate_partitions(n)[j]``): restricted-growth ``labels``,
     ``num_blocks``, and ``bits[j, b]``, the row-index bit mask of block b
     (element 1 is the high bit; 0 past the last block).  ``codes`` lists every
     ``_label_codes`` value in ascending order, ``code_columns`` the column of
@@ -168,20 +153,33 @@ class PartitionTable(NamedTuple):
         return self.code_columns[np.searchsorted(self.codes, codes)]
 
 
-def _block_labels(sig: Partition, n: int) -> list[int]:
-    """``sig.block_of(i)`` for i = 1..n, filled one block at a time."""
-    row = [0] * n
-    for b, block in enumerate(sig.blocks):
-        for i in block:
-            row[i - 1] = b
-    return row
+def _block_sequences(labels: np.ndarray) -> np.ndarray:
+    """Each row's blocks written out: the 1-based elements of each block in
+    turn and a 0 after each block, in 2n columns (the 0s of the unused blocks
+    last).  Compared as sequences, rows order as their ``Partition.blocks``."""
+    m, n = labels.shape
+    element = np.arange(n)
+    # element i of block b goes to place b (n + 1) + i, the 0 after it to b (n + 1) + n
+    place = np.hstack([labels.astype(np.intp) * (n + 1) + element,
+                       np.tile(element * (n + 1) + n, (m, 1))])
+    values = np.concatenate([element + 1, np.zeros(n, dtype=element.dtype)]).astype(np.int8)
+    return values[np.argsort(place, axis=1)]
 
 
 @lru_cache(maxsize=None)
 def _partition_table(n: int) -> PartitionTable:
-    """The one ``PartitionTable`` of [n], shared by every caller."""
-    labels = np.array([_block_labels(sig, n) for sig in enumerate_partitions(n)],
-                      dtype=np.int8)
+    """The one ``PartitionTable`` of [n], shared by every caller: the one
+    encoding of B_n, from which its keys and ``Partition`` objects are read.
+    Its rows grow one element at a time, a row with K blocks having K + 1
+    children labelled 0..K; one sort by block sequence orders the columns."""
+    _check_n(n)
+    labels = np.zeros((1, 0), dtype=np.int8)
+    for _ in range(n):
+        children = labels.max(axis=1, initial=-1) + 2
+        parent = np.repeat(np.arange(len(labels)), children)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(children) - children, children)
+        labels = np.column_stack([labels[parent], label.astype(np.int8)])
+    labels = labels[np.lexsort(_block_sequences(labels).T[::-1])]
     bits = (labels[:, None, :] == np.arange(n)[:, None]) @ (1 << np.arange(n - 1, -1, -1))
     codes = _label_codes(labels)
     order = np.argsort(codes)
@@ -193,9 +191,11 @@ def _partition_table(n: int) -> PartitionTable:
 
 @lru_cache(maxsize=None)
 def _column_keys(n: int) -> tuple[str, ...]:
-    """Canonical key of each column of ``enumerate_partitions(n)``."""
-    _check_n(n)
-    return tuple(sig.key for sig in enumerate_partitions(n))
+    """Canonical key of each column of B_n, e.g. '13|2': the block sequence
+    of its labels with each 0 spelt '|', trailing ones dropped."""
+    seq = _block_sequences(_partition_table(n).labels)
+    text = np.where(seq > 0, seq + ord("0"), ord("|")).astype(np.uint8)
+    return tuple(key.decode().rstrip("|") for key in text.view(f"S{2 * n}").ravel().tolist())
 
 
 @lru_cache(maxsize=None)
@@ -609,7 +609,8 @@ def push_forward(q: PartitionDistribution, p: float) -> BinaryLaw:
 
 @lru_cache(maxsize=None)
 def _restriction_columns(n: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Column in B_|subset| of the induced partition of each column of B_n.
+    """Column in B_|subset| of the induced partition of each column of B_n,
+    ``subset``'s elements renumbered in the order given (a permutation too).
 
     The table's labels on ``subset`` name the induced partition; relabelled
     in order of first occurrence they are its restricted-growth labels."""

@@ -38,10 +38,11 @@ except ImportError as exc:
                       "bindings scipy.optimize._highspy._core, which older scipy "
                       "releases do not ship") from exc
 
-# color_map is off the LP path; code outside it still imports it from here
-from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, _one_cells,
-                         color_map, color_map_csc, color_map_exact, enumerate_partitions,
-                         push_forward)
+# color_map and enumerate_partitions are on no path here: they are imported
+# only so that bench/tracing.py can time them under these names
+from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, _key_columns,
+                         _one_cells, _restriction_columns, color_map, color_map_csc,  # noqa: F401
+                         color_map_exact, enumerate_partitions, push_forward)  # noqa: F401
 from .reports import Verdict
 
 FEAS_TOL = 1e-9
@@ -52,16 +53,21 @@ PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 RELAX_SIGMA = 3.0
 
 
-def _noise_tol(nu: BinaryLaw) -> float:
-    """Tolerance for one cell: 1e-9 on an exact law, 5 stderr on an MC law."""
-    return 1e-9 if nu.stderr is None else max(1e-9, 5.0 * float(np.max(nu.stderr)))
+def _noise(nu: BinaryLaw) -> float:
+    """The largest stderr of a law's cells: 0 on an exact law."""
+    return 0.0 if nu.stderr is None else float(np.max(nu.stderr))
 
 
-def _marginal_tol(nu: BinaryLaw) -> float:
-    """Tolerance for a marginal, a sum of 2^(n-1) cells: 5 n stderr on an MC law."""
-    if nu.stderr is None:
-        return 1e-9
-    return max(1e-9, 5.0 * float(np.max(nu.stderr)) * nu.n)
+def _noise_tol(noise):
+    """Tolerance for one cell, given the largest stderr ``noise`` (a scalar,
+    or one per law): 5 stderr, and 1e-9 on an exact law."""
+    return np.maximum(1e-9, 5.0 * noise)
+
+
+def _marginal_tol(noise, n: int):
+    """Tolerance for a marginal, a sum of 2^(n-1) cells: 5 n stderr, and 1e-9
+    on an exact law."""
+    return np.maximum(1e-9, 5.0 * noise * n)
 
 
 def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
@@ -101,7 +107,7 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     """
     if nu.n != 3:
         raise ValueError("signed_rep_3 needs n = 3")
-    p = _require_equal_marginals(nu, _marginal_tol(nu))
+    p = _require_equal_marginals(nu, _marginal_tol(_noise(nu), nu.n))
     if abs(p - 0.5) <= P_HALF_TOL:
         raise ValueError("p = 1/2 has a one-parameter family; "
                          "use symmetric_rep_family_3")
@@ -167,7 +173,7 @@ def symmetric_rep_family_3(nu: BinaryLaw) -> SymmetricRepFamily3:
     """All representations of a {0,1}-symmetric n=3 law, as the t-interval."""
     if nu.n != 3:
         raise ValueError("symmetric_rep_family_3 needs n = 3")
-    if not nu.is_zero_one_symmetric(_noise_tol(nu)):
+    if not nu.is_zero_one_symmetric(_noise_tol(_noise(nu))):
         raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
     c = nu.cell
     nu001, nu010, nu100 = c("001"), c("010"), c("100")
@@ -376,7 +382,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    marginal_tol = _marginal_tol(nu)
+    marginal_tol = _marginal_tol(_noise(nu), nu.n)
     p_detected = _require_equal_marginals(nu, marginal_tol)
     if p is None:
         p = p_detected
@@ -487,13 +493,9 @@ def square_circle_intervals(probs, stderr=None) -> SquareIntervals:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != 16:
         raise ValueError(f"expected (N, 16) laws, got shape {probs.shape}")
-    if stderr is None:
-        noise = np.zeros(len(probs))
-        marginal_tol = np.full(len(probs), 1e-9)
-    else:
-        stderr = np.asarray(stderr, dtype=float)
-        noise = stderr.max(axis=1)
-        marginal_tol = np.maximum(1e-9, 5.0 * noise * 4)   # _marginal_tol at n = 4
+    stderr = np.zeros_like(probs) if stderr is None else np.asarray(stderr, dtype=float)
+    noise = stderr.max(axis=1)
+    marginal_tol = _marginal_tol(noise, 4)
     tol = np.maximum(1e-9, RELAX_SIGMA * noise)
     for perm in (_ROTATE, _REFLECT):
         if np.any(np.abs(_permute_law(probs, perm) - probs).max(axis=1) > 4.0 * tol):
@@ -514,13 +516,9 @@ def square_circle_intervals(probs, stderr=None) -> SquareIntervals:
     # the 3-marginal on coordinates 1, 2, 3, summed from 0.0 as the bincount of
     # ``BinaryLaw.marginalize`` sums it (a -0.0 cell adds as 0.0)
     nu3 = (0.0 + probs[:, 0::2]) + probs[:, 1::2]
-    if stderr is None:
-        tol3 = np.full(len(probs), 1e-9)
-    else:
-        se3 = np.sqrt((0.0 + stderr[:, 0::2] ** 2) + stderr[:, 1::2] ** 2)
-        tol3 = np.maximum(1e-9, 5.0 * se3.max(axis=1))    # _noise_tol
+    se3 = np.sqrt((0.0 + stderr[:, 0::2] ** 2) + stderr[:, 1::2] ** 2)
     flip_gap = np.abs(nu3 - nu3[:, ::-1]).max(axis=1)
-    if np.any(half & (flip_gap > tol3)):
+    if np.any(half & (flip_gap > _noise_tol(se3.max(axis=1)))):
         raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
     nu001, nu010, nu100 = nu3[:, 1], nu3[:, 2], nu3[:, 4]
     t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
@@ -588,22 +586,20 @@ def square_circle_solver(theta: float | None, h: float | None,
 
 # the seven orbits of B_4 under the square's dihedral group, by representative
 _SQUARE_ORBITS = ("1234", "123|4", "12|34", "13|24", "12|3|4", "13|2|4", "1|2|3|4")
-_SQUARE_ORBIT = {
-    "1234": "1234",
-    "123|4": "123|4", "124|3": "123|4", "134|2": "123|4", "1|234": "123|4",
-    "12|34": "12|34", "14|23": "12|34",
-    "13|24": "13|24",
-    "12|3|4": "12|3|4", "14|2|3": "12|3|4", "1|23|4": "12|3|4", "1|2|34": "12|3|4",
-    "13|2|4": "13|2|4", "1|24|3": "13|2|4",
-    "1|2|3|4": "1|2|3|4",
-}
 
 
 @functools.cache
 def _square_orbit_index() -> np.ndarray:
-    """Orbit of each column of B_4, as an index into ``_SQUARE_ORBITS``."""
-    index = np.array([_SQUARE_ORBITS.index(_SQUARE_ORBIT[sig.key])
-                      for sig in enumerate_partitions(4)])
+    """Orbit of each column of B_4, as an index into ``_SQUARE_ORBITS``: the
+    representative that one of the square's eight symmetries, closed from
+    ``_ROTATE`` and ``_REFLECT``, maps the column to.  A symmetry relabels
+    the columns as marginalization does (``_restriction_columns``)."""
+    group = {(1, 2, 3, 4)}
+    while len(group) < 8:
+        group |= {tuple(g[i - 1] for i in gen) for g in group for gen in (_ROTATE, _REFLECT)}
+    images = np.array([_restriction_columns(4, g) for g in sorted(group)])
+    reps = np.array([_key_columns(4)[key] for key in _SQUARE_ORBITS])
+    index = (images[:, :, None] == reps).any(axis=0).argmax(axis=1)
     index.setflags(write=False)
     return index
 
@@ -645,7 +641,7 @@ def _square_margin(q4: PartitionDistribution, nu4: BinaryLaw, p: float) -> float
 def quick_sufficient_symmetric(nu: BinaryLaw) -> Verdict:
     """One-sided test: a {0,1}-symmetric law with nu_{0^n} >= 1/4 is a color
     process; anything else stays Undetermined (never NoColorRep)."""
-    if not nu.is_zero_one_symmetric(_noise_tol(nu)):
+    if not nu.is_zero_one_symmetric(_noise_tol(_noise(nu))):
         raise ValueError("quick check needs a {0,1}-symmetric law")
     return Verdict.COLOR_REP if nu.probs[0] >= 0.25 else Verdict.UNDETERMINED
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcrep
 from dcrep import cli
 from dcrep.cli import main
 from dcrep.gaussian import zero_threshold_law_3, fully_symmetric_cov
@@ -390,12 +395,12 @@ def test_a_flag_the_command_does_not_read_exits_2(command, flag, tmp_path, capsy
 def test_config_echo_holds_only_what_the_command_read(tmp_path):
     law = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json()
     cases = [
-        (BASE_ARGV["analyze"], {"model", "seed"}),
-        (BASE_ARGV["solve"], {"model", "seed"}),
+        (BASE_ARGV["analyze"], {"model", "seed", "tol"}),
+        (BASE_ARGV["solve"], {"model", "h", "seed", "tol"}),
         (BASE_ARGV["asymptotics"], {"model"}),
-        (BASE_ARGV["simulate"], {"simulator", "samples", "seed", "format", "a"}),
+        (BASE_ARGV["simulate"], {"simulator", "samples", "seed", "format", "a", "n"}),
         (["simulate", "--simulator", "stable-chain", "--samples", "10000"],
-         {"simulator", "samples", "seed", "format", "a", "alpha"}),
+         {"simulator", "samples", "seed", "format", "a", "alpha", "n"}),
         (["simulate", "--simulator", "color", "--model", law, "--samples", "10000"],
          {"simulator", "model", "samples", "seed", "format"}),
     ]
@@ -470,6 +475,56 @@ def test_scan_alpha_echoes_the_default_a(tmp_path):
     config = json.loads(out.read_text().splitlines()[0][2:])
     assert config == {"schema": "dcrep/1", "command": "scan", "scan": "alpha",
                       "a_step": 0.5, "a": 0.5}
+
+def test_every_default_is_a_flag_its_command_reads():
+    for command, defaults in cli._DEFAULTS.items():
+        assert set(defaults) <= set(cli._command_flags(command)), command
+        for flag, default in defaults.items():
+            if isinstance(default, dict):     # one default per kind
+                assert set(default) == set(cli._COMMANDS[command][1]), (command, flag)
+
+
+def test_defaults_are_echoed_and_read(tmp_path):
+    code, out = run(["simulate", "--simulator", "ou"], tmp_path)
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert (payload["config"]["samples"], payload["config"]["n"]) == (100_000, 3)
+    assert payload["results"]["sign_law"]["n"] == 3
+    code, out = run(["scan", "--scan", "theta"], tmp_path, "scan.csv")
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[0][2:])["a_step"] == math.pi / 80
+    assert len(lines) == 2 + 39
+    code, out = run(["solve", "--model", GAUSS3], tmp_path)
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["h"], config["tol"]) == (0.0, 1e-9)
+
+
+def test_analyze_reads_an_absent_h_or_samples_as_no_lp(tmp_path):
+    code, out = run(["analyze", "--model", GAUSS3], tmp_path)
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert "lp" not in payload["results"]
+    assert "h" not in payload["config"] and "samples" not in payload["config"]
+
+
+@pytest.mark.parametrize("argv", [["scan", "--scan", "theta"], ["asymptotics", "--model", STABLE3]])
+def test_a_closed_stdout_ends_quietly(argv):
+    """As after ``dcrep scan --scan theta | head -1``: the reader is gone, and
+    the command exits 1 with nothing on stderr, no traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(dcrep.__file__).resolve().parents[1]
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dcrep.cli"] + argv, stdout=write,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=300)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+
 
 def test_simulate_color_refuses_csv(tmp_path, capsys):
     law = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json()

@@ -1,12 +1,17 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcrep
 from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution,
                               bell_number, color_map, enumerate_partitions,
                               marginalize_partition, push_forward,
@@ -29,14 +34,38 @@ def test_enumeration_matches_bruteforce(n):
     assert len(enumerate_partitions(n)) == bell_number(n)
 
 
-def test_enumeration_order_is_sorted_and_stable():
-    sigs = enumerate_partitions(4)
-    keys = [sig.blocks for sig in sigs]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
-    # first and last in the canonical order
-    assert sigs[0].key == "1|2|3|4"
-    assert enumerate_partitions(3)[0].key == "1|2|3"
+@pytest.mark.parametrize("n", range(1, 10))
+def test_enumeration_order_is_sorted_and_stable(n):
+    sigs = enumerate_partitions(n)
+    blocks = [sig.blocks for sig in sigs]
+    assert blocks == sorted(blocks)
+    assert len(set(blocks)) == len(blocks) == bell_number(n)
+    assert all(sig == Partition.of(sig.blocks) for sig in sigs)
+    assert sigs[0].key == "|".join(map(str, range(1, n + 1)))   # the singletons come first
+    if n == 4:     # sorted by blocks, not by key: '1234' is ninth
+        assert [sig.key for sig in sigs] == [
+            "1|2|3|4", "1|2|34", "1|23|4", "1|234", "1|24|3", "12|3|4", "12|34", "123|4",
+            "1234", "124|3", "13|2|4", "13|24", "134|2", "14|2|3", "14|23"]
+
+
+def test_deciding_and_sampling_build_no_partition_objects():
+    """The LP, the key boundary and the sampler read the partition table: no
+    ``Partition`` enumeration is built on the way."""
+    script = """
+from dcrep.partitions import PartitionDistribution, enumerate_partitions, push_forward
+from dcrep.partitions import simulate_color_process
+from dcrep.solver import lp_feasibility
+q = PartitionDistribution(8, {"12|345|678": 0.25, "1|2|3|4|5|6|7|8": 0.25, "18|27|36|45": 0.5})
+res = lp_feasibility(push_forward(q, 0.3))
+assert res.feasible and res.to_json_dict()["q"]
+simulate_color_process(q, 0.3, 1000, 0)
+print(enumerate_partitions.cache_info().currsize)
+"""
+    src = Path(dcrep.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_n_out_of_range():
