@@ -218,6 +218,28 @@ def stable_order2_limit_101_symmetric(a: float, alpha: float) -> float:
     return (1.0 - t) ** 2 + t * (1.0 - t) * gamma_factor(alpha)
 
 
+def stable_order2_limits_101_symmetric(a: float, alphas) -> tuple[np.ndarray, ...]:
+    """``stable_order2_limit_101_symmetric(a, alpha)`` over an array of
+    alphas, in one array pass: returns t = a^alpha, ``gamma_factor(alpha)``
+    (+infinity for alpha >= 1) and the limit, each bit-equal to the scalar
+    functions.  The powers stay Python's ``**``, one per alpha: numpy's
+    ``power`` rounds some of them an ulp away."""
+    if not (0.0 < a < 1.0):
+        raise ValueError("a must lie in (0,1)")
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all((alphas > 0.0) & (alphas < 2.0)):
+        raise ValueError("alpha must lie in (0,2)")
+    t = np.array([a ** al for al in alphas.tolist()])
+    below = alphas < 1.0
+    al, tb = alphas[below], t[below]
+    gamma = np.full(len(alphas), math.inf)
+    gamma[below] = al * _gamma(2.0 * al) * _gamma(1.0 - al) / _gamma(1.0 + al)
+    limit = np.full(len(alphas), math.inf)
+    limit[below] = (np.array([(1.0 - x) ** 2 for x in tb.tolist()])
+                    + tb * (1.0 - tb) * gamma[below])
+    return t, gamma, limit
+
+
 def stable_order2_limit_101_markov(a: float, alpha: float) -> float:
     """lim nu_101(h)/nu_1(h)^2 for the stable Markov chain:
     (1-a^alpha) * integral_1^{1/a} (1 - a^2 s)^{-alpha} alpha s^{-(1+alpha)} ds.

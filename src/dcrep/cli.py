@@ -25,6 +25,7 @@ from . import asymptotics as asym
 from . import conditions as cond
 from . import embeddings as emb
 from . import stable as stb
+from .csvtext import csv_lines
 # square_threshold_law_exact and square_circle_solver stay importable from
 # here: bench/tracing.py times them under these names
 from .gaussian import (CovarianceSpec, square_threshold_law_exact,  # noqa: F401
@@ -43,7 +44,8 @@ class UsageError(Exception):
 
 
 def _fmt(x: float) -> str:
-    """17 significant digits, '.' decimal: bit-stable CSV cells."""
+    """17 significant digits, '.' decimal: bit-stable CSV cells.  The
+    per-cell reference of ``csv_lines``, which spells every cell so."""
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -140,28 +142,16 @@ def _emit(args, payload: dict) -> None:
 CSV_BLOCK_ROWS = 1024
 
 
-def _column_text(col) -> list[str]:
-    """One CSV column as text.  Integer arrays print by ``str`` and float
-    arrays by ``format(x, ".17g")``, which spells nan, inf and -0 as ``_fmt``
-    does; any other column goes cell by cell."""
-    if isinstance(col, np.ndarray) and col.dtype.kind in "biu":
-        return list(map(str, col.astype(np.int64).tolist()))
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        return list(map("{:.17g}".format, col.tolist()))
-    return [_fmt(v) if isinstance(v, (int, float, bool, np.floating)) else str(v)
-            for v in col]
-
-
 def _emit_csv(args, header: list[str], columns: list) -> None:
-    """Write equal-length columns as CSV rows, formatted a block of rows at a
-    time so that only one block of text is held at once."""
+    """Write equal-length columns as CSV rows, a block of rows at a time, so
+    that only one block of text is held at once; ``csv_lines`` spells each
+    cell as ``_fmt`` does."""
     rows = len(columns[0])
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write("# " + json.dumps(_config_echo(args), sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, CSV_BLOCK_ROWS):
-            cells = [_column_text(col[start:start + CSV_BLOCK_ROWS]) for col in columns]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            fh.write(csv_lines([col[start:start + CSV_BLOCK_ROWS] for col in columns]))
 
 
 def _law_for(args, obj) -> BinaryLaw:
@@ -293,20 +283,14 @@ def cmd_scan(args) -> None:
         header = ["theta", "feasible", "t_lo", "t_hi", "adjacency_gap"]
         _emit_csv(args, header, [values] + _scan_theta_columns(values))
     else:   # alpha: argparse admits no other --scan
-        a = args.a
         values = _scan_values(args, 2.0)
         header = ["alpha", "gamma_factor", "order2_101", "coupling_threshold",
                   "large_h_color"]
-        gamma, order2, thresholds = [], [], []
-        for al in values.tolist():
-            # q_{12,3}(h) >= 0 for large h iff lim nu_110/nu_1^2 exceeds
-            # (1-t)^2 + t(1-t) = 1 - t, t = a^alpha
-            thresholds.append(1.0 - a ** al)
-            order2.append(asym.stable_order2_limit_101_symmetric(a, al))
-            gamma.append(asym.gamma_factor(al) if al < 1.0 else math.inf)
-        order2, thresholds = np.array(order2), np.array(thresholds)
-        _emit_csv(args, header, [values, np.array(gamma), order2, thresholds,
-                                 order2 > thresholds])
+        # q_{12,3}(h) >= 0 for large h iff lim nu_110/nu_1^2 exceeds
+        # (1-t)^2 + t(1-t) = 1 - t, t = a^alpha
+        t, gamma, order2 = asym.stable_order2_limits_101_symmetric(args.a, values)
+        threshold = 1.0 - t
+        _emit_csv(args, header, [values, gamma, order2, threshold, order2 > threshold])
 
 
 def _emit_sample_csv(args, batch) -> None:

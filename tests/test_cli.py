@@ -275,6 +275,14 @@ def test_sample_csv_matches_per_row_path(tmp_path, monkeypatch, argv):
     assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("a", ["0", "1", "1.5", "nan", "inf"])
+def test_scan_alpha_refuses_an_a_outside_0_1(a, tmp_path, capsys):
+    out = tmp_path / "alpha.csv"
+    assert main(["scan", "--scan", "alpha", "--a", a, "--out", str(out)]) == 2
+    assert "a must lie in (0,1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_bad_tol_exits_2(tol, tmp_path, capsys):
     model = json.dumps({"a": [[1, .5, .3], [.5, 1, .2], [.3, .2, 1]]})

@@ -1,0 +1,111 @@
+"""The array CSV writer against the per-cell reference: ``format(x, ".17g")``
+for floats and ``cli._fmt`` cell by cell."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcrep import cli
+from dcrep.csvtext import csv_lines, float_text
+
+
+def texts(matrix: np.ndarray) -> list[str]:
+    return [row.tobytes().rstrip(b"\0").decode() for row in matrix]
+
+
+def assert_float_text_is_format(values) -> None:
+    x = np.array(values, dtype=np.float64)
+    got = texts(float_text(x))
+    want = [format(v, ".17g") for v in x.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def ulps(x: float, k: int) -> list[float]:
+    """x and its k neighbours on each side."""
+    out = [x]
+    down = up = x
+    for _ in range(k):
+        down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+        out += [down, up]
+    return out
+
+
+def edge_values() -> list[float]:
+    values = []
+    # every power of ten the doubles reach, and 2 ulps on each side: the
+    # exponent corrections, and the 17-digit carry (1e-14 is just below
+    # 10^-14, and its 17 digits round up to 10^17)
+    for e in range(-323, 309):
+        values += ulps(float(f"1e{e}"), 2)
+    # y = 10^16 and 10^17 exactly, and the largest 17-digit integers
+    values += ulps(1e16, 3) + ulps(1e17, 3) + [99999999999999984.0, 99999999999999992.0]
+    # 2^-k: exact decimal expansions, some of which end in a tie at digit 18
+    values += [2.0 ** -k for k in range(1075)] + [2.0 ** k for k in range(1024)]
+    values += [3 * 2.0 ** -k for k in range(1, 60)] + [5 * 2.0 ** -k for k in range(1, 60)]
+    # the switch between notations at E = -5/-4 and 16/17
+    for x in (1e-4, 1e-5, 9.9999999999999991e-5, 9.99999999999999e-6, 1e16, 1e17,
+              9999999999999998.0, 12345678901234567.0, 123456789012345678.0):
+        values += ulps(x, 2)
+    # two- and three-digit exponents
+    for x in (1e99, 1e100, 1e-99, 1e-100, 9.9999999999999999e99, 9.9999999999999999e-100):
+        values += ulps(x, 2)
+    # zeros, subnormals, the edges of the kernel's domain, nan and inf
+    values += [0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e-270, 1e270, 1e271, 1.7976931348623157e308, math.nan, math.inf]
+    return values + [-v for v in values]
+
+
+def test_float_text_is_format_on_the_edges():
+    assert_float_text_is_format(edge_values())
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e5, 1e20, 1e200])
+def test_float_text_is_format_on_random_values(scale):
+    gen = np.random.default_rng(int(math.log10(scale)) + 300)
+    x = gen.random(20_000) * scale
+    x[::2] *= -1
+    assert_float_text_is_format(x)
+    # few digits and ties: decimal grids as the scans build them
+    assert_float_text_is_format(np.arange(1, 20_000) * 0.0001 * scale)
+
+
+def test_float_text_is_format_across_all_exponents():
+    gen = np.random.default_rng(1)
+    assert_float_text_is_format(np.exp(gen.uniform(-745, 709, 50_000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_float_text_is_format_on_raw_bit_patterns(bits):
+    assert_float_text_is_format(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
+def test_float_text_is_format_on_hypothesis_floats(values):
+    assert_float_text_is_format(values)
+
+
+def test_float_text_of_float32_and_empty_columns():
+    x = np.array([0.1, 1e-30, 3.4e38, -2.5], dtype=np.float32)
+    assert texts(float_text(x)) == [format(v, ".17g") for v in x.tolist()]
+    assert float_text(np.array([])).shape[0] == 0
+
+
+def test_csv_lines_match_fmt_cell_by_cell():
+    gen = np.random.default_rng(2)
+    rows = 500
+    columns = [gen.normal(size=rows), gen.integers(-5, 5, rows), gen.random(rows) > 0.5,
+               np.array(["", "a", "13|2", "1|2|3"], dtype=object)[gen.integers(0, 4, rows)],
+               np.where(gen.random(rows) < 0.2, math.nan, gen.normal(size=rows) * 1e-6),
+               gen.integers(0, 2, rows).astype(np.uint8),
+               [("x" * int(k)) for k in gen.integers(0, 3, rows)],
+               tuple(float(v) for v in gen.random(rows)), np.full(rows, -0.0)]
+    want = "".join(",".join(v if isinstance(v, str) else cli._fmt(v) for v in row) + "\n"
+                   for row in zip(*columns))
+    assert csv_lines(columns) == want
+

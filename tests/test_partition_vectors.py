@@ -394,7 +394,10 @@ def reference_scan_lines(kind: str, step: float, a: float = 0.5) -> list[str]:
     (["--scan", "theta"], "theta", math.pi / 80, None),
     (["--scan", "alpha"], "alpha", 0.01, 0.5),
     (["--scan", "alpha", "--a-step", "0.0002", "--a", "0.37"], "alpha", 0.0002, 0.37),
-], ids=["theta_0.001", "theta_default", "alpha_default", "alpha_0.0002"])
+    # numpy's power can round many of these a^alpha, and its square a few
+    # (1 - t)^2, an ulp away from Python's **
+    (["--scan", "alpha", "--a-step", "0.0001", "--a", "0.7891"], "alpha", 0.0001, 0.7891),
+], ids=["theta_0.001", "theta_default", "alpha_default", "alpha_0.0002", "alpha_0.7891"])
 def test_scan_csv_matches_per_point_loop(tmp_path, argv, kind, step, a):
     out = tmp_path / "scan.csv"
     assert cli.main(["scan"] + argv + ["--out", str(out)]) == 0
