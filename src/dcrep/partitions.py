@@ -237,20 +237,6 @@ def _color_map_cells(n: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _column_cell_ranges(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the cells of each column lie in ``_color_map_cells(n)``: the
-    index of its first cell and its number of cells, 2^K for K blocks.  The
-    cells come by K, and by column within each K."""
-    size = 1 << _partition_table(n).num_blocks.astype(np.intp)
-    order = np.argsort(size, kind="stable")
-    start = np.empty_like(size)
-    start[order] = np.cumsum(size[order]) - size[order]
-    for a in (start, size):
-        a.setflags(write=False)
-    return start, size
-
-
-@lru_cache(maxsize=None)
 def _color_map_csc_structure(n: int) -> tuple[np.ndarray, ...]:
     """The sparsity structure of ``color_map_csc(n, .)``, shared by every p:
     int32 ``indptr`` and ``indices`` of the cells sorted by (column, row),
@@ -295,24 +281,11 @@ def _coloring_weights(n: int, p: float) -> np.ndarray:
                       for j in range(n + 1)] for big in range(n + 1)])
 
 
-def _cell_weights(q: "PartitionDistribution", p: float, cells=slice(None)) -> np.ndarray:
-    """The mass q(sigma) p^k (1-p)^(K-k) of each cell of ``_color_map_cells``
-    (or of those that ``cells`` indexes): the law of the color process, one
-    (partition, coloring) pair per cell."""
-    col, k, kk = (a[cells] for a in _color_map_cells(q.n)[1:])
+def _cell_weights(q: "PartitionDistribution", p: float) -> np.ndarray:
+    """The mass q(sigma) p^k (1-p)^(K-k) of each cell of ``_color_map_cells``:
+    the law of the color process, one (partition, coloring) pair per cell."""
+    _, col, k, kk = _color_map_cells(q.n)
     return q.vector[col] * _coloring_weights(q.n, p)[kk, k]
-
-
-def _support_cells(q: "PartitionDistribution"):
-    """The cells of q's support, in their order in ``_color_map_cells``: their
-    indices, or all the cells (a slice) when q has full support."""
-    support = np.flatnonzero(q.vector > 0.0)
-    if len(support) == len(q.vector):
-        return slice(None)
-    start, size = _column_cell_ranges(q.n)
-    support = support[np.argsort(start[support])]
-    count = size[support]
-    return np.repeat(start[support] - (np.cumsum(count) - count), count) + np.arange(count.sum())
 
 
 def color_map_exact(n: int, p) -> tuple[np.ndarray, int]:
@@ -708,10 +681,8 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     Deterministic given seed.  ``samples`` is an (m, n) 0/1 uint8 array.  Each
     sample takes one uniform: a categorical draw over the cells of
     ``_color_map_cells`` of positive mass, each a (partition, coloring) pair
-    of mass q(sigma) p^k (1-p)^(K-k), read as the cell's string.  Only the
-    cells of q's support are gathered (``_support_cells``), in their order;
-    leaving out massless cells changes no draw, since they add no step to
-    the CDF.
+    of mass q(sigma) p^k (1-p)^(K-k), read as the cell's string.  Dropping the
+    massless cells changes no draw, since they add no step to the CDF.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -720,10 +691,9 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     n = q.n
-    cells = _support_cells(q)
-    weights = _cell_weights(q, p, cells)
-    drawn = weights > 0.0   # not the cells of zero mass
-    weights, rows = weights[drawn], _color_map_cells(n)[0][cells][drawn]
+    weights = _cell_weights(q, p)
+    drawn = weights > 0.0   # not the cells of zero (or, within PROB_TOL, negative) mass
+    weights, rows = weights[drawn], _color_map_cells(n)[0][drawn]
     rows = _categorical(weights, m, make_rng(seed), rows)
     strings = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     samples = np.empty((m, n), dtype=np.uint8)

@@ -9,14 +9,12 @@ Three routes, used where each is exact:
     infeasibility and a +-3 stderr relaxation for MC laws.  The map exists
     on this path only as a CSC matrix whose columns are the cached cells
     (``color_map_csc``); it goes to HiGHS by one array ``passModel``, with
-    presolve off for exact laws and on for Monte Carlo laws, and the margin
-    and the certificate check read the cells too (``push_forward``,
-    ``A.T @ y``).  At n = 9 (512 x 21,147) the LP of a Dirichlet law takes
-    2.1 s on a 2-core x86-64 box, with a 14 MiB ``tracemalloc`` peak once the
-    caches are warm, and a Monte Carlo law of a 5-partition color process
-    (10^5 samples) 1-1.5 s, where presolve off took 7-26 s.  ``exact=True``
-    keeps the float solve and checks the certificate by an integer check over
-    the cells before calling a law Infeasible.
+    presolve off, and the margin and the certificate check read the cells
+    too (``push_forward``, ``A.T @ y``).  At n = 9 (512 x 21,147) the LP of a
+    Dirichlet law takes 2.1 s on a 2-core x86-64 box, with a 14 MiB
+    ``tracemalloc`` peak once the caches are warm.  ``exact=True`` keeps the
+    float solve and checks the certificate by an integer check over the
+    cells before calling a law Infeasible.
 A symmetry-reduced solver handles the four-points-on-a-circle family, where
 the alternating pattern is forbidden and the dihedral symmetry collapses the
 problem to the t-family of the first three coordinates.
@@ -259,23 +257,16 @@ class PhaseOneResult:
 
 # the settings that scipy's own HiGHS LP interface passes, with the primal
 # tolerance below: at HiGHS's default, 1e-7, an optimum of 0 can leave
-# |A q - b| near 1e-7 (8.5e-8 on an n = 6 law at p = 1/2).  Two fixed sets,
-# chosen by law kind: presolve is off for exact laws, where it changed
-# neither x, y nor the pivot count on laws with no zero cell and took a third
-# of an n = 6 solve; it is on for Monte Carlo laws, which have many empty
-# cells and where it took n = 9 decisions from 7-26 s to 1-1.5 s
-def _highs_options(presolve: bool):
-    options = _highs.HighsOptions()
-    options.presolve = "on" if presolve else "off"
-    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.primal_feasibility_tolerance = PRIMAL_FEAS_TOL
-    options.output_flag = False
-    options.log_to_console = False
-    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-    return options
-
-
-_HIGHS_OPTIONS = {presolve: _highs_options(presolve) for presolve in (False, True)}
+# |A q - b| near 1e-7 (8.5e-8 on an n = 6 law at p = 1/2).  Presolve is off:
+# on laws with no zero cell it changed neither x, y nor the pivot count, and
+# it took a third of an n = 6 solve
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "off"
+_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.primal_feasibility_tolerance = PRIMAL_FEAS_TOL
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 # the post-solve check of that interface: bounds and equality residual within
@@ -295,13 +286,11 @@ def _phase_one_columns(csc: csc_array, signs: list[float]):
     return indptr, indices, np.concatenate([csc.data, np.repeat(signs, m)])
 
 
-def phase_one(a, b, slack=None, presolve: bool = False) -> PhaseOneResult:
+def phase_one(a, b, slack=None) -> PhaseOneResult:
     """Phase-I LP by HiGHS: minimize 1'(s+ + s-) subject to
     A q + e + s+ - s- = b, with q, s+, s- >= 0 and |e| <= slack cellwise
     (e = 0 when ``slack`` is None).  ``a`` is a dense or sparse matrix; it
-    goes to HiGHS as CSC arrays, by one array call.  ``presolve`` picks the
-    one of the two option sets that ``lp_feasibility`` gives a Monte Carlo
-    law.
+    goes to HiGHS as CSC arrays, by one array call.
 
     The optimum is 0 iff some q >= 0 has |A q - b| <= slack.  The equality
     multipliers y satisfy y'A <= 0 and, without slack, y'b = objective, so on
@@ -332,7 +321,7 @@ def phase_one(a, b, slack=None, presolve: bool = False) -> PhaseOneResult:
     highs = _highs._Highs()
     error = _highs.HighsStatus.kError
     # an empty integrality array is an error: all zeros is continuous
-    if (highs.passOptions(_HIGHS_OPTIONS[presolve]) == error
+    if (highs.passOptions(_HIGHS_OPTIONS) == error
             or highs.passModel(num_col, m, len(data), _COLWISE, _MINIMIZE, 0.0, cost, lower,
                                upper, b, b, indptr, indices, data,
                                np.zeros(num_col, dtype=np.int32)) == error
@@ -402,8 +391,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     n = nu.n
     mat = color_map_csc(n, p)
 
-    presolve = nu.stderr is not None
-    strict = phase_one(mat, nu.probs, presolve=presolve)
+    strict = phase_one(mat, nu.probs)
     detail = {"phase1_objective": strict.objective}
     if exact:
         detail["mode"] = "exact"
@@ -414,7 +402,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
 
     objective, status = strict.objective, "Infeasible"
     if nu.stderr is not None and float(np.max(nu.stderr)) > 0.0:
-        relaxed = phase_one(mat, nu.probs, slack=RELAX_SIGMA * nu.stderr, presolve=presolve)
+        relaxed = phase_one(mat, nu.probs, slack=RELAX_SIGMA * nu.stderr)
         objective = detail["relaxed_objective"] = relaxed.objective
         if objective <= tol:
             q = _extract_q(n, relaxed.x)

@@ -55,8 +55,8 @@ def test_installed_tracer_counts_the_phase_one_lp_shapes(monkeypatch, name):
     law = LAWS[name]()
     calls = []
 
-    def recording(a, b, slack=None, presolve=False):
-        result = phase_one(a, b, slack, presolve)
+    def recording(a, b, slack=None):
+        result = phase_one(a, b, slack)
         calls.append((a.shape, result.pivots))
         return result
 

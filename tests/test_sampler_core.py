@@ -16,8 +16,7 @@ from dcrep.embeddings import (EmbeddingBatch, ou_partition_batch, ou_star_partit
 from dcrep.gaussian import (markov_chain_cov, sampling_factor, symmetric_plus_mean_cov,
                             threshold_law_mc)
 from dcrep.partitions import (BELL, GUIDE_MAX, MC_BLOCK, MC_CHUNK, BinaryLaw,
-                              PartitionDistribution, _categorical, _cell_weights,
-                              _color_map_cells, simulate_color_process)
+                              _categorical)
 from dcrep.rng import make_rng
 from dcrep.stable import (common_shock_model, sample_pos_stable, sample_stable_vector,
                           sample_sym_stable, stable_markov_model, stable_threshold_law_mc,
@@ -322,32 +321,3 @@ def test_categorical_matches_choice_on_weights_a_few_ulps_off_one(ulps):
     weights[-1] = 1.0 - np.sum(weights[:-1]) + ulps * np.finfo(float).eps
     assert np.cumsum(weights)[-1] != 1.0
     assert_categorical_matches_choice(weights)
-
-
-def reference_color_process(q, p, m, seed):
-    """The color process drawn over the masses of every cell of the coloring
-    map, the massless ones then dropped."""
-    n = q.n
-    weights = _cell_weights(q, p)
-    drawn = weights > 0.0
-    rows = _categorical(weights[drawn], m, make_rng(seed), _color_map_cells(n)[0][drawn])
-    strings = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    return strings[rows], BinaryLaw.from_counts(np.bincount(rows, minlength=2 ** n), m)
-
-
-@pytest.mark.parametrize("n", range(1, 10))
-@pytest.mark.parametrize("support", ["sparse", "full"])
-def test_color_process_from_the_support_matches_all_cells(n, support):
-    gen = np.random.default_rng([n, support == "full"])
-    if support == "full":
-        v = gen.dirichlet(np.ones(BELL[n]))
-    else:
-        k = min(5, BELL[n])
-        v = np.zeros(BELL[n])
-        v[gen.choice(BELL[n], k, replace=False)] = gen.dirichlet(np.ones(k))
-    q = PartitionDistribution.from_vector(n, v)
-    for p in (0.3, 0.5, 0.0, 1.0):
-        samples, law = simulate_color_process(q, p, 5000, n)
-        want_samples, want_law = reference_color_process(q, p, 5000, n)
-        assert samples.tobytes() == want_samples.tobytes()
-        assert_same_law(law, want_law)

@@ -492,59 +492,6 @@ def test_lp_relaxed_mc_markov_n6():
     assert elapsed < 2.0
 
 
-def recipe_color_law(n, draw, samples=10 ** 5):
-    """Draw ``draw`` of a seeded sequence of n-point color-process laws: each
-    a Dirichlet q on 5 random partitions at p = 0.3, sampled with a seed
-    drawn after them."""
-    rng = np.random.default_rng(n)
-    for _ in range(draw + 1):
-        w = rng.dirichlet(np.ones(5))
-        cols = rng.choice(bell_number(n), 5, replace=False)
-        seed = int(rng.integers(1 << 30))
-    v = np.zeros(bell_number(n))
-    v[cols] = w
-    return simulate_color_process(PartitionDistribution.from_vector(n, v), 0.3, samples, seed)[1]
-
-
-MC_LAWS = {
-    "gaussian": lambda n: threshold_law_mc(markov_chain_cov(n, 0.5), 0.5, 10 ** 4, seed=n),
-    "stable": lambda n: stable_threshold_law_mc(stable_markov_model(0.5, 1.2, n), 0.5,
-                                                10 ** 4, seed=n),
-    "color": lambda n: recipe_color_law(n, 0, 10 ** 4),
-}
-
-
-@pytest.mark.parametrize("kind, n, status", [
-    *[(kind, n, "Borderline") for n in range(3, 8) for kind in MC_LAWS],
-    ("gaussian", 8, "Infeasible"), ("stable", 8, "Borderline"), ("color", 8, "Borderline"),
-    ("recipe", 9, "Borderline"),
-])
-def test_mc_laws_decide_alike_with_presolve_off(monkeypatch, kind, n, status):
-    """Presolve, on for Monte Carlo laws, changes neither the verdict nor the
-    objectives.  The n = 9 law takes 7-8 s with presolve off, 1 s with it."""
-    law = recipe_color_law(n, 0) if kind == "recipe" else MC_LAWS[kind](n)
-    presolved = lp_feasibility(law)
-    monkeypatch.setattr(solver, "phase_one",
-                        lambda a, b, slack=None, presolve=False: phase_one(a, b, slack, False))
-    plain = lp_feasibility(law)
-    assert presolved.status == plain.status == status
-    assert presolved.detail.keys() == plain.detail.keys()
-    for key, value in plain.detail.items():
-        assert presolved.detail[key] == pytest.approx(value, rel=0.0, abs=1e-12)
-    infeasible = status == "Infeasible"
-    assert (presolved.certificate is not None) == (plain.certificate is not None) == infeasible
-
-
-def test_n9_mc_decision_is_fast():
-    # 26 s with presolve off, 1.4 s with it
-    law = recipe_color_law(9, 2)
-    t0 = time.perf_counter()
-    res = lp_feasibility(law)
-    elapsed = time.perf_counter() - t0
-    assert res.status == "Borderline"
-    assert elapsed < 10.0
-
-
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12])
 def test_lp_feasibility_rejects_a_bad_tol(tol):
     # a nan tol used to compare False everywhere and report a Feasible law Infeasible
@@ -554,10 +501,10 @@ def test_lp_feasibility_rejects_a_bad_tol(tol):
 
 # -- phase_one against scipy's linprog ------------------------------------------
 
-def linprog_phase_one(a, b, slack=None, presolve=False):
+def linprog_phase_one(a, b, slack=None):
     """The oracle: the same phase-I LP through ``scipy.optimize.linprog``,
     whose ``method="highs"`` wraps the same HiGHS solve in input cleaning and
-    a dense [A | I | -I (| I)], with the presolve setting ``phase_one`` got."""
+    a dense [A | I | -I (| I)], with presolve off as in ``phase_one``."""
     a = a.toarray()
     m, k = a.shape
     eye = np.eye(m)
@@ -570,7 +517,7 @@ def linprog_phase_one(a, b, slack=None, presolve=False):
         bounds += [(-s, s) for s in slack]
     res = linprog(cost, A_eq=np.hstack(blocks), b_eq=b, bounds=bounds, method="highs",
                   options={"primal_feasibility_tolerance": solver.PRIMAL_FEAS_TOL,
-                           "presolve": presolve})
+                           "presolve": False})
     assert res.status == 0, res.message
     return res
 
@@ -598,23 +545,21 @@ def test_phase_one_matches_linprog_bit_for_bit(monkeypatch, name):
     law = PARITY_CORPUS[name]()
     calls = []
 
-    def recording(a, b, slack=None, presolve=False):
-        result = phase_one(a, b, slack, presolve)
-        calls.append((a, b, slack, presolve, result))
+    def recording(a, b, slack=None):
+        result = phase_one(a, b, slack)
+        calls.append((a, b, slack, result))
         return result
 
     monkeypatch.setattr(solver, "phase_one", recording)
     status = lp_feasibility(law).status
-    # presolve is on for Monte Carlo laws only
-    assert [c[3] for c in calls] == [name.endswith("MC")] * len(calls)
     if name.endswith("MC"):
         assert status == "Borderline" and [c[2] is not None for c in calls] == [False, True]
     elif name.startswith("dirichlet"):
         assert status == "Feasible" and len(calls) == 1
     else:
         assert status == "Infeasible" and len(calls) == 1
-    for a, b, slack, presolve, got in calls:
-        want = linprog_phase_one(a, b, slack, presolve)
+    for a, b, slack, got in calls:
+        want = linprog_phase_one(a, b, slack)
         assert got.objective == want.fun
         assert got.pivots == want.nit
         assert got.x.tobytes() == want.x[:a.shape[1]].tobytes()
