@@ -201,39 +201,41 @@ def gamma_factor(alpha: float) -> float:
     """alpha Gamma(2 alpha) Gamma(1 - alpha) / Gamma(1 + alpha), alpha in (0,1)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("gamma_factor is defined on (0,1)")
-    return float(alpha * _gamma(2.0 * alpha) * _gamma(1.0 - alpha) / _gamma(1.0 + alpha))
+    return float(_gamma_factors(np.array([alpha]))[0])
+
+
+def _gamma_factors(alphas: np.ndarray) -> np.ndarray:
+    """``gamma_factor`` over an array of alphas, +infinity for alpha >= 1."""
+    below = alphas < 1.0
+    al = alphas[below]
+    gamma = np.full(len(alphas), math.inf)
+    gamma[below] = al * _gamma(2.0 * al) * _gamma(1.0 - al) / _gamma(1.0 + al)
+    return gamma
 
 
 def stable_order2_limit_101_symmetric(a: float, alpha: float) -> float:
     """lim nu_101(h)/nu_1(h)^2 for the common-shock family:
     (1-a^alpha)^2 + a^alpha (1-a^alpha) gamma_factor(alpha) for alpha in (0,1),
-    +infinity for alpha in [1,2)."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0,1)")
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0,2)")
-    if alpha >= 1.0:
-        return math.inf
-    t = a ** alpha
-    return (1.0 - t) ** 2 + t * (1.0 - t) * gamma_factor(alpha)
+    +infinity for alpha in [1,2).  ``stable_order2_limits_101_symmetric`` on
+    one alpha."""
+    return float(stable_order2_limits_101_symmetric(a, [alpha])[2][0])
 
 
 def stable_order2_limits_101_symmetric(a: float, alphas) -> tuple[np.ndarray, ...]:
     """``stable_order2_limit_101_symmetric(a, alpha)`` over an array of
     alphas, in one array pass: returns t = a^alpha, ``gamma_factor(alpha)``
-    (+infinity for alpha >= 1) and the limit, each bit-equal to the scalar
-    functions.  The powers stay Python's ``**``, one per alpha: numpy's
-    ``power`` rounds some of them an ulp away."""
+    (+infinity for alpha >= 1) and the limit.  The powers stay Python's
+    ``**``, one per alpha: numpy's ``power`` rounds some of them an ulp
+    away."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
     alphas = np.asarray(alphas, dtype=float)
     if not np.all((alphas > 0.0) & (alphas < 2.0)):
         raise ValueError("alpha must lie in (0,2)")
     t = np.array([a ** al for al in alphas.tolist()])
+    gamma = _gamma_factors(alphas)
     below = alphas < 1.0
-    al, tb = alphas[below], t[below]
-    gamma = np.full(len(alphas), math.inf)
-    gamma[below] = al * _gamma(2.0 * al) * _gamma(1.0 - al) / _gamma(1.0 + al)
+    tb = t[below]
     limit = np.full(len(alphas), math.inf)
     limit[below] = (np.array([(1.0 - x) ** 2 for x in tb.tolist()])
                     + tb * (1.0 - tb) * gamma[below])

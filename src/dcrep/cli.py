@@ -32,8 +32,9 @@ from .gaussian import (CovarianceSpec, square_threshold_law_exact,  # noqa: F401
                        square_threshold_laws_exact, threshold_law_mc, zero_threshold_law_3)
 from .partitions import BinaryLaw, _column_keys, simulate_color_process
 from .reports import _plain
-from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3,  # noqa: F401
-                     square_circle_intervals, square_circle_solver, symmetric_rep_family_3)
+from .solver import (FEAS_TOL, _is_half, _marginal_tol, _noise, _noise_tol,  # noqa: F401
+                     lp_feasibility, signed_rep_3, square_circle_intervals,
+                     square_circle_solver, symmetric_rep_family_3)
 
 SCHEMA = "dcrep/1"
 SCAN_MAX_ROWS = 1_000_000  # rows one scan may write; a finer --a-step is refused up front
@@ -177,15 +178,15 @@ def cmd_analyze(args) -> dict:
     if obj["kind"] == "gaussian":
         cov = obj["_cov"]
         if cov.is_pd:
-            results["conditions"] = cond.savage_report(cov).to_json_dict()
-        results["degenerate"] = [r.to_json_dict() for r in cond.classify_degenerate(cov)]
+            results["conditions"] = cond.savage_report(cov)
+        results["degenerate"] = cond.classify_degenerate(cov)
         if cov.n == 3 and cov.is_standard and cov.is_pd:
             off = cov.offdiag()
             if np.min(off) >= 0.0:
-                results["large_h"] = cond.classify_large_h_3(cov).to_json_dict()
+                results["large_h"] = cond.classify_large_h_3(cov)
             lims = asym.small_h_limits_3(cov)
             results["small_h"] = {"limits": lims.as_dict(), "kappa": lims.kappa,
-                                  "verdict": lims.verdict().value}
+                                  "verdict": lims.verdict()}
     elif obj["kind"] == "stable":
         model = obj["_model"]
         measure = stb.spectral_from_matrix(model)
@@ -197,9 +198,7 @@ def cmd_analyze(args) -> dict:
         if model.d == 3:
             results["order1_limits"] = asym.stable_limit_report(measure).to_json_dict()
     if args.h is not None or obj["kind"] == "law":
-        law = _law_for(args, obj)
-        res = lp_feasibility(law, p=args.p, tol=args.tol)
-        results["lp"] = res.to_json_dict()
+        results["lp"] = lp_feasibility(_law_for(args, obj), p=args.p, tol=args.tol)
     return results
 
 
@@ -207,17 +206,19 @@ def cmd_solve(args) -> dict:
     obj = load_model(args.model)
     law = _law_for(args, obj)
     out: dict = {"law": json.loads(law.to_json())}
-    p = law.marginal_p
-    if law.n == 3 and abs(p - 0.5) > 1e-9 and law.equal_marginals(1e-6 if law.is_mc else 1e-9):
-        rep = signed_rep_3(law)
-        out["signed_rep_3"] = {"weights": rep.weights(), "feasible": rep.feasible}
-    if law.n == 3 and law.is_zero_one_symmetric(1e-6 if law.is_mc else 1e-9):
-        fam = symmetric_rep_family_3(law)
-        out["symmetric_family"] = {
-            "t_interval": list(fam.t_interval) if fam.t_interval else None,
-            "canonical": None if fam.is_empty else dict(fam.canonical().weights),
-        }
-    out["lp"] = lp_feasibility(law, p=args.p, tol=args.tol).to_json_dict()
+    if law.n == 3:      # the closed-form routes, taken by the solver's own tolerances
+        noise = _noise(law)
+        if (law.equal_marginals(_marginal_tol(noise, 3))
+                and not _is_half(law.marginal_p, noise)):
+            rep = signed_rep_3(law)
+            out["signed_rep_3"] = {"weights": rep.weights(), "feasible": rep.feasible}
+        if law.is_zero_one_symmetric(_noise_tol(noise)):
+            fam = symmetric_rep_family_3(law)
+            out["symmetric_family"] = {
+                "t_interval": fam.t_interval,
+                "canonical": None if fam.is_empty else fam.canonical(),
+            }
+    out["lp"] = lp_feasibility(law, p=args.p, tol=args.tol)
     return out
 
 
@@ -317,8 +318,8 @@ def cmd_simulate(args) -> dict | None:
                 "sign_law": json.loads(batch.empirical_sign_law().to_json()),
                 "verification": {"passed": report.passed,
                                  "aggregate_max_dev_se": report.aggregate_max_dev_se,
-                                 "bins": [vars(b) for b in report.bins],
-                                 "excluded_bins": list(report.excluded_bins)}}
+                                 "bins": report.bins,
+                                 "excluded_bins": report.excluded_bins}}
     if sim == "color":
         if args.format == "csv":
             raise UsageError("simulator 'color' writes a JSON report; --format csv "
@@ -350,7 +351,7 @@ def cmd_asymptotics(args) -> dict:
             raise UsageError("small-h limits need a standard PD 3x3 covariance")
         lims = asym.small_h_limits_3(cov)
         out["small_h"] = {"formula": "q-limits(h->0)", "kappa": lims.kappa,
-                          "limits": lims.as_dict(), "verdict": lims.verdict().value}
+                          "limits": lims.as_dict(), "verdict": lims.verdict()}
     elif obj["kind"] == "stable":
         model = obj["_model"]
         measure = stb.spectral_from_matrix(model)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .gaussian import RANK_RTOL, CovarianceSpec, ab_cov
 from .reports import ClassificationReport, Regime, Verdict
@@ -38,17 +39,6 @@ class ConditionReport:
     dgff_failures: list[str]
     quadratic: float                    # 1' A^{-1} 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "savage_vector": [float(v) for v in self.savage_vector],
-            "savage": self.savage.value,
-            "stieltjes_inverse": self.stieltjes_inverse,
-            "stieltjes_offending": [[i, j, v] for i, j, v in self.stieltjes_offending],
-            "dgff": self.dgff,
-            "dgff_failures": list(self.dgff_failures),
-            "quadratic": self.quadratic,
-        }
-
 
 def savage_vector(cov: CovarianceSpec) -> np.ndarray:
     return np.ones(cov.n) @ cov.inverse
@@ -72,35 +62,20 @@ def savage_closed_form_3(cov: CovarianceSpec) -> float:
 
 
 def is_inverse_stieltjes(cov: CovarianceSpec) -> tuple[bool, list[tuple[int, int, float]]]:
-    """True iff all off-diagonal entries of A^{-1} are <= 0 (within 1e-12)."""
-    inv = cov.inverse
-    bad = []
-    for i in range(cov.n):
-        for j in range(i + 1, cov.n):
-            if inv[i, j] > STIELTJES_TOL:
-                bad.append((i + 1, j + 1, float(inv[i, j])))
+    """True iff all off-diagonal entries of A^{-1} are <= 0 (within 1e-12);
+    the offending entries (i, j, value), 1-based with i < j, in row order."""
+    i, j = np.triu_indices(cov.n, k=1)
+    values = cov.inverse[i, j]
+    hit = values > STIELTJES_TOL
+    bad = list(zip((i[hit] + 1).tolist(), (j[hit] + 1).tolist(), values[hit].tolist()))
     return (len(bad) == 0, bad)
 
 
 def _blocks(cov: CovarianceSpec) -> list[list[int]]:
-    """Connected components of the graph with edges a_ij > POS_ENTRY_TOL (1-based)."""
-    n = cov.n
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in range(n):
-                if not seen[v] and cov.a[u, v] > POS_ENTRY_TOL:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(i + 1 for i in comp))
-    return comps
+    """Connected components of the graph with edges a_ij > POS_ENTRY_TOL
+    (1-based), in order of their least element."""
+    count, labels = connected_components(cov.a > POS_ENTRY_TOL, directed=False)
+    return [(np.flatnonzero(labels == c) + 1).tolist() for c in range(count)]
 
 
 def is_dgff(cov: CovarianceSpec) -> tuple[bool, list[str]]:
@@ -162,15 +137,6 @@ class LargeHVerdict:
     @property
     def color_for_large_h(self) -> bool:
         return self.verdict is Verdict.COLOR_REP
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "case_tag": self.case_tag,
-            "savage_vector": None if self.savage_vector is None
-                else [float(v) for v in self.savage_vector],
-            "quadratic": self.quadratic,
-        }
 
 
 def classify_large_h_3(cov: CovarianceSpec) -> LargeHVerdict:

@@ -129,9 +129,6 @@ class CovarianceSpec:
             raise ValueError(f"bad subset {subset} for n={self.n}")
         return CovarianceSpec(self.a[np.ix_(idx, idx)])
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "a": self.a.tolist()}
-
     @staticmethod
     def from_points(points) -> "CovarianceSpec":
         """Gram matrix of row vectors; rows on the unit sphere give a standard spec."""

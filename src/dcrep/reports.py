@@ -1,10 +1,15 @@
-"""Verdict vocabulary shared by the classifiers and the CLI."""
+"""Verdict vocabulary shared by the classifiers and the CLI, and ``_plain``,
+the one rule by which a result becomes JSON."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+
+import numpy as np
+
+from .partitions import PartitionDistribution
 
 
 class Verdict(str, Enum):
@@ -34,20 +39,21 @@ class ClassificationReport:
     source: str
     witness: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "regime": self.regime.value,
-            "source": self.source,
-            "witness": _plain(self.witness),
-        }
+
+_JSON_SCALARS = {str, int, float, bool, type(None)}
 
 
 def _plain(obj):
-    """Recursively coerce numpy scalars/arrays into JSON-friendly values."""
-    import numpy as np
-
-    if isinstance(obj, dict):
+    """The JSON form of a result, recursively: a dataclass is the dict of its
+    fields, a ``PartitionDistribution`` its {key: weight} mapping, a mapping
+    a dict, a tuple or array a list, a numpy scalar a Python number and an
+    enum its value.  A result whose JSON is not its fields converts itself
+    first (``SpectralMeasure.to_json_dict``)."""
+    if type(obj) in _JSON_SCALARS:      # most of a payload: no test below applies
+        return obj
+    if isinstance(obj, PartitionDistribution):
+        obj = obj.weights
+    if isinstance(obj, Mapping):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
@@ -57,4 +63,6 @@ def _plain(obj):
         return obj.item()
     if isinstance(obj, Enum):
         return obj.value
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
     return obj

@@ -41,8 +41,9 @@ except ImportError as exc:
 # color_map and enumerate_partitions are on no path here: they are imported
 # only so that bench/tracing.py can time them under these names
 from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, _key_columns,
-                         _one_cells, _restriction_columns, color_map, color_map_csc,  # noqa: F401
-                         color_map_exact, enumerate_partitions, push_forward)  # noqa: F401
+                         _one_cells, _restriction_columns, _subset_cells, color_map,  # noqa: F401
+                         color_map_csc, color_map_exact, enumerate_partitions,  # noqa: F401
+                         push_forward)
 from .reports import Verdict
 
 FEAS_TOL = 1e-9
@@ -68,6 +69,13 @@ def _marginal_tol(noise, n: int):
     """Tolerance for a marginal, a sum of 2^(n-1) cells: 5 n stderr, and 1e-9
     on an exact law."""
     return np.maximum(1e-9, 5.0 * noise * n)
+
+
+def _is_half(p, noise):
+    """Is the marginal p = 1/2 within noise, given the largest stderr
+    ``noise`` (a scalar, or one per law)?  2 stderr, and ``P_HALF_TOL`` on an
+    exact law.  Where it holds, n = 3 takes the t-family route."""
+    return np.abs(p - 0.5) <= np.maximum(P_HALF_TOL, 2.0 * noise)
 
 
 def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
@@ -107,8 +115,9 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     """
     if nu.n != 3:
         raise ValueError("signed_rep_3 needs n = 3")
-    p = _require_equal_marginals(nu, _marginal_tol(_noise(nu), nu.n))
-    if abs(p - 0.5) <= P_HALF_TOL:
+    noise = _noise(nu)
+    p = _require_equal_marginals(nu, _marginal_tol(noise, nu.n))
+    if _is_half(p, noise):
         raise ValueError("p = 1/2 has a one-parameter family; "
                          "use symmetric_rep_family_3")
     c = nu.cell
@@ -227,18 +236,6 @@ class FeasibilityResult:
     @property
     def feasible(self) -> bool:
         return self.status == "Feasible"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "q": None if self.q is None else
-                {k: v for k, v in sorted(self.q.weights.items())},
-            "infeasibility_margin": self.infeasibility_margin,
-            "certificate": None if self.certificate is None
-                else [float(v) for v in self.certificate],
-            "detail": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                       for k, v in self.detail.items()},
-        }
 
 
 def _extract_q(n: int, x: np.ndarray) -> PartitionDistribution:
@@ -374,7 +371,9 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     A phase-I objective up to ``tol`` is Feasible.  Exact laws get the strict
     verdict, Borderline up to 100 tol; MC laws that fail strictly are retried
     on the polytope widened by ``RELAX_SIGMA`` stderr per cell, and only a
-    failure there is reported Infeasible.  With ``exact=True`` a verdict
+    failure there is reported Infeasible.  An Infeasible verdict always
+    carries its Farkas certificate: when ``_clean_certificate`` rejects the
+    duals, the verdict is Borderline.  With ``exact=True`` a verdict
     that would be Infeasible or Borderline becomes Infeasible exactly when the
     Farkas certificate verifies in an integer check over the coloring map's
     cells (the float inputs taken exactly), and Borderline otherwise;
@@ -415,6 +414,8 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
         verified = cert is not None and phase_one_exact(n, p, nu.probs, cert)
         detail["certificate_verified"] = verified
         status = "Infeasible" if verified else "Borderline"
+    elif cert is None:
+        status = "Borderline"
     return FeasibilityResult(status, None, objective,
                              certificate=cert if status == "Infeasible" else None,
                              detail=detail)
@@ -437,20 +438,11 @@ _ROTATE = (2, 3, 4, 1)   # square rotation 1->2->3->4->1
 _REFLECT = (1, 4, 3, 2)  # reflection fixing the 1-3 diagonal
 
 
-@functools.cache
-def _permutation_cells(n: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Cell of (X_{perm(1)}, ..., X_{perm(n)}) that each cell of X maps to."""
-    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    cells = bits[:, np.array(perm) - 1] @ (1 << np.arange(n - 1, -1, -1))
-    cells.setflags(write=False)
-    return cells
-
-
 def _permute_law(probs: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
     """Cells of the law of (X_{perm(1)}, ..., X_{perm(n)}), for the laws
     whose 2^n cells lie along the last axis of ``probs``."""
     out = np.empty_like(probs)
-    out[..., _permutation_cells(len(perm), perm)] = probs
+    out[..., _subset_cells(len(perm), perm)] = probs
     return out
 
 
@@ -511,7 +503,7 @@ def square_circle_intervals(probs, stderr=None) -> SquareIntervals:
         raise ValueError(f"marginals differ by {gap[i]:.3g} (> {marginal_tol[i]:.3g}); "
                          "a color process has equal marginals")
     p = (((marginals[:, 0] + marginals[:, 1]) + marginals[:, 2]) + marginals[:, 3]) / 4
-    half = np.abs(p - 0.5) <= np.maximum(P_HALF_TOL, 2.0 * noise)
+    half = _is_half(p, noise)
 
     # the 3-marginal on coordinates 1, 2, 3, summed from 0.0 as the bincount of
     # ``BinaryLaw.marginalize`` sums it (a -0.0 cell adds as 0.0)

@@ -225,9 +225,6 @@ class StableLinearModel:
     def standardized(self) -> bool:
         return bool(np.max(np.abs(self.row_scales() - 1.0)) <= STANDARD_ROW_TOL)
 
-    def to_json_dict(self) -> dict:
-        return {"alpha": self.alpha, "loadings": self.loadings.tolist()}
-
 
 def spectral_from_matrix(model: StableLinearModel) -> SpectralMeasure:
     """Spectral measure of the linear model: weight ||x||^alpha / 2 at

@@ -12,6 +12,8 @@ import dcrep
 from dcrep import cli
 from dcrep.cli import main
 from dcrep.gaussian import zero_threshold_law_3, fully_symmetric_cov
+from dcrep.partitions import BinaryLaw
+from dcrep.solver import signed_rep_3
 
 GAUSS3 = json.dumps({"a": [[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]]})
 STABLE3 = json.dumps({"alpha": 1.0,
@@ -67,6 +69,19 @@ def test_solve_explicit_law(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["results"]["lp"]["status"] == "Feasible"
     assert payload["results"]["symmetric_family"]["t_interval"] is not None
+
+
+def test_solve_takes_the_n3_routes_of_an_mc_law_by_the_solver_rules(tmp_path):
+    """An MC n = 3 law has marginals equal within its noise, not within 1e-6:
+    ``solve`` still gives its closed form, the one ``signed_rep_3`` gives."""
+    code, out = run(["solve", "--model", GAUSS3, "--h", "0.5", "--samples", "20000"], tmp_path)
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    law = BinaryLaw.from_json(json.dumps(results["law"]))
+    assert law.max_marginal_gap() > 1e-6
+    rep = signed_rep_3(law)
+    assert results["signed_rep_3"] == {"weights": rep.weights(), "feasible": rep.feasible}
+    assert "symmetric_family" not in results
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -54,10 +54,11 @@ def test_deciding_and_sampling_build_no_partition_objects():
     script = """
 from dcrep.partitions import PartitionDistribution, enumerate_partitions, push_forward
 from dcrep.partitions import simulate_color_process
+from dcrep.reports import _plain
 from dcrep.solver import lp_feasibility
 q = PartitionDistribution(8, {"12|345|678": 0.25, "1|2|3|4|5|6|7|8": 0.25, "18|27|36|45": 0.5})
 res = lp_feasibility(push_forward(q, 0.3))
-assert res.feasible and res.to_json_dict()["q"]
+assert res.feasible and _plain(res)["q"]
 simulate_color_process(q, 0.3, 1000, 0)
 print(enumerate_partitions.cache_info().currsize)
 """

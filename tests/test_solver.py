@@ -88,6 +88,19 @@ def test_signed_rep_3_rejects_half_and_unequal():
         signed_rep_3(BinaryLaw(3, probs))
 
 
+def test_signed_rep_3_reads_p_half_within_noise():
+    """An MC law whose p is within 2 stderr of 1/2 takes the t-family route
+    in ``signed_rep_3``, by the rule of ``square_circle_intervals``.  Here p = 0.5072
+    at h = 0: the closed form would give q_12_3 = -1.33 for a law that the
+    t-family represents."""
+    nu = threshold_law_mc(correlations3(0.5, 0.3, 0.2), 0.0, 10 ** 4, seed=1)
+    assert abs(nu.marginal_p - 0.5) > 0.007
+    with pytest.raises(ValueError, match="p = 1/2"):
+        signed_rep_3(nu)
+    fam = symmetric_rep_family_3(nu)
+    assert not fam.is_empty and fam.t_lo == pytest.approx(0.1428, abs=1e-4)
+
+
 def test_symmetric_family_iid_coins():
     fam = symmetric_rep_family_3(product_law(3, 0.5))
     assert fam.t_lo == pytest.approx(0.5, abs=1e-12)
@@ -143,6 +156,21 @@ def test_lp_feasibility_negative_correlation_certificate():
     mat = color_map(2, 0.5)
     assert float(np.max(y @ mat)) <= 1e-9
     assert float(y @ nu.probs) > 0.0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_rejected_certificate_gives_borderline(monkeypatch, exact):
+    """A positive phase-I objective whose duals ``_clean_certificate``
+    rejects is Borderline in both modes: Infeasible always carries a
+    certificate."""
+    def zero_duals(a, b, slack=None):
+        return solver.PhaseOneResult(objective=0.1, x=np.zeros(a.shape[1]),
+                                     y=np.zeros(a.shape[0]), pivots=0)
+
+    monkeypatch.setattr(solver, "phase_one", zero_duals)
+    res = lp_feasibility(BinaryLaw(2, [0.2, 0.3, 0.3, 0.2]), exact=exact)
+    assert (res.status, res.q, res.certificate) == ("Borderline", None, None)
+    assert res.infeasibility_margin == 0.1
 
 
 def test_clean_certificate_refuses_a_y_with_a_positive_column():

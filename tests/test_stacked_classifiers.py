@@ -244,7 +244,7 @@ def test_analyze_json_matches_reference(a, tmp_path):
     payload = json.loads(text)
     cov = CovarianceSpec(a)
     lims = reference_small_h(cov)
-    payload["results"]["large_h"] = reference_large_h_3(cov).to_json_dict()
+    payload["results"]["large_h"] = reference_large_h_3(cov)
     payload["results"]["small_h"] = {"limits": lims.as_dict(), "kappa": lims.kappa,
                                      "verdict": lims.verdict().value}
     expect = json.dumps(cli._plain(payload), indent=2, sort_keys=True) + "\n"
