@@ -112,6 +112,9 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
 
     q_{1,2,3} = (nu_100 - nu_011) / ((1-p) p (1-2p)) and cyclic variants;
     the law is a color process iff all five entries are nonnegative.
+    ``feasible`` reads them down to -FEAS_TOL on an exact law, and on a Monte
+    Carlo law down to what RELAX_SIGMA stderr per cell, the widening of the
+    relaxed LP, can move them: a law that LP calls Borderline reads feasible.
     """
     if nu.n != 3:
         raise ValueError("signed_rep_3 needs n = 3")
@@ -127,7 +130,16 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     q13_2 = ((1.0 - p) * c("101") - p * c("010")) / den
     q1_23 = ((1.0 - p) * c("011") - p * c("100")) / den
     q123 = 1.0 - (p * c("000") - (1.0 - p) * c("111")) / den
-    feasible = min(q_sing, q12_3, q13_2, q1_23, q123) >= -FEAS_TOL
+    # RELAX_SIGMA stderr per cell move a weight (a cell_1 + b cell_2) / den by
+    # up to RELAX_SIGMA (|a| se_1 + |b| se_2) / |den|
+    def e(rho):
+        return RELAX_SIGMA * nu.cell_stderr(rho) / abs(den)
+
+    slack = (e("100") + e("011"), (1.0 - p) * e("110") + p * e("001"),
+             (1.0 - p) * e("101") + p * e("010"), (1.0 - p) * e("011") + p * e("100"),
+             p * e("000") + (1.0 - p) * e("111"))
+    feasible = all(q >= -max(FEAS_TOL, sl)
+                   for q, sl in zip((q_sing, q12_3, q13_2, q1_23, q123), slack))
     return SignedRep3(p=p, q_1_2_3=q_sing, q_12_3=q12_3, q_13_2=q13_2,
                       q_1_23=q1_23, q_123=q123, feasible=feasible)
 

@@ -8,6 +8,7 @@ categorical draw against ``Generator.choice``."""
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,7 @@ from dcrep.gaussian import (markov_chain_cov, sampling_factor, symmetric_plus_me
 from dcrep.partitions import (BELL, GUIDE_MAX, MC_BLOCK, MC_CHUNK, BinaryLaw,
                               _categorical)
 from dcrep.rng import make_rng
-from dcrep.stable import (common_shock_model, sample_pos_stable, sample_stable_vector,
+from dcrep.stable import (_cms, common_shock_model, sample_pos_stable, sample_stable_vector,
                           sample_sym_stable, stable_markov_model, stable_threshold_law_mc,
                           subordinator_scale)
 
@@ -223,7 +224,10 @@ def test_threshold_laws_match_reference_over_several_chunks():
 # -- cache-blocked MC kernels ---------------------------------------------------
 
 def reference_sym_stable(alpha, sigma, m, seed):
-    """The symmetric Chambers-Mallows-Stuck transform as one whole-array expression."""
+    """The symmetric Chambers-Mallows-Stuck transform as one whole-array
+    expression, every factor from a tangent: sin(alpha u) = 2 T / (1 + T^2)
+    with T = tan(alpha u / 2), cos(u)^(-1/alpha) = (1 + tan(u)^2)^(1/(2 alpha))
+    and (cos(v) / w)^((1 - alpha)/alpha) = ((1 + tan(v)^2) w^2)^((alpha - 1)/(2 alpha))."""
     rng = make_rng(seed)
     if alpha == 2.0:
         return sigma * math.sqrt(2.0) * rng.standard_normal(m)
@@ -231,15 +235,17 @@ def reference_sym_stable(alpha, sigma, m, seed):
     if alpha == 1.0:
         return sigma * np.tan(u)
     w = rng.exponential(1.0, m)
-    return sigma * (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-                    * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+    t = np.tan(0.5 * alpha * u)
+    return sigma * ((np.tan(u) ** 2 + 1.0) ** (0.5 / alpha) * t / (t ** 2 + 1.0) * 2.0
+                    * ((np.tan((1.0 - alpha) * u) ** 2 + 1.0) * w ** 2)
+                    ** ((alpha - 1.0) / (2.0 * alpha)))
 
 
 @pytest.mark.parametrize("sigma", (1.0, 0.7))
 @pytest.mark.parametrize("alpha", (0.4, 0.5, 2 / 3, 1.0, 1.2, 1.5, 2.0))
 def test_sym_stable_matches_the_whole_array_expression(alpha, sigma):
-    # alpha = 1/2 and 2/3 take numpy's square, identity and sqrt shortcuts for
-    # the powers 2, 1, 1.5 and 0.5, which the in-place transform must take too
+    # alpha = 1/2 takes numpy's square and identity shortcuts for the powers
+    # 2 and 1, which the in-place transform must take too
     assert_same_arrays(sample_sym_stable(alpha, sigma, 50_001, 4),
                        reference_sym_stable(alpha, sigma, 50_001, 4))
 
@@ -262,6 +268,126 @@ def test_threshold_laws_match_reference_at_block_edges(m):
         rng_got, rng_want = np.random.default_rng(21), np.random.default_rng(21)
         assert_same_law(law(rng_got), reference(rng_want))
         assert rng_got.random() == rng_want.random()
+
+
+# -- the tangent transform against the sin/cos textbook form --------------------
+
+ORACLE_ALPHAS = (0.1, 0.4, 0.5, 0.8, 1.2, 1.5, 1.9, 1.99)
+# u = -pi/2 (U = 0) and the largest angle below pi/2 (U = 1 - 2^-53)
+END_ANGLES = (-0.5 * math.pi, (0.5 - 2.0 ** -53) * math.pi)
+
+
+def sincos_cms(alpha, u, w, theta0=0.0):
+    """The textbook Chambers-Mallows-Stuck expression with sin and cos."""
+    phi = u + theta0
+    return (np.sin(alpha * phi) / np.cos(u) ** (1.0 / alpha)
+            * (np.cos(u - alpha * phi if theta0 else (1.0 - alpha) * u) / w)
+            ** ((1.0 - alpha) / alpha))
+
+
+def reference_sincos_sym_stable(alpha, m, rng):
+    if alpha == 2.0:
+        return math.sqrt(2.0) * rng.standard_normal(m)
+    u = (rng.random(m) - 0.5) * math.pi
+    if alpha == 1.0:
+        return np.tan(u)
+    return sincos_cms(alpha, u, rng.exponential(1.0, m))
+
+
+def ulp_errors(alpha, u, w, values):
+    """|value - exact| in ulps of the exact transform of the float inputs,
+    which mpmath evaluates in 40 digits."""
+    errors = np.empty(len(values))
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for i, (ui, wi, x) in enumerate(zip(u, w, values)):
+            ui, wi = mpmath.mpf(ui), mpmath.mpf(wi)
+            exact = (mpmath.sin(a * ui) / mpmath.cos(ui) ** (1 / a)
+                     * (mpmath.cos((1 - a) * ui) / wi) ** ((1 - a) / a))
+            errors[i] = abs((mpmath.mpf(x) - exact) / np.spacing(abs(float(exact))))
+    return errors
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_cms_is_as_accurate_as_the_sin_cos_form(alpha):
+    """A power x^e multiplies its base's relative error by e, and the two forms
+    round their bases differently (tan, square and add against cos and
+    divide), so at one point their errors may differ by a few ulps per unit
+    of the exponents 1/alpha and |1 - alpha|/alpha, plus one for the sine:
+    the bound allows 4 ulps per unit, 80 ulps at alpha = 0.1 and 8 near 1."""
+    rng = np.random.default_rng(17)
+    u = np.r_[(rng.random(600) - 0.5) * math.pi, END_ANGLES]
+    w = np.r_[rng.exponential(1.0, 600), 1.0, 1.0]
+    got = _cms(alpha, u.copy(), w.copy())
+    want = sincos_cms(alpha, u, w)
+    assert np.array_equal(np.sign(got), np.sign(want))
+    slack = 4.0 * (1.0 + (1.0 + abs(1.0 - alpha)) / alpha)
+    assert np.all(ulp_errors(alpha, u, w, got) <= ulp_errors(alpha, u, w, want) + slack)
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_cms_is_finite_at_the_end_angles_where_the_sin_cos_form_is(alpha):
+    # w = 0 can come out of the exponential sampler; 1e-19 is about its
+    # smallest nonzero draw
+    u, w = np.meshgrid(END_ANGLES, (0.0, 1e-19, 1e-3, 1.0, 50.0))
+    u, w = u.ravel(), w.ravel()
+    with np.errstate(divide="ignore", over="ignore"):
+        got = _cms(alpha, u.copy(), w.copy())
+        want = sincos_cms(alpha, u, w)
+    assert np.all(np.isfinite(got) | ~np.isfinite(want))
+    assert np.array_equal(np.sign(got), np.sign(want))
+
+
+@pytest.mark.parametrize("a", (0.05, 0.35, 0.5, 0.65, 0.95))
+def test_pos_stable_matches_the_sin_cos_form(a):
+    rng = make_rng(9)
+    u = (rng.random(20_000) - 0.5) * math.pi
+    w = rng.exponential(1.0, 20_000)
+    want = 1.3 * math.cos(math.pi * a / 2.0) ** (-1.0 / a) * sincos_cms(a, u, w, math.pi / 2.0)
+    rng_got = make_rng(9)
+    got = sample_pos_stable(a, 1.3, 20_000, rng_got)
+    assert np.all(got > 0.0)
+    assert np.max(np.abs(got / want - 1.0)) < 1e-13
+    assert rng_got.random() == rng.random()
+
+
+def test_sym_stable_leaves_the_generator_as_the_sin_cos_form_does():
+    for alpha in (0.5, 1.0, 1.5, 2.0):
+        rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+        got = sample_sym_stable(alpha, 1.0, 1001, rng_got)
+        want = reference_sincos_sym_stable(alpha, 1001, rng_want)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert rng_got.random() == rng_want.random()
+
+
+def reference_sincos_stable_mc(model, h, m, seed):
+    """The threshold law by the sin/cos form, chunk by chunk: each chunk draws
+    its angles, then its exponentials."""
+    rng = make_rng(seed)
+    n, cols = model.d, model.m
+    pow2 = 1 << np.arange(n - 1, -1, -1)
+    counts = np.zeros(2 ** n, dtype=np.int64)
+    done = 0
+    while done < m:
+        chunk = min(MC_CHUNK, m - done)
+        s = reference_sincos_sym_stable(model.alpha, chunk * cols, rng)
+        bits = (s.reshape(chunk, cols) @ model.loadings.T > h).astype(np.int64)
+        counts += np.bincount(bits @ pow2, minlength=2 ** n)
+        done += chunk
+    return BinaryLaw.from_counts(counts, m)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("model", (common_shock_model(0.5, 0.4, 3),
+                                   common_shock_model(0.5, 1.5, 3),
+                                   stable_markov_model(0.5, 1.2, 5)))
+def test_stable_laws_match_the_sin_cos_form(model, seed):
+    """Only the last bits of each variate move, so no sign changes and the
+    counts agree."""
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_law(stable_threshold_law_mc(model, 0.0, 10 ** 5, rng_got),
+                    reference_sincos_stable_mc(model, 0.0, 10 ** 5, rng_want))
+    assert rng_got.random() == rng_want.random()
 
 
 def test_mc_laws_peak_memory_is_bounded():

@@ -101,6 +101,31 @@ def test_signed_rep_3_reads_p_half_within_noise():
     assert not fam.is_empty and fam.t_lo == pytest.approx(0.1428, abs=1e-4)
 
 
+def test_signed_rep_3_reads_feasible_within_noise_as_the_relaxed_lp():
+    """On an MC law each cell may be off by RELAX_SIGMA stderr, as in the
+    relaxed LP: a weight of -0.0015 that the LP calls Borderline is feasible,
+    and a weight of -0.13 that the LP calls Infeasible is not."""
+    nu = threshold_law_mc(correlations3(0.1, 0.5, 0.5), 0.5, 20_000, seed=0)
+    rep = signed_rep_3(nu)
+    assert -0.01 < rep.q_12_3 < -solver.FEAS_TOL
+    assert rep.feasible
+    assert lp_feasibility(nu).status == "Borderline"
+    nu = threshold_law_mc(correlations3(-0.3, 0.2, 0.2), 0.5, 10 ** 5, seed=0)
+    rep = signed_rep_3(nu)
+    assert rep.min_weight() < -0.1
+    assert not rep.feasible
+    assert lp_feasibility(nu).status == "Infeasible"
+
+
+@pytest.mark.parametrize("eps, feasible", [(2e-9, False), (0.5e-9, True)])
+def test_signed_rep_3_keeps_feas_tol_on_exact_laws(eps, feasible):
+    weights = {"1|2|3": 1.0 + eps, "12|3": -eps}
+    q = np.array([weights.get(sig.key, 0.0) for sig in enumerate_partitions(3)])
+    rep = signed_rep_3(BinaryLaw(3, color_map(3, 0.3) @ q))
+    assert rep.q_12_3 == pytest.approx(-eps, rel=1e-6)
+    assert rep.feasible is feasible
+
+
 def test_symmetric_family_iid_coins():
     fam = symmetric_rep_family_3(product_law(3, 0.5))
     assert fam.t_lo == pytest.approx(0.5, abs=1e-12)
