@@ -26,15 +26,15 @@ from . import conditions as cond
 from . import embeddings as emb
 from . import stable as stb
 from .csvtext import csv_lines
-# square_threshold_law_exact and square_circle_solver stay importable from
-# here: bench/tracing.py times them under these names
+# threshold_law_mc, square_threshold_law_exact and square_circle_solver stay
+# importable from here: bench/tracing.py times them under these names
 from .gaussian import (CovarianceSpec, square_threshold_law_exact,  # noqa: F401
-                       square_threshold_laws_exact, threshold_law_mc, zero_threshold_law_3)
+                       square_threshold_laws_exact, threshold_law_mc)
+from .laws import threshold_law
 from .partitions import BinaryLaw, _column_keys, simulate_color_process
 from .reports import _plain
-from .solver import (FEAS_TOL, _is_half, _marginal_tol, _noise, _noise_tol,  # noqa: F401
-                     lp_feasibility, signed_rep_3, square_circle_intervals,
-                     square_circle_solver, symmetric_rep_family_3)
+from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3,  # noqa: F401
+                     square_circle_intervals, square_circle_solver, symmetric_rep_family_3)
 
 SCHEMA = "dcrep/1"
 SCAN_MAX_ROWS = 1_000_000  # rows one scan may write; a finer --a-step is refused up front
@@ -69,7 +69,7 @@ def _is_matrix(x) -> bool:
 
 
 # The JSON fields each model kind needs, checked before they are read; a law's
-# fields are checked by BinaryLaw.from_json
+# fields are checked by BinaryLaw.from_json_dict
 _MODEL_FIELDS = {
     "gaussian": {"a": (_is_matrix, "a list of lists of finite numbers")},
     "stable": {"alpha": (_is_number, "a finite number"),
@@ -77,8 +77,8 @@ _MODEL_FIELDS = {
 }
 
 
-def load_model(spec: str) -> dict:
-    """Model spec: inline JSON or a path to a JSON file."""
+def load_model(spec: str) -> CovarianceSpec | stb.StableLinearModel | BinaryLaw:
+    """The typed model of inline JSON or a JSON file's path."""
     text = spec
     if not spec.lstrip().startswith("{"):
         try:
@@ -103,7 +103,6 @@ def load_model(spec: str) -> dict:
         else:
             raise UsageError("cannot infer model kind: give 'kind' or one of "
                              "'a' / 'loadings' / 'entries'")
-        obj = {**obj, "kind": kind}
     if kind not in ("gaussian", "stable", "law"):
         raise UsageError(f"unknown model kind {kind!r}")
     for field, (check, what) in _MODEL_FIELDS.get(kind, {}).items():
@@ -112,12 +111,10 @@ def load_model(spec: str) -> dict:
         if not check(obj[field]):
             raise UsageError(f"model field {field!r} must be {what}, got {obj[field]!r}")
     if kind == "gaussian":
-        obj["_cov"] = CovarianceSpec(obj["a"])
-    elif kind == "stable":
-        obj["_model"] = stb.StableLinearModel(float(obj["alpha"]), obj["loadings"])
-    else:
-        obj["_law"] = BinaryLaw.from_json(json.dumps(obj))
-    return obj
+        return CovarianceSpec(obj["a"])
+    if kind == "stable":
+        return stb.StableLinearModel(float(obj["alpha"]), obj["loadings"])
+    return BinaryLaw.from_json_dict(obj)
 
 
 def _config_echo(args) -> dict:
@@ -155,40 +152,23 @@ def _emit_csv(args, header: list[str], columns: list) -> None:
             fh.write(csv_lines([col[start:start + CSV_BLOCK_ROWS] for col in columns]))
 
 
-def _law_for(args, obj) -> BinaryLaw:
-    if obj["kind"] == "law":
-        return obj["_law"]
-    if obj["kind"] == "gaussian":
-        cov = obj["_cov"]
-        if args.h == 0.0 and cov.n == 3 and cov.is_standard:
-            return zero_threshold_law_3(cov)
-        if args.samples is None:
-            raise UsageError("this model needs --samples for a Monte Carlo law")
-        return threshold_law_mc(cov, args.h, args.samples, args.seed)
-    if args.samples is None:
-        raise UsageError("stable laws need --samples for a Monte Carlo law")
-    return stb.stable_threshold_law_mc(obj["_model"], args.h, args.samples, args.seed)
-
-
 # -- subcommands --------------------------------------------------------------
 
 def cmd_analyze(args) -> dict:
-    obj = load_model(args.model)
+    model = load_model(args.model)
     results: dict = {}
-    if obj["kind"] == "gaussian":
-        cov = obj["_cov"]
-        if cov.is_pd:
-            results["conditions"] = cond.savage_report(cov)
-        results["degenerate"] = cond.classify_degenerate(cov)
-        if cov.n == 3 and cov.is_standard and cov.is_pd:
-            off = cov.offdiag()
+    if isinstance(model, CovarianceSpec):
+        if model.is_pd:
+            results["conditions"] = cond.savage_report(model)
+        results["degenerate"] = cond.classify_degenerate(model)
+        if model.n == 3 and model.is_standard and model.is_pd:
+            off = model.offdiag()
             if np.min(off) >= 0.0:
-                results["large_h"] = cond.classify_large_h_3(cov)
-            lims = asym.small_h_limits_3(cov)
+                results["large_h"] = cond.classify_large_h_3(model)
+            lims = asym.small_h_limits_3(model)
             results["small_h"] = {"limits": lims.as_dict(), "kappa": lims.kappa,
                                   "verdict": lims.verdict()}
-    elif obj["kind"] == "stable":
-        model = obj["_model"]
+    elif isinstance(model, stb.StableLinearModel):
         measure = stb.spectral_from_matrix(model)
         integral, support = stb.stablegood_integral(measure)
         results["spectral_measure"] = measure.to_json_dict()
@@ -197,27 +177,23 @@ def cmd_analyze(args) -> dict:
                                                  "full_orthant_support": support}
         if model.d == 3:
             results["order1_limits"] = asym.stable_limit_report(measure).to_json_dict()
-    if args.h is not None or obj["kind"] == "law":
-        results["lp"] = lp_feasibility(_law_for(args, obj), p=args.p, tol=args.tol)
+    if args.h is not None or isinstance(model, BinaryLaw):
+        law = threshold_law(model, args.h, args.samples, args.seed)
+        results["lp"] = lp_feasibility(law, p=args.p, tol=args.tol)
     return results
 
 
 def cmd_solve(args) -> dict:
-    obj = load_model(args.model)
-    law = _law_for(args, obj)
-    out: dict = {"law": json.loads(law.to_json())}
-    if law.n == 3:      # the closed-form routes, taken by the solver's own tolerances
-        noise = _noise(law)
-        if (law.equal_marginals(_marginal_tol(noise, 3))
-                and not _is_half(law.marginal_p, noise)):
-            rep = signed_rep_3(law)
-            out["signed_rep_3"] = {"weights": rep.weights(), "feasible": rep.feasible}
-        if law.is_zero_one_symmetric(_noise_tol(noise)):
-            fam = symmetric_rep_family_3(law)
-            out["symmetric_family"] = {
-                "t_interval": fam.t_interval,
-                "canonical": None if fam.is_empty else fam.canonical(),
-            }
+    law = threshold_law(load_model(args.model), args.h, args.samples, args.seed)
+    out: dict = {"law": law}
+    # the closed-form n = 3 routes raise ValueError on a law they do not fit
+    with contextlib.suppress(ValueError):
+        rep = signed_rep_3(law)
+        out["signed_rep_3"] = {"weights": rep.weights(), "feasible": rep.feasible}
+    with contextlib.suppress(ValueError):
+        fam = symmetric_rep_family_3(law)
+        out["symmetric_family"] = {"t_interval": fam.t_interval,
+                                   "canonical": None if fam.is_empty else fam.canonical()}
     out["lp"] = lp_feasibility(law, p=args.p, tol=args.tol)
     return out
 
@@ -315,7 +291,7 @@ def cmd_simulate(args) -> dict | None:
             return None
         report = emb.verify_color_property(batch)
         return {"simulator": sim,
-                "sign_law": json.loads(batch.empirical_sign_law().to_json()),
+                "sign_law": batch.empirical_sign_law(),
                 "verification": {"passed": report.passed,
                                  "aggregate_max_dev_se": report.aggregate_max_dev_se,
                                  "bins": report.bins,
@@ -324,11 +300,10 @@ def cmd_simulate(args) -> dict | None:
         if args.format == "csv":
             raise UsageError("simulator 'color' writes a JSON report; --format csv "
                              "is for the samples of 'ou' and 'stable-chain'")
-        obj = load_model(args.model) if args.model else None
-        if obj is None or obj["kind"] != "law":
+        law = load_model(args.model) if args.model else None
+        if not isinstance(law, BinaryLaw):
             raise UsageError("simulator 'color' needs --model with an explicit law; "
                              "solve it first to get a partition distribution")
-        law = obj["_law"]
         res = lp_feasibility(law)
         if not res.feasible:
             raise UsageError("law has no representation; nothing to simulate")
@@ -336,24 +311,22 @@ def cmd_simulate(args) -> dict | None:
         dev = np.abs(emp.probs - law.probs)
         bound = 4.0 * np.sqrt(np.maximum(law.probs * (1 - law.probs), 1.0 / m) / m)
         return {"simulator": sim,
-                "empirical": json.loads(emp.to_json()),
+                "empirical": emp,
                 "max_abs_dev": float(np.max(dev)),
                 "within_4se": bool(np.all(dev <= bound))}
     raise UsageError(f"unknown simulator {sim!r}")
 
 
 def cmd_asymptotics(args) -> dict:
-    obj = load_model(args.model)
+    model = load_model(args.model)
     out: dict = {}
-    if obj["kind"] == "gaussian":
-        cov = obj["_cov"]
-        if cov.n != 3 or not cov.is_standard or not cov.is_pd:
+    if isinstance(model, CovarianceSpec):
+        if model.n != 3 or not model.is_standard or not model.is_pd:
             raise UsageError("small-h limits need a standard PD 3x3 covariance")
-        lims = asym.small_h_limits_3(cov)
+        lims = asym.small_h_limits_3(model)
         out["small_h"] = {"formula": "q-limits(h->0)", "kappa": lims.kappa,
                           "limits": lims.as_dict(), "verdict": lims.verdict()}
-    elif obj["kind"] == "stable":
-        model = obj["_model"]
+    elif isinstance(model, stb.StableLinearModel):
         measure = stb.spectral_from_matrix(model)
         if model.d == 3:
             out["large_h"] = asym.stable_limit_report(measure).to_json_dict()

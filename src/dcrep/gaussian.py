@@ -369,8 +369,7 @@ def threshold_law_mc(cov: CovarianceSpec, h: float, m: int, seed) -> BinaryLaw:
     """Monte Carlo estimate of the threshold law, with per-cell stderr.
 
     Rank-deficient covariances are sampled through their r leading eigenpairs.
-    Unreliable for h > 4 at n >= 3: the orthant mass decays like exp(-h^2)
-    and should be handled by tail_asymptote or quadrature instead.
+    Unreliable for h > 4 at n >= 3: the orthant mass decays like exp(-h^2).
     """
     _check_n(cov.n)
     ell = sampling_factor(cov)

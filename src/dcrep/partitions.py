@@ -390,7 +390,8 @@ class PartitionDistribution:
 
     @staticmethod
     def from_json(text: str) -> "PartitionDistribution":
-        obj, n, entries = _json_entries(text, "q")
+        obj = json.loads(text)
+        n, entries = _json_entries(obj, "q")
         signed = obj.get("signed", False)
         if not isinstance(signed, bool):
             raise ValueError(f"signed must be true or false, got {signed!r}")
@@ -401,12 +402,11 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _json_entries(text: str, value: str) -> tuple[dict, int, list[tuple[str, float]]]:
-    """The object of a law's or a partition distribution's JSON, its n and
-    its (key, value) entries.  Raises ValueError unless the object has an
-    integer n in [1, MAX_N] and a list of entries, each an object with a
-    string "key" and a number under ``value``."""
-    obj = json.loads(text)
+def _json_entries(obj, value: str) -> tuple[int, list[tuple[str, float]]]:
+    """The n and the (key, value) entries of a law's or a partition
+    distribution's parsed JSON.  Raises ValueError unless it is an object
+    with an integer n in [1, MAX_N] and a list of entries, each an object
+    with a string "key" and a number under ``value``."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     n = obj.get("n")
@@ -421,7 +421,7 @@ def _json_entries(text: str, value: str) -> tuple[dict, int, list[tuple[str, flo
                 and _is_number(e.get(value))):
             raise ValueError(f'each entry must be an object with a string "key" and a number '
                              f'"{value}", got {e!r}')
-    return obj, n, [(e["key"], float(e[value])) for e in entries]
+    return n, [(e["key"], float(e[value])) for e in entries]
 
 
 def _bad_key(n: int, key: str) -> ValueError:
@@ -466,10 +466,6 @@ class BinaryLaw:
             se.setflags(write=False)
             object.__setattr__(self, "stderr", se)
 
-    @property
-    def is_mc(self) -> bool:
-        return self.stderr is not None
-
     def cell(self, rho: str) -> float:
         if len(rho) != self.n or any(c not in "01" for c in rho):
             raise ValueError(f"bad pattern {rho!r} for n={self.n}")
@@ -492,9 +488,6 @@ class BinaryLaw:
         m = self.marginals()
         return float(m.max() - m.min())
 
-    def equal_marginals(self, tol: float = 1e-9) -> bool:
-        return self.max_marginal_gap() <= tol
-
     def is_zero_one_symmetric(self, tol: float = 1e-9) -> bool:
         flipped = self.probs[::-1]  # index of 1-rho is 2^n-1-index of rho
         return bool(np.max(np.abs(self.probs - flipped)) <= tol)
@@ -513,17 +506,24 @@ class BinaryLaw:
             se = np.sqrt(np.bincount(submap, weights=self.stderr ** 2, minlength=2 ** k))
         return BinaryLaw(k, out, stderr=se)
 
-    def to_json(self) -> str:
-        entries = [{"key": index_string(i, self.n), "p": float(v)}
-                   for i, v in enumerate(self.probs)]
-        obj = {"n": self.n, "entries": entries}
+    def to_json_dict(self) -> dict:
+        """The one JSON spelling of a law: n, a {"key", "p"} entry per cell, any stderr."""
+        obj = {"n": self.n, "entries": [{"key": index_string(i, self.n), "p": v}
+                                        for i, v in enumerate(self.probs.tolist())]}
         if self.stderr is not None:
-            obj["stderr"] = [float(v) for v in self.stderr]
-        return json.dumps(obj)
+            obj["stderr"] = self.stderr.tolist()
+        return obj
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @staticmethod
     def from_json(text: str) -> "BinaryLaw":
-        obj, n, entries = _json_entries(text, "p")
+        return BinaryLaw.from_json_dict(json.loads(text))
+
+    @staticmethod
+    def from_json_dict(obj) -> "BinaryLaw":
+        n, entries = _json_entries(obj, "p")
         probs = np.zeros(2 ** n)
         seen = set()
         for key, p in entries:

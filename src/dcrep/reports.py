@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .partitions import PartitionDistribution
+from .partitions import BinaryLaw, PartitionDistribution
 
 
 class Verdict(str, Enum):
@@ -45,14 +45,16 @@ _JSON_SCALARS = {str, int, float, bool, type(None)}
 
 def _plain(obj):
     """The JSON form of a result, recursively: a dataclass is the dict of its
-    fields, a ``PartitionDistribution`` its {key: weight} mapping, a mapping
-    a dict, a tuple or array a list, a numpy scalar a Python number and an
-    enum its value.  A result whose JSON is not its fields converts itself
-    first (``SpectralMeasure.to_json_dict``)."""
+    fields, a ``PartitionDistribution`` its {key: weight} mapping, a law its
+    ``to_json_dict``, a mapping a dict, a tuple or array a list, a numpy
+    scalar a Python number and an enum its value.  Another result whose JSON
+    is not its fields converts itself first (``SpectralMeasure.to_json_dict``)."""
     if type(obj) in _JSON_SCALARS:      # most of a payload: no test below applies
         return obj
     if isinstance(obj, PartitionDistribution):
         obj = obj.weights
+    elif isinstance(obj, BinaryLaw):
+        obj = obj.to_json_dict()
     if isinstance(obj, Mapping):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

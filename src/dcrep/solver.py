@@ -79,12 +79,11 @@ def _is_half(p, noise):
 
 
 def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
-    marginals = nu.marginals()
-    gap = float(marginals.max() - marginals.min())
+    gap = nu.max_marginal_gap()
     if gap > tol:
         raise ValueError(f"marginals differ by {gap:.3g} (> {tol:.3g}); "
                          "a color process has equal marginals")
-    return float(marginals.mean())
+    return nu.marginal_p
 
 
 @dataclass(frozen=True)

@@ -88,3 +88,23 @@ def test_parser_takes_every_cli_argv_of_the_benchmark(monkeypatch, tmp_path):
         for op in ops:
             args = parser.parse_args(op.inputs["argv"] + ["--out", str(tmp_path / "out")])
             assert args.command == op.tags["subcommand"]
+
+
+@pytest.mark.parametrize("model,span", [
+    ('{"a": [[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]]}', "gaussian.threshold_law_mc"),
+    ('{"alpha": 1.0, "loadings": [[0.5, 0.5, 0], [0.5, 0, 0.5]]}',
+     "stable.stable_threshold_law_mc"),
+], ids=["gaussian", "stable"])
+def test_installed_tracer_times_the_mc_laws_of_the_cli(tmp_path, model, span):
+    """``solve --samples`` draws its law through the sampler that the tracer
+    wraps on its module, so the sampler's span and sample count are recorded."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op_id = 0
+        assert cli.main(["solve", "--model", model, "--h", "0.2", "--samples", "2000",
+                         "--out", str(tmp_path / "out.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()[span]["calls"] == 1
+    assert tracer.counts[span + ".samples"] == 2000

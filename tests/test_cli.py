@@ -11,9 +11,11 @@ import pytest
 import dcrep
 from dcrep import cli
 from dcrep.cli import main
-from dcrep.gaussian import zero_threshold_law_3, fully_symmetric_cov
+from dcrep.gaussian import (CovarianceSpec, fully_symmetric_cov, threshold_law_mc,
+                            zero_threshold_law_3)
 from dcrep.partitions import BinaryLaw
-from dcrep.solver import signed_rep_3
+from dcrep.reports import _plain
+from dcrep.solver import lp_feasibility, signed_rep_3
 
 GAUSS3 = json.dumps({"a": [[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]]})
 STABLE3 = json.dumps({"alpha": 1.0,
@@ -82,6 +84,27 @@ def test_solve_takes_the_n3_routes_of_an_mc_law_by_the_solver_rules(tmp_path):
     rep = signed_rep_3(law)
     assert results["signed_rep_3"] == {"weights": rep.weights(), "feasible": rep.feasible}
     assert "symmetric_family" not in results
+
+
+def test_samples_ask_for_the_mc_law_where_an_exact_law_is_known(tmp_path):
+    """The n = 3 Gaussian at h = 0 has an exact law: ``solve`` gives its cells
+    without --samples, and with --samples the Monte Carlo law of the seed,
+    which carries stderr.  ``analyze`` decides the same law."""
+    cov = CovarianceSpec(json.loads(GAUSS3)["a"])
+    code, out = run(["solve", "--model", GAUSS3], tmp_path, "exact.json")
+    assert code == 0
+    assert json.loads(out.read_text())["results"]["law"] == zero_threshold_law_3(cov).to_json_dict()
+    mc_law = threshold_law_mc(cov, 0.0, 1000, 3)
+    code, out = run(["solve", "--model", GAUSS3, "--samples", "1000", "--seed", "3"],
+                    tmp_path, "mc.json")
+    assert code == 0
+    law = json.loads(out.read_text())["results"]["law"]
+    assert law == mc_law.to_json_dict()
+    assert len(law["stderr"]) == 8
+    code, out = run(["analyze", "--model", GAUSS3, "--h", "0", "--samples", "1000",
+                     "--seed", "3"], tmp_path, "analyze.json")
+    assert code == 0
+    assert json.loads(out.read_text())["results"]["lp"] == _plain(lp_feasibility(mc_law))
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -237,7 +237,7 @@ def test_distribution_validation():
 def test_binary_law_validation_and_marginals():
     law = BinaryLaw(2, [0.25, 0.25, 0.25, 0.25])
     assert law.marginal_p == pytest.approx(0.5)
-    assert law.equal_marginals()
+    assert law.max_marginal_gap() == 0.0
     with pytest.raises(ValueError):
         BinaryLaw(2, [0.5, 0.5, 0.5, -0.5])
     with pytest.raises(ValueError):

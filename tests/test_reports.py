@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcrep.conditions import ConditionReport, LargeHVerdict, SavageStatus
-from dcrep.partitions import PartitionDistribution
+from dcrep.partitions import BinaryLaw, PartitionDistribution
 from dcrep.reports import ClassificationReport, Regime, Verdict, _plain
 from dcrep.solver import FeasibilityResult
 from dcrep.stable import StableLinearModel
@@ -46,6 +46,13 @@ CASES = {
                              {"pattern": "101", "mass": np.float64(0.25), "count": np.int64(3)}),
         {"verdict": "NoColorRep", "regime": "all-h", "source": "forbidden pattern",
          "witness": {"pattern": "101", "mass": 0.25, "count": 3}}),
+    "law": (
+        BinaryLaw(1, [0.25, 0.75]),
+        {"n": 1, "entries": [{"key": "0", "p": 0.25}, {"key": "1", "p": 0.75}]}),
+    "mc_law": (
+        BinaryLaw(1, np.array([0.25, 0.75]), stderr=np.array([0.125, 0.0])),
+        {"n": 1, "entries": [{"key": "0", "p": 0.25}, {"key": "1", "p": 0.75}],
+         "stderr": [0.125, 0.0]}),
     "stable_model": (
         StableLinearModel(1.5, [[1.0, 0.0], [0.0, 1.0]]),
         {"alpha": 1.5, "loadings": [[1.0, 0.0], [0.0, 1.0]]}),
@@ -60,3 +67,16 @@ def test_plain_spells_each_result_class(name):
     # only JSON's own types: a numpy value would print the same but is not one
     assert json.loads(json.dumps(plain)) == plain
     assert repr(plain) == repr(expect)
+
+
+@pytest.mark.parametrize("stderr", [None, [0.01, 0.02, 0.0, 0.03]])
+def test_a_law_has_one_json_object(stderr):
+    """``_plain`` writes a law as ``to_json`` does, and ``from_json_dict``
+    reads it back to the same law."""
+    law = BinaryLaw(2, [0.1, 0.2, 0.3, 0.4], stderr=stderr)
+    plain = _plain({"law": law})["law"]
+    assert plain == json.loads(law.to_json()) == law.to_json_dict()
+    back = BinaryLaw.from_json_dict(plain)
+    assert np.array_equal(back.probs, law.probs)
+    assert (back.stderr is None) == (stderr is None)
+    assert stderr is None or np.array_equal(back.stderr, law.stderr)
