@@ -10,11 +10,15 @@ Three routes, used where each is exact:
     on this path only as a CSC matrix whose columns are the cached cells
     (``color_map_csc``); it goes to HiGHS by one array ``passModel``, with
     presolve off, and the margin and the certificate check read the cells
-    too (``push_forward``, ``A.T @ y``).  At n = 9 (512 x 21,147) the LP of a
-    Dirichlet law takes 2.1 s on a 2-core x86-64 box, with a 14 MiB
-    ``tracemalloc`` peak once the caches are warm.  ``exact=True`` keeps the
-    float solve and checks the certificate by an integer check over the
-    cells before calling a law Infeasible.
+    too (``push_forward``, ``A.T @ y``).  At p = 1/2 the strict LP starts
+    from a basis cached per n (``_start_basis``).  At n = 9 (512 x 21,147)
+    the LP of a Dirichlet law takes 0.2-0.4 s at p = 1/2 from that basis on
+    a 2-core x86-64 box, against 0.9-2.1 s from the slack basis, where the
+    other p start, with a 14 MiB ``tracemalloc`` peak once the caches are
+    warm.  A Feasible q on an exact law must reproduce every cell to a
+    relative ``REL_TOL``.  ``exact=True`` keeps the float solve and checks
+    the certificate by an integer check over the cells before calling a law
+    Infeasible.
 A symmetry-reduced solver handles the four-points-on-a-circle family, where
 the alternating pattern is forbidden and the dihedral symmetry collapses the
 problem to the t-family of the first three coordinates.
@@ -49,6 +53,12 @@ from .reports import Verdict
 FEAS_TOL = 1e-9
 P_HALF_TOL = 1e-9
 PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
+# a Feasible q on an exact law reproduces each cell to this relative error,
+# and the cells at most ZERO_CELL, zero to within the rounding of their sum
+# 1, to ZERO_CELL absolute: an objective below FEAS_TOL alone would pass a q
+# that misses every cell smaller than that
+REL_TOL = 1e-9
+ZERO_CELL = float(np.finfo(float).eps)
 # an MC law's cells are widened by this many stderr before it is called
 # Infeasible, so sampling noise can only soften a verdict to Borderline
 RELAX_SIGMA = 3.0
@@ -107,10 +117,12 @@ class SignedRep3:
 
 
 def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
-    """Closed-form signed representation for n = 3, marginal p != 1/2.
+    """Closed-form signed representation for n = 3, marginal p not 0, 1/2, 1.
 
     q_{1,2,3} = (nu_100 - nu_011) / ((1-p) p (1-2p)) and cyclic variants;
-    the law is a color process iff all five entries are nonnegative.
+    the law is a color process iff all five entries are nonnegative.  Raises
+    ValueError where the law does not fit: n != 3, unequal marginals, or
+    (1-p) p (1-2p) = 0 (p = 1/2 within noise has ``symmetric_rep_family_3``).
     ``feasible`` reads them down to -FEAS_TOL on an exact law, and on a Monte
     Carlo law down to what RELAX_SIGMA stderr per cell, the widening of the
     relaxed LP, can move them: a law that LP calls Borderline reads feasible.
@@ -122,8 +134,10 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     if _is_half(p, noise):
         raise ValueError("p = 1/2 has a one-parameter family; "
                          "use symmetric_rep_family_3")
-    c = nu.cell
     den = (1.0 - p) * p * (1.0 - 2.0 * p)
+    if den == 0.0:
+        raise ValueError(f"the closed form divides by (1-p) p (1-2p) = 0 at p = {p!r}")
+    c = nu.cell
     q_sing = (c("100") - c("011")) / den
     q12_3 = ((1.0 - p) * c("110") - p * c("001")) / den
     q13_2 = ((1.0 - p) * c("101") - p * c("010")) / den
@@ -249,10 +263,12 @@ class FeasibilityResult:
         return self.status == "Feasible"
 
 
-def _extract_q(n: int, x: np.ndarray) -> PartitionDistribution:
+def _q_and_miss(n: int, p: float, x: np.ndarray, nu: np.ndarray):
+    """The q of an LP point x (clipped at 0 and normalized), and how far its
+    push-forward misses each cell of nu."""
     x = np.clip(x, 0.0, None)
-    x = x / x.sum()
-    return PartitionDistribution.from_vector(n, x)
+    q = PartitionDistribution.from_vector(n, x / x.sum())
+    return q, np.abs(push_forward(q, p).probs - nu)
 
 
 @dataclass(frozen=True)
@@ -267,7 +283,10 @@ class PhaseOneResult:
 # tolerance below: at HiGHS's default, 1e-7, an optimum of 0 can leave
 # |A q - b| near 1e-7 (8.5e-8 on an n = 6 law at p = 1/2).  Presolve is off:
 # on laws with no zero cell it changed neither x, y nor the pivot count, and
-# it took a third of an n = 6 solve
+# it took a third of an n = 6 solve.  The dual simplex is also the method
+# that restarts well from a given basis: the phase-I cost is the same for
+# every law, so an optimal basis of one law stays dual feasible for every
+# right-hand side b over the same matrix (``_start_basis``)
 _HIGHS_OPTIONS = _highs.HighsOptions()
 _HIGHS_OPTIONS.presolve = "off"
 _HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -280,66 +299,124 @@ _MINIMIZE = int(_highs.ObjSense.kMinimize)
 # the post-solve check of that interface: bounds and equality residual within
 # 10 sqrt(1e-9)
 _SOLUTION_TOL = 10.0 * math.sqrt(1e-9)
+# simplex iterations per row that a warm start gets before it is abandoned
+# for the slack basis.  The dual simplex can stall on these degenerate LPs:
+# every feasible law has optimum 0, so its pivots need not move the
+# objective.  From the optimal basis of the uniform law at p = 0.1875, an
+# n = 8 law at p = 0.2 ran past 26,000 iterations in 10 s (cold: 1,100 and
+# 0.3 s), while the n = 5..8 laws at p = 1/2, which start warm, took at most
+# 2.2 per row
+WARM_PIVOTS_PER_ROW = 4
 
 
-def _phase_one_columns(csc: csc_array, signs: list[float]):
-    """CSC arrays (indptr, indices, data) of [A | s_1 I | s_2 I ...] for the
-    ``signs`` s_i: the CSC A, then one entry per identity column."""
-    m = csc.shape[0]
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.cache
+def _identity_columns(m: int, nnz: int, signs: tuple[float, ...]):
+    """The CSC arrays (indptr, indices, data) that append the columns of
+    s_1 I, s_2 I, ... for the ``signs`` s_i to an m-row matrix with nnz
+    entries: one entry per column."""
     eyes = len(signs)
-    indptr = np.concatenate([csc.indptr, csc.nnz + np.arange(1, eyes * m + 1,
-                                                             dtype=csc.indptr.dtype)])
-    indices = np.concatenate([csc.indices, np.tile(np.arange(m, dtype=csc.indices.dtype),
-                                                   eyes)])
-    return indptr, indices, np.concatenate([csc.data, np.repeat(signs, m)])
+    return _read_only(nnz + np.arange(1, eyes * m + 1, dtype=np.int32),
+                      np.tile(np.arange(m, dtype=np.int32), eyes),
+                      np.repeat(np.array(signs), m))
 
 
-def phase_one(a, b, slack=None) -> PhaseOneResult:
-    """Phase-I LP by HiGHS: minimize 1'(s+ + s-) subject to
-    A q + e + s+ - s- = b, with q, s+, s- >= 0 and |e| <= slack cellwise
-    (e = 0 when ``slack`` is None).  ``a`` is a dense or sparse matrix; it
-    goes to HiGHS as CSC arrays, by one array call.
+@functools.cache
+def _strict_frame(m: int, k: int):
+    """Cost, lower and upper bounds, and integrality (all continuous) of the
+    strict phase-I LP over an m x k matrix: q, s+, s- >= 0, cost 1 on s+, s-."""
+    cols = k + 2 * m
+    return _read_only(np.concatenate([np.zeros(k), np.ones(2 * m)]), np.zeros(cols),
+                      np.full(cols, math.inf), np.zeros(cols, dtype=np.int32))
 
-    The optimum is 0 iff some q >= 0 has |A q - b| <= slack.  The equality
-    multipliers y satisfy y'A <= 0 and, without slack, y'b = objective, so on
-    a positive optimum they are a Farkas certificate.
 
-    Raises ValueError on a non-finite ``b`` or ``slack`` and RuntimeError when
-    HiGHS ends without an optimum or its optimum misses the constraints.
-    """
-    a = csc_array(a, dtype=float)
+def _highs_run(model: tuple, basis=None, limit: int | None = None):
+    """A fresh HiGHS instance that has run the LP ``model`` (the arguments of
+    ``passModel``) from ``basis`` (the slack basis when None), with at most
+    ``limit`` simplex iterations when given."""
+    highs = _highs._Highs()
+    error = _highs.HighsStatus.kError
+    if (highs.passOptions(_HIGHS_OPTIONS) == error
+            or highs.passModel(*model) == error
+            or (limit is not None
+                and highs.setOptionValue("simplex_iteration_limit", limit) == error)
+            or (basis is not None and highs.setBasis(basis) == error)
+            or highs.run() == error):
+        raise RuntimeError("HiGHS phase I failed: "
+                           + highs.modelStatusToString(highs.getModelStatus()))
+    return highs
+
+
+def _run_phase_one(a, b, slack, basis):
+    """A HiGHS instance that has solved the phase-I LP of ``phase_one`` to
+    optimality, the simplex iterations of an abandoned warm start, the LP's
+    k and its column bounds.  From ``basis`` the dual simplex gets
+    ``WARM_PIVOTS_PER_ROW`` iterations per row; a start that has not reached
+    the optimum by then is abandoned for the slack basis."""
+    if not (isinstance(a, csc_array) and a.dtype == np.float64):
+        a = csc_array(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, k = a.shape
     if b.shape != (m,) or not np.all(np.isfinite(b)):
         raise ValueError(f"b must be {m} finite values")
-    signs = [1.0, -1.0]                     # the columns of s+ and s-
-    lower = np.zeros(k + 2 * m)
-    upper = np.full(k + 2 * m, math.inf)
-    cost = np.concatenate([np.zeros(k), np.ones(2 * m)])
+    signs = (1.0, -1.0)                     # the columns of s+ and s-
+    cost, lower, upper, integrality = _strict_frame(m, k)
     if slack is not None:
-        signs.append(1.0)                   # and of e
+        signs += (1.0,)                     # and of e
         slack = np.asarray(slack, dtype=float)
         if slack.shape != (m,) or not np.all(np.isfinite(slack)):
             raise ValueError(f"slack must be {m} finite values")
         lower, upper = np.concatenate([lower, -slack]), np.concatenate([upper, slack])
         cost = np.concatenate([cost, np.zeros(m)])
-    indptr, indices, data = _phase_one_columns(a, signs)
-
-    num_col = len(cost)
-    highs = _highs._Highs()
-    error = _highs.HighsStatus.kError
+        integrality = np.zeros(len(cost), dtype=np.int32)
+    tail = _identity_columns(m, a.nnz, signs)
+    indptr, indices, data = (np.concatenate([head, rest]) for head, rest
+                             in zip((a.indptr, a.indices, a.data), tail))
     # an empty integrality array is an error: all zeros is continuous
-    if (highs.passOptions(_HIGHS_OPTIONS) == error
-            or highs.passModel(num_col, m, len(data), _COLWISE, _MINIMIZE, 0.0, cost, lower,
-                               upper, b, b, indptr, indices, data,
-                               np.zeros(num_col, dtype=np.int32)) == error
-            or highs.run() == error
-            or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+    model = (len(cost), m, len(data), _COLWISE, _MINIMIZE, 0.0, cost, lower, upper, b, b,
+             indptr, indices, data, integrality)
+
+    abandoned = 0
+    if basis is not None:
+        highs = _highs_run(model, basis, WARM_PIVOTS_PER_ROW * m)
+        if highs.getModelStatus() == _highs.HighsModelStatus.kIterationLimit:
+            abandoned = highs.getInfo().simplex_iteration_count
+            basis = None
+    if basis is None:
+        highs = _highs_run(model)
+    if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
         raise RuntimeError("HiGHS phase I failed: "
                            + highs.modelStatusToString(highs.getModelStatus()))
+    return highs, abandoned, k, lower, upper
+
+
+def phase_one(a, b, slack=None, basis=None) -> PhaseOneResult:
+    """Phase-I LP by HiGHS: minimize 1'(s+ + s-) subject to
+    A q + e + s+ - s- = b, with q, s+, s- >= 0 and |e| <= slack cellwise
+    (e = 0 when ``slack`` is None).  ``a`` is a dense or sparse matrix; it
+    goes to HiGHS as CSC arrays, by one array call.  ``basis`` is a HiGHS
+    basis of a strict LP of the same shape (``_start_basis``) for the dual
+    simplex to start from, with ``WARM_PIVOTS_PER_ROW`` iterations per row
+    before it starts again from the slack basis, where None starts; the
+    iterations of both runs count in ``pivots``.
+
+    The optimum is 0 iff some q >= 0 has |A q - b| <= slack.  The equality
+    multipliers y satisfy y'A <= 0 and, without slack, y'b = objective, so on
+    a positive optimum they are a Farkas certificate.  Another start basis
+    can end at another optimal vertex: the same objective, another x and y.
+
+    Raises ValueError on a non-finite ``b`` or ``slack`` and RuntimeError when
+    HiGHS ends without an optimum or its optimum misses the constraints.
+    """
+    highs, abandoned, k, lower, upper = _run_phase_one(a, b, slack, basis)
     info, solution = highs.getInfo(), highs.getSolution()
     x = np.array(solution.col_value)
-    residual = b - np.array(solution.row_value)
+    residual = np.asarray(b, dtype=float) - np.array(solution.row_value)
     if not (math.isfinite(info.objective_function_value)
             and np.all(x >= lower - _SOLUTION_TOL) and np.all(x <= upper + _SOLUTION_TOL)
             and np.all(np.abs(residual) <= _SOLUTION_TOL)):
@@ -347,7 +424,22 @@ def phase_one(a, b, slack=None) -> PhaseOneResult:
                            f"the equalities by more than {_SOLUTION_TOL:.2e}")
     return PhaseOneResult(objective=float(info.objective_function_value), x=x[:k],
                           y=np.array(solution.row_dual),
-                          pivots=int(info.simplex_iteration_count))
+                          pivots=abandoned + int(info.simplex_iteration_count))
+
+
+@functools.cache
+def _start_basis(n: int):
+    """The start basis of the strict phase-I LPs at n and p = 1/2: the
+    optimal HiGHS basis of the strict LP of the uniform q at p = 1/2, from
+    one cold solve that calls HiGHS directly (it is no ``phase_one`` call of
+    a decision).  The cost never changes, so the basis is dual feasible for
+    every law at p = 1/2, and the dual simplex restarts from it in a few
+    pivots: 7 against 43 from the slack basis at n = 6 (medians over
+    Dirichlet laws).  Each decision still gets a fresh HiGHS instance, so
+    its result depends on its law alone, never on earlier calls."""
+    mat = color_map_csc(n, 0.5)
+    uniform = mat @ np.full(mat.shape[1], 1.0 / mat.shape[1])
+    return _run_phase_one(mat, uniform, None, None)[0].getBasis()
 
 
 def phase_one_exact(n: int, p: float, nu, y) -> bool:
@@ -379,16 +471,21 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
                    exact: bool = False) -> FeasibilityResult:
     """Phase-I LP: is nu = color_map(n, p) q solvable with q >= 0?
 
-    A phase-I objective up to ``tol`` is Feasible.  Exact laws get the strict
-    verdict, Borderline up to 100 tol; MC laws that fail strictly are retried
-    on the polytope widened by ``RELAX_SIGMA`` stderr per cell, and only a
-    failure there is reported Infeasible.  An Infeasible verdict always
-    carries its Farkas certificate: when ``_clean_certificate`` rejects the
-    duals, the verdict is Borderline.  With ``exact=True`` a verdict
-    that would be Infeasible or Borderline becomes Infeasible exactly when the
-    Farkas certificate verifies in an integer check over the coloring map's
-    cells (the float inputs taken exactly), and Borderline otherwise;
-    ``detail["certificate_verified"]`` holds the outcome.
+    At p = 1/2 the strict LP starts from the cached basis of
+    ``_start_basis``, other LPs from the slack basis.  A phase-I objective up
+    to ``tol`` is Feasible, on an exact law only if the q found reproduces
+    every cell (``_misses_a_cell``): a warm q that does not is solved again
+    from the slack basis, and one that still does not is Borderline.  Exact
+    laws get the strict verdict, Borderline up to 100 tol; MC laws that fail
+    strictly are retried on the polytope widened by ``RELAX_SIGMA`` stderr
+    per cell, and only a failure there is reported Infeasible.  An
+    Infeasible verdict always carries its Farkas certificate: when
+    ``_clean_certificate`` rejects the duals, the verdict is Borderline.  With
+    ``exact=True`` a verdict that would be Infeasible or Borderline becomes
+    Infeasible exactly when the Farkas certificate verifies in an integer
+    check over the coloring map's cells (the float inputs taken exactly), and
+    Borderline otherwise; ``detail["certificate_verified"]`` holds the
+    outcome.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -401,23 +498,35 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     n = nu.n
     mat = color_map_csc(n, p)
 
-    strict = phase_one(mat, nu.probs)
+    # at another p the basis is not dual feasible, and the start costs more
+    # than it saves: at n = 8, p = 0.3, 130 ms cold against 300 ms warm
+    warm = _is_half(p, 0.0)
+    strict = phase_one(mat, nu.probs, basis=_start_basis(n) if warm else None)
     detail = {"phase1_objective": strict.objective}
     if exact:
         detail["mode"] = "exact"
+    mc = _noise(nu) > 0.0
     if strict.objective <= tol:
-        q = _extract_q(n, strict.x)
-        margin = float(np.max(np.abs(push_forward(q, p).probs - nu.probs)))
-        return FeasibilityResult("Feasible", q, margin, detail=detail)
+        q, miss = _q_and_miss(n, p, strict.x, nu.probs)
+        missed = not mc and _misses_a_cell(miss, nu.probs)
+        if missed and warm:
+            # the vertex a warm start ends at can leave the LP's tolerance in
+            # small or zero cells (1e-13 on zero cells of n = 6 laws on two
+            # partitions) where the slack basis's vertex is exact
+            strict = phase_one(mat, nu.probs)
+            q, miss = _q_and_miss(n, p, strict.x, nu.probs)
+            missed = strict.objective > tol or _misses_a_cell(miss, nu.probs)
+            detail["phase1_objective"] = strict.objective
+        return FeasibilityResult("Borderline" if missed else "Feasible", q,
+                                 float(np.max(miss)), detail=detail)
 
     objective, status = strict.objective, "Infeasible"
-    if nu.stderr is not None and float(np.max(nu.stderr)) > 0.0:
+    if mc:
         relaxed = phase_one(mat, nu.probs, slack=RELAX_SIGMA * nu.stderr)
         objective = detail["relaxed_objective"] = relaxed.objective
         if objective <= tol:
-            q = _extract_q(n, relaxed.x)
-            margin = float(np.max(np.abs(push_forward(q, p).probs - nu.probs)))
-            return FeasibilityResult("Borderline", q, margin, detail=detail)
+            q, miss = _q_and_miss(n, p, relaxed.x, nu.probs)
+            return FeasibilityResult("Borderline", q, float(np.max(miss)), detail=detail)
     elif objective <= 100.0 * tol:
         status = "Borderline"
     cert = _clean_certificate(mat, nu.probs, strict.y)
@@ -430,6 +539,13 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     return FeasibilityResult(status, None, objective,
                              certificate=cert if status == "Infeasible" else None,
                              detail=detail)
+
+
+def _misses_a_cell(miss: np.ndarray, nu: np.ndarray) -> bool:
+    """Does a push-forward that misses the exact law nu by ``miss`` per cell
+    fail to reproduce it: by more than ``REL_TOL`` of a cell above
+    ``ZERO_CELL``, or by more than ``ZERO_CELL`` on a cell at most that?"""
+    return bool(np.any(miss > np.where(nu > ZERO_CELL, REL_TOL * nu, ZERO_CELL)))
 
 
 def _clean_certificate(mat: csc_array, nu: np.ndarray, y: np.ndarray) -> np.ndarray | None:

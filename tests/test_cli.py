@@ -599,3 +599,15 @@ def test_malformed_model_exits_2_naming_the_field(model, field, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"field {field!r}" in err
+
+
+@pytest.mark.parametrize("key", ["000", "111"])
+def test_solve_on_a_law_with_marginal_0_or_1_exits_2(key, tmp_path, capsys):
+    """``signed_rep_3`` refuses p = 0 and 1, where its closed form divides
+    by (1-p) p (1-2p) = 0, so ``solve`` drops that route, and the LP refuses
+    the law: a one-line error, no traceback."""
+    model = json.dumps({"n": 3, "entries": [{"key": key, "p": 1}]})
+    code, out = run(["solve", "--model", model], tmp_path)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: p must lie in (0,1)") and err.count("\n") == 1

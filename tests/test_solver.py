@@ -188,7 +188,7 @@ def test_a_rejected_certificate_gives_borderline(monkeypatch, exact):
     """A positive phase-I objective whose duals ``_clean_certificate``
     rejects is Borderline in both modes: Infeasible always carries a
     certificate."""
-    def zero_duals(a, b, slack=None):
+    def zero_duals(a, b, slack=None, basis=None):
         return solver.PhaseOneResult(objective=0.1, x=np.zeros(a.shape[1]),
                                      y=np.zeros(a.shape[0]), pivots=0)
 
@@ -598,9 +598,9 @@ def test_phase_one_matches_linprog_bit_for_bit(monkeypatch, name):
     law = PARITY_CORPUS[name]()
     calls = []
 
-    def recording(a, b, slack=None):
-        result = phase_one(a, b, slack)
-        calls.append((a, b, slack, result))
+    def recording(a, b, slack=None, basis=None):
+        result = phase_one(a, b, slack, basis)
+        calls.append((a, b, slack, basis, result))
         return result
 
     monkeypatch.setattr(solver, "phase_one", recording)
@@ -611,12 +611,16 @@ def test_phase_one_matches_linprog_bit_for_bit(monkeypatch, name):
         assert status == "Feasible" and len(calls) == 1
     else:
         assert status == "Infeasible" and len(calls) == 1
-    for a, b, slack, got in calls:
+    for a, b, slack, basis, got in calls:
         want = linprog_phase_one(a, b, slack)
-        assert got.objective == want.fun
-        assert got.pivots == want.nit
-        assert got.x.tobytes() == want.x[:a.shape[1]].tobytes()
-        assert got.y.tobytes() == want.eqlin.marginals.tobytes()
+        cold = phase_one(a, b, slack)
+        assert cold.objective == want.fun
+        assert cold.pivots == want.nit
+        assert cold.x.tobytes() == want.x[:a.shape[1]].tobytes()
+        assert cold.y.tobytes() == want.eqlin.marginals.tobytes()
+        # a warm start may end at another optimal vertex: the same optimum
+        assert got.objective == pytest.approx(want.fun, rel=0.0, abs=1e-12)
+        assert (got.objective <= solver.FEAS_TOL) == (want.fun <= solver.FEAS_TOL)
 
 
 @pytest.mark.parametrize("which", ["b", "slack"])
@@ -708,23 +712,26 @@ def test_color_map_csc_equals_the_sparse_dense_map(n):
 
 # lp_feasibility before the LP took the CSC map, with presolve on: the verdict
 # and the first 16 hex digits of the sha256 of q.vector's bytes (of the
-# certificate for the negative-pair law).  Laws without a zero cell keep them.
+# certificate for the negative-pair law).  Laws without a zero cell keep them,
+# except the five at p = 1/2: their strict LP now starts from the cached basis
+# of ``_start_basis`` and ends at another optimal vertex, so their q hashes
+# were re-recorded.  Every verdict held.
 RECORDED_LP_OUTPUTS = {
     (3, 0.3): ("Feasible", "1c58f987b022cb76"),
     (3, 1 / 3): ("Feasible", "a0ae83cfb29d90aa"),
-    (3, 0.5): ("Feasible", "6d4e6b75dc64f004"),
+    (3, 0.5): ("Feasible", "efaf692c8f7c2f80"),
     (4, 0.3): ("Feasible", "dee7732236b41d82"),
     (4, 1 / 3): ("Feasible", "09abec3e4a315c32"),
-    (4, 0.5): ("Feasible", "fae097f7f1bc4f74"),
+    (4, 0.5): ("Feasible", "3f6a7c268a663973"),
     (5, 0.3): ("Feasible", "744978d98f36905c"),
     (5, 1 / 3): ("Feasible", "684d716df20addbf"),
-    (5, 0.5): ("Feasible", "522ead8b30503097"),
+    (5, 0.5): ("Feasible", "8105683cecd19e16"),
     (6, 0.3): ("Feasible", "5748f89ce6b9200c"),
     (6, 1 / 3): ("Feasible", "bdaba9f8338b0de8"),
-    (6, 0.5): ("Feasible", "5b65285a8ce05b4a"),
+    (6, 0.5): ("Feasible", "e165e23795fee81d"),
     (7, 0.3): ("Feasible", "9f196360434c102a"),
     (7, 1 / 3): ("Feasible", "7caff983a7d5e005"),
-    (7, 0.5): ("Feasible", "078f8359659f3367"),
+    (7, 0.5): ("Feasible", "6b1114a9c0e205c9"),
     "negative pair": ("Infeasible", "fb9bdd4acd799a9b"),
 }
 
@@ -747,3 +754,116 @@ def test_import_names_the_scipy_floor(monkeypatch):
     monkeypatch.delitem(sys.modules, "dcrep.solver")
     with pytest.raises(ImportError, match=r"dcrep needs scipy >= 1\.15"):
         importlib.import_module("dcrep.solver")
+
+
+@pytest.mark.parametrize("key", ["000", "111"])
+def test_signed_rep_3_refuses_marginal_zero_and_one(key):
+    """(1-p) p (1-2p) = 0 there: a ValueError, which ``solve`` reads as a
+    route that does not fit, not a ZeroDivisionError."""
+    law = BinaryLaw(3, np.eye(8)[int(key, 2)])
+    with pytest.raises(ValueError, match=r"divides by \(1-p\) p \(1-2p\) = 0"):
+        signed_rep_3(law)
+
+
+# -- Feasible in relative terms ------------------------------------------------
+
+@functools.cache
+def plackett_law3(rho, h):
+    """The law of the signs 1{X_i > h} of a standard normal triple with
+    correlations rho = (r12, r13, r23), from 40-digit mpmath.  Each upper
+    orthant comes from Plackett's identity, integrated from zero correlation;
+    the cells follow by inclusion-exclusion."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        h = mpmath.mpf(h)
+        corr = {(0, 1): mpmath.mpf(rho[0]), (0, 2): mpmath.mpf(rho[1]),
+                (1, 2): mpmath.mpf(rho[2])}
+
+        def sf(x):
+            return mpmath.ncdf(-x)
+
+        def phi2(r):                      # the bivariate density at (h, h)
+            return mpmath.exp(-h * h / (1 + r)) / (2 * mpmath.pi * mpmath.sqrt(1 - r * r))
+
+        def triple(t):
+            total = mpmath.mpf(0)
+            for (i, j), r in corr.items():
+                k = 3 - i - j
+                a, b = t * corr[tuple(sorted((i, k)))], t * corr[tuple(sorted((j, k)))]
+                # X_k given X_i = X_j = h under the correlations t rho
+                mean = h * (a + b) / (1 + t * r)
+                var = 1 - (a * a + b * b - 2 * t * r * a * b) / (1 - (t * r) ** 2)
+                total += r * phi2(t * r) * sf((h - mean) / mpmath.sqrt(var))
+            return total
+
+        upper = {(): mpmath.mpf(1), **{(i,): sf(h) for i in range(3)}}
+        for pair, r in corr.items():
+            upper[pair] = sf(h) ** 2 + mpmath.quad(lambda t: r * phi2(t * r), [0, 1])
+        upper[(0, 1, 2)] = sf(h) ** 3 + mpmath.quad(triple, [0, 1])
+        cells = []
+        for index in range(8):
+            ones = [i for i in range(3) if index >> (2 - i) & 1]
+            zeros = [i for i in range(3) if i not in ones]
+            cells.append(sum((-1) ** len(extra) * upper[tuple(sorted(ones + list(extra)))]
+                             for size in range(len(zeros) + 1)
+                             for extra in itertools.combinations(zeros, size)))
+        return BinaryLaw(3, [float(c) for c in cells])
+
+
+NOT_DC_AT_LARGE_H = [(0.0, 0.5, 0.5), (0.05, 0.6825, 0.6825)]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("h", range(4, 9))
+@pytest.mark.parametrize("rho", NOT_DC_AT_LARGE_H)
+def test_a_law_with_tiny_cells_that_is_no_color_process_is_never_feasible(rho, h, exact):
+    """Both laws are NoColorRep for large h (``classify_large_h_3``), and
+    their unique signed representation has a negative weight.  Their cells
+    fall below the LP's absolute tolerance, so an objective of 0 found a q
+    that missed them by up to 1e12 of a cell: each cell is now checked to a
+    relative 1e-9."""
+    law = plackett_law3(rho, h)
+    assert lp_feasibility(law, exact=exact).status != "Feasible"
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("h", [2, 3])
+def test_a_color_process_with_small_cells_stays_feasible(h, exact):
+    law = plackett_law3((0.1, 0.5, 0.5), h)
+    assert law.probs.min() < 1e-3
+    res = lp_feasibility(law, exact=exact)
+    assert res.status == "Feasible"
+    pushed = push_forward(res.q, law.marginal_p).probs
+    assert np.all(np.abs(pushed - law.probs) <= solver.REL_TOL * law.probs)
+
+
+@pytest.mark.parametrize("h", range(2, 9))
+@pytest.mark.parametrize("rho", [*NOT_DC_AT_LARGE_H, (0.1, 0.5, 0.5)])
+def test_no_feasible_lp_beside_an_infeasible_signed_representation(rho, h):
+    law = plackett_law3(rho, h)
+    if not signed_rep_3(law).feasible:
+        assert lp_feasibility(law).status != "Feasible"
+
+
+def test_mc_laws_keep_the_objective_rule():
+    """The same cells with a standard error are a Monte Carlo law, which the
+    relative check leaves alone: a Feasible there still means a phase-I
+    objective up to the tolerance."""
+    law = plackett_law3(NOT_DC_AT_LARGE_H[0], 5)
+    assert lp_feasibility(law).status == "Borderline"
+    mc = BinaryLaw(3, law.probs, stderr=np.full(8, 1e-12))
+    assert lp_feasibility(mc).status == "Feasible"
+
+
+@pytest.mark.parametrize("miss, missed", [
+    ([1e-12, 0.0, 0.0, 0.0], False),            # 1e-12 of a cell of 0.5
+    ([0.0, 0.0, 0.0, 0.99e-9 * 1e-6], False),
+    ([0.0, 0.0, 0.0, 1.01e-9 * 1e-6], True),   # past 1e-9 of a cell of 1e-6
+    ([0.0, 2e-16, 0.0, 0.0], False),            # within ZERO_CELL of a zero cell
+    ([0.0, 3e-16, 0.0, 0.0], True),
+    ([0.0, 0.0, 1e-16, 0.0], False),            # a cell of 1e-16 is zero
+])
+def test_misses_a_cell(miss, missed):
+    nu = np.array([0.5, 0.0, 1e-16, 1e-6])
+    assert solver._misses_a_cell(np.array(miss), nu) is missed
