@@ -237,16 +237,25 @@ def _color_map_cells(n: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
+def _cell_weight_index(n: int) -> np.ndarray:
+    """Each cell's index K (n+1) + k into the flattened ``_coloring_weights``,
+    in ``_color_map_cells`` order: one 1-D gather reads every cell's weight."""
+    _, _, k, kk = _color_map_cells(n)
+    index = kk.astype(np.intp) * (n + 1) + k
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=None)
 def _color_map_csc_structure(n: int) -> tuple[np.ndarray, ...]:
     """The sparsity structure of ``color_map_csc(n, .)``, shared by every p:
     int32 ``indptr`` and ``indices`` of the cells sorted by (column, row),
     and each sorted cell's index into the flattened ``_coloring_weights``."""
-    row, col, k, kk = _color_map_cells(n)
+    row, col, _, _ = _color_map_cells(n)
     order = np.lexsort((row, col))
     indptr = np.zeros(BELL[n] + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=BELL[n]), out=indptr[1:])
-    arrays = (indptr, row[order].astype(np.int32),
-              (kk.astype(np.intp) * (n + 1) + k)[order])
+    arrays = (indptr, row[order].astype(np.int32), _cell_weight_index(n)[order])
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -273,19 +282,23 @@ def color_map(n: int, p: float) -> np.ndarray:
     return color_map_csc(n, p).toarray()
 
 
+@lru_cache(maxsize=256)
 def _coloring_weights(n: int, p: float) -> np.ndarray:
     """weight[K, k] = p^k (1-p)^(K-k) for k <= K, and 0 past K, by scalar
     powers: the bits of the cell formula.  Indexed by the K and k arrays of
-    ``_color_map_cells``."""
-    return np.array([[p ** j * (1.0 - p) ** (big - j) if j <= big else 0.0
-                      for j in range(n + 1)] for big in range(n + 1)])
+    ``_color_map_cells``.  Read-only and cached per (n, p): a decision reads
+    it twice, in ``color_map_csc`` and in ``push_forward``."""
+    weight = np.array([[p ** j * (1.0 - p) ** (big - j) if j <= big else 0.0
+                        for j in range(n + 1)] for big in range(n + 1)])
+    weight.setflags(write=False)
+    return weight
 
 
 def _cell_weights(q: "PartitionDistribution", p: float) -> np.ndarray:
     """The mass q(sigma) p^k (1-p)^(K-k) of each cell of ``_color_map_cells``:
     the law of the color process, one (partition, coloring) pair per cell."""
-    _, col, k, kk = _color_map_cells(q.n)
-    return q.vector[col] * _coloring_weights(q.n, p)[kk, k]
+    _, col, _, _ = _color_map_cells(q.n)
+    return q.vector[col] * _coloring_weights(q.n, p).ravel()[_cell_weight_index(q.n)]
 
 
 def color_map_exact(n: int, p) -> tuple[np.ndarray, int]:

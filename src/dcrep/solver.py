@@ -1,7 +1,8 @@
 """Deciding divide-and-color representability of a binary law.
 
 Three routes, used where each is exact:
-  * n = 3, p != 1/2: the unique signed representation in closed form;
+  * n = 3, p != 1/2: the unique signed representation in closed form, whose
+    weights may fall below 0 on an exact law only by their own rounding;
   * n = 3, p = 1/2 ({0,1}-symmetric): the one-parameter t-family;
   * general n: phase-I LP feasibility over the coloring map, solved by one
     direct call into the HiGHS bindings that scipy ships
@@ -15,7 +16,8 @@ Three routes, used where each is exact:
     the LP of a Dirichlet law takes 0.2-0.4 s at p = 1/2 from that basis on
     a 2-core x86-64 box, against 0.9-2.1 s from the slack basis, where the
     other p start, with a 14 MiB ``tracemalloc`` peak once the caches are
-    warm.  A Feasible q on an exact law must reproduce every cell to a
+    warm.  Every LP on a thread runs on that thread's one HiGHS instance
+    (``_highs_run``).  A Feasible q on an exact law must reproduce every cell to a
     relative ``REL_TOL``.  ``exact=True`` keeps the float solve and checks
     the certificate by an integer check over the cells before calling a law
     Infeasible.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -59,6 +62,10 @@ PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 # that misses every cell smaller than that
 REL_TOL = 1e-9
 ZERO_CELL = float(np.finfo(float).eps)
+# the rounding allowed per cell, relative, in a closed-form weight of an
+# exact law (``signed_rep_3``): 8 machine epsilons, where random color
+# processes with zero weights needed at most 2.8
+ROUNDING_EPS = 8.0 * float(np.finfo(float).eps)
 # an MC law's cells are widened by this many stderr before it is called
 # Infeasible, so sampling noise can only soften a verdict to Borderline
 RELAX_SIGMA = 3.0
@@ -123,9 +130,12 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     the law is a color process iff all five entries are nonnegative.  Raises
     ValueError where the law does not fit: n != 3, unequal marginals, or
     (1-p) p (1-2p) = 0 (p = 1/2 within noise has ``symmetric_rep_family_3``).
-    ``feasible`` reads them down to -FEAS_TOL on an exact law, and on a Monte
-    Carlo law down to what RELAX_SIGMA stderr per cell, the widening of the
-    relaxed LP, can move them: a law that LP calls Borderline reads feasible.
+    ``feasible`` reads each weight down to what can move it.  On an exact law
+    that is the rounding of its own formula, ``ROUNDING_EPS`` per cell and
+    per p (read from the cells), about 1e-15 on a weight of order 1.  On a
+    Monte Carlo law it is RELAX_SIGMA stderr per cell, the widening of the
+    relaxed LP (so a law that LP calls Borderline reads feasible), or
+    FEAS_TOL, the larger.
     """
     if nu.n != 3:
         raise ValueError("signed_rep_3 needs n = 3")
@@ -143,15 +153,25 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     q13_2 = ((1.0 - p) * c("101") - p * c("010")) / den
     q1_23 = ((1.0 - p) * c("011") - p * c("100")) / den
     q123 = 1.0 - (p * c("000") - (1.0 - p) * c("111")) / den
-    # RELAX_SIGMA stderr per cell move a weight (a cell_1 + b cell_2) / den by
-    # up to RELAX_SIGMA (|a| se_1 + |b| se_2) / |den|
-    def e(rho):
-        return RELAX_SIGMA * nu.cell_stderr(rho) / abs(den)
+    # a weight (a cell_1 + b cell_2) / den moves by up to (|a| e_1 + |b| e_2)
+    # / |den| when each cell moves by up to its e: RELAX_SIGMA stderr on an MC
+    # law.  On an exact law e is the rounding of the formula, ROUNDING_EPS of
+    # the cell, which moves p (a sum of cells) too, and with it a = 1 - p or
+    # b = p by up to p ROUNDING_EPS: the factors become 1 and 2 p
+    if nu.stderr is None:
+        floor, u, v = 0.0, 1.0, 2.0 * p
 
-    slack = (e("100") + e("011"), (1.0 - p) * e("110") + p * e("001"),
-             (1.0 - p) * e("101") + p * e("010"), (1.0 - p) * e("011") + p * e("100"),
-             p * e("000") + (1.0 - p) * e("111"))
-    feasible = all(q >= -max(FEAS_TOL, sl)
+        def e(rho):
+            return ROUNDING_EPS * c(rho) / abs(den)
+    else:
+        floor, u, v = FEAS_TOL, 1.0 - p, p
+
+        def e(rho):
+            return RELAX_SIGMA * nu.cell_stderr(rho) / abs(den)
+
+    slack = (e("100") + e("011"), u * e("110") + v * e("001"), u * e("101") + v * e("010"),
+             u * e("011") + v * e("100"), v * e("000") + u * e("111"))
+    feasible = all(q >= -max(floor, sl)
                    for q, sl in zip((q_sing, q12_3, q13_2, q1_23, q123), slack))
     return SignedRep3(p=p, q_1_2_3=q_sing, q_12_3=q12_3, q_13_2=q13_2,
                       q_1_23=q1_23, q_123=q123, feasible=feasible)
@@ -335,11 +355,26 @@ def _strict_frame(m: int, k: int):
                       np.full(cols, math.inf), np.zeros(cols, dtype=np.int32))
 
 
+# this thread's HiGHS instance, built on its first LP (``_highs_run``)
+_THREAD = threading.local()
+
+
 def _highs_run(model: tuple, basis=None, limit: int | None = None):
-    """A fresh HiGHS instance that has run the LP ``model`` (the arguments of
-    ``passModel``) from ``basis`` (the slack basis when None), with at most
-    ``limit`` simplex iterations when given."""
-    highs = _highs._Highs()
+    """This thread's HiGHS instance, after it has run the LP ``model`` (the
+    arguments of ``passModel``) from ``basis`` (the slack basis when None),
+    with at most ``limit`` simplex iterations when given.
+
+    One instance per thread, built on its first LP, serves every LP on it.
+    ``passOptions`` and ``passModel`` on each LP reset what an earlier LP
+    left: its options (the iteration limit of a warm start included), model,
+    basis and solution.  So a result depends on its LP alone, bit for bit,
+    and reuse saves the allocation of every solver buffer (about a fifth of
+    an n = 6 decision).  The caller reads what it needs from the instance
+    before the next LP on its thread.  The instance keeps the buffers of its
+    largest model, about 42 MB after an n = 9 LP."""
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _highs._Highs()
     error = _highs.HighsStatus.kError
     if (highs.passOptions(_HIGHS_OPTIONS) == error
             or highs.passModel(*model) == error
@@ -353,11 +388,13 @@ def _highs_run(model: tuple, basis=None, limit: int | None = None):
 
 
 def _run_phase_one(a, b, slack, basis):
-    """A HiGHS instance that has solved the phase-I LP of ``phase_one`` to
-    optimality, the simplex iterations of an abandoned warm start, the LP's
-    k and its column bounds.  From ``basis`` the dual simplex gets
-    ``WARM_PIVOTS_PER_ROW`` iterations per row; a start that has not reached
-    the optimum by then is abandoned for the slack basis."""
+    """This thread's HiGHS instance (``_highs_run``), after it has solved the
+    phase-I LP of ``phase_one`` to optimality, the simplex iterations of an
+    abandoned warm start, the LP's k and its column bounds.  Read the
+    instance before the next LP on this thread.  From ``basis`` the dual
+    simplex gets ``WARM_PIVOTS_PER_ROW`` iterations per row; a start that
+    has not reached the optimum by then is abandoned, and the same instance
+    solves the LP again from the slack basis, with no iteration limit."""
     if not (isinstance(a, csc_array) and a.dtype == np.float64):
         a = csc_array(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -435,8 +472,9 @@ def _start_basis(n: int):
     a decision).  The cost never changes, so the basis is dual feasible for
     every law at p = 1/2, and the dual simplex restarts from it in a few
     pivots: 7 against 43 from the slack basis at n = 6 (medians over
-    Dirichlet laws).  Each decision still gets a fresh HiGHS instance, so
-    its result depends on its law alone, never on earlier calls."""
+    Dirichlet laws).  ``getBasis`` returns a copy, so the later LPs on the
+    thread's HiGHS instance leave it as it is, and a decision's result
+    depends on its law alone, never on earlier calls."""
     mat = color_map_csc(n, 0.5)
     uniform = mat @ np.full(mat.shape[1], 1.0 / mat.shape[1])
     return _run_phase_one(mat, uniform, None, None)[0].getBasis()

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -117,13 +118,31 @@ def test_signed_rep_3_reads_feasible_within_noise_as_the_relaxed_lp():
     assert lp_feasibility(nu).status == "Infeasible"
 
 
-@pytest.mark.parametrize("eps, feasible", [(2e-9, False), (0.5e-9, True)])
-def test_signed_rep_3_keeps_feas_tol_on_exact_laws(eps, feasible):
+@pytest.mark.parametrize("eps, feasible", [(2e-9, False), (0.5e-9, False), (1e-13, False),
+                                           (0.0, True)])
+def test_signed_rep_3_bounds_exact_weights_by_their_rounding(eps, feasible):
+    """On an exact law a weight may fall below 0 only by the rounding of its
+    own formula (3e-15 here), not by FEAS_TOL (1e-9)."""
     weights = {"1|2|3": 1.0 + eps, "12|3": -eps}
     q = np.array([weights.get(sig.key, 0.0) for sig in enumerate_partitions(3)])
     rep = signed_rep_3(BinaryLaw(3, color_map(3, 0.3) @ q))
-    assert rep.q_12_3 == pytest.approx(-eps, rel=1e-6)
+    assert rep.q_12_3 == pytest.approx(-eps, rel=1e-6, abs=1e-14)
     assert rep.feasible is feasible
+
+
+def test_signed_rep_3_reads_exact_color_processes_with_zero_weights_feasible():
+    """A weight of 0 computes to a few ulps either side of it.  p is read from
+    the cells, so its rounding moves the weights too: near p = 1 the factor
+    1 - p alone would allow 1e8 times too little."""
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        k = rng.integers(1, 5)
+        v = np.zeros(5)
+        v[rng.choice(5, k, replace=False)] = rng.dirichlet(np.ones(k))
+        p = (rng.uniform(0.001, 0.49), rng.uniform(0.51, 0.999),
+             1.0 - 10.0 ** rng.uniform(-8, -1), 10.0 ** rng.uniform(-8, -1))[rng.integers(4)]
+        rep = signed_rep_3(push_forward(PartitionDistribution.from_vector(3, v), p))
+        assert rep.feasible, (v, p, rep.weights())
 
 
 def test_symmetric_family_iid_coins():
@@ -662,6 +681,7 @@ def test_phase_one_checks_the_solution_it_returns(monkeypatch, getter, field, sp
     b = mat @ np.full(5, 0.2)
     assert phase_one(mat, b).objective <= 1e-12
     monkeypatch.setattr(solver._highs, "_Highs", type("Spoiled", (highs,), {getter: spoiled}))
+    monkeypatch.setattr(solver, "_THREAD", threading.local())   # builds a Spoiled instance
     with pytest.raises(RuntimeError, match="HiGHS phase I failed: the solution misses"):
         phase_one(mat, b)
 
@@ -836,6 +856,22 @@ def test_a_color_process_with_small_cells_stays_feasible(h, exact):
     assert res.status == "Feasible"
     pushed = push_forward(res.q, law.marginal_p).probs
     assert np.all(np.abs(pushed - law.probs) <= solver.REL_TOL * law.probs)
+
+
+@pytest.mark.parametrize("h", [6, 7, 8])
+@pytest.mark.parametrize("rho", NOT_DC_AT_LARGE_H)
+def test_signed_rep_3_calls_tiny_negative_weights_infeasible(rho, h):
+    """The smallest weight is -9.7e-10 to -3.5e-16 here, far below 0 against
+    the rounding of its formula (at most 6e-24), though within FEAS_TOL."""
+    rep = signed_rep_3(plackett_law3(rho, h))
+    assert -solver.FEAS_TOL < rep.min_weight() < 0.0
+    assert not rep.feasible
+
+
+@pytest.mark.parametrize("h", range(2, 7))
+def test_signed_rep_3_keeps_a_color_process_with_tiny_cells_feasible(h):
+    rep = signed_rep_3(plackett_law3((0.1, 0.5, 0.5), h))
+    assert rep.min_weight() > 0.0 and rep.feasible
 
 
 @pytest.mark.parametrize("h", range(2, 9))

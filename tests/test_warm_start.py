@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 import dcrep
 from dcrep import solver
 from dcrep.gaussian import (correlations3, markov_chain_cov, square_threshold_law_exact,
-                            threshold_law_mc, zero_threshold_law_3)
+                            symmetric_plus_mean_cov, threshold_law_mc, zero_threshold_law_3)
 from dcrep.partitions import (BinaryLaw, PartitionDistribution, bell_number, color_map_csc,
                               push_forward, simulate_color_process)
 from dcrep.solver import lp_feasibility, phase_one, phase_one_exact
@@ -106,26 +108,95 @@ def test_exact_infeasible_certificates_still_verify(name):
 ORDER_SCRIPT = """
 import sys
 import numpy as np
-from dcrep.partitions import push_forward, PartitionDistribution, bell_number
-from dcrep.solver import lp_feasibility
+from dcrep.partitions import push_forward, PartitionDistribution, bell_number, color_map_csc
+from dcrep.solver import _start_basis, lp_feasibility, phase_one
 n, seed = int(sys.argv[1]), int(sys.argv[2])
 q = np.random.default_rng([n, seed]).dirichlet(np.ones(bell_number(n)))
 law = push_forward(PartitionDistribution.from_vector(n, q), 0.5)
 print(lp_feasibility(law).q.vector.tobytes().hex())
+mat = color_map_csc(n, 0.5)
+for basis in (_start_basis(n), None):
+    res = phase_one(mat, law.probs, basis=basis)
+    print(res.y.tobytes().hex(), res.pivots)
 """
 
 
+def basis_statuses(basis):
+    return [int(s) for s in basis.col_status], [int(s) for s in basis.row_status]
+
+
 def test_q_does_not_depend_on_the_laws_decided_before():
-    """The bytes of q for one law are those of a fresh process deciding it
-    first, after laws at other n and p have been decided here."""
+    """The bytes of q, and of y and the pivot count of the warm and the cold
+    phase I, for one law are those of a fresh process deciding it first.  Here
+    the thread's HiGHS instance has first run laws at other n and p, an MC
+    law's relaxed LP, an exact certificate check, an abandoned warm start
+    and an LP that HiGHS rejected; the cached start basis is unchanged."""
+    start = basis_statuses(solver._start_basis(6))
     for n, p in ((7, 0.5), (4, 0.3), (5, 0.5), (3, 0.5), (6, 0.3), (6, 0.5)):
         lp_feasibility(dirichlet_law(n, p, seed=1))
+    mc = threshold_law_mc(symmetric_plus_mean_cov(4, 0.0), 0.0, 20_000, 0)
+    assert "relaxed_objective" in lp_feasibility(mc).detail
+    assert lp_feasibility(negative_pair_law(0.5), exact=True).detail["certificate_verified"]
+    stalled = stalled_phase_one()
+    assert stalled.pivots > solver.WARM_PIVOTS_PER_ROW * 256
+    with pytest.raises(RuntimeError, match="HiGHS phase I failed: Infeasible"):
+        rejected_phase_one()
+
     law = dirichlet_law(6, 0.5, seed=2)
     src = Path(dcrep.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", ORDER_SCRIPT, "6", "2"], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == lp_feasibility(law).q.vector.tobytes().hex()
+    mat = color_map_csc(6, 0.5)
+    here = [lp_feasibility(law).q.vector.tobytes().hex()]
+    for basis in (solver._start_basis(6), None):
+        res = phase_one(mat, law.probs, basis=basis)
+        here.append(f"{res.y.tobytes().hex()} {res.pivots}")
+    assert proc.stdout.split("\n")[:3] == here
+    assert basis_statuses(solver._start_basis(6)) == start
+
+
+def test_one_highs_instance_serves_every_lp_of_a_thread(monkeypatch):
+    built = []
+
+    class Counting(solver._highs._Highs):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(solver._highs, "_Highs", Counting)
+    monkeypatch.setattr(solver, "_THREAD", threading.local())
+    for seed in range(50):
+        n, p = (5, 0.3) if seed % 2 else (6, 0.5)
+        assert lp_feasibility(dirichlet_law(n, p, seed=seed)).feasible
+    assert len(built) == 1
+
+
+def test_threads_deciding_at_once_get_the_serial_q():
+    """Three threads (more than the two cores this was written on) deciding
+    20 laws each at the same time, each on its own HiGHS instance, get the q
+    bytes of one thread deciding them in turn."""
+    laws = [[dirichlet_law(n, p, seed=10 * t + seed) for seed in range(5)
+             for n, p in ((5, 0.3), (5, 0.5), (6, 0.3), (6, 0.5))] for t in range(3)]
+
+    def decide(batch):
+        return [lp_feasibility(law).q.vector.tobytes() for law in batch]
+
+    serial = [decide(batch) for batch in laws]
+    barrier = threading.Barrier(len(laws), timeout=60)
+
+    def at_once(batch):
+        barrier.wait()
+        return decide(batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(laws)) as pool:
+            futures = [pool.submit(at_once, batch) for batch in laws]
+            assert [f.result(timeout=120) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_a_warm_start_halves_the_pivots_at_n6():
@@ -185,6 +256,22 @@ def uniform_basis(n, p):
     mat = color_map_csc(n, p)
     return solver._run_phase_one(mat, mat @ np.full(mat.shape[1], 1.0 / mat.shape[1]),
                                  None, None)[0].getBasis()
+
+
+def stalled_phase_one():
+    """Phase I of the n = 8 law at p = 0.2 of the test below, from the optimal
+    basis of the uniform law at p = 0.1875, where the dual simplex stalls."""
+    b = push_forward(PartitionDistribution.from_vector(
+        8, np.random.default_rng([8, 0]).dirichlet(np.ones(bell_number(8)))), 0.2).probs
+    return phase_one(color_map_csc(8, 0.2), b, basis=uniform_basis(8, 0.1875))
+
+
+def rejected_phase_one():
+    """A phase I whose box for e_2 is empty: HiGHS finds no optimum."""
+    mat = color_map_csc(3, 0.3)
+    slack = np.full(8, 0.01)
+    slack[2] = -0.01
+    return phase_one(mat, mat @ np.full(5, 0.2), slack)
 
 
 def test_a_stalled_warm_start_is_abandoned_for_the_slack_basis():
