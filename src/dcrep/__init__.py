@@ -15,7 +15,7 @@ from .conditions import (ABRegion, ConditionReport, LargeHVerdict, SavageStatus,
 from .embeddings import (ColorPropertyReport, EmbeddingBatch, ou_partition_batch,
                          ou_star_partition_batch, stable_chain_partition_batch,
                          stable_star_partition_batch, verify_color_property)
-from .gaussian import (CovarianceSpec, ThresholdQuery, ab_cov, bivariate_threshold_exact,
+from .gaussian import (CovarianceSpec, ab_cov, bivariate_threshold_exact,
                        correlations3, fully_symmetric_cov, markov_chain_cov,
                        pair_cluster_weight, sheppard_pair, square_on_sphere_cov,
                        square_threshold_law_exact, symmetric_plus_mean_cov,
@@ -24,9 +24,8 @@ from .partitions import (BinaryLaw, Partition, PartitionDistribution, bell_numbe
                          color_map, enumerate_partitions, marginalize_partition,
                          push_forward, simulate_color_process)
 from .reports import ClassificationReport, Regime, Verdict
-from .solver import (FeasibilityResult, SignedRep3, SymmetricRepFamily3,
-                     lp_feasibility, quick_sufficient_symmetric, signed_rep_3,
-                     square_circle_solver, symmetric_plus_mean_gap,
+from .solver import (FeasibilityResult, SignedRep3, SymmetricRepFamily3, lp_feasibility,
+                     signed_rep_3, square_circle_solver, symmetric_plus_mean_gap,
                      symmetric_rep_family_3)
 from .stable import (Corr2DVerdict, SpectralMeasure, StableLinearModel,
                      common_shock_model, corr2d_criterion, corr2d_inequality_mc,

@@ -44,20 +44,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits, '.' decimal: bit-stable CSV cells.  The
-    per-cell reference of ``csv_lines``, which spells every cell so."""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x != x:
-        return "nan"
-    if x in (math.inf, -math.inf):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
-
-
 def _is_number(x) -> bool:
     """A finite JSON number; the json module also reads NaN and Infinity."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
@@ -143,7 +129,7 @@ CSV_BLOCK_ROWS = 1024
 def _emit_csv(args, header: list[str], columns: list) -> None:
     """Write equal-length columns as CSV rows, a block of rows at a time, so
     that only one block of text is held at once; ``csv_lines`` spells each
-    cell as ``_fmt`` does."""
+    float cell as ``format(x, ".17g")`` does."""
     rows = len(columns[0])
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write("# " + json.dumps(_config_echo(args), sort_keys=True) + "\n")

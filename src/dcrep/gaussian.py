@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfc, ndtri
+from scipy.special import erfc
 
 from .partitions import MC_BLOCK, BinaryLaw, _check_n, threshold_mc_law
 
@@ -40,27 +40,6 @@ def normal_sf(x):
 def normal_pdf(x):
     return INV_SQRT_2PI * np.exp(-0.5 * np.square(x)) if np.ndim(x) \
         else INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-@dataclass(frozen=True)
-class ThresholdQuery:
-    """Threshold level h and the implied marginal p = P(X_1 > h)."""
-
-    h: float
-    p: float
-
-    @staticmethod
-    def from_h(h: float) -> "ThresholdQuery":
-        p = normal_sf(h)
-        if not (0.0 < p < 1.0):
-            raise ValueError(f"threshold {h} gives degenerate marginal {p}")
-        return ThresholdQuery(float(h), float(p))
-
-    @staticmethod
-    def from_p(p: float) -> "ThresholdQuery":
-        if not (0.0 < p < 1.0):
-            raise ValueError(f"p must lie in (0,1), got {p}")
-        return ThresholdQuery(float(ndtri(1.0 - p)), float(p))
 
 
 class CovarianceSpec:

@@ -7,7 +7,8 @@ Three routes, used where each is exact:
   * general n: phase-I LP feasibility over the coloring map, solved by one
     direct call into the HiGHS bindings that scipy ships
     (``scipy.optimize._highspy._core``), with a Farkas certificate on
-    infeasibility and a +-3 stderr relaxation for MC laws.  The map exists
+    infeasibility.  An MC law that fails strictly gets the same LP again
+    with its rows widened from [b, b] to b +- 3 stderr.  The map exists
     on this path only as a CSC matrix whose columns are the cached cells
     (``color_map_csc``); it goes to HiGHS by one array ``passModel``, with
     presolve off, and the margin and the certificate check read the cells
@@ -51,7 +52,6 @@ from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, _ke
                          _one_cells, _restriction_columns, _subset_cells, color_map,  # noqa: F401
                          color_map_csc, color_map_exact, enumerate_partitions,  # noqa: F401
                          push_forward)
-from .reports import Verdict
 
 FEAS_TOL = 1e-9
 P_HALF_TOL = 1e-9
@@ -316,7 +316,7 @@ _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
-# the post-solve check of that interface: bounds and equality residual within
+# the post-solve check of that interface: bounds and row residual within
 # 10 sqrt(1e-9)
 _SOLUTION_TOL = 10.0 * math.sqrt(1e-9)
 # simplex iterations per row that a warm start gets before it is abandoned
@@ -336,23 +336,18 @@ def _read_only(*arrays):
 
 
 @functools.cache
-def _identity_columns(m: int, nnz: int, signs: tuple[float, ...]):
-    """The CSC arrays (indptr, indices, data) that append the columns of
-    s_1 I, s_2 I, ... for the ``signs`` s_i to an m-row matrix with nnz
-    entries: one entry per column."""
-    eyes = len(signs)
-    return _read_only(nnz + np.arange(1, eyes * m + 1, dtype=np.int32),
-                      np.tile(np.arange(m, dtype=np.int32), eyes),
-                      np.repeat(np.array(signs), m))
-
-
-@functools.cache
-def _strict_frame(m: int, k: int):
-    """Cost, lower and upper bounds, and integrality (all continuous) of the
-    strict phase-I LP over an m x k matrix: q, s+, s- >= 0, cost 1 on s+, s-."""
+def _frame(m: int, k: int, nnz: int):
+    """Everything of the phase-I LP over an m x k matrix with nnz entries but
+    the matrix's own arrays and the row bounds: the cost (1 on s+ and s-),
+    the column bounds (every column in [0, inf)), the integrality (all
+    continuous) and the CSC arrays (indptr, indices, data) that append the
+    columns of I and -I, one entry each."""
     cols = k + 2 * m
     return _read_only(np.concatenate([np.zeros(k), np.ones(2 * m)]), np.zeros(cols),
-                      np.full(cols, math.inf), np.zeros(cols, dtype=np.int32))
+                      np.full(cols, math.inf), np.zeros(cols, dtype=np.int32),
+                      nnz + np.arange(1, 2 * m + 1, dtype=np.int32),
+                      np.tile(np.arange(m, dtype=np.int32), 2),
+                      np.repeat([1.0, -1.0], m))
 
 
 # this thread's HiGHS instance, built on its first LP (``_highs_run``)
@@ -390,32 +385,28 @@ def _highs_run(model: tuple, basis=None, limit: int | None = None):
 def _run_phase_one(a, b, slack, basis):
     """This thread's HiGHS instance (``_highs_run``), after it has solved the
     phase-I LP of ``phase_one`` to optimality, the simplex iterations of an
-    abandoned warm start, the LP's k and its column bounds.  Read the
-    instance before the next LP on this thread.  From ``basis`` the dual
-    simplex gets ``WARM_PIVOTS_PER_ROW`` iterations per row; a start that
-    has not reached the optimum by then is abandoned, and the same instance
-    solves the LP again from the slack basis, with no iteration limit."""
+    abandoned warm start, the LP's k and its row bounds.  Read the instance
+    before the next LP on this thread.  From ``basis`` the dual simplex gets
+    ``WARM_PIVOTS_PER_ROW`` iterations per row; a start that has not reached
+    the optimum by then is abandoned, and the same instance solves the LP
+    again from the slack basis, with no iteration limit."""
     if not (isinstance(a, csc_array) and a.dtype == np.float64):
         a = csc_array(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, k = a.shape
     if b.shape != (m,) or not np.all(np.isfinite(b)):
         raise ValueError(f"b must be {m} finite values")
-    signs = (1.0, -1.0)                     # the columns of s+ and s-
-    cost, lower, upper, integrality = _strict_frame(m, k)
+    lo = hi = b
     if slack is not None:
-        signs += (1.0,)                     # and of e
         slack = np.asarray(slack, dtype=float)
         if slack.shape != (m,) or not np.all(np.isfinite(slack)):
             raise ValueError(f"slack must be {m} finite values")
-        lower, upper = np.concatenate([lower, -slack]), np.concatenate([upper, slack])
-        cost = np.concatenate([cost, np.zeros(m)])
-        integrality = np.zeros(len(cost), dtype=np.int32)
-    tail = _identity_columns(m, a.nnz, signs)
+        lo, hi = b - slack, b + slack
+    cost, lower, upper, integrality, *tail = _frame(m, k, a.nnz)
     indptr, indices, data = (np.concatenate([head, rest]) for head, rest
                              in zip((a.indptr, a.indices, a.data), tail))
     # an empty integrality array is an error: all zeros is continuous
-    model = (len(cost), m, len(data), _COLWISE, _MINIMIZE, 0.0, cost, lower, upper, b, b,
+    model = (len(cost), m, len(data), _COLWISE, _MINIMIZE, 0.0, cost, lower, upper, lo, hi,
              indptr, indices, data, integrality)
 
     abandoned = 0
@@ -429,20 +420,21 @@ def _run_phase_one(a, b, slack, basis):
     if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
         raise RuntimeError("HiGHS phase I failed: "
                            + highs.modelStatusToString(highs.getModelStatus()))
-    return highs, abandoned, k, lower, upper
+    return highs, abandoned, k, lo, hi
 
 
 def phase_one(a, b, slack=None, basis=None) -> PhaseOneResult:
     """Phase-I LP by HiGHS: minimize 1'(s+ + s-) subject to
-    A q + e + s+ - s- = b, with q, s+, s- >= 0 and |e| <= slack cellwise
-    (e = 0 when ``slack`` is None).  ``a`` is a dense or sparse matrix; it
-    goes to HiGHS as CSC arrays, by one array call.  ``basis`` is a HiGHS
-    basis of a strict LP of the same shape (``_start_basis``) for the dual
-    simplex to start from, with ``WARM_PIVOTS_PER_ROW`` iterations per row
-    before it starts again from the slack basis, where None starts; the
-    iterations of both runs count in ``pivots``.
+    b - slack <= A q + s+ - s- <= b + slack, with q, s+, s- >= 0 (each row
+    an equality, A q + s+ - s- = b, when ``slack`` is None).  ``a`` is a
+    dense or sparse matrix; it goes to HiGHS as CSC arrays, by one array
+    call.  ``basis`` is a HiGHS basis of a strict LP of the same shape
+    (``_start_basis``) for the dual simplex to start from, with
+    ``WARM_PIVOTS_PER_ROW`` iterations per row before it starts again from
+    the slack basis, where None starts; the iterations of both runs count in
+    ``pivots``.
 
-    The optimum is 0 iff some q >= 0 has |A q - b| <= slack.  The equality
+    The optimum is 0 iff some q >= 0 has |A q - b| <= slack.  The row
     multipliers y satisfy y'A <= 0 and, without slack, y'b = objective, so on
     a positive optimum they are a Farkas certificate.  Another start basis
     can end at another optimal vertex: the same objective, another x and y.
@@ -450,15 +442,13 @@ def phase_one(a, b, slack=None, basis=None) -> PhaseOneResult:
     Raises ValueError on a non-finite ``b`` or ``slack`` and RuntimeError when
     HiGHS ends without an optimum or its optimum misses the constraints.
     """
-    highs, abandoned, k, lower, upper = _run_phase_one(a, b, slack, basis)
+    highs, abandoned, k, lo, hi = _run_phase_one(a, b, slack, basis)
     info, solution = highs.getInfo(), highs.getSolution()
-    x = np.array(solution.col_value)
-    residual = np.asarray(b, dtype=float) - np.array(solution.row_value)
-    if not (math.isfinite(info.objective_function_value)
-            and np.all(x >= lower - _SOLUTION_TOL) and np.all(x <= upper + _SOLUTION_TOL)
-            and np.all(np.abs(residual) <= _SOLUTION_TOL)):
+    x, rows = np.array(solution.col_value), np.array(solution.row_value)
+    if not (math.isfinite(info.objective_function_value) and np.all(x >= -_SOLUTION_TOL)
+            and np.all(rows >= lo - _SOLUTION_TOL) and np.all(rows <= hi + _SOLUTION_TOL)):
         raise RuntimeError("HiGHS phase I failed: the solution misses the bounds or "
-                           f"the equalities by more than {_SOLUTION_TOL:.2e}")
+                           f"the rows by more than {_SOLUTION_TOL:.2e}")
     return PhaseOneResult(objective=float(info.objective_function_value), x=x[:k],
                           y=np.array(solution.row_dual),
                           pivots=abandoned + int(info.simplex_iteration_count))
@@ -791,16 +781,6 @@ def _square_margin(q4: PartitionDistribution, nu4: BinaryLaw, p: float) -> float
         return float("nan")
     pf = push_forward(q4, p)
     return float(np.max(np.abs(pf.probs - nu4.probs)))
-
-
-# -- quick checks -------------------------------------------------------------
-
-def quick_sufficient_symmetric(nu: BinaryLaw) -> Verdict:
-    """One-sided test: a {0,1}-symmetric law with nu_{0^n} >= 1/4 is a color
-    process; anything else stays Undetermined (never NoColorRep)."""
-    if not nu.is_zero_one_symmetric(_noise_tol(_noise(nu))):
-        raise ValueError("quick check needs a {0,1}-symmetric law")
-    return Verdict.COLOR_REP if nu.probs[0] >= 0.25 else Verdict.UNDETERMINED
 
 
 def symmetric_plus_mean_gap(n: int) -> float:

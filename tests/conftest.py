@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ def random_inverse_stieltjes(rng, n, standardize=False):
             a = a / np.outer(d, d)
         if np.min(np.linalg.eigvalsh(a)) > 1e-10 and np.min(a) > 0:
             return CovarianceSpec(a)
+
+
+def fmt_cell(x) -> str:
+    """A CSV cell as dcrep spells it, one value at a time: a float by
+    ``format(x, ".17g")`` (17 significant digits, '.' decimal, nan and +-inf
+    by name), an integer by ``str`` and a bool as 1 or 0.  The per-cell
+    reference of ``csvtext.csv_lines``."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if x != x:
+        return "nan"
+    if x in (math.inf, -math.inf):
+        return "inf" if x > 0 else "-inf"
+    return format(float(x), ".17g")
 
 
 def random_probability_q(rng, n):

@@ -1,5 +1,5 @@
 """The array CSV writer against the per-cell reference: ``format(x, ".17g")``
-for floats and ``cli._fmt`` cell by cell."""
+for floats and ``fmt_cell`` cell by cell."""
 
 import math
 
@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcrep import cli
 from dcrep.csvtext import csv_lines, float_text
+
+from conftest import fmt_cell
 
 
 def texts(matrix: np.ndarray) -> list[str]:
@@ -105,7 +106,7 @@ def test_csv_lines_match_fmt_cell_by_cell():
                gen.integers(0, 2, rows).astype(np.uint8),
                [("x" * int(k)) for k in gen.integers(0, 3, rows)],
                tuple(float(v) for v in gen.random(rows)), np.full(rows, -0.0)]
-    want = "".join(",".join(v if isinstance(v, str) else cli._fmt(v) for v in row) + "\n"
+    want = "".join(",".join(v if isinstance(v, str) else fmt_cell(v) for v in row) + "\n"
                    for row in zip(*columns))
     assert csv_lines(columns) == want
 

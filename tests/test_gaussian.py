@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcrep.gaussian import (CovarianceSpec, ThresholdQuery, bivariate_threshold_exact,
+from dcrep.gaussian import (CovarianceSpec, bivariate_threshold_exact,
                             correlations3, fully_symmetric_cov, markov_chain_cov,
                             normal_sf, pair_cluster_weight, sheppard_pair,
                             square_on_sphere_cov, square_threshold_law_exact,
@@ -193,15 +193,6 @@ def test_covariance_angles_and_points():
     assert th[1, 2] == pytest.approx(2 * math.pi / 3)
     pts = np.array([[1.0, 0.0], [0.6, 0.8]])
     assert CovarianceSpec.from_points(pts).a[0, 1] == pytest.approx(0.6)
-
-
-def test_threshold_query():
-    q = ThresholdQuery.from_h(1.0)
-    assert q.p == pytest.approx(normal_sf(1.0), rel=1e-14)
-    back = ThresholdQuery.from_p(q.p)
-    assert back.h == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        ThresholdQuery.from_p(1.0)
 
 
 def test_symmetric_plus_mean_cov():

@@ -27,7 +27,7 @@ from dcrep.partitions import (BELL, MAX_N, BinaryLaw, Partition, PartitionDistri
 from dcrep.rng import make_rng
 from dcrep.solver import _reconstruct_square_b4, square_circle_solver
 
-from conftest import random_probability_q, reference_color_process
+from conftest import fmt_cell, random_probability_q, reference_color_process
 
 SIZES = range(1, 9)
 
@@ -364,7 +364,7 @@ def test_binary_law_marginals_match_mask_loop(n):
 
 
 def reference_scan_lines(kind: str, step: float, a: float = 0.5) -> list[str]:
-    """Header and rows of a scan CSV, one point and one ``_fmt`` at a time."""
+    """Header and rows of a scan CSV, one point and one ``fmt_cell`` at a time."""
     if kind == "theta":
         header = ["theta", "feasible", "t_lo", "t_hi", "adjacency_gap"]
         rows = []
@@ -386,7 +386,7 @@ def reference_scan_lines(kind: str, step: float, a: float = 0.5) -> list[str]:
             o2 = asym.stable_order2_limit_101_symmetric(a, al)
             gf = asym.gamma_factor(al) if al < 1.0 else float("inf")
             rows.append([al, gf, o2, threshold, int(o2 > threshold)])
-    return [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+    return [",".join(header)] + [",".join(fmt_cell(v) for v in row) for row in rows]
 
 
 @pytest.mark.parametrize("argv, kind, step, a", [

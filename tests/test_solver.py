@@ -8,10 +8,11 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import _linprog_highs, linprog
 from scipy.sparse import csc_array
 
 from dcrep import solver
@@ -22,12 +23,10 @@ from dcrep.partitions import (BinaryLaw, PartitionDistribution, _color_map_cells
                               _coloring_weights, bell_number, color_map, color_map_csc,
                               enumerate_partitions, marginalize_partition,
                               push_forward, simulate_color_process)
-from dcrep.reports import Verdict
 from dcrep.solver import (gaussian_sym_family_interval, lp_feasibility, phase_one,
-                          phase_one_exact, quick_sufficient_symmetric, signed_rep_3,
-                          square_circle_solver, symmetric_plus_mean_gap,
-                          symmetric_rep_family_3)
-from dcrep.stable import stable_markov_model, stable_threshold_law_mc
+                          phase_one_exact, signed_rep_3, square_circle_solver,
+                          symmetric_plus_mean_gap, symmetric_rep_family_3)
+from dcrep.stable import common_shock_model, stable_markov_model, stable_threshold_law_mc
 
 from conftest import random_probability_q
 
@@ -425,20 +424,11 @@ def test_square_circle_solver_rejects_bad_input():
         square_circle_solver(None, None, asym)  # nu_0101 != 0
 
 
-def test_quick_sufficient_symmetric():
-    probs = np.zeros(8)
-    probs[0] = 0.5
-    probs[7] = 0.5
-    assert quick_sufficient_symmetric(BinaryLaw(3, probs)) is Verdict.COLOR_REP
-    assert quick_sufficient_symmetric(product_law(3, 0.5)) is Verdict.UNDETERMINED
-    with pytest.raises(ValueError):
-        quick_sufficient_symmetric(product_law(3, 0.3))
-
-
-def test_quick_sufficient_symmetric_plus_mean_large_a():
-    cov = symmetric_plus_mean_cov(4, 0.95)
-    law = threshold_law_mc(cov, 0.0, 200_000, seed=41)
-    assert quick_sufficient_symmetric(law) is Verdict.COLOR_REP
+def test_symmetric_plus_mean_large_a_is_not_infeasible():
+    """At a = 0.95 the n = 4 law is within sampling noise of a color process:
+    the strict LP misses it, the relaxed LP reaches objective 0."""
+    law = threshold_law_mc(symmetric_plus_mean_cov(4, 0.95), 0.0, 200_000, seed=41)
+    assert lp_feasibility(law).status != "Infeasible"
 
 
 def test_symmetric_plus_mean_gap():
@@ -573,23 +563,51 @@ def test_lp_feasibility_rejects_a_bad_tol(tol):
 
 # -- phase_one against scipy's linprog ------------------------------------------
 
+LINPROG_OPTIONS = {"primal_feasibility_tolerance": solver.PRIMAL_FEAS_TOL, "presolve": False}
+
+
 def linprog_phase_one(a, b, slack=None):
     """The oracle: the same phase-I LP through ``scipy.optimize.linprog``,
     whose ``method="highs"`` wraps the same HiGHS solve in input cleaning and
-    a dense [A | I | -I (| I)], with presolve off as in ``phase_one``."""
+    a dense [A | I | -I], with presolve off as in ``phase_one``.  linprog
+    takes no boxed rows, so with ``slack`` the rows [b - slack, b + slack]
+    are handed to the HiGHS call that linprog makes (``_highs_wrapper``),
+    with the options linprog builds, and its raw result is read.  Returns
+    (objective, pivots, x, y)."""
     a = a.toarray()
     m, k = a.shape
     eye = np.eye(m)
-    blocks = [a, eye, -eye]
     cost = np.concatenate([np.zeros(k), np.ones(2 * m)])
-    bounds = [(0.0, None)] * (k + 2 * m)
-    if slack is not None:
-        blocks.append(eye)
-        cost = np.concatenate([cost, np.zeros(m)])
-        bounds += [(-s, s) for s in slack]
-    res = linprog(cost, A_eq=np.hstack(blocks), b_eq=b, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": solver.PRIMAL_FEAS_TOL,
-                           "presolve": False})
+    solve = functools.partial(linprog, cost, A_eq=np.hstack([a, eye, -eye]), b_eq=b,
+                              bounds=(0.0, None), method="highs", options=LINPROG_OPTIONS)
+    if slack is None:
+        res = solve()
+        assert res.status == 0, res.message
+        return res.fun, res.nit, res.x[:k], res.eqlin.marginals
+    raw = {}
+    highs_wrapper = _linprog_highs._highs_wrapper
+
+    def boxed(c, indptr, indices, data, lhs, rhs, *rest):
+        raw.update(highs_wrapper(c, indptr, indices, data, b - slack, b + slack, *rest))
+        return raw
+
+    with mock.patch.object(_linprog_highs, "_highs_wrapper", boxed):
+        solve()
+    assert raw["status"] == solver._highs.HighsModelStatus.kOptimal, raw["message"]
+    return raw["fun"], raw["simplex_nit"], raw["x"][:k], raw["lambda"]
+
+
+def e_block_phase_one(a, b, slack):
+    """The relaxed LP as it was built before its widening moved into the row
+    bounds, through ``linprog``: [A | I | -I | I] = b with an extra column
+    e_i in [-slack_i, slack_i] per row, at cost 0."""
+    a = a.toarray()
+    m, k = a.shape
+    eye = np.eye(m)
+    cost = np.concatenate([np.zeros(k), np.ones(2 * m), np.zeros(m)])
+    bounds = [(0.0, None)] * (k + 2 * m) + [(-s, s) for s in slack]
+    res = linprog(cost, A_eq=np.hstack([a, eye, -eye, eye]), b_eq=b, bounds=bounds,
+                  method="highs", options=LINPROG_OPTIONS)
     assert res.status == 0, res.message
     return res
 
@@ -631,15 +649,89 @@ def test_phase_one_matches_linprog_bit_for_bit(monkeypatch, name):
     else:
         assert status == "Infeasible" and len(calls) == 1
     for a, b, slack, basis, got in calls:
-        want = linprog_phase_one(a, b, slack)
+        objective, pivots, x, y = linprog_phase_one(a, b, slack)
         cold = phase_one(a, b, slack)
-        assert cold.objective == want.fun
-        assert cold.pivots == want.nit
-        assert cold.x.tobytes() == want.x[:a.shape[1]].tobytes()
-        assert cold.y.tobytes() == want.eqlin.marginals.tobytes()
+        assert cold.objective == objective
+        assert cold.pivots == pivots
+        assert cold.x.tobytes() == x.tobytes()
+        assert cold.y.tobytes() == y.tobytes()
         # a warm start may end at another optimal vertex: the same optimum
-        assert got.objective == pytest.approx(want.fun, rel=0.0, abs=1e-12)
-        assert (got.objective <= solver.FEAS_TOL) == (want.fun <= solver.FEAS_TOL)
+        assert got.objective == pytest.approx(objective, rel=0.0, abs=1e-12)
+        assert (got.objective <= solver.FEAS_TOL) == (objective <= solver.FEAS_TOL)
+
+
+# MC laws that fail the strict LP, Borderline or Infeasible after the widening
+RELAXED_CORPUS = {
+    **{name: PARITY_CORPUS[name] for name in PARITY_CORPUS if name.endswith("MC")},
+    "gaussian triple MC": lambda: threshold_law_mc(correlations3(-0.3, 0.2, 0.2), 0.5,
+                                                   10 ** 5, seed=0),
+    "symmetric plus mean n=4 a=0 MC": lambda: threshold_law_mc(
+        symmetric_plus_mean_cov(4, 0.0), 0.0, 2 * 10 ** 5, seed=12003),
+    "symmetric plus mean n=4 a=0.95 MC": lambda: threshold_law_mc(
+        symmetric_plus_mean_cov(4, 0.95), 0.0, 2 * 10 ** 5, seed=41),
+    "stable common shock MC": lambda: stable_threshold_law_mc(common_shock_model(0.5, 0.8, 4),
+                                                              0.5, 10 ** 4, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", RELAXED_CORPUS)
+def test_boxed_rows_decide_as_the_e_block_did(monkeypatch, name):
+    """The relaxed LP with rows [b - slack, b + slack] has the optimum of the
+    model it replaced, A q + s+ - s- + e = b with |e| <= slack, and every
+    verdict stays: lp_feasibility decides the same with the old model."""
+    law = RELAXED_CORPUS[name]()
+    mat = color_map_csc(law.n, law.marginal_p)
+    slack = solver.RELAX_SIGMA * law.stderr
+    got = phase_one(mat, law.probs, slack)
+    assert got.objective == pytest.approx(e_block_phase_one(mat, law.probs, slack).fun,
+                                          rel=0.0, abs=1e-12)
+    result = lp_feasibility(law)
+    assert result.detail["relaxed_objective"] == got.objective
+
+    def e_block(a, b, slack=None, basis=None):
+        if slack is None:
+            return phase_one(a, b, slack, basis)
+        res = e_block_phase_one(a, b, slack)
+        return solver.PhaseOneResult(objective=res.fun, x=res.x[:a.shape[1]],
+                                     y=res.eqlin.marginals, pivots=res.nit)
+
+    monkeypatch.setattr(solver, "phase_one", e_block)
+    assert lp_feasibility(law).status == result.status
+    assert result.status in ("Borderline", "Infeasible")
+
+
+def test_every_lp_has_one_shape_and_relaxed_rows_are_boxed(monkeypatch):
+    """Strict and relaxed LPs alike reach HiGHS with the k + 2m columns of
+    [A | I | -I]; only the row bounds differ: [b, b] strictly, and
+    b -+ RELAX_SIGMA stderr on the relaxed LP of an MC law."""
+    models = []
+
+    def recording(model, basis=None, limit=None):
+        models.append(model)
+        return highs_run(model, basis, limit)
+
+    highs_run = solver._highs_run
+    monkeypatch.setattr(solver, "_highs_run", recording)
+    laws = [RELAXED_CORPUS[name]() for name in RELAXED_CORPUS] + [negative_pair_law()]
+    for law in laws:
+        lp_feasibility(law)             # builds any start basis outside the record
+        del models[:]
+        mat = color_map_csc(law.n, law.marginal_p)
+        m, k = mat.shape
+        relaxed = "relaxed_objective" in lp_feasibility(law).detail
+        assert relaxed == (law.stderr is not None)
+        assert len(models) == 1 + relaxed
+        for model in models:
+            cols, rows, cost, lower, upper = model[0], model[1], model[6], model[7], model[8]
+            indptr = model[11]
+            assert (cols, rows, len(cost), len(lower), len(upper), len(indptr)) \
+                == (k + 2 * m, m, k + 2 * m, k + 2 * m, k + 2 * m, k + 2 * m + 1)
+            assert np.all(lower == 0.0) and np.all(upper == math.inf)
+        assert models[0][9].tobytes() == models[0][10].tobytes() == law.probs.tobytes()
+        if relaxed:
+            slack = solver.RELAX_SIGMA * law.stderr
+            assert models[1][9].tobytes() == (law.probs - slack).tobytes()
+            assert models[1][10].tobytes() == (law.probs + slack).tobytes()
 
 
 @pytest.mark.parametrize("which", ["b", "slack"])
@@ -656,7 +748,7 @@ def test_phase_one_rejects_a_non_finite_rhs_or_slack(which, value):
 def test_phase_one_raises_when_highs_finds_no_optimum():
     mat = color_map(3, 0.3)
     slack = np.full(8, 0.01)
-    slack[2] = -0.01            # the box of e_2 is empty
+    slack[2] = -0.01            # the box of row 2 is empty
     with pytest.raises(RuntimeError, match="HiGHS phase I failed: Infeasible"):
         phase_one(mat, mat @ np.full(5, 0.2), slack)
 

@@ -22,7 +22,7 @@ from dcrep.conditions import (ZERO_BAND, ABRegion, LargeHVerdict, ab_region_clas
 from dcrep.gaussian import CovarianceSpec, ab_cov, correlations3
 from dcrep.reports import Verdict
 
-from conftest import random_standard_pd
+from conftest import fmt_cell, random_standard_pd
 
 
 def reference_large_h_3(cov: CovarianceSpec) -> LargeHVerdict:
@@ -93,7 +93,7 @@ def reference_scan_ab_rows(step: float) -> list[str]:
             row = [reg.a, reg.b, int(reg.pd), int(reg.dgff), int(reg.large_h_color),
                    int(reg.markov_boundary), small, reg.savage_min, reg.pd_margin,
                    reg.markov_gap, reg.case_tag or ""]
-            lines.append(",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row))
+            lines.append(",".join(fmt_cell(v) if not isinstance(v, str) else v for v in row))
     return lines
 
 

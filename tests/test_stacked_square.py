@@ -22,6 +22,8 @@ from dcrep.partitions import BinaryLaw
 from dcrep.solver import (P_HALF_TOL, RELAX_SIGMA, _permute_law, square_circle_intervals,
                           square_circle_solver)
 
+from conftest import fmt_cell
+
 STEP_THETAS = np.arange(0.001, math.pi / 2, 0.001)
 EDGE_THETAS = np.array([math.pi / 4 - 1e-12, math.pi / 4, math.pi / 4 + 1e-12, math.pi / 2])
 
@@ -80,7 +82,7 @@ def reference_scan_lines(step: float) -> list[str]:
         rows.append([th, int(not infeasible), lo, hi,
                      math.pi / 8 - (math.acos(math.cos(th) ** 2) - th)])
     header = "theta,feasible,t_lo,t_hi,adjacency_gap"
-    return [header] + [",".join(cli._fmt(v) for v in row) for row in rows]
+    return [header] + [",".join(fmt_cell(v) for v in row) for row in rows]
 
 
 def bits(x) -> list:

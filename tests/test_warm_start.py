@@ -267,7 +267,7 @@ def stalled_phase_one():
 
 
 def rejected_phase_one():
-    """A phase I whose box for e_2 is empty: HiGHS finds no optimum."""
+    """A phase I whose box for row 2 is empty: HiGHS finds no optimum."""
     mat = color_map_csc(3, 0.3)
     slack = np.full(8, 0.01)
     slack[2] = -0.01
