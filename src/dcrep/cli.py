@@ -31,7 +31,7 @@ from .csvtext import csv_lines
 from .gaussian import (CovarianceSpec, square_threshold_law_exact,  # noqa: F401
                        square_threshold_laws_exact, threshold_law_mc)
 from .laws import threshold_law
-from .partitions import BinaryLaw, _column_keys, simulate_color_process
+from .partitions import BinaryLaw, _column_keys, _is_number, simulate_color_process
 from .reports import _plain
 from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3,  # noqa: F401
                      square_circle_intervals, square_circle_solver, symmetric_rep_family_3)
@@ -42,11 +42,6 @@ SCAN_MAX_ROWS = 1_000_000  # rows one scan may write; a finer --a-step is refuse
 
 class UsageError(Exception):
     pass
-
-
-def _is_number(x) -> bool:
-    """A finite JSON number; the json module also reads NaN and Infinity."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_matrix(x) -> bool:
@@ -172,12 +167,19 @@ def cmd_analyze(args) -> dict:
 def cmd_solve(args) -> dict:
     law = threshold_law(load_model(args.model), args.h, args.samples, args.seed)
     out: dict = {"law": law}
-    # the closed-form n = 3 routes raise ValueError on a law they do not fit
-    with contextlib.suppress(ValueError):
+    # the closed-form n = 3 routes raise ValueError on a law they do not fit;
+    # only that refusal is caught, not an error past the fit
+    try:
         rep = signed_rep_3(law)
+    except ValueError:
+        pass
+    else:
         out["signed_rep_3"] = {"weights": rep.weights(), "feasible": rep.feasible}
-    with contextlib.suppress(ValueError):
+    try:
         fam = symmetric_rep_family_3(law)
+    except ValueError:
+        pass
+    else:
         out["symmetric_family"] = {"t_interval": fam.t_interval,
                                    "canonical": None if fam.is_empty else fam.canonical()}
     out["lp"] = lp_feasibility(law, p=args.p, tol=args.tol)

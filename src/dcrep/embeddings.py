@@ -32,7 +32,6 @@ from scipy import stats
 from .partitions import (BinaryLaw, PartitionDistribution, _check_n, _column_keys,
                          _label_codes, _partition_table, bell_number, pattern_counts,
                          push_forward)
-from .rng import make_rng
 from .stable import sample_pos_stable, sample_sym_stable, subordinator_scale
 
 
@@ -132,7 +131,7 @@ def _sample_tree(rule, parents, m: int, seed, topology: str) -> EmbeddingBatch:
     if m < 1:
         raise ValueError("m must be >= 1")
     root, step = rule
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     n = len(parents) + 1
     y = np.empty((m, n))
     expo = np.empty((m, n - 1))

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfc
 
 from .partitions import MC_BLOCK, BinaryLaw, _check_n, threshold_mc_law
 
@@ -28,18 +27,17 @@ SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def normal_cdf(x):
-    return 0.5 * erfc(-np.asarray(x) / SQRT2) if np.ndim(x) else 0.5 * math.erfc(-x / SQRT2)
+def normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / SQRT2)
 
 
-def normal_sf(x):
+def normal_sf(x: float) -> float:
     """Upper tail P(Z > x), accurate in the far tail via erfc."""
-    return 0.5 * erfc(np.asarray(x) / SQRT2) if np.ndim(x) else 0.5 * math.erfc(x / SQRT2)
+    return 0.5 * math.erfc(x / SQRT2)
 
 
-def normal_pdf(x):
-    return INV_SQRT_2PI * np.exp(-0.5 * np.square(x)) if np.ndim(x) \
-        else INV_SQRT_2PI * math.exp(-0.5 * x * x)
+def normal_pdf(x: float) -> float:
+    return INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 class CovarianceSpec:

@@ -14,7 +14,6 @@ cells' masses, rather than a partition and then one uniform per block.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -25,8 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_array
-
-from .rng import make_rng
 
 MAX_N = 9  # the one size limit (``_check_n``): keys spell each element as one digit
 PROB_TOL = 1e-12
@@ -321,8 +318,7 @@ class PartitionDistribution:
 
     ``vector[j]`` is the weight of ``enumerate_partitions(n)[j]``, and the
     vector is read-only.  Canonical keys such as '13|2' exist only at the
-    boundary: the dict constructor, ``to_json``/``from_json``, ``repr`` and
-    the ``weights`` view.
+    boundary: the dict constructor, ``repr`` and the ``weights`` view.
     """
 
     def __init__(self, n: int, weights: Mapping[str, float], signed: bool = False):
@@ -387,39 +383,17 @@ class PartitionDistribution:
         zeros included, in column order."""
         return MappingProxyType(dict(zip(_column_keys(self.n), self.vector.tolist())))
 
-    def as_vector(self) -> np.ndarray:
-        return self.vector.copy()
-
-    def weight(self, key: str) -> float:
-        j = _key_columns(self.n).get(Partition.from_key(key).key)
-        return 0.0 if j is None else float(self.vector[j])
-
-    def support(self) -> list[str]:
-        return [k for k, w in sorted(self.weights.items()) if abs(w) > PROB_TOL]
-
-    def to_json(self) -> str:
-        entries = [{"key": key, "q": w} for key, w in self.weights.items()]
-        return json.dumps({"n": self.n, "signed": self.signed, "entries": entries})
-
-    @staticmethod
-    def from_json(text: str) -> "PartitionDistribution":
-        obj = json.loads(text)
-        n, entries = _json_entries(obj, "q")
-        signed = obj.get("signed", False)
-        if not isinstance(signed, bool):
-            raise ValueError(f"signed must be true or false, got {signed!r}")
-        return PartitionDistribution(n, dict(entries), signed=signed)
-
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number; the json module also reads NaN and Infinity."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _json_entries(obj, value: str) -> tuple[int, list[tuple[str, float]]]:
-    """The n and the (key, value) entries of a law's or a partition
-    distribution's parsed JSON.  Raises ValueError unless it is an object
-    with an integer n in [1, MAX_N] and a list of entries, each an object
-    with a string "key" and a number under ``value``."""
+def _json_entries(obj) -> tuple[int, list[tuple[str, float]]]:
+    """The n and the (key, p) entries of a law's parsed JSON.  Raises
+    ValueError unless it is an object with an integer n in [1, MAX_N] and a
+    list of entries, each an object with a string "key" and a finite number
+    "p"."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     n = obj.get("n")
@@ -431,10 +405,10 @@ def _json_entries(obj, value: str) -> tuple[int, list[tuple[str, float]]]:
         raise ValueError(f"entries must be a list, got {entries!r}")
     for e in entries:
         if not (isinstance(e, dict) and isinstance(e.get("key"), str)
-                and _is_number(e.get(value))):
-            raise ValueError(f'each entry must be an object with a string "key" and a number '
-                             f'"{value}", got {e!r}')
-    return n, [(e["key"], float(e[value])) for e in entries]
+                and _is_number(e.get("p"))):
+            raise ValueError(f'each entry must be an object with a string "key" and a finite '
+                             f'number "p", got {e!r}')
+    return n, [(e["key"], float(e["p"])) for e in entries]
 
 
 def _bad_key(n: int, key: str) -> ValueError:
@@ -527,16 +501,9 @@ class BinaryLaw:
             obj["stderr"] = self.stderr.tolist()
         return obj
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "BinaryLaw":
-        return BinaryLaw.from_json_dict(json.loads(text))
-
     @staticmethod
     def from_json_dict(obj) -> "BinaryLaw":
-        n, entries = _json_entries(obj, "p")
+        n, entries = _json_entries(obj)
         probs = np.zeros(2 ** n)
         seen = set()
         for key, p in entries:
@@ -548,7 +515,7 @@ class BinaryLaw:
             probs[string_index(key)] = p
         se = obj.get("stderr")
         if not (se is None or isinstance(se, list) and all(map(_is_number, se))):
-            raise ValueError(f"stderr must be a list of numbers, got {se!r}")
+            raise ValueError(f"stderr must be a list of finite numbers, got {se!r}")
         return BinaryLaw(n, probs, stderr=None if se is None else np.asarray(se, dtype=float))
 
     @staticmethod
@@ -583,7 +550,7 @@ def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     counts = np.zeros(2 ** n, dtype=np.int64)
     for done in range(0, m, MC_CHUNK):
         for values in draw(min(MC_CHUNK, m - done), rng):
@@ -707,7 +674,7 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     weights = _cell_weights(q, p)
     drawn = weights > 0.0   # not the cells of zero (or, within PROB_TOL, negative) mass
     weights, rows = weights[drawn], _color_map_cells(n)[0][drawn]
-    rows = _categorical(weights, m, make_rng(seed), rows)
+    rows = _categorical(weights, m, np.random.default_rng(seed), rows)
     strings = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     samples = np.empty((m, n), dtype=np.uint8)
     counts = np.zeros(2 ** n, dtype=np.int64)

@@ -19,10 +19,7 @@ class Verdict(str, Enum):
 
 
 class Regime(str, Enum):
-    H_ZERO = "h=0"
-    SMALL_H = "small-h"
     LARGE_H = "large-h"
-    ALL_H = "all-h"
     ALL_POSITIVE_H = "all-positive-h"
 
 

@@ -48,10 +48,10 @@ except ImportError as exc:
 
 # color_map and enumerate_partitions are on no path here: they are imported
 # only so that bench/tracing.py can time them under these names
-from .partitions import (BinaryLaw, PartitionDistribution, _color_map_cells, _key_columns,
-                         _one_cells, _restriction_columns, _subset_cells, color_map,  # noqa: F401
-                         color_map_csc, color_map_exact, enumerate_partitions,  # noqa: F401
-                         push_forward)
+from .partitions import (PROB_TOL, BinaryLaw, PartitionDistribution, _color_map_cells,
+                         _key_columns, _one_cells, _restriction_columns, _subset_cells,
+                         color_map, color_map_csc, color_map_exact,  # noqa: F401
+                         enumerate_partitions, push_forward)  # noqa: F401
 
 FEAS_TOL = 1e-9
 P_HALF_TOL = 1e-9
@@ -118,9 +118,6 @@ class SignedRep3:
     def weights(self) -> dict[str, float]:
         return {"1|2|3": self.q_1_2_3, "12|3": self.q_12_3, "13|2": self.q_13_2,
                 "1|23": self.q_1_23, "123": self.q_123}
-
-    def min_weight(self) -> float:
-        return min(self.weights().values())
 
 
 def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
@@ -213,7 +210,7 @@ class SymmetricRepFamily3:
 
     def at(self, t: float) -> PartitionDistribution:
         w = self.weights_at(t)
-        signed = min(w.values()) < -FEAS_TOL
+        signed = min(w.values()) < -PROB_TOL   # the rule PartitionDistribution enforces
         return PartitionDistribution(3, w, signed=signed)
 
     def canonical(self) -> PartitionDistribution:

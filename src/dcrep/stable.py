@@ -24,7 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .partitions import MC_BLOCK, BinaryLaw, _check_n, threshold_mc_law
-from .rng import make_rng
 
 DIRECTION_MERGE_TOL = 1e-10
 STANDARD_ROW_TOL = 1e-9
@@ -48,7 +47,7 @@ def sample_sym_stable(alpha: float, sigma: float, m: int, seed) -> np.ndarray:
         raise ValueError("sigma must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     if alpha == 2.0:
         return sigma * math.sqrt(2.0) * rng.standard_normal(m)
     u = _angles(m, rng)
@@ -124,7 +123,7 @@ def sample_pos_stable(alpha_half: float, scale: float, m: int, seed) -> np.ndarr
         raise ValueError("scale must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     a = alpha_half
     s_fac = math.cos(math.pi * a / 2.0) ** (-1.0 / a)
     u = _angles(m, rng)
@@ -138,86 +137,70 @@ def subordinator_scale(alpha: float) -> float:
     return 2.0 * math.cos(math.pi * alpha / 4.0) ** (2.0 / alpha)
 
 
+def _canonical(x: np.ndarray) -> np.ndarray:
+    """The one of +-x whose first nonzero coordinate is positive."""
+    for c in x:
+        if c != 0.0:
+            return -x if c < 0.0 else x
+    return x
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Finite symmetric atomic measure on the unit sphere.
 
-    Atoms come in +-x pairs with equal weight; ``atoms`` lists every atom
-    (both signs), each direction a unit vector.
+    Atoms come in +-x pairs of equal weight, so only one of each pair is
+    kept: ``representatives`` lists (x, w) with x a unit vector whose first
+    nonzero coordinate is positive, and ``atoms`` lists every atom, each
+    representative and then its mirror.
     """
 
     alpha: float
     d: int
-    atoms: tuple[tuple[tuple[float, ...], float], ...]
+    representatives: tuple[tuple[tuple[float, ...], float], ...]
 
     def __post_init__(self):
         _check_alpha(self.alpha)
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        seen = {}
-        for x, w in self.atoms:
+        for x, w in self.representatives:
             x = np.asarray(x)
             if x.shape != (self.d,):
                 raise ValueError(f"atom {x} is not {self.d}-dimensional")
             if abs(np.linalg.norm(x) - 1.0) > 1e-12:
                 raise ValueError(f"atom {x} is not on the unit sphere")
+            if not np.array_equal(_canonical(x), x):
+                raise ValueError(f"atom {x} is not canonically signed; give {-x}")
             if w <= 0.0:
                 raise ValueError("atom weights must be positive")
-            key = tuple(np.round(x, 9))
-            if key in seen:
-                raise ValueError(f"duplicate atom direction {x}; merge weights first")
-            seen[key] = w
-        for x, w in self.atoms:
-            mirror = tuple(np.round(-np.asarray(x), 9))
-            if mirror not in seen or abs(seen[mirror] - w) > 1e-12:
-                raise ValueError("measure must be symmetric under x -> -x")
+        keys = [tuple(np.round(x, 9)) for x, _ in self.atoms]
+        if len(set(keys)) != len(keys):
+            raise ValueError("duplicate atom direction; merge weights first")
 
     @staticmethod
     def symmetric(pairs, alpha: float, d: int) -> "SpectralMeasure":
-        """Build from (direction, weight) positive representatives; mirrors added."""
-        atoms = []
+        """Build from (direction, weight) pairs, one per +-pair: each
+        direction is normalized and canonically signed."""
+        reps = []
         for x, w in pairs:
             x = np.asarray(x, dtype=float)
-            x = x / np.linalg.norm(x)
-            atoms.append((tuple(x), float(w)))
-            atoms.append((tuple(-x), float(w)))
-        return SpectralMeasure(alpha=alpha, d=d, atoms=tuple(atoms))
+            reps.append((tuple(_canonical(x / np.linalg.norm(x))), float(w)))
+        return SpectralMeasure(alpha=alpha, d=d, representatives=tuple(reps))
 
-    def total_mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
-
-    def positive_representatives(self) -> list[tuple[np.ndarray, float]]:
-        """One atom per +-pair, canonical sign: first nonzero coordinate > 0."""
-        out = []
-        seen = set()
-        for x, w in self.atoms:
-            v = np.asarray(x)
-            for c in v:
-                if c != 0.0:
-                    if c < 0.0:
-                        v = -v
-                    break
-            key = tuple(np.round(v, 9))
-            if key not in seen:
-                seen.add(key)
-                out.append((v, w))
-        return out
+    @property
+    def atoms(self) -> tuple[tuple[tuple[float, ...], float], ...]:
+        return tuple(atom for x, w in self.representatives
+                     for atom in ((x, w), (tuple(-np.asarray(x)), w)))
 
     def scaled_atoms(self) -> list[np.ndarray]:
         """(2 w)^{1/alpha} x for every atom x; the natural tail-limit scaling."""
         return [np.asarray(x) * (2.0 * w) ** (1.0 / self.alpha)
                 for x, w in self.atoms]
 
-    def scale(self, t: float) -> "SpectralMeasure":
-        if t <= 0.0:
-            raise ValueError("scale factor must be positive")
-        return SpectralMeasure(self.alpha, self.d,
-                               tuple((x, w * t) for x, w in self.atoms))
-
     def to_json_dict(self) -> dict:
         return {"alpha": self.alpha, "d": self.d,
                 "atoms": [{"x": [float(v) for v in x], "w": float(w)}
-                          for x, w in self.positive_representatives()]}
+                          for x, w in self.representatives]}
 
 
 @dataclass(frozen=True)
@@ -266,12 +249,7 @@ def spectral_from_matrix(model: StableLinearModel) -> SpectralMeasure:
         r = float(np.linalg.norm(x))
         if r == 0.0:
             raise ValueError(f"column {j+1} of the loadings is zero")
-        u = x / r
-        for c in u:
-            if c != 0.0:
-                if c < 0.0:
-                    u = -u
-                break
+        u = _canonical(x / r)
         w = r ** model.alpha / 2.0
         for k, (v, wv) in enumerate(merged):
             if np.max(np.abs(v - u)) <= DIRECTION_MERGE_TOL:
@@ -283,7 +261,7 @@ def spectral_from_matrix(model: StableLinearModel) -> SpectralMeasure:
 
 
 def sample_stable_vector(model: StableLinearModel, m: int, seed) -> np.ndarray:
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     s = sample_sym_stable(model.alpha, 1.0, m * model.m, rng).reshape(m, model.m)
     return s @ model.loadings.T
 
@@ -392,7 +370,7 @@ def corr2d_inequality_mc(a: float, alpha: float, h: float, m: int, seed):
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
     _check_alpha(alpha)
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     s1 = sample_sym_stable(alpha, 1.0, m, rng)
     s2 = sample_sym_stable(alpha, 1.0, m, rng)
     c = (1.0 - a ** alpha) ** (1.0 / alpha)

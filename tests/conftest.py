@@ -18,6 +18,18 @@ def brute_force_partitions(n):
     return seen
 
 
+def edge_of_family_law():
+    """The {0,1}-symmetric n = 3 law with 000 = 111 = (1 - 6 s)/2 and the
+    other six cells s = 1/8 + 1e-11: its t_lo exceeds t_hi by 8e-11, within
+    FEAS_TOL, so its t-family is not empty and its t_lo member is signed."""
+    from dcrep.partitions import BinaryLaw
+
+    s = 1 / 8 + 1e-11
+    probs = np.full(8, s)
+    probs[[0, 7]] = (1.0 - 6.0 * s) / 2.0
+    return BinaryLaw(3, probs)
+
+
 def random_standard_pd(rng, n, jitter=0.3):
     """Random unit-diagonal PD matrix from a factor model."""
     while True:
@@ -88,7 +100,6 @@ def reference_color_process(weights: dict, n, p, m, seed):
     objects and listed as the coloring map lists its cells: by number of
     blocks K, then partition, then coloring.  Returns (samples, law)."""
     from dcrep.partitions import BinaryLaw, enumerate_partitions
-    from dcrep.rng import make_rng
 
     masses, strings = [], []
     for big in range(1, n + 1):
@@ -104,7 +115,7 @@ def reference_color_process(weights: dict, n, p, m, seed):
                         string[np.array(block) - 1] = c
                     masses.append(mass)
                     strings.append(string)
-    which = make_rng(seed).choice(len(masses), size=m, p=np.array(masses))
+    which = np.random.default_rng(seed).choice(len(masses), size=m, p=np.array(masses))
     samples = np.array(strings)[which]
     counts = np.bincount(samples @ (1 << np.arange(n - 1, -1, -1)), minlength=2 ** n)
     return samples, BinaryLaw.from_counts(counts, m)

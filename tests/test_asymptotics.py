@@ -11,7 +11,6 @@ from dcrep.asymptotics import (alt_example_constants, fully_symmetric_kappa_argu
                                stable_order2_limit_101_symmetric)
 from dcrep.gaussian import CovarianceSpec, correlations3, fully_symmetric_cov, markov_chain_cov
 from dcrep.reports import Verdict
-from dcrep.rng import make_rng
 from dcrep.stable import (SpectralMeasure, common_shock_model, spectral_from_matrix,
                           stable_markov_model)
 
@@ -151,7 +150,7 @@ def test_order2_markov_against_mc_oracle():
     # direct 2-D Monte Carlo of the (s1, s2) region integral
     a, alpha = 0.3, 0.7
     exact = stable_order2_limit_101_markov(a, alpha)
-    rng = make_rng(99)
+    rng = np.random.default_rng(99)
     m = 2_000_000
     # sample s ~ alpha s^{-(1+alpha)} on (1, inf) via inverse transform
     s1 = rng.random(m) ** (-1.0 / alpha)

@@ -17,6 +17,8 @@ from dcrep.partitions import BinaryLaw
 from dcrep.reports import _plain
 from dcrep.solver import lp_feasibility, signed_rep_3
 
+from conftest import edge_of_family_law
+
 GAUSS3 = json.dumps({"a": [[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]]})
 STABLE3 = json.dumps({"alpha": 1.0,
                       "loadings": [[0.5, 0.8660254037844386, 0, 0],
@@ -65,7 +67,7 @@ def test_analyze_stable(tmp_path):
 
 def test_solve_explicit_law(tmp_path):
     law = zero_threshold_law_3(fully_symmetric_cov(3, 0.5))
-    model = law.to_json()
+    model = json.dumps(law.to_json_dict())
     code, out = run(["solve", "--model", model], tmp_path)
     assert code == 0
     payload = json.loads(out.read_text())
@@ -79,7 +81,7 @@ def test_solve_takes_the_n3_routes_of_an_mc_law_by_the_solver_rules(tmp_path):
     code, out = run(["solve", "--model", GAUSS3, "--h", "0.5", "--samples", "20000"], tmp_path)
     assert code == 0
     results = json.loads(out.read_text())["results"]
-    law = BinaryLaw.from_json(json.dumps(results["law"]))
+    law = BinaryLaw.from_json_dict(results["law"])
     assert law.max_marginal_gap() > 1e-6
     rep = signed_rep_3(law)
     assert results["signed_rep_3"] == {"weights": rep.weights(), "feasible": rep.feasible}
@@ -188,7 +190,8 @@ def test_simulate_ou(tmp_path):
 
 def test_simulate_color_from_solved_law(tmp_path):
     law = zero_threshold_law_3(fully_symmetric_cov(3, 0.4))
-    code, out = run(["simulate", "--simulator", "color", "--model", law.to_json(),
+    code, out = run(["simulate", "--simulator", "color",
+                     "--model", json.dumps(law.to_json_dict()),
                      "--samples", "50000", "--seed", "4"], tmp_path)
     assert code == 0
     payload = json.loads(out.read_text())
@@ -368,10 +371,12 @@ MALFORMED_LAWS = {
     "entry_without_key": {"n": 2, "entries": [{"p": 1.0}]},
     "entry_value_string": {"n": 2, "entries": [{"key": "00", "p": "1"}]},
     "entry_value_bool": {"n": 2, "entries": [{"key": "00", "p": True}]},
+    "entry_value_null": {"n": 2, "entries": [{"key": "00", "p": None}]},
     "n_float": {"n": 2.7, "entries": [{"key": "00", "p": 1.0}]},
     "n_whole_float": {"n": 2.0, "entries": [{"key": "00", "p": 1.0}]},
     "n_bool": {"n": True, "entries": [{"key": "0", "p": 1.0}]},
     "n_string": {"n": "2", "entries": [{"key": "00", "p": 1.0}]},
+    "n_null": {"n": None, "entries": []},
     "entries_missing": {"kind": "law", "n": 2},
     "stderr_string": {"n": 2, "entries": [{"key": "00", "p": 0.5}, {"key": "11", "p": 0.5}],
                       "stderr": "small"},
@@ -385,6 +390,36 @@ def test_solve_refuses_malformed_law_json(model, tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("model, named", [
+    ('{"n": 1, "entries": [{"key": "0", "p": NaN}, {"key": "1", "p": 1}]}',
+     "{'key': '0', 'p': nan}"),
+    ('{"n": 1, "entries": [{"key": "0", "p": Infinity}]}', "{'key': '0', 'p': inf}"),
+    ('{"n": 1, "entries": [{"key": "0", "p": 1}], "stderr": [NaN, 0]}', "[nan, 0]"),
+    ('{"n": 1, "entries": [{"key": "0", "p": 1}], "stderr": [0, -Infinity]}', "[0, -inf]"),
+], ids=["p_nan", "p_inf", "stderr_nan", "stderr_minus_inf"])
+def test_solve_refuses_a_non_finite_number_naming_it(model, named, tmp_path, capsys):
+    code, out = run(["solve", "--model", model], tmp_path)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_solve_shows_the_family_of_a_law_at_its_edge(tmp_path):
+    """A {0,1}-symmetric law whose t-interval is empty by less than FEAS_TOL
+    (t_lo - t_hi = 8e-11) keeps its ``symmetric_family``: the canonical q is
+    signed, and ``solve`` shows it rather than dropping the key."""
+    model = json.dumps(edge_of_family_law().to_json_dict())
+    code, out = run(["solve", "--model", model], tmp_path)
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["lp"]["status"] == "Feasible"
+    family = results["symmetric_family"]
+    t_lo, t_hi = family["t_interval"]
+    assert 0.0 < t_lo - t_hi < cli.FEAS_TOL
+    assert family["canonical"]["1|2|3"] == pytest.approx(2 * t_lo, rel=1e-15)
+    assert min(family["canonical"].values()) == pytest.approx(-8e-11, rel=1e-6)
 
 
 def test_solve_refuses_negative_stderr(tmp_path, capsys):
@@ -439,7 +474,7 @@ def test_a_flag_the_command_does_not_read_exits_2(command, flag, tmp_path, capsy
 
 
 def test_config_echo_holds_only_what_the_command_read(tmp_path):
-    law = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json()
+    law = json.dumps(zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json_dict())
     cases = [
         (BASE_ARGV["analyze"], {"model", "seed", "tol"}),
         (BASE_ARGV["solve"], {"model", "h", "seed", "tol"}),
@@ -474,7 +509,7 @@ def test_one_config_file_serves_scan_with_keys_it_does_not_read(tmp_path):
 
 
 
-COLOR_LAW = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json()
+COLOR_LAW = json.dumps(zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json_dict())
 KIND_ARGV = {
     "color": ["simulate", "--simulator", "color", "--model", COLOR_LAW, "--samples", "10000"],
     "ou": ["simulate", "--simulator", "ou", "--samples", "10000"],
@@ -573,7 +608,7 @@ def test_a_closed_stdout_ends_quietly(argv):
 
 
 def test_simulate_color_refuses_csv(tmp_path, capsys):
-    law = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json()
+    law = json.dumps(zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json_dict())
     code, out = run(["simulate", "--simulator", "color", "--model", law,
                      "--samples", "10000", "--format", "csv"], tmp_path)
     assert code == 2

@@ -13,7 +13,6 @@ from dcrep.embeddings import (BinVerdict, ColorPropertyReport, EmbeddingBatch,
 from dcrep.gaussian import markov_chain_cov, pair_cluster_weight, zero_threshold_law_3
 from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution, _column_keys,
                               enumerate_partitions, push_forward, simulate_color_process)
-from dcrep.rng import make_rng
 from dcrep.stable import common_shock_model, sample_sym_stable, stable_threshold_law_mc
 
 from conftest import random_probability_q, reference_color_process
@@ -332,8 +331,8 @@ def test_star_labels_match_per_row_loop(leaves):
     gen = np.random.default_rng(leaves)
     y = gen.standard_normal((m, leaves + 1))
     expo = a * y[:, :1] * y[:, 1:] / (1.0 - a * a)
-    batch = _assemble_tree(y, expo, [0] * leaves, make_rng(40), "star")
-    expect = reference_star_batch(y, expo, make_rng(40))
+    batch = _assemble_tree(y, expo, [0] * leaves, np.random.default_rng(40), "star")
+    expect = reference_star_batch(y, expo, np.random.default_rng(40))
     assert batch.labels.dtype == expect.dtype
     assert np.array_equal(batch.labels, expect)
 

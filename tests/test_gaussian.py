@@ -9,7 +9,6 @@ from dcrep.gaussian import (CovarianceSpec, bivariate_threshold_exact,
                             square_on_sphere_cov, square_threshold_law_exact,
                             symmetric_plus_mean_cov, tail_asymptote,
                             threshold_law_mc, zero_threshold_law_3)
-from dcrep.rng import make_rng
 
 from conftest import random_standard_pd
 
@@ -26,7 +25,7 @@ def test_sheppard_values():
 
 def test_sheppard_against_mc():
     a, m = 0.9, 1_000_000
-    rng = make_rng(101)
+    rng = np.random.default_rng(101)
     z1 = rng.standard_normal(m)
     z2 = a * z1 + math.sqrt(1 - a * a) * rng.standard_normal(m)
     phat = np.mean((z1 > 0) & (z2 > 0))
@@ -86,7 +85,7 @@ def test_bivariate_negative_h_reflection():
 
 def test_bivariate_against_mc():
     a, h, m = 0.7, 1.5, 10_000_000
-    rng = make_rng(31)
+    rng = np.random.default_rng(31)
     hits = 0
     for _ in range(10):
         z1 = rng.standard_normal(m // 10)

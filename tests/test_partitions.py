@@ -255,7 +255,7 @@ def test_binary_law_validation_and_marginals():
 ])
 def test_binary_law_from_json_checks_n_and_keys(text):
     with pytest.raises(ValueError):
-        BinaryLaw.from_json(text)
+        BinaryLaw.from_json_dict(json.loads(text))
 
 
 @pytest.mark.parametrize("make", [
@@ -268,47 +268,17 @@ def test_binary_law_from_json_checks_n_and_keys(text):
     lambda: PartitionDistribution.from_vector(2, [math.nan, 1.0]),
     lambda: PartitionDistribution.from_vector(2, [math.inf, 1.0], signed=True),
     lambda: PartitionDistribution(2, {"12": math.nan, "1|2": 1.0}, signed=True),
-    lambda: PartitionDistribution.from_json(
-        '{"n": 2, "signed": "no", "entries": [{"key": "12", "q": 1.0}]}'),
-    lambda: PartitionDistribution.from_json(
-        '{"n": 2, "signed": 0, "entries": [{"key": "12", "q": 1.0}]}'),
 ], ids=["nan_cell", "inf_cell", "inf_minus_inf_cells", "negative_stderr", "nan_stderr", "inf_stderr",
-        "nan_weight", "inf_signed_weight", "nan_key_weight", "signed_string", "signed_int"])
-def test_non_finite_values_and_non_bool_signed_are_refused(make):
+        "nan_weight", "inf_signed_weight", "nan_key_weight"])
+def test_non_finite_values_are_refused(make):
     with pytest.raises(ValueError):
         make()
 
 
-@pytest.mark.parametrize("obj", [
-    {"n": 2, "entries": 5},
-    {"n": 2, "entries": [1]},
-    {"n": 2, "entries": {"12": 1.0}},
-    {"n": 2, "entries": [{"q": 1.0}]},
-    {"n": 2, "entries": [{"key": "12", "q": "1"}]},
-    {"n": 2, "entries": [{"key": "12", "q": None}]},
-    {"n": 2.7, "entries": [{"key": "12", "q": 1.0}]},
-    {"n": True, "entries": [{"key": "1", "q": 1.0}]},
-    {"n": None, "entries": []},
-    [{"key": "12", "q": 1.0}],
-], ids=["entries_number", "entry_number", "entries_object", "entry_without_key",
-        "value_string", "value_null", "n_float", "n_bool", "n_null", "not_an_object"])
-def test_partition_distribution_from_json_checks_shape(obj):
-    with pytest.raises(ValueError):
-        PartitionDistribution.from_json(json.dumps(obj))
-
-
 def test_json_roundtrips(rng):
-    q = random_probability_q(rng, 3)
-    back = PartitionDistribution.from_json(q.to_json())
-    signed = PartitionDistribution.from_vector(3, q.vector, signed=True)
-    assert PartitionDistribution.from_json(signed.to_json()) == signed
-    assert back.weights == pytest.approx(
-        {sig.key: q.weights.get(sig.key, 0.0) for sig in enumerate_partitions(3)})
-
-    law = push_forward(q, 0.35)
-    back = BinaryLaw.from_json(law.to_json())
-    assert np.allclose(back.probs, law.probs)
-    obj = json.loads(law.to_json())
+    law = push_forward(random_probability_q(rng, 3), 0.35)
+    obj = json.loads(json.dumps(law.to_json_dict()))
+    assert np.array_equal(BinaryLaw.from_json_dict(obj).probs, law.probs)
     assert obj["entries"][5]["key"] == "101"
 
 

@@ -42,9 +42,9 @@ CASES = {
         {"verdict": "NoColorRep", "case_tag": "zero-cov", "savage_vector": None,
          "quadratic": None}),
     "classification": (
-        ClassificationReport(Verdict.NO_COLOR_REP, Regime.ALL_H, "forbidden pattern",
+        ClassificationReport(Verdict.NO_COLOR_REP, Regime.ALL_POSITIVE_H, "forbidden pattern",
                              {"pattern": "101", "mass": np.float64(0.25), "count": np.int64(3)}),
-        {"verdict": "NoColorRep", "regime": "all-h", "source": "forbidden pattern",
+        {"verdict": "NoColorRep", "regime": "all-positive-h", "source": "forbidden pattern",
          "witness": {"pattern": "101", "mass": 0.25, "count": 3}}),
     "law": (
         BinaryLaw(1, [0.25, 0.75]),
@@ -71,11 +71,11 @@ def test_plain_spells_each_result_class(name):
 
 @pytest.mark.parametrize("stderr", [None, [0.01, 0.02, 0.0, 0.03]])
 def test_a_law_has_one_json_object(stderr):
-    """``_plain`` writes a law as ``to_json`` does, and ``from_json_dict``
+    """``_plain`` writes a law as ``to_json_dict`` does, and ``from_json_dict``
     reads it back to the same law."""
     law = BinaryLaw(2, [0.1, 0.2, 0.3, 0.4], stderr=stderr)
     plain = _plain({"law": law})["law"]
-    assert plain == json.loads(law.to_json()) == law.to_json_dict()
+    assert plain == json.loads(json.dumps(law.to_json_dict())) == law.to_json_dict()
     back = BinaryLaw.from_json_dict(plain)
     assert np.array_equal(back.probs, law.probs)
     assert (back.stderr is None) == (stderr is None)

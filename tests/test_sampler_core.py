@@ -17,11 +17,10 @@ from dcrep.embeddings import (EmbeddingBatch, ou_partition_batch, ou_star_partit
 from dcrep.gaussian import (markov_chain_cov, sampling_factor, symmetric_plus_mean_cov,
                             threshold_law_mc)
 from dcrep.partitions import (BELL, GUIDE_MAX, MC_BLOCK, MC_CHUNK, BinaryLaw,
-                              _categorical)
-from dcrep.rng import make_rng
-from dcrep.stable import (_cms, common_shock_model, sample_pos_stable, sample_stable_vector,
-                          sample_sym_stable, stable_markov_model, stable_threshold_law_mc,
-                          subordinator_scale)
+                              PartitionDistribution, _categorical, simulate_color_process)
+from dcrep.stable import (_cms, common_shock_model, corr2d_inequality_mc, sample_pos_stable,
+                          sample_stable_vector, sample_sym_stable, stable_markov_model,
+                          stable_threshold_law_mc, subordinator_scale)
 
 SEEDS = (0, 1, 2)
 REFERENCE_CHUNK = 1_000_000  # rows per chunk in the reference MC loops
@@ -53,7 +52,7 @@ def reference_star_batch(y, expo, rng):
 
 
 def reference_ou_path(a, n, m, seed):
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     y = np.empty((m, n))
     y[:, 0] = rng.standard_normal(m)
     c = math.sqrt(1.0 - a * a)
@@ -64,7 +63,7 @@ def reference_ou_path(a, n, m, seed):
 
 
 def reference_stable_path(alpha, a, n, m, seed):
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     c = (1.0 - a ** alpha) ** (1.0 / alpha)
     scale = subordinator_scale(alpha)
     y = np.empty((m, n))
@@ -78,7 +77,7 @@ def reference_stable_path(alpha, a, n, m, seed):
 
 
 def reference_ou_star(a, leaves, m, seed):
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     c = math.sqrt(1.0 - a * a)
     y = np.empty((m, leaves + 1))
     y[:, 0] = rng.standard_normal(m)
@@ -89,7 +88,7 @@ def reference_ou_star(a, leaves, m, seed):
 
 
 def reference_stable_star(alpha, a, leaves, m, seed):
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     c = (1.0 - a ** alpha) ** (1.0 / alpha)
     scale = subordinator_scale(alpha)
     y = np.empty((m, leaves + 1))
@@ -109,7 +108,7 @@ def reference_sign_law(batch):
 
 
 def reference_gaussian_mc(cov, h, m, seed):
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     ell = sampling_factor(cov)
     n = cov.n
     pow2 = 1 << np.arange(n - 1, -1, -1)
@@ -125,7 +124,7 @@ def reference_gaussian_mc(cov, h, m, seed):
 
 
 def reference_stable_mc(model, h, m, seed):
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     n = model.d
     pow2 = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(2 ** n, dtype=np.int64)
@@ -228,7 +227,7 @@ def reference_sym_stable(alpha, sigma, m, seed):
     expression, every factor from a tangent: sin(alpha u) = 2 T / (1 + T^2)
     with T = tan(alpha u / 2), cos(u)^(-1/alpha) = (1 + tan(u)^2)^(1/(2 alpha))
     and (cos(v) / w)^((1 - alpha)/alpha) = ((1 + tan(v)^2) w^2)^((alpha - 1)/(2 alpha))."""
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     if alpha == 2.0:
         return sigma * math.sqrt(2.0) * rng.standard_normal(m)
     u = (rng.random(m) - 0.5) * math.pi
@@ -340,11 +339,11 @@ def test_cms_is_finite_at_the_end_angles_where_the_sin_cos_form_is(alpha):
 
 @pytest.mark.parametrize("a", (0.05, 0.35, 0.5, 0.65, 0.95))
 def test_pos_stable_matches_the_sin_cos_form(a):
-    rng = make_rng(9)
+    rng = np.random.default_rng(9)
     u = (rng.random(20_000) - 0.5) * math.pi
     w = rng.exponential(1.0, 20_000)
     want = 1.3 * math.cos(math.pi * a / 2.0) ** (-1.0 / a) * sincos_cms(a, u, w, math.pi / 2.0)
-    rng_got = make_rng(9)
+    rng_got = np.random.default_rng(9)
     got = sample_pos_stable(a, 1.3, 20_000, rng_got)
     assert np.all(got > 0.0)
     assert np.max(np.abs(got / want - 1.0)) < 1e-13
@@ -363,7 +362,7 @@ def test_sym_stable_leaves_the_generator_as_the_sin_cos_form_does():
 def reference_sincos_stable_mc(model, h, m, seed):
     """The threshold law by the sin/cos form, chunk by chunk: each chunk draws
     its angles, then its exponentials."""
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     n, cols = model.d, model.m
     pow2 = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(2 ** n, dtype=np.int64)
@@ -447,3 +446,54 @@ def test_categorical_matches_choice_on_weights_a_few_ulps_off_one(ulps):
     weights[-1] = 1.0 - np.sum(weights[:-1]) + ulps * np.finfo(float).eps
     assert np.cumsum(weights)[-1] != 1.0
     assert_categorical_matches_choice(weights)
+
+
+# -- the seed contract ---------------------------------------------------------
+
+SAMPLERS = {
+    "threshold_law_mc": lambda seed: threshold_law_mc(markov_chain_cov(4, 0.5), 0.3, 3000, seed),
+    "stable_threshold_law_mc": lambda seed: stable_threshold_law_mc(
+        common_shock_model(0.5, 1.2), 0.0, 3000, seed),
+    "simulate_color_process": lambda seed: simulate_color_process(
+        PartitionDistribution.from_vector(3, np.full(5, 0.2)), 0.3, 3000, seed),
+    "ou_partition_batch": lambda seed: ou_partition_batch(0.6, 4, 500, seed),
+    "stable_chain_partition_batch": lambda seed: stable_chain_partition_batch(
+        1.3, 0.6, 4, 500, seed),
+    "ou_star_partition_batch": lambda seed: ou_star_partition_batch(0.6, 3, 500, seed),
+    "stable_star_partition_batch": lambda seed: stable_star_partition_batch(
+        1.3, 0.6, 3, 500, seed),
+    "sample_sym_stable": lambda seed: sample_sym_stable(1.3, 1.0, 500, seed),
+    "sample_pos_stable": lambda seed: sample_pos_stable(0.65, 1.0, 500, seed),
+    "sample_stable_vector": lambda seed: sample_stable_vector(
+        stable_markov_model(0.5, 1.3), 500, seed),
+    "corr2d_inequality_mc": lambda seed: corr2d_inequality_mc(0.3, 1.0, 0.0, 3000, seed),
+}
+
+
+def sampler_arrays(out) -> list[np.ndarray]:
+    """Every array a sampler's output holds, in order."""
+    if isinstance(out, tuple):
+        return [a for part in out for a in sampler_arrays(part)]
+    if isinstance(out, BinaryLaw):
+        return [out.probs, out.stderr]
+    if isinstance(out, EmbeddingBatch):
+        return [out.signs, out.labels, out.crossing_probs, out.values]
+    return [np.asarray(out)]
+
+
+def same_arrays(got, expect) -> bool:
+    return len(got) == len(expect) and all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+@pytest.mark.parametrize("draw", SAMPLERS.values(), ids=SAMPLERS)
+def test_a_seed_draws_as_its_generator_and_a_generator_is_used_in_place(draw):
+    """Every sampler reads an int seed s as ``np.random.default_rng(s)``, and
+    draws from a Generator it is given, not from a copy: the Generator's
+    state moves on, and a second call continues its stream."""
+    for seed in SEEDS:
+        expect = sampler_arrays(draw(seed))
+        rng = np.random.default_rng(seed)
+        assert same_arrays(sampler_arrays(draw(rng)), expect)
+        assert rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
+        assert not same_arrays(sampler_arrays(draw(rng)), expect)

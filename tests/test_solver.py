@@ -28,7 +28,7 @@ from dcrep.solver import (gaussian_sym_family_interval, lp_feasibility, phase_on
                           symmetric_plus_mean_gap, symmetric_rep_family_3)
 from dcrep.stable import common_shock_model, stable_markov_model, stable_threshold_law_mc
 
-from conftest import random_probability_q
+from conftest import edge_of_family_law, random_probability_q
 
 
 def product_law(n, p):
@@ -112,7 +112,7 @@ def test_signed_rep_3_reads_feasible_within_noise_as_the_relaxed_lp():
     assert lp_feasibility(nu).status == "Borderline"
     nu = threshold_law_mc(correlations3(-0.3, 0.2, 0.2), 0.5, 10 ** 5, seed=0)
     rep = signed_rep_3(nu)
-    assert rep.min_weight() < -0.1
+    assert min(rep.weights().values()) < -0.1
     assert not rep.feasible
     assert lp_feasibility(nu).status == "Infeasible"
 
@@ -177,6 +177,16 @@ def test_symmetric_family_members_push_forward(rng):
         assert np.allclose(back.probs, nu.probs, atol=1e-10)
 
 
+def test_symmetric_family_at_its_edge_gives_a_signed_canonical():
+    """``at`` calls a q signed by PROB_TOL, the rule PartitionDistribution
+    enforces, so a member negative by less than FEAS_TOL is still built."""
+    fam = symmetric_rep_family_3(edge_of_family_law())
+    assert 0.0 < fam.t_lo - fam.t_hi < solver.FEAS_TOL and not fam.is_empty
+    rep = fam.canonical()
+    assert rep.signed
+    assert min(rep.weights.values()) == pytest.approx(-8e-11, rel=1e-6)
+
+
 def test_symmetric_family_rejects_asymmetric():
     with pytest.raises(ValueError):
         symmetric_rep_family_3(product_law(3, 0.4))
@@ -234,7 +244,7 @@ def test_lp_roundtrip_and_oracle_agreement(rng):
         nu = push_forward(q, p)
         res = lp_feasibility(nu)
         assert res.status == "Feasible"
-        assert np.allclose(res.q.as_vector(), q.as_vector(), atol=1e-8)
+        assert np.allclose(res.q.vector, q.vector, atol=1e-8)
         assert res.infeasibility_margin <= 1e-9
         assert signed_rep_3(nu).feasible
 
@@ -254,9 +264,9 @@ def test_lp_matches_signed_rep_on_infeasible(rng):
             continue
         rep = signed_rep_3(nu)
         res = lp_feasibility(nu)
-        if rep.min_weight() >= 1e-8:
+        if min(rep.weights().values()) >= 1e-8:
             assert res.status == "Feasible"
-        elif rep.min_weight() <= -1e-8:
+        elif min(rep.weights().values()) <= -1e-8:
             assert res.status == "Infeasible"
             found_infeasible += 1
     assert found_infeasible > 10
@@ -290,7 +300,7 @@ def test_lp_exact_mode():
     q = PartitionDistribution(2, {"12": 0.5, "1|2": 0.5})
     res = lp_feasibility(push_forward(q, 0.25), exact=True)
     assert res.status == "Feasible"
-    assert np.allclose(res.q.as_vector(), q.as_vector(), atol=1e-12)
+    assert np.allclose(res.q.vector, q.vector, atol=1e-12)
     # feasible by construction: float roundoff must not read as infeasibility
     for n, p in itertools.product((3, 4, 5), (0.25, 0.3)):
         nu = push_forward(random_probability_q(np.random.default_rng(n), n), p)
@@ -499,7 +509,7 @@ def test_lp_feasible_by_construction_large_n(n, support):
     res = lp_feasibility(nu)
     elapsed = time.perf_counter() - t0
     assert res.status == "Feasible"
-    assert float(np.max(np.abs(mat @ res.q.as_vector() - nu.probs))) <= 1e-8
+    assert float(np.max(np.abs(mat @ res.q.vector - nu.probs))) <= 1e-8
     assert elapsed < 2.0
 
 
@@ -510,7 +520,7 @@ def test_lp_feasible_verdicts_reproduce_the_law_n6():
         nu = BinaryLaw(6, mat @ w)
         res = lp_feasibility(nu)
         assert res.status == "Feasible", seed
-        assert float(np.max(np.abs(mat @ res.q.as_vector() - nu.probs))) <= 1e-8, seed
+        assert float(np.max(np.abs(mat @ res.q.vector - nu.probs))) <= 1e-8, seed
 
 
 # An n = 6 push-forward of a Dirichlet q at p = 1/2 whose marginals average to
@@ -956,14 +966,14 @@ def test_signed_rep_3_calls_tiny_negative_weights_infeasible(rho, h):
     """The smallest weight is -9.7e-10 to -3.5e-16 here, far below 0 against
     the rounding of its formula (at most 6e-24), though within FEAS_TOL."""
     rep = signed_rep_3(plackett_law3(rho, h))
-    assert -solver.FEAS_TOL < rep.min_weight() < 0.0
+    assert -solver.FEAS_TOL < min(rep.weights().values()) < 0.0
     assert not rep.feasible
 
 
 @pytest.mark.parametrize("h", range(2, 7))
 def test_signed_rep_3_keeps_a_color_process_with_tiny_cells_feasible(h):
     rep = signed_rep_3(plackett_law3((0.1, 0.5, 0.5), h))
-    assert rep.min_weight() > 0.0 and rep.feasible
+    assert min(rep.weights().values()) > 0.0 and rep.feasible
 
 
 @pytest.mark.parametrize("h", range(2, 9))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dcrep.rng import make_rng
 from dcrep.stable import (Corr2DVerdict, SpectralMeasure, StableLinearModel,
                           common_shock_model, corr2d_criterion, corr2d_inequality_mc,
                           corr2d_model, sample_pos_stable, sample_sym_stable,
@@ -65,7 +64,7 @@ def test_pos_stable_levy_cdf():
 @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3])
 def test_subordination_identity(alpha):
     s = sample_pos_stable(alpha / 2.0, subordinator_scale(alpha), M, seed=6)
-    g = make_rng(7).standard_normal(M)
+    g = np.random.default_rng(7).standard_normal(M)
     direct = sample_sym_stable(alpha, 1.0, M, seed=8)
     assert stats.ks_2samp(np.sqrt(s) * g, direct).pvalue > 0.01
 
@@ -82,15 +81,15 @@ def test_convolution_stability():
 def test_spectral_from_identity():
     model = StableLinearModel(1.0, np.eye(2))
     meas = spectral_from_matrix(model)
-    reps = {tuple(np.round(x, 6)): w for x, w in meas.positive_representatives()}
+    reps = {tuple(np.round(x, 6)): w for x, w in meas.representatives}
     assert reps == {(1.0, 0.0): 0.5, (0.0, 1.0): 0.5}
-    assert meas.total_mass() == pytest.approx(2.0)
+    assert sum(w for _, w in meas.atoms) == pytest.approx(2.0)
 
 
 def test_spectral_common_shock():
     a, alpha = 0.4, 0.8
     meas = spectral_from_matrix(common_shock_model(a, alpha))
-    reps = dict((tuple(np.round(x, 9)), w) for x, w in meas.positive_representatives())
+    reps = dict((tuple(np.round(x, 9)), w) for x, w in meas.representatives)
     diag = tuple(np.round(np.ones(3) / math.sqrt(3.0), 9))
     assert reps[diag] == pytest.approx((a * math.sqrt(3.0)) ** alpha / 2.0, rel=1e-12)
     axis_w = (1.0 - a ** alpha) / 2.0
@@ -99,14 +98,14 @@ def test_spectral_common_shock():
 
 def test_spectral_markov_chain_atoms():
     meas = spectral_from_matrix(stable_markov_model(0.5, 1.0))
-    assert len(meas.positive_representatives()) == 3
+    assert len(meas.representatives) == 3
     assert len(meas.atoms) == 6
 
 
 def test_spectral_merges_duplicate_directions():
     model = StableLinearModel(1.0, [[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     meas = spectral_from_matrix(model)
-    reps = {tuple(np.round(x, 6)): w for x, w in meas.positive_representatives()}
+    reps = {tuple(np.round(x, 6)): w for x, w in meas.representatives}
     assert reps[(1.0, 0.0)] == pytest.approx(1.5)  # 1/2 + 2/2 merged
     with pytest.raises(ValueError):
         spectral_from_matrix(StableLinearModel(1.0, [[1.0, 0.0], [0.0, 0.0]]))
@@ -114,9 +113,42 @@ def test_spectral_merges_duplicate_directions():
 
 def test_spectral_measure_invariants():
     with pytest.raises(ValueError):
-        SpectralMeasure(1.0, 2, (((1.0, 0.0), 0.5),))  # missing mirror
-    with pytest.raises(ValueError):
         SpectralMeasure.symmetric([((2.0, 0.0), -1.0)], alpha=1.0, d=2)
+
+
+def test_symmetric_keeps_the_canonical_sign():
+    """``symmetric`` normalizes each direction and keeps the one of +-x whose
+    first nonzero coordinate is positive, so -x and x give one measure."""
+    minus = SpectralMeasure.symmetric([((0.0, -3.0, 4.0), 0.5), ((-1.0, 0.0, 0.0), 0.25)],
+                                      alpha=1.0, d=3)
+    plus = SpectralMeasure.symmetric([((0.0, 3.0, -4.0), 0.5), ((1.0, 0.0, 0.0), 0.25)],
+                                     alpha=1.0, d=3)
+    assert minus == plus
+    assert minus.representatives == (((0.0, 0.6, -0.8), 0.5), ((1.0, 0.0, 0.0), 0.25))
+
+
+def test_atoms_list_each_representative_then_its_mirror():
+    meas = spectral_from_matrix(stable_markov_model(0.5, 1.3))
+    expect = []
+    for x, w in meas.representatives:
+        expect += [(x, w), (tuple(-np.asarray(x)), w)]
+    assert len(expect) == 6 and meas.atoms == tuple(expect)
+
+
+@pytest.mark.parametrize("reps, match", [
+    ((((-1.0, 0.0), 0.5),), "canonically signed"),
+    ((((0.0, -1.0), 0.5),), "canonically signed"),
+    ((((1.0, 0.0), 0.5), ((1.0, 0.0), 0.25)), "duplicate"),
+    ((((1.0, 0.0), 0.5), ((1.0, 1e-11), 0.25)), "duplicate"),
+    ((((2.0, 0.0), 0.5),), "unit sphere"),
+    ((((1.0, 0.0, 0.0), 0.5),), "dimensional"),
+    ((((1.0, 0.0), 0.0),), "positive"),
+    ((((1.0, 0.0), -0.5),), "positive"),
+], ids=["negative_first", "negative_second", "duplicate", "duplicate_after_rounding",
+        "not_unit", "wrong_dimension", "zero_weight", "negative_weight"])
+def test_spectral_measure_refuses_a_bad_representative(reps, match):
+    with pytest.raises(ValueError, match=match):
+        SpectralMeasure(1.0, 2, reps)
 
 
 def test_standardization_flag():
@@ -197,7 +229,9 @@ def test_stablegood_common_shock():
 def test_stablegood_scaling():
     meas = spectral_from_matrix(common_shock_model(0.3, 1.1))
     v1, _ = stablegood_integral(meas)
-    v2, _ = stablegood_integral(meas.scale(2.5))
+    scaled = SpectralMeasure.symmetric([(x, 2.5 * w) for x, w in meas.representatives],
+                                       alpha=meas.alpha, d=meas.d)
+    v2, _ = stablegood_integral(scaled)
     assert v2 == pytest.approx(2.5 * v1, rel=1e-12)
 
 
