@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .partitions import MC_BLOCK, BinaryLaw, _check_n, threshold_mc_law
+from .partitions import BinaryLaw, _check_n, threshold_mc_law
 
 SYM_TOL = 1e-12
 RANK_RTOL = 1e-10  # eigenvalue cutoff, relative to the largest
@@ -352,10 +352,7 @@ def threshold_law_mc(cov: CovarianceSpec, h: float, m: int, seed) -> BinaryLaw:
     ell = sampling_factor(cov)
 
     def draw(k, rng):
-        # standard_normal fills row by row, so blocks continue one stream
-        for start in range(0, k, MC_BLOCK):
-            z = rng.standard_normal((min(MC_BLOCK, k - start), ell.shape[1]))
-            yield (ell @ z.T).T
+        return (ell @ rng.standard_normal((k, ell.shape[1])).T).T
 
     return threshold_mc_law(draw, cov.n, h, m, seed)
 

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from collections import deque
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -27,8 +30,10 @@ from scipy.sparse import csc_array
 
 MAX_N = 9  # the one size limit (``_check_n``): keys spell each element as one digit
 PROB_TOL = 1e-12
-MC_CHUNK = 1_000_000  # rows per Monte Carlo chunk: the chunk sizes fix the random stream
-MC_BLOCK = 1 << 15    # rows per block of values: bounds the memory of ``threshold_mc_law``
+MC_BLOCK = 1 << 15  # rows per MC block; each block of ``threshold_mc_law`` has its own stream
+# threads that count MC blocks: one per CPU this process may run on
+MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 # Bell numbers B_0..B_9.
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
@@ -419,12 +424,13 @@ def _bad_key(n: int, key: str) -> ValueError:
     return ValueError(f"key {key!r} is not canonical (expected {sig.key!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryLaw:
     """A probability vector over {0,1}^n, exact or Monte Carlo.
 
     ``probs[i]`` is the mass of the string ``index_string(i, n)``; MC laws
-    carry a per-cell standard error.
+    carry a per-cell standard error.  Two laws are equal when n, the cells
+    and the stderr (or its absence) are.
     """
 
     n: int
@@ -452,6 +458,15 @@ class BinaryLaw:
                 raise ValueError("stderr must be finite and >= 0")
             se.setflags(write=False)
             object.__setattr__(self, "stderr", se)
+
+    def __eq__(self, other):
+        if not isinstance(other, BinaryLaw):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.probs, other.probs)
+                and (self.stderr is None) == (other.stderr is None)
+                and (self.stderr is None or np.array_equal(self.stderr, other.stderr)))
+
+    __hash__ = None
 
     def cell(self, rho: str) -> float:
         if len(rho) != self.n or any(c not in "01" for c in rho):
@@ -538,23 +553,62 @@ def pattern_counts(bits: np.ndarray) -> np.ndarray:
     return np.bincount(codes, minlength=2 ** n)
 
 
+@lru_cache(maxsize=None)
+def _mc_pool(workers: int) -> ThreadPoolExecutor:
+    """The threads that count MC blocks, built on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="dcrep-mc")
+
+
+# a forked child has none of its parent's threads: it builds its own pool
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_mc_pool.cache_clear)
+
+
 def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
     """Monte Carlo threshold law of m draws, with per-cell stderr.
 
-    The m draws come in chunks of ``MC_CHUNK`` rows; ``draw(k, rng)`` yields
-    the k draws of one chunk, in order, as (b, n) value blocks of at most
-    ``MC_BLOCK`` rows.  The chunk fixes the random stream, since a sampler may
-    draw all of a chunk's variates of one kind before the next kind (stable
-    angles before exponentials).  The block bounds memory: values are counted
-    block by block, so only what a chunk draws up front outlives a block.
+    The m draws come in blocks of ``MC_BLOCK`` rows, the last one partial;
+    ``draw(k, rng)`` returns the (k, n) values of one block.  Block i draws
+    from its own stream, ``default_rng`` of child i of
+    ``SeedSequence(entropy).spawn(blocks)``, where the entropy is four 32-bit
+    words drawn from ``default_rng(seed)`` (a Generator that is passed in
+    moves on).  A single block is counted inline; more are counted on
+    ``MC_WORKERS`` threads, at most two blocks per thread queued or running,
+    and the integer counts are summed in block order.  So the law depends on
+    (draw, h, m, seed) alone, never on the thread count or the scheduling,
+    and memory is bounded by one block per thread.
+
+    One CPU gets a pool of one thread too: counted inline, glibc gave each
+    block's freed arrays back to the system from the main heap and the next
+    block faulted them in again, 30 % of a 10^6-row Gaussian law's time.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rng = np.random.default_rng(seed)
+    blocks = -(-m // MC_BLOCK)
+    entropy = np.random.default_rng(seed).integers(2 ** 32, size=4, dtype=np.uint32)
+    streams = np.random.SeedSequence(entropy).spawn(blocks)
+
+    def count(i):
+        k = min(MC_BLOCK, m - i * MC_BLOCK)
+        return pattern_counts(draw(k, np.random.default_rng(streams[i])) > h)
+
+    if blocks == 1:
+        return BinaryLaw.from_counts(count(0), m)
     counts = np.zeros(2 ** n, dtype=np.int64)
-    for done in range(0, m, MC_CHUNK):
-        for values in draw(min(MC_CHUNK, m - done), rng):
-            counts += pattern_counts(values > h)
+    pool = _mc_pool(MC_WORKERS)
+    queued = deque()
+    try:
+        for i in range(blocks):
+            queued.append(pool.submit(count, i))
+            if len(queued) == 2 * MC_WORKERS:
+                counts += queued.popleft().result()
+        while queued:
+            counts += queued.popleft().result()
+    finally:
+        # on an error, no block is left queued or running
+        for future in queued:
+            future.cancel()
+        wait(queued)
     return BinaryLaw.from_counts(counts, m)
 
 

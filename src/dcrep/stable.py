@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .partitions import MC_BLOCK, BinaryLaw, _check_n, threshold_mc_law
+from .partitions import BinaryLaw, _check_n, threshold_mc_law
 
 DIRECTION_MERGE_TOL = 1e-10
 STANDARD_ROW_TOL = 1e-9
@@ -273,22 +273,8 @@ def stable_threshold_law_mc(model: StableLinearModel, h: float, m: int, seed) ->
     if h != 0.0 and not model.standardized:
         raise ValueError("rows are not standardized: marginals differ, so a "
                          "nonzero threshold cannot give a color process")
-    cols = model.m
-
-    def draw(k, rng):
-        # the stream holds the chunk's angles first, then its exponentials:
-        # draw the angles at once, then the exponentials block by block
-        u = _angles(k * cols, rng)
-        for start in range(0, k, MC_BLOCK):
-            b = min(MC_BLOCK, k - start)
-            s = u[start * cols:(start + b) * cols]
-            if model.alpha == 1.0:
-                np.tan(s, out=s)
-            else:
-                _cms(model.alpha, s, rng.exponential(1.0, b * cols))
-            yield s.reshape(b, cols) @ model.loadings.T
-
-    return threshold_mc_law(draw, model.d, h, m, seed)
+    return threshold_mc_law(lambda k, rng: sample_stable_vector(model, k, rng),
+                            model.d, h, m, seed)
 
 
 # -- named models -------------------------------------------------------------

@@ -244,6 +244,22 @@ def test_binary_law_validation_and_marginals():
         BinaryLaw(2, [0.3, 0.3, 0.3, 0.3])
 
 
+def test_binary_laws_are_equal_when_their_n_cells_and_stderr_are():
+    coin = BinaryLaw(1, [0.5, 0.5])
+    assert coin == BinaryLaw(1, [0.5, 0.5])        # both without stderr
+    assert coin != BinaryLaw(1, [0.5, 0.5], stderr=[0.0, 0.0])
+    assert BinaryLaw(1, [0.5, 0.5], stderr=[0.0, 0.0]) != coin
+    assert (BinaryLaw(1, [0.5, 0.5], stderr=[0.1, 0.1])
+            == BinaryLaw(1, [0.5, 0.5], stderr=[0.1, 0.1]))
+    assert (BinaryLaw(1, [0.5, 0.5], stderr=[0.1, 0.1])
+            != BinaryLaw(1, [0.5, 0.5], stderr=[0.1, 0.2]))
+    assert coin != BinaryLaw(1, [0.4, 0.6])
+    assert coin != BinaryLaw(2, [0.25] * 4)
+    assert coin != [0.5, 0.5]
+    with pytest.raises(TypeError):
+        hash(coin)
+
+
 @pytest.mark.parametrize("text", [
     '{"n": 2, "entries": [{"key": "111", "p": 1.0}]}',           # too long
     '{"n": 2, "entries": [{"key": "1", "p": 1.0}]}',             # too short

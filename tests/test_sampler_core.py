@@ -1,29 +1,35 @@
 """The tree sampler and the shared threshold-law MC loop against reference
-implementations with one body per family and topology and one MC loop per
-family: every array must match bit for bit, dtype included.  The same holds
-for the cache-blocked MC kernels: the stable transform against its textbook
-expression, the blocked threshold laws at block edges, and the guide-table
-categorical draw against ``Generator.choice``."""
+implementations with one body per family and topology and one serial MC loop
+per family: every array must match bit for bit, dtype included.  The same
+holds for the cache-blocked MC kernels: the stable transform against its
+textbook expression, the threshold laws at block edges and on any number of
+threads, and the guide-table categorical draw against ``Generator.choice``."""
 
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import mpmath
 import numpy as np
 import pytest
 
+from dcrep import partitions
 from dcrep.embeddings import (EmbeddingBatch, ou_partition_batch, ou_star_partition_batch,
                               stable_chain_partition_batch, stable_star_partition_batch)
 from dcrep.gaussian import (markov_chain_cov, sampling_factor, symmetric_plus_mean_cov,
                             threshold_law_mc)
-from dcrep.partitions import (BELL, GUIDE_MAX, MC_BLOCK, MC_CHUNK, BinaryLaw,
-                              PartitionDistribution, _categorical, simulate_color_process)
+from dcrep.partitions import (BELL, GUIDE_MAX, MC_BLOCK, BinaryLaw, PartitionDistribution,
+                              _categorical, simulate_color_process, threshold_mc_law)
 from dcrep.stable import (_cms, common_shock_model, corr2d_inequality_mc, sample_pos_stable,
                           sample_stable_vector, sample_sym_stable, stable_markov_model,
                           stable_threshold_law_mc, subordinator_scale)
 
 SEEDS = (0, 1, 2)
-REFERENCE_CHUNK = 1_000_000  # rows per chunk in the reference MC loops
 
 
 # -- references: one body per family and topology ------------------------------
@@ -107,34 +113,36 @@ def reference_sign_law(batch):
     return BinaryLaw.from_counts(np.bincount(bits @ pow2, minlength=2 ** batch.n), batch.m)
 
 
+def block_streams(m, seed):
+    """(rows, generator) of each block of an MC law of m draws: MC_BLOCK rows
+    a block, the last one partial, and block i draws from child i of a
+    SeedSequence over four 32-bit words of ``default_rng(seed)``."""
+    entropy = np.random.default_rng(seed).integers(2 ** 32, size=4, dtype=np.uint32)
+    rows = [min(MC_BLOCK, m - start) for start in range(0, m, MC_BLOCK)]
+    children = np.random.SeedSequence(entropy).spawn(len(rows))
+    return [(k, np.random.default_rng(child)) for k, child in zip(rows, children)]
+
+
 def reference_gaussian_mc(cov, h, m, seed):
-    rng = np.random.default_rng(seed)
     ell = sampling_factor(cov)
     n = cov.n
     pow2 = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(2 ** n, dtype=np.int64)
-    done = 0
-    while done < m:
-        chunk = min(REFERENCE_CHUNK, m - done)
-        z = rng.standard_normal((chunk, ell.shape[1]))
+    for k, rng in block_streams(m, seed):
+        z = rng.standard_normal((k, ell.shape[1]))
         bits = (z @ ell.T > h).astype(np.int64)
         counts += np.bincount(bits @ pow2, minlength=2 ** n)
-        done += chunk
     return BinaryLaw.from_counts(counts, m)
 
 
 def reference_stable_mc(model, h, m, seed):
-    rng = np.random.default_rng(seed)
     n = model.d
     pow2 = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(2 ** n, dtype=np.int64)
-    done = 0
-    while done < m:
-        chunk = min(REFERENCE_CHUNK, m - done)
-        x = sample_stable_vector(model, chunk, rng)
+    for k, rng in block_streams(m, seed):
+        x = sample_stable_vector(model, k, rng)
         bits = (x > h).astype(np.int64)
         counts += np.bincount(bits @ pow2, minlength=2 ** n)
-        done += chunk
     return BinaryLaw.from_counts(counts, m)
 
 
@@ -201,7 +209,7 @@ def test_samplers_draw_from_a_passed_generator_as_the_reference():
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", range(1, 10))
-def test_threshold_laws_match_reference_below_one_chunk(n, seed):
+def test_threshold_laws_match_reference_in_one_block(n, seed):
     m = 20_000
     cov = markov_chain_cov(n, 0.5)
     for h in (0.0, 0.7):
@@ -211,8 +219,8 @@ def test_threshold_laws_match_reference_below_one_chunk(n, seed):
                     reference_stable_mc(model, 0.0, m, seed))
 
 
-def test_threshold_laws_match_reference_over_several_chunks():
-    m = 2 * MC_CHUNK + 500_001
+def test_threshold_laws_match_reference_over_many_blocks():
+    m = 2_500_001
     cov = markov_chain_cov(3, 0.5)
     assert_same_law(threshold_law_mc(cov, 0.3, m, 11), reference_gaussian_mc(cov, 0.3, m, 11))
     model = common_shock_model(0.5, 1.2, 3)
@@ -249,10 +257,11 @@ def test_sym_stable_matches_the_whole_array_expression(alpha, sigma):
                        reference_sym_stable(alpha, sigma, 50_001, 4))
 
 
-@pytest.mark.parametrize("m", (MC_BLOCK - 1, MC_CHUNK + MC_BLOCK + 1))
+@pytest.mark.parametrize("m", (MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 10 ** 6 + 1))
 def test_threshold_laws_match_reference_at_block_edges(m):
-    """A partial last block, in one chunk and after a full one; the generator
-    left over must match too, so the blocks draw exactly the chunk's stream."""
+    """A partial block alone and after full ones, and one full block; the
+    generator left over must match too, so the law draws exactly the
+    reference's entropy from it."""
     cov = symmetric_plus_mean_cov(4, 0.0)   # rank 3: three normals per row
     tan_model = stable_markov_model(0.5, 1.0, 4)   # alpha = 1: no exponentials
     cms_model = stable_markov_model(0.5, 0.5, 4)
@@ -360,19 +369,15 @@ def test_sym_stable_leaves_the_generator_as_the_sin_cos_form_does():
 
 
 def reference_sincos_stable_mc(model, h, m, seed):
-    """The threshold law by the sin/cos form, chunk by chunk: each chunk draws
+    """The threshold law by the sin/cos form, block by block: each block draws
     its angles, then its exponentials."""
-    rng = np.random.default_rng(seed)
     n, cols = model.d, model.m
     pow2 = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(2 ** n, dtype=np.int64)
-    done = 0
-    while done < m:
-        chunk = min(MC_CHUNK, m - done)
-        s = reference_sincos_sym_stable(model.alpha, chunk * cols, rng)
-        bits = (s.reshape(chunk, cols) @ model.loadings.T > h).astype(np.int64)
+    for k, rng in block_streams(m, seed):
+        s = reference_sincos_sym_stable(model.alpha, k * cols, rng)
+        bits = (s.reshape(k, cols) @ model.loadings.T > h).astype(np.int64)
         counts += np.bincount(bits @ pow2, minlength=2 ** n)
-        done += chunk
     return BinaryLaw.from_counts(counts, m)
 
 
@@ -389,20 +394,101 @@ def test_stable_laws_match_the_sin_cos_form(model, seed):
     assert rng_got.random() == rng_want.random()
 
 
+@contextmanager
+def counted_on(workers):
+    """Count the MC blocks of ``threshold_mc_law`` on a pool of ``workers``
+    threads, whatever this machine's CPUs; yields the set of threads that
+    counted a block."""
+    threads = set()
+    pattern_counts = partitions.pattern_counts
+
+    def counting(bits):
+        threads.add(threading.get_ident())
+        return pattern_counts(bits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "pattern_counts", counting)
+        mp.setattr(partitions, "MC_WORKERS", workers)
+        yield threads
+
+
+THREADED_LAWS = {
+    "gaussian": (lambda m: threshold_law_mc(symmetric_plus_mean_cov(4, 0.0), 0.2, m, 31),
+                 lambda m: reference_gaussian_mc(symmetric_plus_mean_cov(4, 0.0), 0.2, m, 31)),
+    "stable": (lambda m: stable_threshold_law_mc(stable_markov_model(0.5, 1.2, 4), 0.0, m, 32),
+               lambda m: reference_stable_mc(stable_markov_model(0.5, 1.2, 4), 0.0, m, 32)),
+}
+
+
+@pytest.mark.parametrize("m", (MC_BLOCK - 1, MC_BLOCK + 1, 10 ** 6 + 1))
+@pytest.mark.parametrize("law, reference", THREADED_LAWS.values(), ids=THREADED_LAWS)
+def test_threshold_laws_are_the_same_on_any_number_of_threads(law, reference, m):
+    """The serial reference loop, bit for bit, on one to three threads."""
+    want = reference(m)
+    for workers in (1, 2, 3):
+        with counted_on(workers) as threads:
+            assert_same_law(law(m), want)
+        # a single block is counted inline, more on the pool alone
+        assert (threads == {threading.get_ident()}) == (m <= MC_BLOCK)
+        assert len(threads) <= workers or m <= MC_BLOCK
+
+
+def test_a_draw_that_raises_passes_its_error_out_and_leaves_no_block_queued(monkeypatch):
+    calls = []
+
+    def draw(k, rng):
+        calls.append(k)
+        raise RuntimeError("draw failed")
+
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(partitions, "MC_WORKERS", 2)
+    monkeypatch.setattr(partitions, "_mc_pool", lambda workers: pool)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        threshold_mc_law(draw, 2, 0.0, 100 * MC_BLOCK, 0)
+    started = len(calls)
+    pool.shutdown()     # runs whatever was left queued
+    assert len(calls) == started <= 2 * 2
+    with pytest.raises(RuntimeError, match="draw failed"):   # one block: inline
+        threshold_mc_law(draw, 2, 0.0, MC_BLOCK, 0)
+    assert len(calls) == started + 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_child_forked_after_the_pool_is_built_counts_on_its_own(monkeypatch):
+    """The child has none of the parent's pool threads: counting on that pool
+    would wait for ever."""
+    monkeypatch.setattr(partitions, "MC_WORKERS", 2)
+    law = THREADED_LAWS["gaussian"][0]
+    want = law(10 ** 5)
+    pid = os.fork()
+    if pid == 0:    # the child must never return into pytest
+        code = 1
+        try:
+            code = 0 if np.array_equal(law(10 ** 5).probs, want.probs) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if not done[0]:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] and os.waitstatus_to_exitcode(done[1]) == 0
+
+
 def test_mc_laws_peak_memory_is_bounded():
-    """Only a stable chunk's angles stay alive for the whole chunk; every
-    other array is one block."""
-    model = stable_markov_model(0.5, 1.2, 5)
+    """Every array is one block's, and two threads count blocks at once."""
     tracemalloc.start()
     try:
-        stable_threshold_law_mc(model, 0.0, 10 ** 6, 3)
-        stable_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        threshold_law_mc(symmetric_plus_mean_cov(4, 0.0), 0.0, 10 ** 7, 3)
-        gaussian_peak = tracemalloc.get_traced_memory()[1]
+        with counted_on(2):
+            stable_threshold_law_mc(stable_markov_model(0.5, 1.2, 5), 0.0, 10 ** 6, 3)
+            stable_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            threshold_law_mc(symmetric_plus_mean_cov(4, 0.0), 0.0, 10 ** 7, 3)
+            gaussian_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stable_peak <= 8 * MC_CHUNK * model.m + 16 * 2 ** 20
+    assert stable_peak < 16 * 2 ** 20
     assert gaussian_peak < 16 * 2 ** 20
 
 

@@ -92,8 +92,11 @@ def test_signed_rep_3_reads_p_half_within_noise():
     """An MC law whose p is within 2 stderr of 1/2 takes the t-family route
     in ``signed_rep_3``, by the rule of ``square_circle_intervals``.  Here p = 0.5072
     at h = 0: the closed form would give q_12_3 = -1.33 for a law that the
-    t-family represents."""
-    nu = threshold_law_mc(correlations3(0.5, 0.3, 0.2), 0.0, 10 ** 4, seed=1)
+    t-family represents.  The law is frozen: the cells and stderr of
+    ``threshold_law_mc(correlations3(0.5, 0.3, 0.2), 0.0, 10 ** 4, seed=1)``
+    drawn by a former stream, as counts, since p lands this close to 1/2
+    only on some draws."""
+    nu = BinaryLaw.from_counts([2013, 1162, 915, 770, 780, 968, 1293, 2099], 10 ** 4)
     assert abs(nu.marginal_p - 0.5) > 0.007
     with pytest.raises(ValueError, match="p = 1/2"):
         signed_rep_3(nu)
@@ -104,8 +107,12 @@ def test_signed_rep_3_reads_p_half_within_noise():
 def test_signed_rep_3_reads_feasible_within_noise_as_the_relaxed_lp():
     """On an MC law each cell may be off by RELAX_SIGMA stderr, as in the
     relaxed LP: a weight of -0.0015 that the LP calls Borderline is feasible,
-    and a weight of -0.13 that the LP calls Infeasible is not."""
-    nu = threshold_law_mc(correlations3(0.1, 0.5, 0.5), 0.5, 20_000, seed=0)
+    and a weight of -0.13 that the LP calls Infeasible is not.  The first law
+    is frozen: the cells and stderr of
+    ``threshold_law_mc(correlations3(0.1, 0.5, 0.5), 0.5, 20_000, seed=0)``
+    drawn by a former stream, as counts, since q_12_3 lands within noise of 0
+    only on some draws."""
+    nu = BinaryLaw.from_counts([8610, 1224, 2321, 1650, 2305, 1635, 548, 1707], 20_000)
     rep = signed_rep_3(nu)
     assert -0.01 < rep.q_12_3 < -solver.FEAS_TOL
     assert rep.feasible
