@@ -572,15 +572,16 @@ def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
     from its own stream, ``default_rng`` of child i of
     ``SeedSequence(entropy).spawn(blocks)``, where the entropy is four 32-bit
     words drawn from ``default_rng(seed)`` (a Generator that is passed in
-    moves on).  A single block is counted inline; more are counted on
-    ``MC_WORKERS`` threads, at most two blocks per thread queued or running,
-    and the integer counts are summed in block order.  So the law depends on
-    (draw, h, m, seed) alone, never on the thread count or the scheduling,
-    and memory is bounded by one block per thread.
+    moves on).  Every block is counted on the ``MC_WORKERS`` threads of one
+    pool, at most two blocks per thread queued or running, and the integer
+    counts are summed in block order.  So the law depends on (draw, h, m,
+    seed) alone, never on the thread count or the scheduling, and memory is
+    bounded by one block per thread.  ``draw`` runs on a pool thread, and
+    its values are counted before that thread draws again.
 
-    One CPU gets a pool of one thread too: counted inline, glibc gave each
-    block's freed arrays back to the system from the main heap and the next
-    block faulted them in again, 30 % of a 10^6-row Gaussian law's time.
+    One CPU gets a pool of one thread too: counted on the main thread, glibc
+    gave each block's freed arrays back to the system and the next block
+    faulted them in again, 30 % of a 10^6-row Gaussian law's time.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -592,8 +593,6 @@ def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
         k = min(MC_BLOCK, m - i * MC_BLOCK)
         return pattern_counts(draw(k, np.random.default_rng(streams[i])) > h)
 
-    if blocks == 1:
-        return BinaryLaw.from_counts(count(0), m)
     counts = np.zeros(2 ** n, dtype=np.int64)
     pool = _mc_pool(MC_WORKERS)
     queued = deque()

@@ -428,9 +428,9 @@ def test_threshold_laws_are_the_same_on_any_number_of_threads(law, reference, m)
     for workers in (1, 2, 3):
         with counted_on(workers) as threads:
             assert_same_law(law(m), want)
-        # a single block is counted inline, more on the pool alone
-        assert (threads == {threading.get_ident()}) == (m <= MC_BLOCK)
-        assert len(threads) <= workers or m <= MC_BLOCK
+        # every block is counted on the pool, even a single one
+        assert threads and threading.get_ident() not in threads
+        assert len(threads) <= workers
 
 
 def test_a_draw_that_raises_passes_its_error_out_and_leaves_no_block_queued(monkeypatch):
@@ -448,9 +448,6 @@ def test_a_draw_that_raises_passes_its_error_out_and_leaves_no_block_queued(monk
     started = len(calls)
     pool.shutdown()     # runs whatever was left queued
     assert len(calls) == started <= 2 * 2
-    with pytest.raises(RuntimeError, match="draw failed"):   # one block: inline
-        threshold_mc_law(draw, 2, 0.0, MC_BLOCK, 0)
-    assert len(calls) == started + 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
