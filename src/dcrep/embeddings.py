@@ -56,9 +56,7 @@ class EmbeddingBatch:
     def __init__(self, signs: np.ndarray, labels: np.ndarray,
                  crossing_probs: np.ndarray, topology: str = "path",
                  values: np.ndarray | None = None):
-        top = np.maximum.accumulate(labels, axis=1)
-        if ((labels[:, 0] != 0).any() or (labels < 0).any()
-                or (labels[:, 1:] > top[:, :-1] + 1).any()):
+        if not _restricted_growth(labels):
             raise ValueError("labels must be restricted-growth strings")
         self.signs = signs              # (m, n) of +-1
         self.labels = labels            # (m, n) block labels, 0-based per sample
@@ -90,6 +88,20 @@ class EmbeddingBatch:
         return float(np.mean(self.labels[:, i - 1] == self.labels[:, j - 1]))
 
 
+def _restricted_growth(labels: np.ndarray) -> bool:
+    """Whether every row of ``labels`` is a restricted-growth string, in one
+    pass per column: the first label is 0, and each later one lies in
+    [0, top + 1], top the largest label before it."""
+    top = labels[:, 0]
+    if (top != 0).any():
+        return False
+    for label in labels.T[1:]:
+        if ((label < 0) | (label > top + 1)).any():
+            return False
+        top = np.maximum(top, label)
+    return True
+
+
 def _partition_law(n: int, m: int, cols, counts) -> PartitionDistribution:
     """Empirical partition law from the groups of ``partition_groups``: group
     g puts counts[g] / m on column cols[g]."""
@@ -100,24 +112,33 @@ def _partition_law(n: int, m: int, cols, counts) -> PartitionDistribution:
 
 def _assemble_tree(y: np.ndarray, expo: np.ndarray, parents, rng: np.random.Generator,
                    topology: str) -> EmbeddingBatch:
-    """Assemble a batch from node values and per-edge bridge exponents.
+    """Assemble a batch from the (m, n) node values and (m, n - 1) per-edge
+    bridge exponents.
 
     Column i >= 1 hangs off the earlier column ``parents[i - 1]``, and
     ``expo[:, i - 1]`` is u v / T on that edge.  An edge whose endpoints differ
     in sign is always crossed; otherwise it is crossed with probability
     exp(-2 u v / T).  A crossed edge opens the next block, and an uncrossed one
     keeps its parent's block, so the labels are restricted-growth strings.
+    The crossings' uniforms are one (m, n - 1) draw.  The work runs one
+    column at a time, on rows of the transposes: contiguous when y and expo
+    are transposes of (n, m) arrays, as ``_sample_tree`` passes them, and
+    the batch's arrays are transposes of (n, m) arrays too.
     """
     m, n = y.shape
-    signs = np.where(y > 0.0, 1, -1).astype(np.int8)
-    cross_p = np.where(signs[:, parents] == signs[:, 1:],
-                       np.exp(-2.0 * np.clip(expo, 0.0, None)), 1.0)
-    crossing = rng.random((m, n - 1)) < cross_p
-    opened = np.cumsum(crossing, axis=1)
-    labels = np.zeros((m, n), dtype=np.int16)
+    nodes, edges = y.T, expo.T
+    signs = np.where(nodes > 0.0, 1, -1).astype(np.int8)
+    uniforms = rng.random((m, n - 1)).T
+    cross_p = np.empty((n - 1, m))
+    labels = np.zeros((n, m), dtype=np.int16)
+    opened = np.zeros(m, dtype=np.int16)
     for i, parent in enumerate(parents, start=1):
-        labels[:, i] = np.where(crossing[:, i - 1], opened[:, i - 1], labels[:, parent])
-    return EmbeddingBatch(signs, labels, cross_p, topology=topology, values=y)
+        cross_p[i - 1] = np.where(signs[parent] == signs[i],
+                                  np.exp(-2.0 * np.clip(edges[i - 1], 0.0, None)), 1.0)
+        crossed = uniforms[i - 1] < cross_p[i - 1]
+        opened += crossed
+        labels[i] = np.where(crossed, opened, labels[parent])
+    return EmbeddingBatch(signs.T, labels.T, cross_p.T, topology=topology, values=y)
 
 
 def _sample_tree(rule, parents, m: int, seed, topology: str) -> EmbeddingBatch:
@@ -126,19 +147,20 @@ def _sample_tree(rule, parents, m: int, seed, topology: str) -> EmbeddingBatch:
     ``rule`` is ``(root, step)``: ``root(m, rng)`` draws the root, and
     ``step(prev, rng)`` draws a child from its parent's values ``prev`` and
     returns it with the edge's bridge exponent.  The draws come in a fixed
-    order: the root, each child in index order, then the crossings.
+    order: the root, each child in index order, then the crossings.  Each
+    node's values fill one row of an (n, m) array.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     root, step = rule
     rng = np.random.default_rng(seed)
     n = len(parents) + 1
-    y = np.empty((m, n))
-    expo = np.empty((m, n - 1))
-    y[:, 0] = root(m, rng)
+    y = np.empty((n, m))
+    expo = np.empty((n - 1, m))
+    y[0] = root(m, rng)
     for i, parent in enumerate(parents, start=1):
-        y[:, i], expo[:, i - 1] = step(y[:, parent], rng)
-    return _assemble_tree(y, expo, parents, rng, topology)
+        y[i], expo[i - 1] = step(y[parent], rng)
+    return _assemble_tree(y.T, expo.T, parents, rng, topology)
 
 
 def _path_parents(n: int) -> list[int]:
@@ -259,28 +281,40 @@ def verify_color_property(batch: EmbeddingBatch) -> ColorPropertyReport:
         raise TypeError(f"expected an EmbeddingBatch, got {type(batch).__name__}")
     if batch.m < 10_000:
         raise ValueError("verification needs at least 10^4 samples")
-    m = batch.m
+    m, n = batch.m, batch.n
     cols, _, inverse, counts = batch.partition_groups()
-    rows_of = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
-    table, keys = _partition_table(batch.n), _column_keys(batch.n)
+    table, keys = _partition_table(n), _column_keys(n)
 
-    tested = []                     # (key, count, chi2, dof) per tested bin
-    excluded = []
-    for g in sorted(range(len(cols)), key=lambda g: keys[cols[g]]):
-        col, count = cols[g], int(counts[g])
-        k = int(table.num_blocks[col])
-        if count / 2 ** k < MIN_EXPECTED:
-            excluded.append(keys[col])
-            continue
-        # observed distribution over the 2^k block colorings, read at the
-        # least element of each block
-        firsts = np.unique(table.labels[col], return_index=True)[1]
-        obs = pattern_counts(batch.signs[np.ix_(rows_of[g], firsts)] > 0)
-        expected = count / 2 ** k
-        tested.append((keys[col], count, float(np.sum((obs - expected) ** 2 / expected)),
-                       2 ** k - 1))
-    p_values = stats.chi2.sf([t[2] for t in tested], [t[3] for t in tested])
-    bins = tuple(BinVerdict(*t, p_value=float(p)) for t, p in zip(tested, p_values))
+    # each row's block coloring: the signs at the least element of each
+    # block, block 0 the high bit, read one column at a time
+    coloring = np.zeros(m, dtype=np.intp)
+    blocks = np.zeros(m, dtype=batch.labels.dtype)     # blocks opened so far
+    for label, sign in zip(batch.labels.T, batch.signs.T):
+        first = label == blocks
+        blocks += first
+        coloring <<= first
+        coloring |= first & (sign > 0)
+    # every bin's colorings counted at once: group g owns its 2^k cells
+    # from start[g]; the chi-square sums each group's cells as one row
+    cells = 1 << table.num_blocks[cols].astype(np.intp)
+    end = np.cumsum(cells)
+    start = end - cells
+    observed = np.bincount(start[inverse] + coloring, minlength=end[-1])
+    expected = counts / cells
+    chi2 = np.empty(len(cols))
+    for size in np.unique(cells):
+        groups = np.flatnonzero(cells == size)
+        obs = observed[start[groups, None] + np.arange(size)]
+        chi2[groups] = np.sum((obs - expected[groups, None]) ** 2 / expected[groups, None],
+                              axis=1)
+
+    order = sorted(range(len(cols)), key=lambda g: keys[cols[g]])
+    tested = [g for g in order if expected[g] >= MIN_EXPECTED]
+    dof = cells[tested] - 1
+    p_values = stats.chi2.sf(chi2[tested], dof)
+    bins = tuple(BinVerdict(keys[cols[g]], int(counts[g]), float(chi2[g]), int(d), float(p))
+                 for g, d, p in zip(tested, dof, p_values))
+    excluded = [keys[cols[g]] for g in order if expected[g] < MIN_EXPECTED]
 
     sign_law = batch.empirical_sign_law()
     pf = push_forward(_partition_law(batch.n, m, cols, counts), 0.5)

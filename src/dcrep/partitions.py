@@ -30,7 +30,7 @@ from scipy.sparse import csc_array
 
 MAX_N = 9  # the one size limit (``_check_n``): keys spell each element as one digit
 PROB_TOL = 1e-12
-MC_BLOCK = 1 << 15  # rows per MC block; each block of ``threshold_mc_law`` has its own stream
+MC_BLOCK = 1 << 15  # rows per MC block; each block of ``_count_blocks`` has its own stream
 # threads that count MC blocks: one per CPU this process may run on
 MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
@@ -564,20 +564,19 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_mc_pool.cache_clear)
 
 
-def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
-    """Monte Carlo threshold law of m draws, with per-cell stderr.
+def _count_blocks(count, m: int, seed, cells: int) -> np.ndarray:
+    """Run ``count(start, k, rng)`` on each block of m MC draws and sum the
+    integer counts, each of ``cells`` entries, in block order.
 
     The m draws come in blocks of ``MC_BLOCK`` rows, the last one partial;
-    ``draw(k, rng)`` returns the (k, n) values of one block.  Block i draws
+    block i covers rows start = i ``MC_BLOCK`` to start + k.  Block i draws
     from its own stream, ``default_rng`` of child i of
     ``SeedSequence(entropy).spawn(blocks)``, where the entropy is four 32-bit
     words drawn from ``default_rng(seed)`` (a Generator that is passed in
     moves on).  Every block is counted on the ``MC_WORKERS`` threads of one
-    pool, at most two blocks per thread queued or running, and the integer
-    counts are summed in block order.  So the law depends on (draw, h, m,
-    seed) alone, never on the thread count or the scheduling, and memory is
-    bounded by one block per thread.  ``draw`` runs on a pool thread, and
-    its values are counted before that thread draws again.
+    pool, at most two blocks per thread queued or running.  So the sum
+    depends on (count, m, seed) alone, never on the thread count or the
+    scheduling, and memory is bounded by one block per thread.
 
     One CPU gets a pool of one thread too: counted on the main thread, glibc
     gave each block's freed arrays back to the system and the next block
@@ -589,16 +588,16 @@ def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
     entropy = np.random.default_rng(seed).integers(2 ** 32, size=4, dtype=np.uint32)
     streams = np.random.SeedSequence(entropy).spawn(blocks)
 
-    def count(i):
-        k = min(MC_BLOCK, m - i * MC_BLOCK)
-        return pattern_counts(draw(k, np.random.default_rng(streams[i])) > h)
+    def run(i):
+        start = i * MC_BLOCK
+        return count(start, min(MC_BLOCK, m - start), np.random.default_rng(streams[i]))
 
-    counts = np.zeros(2 ** n, dtype=np.int64)
+    counts = np.zeros(cells, dtype=np.int64)
     pool = _mc_pool(MC_WORKERS)
     queued = deque()
     try:
         for i in range(blocks):
-            queued.append(pool.submit(count, i))
+            queued.append(pool.submit(run, i))
             if len(queued) == 2 * MC_WORKERS:
                 counts += queued.popleft().result()
         while queued:
@@ -608,7 +607,21 @@ def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
         for future in queued:
             future.cancel()
         wait(queued)
-    return BinaryLaw.from_counts(counts, m)
+    return counts
+
+
+def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
+    """Monte Carlo threshold law of m draws, with per-cell stderr.
+
+    ``draw(k, rng)`` returns the (k, n) values of one block of
+    ``_count_blocks``, which fixes the blocks, their streams and the threads:
+    the law depends on (draw, h, m, seed) alone.  ``draw`` runs on a pool
+    thread, and its values are counted before that thread draws again.
+    """
+    def count(start, k, rng):
+        return pattern_counts(draw(k, rng) > h)
+
+    return BinaryLaw.from_counts(_count_blocks(count, m, seed, 2 ** n), m)
 
 
 @lru_cache(maxsize=None)
@@ -673,49 +686,69 @@ def marginalize_partition(q: PartitionDistribution, subset) -> PartitionDistribu
     return PartitionDistribution.from_vector(len(s), vec, signed=q.signed)
 
 
-GUIDE_MAX = 1 << 20   # guide-table cells of ``_categorical``: 8 MiB of indices
+GUIDE_MAX = 1 << 20   # guide-table cells of ``_guide``
 
 
-def _categorical(weights: np.ndarray, m: int, rng, values: np.ndarray | None = None):
-    """m draws of an index with probabilities ``weights``: the same uniforms
-    and the same indices as ``rng.choice(len(weights), size=m, p=weights)``.
-    With ``values``, each draw is ``values[index]`` instead, in values' dtype.
+def _guide(masses: np.ndarray) -> np.ndarray:
+    """Turn ``masses`` into their normalized CDF, in place, and return its
+    guide table, for ``_categorical``.  Both are read-only to the draws, so
+    one law builds them once for all its blocks.
 
-    ``choice`` looks up each uniform u in the normalized CDF by binary search.
-    Here a guide table (Chen & Asau 1974) over K = 2^k > 8 len(weights) equal
-    cells, at most ``GUIDE_MAX``, holds, per cell, the first index whose CDF
-    value exceeds the cell's left end.  u K is exact, so that index is a lower
-    bound of u's answer, and it is the answer unless the CDF steps again
-    inside the cell before u: at most about one uniform in 16 then takes the
-    binary search (more once the cap binds, past 131,072 weights).  The
-    uniforms come ``MC_BLOCK`` at a time, the same stream as one draw of m, so
-    only the m draws outlive a block.
+    ``rng.choice`` looks up each uniform u in this CDF by binary search.  The
+    guide table (Chen & Asau 1974) covers [0, 1) with K = 2^k > 8 len(masses)
+    equal cells, at most ``GUIDE_MAX``, and holds, per cell, the first index
+    whose CDF value exceeds the cell's left end.  Its indices are intp, or
+    int32 once K reaches ``GUIDE_MAX``, which halves the 8 MiB table that
+    would be the largest array of an n = 9 color process (its draws took the
+    same time either way).  Below the cap an int32 table made 10^6 n = 5
+    draws a quarter slower (8.2 against 6.5 ms on 2 CPUs), as indexing by it
+    converts every index.
     """
-    cdf = np.cumsum(weights)
+    cdf = np.cumsum(masses, out=masses)
     cdf /= cdf[-1]
     k = min(1 << (8 * len(cdf)).bit_length(), GUIDE_MAX)
-    guide = np.empty(k, dtype=np.intp)
+    guide = np.empty(k, dtype=np.intp if k < GUIDE_MAX else np.int32)
     for c in range(0, k, MC_BLOCK):
         guide[c:c + MC_BLOCK] = np.searchsorted(
             cdf, np.arange(c, min(c + MC_BLOCK, k)) / k, side="right")
-    out = np.empty(m, dtype=np.intp if values is None else values.dtype)
-    for start in range(0, m, MC_BLOCK):
-        u = rng.random(min(MC_BLOCK, m - start))
-        idx = guide[(u * k).astype(np.intp)]
-        later = np.flatnonzero(cdf[idx] <= u)
-        idx[later] = np.searchsorted(cdf, u[later], side="right")
-        out[start:start + len(u)] = idx if values is None else values[idx]
-    return out
+    return guide
+
+
+def _categorical(cdf: np.ndarray, guide: np.ndarray, k: int, rng) -> np.ndarray:
+    """k draws of an index from the CDF and guide table of ``_guide``: the
+    same uniforms and the same indices as ``rng.choice(len(w), size=k, p=w)``
+    over the masses w.
+
+    u K is exact, so the guide cell of a uniform u holds a lower bound of its
+    index, and that is the index unless the CDF steps again inside the cell
+    before u: at most about one uniform in 16 (more once the cap binds, past
+    131,072 masses).  Such a uniform steps one index on, and only if the CDF
+    steps twice in the cell before it does it take the binary search.  A
+    step never passes the last index, whose CDF value 1 exceeds every u.
+    """
+    u = rng.random(k)
+    idx = guide[(u * len(guide)).astype(np.intp)]
+    later = np.flatnonzero(cdf[idx] <= u)
+    idx[later] += 1
+    later = later[cdf[idx[later]] <= u[later]]
+    idx[later] = np.searchsorted(cdf, u[later], side="right")
+    return idx
 
 
 def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     """Draw m color-process samples; returns (samples, empirical BinaryLaw).
 
-    Deterministic given seed.  ``samples`` is an (m, n) 0/1 uint8 array.  Each
-    sample takes one uniform: a categorical draw over the cells of
-    ``_color_map_cells`` of positive mass, each a (partition, coloring) pair
-    of mass q(sigma) p^k (1-p)^(K-k), read as the cell's string.  Dropping the
-    massless cells changes no draw, since they add no step to the CDF.
+    ``samples`` is an (m, n) 0/1 uint8 array.  Each sample takes one uniform:
+    a categorical draw over the cells of ``_color_map_cells`` of positive
+    mass, each a (partition, coloring) pair of mass q(sigma) p^k (1-p)^(K-k),
+    read as the cell's string.  Dropping the massless cells changes no draw,
+    since they add no step to the CDF.
+
+    The draws come in the blocks of ``_count_blocks``, on its pool and its
+    per-block streams, so the samples and the law depend on (q, p, m, seed)
+    alone, never on the thread count.  Block i is ``rng_i.choice`` over the
+    cells' masses, and writes its own rows of ``samples``.  The CDF and its
+    guide table are built once and shared by every block.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -724,15 +757,18 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     n = q.n
-    weights = _cell_weights(q, p)
-    drawn = weights > 0.0   # not the cells of zero (or, within PROB_TOL, negative) mass
-    weights, rows = weights[drawn], _color_map_cells(n)[0][drawn]
-    rows = _categorical(weights, m, np.random.default_rng(seed), rows)
+    masses = _cell_weights(q, p)
+    drawn = masses > 0.0   # not the cells of zero (or, within PROB_TOL, negative) mass
+    cdf, rows = masses[drawn], _color_map_cells(n)[0][drawn]
+    del masses, drawn   # 5 MiB at n = 9 that would otherwise outlive the draws
+    guide = _guide(cdf)
     strings = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     samples = np.empty((m, n), dtype=np.uint8)
-    counts = np.zeros(2 ** n, dtype=np.int64)
-    for start in range(0, m, MC_BLOCK):
-        block = rows[start:start + MC_BLOCK]
-        np.take(strings, block, axis=0, out=samples[start:start + MC_BLOCK])
-        counts += np.bincount(block, minlength=2 ** n)
-    return samples, BinaryLaw.from_counts(counts, m)
+
+    def count(start, k, rng):
+        block = rows[_categorical(cdf, guide, k, rng)]
+        # mode "clip" writes in place, where "raise" buffers ``out`` (the rows are valid)
+        np.take(strings, block, axis=0, out=samples[start:start + k], mode="clip")
+        return np.bincount(block, minlength=2 ** n)
+
+    return samples, BinaryLaw.from_counts(_count_blocks(count, m, seed, 2 ** n), m)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dcrep.gaussian import CovarianceSpec
+from dcrep.partitions import MC_BLOCK
 
 
 def brute_force_partitions(n):
@@ -94,11 +95,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def block_streams(m, seed):
+    """(rows, generator) of each block of an MC law of m draws: MC_BLOCK rows
+    a block, the last one partial, and block i draws from child i of a
+    SeedSequence over four 32-bit words of ``default_rng(seed)``."""
+    entropy = np.random.default_rng(seed).integers(2 ** 32, size=4, dtype=np.uint32)
+    rows = [min(MC_BLOCK, m - start) for start in range(0, m, MC_BLOCK)]
+    children = np.random.SeedSequence(entropy).spawn(len(rows))
+    return [(k, np.random.default_rng(child)) for k, child in zip(rows, children)]
+
+
 def reference_color_process(weights: dict, n, p, m, seed):
     """The color process drawn by ``rng.choice`` over its (partition, coloring)
     pairs of positive mass q(sigma) p^k (1-p)^(K-k), built from ``Partition``
     objects and listed as the coloring map lists its cells: by number of
-    blocks K, then partition, then coloring.  Returns (samples, law)."""
+    blocks K, then partition, then coloring.  Each block of ``block_streams``
+    makes one ``choice`` from its own generator.  Returns (samples, law)."""
     from dcrep.partitions import BinaryLaw, enumerate_partitions
 
     masses, strings = [], []
@@ -115,7 +127,8 @@ def reference_color_process(weights: dict, n, p, m, seed):
                         string[np.array(block) - 1] = c
                     masses.append(mass)
                     strings.append(string)
-    which = np.random.default_rng(seed).choice(len(masses), size=m, p=np.array(masses))
+    which = np.concatenate([rng.choice(len(masses), size=k, p=np.array(masses))
+                            for k, rng in block_streams(m, seed)])
     samples = np.array(strings)[which]
     counts = np.bincount(samples @ (1 << np.arange(n - 1, -1, -1)), minlength=2 ** n)
     return samples, BinaryLaw.from_counts(counts, m)

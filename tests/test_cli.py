@@ -418,8 +418,25 @@ def test_solve_shows_the_family_of_a_law_at_its_edge(tmp_path):
     family = results["symmetric_family"]
     t_lo, t_hi = family["t_interval"]
     assert 0.0 < t_lo - t_hi < cli.FEAS_TOL
-    assert family["canonical"]["1|2|3"] == pytest.approx(2 * t_lo, rel=1e-15)
-    assert min(family["canonical"].values()) == pytest.approx(-8e-11, rel=1e-6)
+    weights = family["canonical"]["weights"]
+    assert weights["1|2|3"] == pytest.approx(2 * t_lo, rel=1e-15)
+    assert min(weights.values()) == pytest.approx(-8e-11, rel=1e-6)
+
+
+def test_solve_marks_a_signed_canonical_and_only_it(tmp_path):
+    """The JSON of a signed q says so, ``{"signed": true, "weights": {...}}``;
+    an unsigned q, such as the LP's, stays its bare {key: weight} map."""
+    model = json.dumps(edge_of_family_law().to_json_dict())
+    code, out = run(["solve", "--model", model], tmp_path)
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    canonical = results["symmetric_family"]["canonical"]
+    assert canonical["signed"] is True
+    assert set(canonical) == {"signed", "weights"}
+    assert min(canonical["weights"].values()) < 0.0
+    q = results["lp"]["q"]
+    assert "signed" not in q and min(q.values()) >= 0.0
+    assert set(q) == set(canonical["weights"])
 
 
 def test_solve_refuses_negative_stderr(tmp_path, capsys):

@@ -23,11 +23,14 @@ from dcrep.embeddings import (EmbeddingBatch, ou_partition_batch, ou_star_partit
                               stable_chain_partition_batch, stable_star_partition_batch)
 from dcrep.gaussian import (markov_chain_cov, sampling_factor, symmetric_plus_mean_cov,
                             threshold_law_mc)
-from dcrep.partitions import (BELL, GUIDE_MAX, MC_BLOCK, BinaryLaw, PartitionDistribution,
-                              _categorical, simulate_color_process, threshold_mc_law)
+from dcrep.partitions import (BELL, GUIDE_MAX, MC_BLOCK, MC_WORKERS, BinaryLaw,
+                              PartitionDistribution, _categorical, _guide, simulate_color_process,
+                              threshold_mc_law)
 from dcrep.stable import (_cms, common_shock_model, corr2d_inequality_mc, sample_pos_stable,
                           sample_stable_vector, sample_sym_stable, stable_markov_model,
                           stable_threshold_law_mc, subordinator_scale)
+
+from conftest import block_streams, random_probability_q, reference_color_process
 
 SEEDS = (0, 1, 2)
 
@@ -111,16 +114,6 @@ def reference_sign_law(batch):
     bits = (batch.signs > 0).astype(np.int64)
     pow2 = 1 << np.arange(batch.n - 1, -1, -1)
     return BinaryLaw.from_counts(np.bincount(bits @ pow2, minlength=2 ** batch.n), batch.m)
-
-
-def block_streams(m, seed):
-    """(rows, generator) of each block of an MC law of m draws: MC_BLOCK rows
-    a block, the last one partial, and block i draws from child i of a
-    SeedSequence over four 32-bit words of ``default_rng(seed)``."""
-    entropy = np.random.default_rng(seed).integers(2 ** 32, size=4, dtype=np.uint32)
-    rows = [min(MC_BLOCK, m - start) for start in range(0, m, MC_BLOCK)]
-    children = np.random.SeedSequence(entropy).spawn(len(rows))
-    return [(k, np.random.default_rng(child)) for k, child in zip(rows, children)]
 
 
 def reference_gaussian_mc(cov, h, m, seed):
@@ -395,19 +388,21 @@ def test_stable_laws_match_the_sin_cos_form(model, seed):
 
 
 @contextmanager
-def counted_on(workers):
-    """Count the MC blocks of ``threshold_mc_law`` on a pool of ``workers``
-    threads, whatever this machine's CPUs; yields the set of threads that
-    counted a block."""
+def counted_on(workers, counter="pattern_counts"):
+    """Count the MC blocks on a pool of ``workers`` threads, whatever this
+    machine's CPUs; yields the set of threads that called ``counter``, the
+    function of ``partitions`` that each block calls once:
+    ``pattern_counts`` in ``threshold_mc_law``, ``_categorical`` in
+    ``simulate_color_process``."""
     threads = set()
-    pattern_counts = partitions.pattern_counts
+    count = getattr(partitions, counter)
 
-    def counting(bits):
+    def counting(*args):
         threads.add(threading.get_ident())
-        return pattern_counts(bits)
+        return count(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(partitions, "pattern_counts", counting)
+        mp.setattr(partitions, counter, counting)
         mp.setattr(partitions, "MC_WORKERS", workers)
         yield threads
 
@@ -450,6 +445,51 @@ def test_a_draw_that_raises_passes_its_error_out_and_leaves_no_block_queued(monk
     assert len(calls) == started <= 2 * 2
 
 
+COLOR_Q = random_probability_q(np.random.default_rng(26), 5)
+
+
+@pytest.mark.parametrize("m", (MC_BLOCK - 1, MC_BLOCK + 1, 10 ** 6 + 1))
+def test_the_color_process_is_the_same_on_any_number_of_threads(m):
+    """The serial per-block ``choice`` reference, samples and law bit for bit,
+    on one to three threads."""
+    want, want_law = reference_color_process(dict(COLOR_Q.weights), 5, 0.3, m, 33)
+    for workers in (1, 2, 3):
+        with counted_on(workers, "_categorical") as threads:
+            samples, law = simulate_color_process(COLOR_Q, 0.3, m, 33)
+        assert_same_arrays(samples, want)
+        assert_same_law(law, want_law)
+        assert threads and threading.get_ident() not in threads
+        assert len(threads) <= workers
+
+
+def test_a_color_block_that_raises_passes_its_error_out_and_leaves_no_block_queued(
+        monkeypatch):
+    """At most two blocks per thread are ever submitted, and when one raises,
+    each of them has run or been cancelled before the error comes out."""
+    calls, futures = [], []
+
+    def categorical(cdf, guide, k, rng):
+        calls.append(k)
+        raise RuntimeError("block failed")
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            futures.append(super().submit(fn, *args))
+            return futures[-1]
+
+    pool = Pool(2)
+    monkeypatch.setattr(partitions, "MC_WORKERS", 2)
+    monkeypatch.setattr(partitions, "_mc_pool", lambda workers: pool)
+    monkeypatch.setattr(partitions, "_categorical", categorical)
+    with pytest.raises(RuntimeError, match="block failed"):
+        simulate_color_process(COLOR_Q, 0.3, 100 * MC_BLOCK, 0)
+    assert 1 <= len(futures) <= 2 * 2
+    assert all(future.done() for future in futures)
+    started = len(calls)
+    pool.shutdown()
+    assert len(calls) == started
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_a_child_forked_after_the_pool_is_built_counts_on_its_own(monkeypatch):
     """The child has none of the parent's pool threads: counting on that pool
@@ -489,9 +529,40 @@ def test_mc_laws_peak_memory_is_bounded():
     assert gaussian_peak < 16 * 2 ** 20
 
 
+# the peak of one more block at once, above the two-thread bounds of
+# ``test_mc_laws_peak_memory_is_bounded`` and ``test_simulate_peak_memory_at_max_n``:
+# 3.8, 1.8 and 0.6 MiB measured per thread on pools of one to six threads
+BLOCK_ALLOWANCE_MIB = {"stable": 4, "gaussian": 2, "color": 1}
+
+
+def test_mc_peak_memory_is_bounded_on_the_real_pool():
+    """Both threshold samplers and the n = 9 color process on the
+    ``MC_WORKERS`` threads of this machine: the two-thread bounds plus one
+    block per thread beyond two."""
+    q = PartitionDistribution.from_vector(9, np.random.default_rng(9).dirichlet(np.ones(BELL[9])))
+    simulate_color_process(q, 0.3, 1000, 0)
+    laws = {
+        "stable": (16, lambda: stable_threshold_law_mc(stable_markov_model(0.5, 1.2, 5), 0.0,
+                                                       10 ** 6, 3)),
+        "gaussian": (16, lambda: threshold_law_mc(symmetric_plus_mean_cov(4, 0.0), 0.0,
+                                                  10 ** 7, 3)),
+        "color": (24, lambda: simulate_color_process(q, 0.3, 10 ** 6, 1)),
+    }
+    extra = max(MC_WORKERS - 2, 0)
+    for name, (bound_mib, law) in laws.items():
+        tracemalloc.start()
+        try:
+            law()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (bound_mib + extra * BLOCK_ALLOWANCE_MIB[name]) * 2 ** 20, name
+
+
 def assert_categorical_matches_choice(weights, m=20_000):
     rng_got, rng_want = np.random.default_rng(8), np.random.default_rng(8)
-    got = _categorical(weights, m, rng_got)
+    cdf = weights.copy()
+    got = _categorical(cdf, _guide(cdf), m, rng_got)
     want = rng_want.choice(len(weights), size=m, p=weights)
     assert np.array_equal(got, want)
     assert rng_got.random() == rng_want.random()
