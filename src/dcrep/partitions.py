@@ -424,6 +424,14 @@ def _bad_key(n: int, key: str) -> ValueError:
     return ValueError(f"key {key!r} is not canonical (expected {sig.key!r})")
 
 
+# ``BinaryLaw.halfwidth`` of an MC law's cell: this many stderr, so sampling
+# noise can only soften a verdict to Borderline
+RELAX_SIGMA = 3.0
+# and of an exact law's cell, its rounding, relative: 8 machine epsilons, where
+# the closed-form weights of random color processes with zero weights needed 2.8
+ROUNDING_EPS = 8.0 * float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryLaw:
     """A probability vector over {0,1}^n, exact or Monte Carlo.
@@ -473,10 +481,12 @@ class BinaryLaw:
             raise ValueError(f"bad pattern {rho!r} for n={self.n}")
         return float(self.probs[string_index(rho)])
 
-    def cell_stderr(self, rho: str) -> float:
+    @property
+    def halfwidth(self) -> np.ndarray:
+        """How far each cell may be from its true value, on either kind of law."""
         if self.stderr is None:
-            return 0.0
-        return float(self.stderr[string_index(rho)])
+            return ROUNDING_EPS * np.abs(self.probs)
+        return RELAX_SIGMA * self.stderr
 
     def marginals(self) -> np.ndarray:
         """P(X_i = 1) for each coordinate i."""

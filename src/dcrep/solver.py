@@ -8,7 +8,7 @@ Three routes, used where each is exact:
     direct call into the HiGHS bindings that scipy ships
     (``scipy.optimize._highspy._core``), with a Farkas certificate on
     infeasibility.  An MC law that fails strictly gets the same LP again
-    with its rows widened from [b, b] to b +- 3 stderr.  The map exists
+    with its rows widened from [b, b] to b +- its half-widths.  The map exists
     on this path only as a CSC matrix whose columns are the cached cells
     (``color_map_csc``); it goes to HiGHS by one array ``passModel``, with
     presolve off, and the margin and the certificate check read the cells
@@ -25,6 +25,10 @@ Three routes, used where each is exact:
 A symmetry-reduced solver handles the four-points-on-a-circle family, where
 the alternating pattern is forbidden and the dihedral symmetry collapses the
 problem to the t-family of the first three coordinates.
+
+Every tolerance that a law's noise sets reads ``BinaryLaw.halfwidth``.  The
+kind of law (``stderr is None``) picks only what an exact law alone has: the
+strict verdict, ``_misses_a_cell`` and ``signed_rep_3``'s rounding factors.
 """
 
 from __future__ import annotations
@@ -48,13 +52,12 @@ except ImportError as exc:
 
 # color_map and enumerate_partitions are on no path here: they are imported
 # only so that bench/tracing.py can time them under these names
-from .partitions import (PROB_TOL, BinaryLaw, PartitionDistribution, _color_map_cells,
-                         _key_columns, _one_cells, _restriction_columns, _subset_cells,
-                         color_map, color_map_csc, color_map_exact,  # noqa: F401
-                         enumerate_partitions, push_forward)  # noqa: F401
+from .partitions import (PROB_TOL, RELAX_SIGMA, BinaryLaw, PartitionDistribution,
+                         _color_map_cells, _key_columns, _one_cells, _restriction_columns,
+                         _subset_cells, color_map, color_map_csc, color_map_exact,  # noqa: F401
+                         enumerate_partitions, push_forward, string_index)  # noqa: F401
 
 FEAS_TOL = 1e-9
-P_HALF_TOL = 1e-9
 PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 # a Feasible q on an exact law reproduces each cell to this relative error,
 # and the cells at most ZERO_CELL, zero to within the rounding of their sum
@@ -62,37 +65,14 @@ PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 # that misses every cell smaller than that
 REL_TOL = 1e-9
 ZERO_CELL = float(np.finfo(float).eps)
-# the rounding allowed per cell, relative, in a closed-form weight of an
-# exact law (``signed_rep_3``): 8 machine epsilons, where random color
-# processes with zero weights needed at most 2.8
-ROUNDING_EPS = 8.0 * float(np.finfo(float).eps)
-# an MC law's cells are widened by this many stderr before it is called
-# Infeasible, so sampling noise can only soften a verdict to Borderline
-RELAX_SIGMA = 3.0
+NOISE_FLOOR = 1e-9  # the least tolerance of a screen (``_screen_tol``): an exact law's
 
 
-def _noise(nu: BinaryLaw) -> float:
-    """The largest stderr of a law's cells: 0 on an exact law."""
-    return 0.0 if nu.stderr is None else float(np.max(nu.stderr))
-
-
-def _noise_tol(noise):
-    """Tolerance for one cell, given the largest stderr ``noise`` (a scalar,
-    or one per law): 5 stderr, and 1e-9 on an exact law."""
-    return np.maximum(1e-9, 5.0 * noise)
-
-
-def _marginal_tol(noise, n: int):
-    """Tolerance for a marginal, a sum of 2^(n-1) cells: 5 n stderr, and 1e-9
-    on an exact law."""
-    return np.maximum(1e-9, 5.0 * noise * n)
-
-
-def _is_half(p, noise):
-    """Is the marginal p = 1/2 within noise, given the largest stderr
-    ``noise`` (a scalar, or one per law)?  2 stderr, and ``P_HALF_TOL`` on an
-    exact law.  Where it holds, n = 3 takes the t-family route."""
-    return np.abs(p - 0.5) <= np.maximum(P_HALF_TOL, 2.0 * noise)
+def _screen_tol(width, stderrs: float):
+    """``stderrs`` standard errors of a law whose largest half-width is
+    ``width`` (a scalar, or one per law), at least ``NOISE_FLOOR``: 5 per
+    cell, 5 n per marginal and 2 on p = 1/2 (the n = 3 t-family route)."""
+    return np.maximum(NOISE_FLOOR, stderrs * (width / RELAX_SIGMA))
 
 
 def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
@@ -127,18 +107,17 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     the law is a color process iff all five entries are nonnegative.  Raises
     ValueError where the law does not fit: n != 3, unequal marginals, or
     (1-p) p (1-2p) = 0 (p = 1/2 within noise has ``symmetric_rep_family_3``).
-    ``feasible`` reads each weight down to what can move it.  On an exact law
-    that is the rounding of its own formula, ``ROUNDING_EPS`` per cell and
-    per p (read from the cells), about 1e-15 on a weight of order 1.  On a
-    Monte Carlo law it is RELAX_SIGMA stderr per cell, the widening of the
-    relaxed LP (so a law that LP calls Borderline reads feasible), or
-    FEAS_TOL, the larger.
+    ``feasible`` reads each weight down to what the law's half-widths can
+    move it.  On an exact law that is the rounding of the formula, per cell
+    and per p (read from the cells), about 1e-15 on a weight of order 1.  On
+    a Monte Carlo law it is the relaxed LP's widening (so a law that LP calls
+    Borderline reads feasible), or FEAS_TOL, the larger.
     """
     if nu.n != 3:
         raise ValueError("signed_rep_3 needs n = 3")
-    noise = _noise(nu)
-    p = _require_equal_marginals(nu, _marginal_tol(noise, nu.n))
-    if _is_half(p, noise):
+    width = float(np.max(nu.halfwidth))
+    p = _require_equal_marginals(nu, _screen_tol(width, 5.0 * nu.n))
+    if abs(p - 0.5) <= _screen_tol(width, 2.0):
         raise ValueError("p = 1/2 has a one-parameter family; "
                          "use symmetric_rep_family_3")
     den = (1.0 - p) * p * (1.0 - 2.0 * p)
@@ -151,20 +130,14 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     q1_23 = ((1.0 - p) * c("011") - p * c("100")) / den
     q123 = 1.0 - (p * c("000") - (1.0 - p) * c("111")) / den
     # a weight (a cell_1 + b cell_2) / den moves by up to (|a| e_1 + |b| e_2)
-    # / |den| when each cell moves by up to its e: RELAX_SIGMA stderr on an MC
-    # law.  On an exact law e is the rounding of the formula, ROUNDING_EPS of
-    # the cell, which moves p (a sum of cells) too, and with it a = 1 - p or
+    # / |den| when each cell moves by up to its half-width e.  On an exact law
+    # that rounding moves p (a sum of cells) too, and with it a = 1 - p or
     # b = p by up to p ROUNDING_EPS: the factors become 1 and 2 p
-    if nu.stderr is None:
-        floor, u, v = 0.0, 1.0, 2.0 * p
+    floor, u, v = (0.0, 1.0, 2.0 * p) if nu.stderr is None else (FEAS_TOL, 1.0 - p, p)
+    hw = nu.halfwidth / abs(den)
 
-        def e(rho):
-            return ROUNDING_EPS * c(rho) / abs(den)
-    else:
-        floor, u, v = FEAS_TOL, 1.0 - p, p
-
-        def e(rho):
-            return RELAX_SIGMA * nu.cell_stderr(rho) / abs(den)
+    def e(rho):
+        return float(hw[string_index(rho)])
 
     slack = (e("100") + e("011"), u * e("110") + v * e("001"), u * e("101") + v * e("010"),
              u * e("011") + v * e("100"), v * e("000") + u * e("111"))
@@ -181,7 +154,8 @@ class SymmetricRepFamily3:
     q_123  = 1 - 4(nu_001 + nu_010 + nu_100) + t
     q_12_3 = 4 nu_001 - t,  q_13_2 = 4 nu_010 - t,  q_1_23 = 4 nu_100 - t
     q_1_2_3 = 2t
-    valid (all nonnegative) exactly for t in [t_lo, t_hi].
+    valid (all nonnegative) exactly for t in [t_lo, t_hi], empty where t_lo
+    exceeds t_hi by more than ``slack``.
     """
 
     nu_001: float
@@ -189,10 +163,11 @@ class SymmetricRepFamily3:
     nu_100: float
     t_lo: float
     t_hi: float
+    slack: float = FEAS_TOL
 
     @property
     def is_empty(self) -> bool:
-        return self.t_lo > self.t_hi + FEAS_TOL
+        return self.t_lo > self.t_hi + self.slack
 
     @property
     def t_interval(self) -> tuple[float, float] | None:
@@ -221,16 +196,22 @@ class SymmetricRepFamily3:
 
 
 def symmetric_rep_family_3(nu: BinaryLaw) -> SymmetricRepFamily3:
-    """All representations of a {0,1}-symmetric n=3 law, as the t-interval."""
+    """All representations of a {0,1}-symmetric n=3 law, as the t-interval.
+
+    Its ``slack`` is how far the half-widths w of the cells move t_lo - t_hi,
+    4(w_001 + w_010 + w_100) + 4 max w, and at least FEAS_TOL (an exact law's)."""
     if nu.n != 3:
         raise ValueError("symmetric_rep_family_3 needs n = 3")
-    if not nu.is_zero_one_symmetric(_noise_tol(_noise(nu))):
+    hw = nu.halfwidth
+    if not nu.is_zero_one_symmetric(_screen_tol(float(np.max(hw)), 5.0)):
         raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
     c = nu.cell
     nu001, nu010, nu100 = c("001"), c("010"), c("100")
     t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
+    w = hw[[1, 2, 4]].tolist()      # the cells 001, 010, 100
     return SymmetricRepFamily3(nu_001=nu001, nu_010=nu010, nu_100=nu100,
-                               t_lo=float(t_lo), t_hi=float(t_hi))
+                               t_lo=float(t_lo), t_hi=float(t_hi),
+                               slack=max(FEAS_TOL, 4.0 * (w[0] + w[1] + w[2]) + 4.0 * max(w)))
 
 
 def _first_max(*values):
@@ -502,19 +483,19 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     every cell (``_misses_a_cell``): a warm q that does not is solved again
     from the slack basis, and one that still does not is Borderline.  Exact
     laws get the strict verdict, Borderline up to 100 tol; MC laws that fail
-    strictly are retried on the polytope widened by ``RELAX_SIGMA`` stderr
-    per cell, and only a failure there is reported Infeasible.  An
-    Infeasible verdict always carries its Farkas certificate: when
-    ``_clean_certificate`` rejects the duals, the verdict is Borderline.  With
-    ``exact=True`` a verdict that would be Infeasible or Borderline becomes
-    Infeasible exactly when the Farkas certificate verifies in an integer
-    check over the coloring map's cells (the float inputs taken exactly), and
-    Borderline otherwise; ``detail["certificate_verified"]`` holds the
-    outcome.
+    strictly are retried on the polytope widened by each cell's half-width
+    (``RELAX_SIGMA`` stderr), and only a failure there is reported
+    Infeasible.  An Infeasible verdict always carries its Farkas
+    certificate: when ``_clean_certificate`` rejects the duals, the verdict
+    is Borderline.  With ``exact=True`` a verdict that would be Infeasible or
+    Borderline becomes Infeasible exactly when the Farkas certificate
+    verifies in an integer check over the coloring map's cells (the float
+    inputs taken exactly), and Borderline otherwise;
+    ``detail["certificate_verified"]`` holds the outcome.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    marginal_tol = _marginal_tol(_noise(nu), nu.n)
+    marginal_tol = _screen_tol(float(np.max(nu.halfwidth)), 5.0 * nu.n)
     p_detected = _require_equal_marginals(nu, marginal_tol)
     if p is None:
         p = p_detected
@@ -525,12 +506,12 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
 
     # at another p the basis is not dual feasible, and the start costs more
     # than it saves: at n = 8, p = 0.3, 130 ms cold against 300 ms warm
-    warm = _is_half(p, 0.0)
+    warm = abs(p - 0.5) <= NOISE_FLOOR
     strict = phase_one(mat, nu.probs, basis=_start_basis(n) if warm else None)
     detail = {"phase1_objective": strict.objective}
     if exact:
         detail["mode"] = "exact"
-    mc = _noise(nu) > 0.0
+    mc = nu.stderr is not None
     if strict.objective <= tol:
         q, miss = _q_and_miss(n, p, strict.x, nu.probs)
         missed = not mc and _misses_a_cell(miss, nu.probs)
@@ -547,7 +528,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
 
     objective, status = strict.objective, "Infeasible"
     if mc:
-        relaxed = phase_one(mat, nu.probs, slack=RELAX_SIGMA * nu.stderr)
+        relaxed = phase_one(mat, nu.probs, slack=nu.halfwidth)
         objective = detail["relaxed_objective"] = relaxed.objective
         if objective <= tol:
             q, miss = _q_and_miss(n, p, relaxed.x, nu.probs)
@@ -623,7 +604,7 @@ class SquareIntervals(NamedTuple):
     infeasible: np.ndarray
 
 
-def square_circle_intervals(probs, stderr=None) -> SquareIntervals:
+def square_circle_intervals(probs, halfwidth=None) -> SquareIntervals:
     """The checks and the p = 1/2 t-interval of ``square_circle_solver`` for
     each row of the (N, 16) laws ``probs``, in one array pass with the same
     bits as one law at a time.
@@ -631,16 +612,16 @@ def square_circle_intervals(probs, stderr=None) -> SquareIntervals:
     Raises ValueError, as the one-law solver does, if a law is not
     dihedral-symmetric, has nu_0101 or nu_1010 above tolerance, has unequal
     marginals, or has p = 1/2 and a 3-marginal that is not {0,1}-symmetric.
-    ``stderr`` holds the cells' standard errors of MC laws, which widen
-    every tolerance.
+    ``halfwidth`` holds the cells' half-widths (zero when None): the cell
+    tolerance is the largest, and at least ``NOISE_FLOOR``.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != 16:
         raise ValueError(f"expected (N, 16) laws, got shape {probs.shape}")
-    stderr = np.zeros_like(probs) if stderr is None else np.asarray(stderr, dtype=float)
-    noise = stderr.max(axis=1)
-    marginal_tol = _marginal_tol(noise, 4)
-    tol = np.maximum(1e-9, RELAX_SIGMA * noise)
+    hw = np.zeros_like(probs) if halfwidth is None else np.asarray(halfwidth, dtype=float)
+    width = hw.max(axis=1)
+    marginal_tol = _screen_tol(width, 5.0 * 4)
+    tol = np.maximum(NOISE_FLOOR, width)
     for perm in (_ROTATE, _REFLECT):
         if np.any(np.abs(_permute_law(probs, perm) - probs).max(axis=1) > 4.0 * tol):
             raise ValueError("law is not dihedral-symmetric")
@@ -655,14 +636,14 @@ def square_circle_intervals(probs, stderr=None) -> SquareIntervals:
         raise ValueError(f"marginals differ by {gap[i]:.3g} (> {marginal_tol[i]:.3g}); "
                          "a color process has equal marginals")
     p = (((marginals[:, 0] + marginals[:, 1]) + marginals[:, 2]) + marginals[:, 3]) / 4
-    half = _is_half(p, noise)
+    half = np.abs(p - 0.5) <= _screen_tol(width, 2.0)
 
     # the 3-marginal on coordinates 1, 2, 3, summed from 0.0 as the bincount of
     # ``BinaryLaw.marginalize`` sums it (a -0.0 cell adds as 0.0)
     nu3 = (0.0 + probs[:, 0::2]) + probs[:, 1::2]
-    se3 = np.sqrt((0.0 + stderr[:, 0::2] ** 2) + stderr[:, 1::2] ** 2)
+    hw3 = np.sqrt((0.0 + hw[:, 0::2] ** 2) + hw[:, 1::2] ** 2)
     flip_gap = np.abs(nu3 - nu3[:, ::-1]).max(axis=1)
-    if np.any(half & (flip_gap > _noise_tol(se3.max(axis=1)))):
+    if np.any(half & (flip_gap > _screen_tol(hw3.max(axis=1), 5.0))):
         raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
     nu001, nu010, nu100 = nu3[:, 1], nu3[:, 2], nu3[:, 4]
     t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
@@ -689,8 +670,7 @@ def square_circle_solver(theta: float | None, h: float | None,
     """
     if nu4.n != 4:
         raise ValueError("square_circle_solver needs n = 4")
-    iv = square_circle_intervals(nu4.probs[None],
-                                 None if nu4.stderr is None else nu4.stderr[None])
+    iv = square_circle_intervals(nu4.probs[None], nu4.halfwidth[None])
     p, tol = float(iv.p[0]), float(iv.tol[0])
     meta = {"theta": theta, "h": h, "p": p}
 

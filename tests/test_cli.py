@@ -423,6 +423,25 @@ def test_solve_shows_the_family_of_a_law_at_its_edge(tmp_path):
     assert min(weights.values()) == pytest.approx(-8e-11, rel=1e-6)
 
 
+def test_solve_shows_the_family_of_an_mc_law_within_its_noise(tmp_path):
+    """An MC law whose t_lo exceeds t_hi by less than its cells' noise moves
+    it keeps its family, beside the LP's Borderline: the interval and its
+    signed t_lo member, where FEAS_TOL alone once gave null."""
+    model = json.dumps({"kind": "gaussian",
+                        "a": [[1, 0.535, 0.849], [0.535, 1, 0.047], [0.849, 0.047, 1]]})
+    code, out = run(["solve", "--model", model, "--h", "0", "--samples", "5000",
+                     "--seed", "171"], tmp_path)
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["lp"]["status"] == "Borderline"
+    assert results["lp"]["detail"]["relaxed_objective"] == 0.0
+    family = results["symmetric_family"]
+    t_lo, t_hi = family["t_interval"]
+    assert cli.FEAS_TOL < t_lo - t_hi < 0.01
+    canonical = family["canonical"]
+    assert canonical["signed"] is True and min(canonical["weights"].values()) < 0.0
+
+
 def test_solve_marks_a_signed_canonical_and_only_it(tmp_path):
     """The JSON of a signed q says so, ``{"signed": true, "weights": {...}}``;
     an unsigned q, such as the LP's, stays its bare {key: weight} map."""

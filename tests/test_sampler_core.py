@@ -428,23 +428,6 @@ def test_threshold_laws_are_the_same_on_any_number_of_threads(law, reference, m)
         assert len(threads) <= workers
 
 
-def test_a_draw_that_raises_passes_its_error_out_and_leaves_no_block_queued(monkeypatch):
-    calls = []
-
-    def draw(k, rng):
-        calls.append(k)
-        raise RuntimeError("draw failed")
-
-    pool = ThreadPoolExecutor(2)
-    monkeypatch.setattr(partitions, "MC_WORKERS", 2)
-    monkeypatch.setattr(partitions, "_mc_pool", lambda workers: pool)
-    with pytest.raises(RuntimeError, match="draw failed"):
-        threshold_mc_law(draw, 2, 0.0, 100 * MC_BLOCK, 0)
-    started = len(calls)
-    pool.shutdown()     # runs whatever was left queued
-    assert len(calls) == started <= 2 * 2
-
-
 COLOR_Q = random_probability_q(np.random.default_rng(26), 5)
 
 
@@ -462,14 +445,25 @@ def test_the_color_process_is_the_same_on_any_number_of_threads(m):
         assert len(threads) <= workers
 
 
-def test_a_color_block_that_raises_passes_its_error_out_and_leaves_no_block_queued(
-        monkeypatch):
+# each MC sampler and the function of ``partitions`` that each of its blocks
+# calls once, by name
+RAISING_BLOCKS = {
+    "threshold_mc_law": ("pattern_counts", lambda: threshold_mc_law(
+        lambda k, rng: np.zeros((k, 2)), 2, 0.0, 100 * MC_BLOCK, 0)),
+    "simulate_color_process": ("_categorical", lambda: simulate_color_process(
+        COLOR_Q, 0.3, 100 * MC_BLOCK, 0)),
+}
+
+
+@pytest.mark.parametrize("counter, sample", RAISING_BLOCKS.values(), ids=RAISING_BLOCKS)
+def test_a_block_that_raises_passes_its_error_out_and_leaves_no_block_queued(
+        counter, sample, monkeypatch):
     """At most two blocks per thread are ever submitted, and when one raises,
     each of them has run or been cancelled before the error comes out."""
     calls, futures = [], []
 
-    def categorical(cdf, guide, k, rng):
-        calls.append(k)
+    def failing(*args):
+        calls.append(args)
         raise RuntimeError("block failed")
 
     class Pool(ThreadPoolExecutor):
@@ -480,13 +474,13 @@ def test_a_color_block_that_raises_passes_its_error_out_and_leaves_no_block_queu
     pool = Pool(2)
     monkeypatch.setattr(partitions, "MC_WORKERS", 2)
     monkeypatch.setattr(partitions, "_mc_pool", lambda workers: pool)
-    monkeypatch.setattr(partitions, "_categorical", categorical)
+    monkeypatch.setattr(partitions, counter, failing)
     with pytest.raises(RuntimeError, match="block failed"):
-        simulate_color_process(COLOR_Q, 0.3, 100 * MC_BLOCK, 0)
+        sample()
     assert 1 <= len(futures) <= 2 * 2
     assert all(future.done() for future in futures)
     started = len(calls)
-    pool.shutdown()
+    pool.shutdown()     # runs whatever was left queued
     assert len(calls) == started
 
 

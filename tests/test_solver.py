@@ -28,7 +28,7 @@ from dcrep.solver import (gaussian_sym_family_interval, lp_feasibility, phase_on
                           symmetric_plus_mean_gap, symmetric_rep_family_3)
 from dcrep.stable import common_shock_model, stable_markov_model, stable_threshold_law_mc
 
-from conftest import edge_of_family_law, random_probability_q
+from conftest import edge_of_family_law, random_probability_q, random_standard_pd
 
 
 def product_law(n, p):
@@ -166,7 +166,7 @@ def test_symmetric_family_gaussian_interval(a):
     lo, hi = gaussian_sym_family_interval(cov)
     assert fam.t_lo == pytest.approx(lo, abs=1e-12)
     assert fam.t_hi == pytest.approx(hi, abs=1e-12)
-    assert not fam.is_empty
+    assert not fam.is_empty and fam.slack == solver.FEAS_TOL
     theta = math.acos(a)
     assert lo == pytest.approx(max(0.0, 3 * theta / math.pi - 1.0), abs=1e-12)
     assert hi == pytest.approx(theta / math.pi, abs=1e-12)
@@ -186,12 +186,45 @@ def test_symmetric_family_members_push_forward(rng):
 
 def test_symmetric_family_at_its_edge_gives_a_signed_canonical():
     """``at`` calls a q signed by PROB_TOL, the rule PartitionDistribution
-    enforces, so a member negative by less than FEAS_TOL is still built."""
+    enforces, so a member negative by less than FEAS_TOL is still built.  An
+    exact law's half-widths (at most 1e-15) leave its slack at FEAS_TOL."""
     fam = symmetric_rep_family_3(edge_of_family_law())
+    assert fam.slack == solver.FEAS_TOL
     assert 0.0 < fam.t_lo - fam.t_hi < solver.FEAS_TOL and not fam.is_empty
     rep = fam.canonical()
     assert rep.signed
     assert min(rep.weights.values()) == pytest.approx(-8e-11, rel=1e-6)
+
+
+def test_the_family_of_an_mc_law_is_never_empty_where_its_lp_is_borderline():
+    """The family's slack bounds how far the half-widths of the cells 001,
+    010 and 100 move t_lo - t_hi, so sampling noise alone never empties the
+    family of a law that the relaxed LP calls Borderline.  At 5,000 samples
+    FEAS_TOL alone emptied it on 36 of 400 such seeded laws."""
+    rng = np.random.default_rng(2704)
+    statuses = []
+    for seed in range(240):
+        law = threshold_law_mc(random_standard_pd(rng, 3), 0.0, 5000, seed)
+        try:
+            fam = symmetric_rep_family_3(law)
+        except ValueError:      # {0,1}-symmetry fails by more than 5 stderr
+            continue
+        status = lp_feasibility(law).status
+        statuses.append(status)
+        assert not (fam.is_empty and status == "Borderline"), seed
+    assert len(statuses) >= 200
+    assert statuses.count("Borderline") >= 40 and statuses.count("Infeasible") >= 40
+
+
+def test_the_family_of_an_mc_law_without_a_representation_stays_empty():
+    """Power: at 10^5 samples the gap of correlations3(-0.5, 0.2, 0.2), 0.34,
+    is far above the family's slack, about 0.05."""
+    law = threshold_law_mc(correlations3(-0.5, 0.2, 0.2), 0.0, 10 ** 5, 7)
+    fam = symmetric_rep_family_3(law)
+    assert fam.t_lo - fam.t_hi == pytest.approx(0.34, abs=0.02)
+    assert 0.03 < fam.slack < 0.07
+    assert fam.is_empty and fam.t_interval is None
+    assert lp_feasibility(law).status == "Infeasible"
 
 
 def test_symmetric_family_rejects_asymmetric():

@@ -176,7 +176,7 @@ def test_corr2d_equality_point():
     alpha = 1.0
     model = corr2d_model(2.0 ** (-1.0 / alpha), alpha)
     law = stable_threshold_law_mc(model, 0.0, 1_000_000, seed=12)
-    assert abs(law.cell("11") - 0.25) <= 3 * law.cell_stderr("11")
+    assert abs(law.cell("11") - 0.25) <= 3 * law.stderr[0b11]
 
 
 def test_corr2d_criterion_arithmetic():
@@ -197,7 +197,7 @@ def test_corr2d_boundary_sign_flip(alpha):
         model = corr2d_model(a, alpha)
         law = stable_threshold_law_mc(model, 0.0, m, seed=13)
         cov = law.cell("11") - 0.25
-        se = law.cell_stderr("11")
+        se = law.stderr[0b11]
         assert abs(cov) > 4 * se
         assert (cov > 0) == expect_positive
 

@@ -19,7 +19,7 @@ from dcrep.gaussian import (_square_inclusion_exclusion, square_on_sphere_cov,
                             square_threshold_law_exact, square_threshold_laws_exact,
                             threshold_law_mc)
 from dcrep.partitions import BinaryLaw
-from dcrep.solver import (P_HALF_TOL, RELAX_SIGMA, _permute_law, square_circle_intervals,
+from dcrep.solver import (RELAX_SIGMA, _permute_law, square_circle_intervals,
                           square_circle_solver)
 
 from conftest import fmt_cell
@@ -60,7 +60,7 @@ def reference_interval(nu4: BinaryLaw):
     if float(marginals.max() - marginals.min()) > marginal_tol:
         raise ValueError("marginals differ")
     p = float(marginals.mean())
-    if not abs(p - 0.5) <= max(P_HALF_TOL, 2.0 * noise):
+    if not abs(p - 0.5) <= max(1e-9, 2.0 * noise):
         return p, None
     nu3 = nu4.marginalize([1, 2, 3])
     tol3 = 1e-9 if nu3.stderr is None else max(1e-9, 5.0 * float(np.max(nu3.stderr)))
@@ -126,10 +126,10 @@ def test_stacked_mc_laws_match_one_at_a_time():
             for seed, (th, h) in enumerate([(0.3, 0.0), (0.6, 0.5), (math.pi / 5, 3.0),
                                             (1.0, 0.0), (1.2, -0.5), (math.pi / 4, 0.0)])]
     iv = square_circle_intervals(np.array([law.probs for law in laws]),
-                                 np.array([law.stderr for law in laws]))
+                                 np.array([law.halfwidth for law in laws]))
     assert not iv.half.all() and iv.half.any()
     for i, law in enumerate(laws):
-        one = square_circle_intervals(law.probs[None], law.stderr[None])
+        one = square_circle_intervals(law.probs[None], law.halfwidth[None])
         for got, want in zip(iv, one):
             assert bits(got[i]) == bits(want[0])
         p, family = reference_interval(law)
