@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -262,28 +263,13 @@ def _emit_sample_csv(args, batch) -> None:
     header = (["sign_" + str(i + 1) for i in range(batch.n)]
               + ["partition"]
               + ["crossing_p_" + str(i + 1) for i in range(batch.crossing_probs.shape[1])])
-    cols, _, inverse, _ = batch.partition_groups()
+    cols, inverse, _ = batch.partition_groups()
     keys = np.array(_column_keys(batch.n), dtype=object)[cols]
     _emit_csv(args, header, list(batch.signs.T) + [keys[inverse]] + list(batch.crossing_probs.T))
 
 
 def cmd_simulate(args) -> dict | None:
     sim, seed, m = args.simulator, args.seed, args.samples
-    if sim in ("ou", "stable-chain"):
-        if sim == "ou":
-            batch = emb.ou_partition_batch(args.a, args.n, m, seed)
-        else:
-            batch = emb.stable_chain_partition_batch(args.alpha, args.a, args.n, m, seed)
-        if args.format == "csv":
-            _emit_sample_csv(args, batch)
-            return None
-        report = emb.verify_color_property(batch)
-        return {"simulator": sim,
-                "sign_law": batch.empirical_sign_law(),
-                "verification": {"passed": report.passed,
-                                 "aggregate_max_dev_se": report.aggregate_max_dev_se,
-                                 "bins": report.bins,
-                                 "excluded_bins": report.excluded_bins}}
     if sim == "color":
         if args.format == "csv":
             raise UsageError("simulator 'color' writes a JSON report; --format csv "
@@ -302,7 +288,20 @@ def cmd_simulate(args) -> dict | None:
                 "empirical": emp,
                 "max_abs_dev": float(np.max(dev)),
                 "within_4se": bool(np.all(dev <= bound))}
-    raise UsageError(f"unknown simulator {sim!r}")
+    if sim == "ou":
+        batch = emb.ou_partition_batch(args.a, args.n, m, seed)
+    else:   # stable-chain: argparse admits no other --simulator
+        batch = emb.stable_chain_partition_batch(args.alpha, args.a, args.n, m, seed)
+    if args.format == "csv":
+        _emit_sample_csv(args, batch)
+        return None
+    report = emb.verify_color_property(batch)
+    return {"simulator": sim,
+            "sign_law": batch.empirical_sign_law(),
+            "verification": {"passed": report.passed,
+                             "aggregate_max_dev_se": report.aggregate_max_dev_se,
+                             "bins": report.bins,
+                             "excluded_bins": report.excluded_bins}}
 
 
 def cmd_asymptotics(args) -> dict:
@@ -324,8 +323,11 @@ def cmd_asymptotics(args) -> dict:
     return out
 
 
-# Every flag of the CLI; an absent flag is None until _fill_defaults
+# Every flag of the CLI and its argparse settings; an absent flag is None
+# until _fill_defaults
 _FLAGS = {
+    "config": {"help": "JSON config file; flags override its fields"},
+    "out": {},
     "model": {"help": "model JSON (inline or path)"},
     "h": {"type": float},
     "p": {"type": float},
@@ -341,66 +343,72 @@ _FLAGS = {
     "n": {"type": int},
 }
 
-_LAW_FLAGS = ("model", "h", "p", "samples", "seed", "tol")
-_SAMPLE_FLAGS = ("samples", "seed", "format")
 
-# Each subcommand's help and the flags its cmd_* reads.  scan and simulate
-# name a kind (_KIND_FLAG), and each kind reads only the flags listed for it
+class _Command(NamedTuple):
+    help: str
+    run: Callable
+    kind_flag: str | None           # the flag that names the kind; None: one kind
+    kinds: dict                     # kind -> {flag the kind reads: its default}
+
+
+# Each subcommand, its kinds, and the flags each kind reads in parser order,
+# with their defaults.  A default of None leaves the flag absent: analyze
+# reads an absent --h as no LP, and analyze and solve an absent --samples as
+# no Monte Carlo law
 _COMMANDS = {
-    "analyze": ("condition checkers + regime classifiers", _LAW_FLAGS),
-    "solve": ("representations of a law", _LAW_FLAGS),
-    "scan": ("parameter-region scans (CSV)",
-             {"ab": ("a-step",), "theta": ("a-step",), "alpha": ("a-step", "a")}),
-    "simulate": ("samplers + verification",
-                 {"color": ("model",) + _SAMPLE_FLAGS,
-                  "ou": _SAMPLE_FLAGS + ("a", "n"),
-                  "stable-chain": _SAMPLE_FLAGS + ("a", "alpha", "n")}),
-    "asymptotics": ("closed-form limit reports", ("model",)),
-}
-_KIND_FLAG = {"scan": "scan", "simulate": "simulator"}
-
-# Every default each subcommand reads, for the kinds that read the flag; a dict
-# is one default per kind.  analyze and solve read an absent --samples, and
-# analyze an absent --h, as no Monte Carlo law and no LP: they have no default
-_DEFAULTS = {
-    "analyze": {"seed": 0, "tol": FEAS_TOL},
-    "solve": {"h": 0.0, "seed": 0, "tol": FEAS_TOL},
-    "scan": {"a-step": {"ab": 0.005, "theta": math.pi / 80, "alpha": 0.01}, "a": 0.5},
-    "simulate": {"samples": 100_000, "seed": 0, "format": "json", "a": 0.5, "alpha": 1.0, "n": 3},
-    "asymptotics": {},
+    "analyze": _Command("condition checkers + regime classifiers", cmd_analyze, None, {None: {
+        "model": None, "h": None, "p": None, "samples": None, "seed": 0, "tol": FEAS_TOL}}),
+    "solve": _Command("representations of a law", cmd_solve, None, {None: {
+        "model": None, "h": 0.0, "p": None, "samples": None, "seed": 0, "tol": FEAS_TOL}}),
+    "scan": _Command("parameter-region scans (CSV)", cmd_scan, "scan", {
+        "ab": {"a-step": 0.005},
+        "theta": {"a-step": math.pi / 80},
+        "alpha": {"a-step": 0.01, "a": 0.5}}),
+    "simulate": _Command("samplers + verification", cmd_simulate, "simulator", {
+        "color": {"model": None, "samples": 100_000, "seed": 0, "format": "json"},
+        "ou": {"samples": 100_000, "seed": 0, "format": "json", "a": 0.5, "n": 3},
+        "stable-chain": {"samples": 100_000, "seed": 0, "format": "json", "a": 0.5,
+                         "alpha": 1.0, "n": 3}}),
+    "asymptotics": _Command("closed-form limit reports", cmd_asymptotics, None,
+                            {None: {"model": None}}),
 }
 
 
-def _command_flags(command: str) -> list[str]:
-    """Every flag of a subcommand: the flags of all its kinds, kind flag first."""
-    flags = _COMMANDS[command][1]
-    if isinstance(flags, tuple):
-        return list(flags)
-    return [_KIND_FLAG[command]] + list(dict.fromkeys(f for kind in flags.values() for f in kind))
+def _parser_flags(command: str) -> dict:
+    """Every flag of a subcommand's parser, in its order, with its argparse
+    settings: ``--config`` and ``--out``, the kind flag, whose choices are the
+    kinds, then the flags of every kind."""
+    spec = _COMMANDS[command]
+    flags = {"config": _FLAGS["config"], "out": _FLAGS["out"]}
+    if spec.kind_flag is not None:
+        flags[spec.kind_flag] = {**_FLAGS[spec.kind_flag], "choices": list(spec.kinds)}
+    for read in spec.kinds.values():
+        flags.update((f, _FLAGS[f]) for f in read)
+    return flags
+
+
+def _kind_reads(args) -> dict:
+    """The flags the command's chosen kind reads, with their defaults."""
+    spec = _COMMANDS[args.command]
+    return spec.kinds[getattr(args, spec.kind_flag) if spec.kind_flag else None]
 
 
 def _read_flags(args) -> set[str]:
-    """The flags, as ``args`` attributes, that the command and its kind read."""
-    flags = _COMMANDS[args.command][1]
-    if isinstance(flags, dict):
-        kind_flag = _KIND_FLAG[args.command]
-        flags = (kind_flag,) + flags[getattr(args, kind_flag)]
-    return {f.replace("-", "_") for f in flags}
+    """Every flag the command reads: ``--config``, ``--out``, the kind flag
+    and the flags of its chosen kind."""
+    return {"config", "out", _COMMANDS[args.command].kind_flag, *_kind_reads(args)}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dcrep",
                                  description="divide-and-color representability toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMANDS.items():
+    for command, spec in _COMMANDS.items():
         # no prefix matching: a command without --h must refuse --h, not
         # read it as --help
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--out")
-        for flag in _command_flags(command):
-            kinds = {"choices": list(flags)} if flag == _KIND_FLAG.get(command) else {}
-            p.add_argument("--" + flag, **_FLAGS[flag], **kinds)
+        p = sub.add_parser(command, help=spec.help, allow_abbrev=False)
+        for flag, settings in _parser_flags(command).items():
+            p.add_argument("--" + flag, **settings)
     return ap
 
 
@@ -408,10 +416,9 @@ def _refuse_unread_flags(args) -> None:
     """A flag that the chosen kind of scan or simulator does not read is a
     usage error, as argparse makes one of a flag of another subcommand."""
     read = _read_flags(args)
-    for flag in _command_flags(args.command):
-        attr = flag.replace("-", "_")
-        if attr not in read and getattr(args, attr) is not None:
-            kind_flag = _KIND_FLAG[args.command]
+    for flag in _parser_flags(args.command):
+        if flag not in read and getattr(args, flag.replace("-", "_")) is not None:
+            kind_flag = _COMMANDS[args.command].kind_flag
             raise UsageError(f"{args.command} --{kind_flag} {getattr(args, kind_flag)} "
                              f"does not read --{flag}")
 
@@ -420,20 +427,20 @@ def _refuse_unread_flags(args) -> None:
 _CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
 
-def _config_value(action, key: str, val):
+def _config_value(settings: dict, key: str, val):
     """A config value checked as its flag would check it on the command line."""
-    allowed = _CONFIG_TYPES[action.type]
-    if isinstance(val, bool) or not isinstance(val, allowed):
-        raise UsageError(f"config {key!r} must be of type "
-                         f"{(action.type or str).__name__}, got {val!r}")
-    if action.type is not None:
-        val = action.type(val)
-    if action.choices is not None and val not in action.choices:
-        raise UsageError(f"config {key!r} must be one of {sorted(action.choices)}, got {val!r}")
+    kind = settings.get("type")
+    if isinstance(val, bool) or not isinstance(val, _CONFIG_TYPES[kind]):
+        raise UsageError(f"config {key!r} must be of type {(kind or str).__name__}, got {val!r}")
+    if kind is not None:
+        val = kind(val)
+    choices = settings.get("choices")
+    if choices is not None and val not in choices:
+        raise UsageError(f"config {key!r} must be one of {sorted(choices)}, got {val!r}")
     return val
 
 
-def _apply_config_file(args, ap: argparse.ArgumentParser) -> None:
+def _apply_config_file(args) -> None:
     if not args.config:
         return
     try:
@@ -445,19 +452,16 @@ def _apply_config_file(args, ap: argparse.ArgumentParser) -> None:
         raise UsageError(f"bad config file: expected a JSON object, got {type(cfg).__name__}")
     if cfg.get("schema", SCHEMA) != SCHEMA:
         raise UsageError(f"config schema {cfg.get('schema')!r} != {SCHEMA!r}")
-    subcommands = next(a for a in ap._actions if a.dest == "command").choices
-    actions = {a.dest: a for a in subcommands[args.command]._actions}
-    known = {f.replace("-", "_") for f in _FLAGS} | {"config", "out"}
-    read = _read_flags(args) | {"config", "out"}
+    settings, read = _parser_flags(args.command), _read_flags(args)
     for key, val in cfg.items():
         if key in ("schema", "command"):
             continue
-        attr = key.replace("-", "_")
-        if attr not in known:
+        flag, attr = key.replace("_", "-"), key.replace("-", "_")
+        if flag not in _FLAGS:
             raise UsageError(f"config key {key!r} names no flag of any subcommand")
-        if attr not in read:    # a key of another subcommand or kind
+        if flag not in read:    # a key of another subcommand or kind
             continue
-        val = _config_value(actions[attr], key, val)
+        val = _config_value(settings[flag], key, val)
         if getattr(args, attr) is None:
             setattr(args, attr, val)
 
@@ -466,12 +470,9 @@ def _fill_defaults(args) -> None:
     """Defaults of the flags the command reads, applied after the config file:
     a config value stands in for an absent flag but never overrides an
     explicit one."""
-    read = _read_flags(args)
-    for flag, default in _DEFAULTS[args.command].items():
+    for flag, default in _kind_reads(args).items():
         attr = flag.replace("-", "_")
-        if attr in read and getattr(args, attr) is None:
-            if isinstance(default, dict):
-                default = default[getattr(args, _KIND_FLAG[args.command])]
+        if getattr(args, attr) is None:
             setattr(args, attr, default)
 
 
@@ -480,11 +481,9 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         _refuse_unread_flags(args)
-        _apply_config_file(args, ap)
+        _apply_config_file(args)
         _fill_defaults(args)
-        handler = {"analyze": cmd_analyze, "solve": cmd_solve, "scan": cmd_scan,
-                   "simulate": cmd_simulate, "asymptotics": cmd_asymptotics}[args.command]
-        results = handler(args)
+        results = _COMMANDS[args.command].run(args)
         if results is not None:
             payload = {"config": _config_echo(args), "results": _plain(results)}
             _emit(args, payload)
@@ -494,10 +493,7 @@ def main(argv=None) -> int:
         # stdout was closed (``| head -1``): point it at devnull, as Python's docs do
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError) as exc:

@@ -65,23 +65,21 @@ class EmbeddingBatch:
         self.values = values            # underlying chain values, when kept
         self.m, self.n = signs.shape
 
-    def partition_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def partition_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows grouped by their partition code, groups in code order.
 
-        Returns ``(columns, first, inverse, counts)``: each group's column of
-        ``enumerate_partitions(n)``, its first row, each row's group and each
-        group's size.
+        Returns ``(columns, inverse, counts)``: each group's column of
+        ``enumerate_partitions(n)``, each row's group and each group's size.
         """
-        codes, first, inverse, counts = np.unique(
-            _label_codes(self.labels), return_index=True, return_inverse=True,
-            return_counts=True)
-        return _partition_table(self.n).columns(codes), first, inverse, counts
+        codes, inverse, counts = np.unique(_label_codes(self.labels), return_inverse=True,
+                                           return_counts=True)
+        return _partition_table(self.n).columns(codes), inverse, counts
 
     def empirical_sign_law(self) -> BinaryLaw:
         return BinaryLaw.from_counts(pattern_counts(self.signs > 0), self.m)
 
     def empirical_partition_distribution(self) -> PartitionDistribution:
-        cols, _, _, counts = self.partition_groups()
+        cols, _, counts = self.partition_groups()
         return _partition_law(self.n, self.m, cols, counts)
 
     def pair_cluster_frequency(self, i: int, j: int) -> float:
@@ -282,7 +280,7 @@ def verify_color_property(batch: EmbeddingBatch) -> ColorPropertyReport:
     if batch.m < 10_000:
         raise ValueError("verification needs at least 10^4 samples")
     m, n = batch.m, batch.n
-    cols, _, inverse, counts = batch.partition_groups()
+    cols, inverse, counts = batch.partition_groups()
     table, keys = _partition_table(n), _column_keys(n)
 
     # each row's block coloring: the signs at the least element of each

@@ -413,8 +413,9 @@ def phase_one(a, b, slack=None, basis=None) -> PhaseOneResult:
     ``pivots``.
 
     The optimum is 0 iff some q >= 0 has |A q - b| <= slack.  The row
-    multipliers y satisfy y'A <= 0 and, without slack, y'b = objective, so on
-    a positive optimum they are a Farkas certificate.  Another start basis
+    multipliers y satisfy y'A <= 0 and y'b - slack'|y| = objective (y'b
+    without slack), so on a positive optimum they are a Farkas certificate
+    for every b' within the slack of b.  Another start basis
     can end at another optimal vertex: the same objective, another x and y.
 
     Raises ValueError on a non-finite ``b`` or ``slack`` and RuntimeError when
@@ -485,7 +486,8 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     laws get the strict verdict, Borderline up to 100 tol; MC laws that fail
     strictly are retried on the polytope widened by each cell's half-width
     (``RELAX_SIGMA`` stderr), and only a failure there is reported
-    Infeasible.  An Infeasible verdict always carries its Farkas
+    Infeasible, with the relaxed LP's duals as the certificate of the whole
+    box.  An Infeasible verdict always carries its Farkas
     certificate: when ``_clean_certificate`` rejects the duals, the verdict
     is Borderline.  With ``exact=True`` a verdict that would be Infeasible or
     Borderline becomes Infeasible exactly when the Farkas certificate
@@ -526,16 +528,20 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
         return FeasibilityResult("Borderline" if missed else "Feasible", q,
                                  float(np.max(miss)), detail=detail)
 
-    objective, status = strict.objective, "Infeasible"
+    # an MC law's certificate is the relaxed LP's duals: y'A <= 0 and
+    # y'nu - halfwidth'|y| = objective > 0 rule out every law within the
+    # half-widths of nu, where the strict duals rule out nu alone
+    objective, status, duals = strict.objective, "Infeasible", strict.y
     if mc:
         relaxed = phase_one(mat, nu.probs, slack=nu.halfwidth)
         objective = detail["relaxed_objective"] = relaxed.objective
         if objective <= tol:
             q, miss = _q_and_miss(n, p, relaxed.x, nu.probs)
             return FeasibilityResult("Borderline", q, float(np.max(miss)), detail=detail)
+        duals = relaxed.y
     elif objective <= 100.0 * tol:
         status = "Borderline"
-    cert = _clean_certificate(mat, nu.probs, strict.y)
+    cert = _clean_certificate(mat, nu.probs, duals)
     if exact:
         verified = cert is not None and phase_one_exact(n, p, nu.probs, cert)
         detail["certificate_verified"] = verified

@@ -297,22 +297,25 @@ def stable_threshold_law_mc(model: StableLinearModel, h: float, m: int, seed) ->
 
 # -- named models -------------------------------------------------------------
 
-def corr2d_model(a: float, alpha: float) -> StableLinearModel:
-    """X_1 = a S_1 + (1-a^alpha)^{1/alpha} S_2, X_2 the same with -a S_1."""
+def _shock_complement(a: float, alpha: float) -> float:
+    """(1-a^alpha)^{1/alpha}: the weight that, beside a shared shock of weight
+    a, makes a unit-scale alpha-stable coordinate; a in (0,1), alpha in (0,2)."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
     _check_alpha(alpha)
-    c = (1.0 - a ** alpha) ** (1.0 / alpha)
+    return (1.0 - a ** alpha) ** (1.0 / alpha)
+
+
+def corr2d_model(a: float, alpha: float) -> StableLinearModel:
+    """X_1 = a S_1 + (1-a^alpha)^{1/alpha} S_2, X_2 the same with -a S_1."""
+    c = _shock_complement(a, alpha)
     return StableLinearModel(alpha, [[a, c], [-a, c]])
 
 
 def common_shock_model(a: float, alpha: float, n: int = 3) -> StableLinearModel:
     """X_i = a S_0 + (1-a^alpha)^{1/alpha} S_i: the fully symmetric family
     with one shared shock (phase transition at alpha = 1/2 for n = 3)."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0,1)")
-    _check_alpha(alpha)
-    c = (1.0 - a ** alpha) ** (1.0 / alpha)
+    c = _shock_complement(a, alpha)
     lo = np.zeros((n, n + 1))
     lo[:, 0] = a
     for i in range(n):
@@ -322,10 +325,7 @@ def common_shock_model(a: float, alpha: float, n: int = 3) -> StableLinearModel:
 
 def stable_markov_model(a: float, alpha: float, n: int = 3) -> StableLinearModel:
     """X_1 = S_1, X_{i+1} = a X_i + (1-a^alpha)^{1/alpha} S_{i+1}."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0,1)")
-    _check_alpha(alpha)
-    c = (1.0 - a ** alpha) ** (1.0 / alpha)
+    c = _shock_complement(a, alpha)
     lo = np.zeros((n, n))
     for i in range(n):
         lo[i, 0] = a ** i
@@ -371,13 +371,10 @@ def corr2d_criterion(a: float, alpha: float) -> Corr2DVerdict:
 def corr2d_inequality_mc(a: float, alpha: float, h: float, m: int, seed):
     """MC estimate of P((1-a^alpha)^{1/alpha} S_2 >= a|S_1| + h) - P(S_1 >= h)^2
     (the raw correlation inequality), with a standard error."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0,1)")
-    _check_alpha(alpha)
+    c = _shock_complement(a, alpha)
     rng = np.random.default_rng(seed)
     s1 = sample_sym_stable(alpha, 1.0, m, rng)
     s2 = sample_sym_stable(alpha, 1.0, m, rng)
-    c = (1.0 - a ** alpha) ** (1.0 / alpha)
     lhs_ind = (c * s2 >= a * np.abs(s1) + h)
     rhs_ind = (s1 >= h)
     lhs = float(np.mean(lhs_ind))

@@ -593,12 +593,57 @@ def test_scan_alpha_echoes_the_default_a(tmp_path):
     assert config == {"schema": "dcrep/1", "command": "scan", "scan": "alpha",
                       "a_step": 0.5, "a": 0.5}
 
-def test_every_default_is_a_flag_its_command_reads():
-    for command, defaults in cli._DEFAULTS.items():
-        assert set(defaults) <= set(cli._command_flags(command)), command
-        for flag, default in defaults.items():
-            if isinstance(default, dict):     # one default per kind
-                assert set(default) == set(cli._COMMANDS[command][1]), (command, flag)
+def test_every_default_is_a_value_its_flag_takes():
+    """Each default of the command table passes the check a config value of
+    its flag gets: the right JSON type, and one of the flag's choices."""
+    for command, spec in cli._COMMANDS.items():
+        settings = cli._parser_flags(command)
+        for reads in spec.kinds.values():
+            for flag, default in reads.items():
+                if default is not None:
+                    assert cli._config_value(settings[flag], flag, default) == default
+
+
+# One run per (command, kind) of the command table, each with some flags given
+RERUN_ARGV = {
+    ("analyze", None): ["analyze", "--model", GAUSS3, "--h", "0.5", "--samples", "2000",
+                        "--seed", "3"],
+    ("solve", None): ["solve", "--model", GAUSS3, "--h", "0.5", "--samples", "2000"],
+    ("scan", "ab"): ["scan", "--scan", "ab", "--a-step", "0.2"],
+    ("scan", "theta"): ["scan", "--scan", "theta", "--a-step", "0.5"],
+    ("scan", "alpha"): ["scan", "--scan", "alpha", "--a-step", "0.5", "--a", "0.3"],
+    ("simulate", "color"): ["simulate", "--simulator", "color", "--model", COLOR_LAW,
+                            "--samples", "10000", "--seed", "2"],
+    ("simulate", "ou"): ["simulate", "--simulator", "ou", "--samples", "10000", "--a", "0.3"],
+    ("simulate", "stable-chain"): ["simulate", "--simulator", "stable-chain", "--samples", "50",
+                                   "--alpha", "1.5", "--format", "csv"],
+    ("asymptotics", None): ["asymptotics", "--model", STABLE3],
+}
+
+
+def test_the_rerun_cases_cover_every_command_and_kind():
+    assert set(RERUN_ARGV) == {(command, kind) for command, spec in cli._COMMANDS.items()
+                               for kind in spec.kinds}
+
+
+@pytest.mark.parametrize("command,kind", RERUN_ARGV, ids=[f"{c}-{k}" for c, k in RERUN_ARGV])
+def test_a_rerun_from_the_echoed_config_is_byte_identical(command, kind, tmp_path):
+    """The echoed config, written to a file, reruns the command to the same
+    bytes: ``<command> [--<kind flag> <kind>] --config <file>``."""
+    code, first = run(RERUN_ARGV[command, kind], tmp_path, "first")
+    assert code == 0
+    text = first.read_text()
+    if text.startswith("# "):       # CSV: the config is its first line
+        config = json.loads(text[2:text.index("\n")])
+    else:
+        config = json.loads(text)["config"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    kind_flag = cli._COMMANDS[command].kind_flag
+    argv = [command] + ([f"--{kind_flag}", kind] if kind_flag else []) + ["--config", str(cfg)]
+    code, second = run(argv, tmp_path, "second")
+    assert code == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_defaults_are_echoed_and_read(tmp_path):

@@ -292,12 +292,11 @@ def restricted_growth_labels(draw):
 def test_codes_group_rows_as_partitions(labels):
     m, n = labels.shape
     batch = EmbeddingBatch(np.ones((m, n), dtype=np.int8), labels, np.zeros((m, n - 1)))
-    cols, first, inverse, counts = batch.partition_groups()
+    cols, inverse, counts = batch.partition_groups()
     group_keys = [_column_keys(n)[j] for j in cols]
     keys = [reference_key(row) for row in labels]
     assert [group_keys[g] for g in inverse] == keys
     assert len(cols) == len(set(keys))
-    assert [keys[i] for i in first] == group_keys
     assert counts.tolist() == [keys.count(k) for k in group_keys]
 
 

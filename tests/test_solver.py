@@ -276,6 +276,35 @@ def test_clean_certificate_refuses_a_y_with_a_positive_column():
     assert solver._clean_certificate(mat, nu.probs, y + 0.01) is None
 
 
+def mc_infeasible_corpus():
+    """Every Infeasible MC law of a seeded corpus: 150 n = 3 Gaussian laws of
+    5,000 samples at h = 0, and the n = 4 counterexample's law of 10^5."""
+    rng = np.random.default_rng(0)
+    laws = [threshold_law_mc(random_standard_pd(rng, 3), 0.0, 5_000,
+                             int(rng.integers(1 << 30))) for _ in range(150)]
+    laws.append(threshold_law_mc(symmetric_plus_mean_cov(4, 0), 0.0, 100_000, 12003))
+    for law in laws:
+        try:
+            res = lp_feasibility(law)
+        except ValueError:      # marginals too far apart for one p
+            continue
+        if res.status == "Infeasible":
+            yield law, res
+
+
+def test_an_mc_certificate_rules_out_every_law_within_the_half_widths():
+    """y'A <= 0 and y'nu - halfwidth'|y| > 0: y proves infeasible every law
+    in [nu - halfwidth, nu + halfwidth], the box the relaxed LP searched,
+    and its exact check verifies."""
+    found = list(mc_infeasible_corpus())
+    assert len(found) >= 100 and found[-1][0].n == 4
+    for law, res in found:
+        y = res.certificate
+        assert float(np.max(color_map_csc(law.n, law.marginal_p).T @ y)) <= 1e-7
+        assert float(y @ law.probs - law.halfwidth @ np.abs(y)) > 0.0
+        assert phase_one_exact(law.n, law.marginal_p, law.probs, y)
+
+
 def test_lp_roundtrip_and_oracle_agreement(rng):
     mat_cache = {}
     for _ in range(60):
