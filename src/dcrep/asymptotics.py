@@ -11,6 +11,7 @@ be asserted against closed forms at 1e-12.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.optimize import brentq
 from scipy.special import gamma as _gamma
 
 from .gaussian import CovarianceSpec, fully_symmetric_cov, markov_chain_cov
+from .partitions import _frozen, _keyed
 from .reports import Verdict
 from .stable import SpectralMeasure
 
@@ -27,9 +29,10 @@ LIMIT_TOL = 1e-10
 
 # -- small h, n = 3 -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallHLimits3:
-    """Limits of the five representation weights as h -> 0.
+    """Limits of the five representation weights as h -> 0, the read-only
+    ``vector`` in column order (1|2|3, 1|23, 12|3, 123, 13|2), keyed by ``weights``.
 
     kappa = arccos(det A / prod(1 + a_ij) - 1) / pi is the shared term; all
     five limits are combinations of it and the pairwise angles, and they sum
@@ -38,20 +41,16 @@ class SmallHLimits3:
     out; zeros leave the question open.
     """
 
-    q_1_2_3: float
-    q_12_3: float
-    q_13_2: float
-    q_1_23: float
-    q_123: float
+    vector: np.ndarray
     kappa: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {"1|2|3": self.q_1_2_3, "12|3": self.q_12_3, "13|2": self.q_13_2,
-                "1|23": self.q_1_23, "123": self.q_123}
+    @property
+    def weights(self) -> Mapping[str, float]:
+        return _keyed(3, self.vector)
 
     @property
     def minimum(self) -> float:
-        return min(self.as_dict().values())
+        return float(self.vector.min())
 
     def verdict(self) -> Verdict:
         if self.minimum > LIMIT_TOL:
@@ -67,14 +66,14 @@ def small_h_limits_3(cov: CovarianceSpec) -> SmallHLimits3:
     if not cov.is_pd:
         raise ValueError("small_h_limits_3 needs a positive definite matrix")
     q, kappa = small_h_limits_stack(cov.a[None], cov.eigvals[None])
-    return SmallHLimits3(*q[0].tolist(), kappa=float(kappa[0]))
+    return SmallHLimits3(_frozen(q[0]), kappa=float(kappa[0]))
 
 
 def small_h_limits_stack(mats: np.ndarray, eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The h -> 0 limits of an (N, 3, 3) stack of standard PD matrices.
 
     ``eigvals`` are their ascending spectra, det A = their product.  Returns
-    the (N, 5) limits in ``SmallHLimits3`` field order and the (N,) kappa.
+    the (N, 5) limits, each row in column order, and the (N,) kappa.
     """
     off = mats[:, [0, 0, 1], [1, 2, 2]]
     t12, t13, t23 = np.arccos(np.clip(off, -1.0, 1.0)).T
@@ -84,11 +83,11 @@ def small_h_limits_stack(mats: np.ndarray, eigvals: np.ndarray) -> tuple[np.ndar
     # math.acos, not np.arccos: the two differ in the last ulp on about one
     # input in ten, and kappa is printed
     kappa = np.array([math.acos(x) for x in arg.tolist()]) / math.pi
-    q = np.stack([2.0 - 2.0 * kappa,
-                  (t13 + t23 - t12) / math.pi - 1.0 + kappa,
-                  (t12 + t23 - t13) / math.pi - 1.0 + kappa,
-                  (t12 + t13 - t23) / math.pi - 1.0 + kappa,
-                  2.0 - (t12 + t13 + t23) / math.pi - kappa], axis=1)
+    q = np.stack([2.0 - 2.0 * kappa,                                  # 1|2|3
+                  (t12 + t13 - t23) / math.pi - 1.0 + kappa,          # 1|23
+                  (t13 + t23 - t12) / math.pi - 1.0 + kappa,          # 12|3
+                  2.0 - (t12 + t13 + t23) / math.pi - kappa,          # 123
+                  (t12 + t23 - t13) / math.pi - 1.0 + kappa], axis=1)  # 13|2
     return q, kappa
 
 
@@ -164,12 +163,17 @@ def stable_order1_limit(measure: SpectralMeasure, pattern) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StableLimitReport:
-    """Order-1 limits per pattern and the derived representation limits."""
+    """Order-1 limits per pattern and the derived representation limits, the
+    read-only ``vector`` in ``enumerate_partitions(3)`` order, keyed by ``q_limits``."""
 
     order1: dict[str, float]
-    q_limits: dict[str, float]
+    vector: np.ndarray
+
+    @property
+    def q_limits(self) -> Mapping[str, float]:
+        return _keyed(3, self.vector)
 
     def to_json_dict(self) -> dict:
         return {"formula": "nu-ratio and q limits as h -> infinity",
@@ -180,21 +184,16 @@ class StableLimitReport:
 def stable_limit_report(measure: SpectralMeasure) -> StableLimitReport:
     """All order-1 limits of a 3-dim measure plus the derived q-limits.
 
-    As h -> infinity the five representation weights converge to
-    (L_100 - L_011, L_110, L_101, L_011, L_111), which sum to one.
+    As h -> infinity the weights of 1|2|3, 1|23, 12|3, 123, 13|2 converge
+    to (L_100 - L_011, L_011, L_110, L_111, L_101), which sum to one.
     """
     if measure.d != 3:
         raise ValueError("q-limits are derived for d = 3")
     pats = ["100", "010", "001", "110", "101", "011", "111"]
     order1 = {p: stable_order1_limit(measure, p) for p in pats}
-    q_limits = {
-        "1|2|3": order1["100"] - order1["011"],
-        "12|3": order1["110"],
-        "13|2": order1["101"],
-        "1|23": order1["011"],
-        "123": order1["111"],
-    }
-    return StableLimitReport(order1=order1, q_limits=q_limits)
+    o = order1
+    return StableLimitReport(order1=order1, vector=_frozen(
+        [o["100"] - o["011"], o["011"], o["110"], o["111"], o["101"]]))
 
 
 def gamma_factor(alpha: float) -> float:
@@ -287,16 +286,14 @@ class AltExampleConstants:
         """max(a,b)^alpha - 2 min(a,b)^alpha; its sign decides large-h color."""
         return max(self.a, self.b) ** alpha - 2.0 * min(self.a, self.b) ** alpha
 
-    def large_h_q_limits(self, alpha: float) -> dict[str, float]:
+    def large_h_q_limits(self, alpha: float) -> Mapping[str, float]:
+        """The weights' large-h limits, read-only, keyed in column order."""
         if not (self.c1 < alpha < 2.0):
             raise ValueError(f"alpha must lie in (c1, 2) = ({self.c1}, 2)")
         lo, hi = min(self.a, self.b), max(self.a, self.b)
         pair = 2.0 * lo ** alpha
-        return {
-            "123": 1.0 - 2.0 * self.a ** alpha - 2.0 * self.b ** alpha,
-            "12|3": pair, "13|2": pair, "1|23": pair,
-            "1|2|3": 2.0 * (hi ** alpha - 2.0 * lo ** alpha),
-        }
+        return _keyed(3, np.array([2.0 * (hi ** alpha - 2.0 * lo ** alpha), pair, pair,
+                                   1.0 - 2.0 * self.a ** alpha - 2.0 * self.b ** alpha, pair]))
 
     def color_for_large_h(self, alpha: float) -> bool:
         if not (self.c1 < alpha < 2.0):

@@ -59,8 +59,10 @@ _MODEL_FIELDS = {
 }
 
 
-def load_model(spec: str) -> CovarianceSpec | stb.StableLinearModel | BinaryLaw:
-    """The typed model of inline JSON or a JSON file's path."""
+def load_model(spec: str | None) -> CovarianceSpec | stb.StableLinearModel | BinaryLaw:
+    """The typed model of inline JSON or a JSON file's path; None is no --model."""
+    if spec is None:
+        raise UsageError("this command needs --model, on the command line or in --config")
     text = spec
     if not spec.lstrip().startswith("{"):
         try:
@@ -148,7 +150,7 @@ def cmd_analyze(args) -> dict:
             if np.min(off) >= 0.0:
                 results["large_h"] = cond.classify_large_h_3(model)
             lims = asym.small_h_limits_3(model)
-            results["small_h"] = {"limits": lims.as_dict(), "kappa": lims.kappa,
+            results["small_h"] = {"limits": lims.weights, "kappa": lims.kappa,
                                   "verdict": lims.verdict()}
     elif isinstance(model, stb.StableLinearModel):
         measure = stb.spectral_from_matrix(model)
@@ -175,7 +177,7 @@ def cmd_solve(args) -> dict:
     except ValueError:
         pass
     else:
-        out["signed_rep_3"] = {"weights": rep.weights(), "feasible": rep.feasible}
+        out["signed_rep_3"] = {"weights": rep.weights, "feasible": rep.feasible}
     try:
         fam = symmetric_rep_family_3(law)
     except ValueError:
@@ -312,7 +314,7 @@ def cmd_asymptotics(args) -> dict:
             raise UsageError("small-h limits need a standard PD 3x3 covariance")
         lims = asym.small_h_limits_3(model)
         out["small_h"] = {"formula": "q-limits(h->0)", "kappa": lims.kappa,
-                          "limits": lims.as_dict(), "verdict": lims.verdict()}
+                          "limits": lims.weights, "verdict": lims.verdict()}
     elif isinstance(model, stb.StableLinearModel):
         measure = stb.spectral_from_matrix(model)
         if model.d == 3:

@@ -195,17 +195,13 @@ def zero_threshold_law_3(cov: CovarianceSpec) -> BinaryLaw:
     nu110 = pair12 - nu111
     nu101 = pair13 - nu111
     nu011 = pair23 - nu111
-    cells = {
-        "000": nu000, "111": nu111,
-        "110": nu110, "001": nu110,
-        "101": nu101, "010": nu101,
-        "011": nu011, "100": nu011,
-    }
-    probs = np.zeros(8)
-    for rho, v in cells.items():
-        if v < -1e-12:
-            raise ValueError(f"matrix is not a valid correlation matrix: cell {rho} = {v}")
-        probs[int(rho, 2)] = max(v, 0.0)
+    # cell i and its flip 7 - i share a value
+    probs = np.array([nu000, nu110, nu101, nu011, nu011, nu101, nu110, nu111])
+    for i in (0b000, 0b110, 0b101, 0b011):
+        if probs[i] < -1e-12:
+            raise ValueError(f"matrix is not a valid correlation matrix: "
+                             f"cell {i:03b} = {probs[i]}")
+    probs[probs < 0.0] = 0.0
     probs /= probs.sum()
     return BinaryLaw(3, probs)
 

@@ -119,13 +119,18 @@ class Partition:
 
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All of B_n exactly once, read from the partition table's keys: sorted
+    """All of B_n exactly once, read from the partition table's labels: sorted
     by ``blocks``, so '1|2|3|4' comes first and '1234' ninth.
 
     The order is what fixes LP column indexing, so it must never change.
     """
-    return tuple(Partition(tuple(tuple(map(int, block)) for block in key.split("|")))
-                 for key in _column_keys(n))
+    partitions = []
+    for row in _partition_table(n).labels.tolist():
+        blocks = [[] for _ in range(max(row) + 1)]   # block b holds the elements labelled b
+        for element, label in enumerate(row, 1):
+            blocks[label].append(element)
+        partitions.append(Partition(tuple(map(tuple, blocks))))
+    return tuple(partitions)
 
 
 def _label_codes(labels: np.ndarray) -> np.ndarray:
@@ -198,6 +203,19 @@ def _column_keys(n: int) -> tuple[str, ...]:
     seq = _block_sequences(_partition_table(n).labels)
     text = np.where(seq > 0, seq + ord("0"), ord("|")).astype(np.uint8)
     return tuple(key.decode().rstrip("|") for key in text.view(f"S{2 * n}").ravel().tolist())
+
+
+def _keyed(n: int, vector: np.ndarray) -> Mapping[str, float]:
+    """Read-only {canonical key: weight} of weights over B_n in column order,
+    zeros included: the one place where a weight vector gets its keys."""
+    return MappingProxyType(dict(zip(_column_keys(n), vector.tolist())))
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float vector."""
+    vec = np.array(values, dtype=float)
+    vec.setflags(write=False)
+    return vec
 
 
 @lru_cache(maxsize=None)
@@ -386,7 +404,7 @@ class PartitionDistribution:
     def weights(self) -> Mapping[str, float]:
         """Read-only {canonical key: weight} over every partition of [n],
         zeros included, in column order."""
-        return MappingProxyType(dict(zip(_column_keys(self.n), self.vector.tolist())))
+        return _keyed(self.n, self.vector)
 
 
 def _is_number(x) -> bool:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -53,9 +54,10 @@ except ImportError as exc:
 # color_map and enumerate_partitions are on no path here: they are imported
 # only so that bench/tracing.py can time them under these names
 from .partitions import (PROB_TOL, RELAX_SIGMA, BinaryLaw, PartitionDistribution,
-                         _color_map_cells, _key_columns, _one_cells, _restriction_columns,
-                         _subset_cells, color_map, color_map_csc, color_map_exact,  # noqa: F401
-                         enumerate_partitions, push_forward, string_index)  # noqa: F401
+                         _color_map_cells, _frozen, _key_columns, _keyed, _one_cells,
+                         _restriction_columns, _subset_cells, color_map,  # noqa: F401
+                         color_map_csc, color_map_exact, enumerate_partitions,  # noqa: F401
+                         push_forward)
 
 FEAS_TOL = 1e-9
 PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
@@ -83,21 +85,19 @@ def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
     return nu.marginal_p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedRep3:
-    """The unique signed representation of a 3-dim law with marginal p != 1/2."""
+    """The unique signed representation of a 3-dim law with marginal p != 1/2:
+    ``vector`` holds its five weights in ``enumerate_partitions(3)`` order,
+    1|2|3, 1|23, 12|3, 123, 13|2, read-only; ``weights`` keys them."""
 
     p: float
-    q_1_2_3: float
-    q_12_3: float
-    q_13_2: float
-    q_1_23: float
-    q_123: float
+    vector: np.ndarray
     feasible: bool
 
-    def weights(self) -> dict[str, float]:
-        return {"1|2|3": self.q_1_2_3, "12|3": self.q_12_3, "13|2": self.q_13_2,
-                "1|23": self.q_1_23, "123": self.q_123}
+    @property
+    def weights(self) -> Mapping[str, float]:
+        return _keyed(3, self.vector)
 
 
 def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
@@ -123,37 +123,32 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     den = (1.0 - p) * p * (1.0 - 2.0 * p)
     if den == 0.0:
         raise ValueError(f"the closed form divides by (1-p) p (1-2p) = 0 at p = {p!r}")
-    c = nu.cell
-    q_sing = (c("100") - c("011")) / den
-    q12_3 = ((1.0 - p) * c("110") - p * c("001")) / den
-    q13_2 = ((1.0 - p) * c("101") - p * c("010")) / den
-    q1_23 = ((1.0 - p) * c("011") - p * c("100")) / den
-    q123 = 1.0 - (p * c("000") - (1.0 - p) * c("111")) / den
+    c = nu.probs.tolist()
+    vector = ((c[0b100] - c[0b011]) / den,                           # 1|2|3
+              ((1.0 - p) * c[0b011] - p * c[0b100]) / den,           # 1|23
+              ((1.0 - p) * c[0b110] - p * c[0b001]) / den,           # 12|3
+              1.0 - (p * c[0b000] - (1.0 - p) * c[0b111]) / den,     # 123
+              ((1.0 - p) * c[0b101] - p * c[0b010]) / den)           # 13|2
     # a weight (a cell_1 + b cell_2) / den moves by up to (|a| e_1 + |b| e_2)
     # / |den| when each cell moves by up to its half-width e.  On an exact law
     # that rounding moves p (a sum of cells) too, and with it a = 1 - p or
     # b = p by up to p ROUNDING_EPS: the factors become 1 and 2 p
     floor, u, v = (0.0, 1.0, 2.0 * p) if nu.stderr is None else (FEAS_TOL, 1.0 - p, p)
-    hw = nu.halfwidth / abs(den)
-
-    def e(rho):
-        return float(hw[string_index(rho)])
-
-    slack = (e("100") + e("011"), u * e("110") + v * e("001"), u * e("101") + v * e("010"),
-             u * e("011") + v * e("100"), v * e("000") + u * e("111"))
-    feasible = all(q >= -max(floor, sl)
-                   for q, sl in zip((q_sing, q12_3, q13_2, q1_23, q123), slack))
-    return SignedRep3(p=p, q_1_2_3=q_sing, q_12_3=q12_3, q_13_2=q13_2,
-                      q_1_23=q1_23, q_123=q123, feasible=feasible)
+    e = (nu.halfwidth / abs(den)).tolist()
+    slack = (e[0b100] + e[0b011], u * e[0b011] + v * e[0b100], u * e[0b110] + v * e[0b001],
+             v * e[0b000] + u * e[0b111], u * e[0b101] + v * e[0b010])
+    feasible = all(q >= -max(floor, sl) for q, sl in zip(vector, slack))
+    return SignedRep3(p=p, vector=_frozen(vector), feasible=feasible)
 
 
 @dataclass(frozen=True)
 class SymmetricRepFamily3:
-    """The t-family of representations of a {0,1}-symmetric 3-dim law.
+    """The t-family of representations of a {0,1}-symmetric 3-dim law: at t
+    the weights of 1|2|3, 1|23, 12|3, 123, 13|2 (column order) are
 
-    q_123  = 1 - 4(nu_001 + nu_010 + nu_100) + t
-    q_12_3 = 4 nu_001 - t,  q_13_2 = 4 nu_010 - t,  q_1_23 = 4 nu_100 - t
-    q_1_2_3 = 2t
+    2t,  4 nu_100 - t,  4 nu_001 - t,  1 - 4(nu_001 + nu_010 + nu_100) + t,
+    4 nu_010 - t,
+
     valid (all nonnegative) exactly for t in [t_lo, t_hi], empty where t_lo
     exceeds t_hi by more than ``slack``.
     """
@@ -173,20 +168,12 @@ class SymmetricRepFamily3:
     def t_interval(self) -> tuple[float, float] | None:
         return None if self.is_empty else (self.t_lo, self.t_hi)
 
-    def weights_at(self, t: float) -> dict[str, float]:
-        singles = self.nu_001 + self.nu_010 + self.nu_100
-        return {
-            "123": 1.0 - 4.0 * singles + t,
-            "12|3": 4.0 * self.nu_001 - t,
-            "13|2": 4.0 * self.nu_010 - t,
-            "1|23": 4.0 * self.nu_100 - t,
-            "1|2|3": 2.0 * t,
-        }
-
     def at(self, t: float) -> PartitionDistribution:
-        w = self.weights_at(t)
-        signed = min(w.values()) < -PROB_TOL   # the rule PartitionDistribution enforces
-        return PartitionDistribution(3, w, signed=signed)
+        singles = self.nu_001 + self.nu_010 + self.nu_100
+        w = np.array([2.0 * t, 4.0 * self.nu_100 - t, 4.0 * self.nu_001 - t,
+                      1.0 - 4.0 * singles + t, 4.0 * self.nu_010 - t])
+        signed = bool(w.min() < -PROB_TOL)   # the rule PartitionDistribution enforces
+        return PartitionDistribution.from_vector(3, w, signed=signed)
 
     def canonical(self) -> PartitionDistribution:
         """The reproducible representative: t = t_lo."""
@@ -205,10 +192,10 @@ def symmetric_rep_family_3(nu: BinaryLaw) -> SymmetricRepFamily3:
     hw = nu.halfwidth
     if not nu.is_zero_one_symmetric(_screen_tol(float(np.max(hw)), 5.0)):
         raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
-    c = nu.cell
-    nu001, nu010, nu100 = c("001"), c("010"), c("100")
+    c = nu.probs.tolist()
+    nu001, nu010, nu100 = c[0b001], c[0b010], c[0b100]
     t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
-    w = hw[[1, 2, 4]].tolist()      # the cells 001, 010, 100
+    w = hw[[0b001, 0b010, 0b100]].tolist()
     return SymmetricRepFamily3(nu_001=nu001, nu_010=nu010, nu_100=nu100,
                                t_lo=float(t_lo), t_hi=float(t_hi),
                                slack=max(FEAS_TOL, 4.0 * (w[0] + w[1] + w[2]) + 4.0 * max(w)))
@@ -687,28 +674,26 @@ def square_circle_solver(theta: float | None, h: float | None,
             return FeasibilityResult("Infeasible", None, lo - hi, detail=meta)
         t = min(max(lo, 0.0), hi) if hi >= lo else lo
         fam = SymmetricRepFamily3(*iv.nu3[0].tolist(), t_lo=lo, t_hi=hi)
-        q4 = _reconstruct_square_b4(fam.weights_at(t))
+        q4 = _reconstruct_square_b4(fam.at(t).vector)
         margin = _square_margin(q4, nu4, p)
         return FeasibilityResult("Feasible", q4, margin, detail=meta)
 
     rep = signed_rep_3(nu4.marginalize([1, 2, 3]))
+    q_sing, q1_23, q12_3, q123, q13_2 = rep.vector.tolist()
     checks = {
-        "q_123 >= q_13_2": rep.q_123 - rep.q_13_2,
-        "q_13_2 >= 0": rep.q_13_2,
-        "2q_12_3 - 2q_13_2 >= q_1_2_3": 2.0 * rep.q_12_3 - 2.0 * rep.q_13_2 - rep.q_1_2_3,
-        "q_1_2_3 >= 0": rep.q_1_2_3,
-        "q_12_3 >= 0": rep.q_12_3,
-        "q_1_23 >= 0": rep.q_1_23,
+        "q_123 >= q_13_2": q123 - q13_2,
+        "q_13_2 >= 0": q13_2,
+        "2q_12_3 - 2q_13_2 >= q_1_2_3": 2.0 * q12_3 - 2.0 * q13_2 - q_sing,
+        "q_1_2_3 >= 0": q_sing,
+        "q_12_3 >= 0": q12_3,
+        "q_1_23 >= 0": q1_23,
     }
     worst = min(checks.values())
     meta["inequalities"] = checks
     if worst < -tol * 8.0:
         return FeasibilityResult("Infeasible", None, -worst, detail=meta)
     # MC marginal noise leaks into the closed-form sum; project back onto sum 1
-    weights = rep.weights()
-    total = math.fsum(weights.values())
-    weights = {k: v / total for k, v in weights.items()}
-    q4 = _reconstruct_square_b4(weights)
+    q4 = _reconstruct_square_b4(rep.vector / math.fsum(rep.vector.tolist()))
     margin = _square_margin(q4, nu4, p)
     status = "Feasible" if worst >= 0.0 else "Borderline"
     return FeasibilityResult(status, q4, margin, detail=meta)
@@ -734,13 +719,12 @@ def _square_orbit_index() -> np.ndarray:
     return index
 
 
-def _reconstruct_square_b4(rep3: dict[str, float]) -> PartitionDistribution:
-    """Lift a 3-marginal representation to B_4 via the dihedral zero pattern."""
-    q123 = rep3["123"]
-    q13_2 = rep3["13|2"]
-    q_sing = rep3["1|2|3"]
+def _reconstruct_square_b4(rep3: np.ndarray) -> PartitionDistribution:
+    """Lift a 3-marginal representation, its weights in column order, to B_4
+    via the dihedral zero pattern."""
+    q_sing, q1_23, q12_3, q123, q13_2 = rep3.tolist()
     # adjacent-pair weights agree in exact arithmetic; average out MC noise
-    q12_3 = 0.5 * (rep3["12|3"] + rep3["1|23"])
+    q12_3 = 0.5 * (q12_3 + q1_23)
     orbit_weights = np.array([          # in _SQUARE_ORBITS order
         q123 - q13_2,
         q13_2,                          # the four 3+1 partitions

@@ -57,8 +57,8 @@ def test_02_n3_roundtrip_and_lp_agreement():
         p = (0.2, 0.35, 0.7)[i % 3]
         nu = push_forward(q, p)
         rep = signed_rep_3(nu)
-        ok &= all(abs(rep.weights()[k] - q.weights.get(k, 0.0)) <= 1e-10
-                  for k in rep.weights())
+        ok &= all(abs(rep.weights[k] - q.weights.get(k, 0.0)) <= 1e-10
+                  for k in rep.weights)
         ok &= rep.feasible
         ok &= lp_feasibility(nu).status == "Feasible"
         if not ok:
@@ -94,11 +94,11 @@ def test_05_small_h_limits():
     t0 = time.time()
     l1 = small_h_limits_3(correlations3(0.05, 0.6825, 0.6825))
     l2 = small_h_limits_3(correlations3(0.1, 0.5, 0.5))
-    ok = abs(l1.q_12_3 - (-0.05)) <= 2e-3 and abs(l2.q_12_3 - (-0.016)) <= 2e-3
+    ok = abs(l1.weights["12|3"] - (-0.05)) <= 2e-3 and abs(l2.weights["12|3"] - (-0.016)) <= 2e-3
     rng = np.random.default_rng(12005)
     for _ in range(1000):
         lims = small_h_limits_3(random_standard_pd(rng, 3))
-        ok &= abs(sum(lims.as_dict().values()) - 1.0) <= 1e-10
+        ok &= abs(sum(lims.weights.values()) - 1.0) <= 1e-10
         if not ok:
             break
     report("5 small-h limits: reference values + sum-to-one on 1000 matrices",

@@ -9,8 +9,11 @@ from dcrep.asymptotics import (alt_example_constants, fully_symmetric_kappa_argu
                                small_h_positive_families, stable_limit_report,
                                stable_order1_limit, stable_order2_limit_101_markov,
                                stable_order2_limit_101_symmetric)
-from dcrep.gaussian import CovarianceSpec, correlations3, fully_symmetric_cov, markov_chain_cov
+from dcrep.gaussian import (CovarianceSpec, correlations3, fully_symmetric_cov, markov_chain_cov,
+                            zero_threshold_law_3)
+from dcrep.partitions import PartitionDistribution, _column_keys, push_forward
 from dcrep.reports import Verdict
+from dcrep.solver import signed_rep_3, symmetric_rep_family_3
 from dcrep.stable import (SpectralMeasure, common_shock_model, spectral_from_matrix,
                           stable_markov_model)
 
@@ -20,17 +23,17 @@ from conftest import random_standard_pd
 def test_small_h_identity_matrix():
     lims = small_h_limits_3(CovarianceSpec(np.eye(3)))
     assert lims.kappa == pytest.approx(0.5, abs=1e-14)
-    assert lims.q_1_2_3 == pytest.approx(1.0, abs=1e-12)
-    for v in (lims.q_12_3, lims.q_13_2, lims.q_1_23, lims.q_123):
-        assert v == pytest.approx(0.0, abs=1e-12)
+    assert lims.weights["1|2|3"] == pytest.approx(1.0, abs=1e-12)
+    for key in ("12|3", "13|2", "1|23", "123"):
+        assert lims.weights[key] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_small_h_paper_examples():
     lims = small_h_limits_3(correlations3(0.05, 0.6825, 0.6825))
-    assert lims.q_12_3 == pytest.approx(-0.05, abs=2e-3)
+    assert lims.weights["12|3"] == pytest.approx(-0.05, abs=2e-3)
     assert lims.verdict() is Verdict.NO_COLOR_REP
     lims = small_h_limits_3(correlations3(0.1, 0.5, 0.5))
-    assert lims.q_12_3 == pytest.approx(-0.016, abs=2e-3)
+    assert lims.weights["12|3"] == pytest.approx(-0.016, abs=2e-3)
     assert lims.verdict() is Verdict.NO_COLOR_REP
 
 
@@ -38,23 +41,23 @@ def test_small_h_sums_to_one_on_random_matrices(rng):
     for _ in range(300):
         cov = random_standard_pd(rng, 3)
         lims = small_h_limits_3(cov)
-        assert sum(lims.as_dict().values()) == pytest.approx(1.0, abs=1e-10)
+        assert sum(lims.weights.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_small_h_decoupled_limit():
     lims = small_h_limits_3(correlations3(1e-9, 1e-9, 1e-9))
-    assert lims.q_1_2_3 == pytest.approx(1.0, abs=1e-4)
-    for v in (lims.q_12_3, lims.q_13_2, lims.q_1_23, lims.q_123):
-        assert v == pytest.approx(0.0, abs=1e-4)
+    assert lims.weights["1|2|3"] == pytest.approx(1.0, abs=1e-4)
+    for key in ("12|3", "13|2", "1|23", "123"):
+        assert lims.weights[key] == pytest.approx(0.0, abs=1e-4)
 
 
 def test_small_h_families_positive():
     for a, lims, positive in small_h_positive_families("fully-symmetric",
                                                        np.linspace(0.05, 0.95, 19)):
-        assert positive, (a, lims.as_dict())
+        assert positive, (a, lims.weights)
     for a, lims, positive in small_h_positive_families("markov",
                                                        np.linspace(0.05, 0.95, 19)):
-        assert positive, (a, lims.as_dict())
+        assert positive, (a, lims.weights)
     with pytest.raises(ValueError):
         small_h_positive_families("unknown", 0.5)
 
@@ -64,25 +67,25 @@ def test_small_h_family_formulas_match_generic():
     lims = small_h_limits_3(fully_symmetric_cov(3, a))
     kappa = math.acos(fully_symmetric_kappa_argument(a)) / math.pi
     assert lims.kappa == pytest.approx(kappa, abs=1e-12)
-    assert lims.q_1_2_3 == pytest.approx(2 - 2 * kappa, abs=1e-12)
-    assert lims.q_12_3 == pytest.approx(math.acos(a) / math.pi - 1 + kappa, abs=1e-12)
-    assert lims.q_123 == pytest.approx(2 - 3 * math.acos(a) / math.pi - kappa, abs=1e-12)
+    assert lims.weights["1|2|3"] == pytest.approx(2 - 2 * kappa, abs=1e-12)
+    assert lims.weights["12|3"] == pytest.approx(math.acos(a) / math.pi - 1 + kappa, abs=1e-12)
+    assert lims.weights["123"] == pytest.approx(2 - 3 * math.acos(a) / math.pi - kappa, abs=1e-12)
 
     a = 0.6
     lims = small_h_limits_3(markov_chain_cov(3, a))
     kappa = math.acos(markov_kappa_argument(a)) / math.pi
     assert lims.kappa == pytest.approx(kappa, abs=1e-12)
-    assert lims.q_12_3 == pytest.approx(math.acos(a * a) / math.pi - 1 + kappa, abs=1e-12)
-    assert lims.q_13_2 == pytest.approx(
+    assert lims.weights["12|3"] == pytest.approx(math.acos(a * a) / math.pi - 1 + kappa, abs=1e-12)
+    assert lims.weights["13|2"] == pytest.approx(
         (2 * math.acos(a) - math.acos(a * a)) / math.pi - 1 + kappa, abs=1e-12)
-    assert lims.q_123 == pytest.approx(
+    assert lims.weights["123"] == pytest.approx(
         2 - (2 * math.acos(a) + math.acos(a * a)) / math.pi - kappa, abs=1e-12)
 
 
 def test_small_h_markov_coupled_weight_vanishes_at_zero():
     # boundary: the all-coupled weight limit goes to 0 with a
     lims = small_h_limits_3(markov_chain_cov(3, 1e-7))
-    assert abs(lims.q_123) < 1e-3
+    assert abs(lims.weights["123"]) < 1e-3
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
@@ -224,3 +227,34 @@ def test_alt_example_constraint_errors():
         alt_example_constants(0.6, 0.6)
     with pytest.raises(ValueError):
         alt_example_constants(0.0, 0.2)
+
+
+def test_every_n3_weight_result_is_one_vector_keyed_in_column_order():
+    """Each n = 3 weight result holds its five weights as one read-only
+    vector in ``enumerate_partitions(3)`` order; its keyed view is that
+    vector under exactly ``_column_keys(3)``, in that order, and read-only."""
+    q = [0.1, 0.2, 0.3, 0.15, 0.25]
+    rep = signed_rep_3(push_forward(PartitionDistribution.from_vector(3, q), 0.3))
+    fam = symmetric_rep_family_3(zero_threshold_law_3(correlations3(0.2, 0.3, 0.4)))
+    member = fam.at(fam.t_lo)
+    lims = small_h_limits_3(correlations3(0.1, 0.5, 0.5))
+    stable = stable_limit_report(spectral_from_matrix(stable_markov_model(0.5, 1.0)))
+    for vector, keyed in [(rep.vector, rep.weights), (member.vector, member.weights),
+                          (lims.vector, lims.weights), (stable.vector, stable.q_limits)]:
+        assert vector.shape == (5,) and not vector.flags.writeable
+        assert list(keyed) == list(_column_keys(3))
+        assert list(keyed.values()) == vector.tolist()
+        with pytest.raises(TypeError):
+            keyed["123"] = 0.0
+    # each entry is the weight of its column
+    assert rep.vector.tolist() == pytest.approx(q, abs=1e-12)
+    assert member.weights["1|2|3"] == 2.0 * fam.t_lo
+    assert stable.q_limits["1|2|3"] == pytest.approx(0.25, abs=1e-12)   # (1 - a^alpha)^2
+    c = alt_example_constants(0.3, 0.2)
+    alpha = (c.c1 + 2.0) / 2.0
+    large = c.large_h_q_limits(alpha)
+    assert list(large) == list(_column_keys(3))
+    assert large["1|2|3"] == 2.0 * (0.3 ** alpha - 2.0 * 0.2 ** alpha)
+    assert large["1|23"] == large["12|3"] == large["13|2"] == 2.0 * 0.2 ** alpha
+    with pytest.raises(TypeError):
+        large["123"] = 0.0

@@ -84,7 +84,7 @@ def test_solve_takes_the_n3_routes_of_an_mc_law_by_the_solver_rules(tmp_path):
     law = BinaryLaw.from_json_dict(results["law"])
     assert law.max_marginal_gap() > 1e-6
     rep = signed_rep_3(law)
-    assert results["signed_rep_3"] == {"weights": rep.weights(), "feasible": rep.feasible}
+    assert results["signed_rep_3"] == {"weights": rep.weights, "feasible": rep.feasible}
     assert "symmetric_family" not in results
 
 
@@ -228,6 +228,18 @@ def test_usage_errors_exit_2(capsys):
                  json.dumps({"n": 1, "entries": [{"key": "0", "p": 0.5},
                                                  {"key": "1", "p": 0.5}]})]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve", "asymptotics"])
+def test_a_command_without_a_model_is_a_usage_error(command, tmp_path, capsys):
+    """No --model, bare or from a config file that has none, exits 2 with a
+    message naming the flag, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": "dcrep/1"}))
+    for argv in ([command], [command, "--config", str(cfg)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--model" in err, err
 
 
 def test_bad_covariance_exit_2(capsys):

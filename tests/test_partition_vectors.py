@@ -20,7 +20,7 @@ from scipy import stats
 from dcrep import cli
 from dcrep.gaussian import square_threshold_law_exact
 from dcrep.partitions import (BELL, MAX_N, BinaryLaw, Partition, PartitionDistribution,
-                              _label_codes, _partition_table, _restriction_columns,
+                              _column_keys, _label_codes, _partition_table, _restriction_columns,
                               enumerate_partitions,
                               marginalize_partition, push_forward, simulate_color_process)
 from dcrep.solver import _reconstruct_square_b4, square_circle_solver
@@ -335,7 +335,8 @@ def test_square_reconstruction_matches_orbit_dict():
         rep3 = {"123": q123, "12|3": (a + b) / 2, "13|2": q13_2, "1|23": (a + b) / 2,
                 "1|2|3": q_sing}
         expect = reference_reconstruct_square_b4(rep3)
-        assert dict(_reconstruct_square_b4(rep3).weights) == expect
+        vector = np.array([rep3[key] for key in _column_keys(3)])
+        assert dict(_reconstruct_square_b4(vector).weights) == expect
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 9])

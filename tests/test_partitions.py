@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcrep
-from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution,
+from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution, _column_keys,
                               bell_number, color_map, enumerate_partitions,
                               marginalize_partition, push_forward,
                               simulate_color_process)
@@ -46,6 +46,13 @@ def test_enumeration_order_is_sorted_and_stable(n):
         assert [sig.key for sig in sigs] == [
             "1|2|3|4", "1|2|34", "1|23|4", "1|234", "1|24|3", "12|3|4", "12|34", "123|4",
             "1234", "124|3", "13|2|4", "13|24", "134|2", "14|2|3", "14|23"]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_enumeration_from_the_labels_spells_the_column_keys(n):
+    """``enumerate_partitions`` reads the table's labels, ``_column_keys`` its
+    block sequences: the two name the same partition in every column."""
+    assert [sig.key for sig in enumerate_partitions(n)] == list(_column_keys(n))
 
 
 def test_deciding_and_sampling_build_no_partition_objects():

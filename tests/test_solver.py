@@ -51,9 +51,9 @@ def negative_pair_law(p=0.4, delta=0.05):
 
 def test_signed_rep_3_product_law():
     rep = signed_rep_3(product_law(3, 0.3))
-    assert rep.q_1_2_3 == pytest.approx(1.0, abs=1e-12)
-    for v in (rep.q_12_3, rep.q_13_2, rep.q_1_23, rep.q_123):
-        assert v == pytest.approx(0.0, abs=1e-12)
+    assert rep.weights["1|2|3"] == pytest.approx(1.0, abs=1e-12)
+    for key in ("12|3", "13|2", "1|23", "123"):
+        assert rep.weights[key] == pytest.approx(0.0, abs=1e-12)
     assert rep.feasible
 
 
@@ -62,8 +62,8 @@ def test_signed_rep_3_full_coupling():
     probs[0b111] = 0.3
     probs[0] = 0.7
     rep = signed_rep_3(BinaryLaw(3, probs))
-    assert rep.q_123 == pytest.approx(1.0, abs=1e-12)
-    assert rep.q_1_2_3 == pytest.approx(0.0, abs=1e-12)
+    assert rep.weights["123"] == pytest.approx(1.0, abs=1e-12)
+    assert rep.weights["1|2|3"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_signed_rep_3_roundtrip(rng):
@@ -74,7 +74,7 @@ def test_signed_rep_3_roundtrip(rng):
         rep = signed_rep_3(nu)
         assert rep.feasible
         for sig in enumerate_partitions(3):
-            assert rep.weights()[sig.key] == pytest.approx(
+            assert rep.weights[sig.key] == pytest.approx(
                 q.weights.get(sig.key, 0.0), abs=1e-10)
 
 
@@ -114,12 +114,12 @@ def test_signed_rep_3_reads_feasible_within_noise_as_the_relaxed_lp():
     only on some draws."""
     nu = BinaryLaw.from_counts([8610, 1224, 2321, 1650, 2305, 1635, 548, 1707], 20_000)
     rep = signed_rep_3(nu)
-    assert -0.01 < rep.q_12_3 < -solver.FEAS_TOL
+    assert -0.01 < rep.weights["12|3"] < -solver.FEAS_TOL
     assert rep.feasible
     assert lp_feasibility(nu).status == "Borderline"
     nu = threshold_law_mc(correlations3(-0.3, 0.2, 0.2), 0.5, 10 ** 5, seed=0)
     rep = signed_rep_3(nu)
-    assert min(rep.weights().values()) < -0.1
+    assert min(rep.weights.values()) < -0.1
     assert not rep.feasible
     assert lp_feasibility(nu).status == "Infeasible"
 
@@ -132,7 +132,7 @@ def test_signed_rep_3_bounds_exact_weights_by_their_rounding(eps, feasible):
     weights = {"1|2|3": 1.0 + eps, "12|3": -eps}
     q = np.array([weights.get(sig.key, 0.0) for sig in enumerate_partitions(3)])
     rep = signed_rep_3(BinaryLaw(3, color_map(3, 0.3) @ q))
-    assert rep.q_12_3 == pytest.approx(-eps, rel=1e-6, abs=1e-14)
+    assert rep.weights["12|3"] == pytest.approx(-eps, rel=1e-6, abs=1e-14)
     assert rep.feasible is feasible
 
 
@@ -148,7 +148,7 @@ def test_signed_rep_3_reads_exact_color_processes_with_zero_weights_feasible():
         p = (rng.uniform(0.001, 0.49), rng.uniform(0.51, 0.999),
              1.0 - 10.0 ** rng.uniform(-8, -1), 10.0 ** rng.uniform(-8, -1))[rng.integers(4)]
         rep = signed_rep_3(push_forward(PartitionDistribution.from_vector(3, v), p))
-        assert rep.feasible, (v, p, rep.weights())
+        assert rep.feasible, (v, p, rep.weights)
 
 
 def test_symmetric_family_iid_coins():
@@ -333,9 +333,9 @@ def test_lp_matches_signed_rep_on_infeasible(rng):
             continue
         rep = signed_rep_3(nu)
         res = lp_feasibility(nu)
-        if min(rep.weights().values()) >= 1e-8:
+        if min(rep.weights.values()) >= 1e-8:
             assert res.status == "Feasible"
-        elif min(rep.weights().values()) <= -1e-8:
+        elif min(rep.weights.values()) <= -1e-8:
             assert res.status == "Infeasible"
             found_infeasible += 1
     assert found_infeasible > 10
@@ -480,7 +480,7 @@ def test_square_circle_reconstruction_restricts_to_family():
     # the 3-marginal of the reconstructed q is the t-family member used
     restricted = marginalize_partition(res.q, [1, 2, 3])
     fam = symmetric_rep_family_3(law.marginalize([1, 2, 3]))
-    expected = fam.weights_at(res.detail["t_lo"])
+    expected = fam.at(res.detail["t_lo"]).weights
     for key, val in expected.items():
         assert restricted.weights.get(key, 0.0) == pytest.approx(val, abs=1e-9)
     # and it reproduces the four-dimensional law
@@ -543,7 +543,7 @@ def test_square_small_theta_small_h_window():
     for theta in (0.1, 0.2, 0.3):
         cov3 = square_on_sphere_cov(theta).principal([1, 2, 3])
         lims = small_h_limits_3(cov3)
-        t_small_h = lims.q_1_2_3 / 2.0
+        t_small_h = lims.weights["1|2|3"] / 2.0
         # closed form of the same t
         arg = 2.0 * math.sin(theta) ** 4 / (1.0 + math.cos(theta) ** 2) ** 2 - 1.0
         assert t_small_h == pytest.approx(1.0 - math.acos(arg) / math.pi, abs=1e-12)
@@ -551,7 +551,7 @@ def test_square_small_theta_small_h_window():
         lo = (2.0 * theta_adj - math.pi / 2.0) / math.pi
         hi = 2.0 * (2.0 * theta - theta_adj) / math.pi
         assert lo < t_small_h < hi
-        assert min(lims.as_dict().values()) > 0
+        assert min(lims.weights.values()) > 0
 
 
 def test_square_circle_solver_mc_small_positive_h():
@@ -1035,14 +1035,14 @@ def test_signed_rep_3_calls_tiny_negative_weights_infeasible(rho, h):
     """The smallest weight is -9.7e-10 to -3.5e-16 here, far below 0 against
     the rounding of its formula (at most 6e-24), though within FEAS_TOL."""
     rep = signed_rep_3(plackett_law3(rho, h))
-    assert -solver.FEAS_TOL < min(rep.weights().values()) < 0.0
+    assert -solver.FEAS_TOL < min(rep.weights.values()) < 0.0
     assert not rep.feasible
 
 
 @pytest.mark.parametrize("h", range(2, 7))
 def test_signed_rep_3_keeps_a_color_process_with_tiny_cells_feasible(h):
     rep = signed_rep_3(plackett_law3((0.1, 0.5, 0.5), h))
-    assert min(rep.weights().values()) > 0.0 and rep.feasible
+    assert min(rep.weights.values()) > 0.0 and rep.feasible
 
 
 @pytest.mark.parametrize("h", range(2, 9))

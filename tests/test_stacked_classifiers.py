@@ -50,12 +50,12 @@ def reference_small_h(cov: CovarianceSpec) -> asym.SmallHLimits3:
     t12, t13, t23 = th[0, 1], th[0, 2], th[1, 2]
     prod = (1.0 + a[0, 1]) * (1.0 + a[0, 2]) * (1.0 + a[1, 2])
     kappa = math.acos(max(-1.0, min(1.0, cov.det / prod - 1.0))) / math.pi
-    return asym.SmallHLimits3(
-        q_1_2_3=2.0 - 2.0 * kappa,
-        q_12_3=(t13 + t23 - t12) / math.pi - 1.0 + kappa,
-        q_13_2=(t12 + t23 - t13) / math.pi - 1.0 + kappa,
-        q_1_23=(t12 + t13 - t23) / math.pi - 1.0 + kappa,
-        q_123=2.0 - (t12 + t13 + t23) / math.pi - kappa, kappa=kappa)
+    return asym.SmallHLimits3(np.array([
+        2.0 - 2.0 * kappa,                                  # 1|2|3
+        (t12 + t13 - t23) / math.pi - 1.0 + kappa,          # 1|23
+        (t13 + t23 - t12) / math.pi - 1.0 + kappa,          # 12|3
+        2.0 - (t12 + t13 + t23) / math.pi - kappa,          # 123
+        (t12 + t23 - t13) / math.pi - 1.0 + kappa]), kappa=kappa)  # 13|2
 
 
 def reference_ab_region(a: float, b: float) -> ABRegion:
@@ -98,11 +98,12 @@ def reference_scan_ab_rows(step: float) -> list[str]:
 
 
 def same(x, y) -> bool:
-    """Scalar dataclasses equal field by field, floats bit for bit (NaN equal
-    to NaN, 0.0 unequal to -0.0)."""
+    """Dataclasses equal field by field, floats and the entries of float
+    vectors bit for bit (NaN equal to NaN, 0.0 unequal to -0.0)."""
     def fields(obj):
-        return [repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                for v in dataclasses.astuple(obj)]
+        return [[repr(v) for v in f.tolist()] if isinstance(f, np.ndarray)
+                else repr(float(f)) if isinstance(f, (float, np.floating)) else f
+                for f in dataclasses.astuple(obj)]
     return fields(x) == fields(y)
 
 
@@ -208,6 +209,9 @@ def test_stack_matches_per_matrix_classifiers(rng):
     mats += [correlations3(2e-7, 2e-7, 0.0).a, correlations3(2e-7, 0.0, 3e-7).a,
              correlations3(0.0, 0.5, 0.4).a, correlations3(0.0, 0.0, 0.4).a]
     k = classify_stack_3(np.array(mats))
+    # the small-h limits of every PD matrix in one stack, as scan ab takes them
+    q, kappa = asym.small_h_limits_stack(k.mats[k.pd], k.eigvals[k.pd])
+    stack_row = np.cumsum(k.pd) - 1
     dgff_outcomes = set()
     for row, m in enumerate(mats):
         cov = CovarianceSpec(m)
@@ -227,7 +231,10 @@ def test_stack_matches_per_matrix_classifiers(rng):
             assert np.array_equal(got.savage_vector, ref.savage_vector)
             assert k.large_h_color[row] == ref.color_for_large_h
             assert k.case_tag[row] == ref.case_tag
-        assert same(asym.small_h_limits_3(cov), reference_small_h(cov))
+        lims = asym.small_h_limits_3(cov)
+        assert same(lims, reference_small_h(cov))
+        i = stack_row[row]
+        assert same(lims, asym.SmallHLimits3(q[i], kappa[i]))
     assert {(True, ()), (False, ("block",)), (False, ("inverse",))} <= dgff_outcomes
 
 
@@ -245,7 +252,7 @@ def test_analyze_json_matches_reference(a, tmp_path):
     cov = CovarianceSpec(a)
     lims = reference_small_h(cov)
     payload["results"]["large_h"] = reference_large_h_3(cov)
-    payload["results"]["small_h"] = {"limits": lims.as_dict(), "kappa": lims.kappa,
+    payload["results"]["small_h"] = {"limits": lims.weights, "kappa": lims.kappa,
                                      "verdict": lims.verdict().value}
     expect = json.dumps(cli._plain(payload), indent=2, sort_keys=True) + "\n"
     assert text == expect
