@@ -281,7 +281,11 @@ def cmd_simulate(args) -> dict | None:
             raise UsageError("simulator 'color' needs --model with an explicit law; "
                              "solve it first to get a partition distribution")
         res = lp_feasibility(law)
-        if not res.feasible:
+        # an MC law that passes the strict LP reads Borderline, not Feasible,
+        # with no relaxed objective: its q reproduces the law all the same
+        strict = res.feasible or (law.stderr is not None
+                                  and "relaxed_objective" not in res.detail)
+        if not strict:
             raise UsageError("law has no representation; nothing to simulate")
         _, emp = simulate_color_process(res.q, law.marginal_p, m, seed)
         dev = np.abs(emp.probs - law.probs)

@@ -343,6 +343,8 @@ def threshold_law_mc(cov: CovarianceSpec, h: float, m: int, seed) -> BinaryLaw:
 
     Rank-deficient covariances are sampled through their r leading eigenpairs.
     Unreliable for h > 4 at n >= 3: the orthant mass decays like exp(-h^2).
+    The vectors are centred, so at h = 0 ``threshold_mc_law`` counts each
+    draw x and its reflection -x: half the normal variates for m samples.
     """
     _check_n(cov.n)
     ell = sampling_factor(cov)

@@ -645,8 +645,19 @@ def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
     ``_count_blocks``, which fixes the blocks, their streams and the threads:
     the law depends on (draw, h, m, seed) alone.  ``draw`` runs on a pool
     thread, and its values are counted before that thread draws again.
+
+    Its rows must be draws of a vector X with the law of -X, as centred
+    Gaussian and symmetric-stable vectors are.  At h = 0 a block of k rows
+    then draws only ceil(k/2) rows x and counts x > 0 for each of them and
+    -x > 0, that is x < 0, for the first floor(k/2): antithetic pairs, whose
+    law is exactly flip-symmetric when m is even.  A cell's count is
+    Binomial(m/2, 2 nu_c) over the pairs, so its variance nu_c(1 - 2 nu_c)/m
+    is at most the plug-in stderr^2 nu_c(1 - nu_c)/m of ``from_counts``.
     """
     def count(start, k, rng):
+        if h == 0.0:
+            x = draw(k - k // 2, rng)
+            return pattern_counts(x > 0.0) + pattern_counts(x[:k // 2] < 0.0)
         return pattern_counts(draw(k, rng) > h)
 
     return BinaryLaw.from_counts(_count_blocks(count, m, seed, 2 ** n), m)

@@ -27,8 +27,9 @@ the alternating pattern is forbidden and the dihedral symmetry collapses the
 problem to the t-family of the first three coordinates.
 
 Every tolerance that a law's noise sets reads ``BinaryLaw.halfwidth``.  The
-kind of law (``stderr is None``) picks only what an exact law alone has: the
-strict verdict, ``_misses_a_cell`` and ``signed_rep_3``'s rounding factors.
+kind of law (``stderr is None``) picks only what an exact law alone has: a
+Feasible verdict (an MC law is at best Borderline), the strict verdict,
+``_misses_a_cell`` and ``signed_rep_3``'s rounding factors.
 """
 
 from __future__ import annotations
@@ -467,20 +468,24 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
 
     At p = 1/2 the strict LP starts from the cached basis of
     ``_start_basis``, other LPs from the slack basis.  A phase-I objective up
-    to ``tol`` is Feasible, on an exact law only if the q found reproduces
-    every cell (``_misses_a_cell``): a warm q that does not is solved again
-    from the slack basis, and one that still does not is Borderline.  Exact
-    laws get the strict verdict, Borderline up to 100 tol; MC laws that fail
-    strictly are retried on the polytope widened by each cell's half-width
+    to ``tol`` is Feasible on an exact law whose q found reproduces every
+    cell (``_misses_a_cell``): a warm q that does not is solved again from
+    the slack basis, and one that still does not is Borderline.  An MC law
+    is never Feasible: one that passes the strict LP is Borderline with the
+    strict q, since a law within its noise may have no representation (an
+    h = 0 law of reflected pairs is flip-symmetric with p = 1/2, and can
+    pass where its exact law is Infeasible).  Exact laws get the strict
+    verdict, Borderline up to 100 tol; MC laws that fail strictly are
+    retried on the polytope widened by each cell's half-width
     (``RELAX_SIGMA`` stderr), and only a failure there is reported
     Infeasible, with the relaxed LP's duals as the certificate of the whole
-    box.  An Infeasible verdict always carries its Farkas
-    certificate: when ``_clean_certificate`` rejects the duals, the verdict
-    is Borderline.  With ``exact=True`` a verdict that would be Infeasible or
-    Borderline becomes Infeasible exactly when the Farkas certificate
-    verifies in an integer check over the coloring map's cells (the float
-    inputs taken exactly), and Borderline otherwise;
-    ``detail["certificate_verified"]`` holds the outcome.
+    box.  An Infeasible verdict always carries its Farkas certificate: when
+    ``_clean_certificate`` rejects the duals, the verdict is Borderline.
+    With ``exact=True`` a verdict that would be Infeasible or Borderline
+    becomes Infeasible exactly when the Farkas certificate verifies in an
+    integer check over the coloring map's cells (the float inputs taken
+    exactly), and Borderline otherwise; ``detail["certificate_verified"]``
+    holds the outcome.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -512,7 +517,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
             q, miss = _q_and_miss(n, p, strict.x, nu.probs)
             missed = strict.objective > tol or _misses_a_cell(miss, nu.probs)
             detail["phase1_objective"] = strict.objective
-        return FeasibilityResult("Borderline" if missed else "Feasible", q,
+        return FeasibilityResult("Borderline" if missed or mc else "Feasible", q,
                                  float(np.max(miss)), detail=detail)
 
     # an MC law's certificate is the relaxed LP's duals: y'A <= 0 and
@@ -660,6 +665,8 @@ def square_circle_solver(theta: float | None, h: float | None,
     B_4 distribution is then reconstructed from it (zero pattern on the
     partitions separating the 1-3 and 2-4 diagonals).  At p = 1/2 the checks
     and the t-interval are ``square_circle_intervals`` on a stack of one law.
+    As in ``lp_feasibility``, an MC law is never Feasible: where an exact law
+    would be, it is Borderline with the reconstructed q.
     """
     if nu4.n != 4:
         raise ValueError("square_circle_solver needs n = 4")
@@ -676,7 +683,8 @@ def square_circle_solver(theta: float | None, h: float | None,
         fam = SymmetricRepFamily3(*iv.nu3[0].tolist(), t_lo=lo, t_hi=hi)
         q4 = _reconstruct_square_b4(fam.at(t).vector)
         margin = _square_margin(q4, nu4, p)
-        return FeasibilityResult("Feasible", q4, margin, detail=meta)
+        status = "Feasible" if nu4.stderr is None else "Borderline"
+        return FeasibilityResult(status, q4, margin, detail=meta)
 
     rep = signed_rep_3(nu4.marginalize([1, 2, 3]))
     q_sing, q1_23, q12_3, q123, q13_2 = rep.vector.tolist()
@@ -695,7 +703,7 @@ def square_circle_solver(theta: float | None, h: float | None,
     # MC marginal noise leaks into the closed-form sum; project back onto sum 1
     q4 = _reconstruct_square_b4(rep.vector / math.fsum(rep.vector.tolist()))
     margin = _square_margin(q4, nu4, p)
-    status = "Feasible" if worst >= 0.0 else "Borderline"
+    status = "Feasible" if worst >= 0.0 and nu4.stderr is None else "Borderline"
     return FeasibilityResult(status, q4, margin, detail=meta)
 
 

@@ -270,7 +270,9 @@ def sample_stable_vector(model: StableLinearModel, m: int, seed) -> np.ndarray:
 
 def stable_threshold_law_mc(model: StableLinearModel, h: float, m: int, seed) -> BinaryLaw:
     """Monte Carlo threshold law of the model; refuses h != 0 on
-    non-standardized rows (unequal marginals cannot be a color process)."""
+    non-standardized rows (unequal marginals cannot be a color process).
+    The shocks are symmetric, so at h = 0 ``threshold_mc_law`` counts each
+    draw x and its reflection -x: half the variates for m samples."""
     _check_n(model.d)
     if h != 0.0 and not model.standardized:
         raise ValueError("rows are not standardized: marginals differ, so a "

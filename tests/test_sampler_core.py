@@ -116,14 +116,29 @@ def reference_sign_law(batch):
     return BinaryLaw.from_counts(np.bincount(bits @ pow2, minlength=2 ** batch.n), batch.m)
 
 
+def drawn_rows(k, h):
+    """Rows a block of k samples draws: at h = 0 one per reflected pair,
+    the last one unpaired when k is odd."""
+    return k - k // 2 if h == 0.0 else k
+
+
+def sample_bits(x, k, h):
+    """The k sample rows of a block whose draws are x, thresholded at h: at
+    h = 0 the rows x, then the reflections -x of the first k // 2 of them."""
+    if h == 0.0:
+        x = np.concatenate([x, -x[:k // 2]])
+    assert len(x) == k
+    return (x > h).astype(np.int64)
+
+
 def reference_gaussian_mc(cov, h, m, seed):
     ell = sampling_factor(cov)
     n = cov.n
     pow2 = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(2 ** n, dtype=np.int64)
     for k, rng in block_streams(m, seed):
-        z = rng.standard_normal((k, ell.shape[1]))
-        bits = (z @ ell.T > h).astype(np.int64)
+        z = rng.standard_normal((drawn_rows(k, h), ell.shape[1]))
+        bits = sample_bits(z @ ell.T, k, h)
         counts += np.bincount(bits @ pow2, minlength=2 ** n)
     return BinaryLaw.from_counts(counts, m)
 
@@ -133,8 +148,8 @@ def reference_stable_mc(model, h, m, seed):
     pow2 = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(2 ** n, dtype=np.int64)
     for k, rng in block_streams(m, seed):
-        x = sample_stable_vector(model, k, rng)
-        bits = (x > h).astype(np.int64)
+        x = sample_stable_vector(model, drawn_rows(k, h), rng)
+        bits = sample_bits(x, k, h)
         counts += np.bincount(bits @ pow2, minlength=2 ** n)
     return BinaryLaw.from_counts(counts, m)
 
@@ -368,8 +383,9 @@ def reference_sincos_stable_mc(model, h, m, seed):
     pow2 = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(2 ** n, dtype=np.int64)
     for k, rng in block_streams(m, seed):
-        s = reference_sincos_sym_stable(model.alpha, k * cols, rng)
-        bits = (s.reshape(k, cols) @ model.loadings.T > h).astype(np.int64)
+        rows = drawn_rows(k, h)
+        s = reference_sincos_sym_stable(model.alpha, rows * cols, rng)
+        bits = sample_bits(s.reshape(rows, cols) @ model.loadings.T, k, h)
         counts += np.bincount(bits @ pow2, minlength=2 ** n)
     return BinaryLaw.from_counts(counts, m)
 
@@ -410,6 +426,8 @@ def counted_on(workers, counter="pattern_counts"):
 THREADED_LAWS = {
     "gaussian": (lambda m: threshold_law_mc(symmetric_plus_mean_cov(4, 0.0), 0.2, m, 31),
                  lambda m: reference_gaussian_mc(symmetric_plus_mean_cov(4, 0.0), 0.2, m, 31)),
+    "gaussian h=0": (lambda m: threshold_law_mc(symmetric_plus_mean_cov(4, 0.0), 0.0, m, 31),
+                     lambda m: reference_gaussian_mc(symmetric_plus_mean_cov(4, 0.0), 0.0, m, 31)),
     "stable": (lambda m: stable_threshold_law_mc(stable_markov_model(0.5, 1.2, 4), 0.0, m, 32),
                lambda m: reference_stable_mc(stable_markov_model(0.5, 1.2, 4), 0.0, m, 32)),
 }

@@ -555,12 +555,14 @@ def test_square_small_theta_small_h_window():
 
 
 def test_square_circle_solver_mc_small_positive_h():
-    # moderate theta, small positive threshold: representable, and the
-    # reconstruction survives MC marginal noise
+    # moderate theta, small positive threshold: representable within the
+    # noise (an MC law is never Feasible), and the reconstruction survives
+    # MC marginal noise
     theta, h = 0.2, 0.15
     law = threshold_law_mc(square_on_sphere_cov(theta), h, 2_000_000, seed=51)
     res = square_circle_solver(theta, h, law)
-    assert res.status == "Feasible"
+    assert res.status == "Borderline"
+    assert min(res.detail["inequalities"].values()) >= 0.0
     assert min(res.q.weights.values()) >= -1e-9
     assert res.infeasibility_margin < 0.01
 
@@ -700,7 +702,7 @@ PARITY_CORPUS = {
        for n in range(3, 8) for p in (0.3, 0.5)},
     "negative pair": negative_pair_law,
     "square theta=pi/3": functools.partial(square_threshold_law_exact, math.pi / 3),
-    "gaussian chain MC": lambda: threshold_law_mc(markov_chain_cov(4, 0.5), 0.0, 10 ** 4,
+    "gaussian chain MC": lambda: threshold_law_mc(markov_chain_cov(4, 0.5), 0.3, 10 ** 4,
                                                   seed=0),
     "stable chain MC": lambda: stable_threshold_law_mc(stable_markov_model(0.5, 1.2, 4), 0.5,
                                                        10 ** 4, seed=0),
@@ -739,7 +741,9 @@ def test_phase_one_matches_linprog_bit_for_bit(monkeypatch, name):
         assert (got.objective <= solver.FEAS_TOL) == (objective <= solver.FEAS_TOL)
 
 
-# MC laws that fail the strict LP, Borderline or Infeasible after the widening
+# MC laws that fail the strict LP, Borderline or Infeasible after the widening;
+# an h = 0 law of reflected pairs is flip-symmetric and often passes it, so
+# the Borderline ones are drawn at h != 0
 RELAXED_CORPUS = {
     **{name: PARITY_CORPUS[name] for name in PARITY_CORPUS if name.endswith("MC")},
     "gaussian triple MC": lambda: threshold_law_mc(correlations3(-0.3, 0.2, 0.2), 0.5,
@@ -747,7 +751,7 @@ RELAXED_CORPUS = {
     "symmetric plus mean n=4 a=0 MC": lambda: threshold_law_mc(
         symmetric_plus_mean_cov(4, 0.0), 0.0, 2 * 10 ** 5, seed=12003),
     "symmetric plus mean n=4 a=0.95 MC": lambda: threshold_law_mc(
-        symmetric_plus_mean_cov(4, 0.95), 0.0, 2 * 10 ** 5, seed=41),
+        symmetric_plus_mean_cov(4, 0.95), 0.3, 2 * 10 ** 5, seed=41),
     "stable common shock MC": lambda: stable_threshold_law_mc(common_shock_model(0.5, 0.8, 4),
                                                               0.5, 10 ** 4, seed=0),
 }
@@ -1055,12 +1059,50 @@ def test_no_feasible_lp_beside_an_infeasible_signed_representation(rho, h):
 
 def test_mc_laws_keep_the_objective_rule():
     """The same cells with a standard error are a Monte Carlo law, which the
-    relative check leaves alone: a Feasible there still means a phase-I
-    objective up to the tolerance."""
+    relative check leaves alone: a phase-I objective up to the tolerance
+    reads Borderline with the strict LP's q, since an MC law is never
+    Feasible."""
     law = plackett_law3(NOT_DC_AT_LARGE_H[0], 5)
     assert lp_feasibility(law).status == "Borderline"
     mc = BinaryLaw(3, law.probs, stderr=np.full(8, 1e-12))
-    assert lp_feasibility(mc).status == "Feasible"
+    result = lp_feasibility(mc)
+    assert result.status == "Borderline" and result.q is not None
+    assert result.detail["phase1_objective"] <= solver.FEAS_TOL
+    assert "relaxed_objective" not in result.detail
+
+
+def test_an_mc_law_beside_an_infeasible_exact_law_never_reads_feasible():
+    """The exact law of square_on_sphere_cov(pi/4 + 0.02) at h = 0 is
+    Infeasible.  Its MC laws of 1,000 reflected pairs are flip-symmetric
+    with marginals of exactly 1/2, and some pass the strict LP: read as
+    Feasible, 5 of these 40 were wrong with confidence.  The same holds for
+    ``square_circle_solver``."""
+    theta = math.pi / 4 + 0.02
+    assert lp_feasibility(square_threshold_law_exact(theta)).status == "Infeasible"
+    results = [lp_feasibility(threshold_law_mc(square_on_sphere_cov(theta), 0.0, 1000, seed))
+               for seed in range(40)]
+    assert all(res.status != "Feasible" for res in results)
+    assert sum("relaxed_objective" not in res.detail for res in results) >= 3
+    # the square solver's t-family route: without the rule 18 of these 40 read Feasible
+    squares = [square_circle_solver(theta, 0.0, threshold_law_mc(square_on_sphere_cov(theta),
+                                                                0.0, 1000, seed))
+               for seed in range(40)]
+    assert all(res.status in ("Borderline", "Infeasible") for res in squares)
+    assert sum(res.status == "Borderline" and res.q is not None for res in squares) >= 10
+
+
+@pytest.mark.parametrize("m", [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7])
+def test_the_n4_counterexample_reads_infeasible_at_every_sample_count(m):
+    """The paper's n = 4 counterexample, symmetric_plus_mean_cov(4, 0) at
+    h = 0, from reflected pairs: Infeasible, with a certificate of the
+    whole box that verifies exactly."""
+    law = threshold_law_mc(symmetric_plus_mean_cov(4, 0), 0.0, m, 12003)
+    res = lp_feasibility(law)
+    assert res.status == "Infeasible"
+    y = res.certificate
+    assert float(np.max(color_map_csc(4, law.marginal_p).T @ y)) <= 1e-7
+    assert float(y @ law.probs - law.halfwidth @ np.abs(y)) > 0.0
+    assert phase_one_exact(4, law.marginal_p, law.probs, y)
 
 
 @pytest.mark.parametrize("miss, missed", [
