@@ -25,8 +25,7 @@ from .partitions import (BinaryLaw, Partition, PartitionDistribution, bell_numbe
                          push_forward, simulate_color_process)
 from .reports import ClassificationReport, Regime, Verdict
 from .solver import (FeasibilityResult, SignedRep3, SymmetricRepFamily3, lp_feasibility,
-                     signed_rep_3, square_circle_solver, symmetric_plus_mean_gap,
-                     symmetric_rep_family_3)
+                     signed_rep_3, symmetric_plus_mean_gap, symmetric_rep_family_3)
 from .stable import (Corr2DVerdict, SpectralMeasure, StableLinearModel,
                      common_shock_model, corr2d_criterion, corr2d_inequality_mc,
                      corr2d_model, sample_pos_stable, sample_sym_stable,

@@ -27,8 +27,9 @@ from . import conditions as cond
 from . import embeddings as emb
 from . import stable as stb
 from .csvtext import csv_lines
-# threshold_law_mc, square_threshold_law_exact and square_circle_solver stay
-# importable from here: bench/tracing.py times them under these names
+# threshold_law_mc, square_threshold_law_exact and square_circle_solver (a stub
+# that calls lp_feasibility) are on no path of the CLI: they stay importable
+# from here only because bench/tracing.py times them under these names
 from .gaussian import (CovarianceSpec, square_threshold_law_exact,  # noqa: F401
                        square_threshold_laws_exact, threshold_law_mc)
 from .laws import threshold_law

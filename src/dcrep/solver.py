@@ -22,9 +22,6 @@ Three routes, used where each is exact:
     relative ``REL_TOL``.  ``exact=True`` keeps the float solve and checks
     the certificate by an integer check over the cells before calling a law
     Infeasible.
-A symmetry-reduced solver handles the four-points-on-a-circle family, where
-the alternating pattern is forbidden and the dihedral symmetry collapses the
-problem to the t-family of the first three coordinates.
 
 Every tolerance that a law's noise sets reads ``BinaryLaw.halfwidth``.  The
 kind of law (``stderr is None``) picks only what an exact law alone has: a
@@ -54,11 +51,10 @@ except ImportError as exc:
 
 # color_map and enumerate_partitions are on no path here: they are imported
 # only so that bench/tracing.py can time them under these names
-from .partitions import (PROB_TOL, RELAX_SIGMA, BinaryLaw, PartitionDistribution,
-                         _color_map_cells, _frozen, _key_columns, _keyed, _one_cells,
-                         _restriction_columns, _subset_cells, color_map,  # noqa: F401
-                         color_map_csc, color_map_exact, enumerate_partitions,  # noqa: F401
-                         push_forward)
+from .partitions import (MAX_N, PROB_TOL, RELAX_SIGMA, BinaryLaw, PartitionDistribution,
+                         _color_map_cells, _frozen, _keyed, _one_cells, _subset_cells,
+                         color_map, color_map_csc, color_map_exact,  # noqa: F401
+                         enumerate_partitions, push_forward)  # noqa: F401
 
 FEAS_TOL = 1e-9
 PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
@@ -68,6 +64,12 @@ PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 # that misses every cell smaller than that
 REL_TOL = 1e-9
 ZERO_CELL = float(np.finfo(float).eps)
+# the rounding that a certificate's float margin (``_clean_certificate``) may
+# carry: with max |y| = 1, y'nu, each (A'y)_j and sum(nu) sum at most 2^MAX_N
+# terms whose magnitudes add up to at most 1 (nu and each column of A sum to
+# 1), so each is off by at most 2^MAX_N eps; a fourth such allowance covers
+# halfwidth'|y| and the subtractions
+CERT_EPS = 4.0 * 2.0 ** MAX_N * float(np.finfo(float).eps)
 NOISE_FLOOR = 1e-9  # the least tolerance of a screen (``_screen_tol``): an exact law's
 
 
@@ -480,7 +482,11 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     (``RELAX_SIGMA`` stderr), and only a failure there is reported
     Infeasible, with the relaxed LP's duals as the certificate of the whole
     box.  An Infeasible verdict always carries its Farkas certificate: when
-    ``_clean_certificate`` rejects the duals, the verdict is Borderline.
+    ``_clean_certificate`` rejects the duals, the verdict is Borderline.  It
+    rejects them unless their margin over every law within the half-widths,
+    shifted as ``phase_one_exact`` shifts it, clears ``CERT_EPS``: HiGHS can
+    end phase I at an objective of 3e-9 on a feasible law whose cells are
+    that small, with duals that are no certificate.
     With ``exact=True`` a verdict that would be Infeasible or Borderline
     becomes Infeasible exactly when the Farkas certificate verifies in an
     integer check over the coloring map's cells (the float inputs taken
@@ -533,7 +539,7 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
         duals = relaxed.y
     elif objective <= 100.0 * tol:
         status = "Borderline"
-    cert = _clean_certificate(mat, nu.probs, duals)
+    cert = _clean_certificate(mat, nu.probs, duals, nu.halfwidth)
     if exact:
         verified = cert is not None and phase_one_exact(n, p, nu.probs, cert)
         detail["certificate_verified"] = verified
@@ -552,18 +558,29 @@ def _misses_a_cell(miss: np.ndarray, nu: np.ndarray) -> bool:
     return bool(np.any(miss > np.where(nu > ZERO_CELL, REL_TOL * nu, ZERO_CELL)))
 
 
-def _clean_certificate(mat: csc_array, nu: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Validate and normalize a Farkas certificate; None if it fails to verify."""
+def _clean_certificate(mat: csc_array, nu: np.ndarray, y: np.ndarray,
+                       halfwidth: np.ndarray | None = None) -> np.ndarray | None:
+    """The Farkas certificate y scaled to max |y| = 1, or None if it fails to
+    verify in floats: it needs max A'y <= 1e-7, y'nu > 0 and the margin
+
+        y'nu - max(0, max A'y) sum(nu) - halfwidth'|y| > CERT_EPS,
+
+    the rule of ``phase_one_exact`` (y shifted by max A'y, since every column
+    of A sums to 1) over every law within ``halfwidth`` of nu (none when
+    None), with the rounding of its float sums allowed for."""
     scale = float(np.max(np.abs(y)))
     if scale == 0.0:
         return None
     y = y / scale
-    if float(np.max(mat.T @ y)) > 1e-7 or float(y @ nu) <= 0.0:
+    top = float(np.max(mat.T @ y))
+    value = float(y @ nu)
+    if top > 1e-7 or value <= 0.0:
         return None
-    return y
+    box = 0.0 if halfwidth is None else float(halfwidth @ np.abs(y))
+    return y if value - max(0.0, top) * float(np.sum(nu)) - box > CERT_EPS else None
 
 
-# -- symmetry-reduced four-points-on-a-circle solver --------------------------
+# -- the four-points-on-a-circle t-interval (``scan theta``) -------------------
 
 _ROTATE = (2, 3, 4, 1)   # square rotation 1->2->3->4->1
 _REFLECT = (1, 4, 3, 2)  # reflection fixing the 1-3 diagonal
@@ -584,32 +601,33 @@ def _sum8(x: np.ndarray) -> np.ndarray:
 
 
 class SquareIntervals(NamedTuple):
-    """The t-intervals of ``square_circle_solver``, row i for law i.
+    """The t-intervals of ``square_circle_intervals``, row i for law i.
 
     ``p`` is the common marginal and ``tol`` the cell tolerance.  Rows with
-    ``half`` (p = 1/2 within noise) have the 3-marginal cells ``nu3``
-    (nu_001, nu_010, nu_100), the capped interval [``t_lo``, ``t_hi``] and
-    ``infeasible`` = t_lo > t_hi + tol; the other rows have nan bounds and
-    are not ``infeasible``: their law takes the p != 1/2 route.
+    ``half`` (p = 1/2 within noise) have the capped interval [``t_lo``,
+    ``t_hi``] and ``infeasible`` = t_lo > t_hi + tol; the other rows have nan
+    bounds and are not ``infeasible``: the interval decides p = 1/2 alone.
     """
 
     p: np.ndarray
     tol: np.ndarray
     half: np.ndarray
-    nu3: np.ndarray
     t_lo: np.ndarray
     t_hi: np.ndarray
     infeasible: np.ndarray
 
 
 def square_circle_intervals(probs, halfwidth=None) -> SquareIntervals:
-    """The checks and the p = 1/2 t-interval of ``square_circle_solver`` for
-    each row of the (N, 16) laws ``probs``, in one array pass with the same
-    bits as one law at a time.
+    """The dihedral four-point laws with nu_0101 = 0, each row of the (N, 16)
+    laws ``probs``, in one array pass with the same bits as one law at a
+    time: at p = 1/2 such a law is a color process iff the t-family of its
+    first three coordinates, capped by the dihedral zero pattern on B_4 (no
+    weight on a partition that separates the 1-3 and 2-4 diagonals), is not
+    empty.  ``scan theta`` reads its columns from it.
 
-    Raises ValueError, as the one-law solver does, if a law is not
-    dihedral-symmetric, has nu_0101 or nu_1010 above tolerance, has unequal
-    marginals, or has p = 1/2 and a 3-marginal that is not {0,1}-symmetric.
+    Raises ValueError if a law is not dihedral-symmetric, has nu_0101 or
+    nu_1010 above tolerance, has unequal marginals, or has p = 1/2 and a
+    3-marginal that is not {0,1}-symmetric.
     ``halfwidth`` holds the cells' half-widths (zero when None): the cell
     tolerance is the largest, and at least ``NOISE_FLOOR``.
     """
@@ -646,116 +664,21 @@ def square_circle_intervals(probs, halfwidth=None) -> SquareIntervals:
     nu001, nu010, nu100 = nu3[:, 1], nu3[:, 2], nu3[:, 4]
     t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
     singles = nu001 + nu010 + nu100
-    # extra caps from the 4-point reconstruction, linear in t:
+    # the caps of the dihedral zero pattern, linear in t:
     lo = _first_max(t_lo, (4.0 * nu010 + 4.0 * singles - 1.0) / 2.0, 0.0)
     hi = _first_min(t_hi, 4.0 * (nu001 - nu010))
-    return SquareIntervals(p=p, tol=tol, half=half,
-                           nu3=np.stack([nu001, nu010, nu100], axis=1),
-                           t_lo=np.where(half, lo, math.nan), t_hi=np.where(half, hi, math.nan),
-                           infeasible=half & (lo > hi + tol))
+    return SquareIntervals(p=p, tol=tol, half=half, t_lo=np.where(half, lo, math.nan),
+                           t_hi=np.where(half, hi, math.nan), infeasible=half & (lo > hi + tol))
 
 
 def square_circle_solver(theta: float | None, h: float | None,
                          nu4: BinaryLaw) -> FeasibilityResult:
-    """Representability of the dihedral four-point law with nu_0101 = 0.
-
-    The four-dimensional problem reduces to the first three coordinates: a
-    representation exists iff the 3-marginal admits one with
-    q_123 >= q_13_2 >= 0 and 2 q_12_3 - 2 q_13_2 >= q_1_2_3 >= 0, and the full
-    B_4 distribution is then reconstructed from it (zero pattern on the
-    partitions separating the 1-3 and 2-4 diagonals).  At p = 1/2 the checks
-    and the t-interval are ``square_circle_intervals`` on a stack of one law.
-    As in ``lp_feasibility``, an MC law is never Feasible: where an exact law
-    would be, it is Borderline with the reconstructed q.
-    """
+    """``lp_feasibility(nu4)`` for an n = 4 law; ``theta`` and ``h`` are unread.
+    It exists only for the two rows of bench/tracing.py that time this name in
+    ``solver`` and ``cli``, and goes with them (ROADMAP item 2)."""
     if nu4.n != 4:
         raise ValueError("square_circle_solver needs n = 4")
-    iv = square_circle_intervals(nu4.probs[None], nu4.halfwidth[None])
-    p, tol = float(iv.p[0]), float(iv.tol[0])
-    meta = {"theta": theta, "h": h, "p": p}
-
-    if iv.half[0]:
-        lo, hi = float(iv.t_lo[0]), float(iv.t_hi[0])
-        meta.update(t_lo=lo, t_hi=hi)
-        if iv.infeasible[0]:
-            return FeasibilityResult("Infeasible", None, lo - hi, detail=meta)
-        t = min(max(lo, 0.0), hi) if hi >= lo else lo
-        fam = SymmetricRepFamily3(*iv.nu3[0].tolist(), t_lo=lo, t_hi=hi)
-        q4 = _reconstruct_square_b4(fam.at(t).vector)
-        margin = _square_margin(q4, nu4, p)
-        status = "Feasible" if nu4.stderr is None else "Borderline"
-        return FeasibilityResult(status, q4, margin, detail=meta)
-
-    rep = signed_rep_3(nu4.marginalize([1, 2, 3]))
-    q_sing, q1_23, q12_3, q123, q13_2 = rep.vector.tolist()
-    checks = {
-        "q_123 >= q_13_2": q123 - q13_2,
-        "q_13_2 >= 0": q13_2,
-        "2q_12_3 - 2q_13_2 >= q_1_2_3": 2.0 * q12_3 - 2.0 * q13_2 - q_sing,
-        "q_1_2_3 >= 0": q_sing,
-        "q_12_3 >= 0": q12_3,
-        "q_1_23 >= 0": q1_23,
-    }
-    worst = min(checks.values())
-    meta["inequalities"] = checks
-    if worst < -tol * 8.0:
-        return FeasibilityResult("Infeasible", None, -worst, detail=meta)
-    # MC marginal noise leaks into the closed-form sum; project back onto sum 1
-    q4 = _reconstruct_square_b4(rep.vector / math.fsum(rep.vector.tolist()))
-    margin = _square_margin(q4, nu4, p)
-    status = "Feasible" if worst >= 0.0 and nu4.stderr is None else "Borderline"
-    return FeasibilityResult(status, q4, margin, detail=meta)
-
-
-# the seven orbits of B_4 under the square's dihedral group, by representative
-_SQUARE_ORBITS = ("1234", "123|4", "12|34", "13|24", "12|3|4", "13|2|4", "1|2|3|4")
-
-
-@functools.cache
-def _square_orbit_index() -> np.ndarray:
-    """Orbit of each column of B_4, as an index into ``_SQUARE_ORBITS``: the
-    representative that one of the square's eight symmetries, closed from
-    ``_ROTATE`` and ``_REFLECT``, maps the column to.  A symmetry relabels
-    the columns as marginalization does (``_restriction_columns``)."""
-    group = {(1, 2, 3, 4)}
-    while len(group) < 8:
-        group |= {tuple(g[i - 1] for i in gen) for g in group for gen in (_ROTATE, _REFLECT)}
-    images = np.array([_restriction_columns(4, g) for g in sorted(group)])
-    reps = np.array([_key_columns(4)[key] for key in _SQUARE_ORBITS])
-    index = (images[:, :, None] == reps).any(axis=0).argmax(axis=1)
-    index.setflags(write=False)
-    return index
-
-
-def _reconstruct_square_b4(rep3: np.ndarray) -> PartitionDistribution:
-    """Lift a 3-marginal representation, its weights in column order, to B_4
-    via the dihedral zero pattern."""
-    q_sing, q1_23, q12_3, q123, q13_2 = rep3.tolist()
-    # adjacent-pair weights agree in exact arithmetic; average out MC noise
-    q12_3 = 0.5 * (q12_3 + q1_23)
-    orbit_weights = np.array([          # in _SQUARE_ORBITS order
-        q123 - q13_2,
-        q13_2,                          # the four 3+1 partitions
-        q12_3 - q13_2 - q_sing / 2.0,   # {12|34, 14|23}
-        0.0,
-        q_sing / 2.0,                   # the four edge-pair partitions
-        0.0,                            # the two diagonal-pair partitions
-        0.0,
-    ])
-    vec = orbit_weights[_square_orbit_index()]
-    vec[(-1e-7 < vec) & (vec < 1e-15)] = 0.0
-    signed = bool(vec.min() < -FEAS_TOL)
-    total = math.fsum(vec.tolist())
-    if abs(total - 1.0) > 1e-5:
-        raise RuntimeError(f"reconstructed weights sum to {total}; input too noisy")
-    return PartitionDistribution.from_vector(4, vec / total, signed=signed)
-
-
-def _square_margin(q4: PartitionDistribution, nu4: BinaryLaw, p: float) -> float:
-    if q4.signed:
-        return float("nan")
-    pf = push_forward(q4, p)
-    return float(np.max(np.abs(pf.probs - nu4.probs)))
+    return lp_feasibility(nu4)
 
 
 def symmetric_plus_mean_gap(n: int) -> float:

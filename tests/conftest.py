@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -29,6 +30,52 @@ def edge_of_family_law():
     probs = np.full(8, s)
     probs[[0, 7]] = (1.0 - 6.0 * s) / 2.0
     return BinaryLaw(3, probs)
+
+
+@functools.cache
+def plackett_law3(rho, h):
+    """The law of the signs 1{X_i > h} of a standard normal triple with
+    correlations rho = (r12, r13, r23), from 40-digit mpmath.  Each upper
+    orthant comes from Plackett's identity, integrated from zero correlation;
+    the cells follow by inclusion-exclusion."""
+    import mpmath
+
+    from dcrep.partitions import BinaryLaw
+
+    with mpmath.workdps(40):
+        h = mpmath.mpf(h)
+        corr = {(0, 1): mpmath.mpf(rho[0]), (0, 2): mpmath.mpf(rho[1]),
+                (1, 2): mpmath.mpf(rho[2])}
+
+        def sf(x):
+            return mpmath.ncdf(-x)
+
+        def phi2(r):                      # the bivariate density at (h, h)
+            return mpmath.exp(-h * h / (1 + r)) / (2 * mpmath.pi * mpmath.sqrt(1 - r * r))
+
+        def triple(t):
+            total = mpmath.mpf(0)
+            for (i, j), r in corr.items():
+                k = 3 - i - j
+                a, b = t * corr[tuple(sorted((i, k)))], t * corr[tuple(sorted((j, k)))]
+                # X_k given X_i = X_j = h under the correlations t rho
+                mean = h * (a + b) / (1 + t * r)
+                var = 1 - (a * a + b * b - 2 * t * r * a * b) / (1 - (t * r) ** 2)
+                total += r * phi2(t * r) * sf((h - mean) / mpmath.sqrt(var))
+            return total
+
+        upper = {(): mpmath.mpf(1), **{(i,): sf(h) for i in range(3)}}
+        for pair, r in corr.items():
+            upper[pair] = sf(h) ** 2 + mpmath.quad(lambda t: r * phi2(t * r), [0, 1])
+        upper[(0, 1, 2)] = sf(h) ** 3 + mpmath.quad(triple, [0, 1])
+        cells = []
+        for index in range(8):
+            ones = [i for i in range(3) if index >> (2 - i) & 1]
+            zeros = [i for i in range(3) if i not in ones]
+            cells.append(sum((-1) ** len(extra) * upper[tuple(sorted(ones + list(extra)))]
+                             for size in range(len(zeros) + 1)
+                             for extra in itertools.combinations(zeros, size)))
+        return BinaryLaw(3, [float(c) for c in cells])
 
 
 def random_standard_pd(rng, n, jitter=0.3):

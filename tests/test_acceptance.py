@@ -26,8 +26,8 @@ from dcrep.gaussian import (CovarianceSpec, bivariate_threshold_exact, correlati
                             zero_threshold_law_3)
 from dcrep.partitions import push_forward
 from dcrep.reports import Regime, Verdict
-from dcrep.solver import (lp_feasibility, signed_rep_3, square_circle_solver,
-                          symmetric_plus_mean_gap, symmetric_rep_family_3)
+from dcrep.solver import (lp_feasibility, signed_rep_3, symmetric_plus_mean_gap,
+                          symmetric_rep_family_3)
 from dcrep.stable import spectral_from_matrix, stable_markov_model
 
 from conftest import random_inverse_stieltjes, random_standard_pd, random_probability_q
@@ -108,7 +108,7 @@ def test_05_small_h_limits():
 def test_06_sphere_square_phase_transition():
     t0 = time.time()
     theta = math.pi / 4
-    res = square_circle_solver(theta, 0.0, square_threshold_law_exact(theta))
+    res = lp_feasibility(square_threshold_law_exact(theta), exact=True)
     gap = math.pi / 8 - (math.acos(math.cos(theta) ** 2) - theta)
     degenerate = classify_degenerate(square_on_sphere_cov(theta))
     ok = (res.status == "Feasible"

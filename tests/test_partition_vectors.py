@@ -20,12 +20,13 @@ from scipy import stats
 from dcrep import cli
 from dcrep.gaussian import square_threshold_law_exact
 from dcrep.partitions import (BELL, MAX_N, BinaryLaw, Partition, PartitionDistribution,
-                              _column_keys, _label_codes, _partition_table, _restriction_columns,
-                              enumerate_partitions,
-                              marginalize_partition, push_forward, simulate_color_process)
-from dcrep.solver import _reconstruct_square_b4, square_circle_solver
+                              _label_codes, _partition_table, _restriction_columns,
+                              enumerate_partitions, marginalize_partition, push_forward,
+                              simulate_color_process)
+from dcrep.solver import lp_feasibility
 
 from conftest import fmt_cell, random_probability_q, reference_color_process
+from test_stacked_square import reference_interval
 
 SIZES = range(1, 9)
 
@@ -106,31 +107,6 @@ def reference_square_law(theta: float) -> np.ndarray:
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     return probs
-
-
-SQUARE_ORBIT = {
-    "1234": "1234",
-    "123|4": "123|4", "124|3": "123|4", "134|2": "123|4", "1|234": "123|4",
-    "12|34": "12|34", "14|23": "12|34",
-    "13|24": "13|24",
-    "12|3|4": "12|3|4", "14|2|3": "12|3|4", "1|23|4": "12|3|4", "1|2|34": "12|3|4",
-    "13|2|4": "13|2|4", "1|24|3": "13|2|4",
-    "1|2|3|4": "1|2|3|4",
-}
-
-
-def reference_reconstruct_square_b4(rep3: dict) -> dict:
-    """The dihedral lift, one orbit lookup per key."""
-    q12_3 = 0.5 * (rep3["12|3"] + rep3["1|23"])
-    vals = {"1234": rep3["123"] - rep3["13|2"], "123|4": rep3["13|2"],
-            "12|34": q12_3 - rep3["13|2"] - rep3["1|2|3"] / 2.0, "13|24": 0.0,
-            "12|3|4": rep3["1|2|3"] / 2.0, "13|2|4": 0.0, "1|2|3|4": 0.0}
-    weights = {}
-    for sig in enumerate_partitions(4):
-        v = vals[SQUARE_ORBIT[sig.key]]
-        weights[sig.key] = 0.0 if -1e-7 < v < 1e-15 else v
-    total = math.fsum(weights.values())
-    return {k: v / total for k, v in weights.items()}
 
 
 def reference_marginals(law: BinaryLaw) -> np.ndarray:
@@ -328,17 +304,6 @@ def test_square_law_matches_inclusion_exclusion_loop():
                               reference_square_law(theta)), theta
 
 
-def test_square_reconstruction_matches_orbit_dict():
-    gen = np.random.default_rng(6)
-    for _ in range(200):
-        q123, a, q13_2, b, q_sing = gen.dirichlet(np.ones(5))
-        rep3 = {"123": q123, "12|3": (a + b) / 2, "13|2": q13_2, "1|23": (a + b) / 2,
-                "1|2|3": q_sing}
-        expect = reference_reconstruct_square_b4(rep3)
-        vector = np.array([rep3[key] for key in _column_keys(3)])
-        assert dict(_reconstruct_square_b4(vector).weights) == expect
-
-
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 9])
 def test_binary_law_marginals_match_mask_loop(n):
     gen = np.random.default_rng(n)
@@ -361,10 +326,8 @@ def reference_scan_lines(kind: str, step: float, a: float = 0.5) -> list[str]:
         rows = []
         for th in np.arange(step, math.pi / 2, step):
             law = BinaryLaw(4, reference_square_law(float(th)))
-            res = square_circle_solver(float(th), 0.0, law)
-            rows.append([float(th), int(res.status == "Feasible"),
-                         res.detail.get("t_lo", float("nan")),
-                         res.detail.get("t_hi", float("nan")),
+            _, (t_lo, t_hi, _) = reference_interval(law)
+            rows.append([float(th), int(lp_feasibility(law, exact=True).feasible), t_lo, t_hi,
                          math.pi / 8 - (math.acos(math.cos(th) ** 2) - th)])
     else:
         from dcrep import asymptotics as asym

@@ -21,14 +21,14 @@ from dcrep.gaussian import (correlations3, markov_chain_cov, square_on_sphere_co
                             threshold_law_mc, zero_threshold_law_3)
 from dcrep.partitions import (BinaryLaw, PartitionDistribution, _color_map_cells,
                               _coloring_weights, bell_number, color_map, color_map_csc,
-                              enumerate_partitions, marginalize_partition,
-                              push_forward, simulate_color_process)
+                              enumerate_partitions, push_forward, simulate_color_process)
 from dcrep.solver import (gaussian_sym_family_interval, lp_feasibility, phase_one,
-                          phase_one_exact, signed_rep_3, square_circle_solver,
+                          phase_one_exact, signed_rep_3, square_circle_intervals,
                           symmetric_plus_mean_gap, symmetric_rep_family_3)
 from dcrep.stable import common_shock_model, stable_markov_model, stable_threshold_law_mc
 
-from conftest import edge_of_family_law, random_probability_q, random_standard_pd
+from conftest import (edge_of_family_law, plackett_law3, random_probability_q,
+                      random_standard_pd)
 
 
 def product_law(n, p):
@@ -442,13 +442,10 @@ def test_lp_dimension_and_marginal_errors():
         lp_feasibility(product_law(2, 0.3), p=0.6)
 
 
-def test_square_circle_solver_feasible_at_quarter_pi():
+def test_square_law_feasible_at_quarter_pi():
     law = square_threshold_law_exact(math.pi / 4)
-    res = square_circle_solver(math.pi / 4, 0.0, law)
+    res = lp_feasibility(law, exact=True)
     assert res.status == "Feasible"
-    # reconstruction zero pattern
-    for key in ("1|2|3|4", "13|2|4", "1|24|3", "13|24"):
-        assert res.q.weights[key] == 0.0
     assert res.infeasibility_margin <= 1e-10
 
 
@@ -466,41 +463,27 @@ def test_permute_law_matches_bit_loop(rng):
             assert np.array_equal(_permute_law(law.probs, perm), expect), perm
 
 
-def test_square_circle_solver_small_theta_small_h():
+def test_square_law_small_theta_is_feasible():
     law = square_threshold_law_exact(0.25)
-    res = square_circle_solver(0.25, 0.0, law)
+    res = lp_feasibility(law, exact=True)
     assert res.status == "Feasible"
 
 
-def test_square_circle_reconstruction_restricts_to_family():
-    theta = math.pi / 5
-    law = square_threshold_law_exact(theta)
-    res = square_circle_solver(theta, 0.0, law)
-    assert res.status == "Feasible"
-    # the 3-marginal of the reconstructed q is the t-family member used
-    restricted = marginalize_partition(res.q, [1, 2, 3])
-    fam = symmetric_rep_family_3(law.marginalize([1, 2, 3]))
-    expected = fam.at(res.detail["t_lo"]).weights
-    for key, val in expected.items():
-        assert restricted.weights.get(key, 0.0) == pytest.approx(val, abs=1e-9)
-    # and it reproduces the four-dimensional law
-    assert np.allclose(push_forward(res.q, 0.5).probs, law.probs, atol=1e-9)
-
-
-def test_square_circle_solver_large_h_infeasible():
+def test_square_law_large_h_infeasible():
     theta, h, m = math.pi / 5, 3.0, 1_000_000
     law = threshold_law_mc(square_on_sphere_cov(theta), h, m, seed=37)
-    res = square_circle_solver(theta, h, law)
+    res = lp_feasibility(law)
     assert res.status == "Infeasible"
+    assert phase_one_exact(4, law.marginal_p, law.probs, res.certificate)
 
 
-def test_square_circle_solver_rejects_bad_input():
+def test_square_circle_intervals_reject_bad_input():
     law = zero_threshold_law_3(correlations3(0.2, 0.2, 0.2))
-    with pytest.raises(ValueError):
-        square_circle_solver(None, None, law)  # wrong n
+    with pytest.raises(ValueError, match="16"):
+        square_circle_intervals(law.probs[None])  # wrong n
     asym = product_law(4, 0.3)
-    with pytest.raises(ValueError):
-        square_circle_solver(None, None, asym)  # nu_0101 != 0
+    with pytest.raises(ValueError, match="nu_0101"):
+        square_circle_intervals(asym.probs[None])
 
 
 def test_symmetric_plus_mean_large_a_is_not_infeasible():
@@ -554,16 +537,15 @@ def test_square_small_theta_small_h_window():
         assert min(lims.weights.values()) > 0
 
 
-def test_square_circle_solver_mc_small_positive_h():
+def test_square_law_mc_small_positive_h():
     # moderate theta, small positive threshold: representable within the
-    # noise (an MC law is never Feasible), and the reconstruction survives
-    # MC marginal noise
+    # noise (an MC law is never Feasible), with a q whose push-forward is
+    # within the noise of the law
     theta, h = 0.2, 0.15
     law = threshold_law_mc(square_on_sphere_cov(theta), h, 2_000_000, seed=51)
-    res = square_circle_solver(theta, h, law)
+    res = lp_feasibility(law)
     assert res.status == "Borderline"
-    assert min(res.detail["inequalities"].values()) >= 0.0
-    assert min(res.q.weights.values()) >= -1e-9
+    assert res.q is not None and min(res.q.weights.values()) >= 0.0
     assert res.infeasibility_margin < 0.01
 
 
@@ -962,50 +944,6 @@ def test_signed_rep_3_refuses_marginal_zero_and_one(key):
 
 # -- Feasible in relative terms ------------------------------------------------
 
-@functools.cache
-def plackett_law3(rho, h):
-    """The law of the signs 1{X_i > h} of a standard normal triple with
-    correlations rho = (r12, r13, r23), from 40-digit mpmath.  Each upper
-    orthant comes from Plackett's identity, integrated from zero correlation;
-    the cells follow by inclusion-exclusion."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        h = mpmath.mpf(h)
-        corr = {(0, 1): mpmath.mpf(rho[0]), (0, 2): mpmath.mpf(rho[1]),
-                (1, 2): mpmath.mpf(rho[2])}
-
-        def sf(x):
-            return mpmath.ncdf(-x)
-
-        def phi2(r):                      # the bivariate density at (h, h)
-            return mpmath.exp(-h * h / (1 + r)) / (2 * mpmath.pi * mpmath.sqrt(1 - r * r))
-
-        def triple(t):
-            total = mpmath.mpf(0)
-            for (i, j), r in corr.items():
-                k = 3 - i - j
-                a, b = t * corr[tuple(sorted((i, k)))], t * corr[tuple(sorted((j, k)))]
-                # X_k given X_i = X_j = h under the correlations t rho
-                mean = h * (a + b) / (1 + t * r)
-                var = 1 - (a * a + b * b - 2 * t * r * a * b) / (1 - (t * r) ** 2)
-                total += r * phi2(t * r) * sf((h - mean) / mpmath.sqrt(var))
-            return total
-
-        upper = {(): mpmath.mpf(1), **{(i,): sf(h) for i in range(3)}}
-        for pair, r in corr.items():
-            upper[pair] = sf(h) ** 2 + mpmath.quad(lambda t: r * phi2(t * r), [0, 1])
-        upper[(0, 1, 2)] = sf(h) ** 3 + mpmath.quad(triple, [0, 1])
-        cells = []
-        for index in range(8):
-            ones = [i for i in range(3) if index >> (2 - i) & 1]
-            zeros = [i for i in range(3) if i not in ones]
-            cells.append(sum((-1) ** len(extra) * upper[tuple(sorted(ones + list(extra)))]
-                             for size in range(len(zeros) + 1)
-                             for extra in itertools.combinations(zeros, size)))
-        return BinaryLaw(3, [float(c) for c in cells])
-
-
 NOT_DC_AT_LARGE_H = [(0.0, 0.5, 0.5), (0.05, 0.6825, 0.6825)]
 
 
@@ -1075,20 +1013,34 @@ def test_an_mc_law_beside_an_infeasible_exact_law_never_reads_feasible():
     """The exact law of square_on_sphere_cov(pi/4 + 0.02) at h = 0 is
     Infeasible.  Its MC laws of 1,000 reflected pairs are flip-symmetric
     with marginals of exactly 1/2, and some pass the strict LP: read as
-    Feasible, 5 of these 40 were wrong with confidence.  The same holds for
-    ``square_circle_solver``."""
+    Feasible, 5 of these 40 were wrong with confidence."""
     theta = math.pi / 4 + 0.02
     assert lp_feasibility(square_threshold_law_exact(theta)).status == "Infeasible"
     results = [lp_feasibility(threshold_law_mc(square_on_sphere_cov(theta), 0.0, 1000, seed))
                for seed in range(40)]
     assert all(res.status != "Feasible" for res in results)
     assert sum("relaxed_objective" not in res.detail for res in results) >= 3
-    # the square solver's t-family route: without the rule 18 of these 40 read Feasible
-    squares = [square_circle_solver(theta, 0.0, threshold_law_mc(square_on_sphere_cov(theta),
-                                                                0.0, 1000, seed))
-               for seed in range(40)]
-    assert all(res.status in ("Borderline", "Infeasible") for res in squares)
-    assert sum(res.status == "Borderline" and res.q is not None for res in squares) >= 10
+
+
+@pytest.mark.parametrize("theta, h, seeds", [
+    (math.pi / 4 + 0.02, 0.005, range(40)),
+    (math.pi / 4 + 0.02, 0.02, range(40)),
+    (math.pi / 4 - 0.02, 0.0, range(60)),
+])
+def test_the_lp_decides_every_mc_square_law(theta, h, seeds):
+    """1,000-sample square laws on which the former closed-form square
+    solver failed: at pi/4 + 0.02 and h = 0.005 / 0.02 it raised ValueError
+    on 1 / 2 of these 40 laws (its p = 1/2 screen and ``signed_rep_3``'s
+    disagreed), and at pi/4 - 0.02 and h = 0, where the exact law is
+    Feasible, it read 7 of these 60 Infeasible, with no certificate.  The LP
+    raises on none, and reads no law Infeasible whose exact law is
+    Feasible."""
+    cov = square_on_sphere_cov(theta)
+    results = [lp_feasibility(threshold_law_mc(cov, h, 1000, seed)) for seed in seeds]
+    if theta < math.pi / 4:
+        assert lp_feasibility(square_threshold_law_exact(theta), exact=True).feasible
+        assert all(res.status != "Infeasible" for res in results)
+    assert all(res.status in ("Borderline", "Infeasible") for res in results)
 
 
 @pytest.mark.parametrize("m", [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7])

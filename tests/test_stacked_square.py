@@ -1,11 +1,12 @@
 """The stacked square-on-sphere law and t-interval against the per-law code
 they replace.
 
-``reference_*`` below are ``square_threshold_law_exact``,
-``square_circle_solver``'s checks and p = 1/2 interval and the ``scan theta``
+``reference_*`` below are ``square_threshold_law_exact``, the checks and
+p = 1/2 interval of the former one-law square solver and the ``scan theta``
 row loop as they were before the stack, kept as they were: one law at a
 time, Python ``max``/``min``, numpy's 1-D sums.  Every comparison is exact:
-floats by bits, CSV by bytes.
+floats by bits, CSV by bytes.  The interval's verdicts are checked against
+``lp_feasibility``.
 """
 
 import math
@@ -19,8 +20,7 @@ from dcrep.gaussian import (_square_inclusion_exclusion, square_on_sphere_cov,
                             square_threshold_law_exact, square_threshold_laws_exact,
                             threshold_law_mc)
 from dcrep.partitions import BinaryLaw
-from dcrep.solver import (RELAX_SIGMA, _permute_law, square_circle_intervals,
-                          square_circle_solver)
+from dcrep.solver import RELAX_SIGMA, _permute_law, lp_feasibility, square_circle_intervals
 
 from conftest import fmt_cell
 
@@ -46,7 +46,7 @@ def reference_square_law(theta: float) -> np.ndarray:
 
 
 def reference_interval(nu4: BinaryLaw):
-    """``square_circle_solver`` up to its p = 1/2 verdict, one law at a time:
+    """The former square solver up to its p = 1/2 verdict, one law at a time:
     (p, None) off p = 1/2, else (p, (t_lo, t_hi, infeasible))."""
     noise = 0.0 if nu4.stderr is None else float(np.max(nu4.stderr))
     tol = max(1e-9, RELAX_SIGMA * noise)
@@ -108,9 +108,7 @@ def test_stacked_intervals_match_per_law_reference():
         p, (lo, hi, infeasible) = reference_interval(law)
         assert bits([iv.p[i], iv.t_lo[i], iv.t_hi[i]]) == bits([p, lo, hi]), th
         assert iv.infeasible[i] == infeasible, th
-        res = square_circle_solver(th, 0.0, law)
-        assert res.status == ("Infeasible" if infeasible else "Feasible")
-        assert bits([res.detail["t_lo"], res.detail["t_hi"]]) == bits([lo, hi])
+        assert lp_feasibility(law).status == ("Infeasible" if infeasible else "Feasible"), th
     # the interval closes at pi/4: just past it, t_lo - t_hi ~ 4 (theta - pi/4)/pi
     # is within the 1e-9 tolerance; at pi/2 the interval is far from feasible
     gap = dict(zip(thetas.tolist(), (iv.t_lo - iv.t_hi).tolist()))
@@ -179,12 +177,10 @@ def test_the_reconstruction_cap_on_t_hi_decides():
     (dihedral_law(0.2, 0.1, 0.0, 0.0, 0.4), r"\{0,1\}-symmetric"),
     (np.eye(16)[0b1000], "dihedral"),
 ], ids=["alternating_mass", "not_flip_symmetric", "not_dihedral"])
-def test_stacked_intervals_refuse_what_the_solver_refuses(probs, match):
+def test_stacked_intervals_refuse_what_the_reference_refuses(probs, match):
     good = square_threshold_laws_exact([0.3, 1.0]).probs
     with pytest.raises(ValueError, match=match):
         square_circle_intervals(np.vstack([good, probs]))
-    with pytest.raises(ValueError, match=match):
-        square_circle_solver(None, None, BinaryLaw(4, probs))
     with pytest.raises(ValueError, match=match):
         reference_interval(BinaryLaw(4, probs))
 
