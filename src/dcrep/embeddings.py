@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .partitions import (BinaryLaw, PartitionDistribution, _check_n, _column_keys,
-                         _label_codes, _partition_table, bell_number, pattern_counts,
-                         push_forward)
+from .partitions import (BELL, BinaryLaw, PartitionDistribution, _check_n, _column_keys,
+                         _partition_table, bell_number, pattern_counts, push_forward)
 from .stable import sample_pos_stable, sample_sym_stable, subordinator_scale
 
 
@@ -43,9 +43,9 @@ class EmbeddingBatch:
     7.2.1.5): element 1 has label 0, and every later label is at most one more
     than the largest label before it.  So block b is the b-th block in order
     of least element, and a row's labels name its partition in exactly one
-    way.  Read as base-n digits, the row is one int64 code
-    (``partitions._label_codes``); rows share a code iff they share a
-    partition, and the partition table maps the code to its column of
+    way.  Its rank among the Bell(n) such strings in lexicographic order
+    (``_rg_ranks``) is the rank of its base-n code (``partitions._label_codes``)
+    among the partition table's codes, which maps it to its column of
     ``enumerate_partitions(n)``.
 
     Signs are constant on every block.  For path topology the blocks are
@@ -69,11 +69,16 @@ class EmbeddingBatch:
         """Rows grouped by their partition code, groups in code order.
 
         Returns ``(columns, inverse, counts)``: each group's column of
-        ``enumerate_partitions(n)``, each row's group and each group's size.
+        ``enumerate_partitions(n)``, each row's group and each group's size,
+        all intp.  A row's lexicographic rank (``_rg_ranks``) orders the rows
+        as their codes do, so one ``bincount`` over the Bell(n) ranks groups
+        them, with no sort.
         """
-        codes, inverse, counts = np.unique(_label_codes(self.labels), return_inverse=True,
-                                           return_counts=True)
-        return _partition_table(self.n).columns(codes), inverse, counts
+        ranks = _rg_ranks(self.labels)
+        counts = np.bincount(ranks, minlength=BELL[self.n])
+        present = np.flatnonzero(counts)
+        group = np.cumsum(counts > 0) - 1       # each present rank's group
+        return _partition_table(self.n).code_columns[present], group[ranks], counts[present]
 
     def empirical_sign_law(self) -> BinaryLaw:
         return BinaryLaw.from_counts(pattern_counts(self.signs > 0), self.m)
@@ -100,6 +105,46 @@ def _restricted_growth(labels: np.ndarray) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _rank_weights(n: int) -> np.ndarray:
+    """weights[i, top]: how many restricted-growth strings of length n share
+    a prefix up to place i and put a given label below top + 1 there, where
+    top is the largest label before place i: the completions of the n - 1 - i
+    later places with top + 1 blocks open.  Completions of r places with k
+    blocks open number T(r, k) = k T(r - 1, k) + T(r - 1, k + 1), T(0, k) = 1;
+    the recurrence below is exact where k + r <= n.  Only the entries with
+    top < i are read, T(r, k) with k + r <= n - 1, and only they are kept:
+    the rest are zeroed.  Each kept entry, and each rank they sum to, is below
+    Bell(9) = 21,147, so int16."""
+    completions = np.ones((n, n + 1), dtype=np.int64)   # completions[r, k] = T(r, k)
+    for r in range(1, n):
+        completions[r, :n] = np.arange(n) * completions[r - 1, :n] + completions[r - 1, 1:]
+    weights = np.tril(completions[n - 1 - np.arange(n), 1:], -1).astype(np.int16)
+    weights.setflags(write=False)
+    return weights
+
+
+def _rg_ranks(labels: np.ndarray) -> np.ndarray:
+    """Each row's rank, from 0, among the Bell(n) restricted-growth strings of
+    its length in lexicographic order (Knuth, TAOCP 4A 7.2.1.5), as intp, in
+    one pass per column.  The label a at place i passes over a strings with
+    the same prefix and a smaller label there, each followed by
+    ``_rank_weights`` completions.  The ranks sum in int16; the largest label
+    so far is kept as intp, which indexes the weights with no conversion."""
+    m, n = labels.shape
+    weights = _rank_weights(n)
+    rank = np.zeros(m, dtype=np.int16)
+    top = np.zeros(m, dtype=np.intp)
+    label = np.empty(m, dtype=np.intp)
+    for i in range(1, n):
+        step = weights[i].take(top)
+        step *= labels[:, i]
+        rank += step
+        np.copyto(label, labels[:, i])
+        np.maximum(top, label, out=top)
+    return rank.astype(np.intp)
+
+
 def _partition_law(n: int, m: int, cols, counts) -> PartitionDistribution:
     """Empirical partition law from the groups of ``partition_groups``: group
     g puts counts[g] / m on column cols[g]."""
@@ -118,24 +163,35 @@ def _assemble_tree(y: np.ndarray, expo: np.ndarray, parents, rng: np.random.Gene
     in sign is always crossed; otherwise it is crossed with probability
     exp(-2 u v / T).  A crossed edge opens the next block, and an uncrossed one
     keeps its parent's block, so the labels are restricted-growth strings.
-    The crossings' uniforms are one (m, n - 1) draw.  The work runs one
-    column at a time, on rows of the transposes: contiguous when y and expo
-    are transposes of (n, m) arrays, as ``_sample_tree`` passes them, and
-    the batch's arrays are transposes of (n, m) arrays too.
+    The crossings' uniforms are one (m, n - 1) draw.  The work runs on rows
+    of the transposes: contiguous when y and expo are transposes of (n, m)
+    arrays, as ``_sample_tree`` passes them, and the batch's arrays are
+    transposes of (n, m) arrays too.
+
+    Nothing selects per element, as a random mask makes ``np.where`` branch
+    on each one: the signs are the comparison's bytes times 2, minus 1; a
+    sign change zeroes its exponent's bits, so exp gives 1 even for an
+    infinite or NaN exponent; and a node's label is its parent's plus
+    crossed times the difference to the block its edge opens.
     """
     m, n = y.shape
     nodes, edges = y.T, expo.T
-    signs = np.where(nodes > 0.0, 1, -1).astype(np.int8)
+    signs = (nodes > 0.0).view(np.int8) * 2 - 1
     uniforms = rng.random((m, n - 1)).T
     cross_p = np.empty((n - 1, m))
     labels = np.zeros((n, m), dtype=np.int16)
     opened = np.zeros(m, dtype=np.int16)
     for i, parent in enumerate(parents, start=1):
-        cross_p[i - 1] = np.where(signs[parent] == signs[i],
-                                  np.exp(-2.0 * np.clip(edges[i - 1], 0.0, None)), 1.0)
-        crossed = uniforms[i - 1] < cross_p[i - 1]
+        p = cross_p[i - 1]
+        np.maximum(edges[i - 1], 0.0, out=p)
+        p *= -2.0
+        p.view(np.int64)[...] &= np.negative(signs[parent] == signs[i], dtype=np.int64)
+        np.exp(p, out=p)
+        crossed = uniforms[i - 1] < p
         opened += crossed
-        labels[i] = np.where(crossed, opened, labels[parent])
+        step = opened - labels[parent]
+        step *= crossed
+        np.add(labels[parent], step, out=labels[i])
     return EmbeddingBatch(signs.T, labels.T, cross_p.T, topology=topology, values=y)
 
 
@@ -274,7 +330,11 @@ class ColorPropertyReport:
 
 
 def verify_color_property(batch: EmbeddingBatch) -> ColorPropertyReport:
-    """Statistical check of the color property on >= 10^4 samples."""
+    """Statistical check of the color property on >= 10^4 samples.
+
+    Each tested bin's p-value is the chi-square upper tail
+    ``special.chdtrc(dof, chi2)``: what ``stats.chi2.sf`` evaluates, less its
+    argument handling, to the same bits."""
     if not isinstance(batch, EmbeddingBatch):
         raise TypeError(f"expected an EmbeddingBatch, got {type(batch).__name__}")
     if batch.m < 10_000:
@@ -309,7 +369,7 @@ def verify_color_property(batch: EmbeddingBatch) -> ColorPropertyReport:
     order = sorted(range(len(cols)), key=lambda g: keys[cols[g]])
     tested = [g for g in order if expected[g] >= MIN_EXPECTED]
     dof = cells[tested] - 1
-    p_values = stats.chi2.sf(chi2[tested], dof)
+    p_values = special.chdtrc(dof, chi2[tested])
     bins = tuple(BinVerdict(keys[cols[g]], int(counts[g]), float(chi2[g]), int(d), float(p))
                  for g, d, p in zip(tested, dof, p_values))
     excluded = [keys[cols[g]] for g in order if expected[g] < MIN_EXPECTED]

@@ -5,10 +5,11 @@ A partition distribution q together with a coin bias p induces a law nu on
 binary strings: pick a partition, then color each block 1 with probability p,
 independently across blocks.  ``color_map`` materializes that map as a
 2^n x Bell(n) column-stochastic matrix, ``push_forward`` applies it, and
-``simulate_color_process`` samples from it.  All three read the same cells
-(``_color_map_cells``), one per (partition, coloring) pair: the sampler draws
-each sample's cell with one uniform, by a guide-table categorical over the
-cells' masses, rather than a partition and then one uniform per block.
+``simulate_color_process`` samples from it.  The first two read the same
+cells (``_color_map_cells``), one per (partition, coloring) pair.  A color
+process sample is a draw from nu itself, so the sampler draws each sample's
+string with one uniform, by a guide-table categorical over nu's 2^n cells,
+rather than a partition and then one uniform per block.
 """
 
 from __future__ import annotations
@@ -736,21 +737,14 @@ def _guide(masses: np.ndarray) -> np.ndarray:
     ``rng.choice`` looks up each uniform u in this CDF by binary search.  The
     guide table (Chen & Asau 1974) covers [0, 1) with K = 2^k > 8 len(masses)
     equal cells, at most ``GUIDE_MAX``, and holds, per cell, the first index
-    whose CDF value exceeds the cell's left end.  Its indices are intp, or
-    int32 once K reaches ``GUIDE_MAX``, which halves the 8 MiB table that
-    would be the largest array of an n = 9 color process (its draws took the
-    same time either way).  Below the cap an int32 table made 10^6 n = 5
-    draws a quarter slower (8.2 against 6.5 ms on 2 CPUs), as indexing by it
-    converts every index.
+    whose CDF value exceeds the cell's left end, as intp.  A color process
+    has at most 2^MAX_N masses, so its table has at most 8,192 cells; the cap
+    binds only on longer inputs, whose table it keeps at 8 MiB.
     """
     cdf = np.cumsum(masses, out=masses)
     cdf /= cdf[-1]
     k = min(1 << (8 * len(cdf)).bit_length(), GUIDE_MAX)
-    guide = np.empty(k, dtype=np.intp if k < GUIDE_MAX else np.int32)
-    for c in range(0, k, MC_BLOCK):
-        guide[c:c + MC_BLOCK] = np.searchsorted(
-            cdf, np.arange(c, min(c + MC_BLOCK, k)) / k, side="right")
-    return guide
+    return np.searchsorted(cdf, np.arange(k) / k, side="right")
 
 
 def _categorical(cdf: np.ndarray, guide: np.ndarray, k: int, rng) -> np.ndarray:
@@ -777,17 +771,19 @@ def _categorical(cdf: np.ndarray, guide: np.ndarray, k: int, rng) -> np.ndarray:
 def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     """Draw m color-process samples; returns (samples, empirical BinaryLaw).
 
-    ``samples`` is an (m, n) 0/1 uint8 array.  Each sample takes one uniform:
-    a categorical draw over the cells of ``_color_map_cells`` of positive
-    mass, each a (partition, coloring) pair of mass q(sigma) p^k (1-p)^(K-k),
-    read as the cell's string.  Dropping the massless cells changes no draw,
-    since they add no step to the CDF.
+    ``samples`` is an (m, n) 0/1 uint8 array.  The samples are iid draws from
+    the law nu = ``push_forward(q, p)``, so each takes one uniform: a
+    categorical draw over nu's cells of positive mass, at most 2^n, in index
+    order (table sampling of a discrete law, Devroye 1986, ch. III).  Cells
+    of zero mass add no step to the CDF, so dropping them changes no draw.
 
     The draws come in the blocks of ``_count_blocks``, on its pool and its
     per-block streams, so the samples and the law depend on (q, p, m, seed)
-    alone, never on the thread count.  Block i is ``rng_i.choice`` over the
-    cells' masses, and writes its own rows of ``samples``.  The CDF and its
-    guide table are built once and shared by every block.
+    alone, never on the thread count.  Block i is ``rng_i.choice`` over nu's
+    positive cells: it copies each drawn cell's row of a (cells, n) string
+    table into its own rows of ``samples``, and counts the cells with one
+    ``bincount``.  The CDF and its guide table are built once and shared by
+    every block.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -796,18 +792,19 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     n = q.n
-    masses = _cell_weights(q, p)
-    drawn = masses > 0.0   # not the cells of zero (or, within PROB_TOL, negative) mass
-    cdf, rows = masses[drawn], _color_map_cells(n)[0][drawn]
-    del masses, drawn   # 5 MiB at n = 9 that would otherwise outlive the draws
+    nu = push_forward(q, p).probs
+    cells = np.flatnonzero(nu > 0.0)
+    cdf = nu[cells]
     guide = _guide(cdf)
-    strings = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    strings = ((cells[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     samples = np.empty((m, n), dtype=np.uint8)
 
     def count(start, k, rng):
-        block = rows[_categorical(cdf, guide, k, rng)]
-        # mode "clip" writes in place, where "raise" buffers ``out`` (the rows are valid)
-        np.take(strings, block, axis=0, out=samples[start:start + k], mode="clip")
-        return np.bincount(block, minlength=2 ** n)
+        idx = _categorical(cdf, guide, k, rng)
+        # mode "clip" writes in place, where "raise" buffers ``out`` (the indices are valid)
+        np.take(strings, idx, axis=0, out=samples[start:start + k], mode="clip")
+        return np.bincount(idx, minlength=len(cells))
 
-    return samples, BinaryLaw.from_counts(_count_blocks(count, m, seed, 2 ** n), m)
+    counts = np.zeros(2 ** n, dtype=np.int64)
+    counts[cells] = _count_blocks(count, m, seed, len(cells))
+    return samples, BinaryLaw.from_counts(counts, m)

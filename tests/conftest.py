@@ -153,29 +153,26 @@ def block_streams(m, seed):
 
 
 def reference_color_process(weights: dict, n, p, m, seed):
-    """The color process drawn by ``rng.choice`` over its (partition, coloring)
-    pairs of positive mass q(sigma) p^k (1-p)^(K-k), built from ``Partition``
-    objects and listed as the coloring map lists its cells: by number of
-    blocks K, then partition, then coloring.  Each block of ``block_streams``
-    makes one ``choice`` from its own generator.  Returns (samples, law)."""
+    """The color process drawn by ``rng.choice`` over the cells of its law nu
+    of positive mass, in index order.  nu is summed from ``Partition``
+    objects, mass q(sigma) p^k (1-p)^(K-k) per (partition, coloring) pair,
+    in the order the coloring map lists its cells: by number of blocks K,
+    then partition, then coloring.  Each block of ``block_streams`` makes one
+    ``choice`` from its own generator.  Returns (samples, law)."""
     from dcrep.partitions import BinaryLaw, enumerate_partitions
 
-    masses, strings = [], []
+    nu = np.zeros(2 ** n)
     for big in range(1, n + 1):
         for sig in enumerate_partitions(n):
             if sig.num_blocks != big:
                 continue
             for colors in itertools.product((0, 1), repeat=big):
                 k = sum(colors)
-                mass = weights.get(sig.key, 0.0) * (p ** k * (1.0 - p) ** (big - k))
-                if mass > 0.0:
-                    string = np.zeros(n, dtype=np.uint8)
-                    for block, c in zip(sig.blocks, colors):
-                        string[np.array(block) - 1] = c
-                    masses.append(mass)
-                    strings.append(string)
-    which = np.concatenate([rng.choice(len(masses), size=k, p=np.array(masses))
+                cell = sum(c << (n - i) for block, c in zip(sig.blocks, colors) for i in block)
+                nu[cell] += weights.get(sig.key, 0.0) * (p ** k * (1.0 - p) ** (big - k))
+    cells = np.flatnonzero(nu > 0.0)
+    which = np.concatenate([rng.choice(len(cells), size=k, p=nu[cells])
                             for k, rng in block_streams(m, seed)])
-    samples = np.array(strings)[which]
+    samples = ((cells[which, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     counts = np.bincount(samples @ (1 << np.arange(n - 1, -1, -1)), minlength=2 ** n)
     return samples, BinaryLaw.from_counts(counts, m)

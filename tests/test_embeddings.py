@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dcrep.embeddings import (BinVerdict, ColorPropertyReport, EmbeddingBatch,
-                              _assemble_tree, ou_partition_batch,
+                              _assemble_tree, _rank_weights, ou_partition_batch,
                               ou_star_partition_batch, stable_chain_partition_batch,
                               stable_star_partition_batch, verify_color_property)
 from dcrep.gaussian import markov_chain_cov, pair_cluster_weight, zero_threshold_law_3
-from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution, _column_keys,
+from dcrep.partitions import (MAX_N, BinaryLaw, Partition, PartitionDistribution,
+                              _column_keys, _label_codes, _partition_table,
                               enumerate_partitions, push_forward, simulate_color_process)
 from dcrep.stable import common_shock_model, sample_sym_stable, stable_threshold_law_mc
 
@@ -300,6 +301,52 @@ def test_codes_group_rows_as_partitions(labels):
     assert counts.tolist() == [keys.count(k) for k in group_keys]
 
 
+def reference_partition_groups(batch):
+    """The grouping by sorted base-n codes: ``np.unique`` over ``_label_codes``."""
+    codes, inverse, counts = np.unique(_label_codes(batch.labels), return_inverse=True,
+                                       return_counts=True)
+    return _partition_table(batch.n).columns(codes), inverse, counts
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+@pytest.mark.parametrize("support", ["every", "some", "one"])
+def test_partition_groups_match_the_sorted_codes(n, support):
+    """Every partition of [n] present, about half of them, or only one, in
+    shuffled rows: the same groups, inverse, counts and dtypes."""
+    table = _partition_table(n).labels.astype(np.int16)
+    gen = np.random.default_rng(n)
+    if support == "every":
+        rows = np.concatenate([np.arange(len(table)), gen.integers(len(table), size=500)])
+    elif support == "some":
+        rows = gen.choice(gen.choice(len(table), size=max(1, len(table) // 2), replace=False),
+                          size=1000)
+    else:
+        rows = np.full(300, gen.integers(len(table)))
+    labels = table[gen.permutation(rows)]
+    m = len(labels)
+    batch = EmbeddingBatch(np.ones((m, n), dtype=np.int8), labels, np.zeros((m, n - 1)))
+    for got, want in zip(batch.partition_groups(), reference_partition_groups(batch)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_rank_weights_count_completions_and_hold_nothing_else(n):
+    """weights[i, top], top < i: the strings of the partition table that
+    share one prefix of places 0..i whose largest label is top.  The entries
+    never read, top >= i, are 0."""
+    table = _partition_table(n).labels
+    weights = _rank_weights(n)
+    assert weights.dtype == np.int16 and not weights.flags.writeable
+    for i in range(n):
+        for top in range(n):
+            if top >= i:
+                assert weights[i, top] == 0
+                continue
+            prefix = np.r_[np.arange(top + 1), np.full(i - top, top)]
+            assert weights[i, top] == np.all(table[:, :i + 1] == prefix, axis=1).sum()
+
+
 def test_labels_must_be_restricted_growth():
     signs = np.ones((1, 3), dtype=np.int8)
     for labels in ([[1, 0, 0]], [[0, 2, 1]], [[0, 1, -1]]):
@@ -334,6 +381,56 @@ def test_star_labels_match_per_row_loop(leaves):
     expect = reference_star_batch(y, expo, np.random.default_rng(40))
     assert batch.labels.dtype == expect.dtype
     assert np.array_equal(batch.labels, expect)
+
+
+def reference_assemble_tree(y, expo, parents, rng):
+    """The tree assembler as it selected with ``np.where``, one edge at a time:
+    (signs, labels, crossing probabilities)."""
+    m, n = y.shape
+    signs = np.where(y > 0.0, 1, -1).astype(np.int8)
+    uniforms = rng.random((m, n - 1))
+    cross_p = np.empty((m, n - 1))
+    labels = np.zeros((m, n), dtype=np.int16)
+    opened = np.zeros(m, dtype=np.int16)
+    for i, parent in enumerate(parents, start=1):
+        cross_p[:, i - 1] = np.where(signs[:, parent] == signs[:, i],
+                                     np.exp(-2.0 * np.clip(expo[:, i - 1], 0.0, None)), 1.0)
+        crossed = uniforms[:, i - 1] < cross_p[:, i - 1]
+        opened += crossed
+        labels[:, i] = np.where(crossed, opened, labels[:, parent])
+    return signs, labels, cross_p
+
+
+TREES = {"path": [0, 1, 2, 3], "star": [0, 0, 0, 0], "tree": [0, 0, 1, 1, 3]}
+
+
+@pytest.mark.parametrize("parents", TREES.values(), ids=TREES)
+def test_tree_assembly_matches_the_where_reference_on_planted_exponents(parents):
+    """Exponents 0, +inf and NaN beside finite ones of either sign, on edges
+    with and without a sign change, and nodes at exactly 0 (sign -1).  A NaN
+    exponent arises only if ``sample_pos_stable`` returns inf: the bridge time
+    and the endpoint are then both infinite."""
+    n, m = len(parents) + 1, 4000
+    gen = np.random.default_rng(len(parents))
+    y = gen.standard_normal((m, n))
+    y[gen.random((m, n)) < 0.05] = 0.0
+    expo = gen.standard_normal((m, n - 1))
+    kind = gen.integers(4, size=(m, n - 1))
+    expo[kind == 1] = 0.0
+    expo[kind == 2] = np.inf
+    expo[kind == 3] = np.nan
+    batch = _assemble_tree(y, expo, parents, np.random.default_rng(7), "path")
+    signs, labels, cross_p = reference_assemble_tree(y, expo, parents, np.random.default_rng(7))
+    for got, want in ((batch.signs, signs), (batch.labels, labels)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert np.array_equal(batch.crossing_probs, cross_p, equal_nan=True)
+    change = signs[:, parents] != signs[:, 1:]
+    for k in range(1, 4):       # each planted exponent meets both kinds of edge
+        assert (change & (kind == k)).any() and (~change & (kind == k)).any()
+    # a sign change is always a crossing, whatever its exponent
+    assert (batch.crossing_probs[change] == 1.0).all()
+    assert np.isnan(batch.crossing_probs[~change & (kind == 3)]).all()
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -600,7 +600,7 @@ def test_categorical_matches_choice_with_many_steps_in_one_guide_cell():
 
 
 def test_categorical_matches_choice_past_the_guide_table_cap():
-    # the color-process cells of n = 9: more weights than GUIDE_MAX / 8
+    # as many weights as the (partition, coloring) cells of n = 9: more than GUIDE_MAX / 8
     weights = np.random.default_rng(6).dirichlet(np.ones(610_182))
     assert 8 * len(weights) > GUIDE_MAX
     assert_categorical_matches_choice(weights)
