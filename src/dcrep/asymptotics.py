@@ -223,21 +223,21 @@ def stable_order2_limit_101_symmetric(a: float, alpha: float) -> float:
 def stable_order2_limits_101_symmetric(a: float, alphas) -> tuple[np.ndarray, ...]:
     """``stable_order2_limit_101_symmetric(a, alpha)`` over an array of
     alphas, in one array pass: returns t = a^alpha, ``gamma_factor(alpha)``
-    (+infinity for alpha >= 1) and the limit.  The powers stay Python's
-    ``**``, one per alpha: numpy's ``power`` rounds some of them an ulp
-    away."""
+    (+infinity for alpha >= 1) and the limit.  The powers are
+    ``np.float_power``, libm's ``pow`` as Python's ``**`` on floats, so each
+    is bit for bit ``a ** alpha`` and ``(1 - t) ** 2``: numpy's ``power``
+    rounds some of them an ulp away."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
     alphas = np.asarray(alphas, dtype=float)
     if not np.all((alphas > 0.0) & (alphas < 2.0)):
         raise ValueError("alpha must lie in (0,2)")
-    t = np.array([a ** al for al in alphas.tolist()])
+    t = np.float_power(a, alphas)
     gamma = _gamma_factors(alphas)
     below = alphas < 1.0
     tb = t[below]
     limit = np.full(len(alphas), math.inf)
-    limit[below] = (np.array([(1.0 - x) ** 2 for x in tb.tolist()])
-                    + tb * (1.0 - tb) * gamma[below])
+    limit[below] = np.float_power(1.0 - tb, 2.0) + tb * (1.0 - tb) * gamma[below]
     return t, gamma, limit
 
 

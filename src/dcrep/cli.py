@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -113,13 +114,20 @@ def _config_echo(args) -> dict:
     return cfg
 
 
+def _open_out(args):
+    """The file that ``--out`` names, opened for writing, or stdout; a path
+    that cannot be opened is a usage error."""
+    if not args.out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.out, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {args.out!r}: {exc}") from exc
+
+
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _open_out(args) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 CSV_BLOCK_ROWS = 1024
@@ -130,7 +138,7 @@ def _emit_csv(args, header: list[str], columns: list) -> None:
     that only one block of text is held at once; ``csv_lines`` spells each
     float cell as ``format(x, ".17g")`` does."""
     rows = len(columns[0])
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    with _open_out(args) as fh:
         fh.write("# " + json.dumps(_config_echo(args), sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, CSV_BLOCK_ROWS):
@@ -196,14 +204,14 @@ def _scan_ab_columns(values: np.ndarray) -> list:
     matrices, so the CSV text is built without them."""
     grid = cond.ab_region_grid(np.repeat(values, len(values)), np.tile(values, len(values)))
     usable = grid.numerically_pd
-    small = np.full(len(usable), "", dtype=object)
+    small = np.full(len(usable), "", dtype="U1")
     q, _ = asym.small_h_limits_stack(grid.classified.mats[usable],
                                      grid.classified.eigvals[usable])
     small[usable] = np.where(q.min(axis=1) > 1e-10, "1", "0")
     return [grid.a, grid.b, grid.pd.astype(int), grid.dgff.astype(int),
             grid.large_h_color.astype(int), (np.abs(grid.markov_gap) <= 1e-12).astype(int),
             small, grid.savage_min, grid.pd_margin, grid.markov_gap,
-            [tag or "" for tag in grid.case_tag]]
+            np.where(usable, grid.classified.case_tag, "")]
 
 
 SCAN_BLOCK_ROWS = 1024  # scan theta's rows per array pass: bounds its temporaries
@@ -267,7 +275,7 @@ def _emit_sample_csv(args, batch) -> None:
               + ["partition"]
               + ["crossing_p_" + str(i + 1) for i in range(batch.crossing_probs.shape[1])])
     cols, inverse, _ = batch.partition_groups()
-    keys = np.array(_column_keys(batch.n), dtype=object)[cols]
+    keys = np.array(_column_keys(batch.n))[cols]
     _emit_csv(args, header, list(batch.signs.T) + [keys[inverse]] + list(batch.crossing_probs.T))
 
 
@@ -406,7 +414,10 @@ def _read_flags(args) -> set[str]:
     return {"config", "out", _COMMANDS[args.command].kind_flag, *_kind_reads(args)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing keeps
+    no state in it, since each ``parse_args`` fills a new namespace."""
     ap = argparse.ArgumentParser(prog="dcrep",
                                  description="divide-and-color representability toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -18,7 +18,8 @@ by an array kernel:
   carries into E.
 * The text is one gather from the digits and a few constant characters,
   through a layout per (sign, E, number of digits left once trailing zeros
-  go), each built once and cached.
+  go).  Each layout is built once, cached as a padded row of bytes, and a
+  block's layout table is those rows of the codes it holds, joined.
 
 A cell outside the domain where that is proven goes through ``format``
 itself, once per distinct bit pattern: zero, nan, +-inf, |x| outside
@@ -26,6 +27,12 @@ itself, once per distinct bit pattern: zero, nan, +-inf, |x| outside
 normal range), and a y whose fractional part lies within 1e-6 of 1/2, which
 covers the exact ties that ``format`` rounds half to even (such as 2^-25).
 The tables are built on first use, not at import.
+
+Integer, bool and string columns, and those fallback bit patterns, are
+spelled once per distinct cell: one ``np.unique(..., return_inverse=True)``
+finds the distinct cells, Python spells only those, and one gather spreads
+their text to the cells.  An object column (None beside str, say) is first
+turned into str cell by cell.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ _ALPHABET = b"\0-.e+0123456789\0"
 _SOURCE_WIDTH = 4 + 16 + len(_ALPHABET)
 _NUL = 20                       # the source column of the padding
 _EXPONENTS = _E_MAX + 2 - _E_MIN    # E after a carry, in [-270, 271]
+_LAYOUT_WIDTH = 24              # the longest text, "-d.dddddddddddddddde-270"
 
 
 @functools.cache
@@ -82,12 +90,13 @@ def _const(ch: str) -> int:
 
 
 @functools.cache
-def _layout(code: int) -> tuple[int, ...]:
+def _layout(code: int) -> bytes:
     """The source columns of the text of a cell whose ``code`` packs (sign,
-    E, number of digits) as ``float_text`` does.  Digit 0 of D is column 0,
-    digit j > 0 column j + 3, a constant character ``_const(ch)``.  ``.17g``
-    writes 10^-4 <= |x| < 10^17 in positional notation and the rest in
-    scientific, and drops trailing zeros and a bare point."""
+    E, number of digits) as ``float_text`` does, one byte each, padded with
+    ``_NUL`` to ``_LAYOUT_WIDTH``.  Digit 0 of D is column 0, digit j > 0
+    column j + 3, a constant character ``_const(ch)``.  ``.17g`` writes
+    10^-4 <= |x| < 10^17 in positional notation and the rest in scientific,
+    and drops trailing zeros and a bare point."""
     rest, digits = divmod(code, _DIGITS + 1)
     negative, e = divmod(rest, _EXPONENTS)
     e += _E_MIN
@@ -104,7 +113,7 @@ def _layout(code: int) -> tuple[int, ...]:
         if digits > 1:
             out += [_const(".")] + column[1:digits]
         out += [_const(ch) for ch in f"e{e:+03d}"]
-    return tuple(out)
+    return bytes(out).ljust(_LAYOUT_WIDTH, bytes([_NUL]))
 
 
 def _text_matrix(texts) -> np.ndarray:
@@ -113,19 +122,19 @@ def _text_matrix(texts) -> np.ndarray:
     return encoded.view(np.uint8).reshape(len(encoded), encoded.itemsize)
 
 
-def _distinct_text(cells, spell) -> np.ndarray:
-    """The text of a list of cells, with ``spell`` called once per distinct cell."""
-    first: dict = {}
-    inverse = [first.setdefault(cell, len(first)) for cell in cells]
-    return _text_matrix([spell(cell) for cell in first]).take(inverse, axis=0)
+def _distinct_text(cells: np.ndarray, spell) -> np.ndarray:
+    """The text of a 1-D array of cells: ``spell`` turns the array of its
+    distinct cells, sorted by ``np.unique``, into their strings, and one
+    gather spreads those to the cells."""
+    distinct, inverse = np.unique(cells, return_inverse=True)
+    return _text_matrix(spell(distinct)).take(inverse, axis=0)
 
 
 def _float_fallback(x: np.ndarray) -> np.ndarray:
     """``format(v, ".17g")`` of each cell, once per bit pattern (-0.0 and 0.0
     differ in text, and nan equals no float)."""
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-    return _distinct_text(bits.tolist(),
-                          lambda b: format(float(np.uint64(b).view(np.float64)), ".17g"))
+    return _distinct_text(bits, lambda d: [format(v, ".17g") for v in d.view(np.float64).tolist()])
 
 
 def _round17(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,12 +200,11 @@ def float_text(x) -> np.ndarray:
     code = (np.signbit(x) * _EXPONENTS + (e - _E_MIN)) * (_DIGITS + 1) + digits
     low = int(code.min()) if len(code) else 0
     seen = np.bincount(code - low) > 0
-    layouts = [_layout(c) for c in (np.flatnonzero(seen) + low).tolist()]
-    table = np.full((len(layouts), max(map(len, layouts), default=0)), _NUL, dtype=np.intp)
-    for row, layout in zip(table, layouts):
-        row[:len(layout)] = layout
-    index = table.take(np.cumsum(seen).take(code - low) - 1, axis=0)
-    index += np.arange(0, len(x) * _SOURCE_WIDTH, _SOURCE_WIDTH)[:, None]
+    table = np.frombuffer(b"".join(map(_layout, (np.flatnonzero(seen) + low).tolist())),
+                          dtype=np.uint8).reshape(-1, _LAYOUT_WIDTH)
+    table = table[:, :np.count_nonzero((table != _NUL).any(axis=0))]   # the longest layout
+    index = (table.take(np.cumsum(seen).take(code - low) - 1, axis=0)
+             + np.arange(0, len(x) * _SOURCE_WIDTH, _SOURCE_WIDTH)[:, None])
     text = source.ravel().take(index)
     redo = np.flatnonzero(~inside | tie)
     if len(redo):
@@ -210,9 +218,14 @@ def float_text(x) -> np.ndarray:
 
 def _column_text(col: np.ndarray) -> np.ndarray:
     """Integers and bools by ``str(int(v))``, any other non-float column by
-    the ``str`` of its cells, once per distinct value."""
-    spell = (lambda v: str(int(v))) if col.dtype.kind in "biu" else str
-    return _distinct_text(col.tolist(), spell)
+    the ``str`` of its cells, once per distinct value.  Bools are read as
+    their bytes 0 and 1; an object column is spelled cell by cell first,
+    since ``np.unique`` cannot sort None beside str."""
+    if col.dtype.kind == "b":
+        col = col.view(np.uint8)
+    elif col.dtype.kind == "O":
+        col = np.array(list(map(str, col.tolist())), dtype=str)
+    return _distinct_text(col, lambda d: list(map(str, d.tolist())))
 
 
 def csv_lines(columns) -> str:

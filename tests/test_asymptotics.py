@@ -8,7 +8,8 @@ from dcrep.asymptotics import (alt_example_constants, fully_symmetric_kappa_argu
                                phase_transition_alpha, small_h_limits_3,
                                small_h_positive_families, stable_limit_report,
                                stable_order1_limit, stable_order2_limit_101_markov,
-                               stable_order2_limit_101_symmetric)
+                               stable_order2_limit_101_symmetric,
+                               stable_order2_limits_101_symmetric)
 from dcrep.gaussian import (CovarianceSpec, correlations3, fully_symmetric_cov, markov_chain_cov,
                             zero_threshold_law_3)
 from dcrep.partitions import PartitionDistribution, _column_keys, push_forward
@@ -139,6 +140,23 @@ def test_order2_symmetric_special_values():
     t = a ** alpha
     upper = (1 - t) ** 2 + t * (1 - t)
     assert stable_order2_limit_101_symmetric(a, alpha) < upper
+
+
+@pytest.mark.parametrize("a", [1e-6, 0.37, 0.5, 0.7891, 1 - 1e-9])
+def test_order2_limits_match_the_per_alpha_powers_bit_for_bit(a):
+    """The array powers are Python's ``**`` on each alpha: t = a ** alpha,
+    and the limit (1 - t) ** 2 + t (1 - t) gamma_factor(alpha) below 1."""
+    alphas = np.arange(1e-4, 2, 1e-4)
+    t, gamma, limit = stable_order2_limits_101_symmetric(a, alphas)
+    want_t, want_gamma, want_limit = [], [], []
+    for al in alphas.tolist():
+        ti = a ** al
+        g = gamma_factor(al) if al < 1.0 else math.inf
+        want_t.append(ti)
+        want_gamma.append(g)
+        want_limit.append((1.0 - ti) ** 2 + ti * (1.0 - ti) * g if al < 1.0 else math.inf)
+    for got, want in ((t, want_t), (gamma, want_gamma), (limit, want_limit)):
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 def test_order2_markov_strict_inequality():

@@ -253,6 +253,21 @@ def test_a_command_without_a_model_is_a_usage_error(command, tmp_path, capsys):
         assert err.startswith("error: ") and "--model" in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model", GAUSS3],
+    ["scan", "--scan", "theta"],
+    ["simulate", "--simulator", "ou", "--samples", "100", "--format", "csv"],
+], ids=["json", "scan-csv", "simulate-csv"])
+def test_an_output_file_that_cannot_be_opened_is_a_usage_error(argv, tmp_path, capsys):
+    """An ``--out`` in a missing directory, or naming a directory, exits 2
+    with the path in the message, from each writer, and leaves no file."""
+    for out in (tmp_path / "missing" / "x.out", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {str(out)!r}: "), err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_bad_covariance_exit_2(capsys):
     model = json.dumps({"a": [[1.0, 1.0], [1.0, 1.0]]})
     assert main(["analyze", "--model", model]) == 2
@@ -667,6 +682,29 @@ def test_a_rerun_from_the_echoed_config_is_byte_identical(command, kind, tmp_pat
     code, second = run(argv, tmp_path, "second")
     assert code == 0
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_the_cached_parser_carries_nothing_from_one_command_to_the_next(tmp_path):
+    """One parser serves every command of a process: the rerun commands give
+    the bytes of their first run in reverse order too, after a command that
+    reads its flags from a config file."""
+    assert cli.build_parser() is cli.build_parser()
+    cases = list(RERUN_ARGV)
+    first = {}
+    for i, case in enumerate(cases):
+        code, out = run(RERUN_ARGV[case], tmp_path, f"first-{i}")
+        assert code == 0
+        first[case] = out.read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": "dcrep/1", "model": GAUSS3, "h": 0.3,
+                               "samples": 500, "seed": 7, "p": 0.5}))
+    for order in (cases[::-1], cases):
+        code, _ = run(["analyze", "--config", str(cfg)], tmp_path, "config.json")
+        assert code == 0
+        for i, case in enumerate(order):
+            code, out = run(RERUN_ARGV[case], tmp_path, f"again-{i}")
+            assert code == 0
+            assert out.read_bytes() == first[case], case
 
 
 def test_defaults_are_echoed_and_read(tmp_path):

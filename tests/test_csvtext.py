@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcrep.csvtext import csv_lines, float_text
+from dcrep.cli import CSV_BLOCK_ROWS
+from dcrep.csvtext import (_DIGITS, _EXPONENTS, _LAYOUT_WIDTH, _NUL, _layout, csv_lines,
+                           float_text)
 
 from conftest import fmt_cell
 
@@ -110,3 +112,47 @@ def test_csv_lines_match_fmt_cell_by_cell():
                    for row in zip(*columns))
     assert csv_lines(columns) == want
 
+
+def test_every_layout_fits_the_padded_row():
+    """Each of the 19,512 codes' layouts, padded, is ``_LAYOUT_WIDTH`` bytes,
+    and the longest fills it."""
+    layouts = [_layout.__wrapped__(code) for code in range(2 * _EXPONENTS * (_DIGITS + 1))]
+    assert {len(layout) for layout in layouts} == {_LAYOUT_WIDTH}
+    assert max(len(layout.rstrip(bytes([_NUL]))) for layout in layouts) == _LAYOUT_WIDTH
+
+
+def reference_cell(v) -> str:
+    """A cell of ``tolist()`` as the CSV spells it: str, bytes and None by
+    ``str``, numbers by ``fmt_cell``."""
+    return str(v) if v is None or isinstance(v, (str, bytes)) else fmt_cell(v)
+
+
+def test_csv_lines_keep_the_text_of_repeated_and_edge_cells():
+    """Each block of ``CSV_BLOCK_ROWS`` rows, as ``dcrep scan`` writes it,
+    against the per-cell reference, on few distinct cells repeated across
+    the blocks and on floats whose bit patterns differ where their values
+    compare equal or unordered."""
+    gen = np.random.default_rng(3)
+    rows = 3 * CSV_BLOCK_ROWS + 100
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)
+    edge = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+                            2.2250738585072009e-308, 2.0 ** -25, 0.5, 1.5, 2.5,
+                            0.30000000000000004, math.nextafter(2.0 ** -25, 1.0),
+                            math.nextafter(2.0 ** -25, 0.0), 1e16 + 2, 9007199254740993.0],
+                           nans])
+    pick = gen.integers(0, 4, rows)
+    columns = [edge[gen.integers(0, len(edge), rows)],
+               gen.random(rows) < 0.5,
+               gen.integers(-3, 3, rows) * 10 ** 12,
+               gen.integers(0, 3, rows).astype(np.uint8),
+               np.array(["", "i", "zero-cov", "13|2"])[pick],
+               np.array([b"", b"a", b"bc", b"x y"])[pick],
+               np.array([None, "None", "a", ""], dtype=object)[gen.integers(0, 4, rows)],
+               np.array([0.25, -0.0, math.nan, 1e300])[pick]]
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        block = [col[start:start + CSV_BLOCK_ROWS] for col in columns]
+        want = "".join(",".join(map(reference_cell, row)) + "\n"
+                       for row in zip(*(col.tolist() for col in block)))
+        assert csv_lines(block) == want
+    assert csv_lines([col[:0] for col in columns]) == ""

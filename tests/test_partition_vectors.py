@@ -242,10 +242,12 @@ def test_simulate_refuses_a_bias_outside_the_unit_interval(p):
 
 
 def test_simulate_peak_memory_at_max_n():
-    """A warm 10^6-sample draw at n = 9 peaks in the draw itself, at about
-    22 MiB: the masses and CDF of 610,182 cells (9.3 MiB), an 8 MiB guide
-    table and each sample's row (1.9 MiB); the (m, n) samples (8.6 MiB) come
-    after.  The per-partition sampler peaked at 26.5 MiB."""
+    """A warm 10^6-sample draw at n = 9 peaks at about 10.2 MiB while it
+    fills the (m, n) samples (8.6 MiB), with each block's uniforms and cell
+    indices beside them.  ``push_forward``'s masses of the color map's
+    610,182 cells peak just below, at 9.3 MiB, before the samples exist.
+    The per-partition sampler peaked at 26.5 MiB, and the draw over those
+    610,182 cells at about 22 MiB."""
     q = PartitionDistribution.from_vector(MAX_N, np.random.default_rng(9).dirichlet(
         np.ones(BELL[MAX_N])))
     simulate_color_process(q, 0.3, 1000, 0)
