@@ -31,13 +31,13 @@ from .csvtext import csv_lines
 # threshold_law_mc, square_threshold_law_exact and square_circle_solver (a stub
 # that calls lp_feasibility) are on no path of the CLI: they stay importable
 # from here only because bench/tracing.py times them under these names
-from .gaussian import (CovarianceSpec, square_threshold_law_exact,  # noqa: F401
-                       square_threshold_laws_exact, threshold_law_mc)
+from .gaussian import (CovarianceSpec, square_threshold_laws_exact,
+                       square_threshold_law_exact, threshold_law_mc)  # noqa: F401
 from .laws import threshold_law
 from .partitions import BinaryLaw, _column_keys, _is_number, simulate_color_process
 from .reports import _plain
-from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3,  # noqa: F401
-                     square_circle_intervals, square_circle_solver, symmetric_rep_family_3)
+from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3, square_circle_intervals,
+                     symmetric_rep_family_3, square_circle_solver)  # noqa: F401
 
 SCHEMA = "dcrep/1"
 SCAN_MAX_ROWS = 1_000_000  # rows one scan may write; a finer --a-step is refused up front
@@ -227,8 +227,6 @@ def _scan_theta_columns(values: np.ndarray) -> list:
         rows = slice(start, start + SCAN_BLOCK_ROWS)
         laws = square_threshold_laws_exact(values[rows])
         iv = square_circle_intervals(laws.probs)
-        if not iv.half.all():
-            raise RuntimeError("an exact square law at h = 0 has a marginal off 1/2")
         feasible[rows], t_lo[rows], t_hi[rows] = ~iv.infeasible, iv.t_lo, iv.t_hi
         gap[rows] = math.pi / 8 - (laws.th_adj - laws.theta)
     return [feasible, t_lo, t_hi, gap]

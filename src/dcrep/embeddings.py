@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
 from .partitions import (BELL, BinaryLaw, PartitionDistribution, _check_n, _column_keys,
-                         _partition_table, bell_number, pattern_counts, push_forward)
+                         _partition_table, _rg_ranks, bell_number, pattern_counts,
+                         push_forward)
 from .stable import sample_pos_stable, sample_sym_stable, subordinator_scale
 
 
@@ -44,9 +44,8 @@ class EmbeddingBatch:
     than the largest label before it.  So block b is the b-th block in order
     of least element, and a row's labels name its partition in exactly one
     way.  Its rank among the Bell(n) such strings in lexicographic order
-    (``_rg_ranks``) is the rank of its base-n code (``partitions._label_codes``)
-    among the partition table's codes, which maps it to its column of
-    ``enumerate_partitions(n)``.
+    (``partitions._rg_ranks``) maps it to its column of
+    ``enumerate_partitions(n)`` through the partition table's ``rank_columns``.
 
     Signs are constant on every block.  For path topology the blocks are
     intervals of consecutive indices; for star topology element 1 is the root
@@ -66,19 +65,18 @@ class EmbeddingBatch:
         self.m, self.n = signs.shape
 
     def partition_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows grouped by their partition code, groups in code order.
+        """Rows grouped by their partition, groups in rank order.
 
         Returns ``(columns, inverse, counts)``: each group's column of
         ``enumerate_partitions(n)``, each row's group and each group's size,
-        all intp.  A row's lexicographic rank (``_rg_ranks``) orders the rows
-        as their codes do, so one ``bincount`` over the Bell(n) ranks groups
-        them, with no sort.
+        all intp.  One ``bincount`` over the Bell(n) ranks (``_rg_ranks``)
+        groups the rows, with no sort.
         """
         ranks = _rg_ranks(self.labels)
         counts = np.bincount(ranks, minlength=BELL[self.n])
         present = np.flatnonzero(counts)
         group = np.cumsum(counts > 0) - 1       # each present rank's group
-        return _partition_table(self.n).code_columns[present], group[ranks], counts[present]
+        return _partition_table(self.n).rank_columns[present], group[ranks], counts[present]
 
     def empirical_sign_law(self) -> BinaryLaw:
         return BinaryLaw.from_counts(pattern_counts(self.signs > 0), self.m)
@@ -88,6 +86,9 @@ class EmbeddingBatch:
         return _partition_law(self.n, self.m, cols, counts)
 
     def pair_cluster_frequency(self, i: int, j: int) -> float:
+        """Share of the rows in which elements i and j (1-based) share a block."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"elements must be in [1, {self.n}], got {i} and {j}")
         return float(np.mean(self.labels[:, i - 1] == self.labels[:, j - 1]))
 
 
@@ -103,46 +104,6 @@ def _restricted_growth(labels: np.ndarray) -> bool:
             return False
         top = np.maximum(top, label)
     return True
-
-
-@lru_cache(maxsize=None)
-def _rank_weights(n: int) -> np.ndarray:
-    """weights[i, top]: how many restricted-growth strings of length n share
-    a prefix up to place i and put a given label below top + 1 there, where
-    top is the largest label before place i: the completions of the n - 1 - i
-    later places with top + 1 blocks open.  Completions of r places with k
-    blocks open number T(r, k) = k T(r - 1, k) + T(r - 1, k + 1), T(0, k) = 1;
-    the recurrence below is exact where k + r <= n.  Only the entries with
-    top < i are read, T(r, k) with k + r <= n - 1, and only they are kept:
-    the rest are zeroed.  Each kept entry, and each rank they sum to, is below
-    Bell(9) = 21,147, so int16."""
-    completions = np.ones((n, n + 1), dtype=np.int64)   # completions[r, k] = T(r, k)
-    for r in range(1, n):
-        completions[r, :n] = np.arange(n) * completions[r - 1, :n] + completions[r - 1, 1:]
-    weights = np.tril(completions[n - 1 - np.arange(n), 1:], -1).astype(np.int16)
-    weights.setflags(write=False)
-    return weights
-
-
-def _rg_ranks(labels: np.ndarray) -> np.ndarray:
-    """Each row's rank, from 0, among the Bell(n) restricted-growth strings of
-    its length in lexicographic order (Knuth, TAOCP 4A 7.2.1.5), as intp, in
-    one pass per column.  The label a at place i passes over a strings with
-    the same prefix and a smaller label there, each followed by
-    ``_rank_weights`` completions.  The ranks sum in int16; the largest label
-    so far is kept as intp, which indexes the weights with no conversion."""
-    m, n = labels.shape
-    weights = _rank_weights(n)
-    rank = np.zeros(m, dtype=np.int16)
-    top = np.zeros(m, dtype=np.intp)
-    label = np.empty(m, dtype=np.intp)
-    for i in range(1, n):
-        step = weights[i].take(top)
-        step *= labels[:, i]
-        rank += step
-        np.copyto(label, labels[:, i])
-        np.maximum(top, label, out=top)
-    return rank.astype(np.intp)
 
 
 def _partition_law(n: int, m: int, cols, counts) -> PartitionDistribution:

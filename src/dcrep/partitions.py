@@ -134,31 +134,17 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(partitions)
 
 
-def _label_codes(labels: np.ndarray) -> np.ndarray:
-    """One int64 code per row of restricted-growth labels (see ``EmbeddingBatch``):
-    the row read as base-n digits, below n^n <= 9^9.  Rows share a code iff
-    they name the same partition."""
-    n = labels.shape[1]
-    return labels.astype(np.int64) @ (n ** np.arange(n - 1, -1, -1))
-
-
 class PartitionTable(NamedTuple):
     """The partitions of [n] as read-only arrays, row j for column j of B_n
     (``enumerate_partitions(n)[j]``): restricted-growth ``labels``,
     ``num_blocks``, and ``bits[j, b]``, the row-index bit mask of block b
-    (element 1 is the high bit; 0 past the last block).  ``codes`` lists every
-    ``_label_codes`` value in ascending order, ``code_columns`` the column of
-    each."""
+    (element 1 is the high bit; 0 past the last block).  ``rank_columns[r]``
+    is the column of the labels of rank r (``_rg_ranks``)."""
 
     labels: np.ndarray
     num_blocks: np.ndarray
     bits: np.ndarray
-    codes: np.ndarray
-    code_columns: np.ndarray
-
-    def columns(self, codes) -> np.ndarray:
-        """The column of each label code."""
-        return self.code_columns[np.searchsorted(self.codes, codes)]
+    rank_columns: np.ndarray
 
 
 def _block_sequences(labels: np.ndarray) -> np.ndarray:
@@ -179,7 +165,8 @@ def _partition_table(n: int) -> PartitionTable:
     """The one ``PartitionTable`` of [n], shared by every caller: the one
     encoding of B_n, from which its keys and ``Partition`` objects are read.
     Its rows grow one element at a time, a row with K blocks having K + 1
-    children labelled 0..K; one sort by block sequence orders the columns."""
+    children labelled 0..K, so they grow in rank order; one sort by block
+    sequence orders the columns, and its inverse maps each rank to its column."""
     _check_n(n)
     labels = np.zeros((1, 0), dtype=np.int8)
     for _ in range(n):
@@ -187,14 +174,53 @@ def _partition_table(n: int) -> PartitionTable:
         parent = np.repeat(np.arange(len(labels)), children)
         label = np.arange(len(parent)) - np.repeat(np.cumsum(children) - children, children)
         labels = np.column_stack([labels[parent], label.astype(np.int8)])
-    labels = labels[np.lexsort(_block_sequences(labels).T[::-1])]
+    order = np.lexsort(_block_sequences(labels).T[::-1])
+    labels = labels[order]
     bits = (labels[:, None, :] == np.arange(n)[:, None]) @ (1 << np.arange(n - 1, -1, -1))
-    codes = _label_codes(labels)
-    order = np.argsort(codes)
-    table = PartitionTable(labels, labels.max(axis=1) + 1, bits, codes[order], order)
+    table = PartitionTable(labels, labels.max(axis=1) + 1, bits, np.argsort(order))
     for a in table:
         a.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def _rank_weights(n: int) -> np.ndarray:
+    """weights[i, top]: how many restricted-growth strings of length n share
+    a prefix up to place i and put a given label below top + 1 there, where
+    top is the largest label before place i: the completions of the n - 1 - i
+    later places with top + 1 blocks open.  Completions of r places with k
+    blocks open number T(r, k) = k T(r - 1, k) + T(r - 1, k + 1), T(0, k) = 1;
+    the recurrence below is exact where k + r <= n.  Only the entries with
+    top < i are read, T(r, k) with k + r <= n - 1, and only they are kept:
+    the rest are zeroed.  Each kept entry, and each rank they sum to, is below
+    Bell(9) = 21,147, so int16."""
+    completions = np.ones((n, n + 1), dtype=np.int64)   # completions[r, k] = T(r, k)
+    for r in range(1, n):
+        completions[r, :n] = np.arange(n) * completions[r - 1, :n] + completions[r - 1, 1:]
+    weights = np.tril(completions[n - 1 - np.arange(n), 1:], -1).astype(np.int16)
+    weights.setflags(write=False)
+    return weights
+
+
+def _rg_ranks(labels: np.ndarray) -> np.ndarray:
+    """Each row's rank, from 0, among the Bell(n) restricted-growth strings of
+    its length in lexicographic order (Knuth, TAOCP 4A 7.2.1.5), as intp, in
+    one pass per column.  The label a at place i passes over a strings with
+    the same prefix and a smaller label there, each followed by
+    ``_rank_weights`` completions.  The ranks sum in int16; the largest label
+    so far is kept as intp, which indexes the weights with no conversion."""
+    m, n = labels.shape
+    weights = _rank_weights(n)
+    rank = np.zeros(m, dtype=np.int16)
+    top = np.zeros(m, dtype=np.intp)
+    label = np.empty(m, dtype=np.intp)
+    for i in range(1, n):
+        step = weights[i].take(top)
+        step *= labels[:, i]
+        rank += step
+        np.copyto(label, labels[:, i])
+        np.maximum(top, label, out=top)
+    return rank.astype(np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -710,7 +736,7 @@ def _restriction_columns(n: int, subset: tuple[int, ...]) -> np.ndarray:
         new = ~same.any(axis=1)
         relabelled[:, j] = np.where(new, blocks, relabelled[rows, earlier])
         blocks += new
-    cols = _partition_table(len(subset)).columns(_label_codes(relabelled))
+    cols = _partition_table(len(subset)).rank_columns[_rg_ranks(relabelled)]
     cols.setflags(write=False)
     return cols
 

@@ -52,7 +52,7 @@ except ImportError as exc:
 # color_map and enumerate_partitions are on no path here: they are imported
 # only so that bench/tracing.py can time them under these names
 from .partitions import (MAX_N, PROB_TOL, RELAX_SIGMA, BinaryLaw, PartitionDistribution,
-                         _color_map_cells, _frozen, _keyed, _one_cells, _subset_cells,
+                         _color_map_cells, _frozen, _keyed,
                          color_map, color_map_csc, color_map_exact,  # noqa: F401
                          enumerate_partitions, push_forward)  # noqa: F401
 
@@ -582,93 +582,39 @@ def _clean_certificate(mat: csc_array, nu: np.ndarray, y: np.ndarray,
 
 # -- the four-points-on-a-circle t-interval (``scan theta``) -------------------
 
-_ROTATE = (2, 3, 4, 1)   # square rotation 1->2->3->4->1
-_REFLECT = (1, 4, 3, 2)  # reflection fixing the 1-3 diagonal
-
-
-def _permute_law(probs: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
-    """Cells of the law of (X_{perm(1)}, ..., X_{perm(n)}), for the laws
-    whose 2^n cells lie along the last axis of ``probs``."""
-    out = np.empty_like(probs)
-    out[..., _subset_cells(len(perm), perm)] = probs
-    return out
-
-
-def _sum8(x: np.ndarray) -> np.ndarray:
-    """Sum of each row of 8 columns, in the order of numpy's 1-D sum of 8 values."""
-    return (((x[:, 0] + x[:, 1]) + (x[:, 2] + x[:, 3]))
-            + ((x[:, 4] + x[:, 5]) + (x[:, 6] + x[:, 7])))
-
-
 class SquareIntervals(NamedTuple):
-    """The t-intervals of ``square_circle_intervals``, row i for law i.
+    """The t-intervals of ``square_circle_intervals``, row i for law i: the
+    capped interval [``t_lo``, ``t_hi``] and ``infeasible`` = t_lo > t_hi +
+    ``NOISE_FLOOR``."""
 
-    ``p`` is the common marginal and ``tol`` the cell tolerance.  Rows with
-    ``half`` (p = 1/2 within noise) have the capped interval [``t_lo``,
-    ``t_hi``] and ``infeasible`` = t_lo > t_hi + tol; the other rows have nan
-    bounds and are not ``infeasible``: the interval decides p = 1/2 alone.
-    """
-
-    p: np.ndarray
-    tol: np.ndarray
-    half: np.ndarray
     t_lo: np.ndarray
     t_hi: np.ndarray
     infeasible: np.ndarray
 
 
-def square_circle_intervals(probs, halfwidth=None) -> SquareIntervals:
-    """The dihedral four-point laws with nu_0101 = 0, each row of the (N, 16)
-    laws ``probs``, in one array pass with the same bits as one law at a
-    time: at p = 1/2 such a law is a color process iff the t-family of its
-    first three coordinates, capped by the dihedral zero pattern on B_4 (no
-    weight on a partition that separates the 1-3 and 2-4 diagonals), is not
-    empty.  ``scan theta`` reads its columns from it.
-
-    Raises ValueError if a law is not dihedral-symmetric, has nu_0101 or
-    nu_1010 above tolerance, has unequal marginals, or has p = 1/2 and a
-    3-marginal that is not {0,1}-symmetric.
-    ``halfwidth`` holds the cells' half-widths (zero when None): the cell
-    tolerance is the largest, and at least ``NOISE_FLOOR``.
+def square_circle_intervals(probs) -> SquareIntervals:
+    """The t-intervals of the (N, 16) exact laws ``probs``, in one array pass
+    with the same bits as one law at a time.  Each law must be what
+    ``square_threshold_laws_exact`` builds: exact, dihedral-symmetric, with
+    nu_0101 = nu_1010 = 0 and every marginal 1/2, so its 3-marginal is
+    {0,1}-symmetric; these are not checked.  Such a law is a color process
+    iff the t-family of its first three coordinates, capped by the dihedral
+    zero pattern on B_4 (no weight on a partition that separates the 1-3 and
+    2-4 diagonals), is not empty.  ``scan theta`` reads its columns from it.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != 16:
         raise ValueError(f"expected (N, 16) laws, got shape {probs.shape}")
-    hw = np.zeros_like(probs) if halfwidth is None else np.asarray(halfwidth, dtype=float)
-    width = hw.max(axis=1)
-    marginal_tol = _screen_tol(width, 5.0 * 4)
-    tol = np.maximum(NOISE_FLOOR, width)
-    for perm in (_ROTATE, _REFLECT):
-        if np.any(np.abs(_permute_law(probs, perm) - probs).max(axis=1) > 4.0 * tol):
-            raise ValueError("law is not dihedral-symmetric")
-    if np.any((probs[:, 0b0101] > 4.0 * tol) | (probs[:, 0b1010] > 4.0 * tol)):
-        raise ValueError("nu_0101 must vanish for this family")
-
-    marginals = np.stack([_sum8(probs[:, cells]) for cells in _one_cells(4)], axis=1)
-    gap = marginals.max(axis=1) - marginals.min(axis=1)
-    bad = np.flatnonzero(gap > marginal_tol)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"marginals differ by {gap[i]:.3g} (> {marginal_tol[i]:.3g}); "
-                         "a color process has equal marginals")
-    p = (((marginals[:, 0] + marginals[:, 1]) + marginals[:, 2]) + marginals[:, 3]) / 4
-    half = np.abs(p - 0.5) <= _screen_tol(width, 2.0)
-
     # the 3-marginal on coordinates 1, 2, 3, summed from 0.0 as the bincount of
     # ``BinaryLaw.marginalize`` sums it (a -0.0 cell adds as 0.0)
     nu3 = (0.0 + probs[:, 0::2]) + probs[:, 1::2]
-    hw3 = np.sqrt((0.0 + hw[:, 0::2] ** 2) + hw[:, 1::2] ** 2)
-    flip_gap = np.abs(nu3 - nu3[:, ::-1]).max(axis=1)
-    if np.any(half & (flip_gap > _screen_tol(hw3.max(axis=1), 5.0))):
-        raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
     nu001, nu010, nu100 = nu3[:, 1], nu3[:, 2], nu3[:, 4]
     t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
     singles = nu001 + nu010 + nu100
     # the caps of the dihedral zero pattern, linear in t:
     lo = _first_max(t_lo, (4.0 * nu010 + 4.0 * singles - 1.0) / 2.0, 0.0)
     hi = _first_min(t_hi, 4.0 * (nu001 - nu010))
-    return SquareIntervals(p=p, tol=tol, half=half, t_lo=np.where(half, lo, math.nan),
-                           t_hi=np.where(half, hi, math.nan), infeasible=half & (lo > hi + tol))
+    return SquareIntervals(t_lo=lo, t_hi=hi, infeasible=lo > hi + NOISE_FLOOR)
 
 
 def square_circle_solver(theta: float | None, h: float | None,

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dcrep.embeddings import (BinVerdict, ColorPropertyReport, EmbeddingBatch,
-                              _assemble_tree, _rank_weights, ou_partition_batch,
+                              _assemble_tree, ou_partition_batch,
                               ou_star_partition_batch, stable_chain_partition_batch,
                               stable_star_partition_batch, verify_color_property)
 from dcrep.gaussian import markov_chain_cov, pair_cluster_weight, zero_threshold_law_3
 from dcrep.partitions import (MAX_N, BinaryLaw, Partition, PartitionDistribution,
-                              _column_keys, _label_codes, _partition_table,
+                              _column_keys, _partition_table, _rank_weights,
                               enumerate_partitions, push_forward, simulate_color_process)
 from dcrep.stable import common_shock_model, sample_sym_stable, stable_threshold_law_mc
 
@@ -41,6 +41,15 @@ def test_pair_cluster_frequency_matches_pair_weight():
         freq = batch.pair_cluster_frequency(i, j)
         se = math.sqrt(expect * (1 - expect) / m)
         assert abs(freq - expect) <= 3 * se
+
+
+@pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 2), (1, 4), (4, 4)])
+def test_pair_cluster_frequency_refuses_an_element_outside_the_batch(i, j):
+    """Elements are 1..n: 0 or -1 would read the last column, as if it were
+    the element asked for."""
+    batch = ou_partition_batch(0.5, 3, 100, seed=2)
+    with pytest.raises(ValueError, match=r"\[1, 3\]"):
+        batch.pair_cluster_frequency(i, j)
 
 
 def test_high_correlation_one_block():
@@ -302,10 +311,14 @@ def test_codes_group_rows_as_partitions(labels):
 
 
 def reference_partition_groups(batch):
-    """The grouping by sorted base-n codes: ``np.unique`` over ``_label_codes``."""
-    codes, inverse, counts = np.unique(_label_codes(batch.labels), return_inverse=True,
-                                       return_counts=True)
-    return _partition_table(batch.n).columns(codes), inverse, counts
+    """The grouping by sorted label rows, ``np.unique(axis=0)``, each distinct
+    row looked up among the partition table's rows."""
+    rows, inverse, counts = np.unique(batch.labels, axis=0, return_inverse=True,
+                                      return_counts=True)
+    table = _partition_table(batch.n).labels.tolist()
+    column = {tuple(row): j for j, row in enumerate(table)}
+    cols = np.array([column[tuple(row)] for row in rows.tolist()], dtype=np.intp)
+    return cols, inverse, counts
 
 
 @pytest.mark.parametrize("n", range(1, MAX_N + 1))

@@ -11,7 +11,6 @@ same.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -144,19 +143,3 @@ def test_each_rule_reads_the_tolerance_it_read_from_stderr(i):
     assert law.is_zero_one_symmetric(cell) == law.is_zero_one_symmetric(max(1e-9, 5.0 * noise))
 
 
-@pytest.mark.parametrize("theta, h, seed", [(0.3, 0.0, 1), (0.6, 0.0, 2), (math.pi / 4, 0.0, 3),
-                                            (1.0, 0.5, 4), (1.2, 0.0, 5)])
-def test_the_square_reads_its_halfwidths_as_it_read_its_stderr(theta, h, seed):
-    """``square_circle_intervals``' {0,1}-symmetry screen of the 3-marginal,
-    from the cells' half-widths, against the parent's from their stderr."""
-    for law in (threshold_law_mc(square_on_sphere_cov(theta), h, 20_000, seed),
-                square_threshold_law_exact(theta)):
-        se = np.zeros(16) if law.stderr is None else law.stderr
-        hw = law.halfwidth
-        want = max(1e-9, 5.0 * float(np.sqrt((0.0 + se[0::2] ** 2) + se[1::2] ** 2).max()))
-        got = solver._screen_tol(float(np.sqrt((0.0 + hw[0::2] ** 2) + hw[1::2] ** 2).max()), 5.0)
-        assert_same_tolerance(law, got, want)
-        if law.stderr is None:    # an exact law's half-widths are below every floor
-            got = solver.square_circle_intervals(law.probs[None], law.halfwidth[None])
-            for a, b in zip(got, solver.square_circle_intervals(law.probs[None])):
-                assert np.array_equal(a, b, equal_nan=True)

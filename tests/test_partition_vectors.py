@@ -20,7 +20,7 @@ from scipy import stats
 from dcrep import cli
 from dcrep.gaussian import square_threshold_law_exact
 from dcrep.partitions import (BELL, MAX_N, BinaryLaw, Partition, PartitionDistribution,
-                              _label_codes, _partition_table, _restriction_columns,
+                              _partition_table, _restriction_columns,
                               enumerate_partitions, marginalize_partition, push_forward,
                               simulate_color_process)
 from dcrep.solver import lp_feasibility
@@ -379,9 +379,8 @@ def test_partition_table_matches_the_blocks(n):
     assert np.array_equal(table.labels, labels)
     assert np.array_equal(table.bits, bits)
     assert table.num_blocks.tolist() == [sig.num_blocks for sig in sigs]
-    # every code names its own column, and the lookup is the inverse
-    assert np.array_equal(table.columns(_label_codes(labels)), np.arange(len(sigs)))
-    assert len(np.unique(table.codes)) == len(sigs)
+    # the columns in lexicographic order of their labels, one per rank
+    assert np.array_equal(table.rank_columns, np.lexsort(labels.T[::-1]))
     assert _partition_table(n) is table
     for array in table:
         assert not array.flags.writeable
@@ -394,9 +393,7 @@ def test_partition_table_is_the_block_of_table(n):
     labels = np.array([[sig.block_of(i) for i in range(1, n + 1)]
                        for sig in enumerate_partitions(n)], dtype=np.int8)
     bits = (labels[:, None, :] == np.arange(n)[:, None]) @ (1 << np.arange(n - 1, -1, -1))
-    codes = _label_codes(labels)
-    order = np.argsort(codes)
-    reference = (labels, labels.max(axis=1) + 1, bits, codes[order], order)
+    reference = (labels, labels.max(axis=1) + 1, bits, np.lexsort(labels.T[::-1]))
     for got, want in zip(_partition_table(n), reference, strict=True):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)

@@ -9,17 +9,21 @@ agree wherever both are confident:
   arithmetic;
 * n = 3 Gaussian laws at thresholds up to h = 8, exact and with a relative
   stderr: no LP ``Infeasible`` beside a ``signed_rep_3`` that calls the law
-  feasible, and every ``Infeasible`` certificate verifies exactly.
+  feasible, and every ``Infeasible`` certificate verifies exactly;
+* exact push-forward laws, color processes by construction: the LP never
+  reads ``Infeasible``, and at n = 3 the closed form (p != 1/2) or the
+  t-family (p = 1/2) represents the law.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from dcrep import cli
 from dcrep.gaussian import square_threshold_law_exact
-from dcrep.partitions import BinaryLaw
-from dcrep.solver import lp_feasibility, phase_one_exact, signed_rep_3
+from dcrep.partitions import BELL, BinaryLaw, PartitionDistribution, push_forward
+from dcrep.solver import lp_feasibility, phase_one_exact, signed_rep_3, symmetric_rep_family_3
 
 from conftest import plackett_law3
 
@@ -27,6 +31,7 @@ N3_CORRELATIONS = [(0.0, 0.5, 0.5), (0.05, 0.6825, 0.6825), (0.1, 0.5, 0.5),
                    (0.3, 0.5, 0.2)]
 N3_THRESHOLDS = [0.5, 2, 4, 6, 8]
 RELATIVE_STDERRS = [None, 1e-3, 1e-1]
+PUSH_FORWARD_SEEDS = range(6)
 
 
 def test_scan_theta_feasible_column_is_the_lps_verdict(tmp_path):
@@ -83,3 +88,31 @@ def test_solve_never_prints_infeasible_beside_a_feasible_signed_representation(t
     assert result["lp"]["status"] == "Borderline"
     assert result["lp"]["certificate"] is None
 
+
+
+def random_q(rng, n, kind):
+    """Dirichlet(1) or Dirichlet(0.1) weights on all of B_n, or Dirichlet(1)
+    weights on 5 partitions of it."""
+    vec = np.zeros(BELL[n])
+    if kind == "five":
+        vec[rng.choice(BELL[n], 5, replace=False)] = rng.dirichlet(np.ones(5))
+    else:
+        vec[:] = rng.dirichlet(np.full(BELL[n], 1.0 if kind == "dirichlet1" else 0.1))
+    return PartitionDistribution.from_vector(n, vec)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize("kind", ["dirichlet1", "dirichlet0.1", "five"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_no_route_calls_an_exact_push_forward_infeasible(n, kind, p):
+    """A color process by construction is never ``Infeasible``, by the
+    default LP or with ``exact=True``; at n = 3 its representation shows
+    through the route that decides its p."""
+    for seed in PUSH_FORWARD_SEEDS:
+        law = push_forward(random_q(np.random.default_rng([n, seed]), n, kind), p)
+        for exact in (False, True):
+            assert lp_feasibility(law, exact=exact).status != "Infeasible", (seed, exact)
+        if n == 3 and p == 0.5:
+            assert not symmetric_rep_family_3(law).is_empty, seed
+        elif n == 3:
+            assert signed_rep_3(law).feasible, seed
