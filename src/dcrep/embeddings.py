@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special
 
 from .partitions import (BELL, BinaryLaw, PartitionDistribution, _check_n, _column_keys,
-                         _partition_table, _rg_ranks, bell_number, pattern_counts,
+                         _normals, _partition_table, _rg_ranks, bell_number, pattern_counts,
                          push_forward)
 from .stable import sample_pos_stable, sample_sym_stable, subordinator_scale
 
@@ -197,15 +197,16 @@ def _check_a(a: float) -> None:
 
 
 def _gaussian_rule(a: float):
-    """The Gaussian chain with step correlation a."""
+    """The Gaussian chain with step correlation a: the root and each step
+    draw their m standard normals in one call of ``partitions._normals``."""
     _check_a(a)
     c = math.sqrt(1.0 - a * a)
 
     def step(prev, rng):
-        y = a * prev + c * rng.standard_normal(len(prev))
+        y = a * prev + c * _normals(rng, np.empty(len(prev)))
         # bridge exponent u v / T in the Brownian clock == a Y_i Y_{i+1} / (1 - a^2)
         return y, a * prev * y / (1.0 - a * a)
-    return (lambda m, rng: rng.standard_normal(m)), step
+    return (lambda m, rng: _normals(rng, np.empty(m))), step
 
 
 def _stable_rule(alpha: float, a: float):
@@ -218,7 +219,7 @@ def _stable_rule(alpha: float, a: float):
 
     def step(prev, rng):
         s = sample_pos_stable(alpha / 2.0, scale, len(prev), rng)
-        y = a * prev + c * np.sqrt(s) * rng.standard_normal(len(prev))
+        y = a * prev + c * np.sqrt(s) * _normals(rng, np.empty(len(prev)))
         # segment runs from a Y_i to Y_{i+1} with bridge time c^2 S
         return y, a * prev * y / (c * c * s)
     return (lambda m, rng: sample_sym_stable(alpha, 1.0, m, rng)), step

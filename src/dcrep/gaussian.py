@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
 
-from .partitions import BinaryLaw, _check_n, threshold_mc_law
+from .partitions import BinaryLaw, _check_n, _normals, threshold_mc_law
 
 SYM_TOL = 1e-12
 RANK_RTOL = 1e-10  # eigenvalue cutoff, relative to the largest
@@ -345,14 +346,27 @@ def threshold_law_mc(cov: CovarianceSpec, h: float, m: int, seed) -> BinaryLaw:
     Unreliable for h > 4 at n >= 3: the orthant mass decays like exp(-h^2).
     The vectors are centred, so at h = 0 ``threshold_mc_law`` counts each
     draw x and its reflection -x: half the normal variates for m samples.
+    A block of k rows takes its k r normals from one call of
+    ``partitions._normals``, as a (k, r) array in C order, and its rows are
+    L z for each row z.
     """
     _check_n(cov.n)
     ell = sampling_factor(cov)
+    n, r = ell.shape
+    # each thread draws its blocks' normals and rows into the same two
+    # arrays, as ``stable_threshold_law_mc`` does, sized by the most rows it
+    # has drawn (half a block at h = 0).  The rows are an (n, k) product,
+    # since a strided ``out`` falls off BLAS, and their array holds the
+    # 2 ceil(k r / 2) <= n k + 1 uniforms until the normals are made.
+    arrays = threading.local()
 
     def draw(k, rng):
-        return (ell @ rng.standard_normal((k, ell.shape[1])).T).T
+        if getattr(arrays, "rows", 0) < k:
+            arrays.rows, arrays.z, arrays.x = k, np.empty(k * r), np.empty(n * k + 1)
+        z = _normals(rng, arrays.z[:k * r].reshape(k, r), arrays.x)
+        return np.matmul(ell, z.T, out=arrays.x[:n * k].reshape(n, k)).T
 
-    return threshold_mc_law(draw, cov.n, h, m, seed)
+    return threshold_mc_law(draw, n, h, m, seed)
 
 
 # -- large-h tail asymptote ---------------------------------------------------

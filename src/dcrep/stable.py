@@ -3,12 +3,8 @@
 Variate generation by the Chambers-Mallows-Stuck transform, spectral measures
 of linear images of iid stable variables, threshold-law Monte Carlo, the
 two-dimensional correlation criterion, and the second-coordinate integral
-governing large-threshold representability.
-
-The transform is evaluated from tangents alone (``_cms``): numpy runs float64
-tan with vector instructions at about 2 ns per element, but sin and cos
-through scalar libm at 12-18 ns, so on a 2-core x86-64 box with AVX-512 a
-variate costs 22-24 ns in place of 42-56 ns with sin and cos.
+governing large-threshold representability.  The transform is evaluated from
+tangents alone (``_cms``), as the Gaussian kernel ``partitions._normals`` is.
 
 Conventions follow the scale parameterization with characteristic function
 exp(-sigma^alpha |t|^alpha) in the symmetric case; at alpha = 2 the scale is
@@ -24,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .partitions import MC_BLOCK, BinaryLaw, _check_n, threshold_mc_law
+from .partitions import MC_BLOCK, BinaryLaw, _check_n, _normals, threshold_mc_law
 
 DIRECTION_MERGE_TOL = 1e-10
 STANDARD_ROW_TOL = 1e-9
@@ -50,7 +46,7 @@ def sample_sym_stable(alpha: float, sigma: float, m: int, seed) -> np.ndarray:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
     if alpha == 2.0:
-        return sigma * math.sqrt(2.0) * rng.standard_normal(m)
+        return sigma * math.sqrt(2.0) * _normals(rng, np.empty(m))
     u = _angles(m, rng)
     if alpha == 1.0:
         return sigma * np.tan(u)
@@ -80,7 +76,9 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray, theta0: float = 0.0) -> np.
     (1 + tan(u)^2)^(1/(2 alpha)) and, with v = u - alpha (u + theta0),
     (cos(v) / w)^((1 - alpha)/alpha) = ((1 + tan(v)^2) w^2)^((alpha - 1)/(2 alpha)).
     numpy runs float64 tan with vector instructions, but sin and cos through
-    scalar libm (module docstring).  Each element goes through the same
+    scalar libm (``partitions._normals``): on a 2-core x86-64 box with
+    AVX-512 a variate costs 22-24 ns in place of 42-56 ns with sin and cos.
+    Each element goes through the same
     floating-point operations as the whole-array expression, so the values
     match it bit for bit.
     """

@@ -152,6 +152,19 @@ def block_streams(m, seed):
     return [(k, np.random.default_rng(child)) for k, child in zip(rows, children)]
 
 
+def reference_normals(rng, c):
+    """c standard normals by the seed contract of ``partitions._normals``, as
+    one whole-array expression: p = ceil(c/2) pairs from one draw of 2p
+    uniforms, U1 = u[:p] and U2 = u[p:], then every z1, then the z2 of the
+    first c - p pairs."""
+    p = c - c // 2
+    u = rng.random(2 * p)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:p]))
+    t = np.tan((u[p:] - 0.5) * math.pi)
+    scaled = radius / (t * t + 1.0)
+    return np.concatenate([(1.0 - t) * (t + 1.0) * scaled, (scaled * t * 2.0)[:c - p]])
+
+
 def reference_color_process(weights: dict, n, p, m, seed):
     """The color process drawn by ``rng.choice`` over the cells of its law nu
     of positive mass, in index order.  nu is summed from ``Partition``

@@ -30,7 +30,8 @@ from dcrep.stable import (_cms, common_shock_model, corr2d_inequality_mc, sample
                           sample_stable_vector, sample_sym_stable, stable_markov_model,
                           stable_threshold_law_mc, subordinator_scale)
 
-from conftest import block_streams, random_probability_q, reference_color_process
+from conftest import (block_streams, random_probability_q, reference_color_process,
+                      reference_normals)
 
 SEEDS = (0, 1, 2)
 
@@ -63,10 +64,10 @@ def reference_star_batch(y, expo, rng):
 def reference_ou_path(a, n, m, seed):
     rng = np.random.default_rng(seed)
     y = np.empty((m, n))
-    y[:, 0] = rng.standard_normal(m)
+    y[:, 0] = reference_normals(rng, m)
     c = math.sqrt(1.0 - a * a)
     for i in range(1, n):
-        y[:, i] = a * y[:, i - 1] + c * rng.standard_normal(m)
+        y[:, i] = a * y[:, i - 1] + c * reference_normals(rng, m)
     expo = a * y[:, :-1] * y[:, 1:] / (1.0 - a * a) if n > 1 else np.zeros((m, 0))
     return reference_path_batch(y, expo, rng)
 
@@ -80,7 +81,7 @@ def reference_stable_path(alpha, a, n, m, seed):
     y[:, 0] = sample_sym_stable(alpha, 1.0, m, rng)
     for i in range(1, n):
         s = sample_pos_stable(alpha / 2.0, scale, m, rng)
-        y[:, i] = a * y[:, i - 1] + c * np.sqrt(s) * rng.standard_normal(m)
+        y[:, i] = a * y[:, i - 1] + c * np.sqrt(s) * reference_normals(rng, m)
         expo[:, i - 1] = a * y[:, i - 1] * y[:, i] / (c * c * s)
     return reference_path_batch(y, expo, rng)
 
@@ -89,9 +90,9 @@ def reference_ou_star(a, leaves, m, seed):
     rng = np.random.default_rng(seed)
     c = math.sqrt(1.0 - a * a)
     y = np.empty((m, leaves + 1))
-    y[:, 0] = rng.standard_normal(m)
+    y[:, 0] = reference_normals(rng, m)
     for j in range(1, leaves + 1):
-        y[:, j] = a * y[:, 0] + c * rng.standard_normal(m)
+        y[:, j] = a * y[:, 0] + c * reference_normals(rng, m)
     expo = a * y[:, :1] * y[:, 1:] / (1.0 - a * a)
     return reference_star_batch(y, expo, rng)
 
@@ -105,7 +106,7 @@ def reference_stable_star(alpha, a, leaves, m, seed):
     y[:, 0] = sample_sym_stable(alpha, 1.0, m, rng)
     for j in range(1, leaves + 1):
         s = sample_pos_stable(alpha / 2.0, scale, m, rng)
-        y[:, j] = a * y[:, 0] + c * np.sqrt(s) * rng.standard_normal(m)
+        y[:, j] = a * y[:, 0] + c * np.sqrt(s) * reference_normals(rng, m)
         expo[:, j - 1] = a * y[:, 0] * y[:, j] / (c * c * s)
     return reference_star_batch(y, expo, rng)
 
@@ -137,7 +138,8 @@ def reference_gaussian_mc(cov, h, m, seed):
     pow2 = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(2 ** n, dtype=np.int64)
     for k, rng in block_streams(m, seed):
-        z = rng.standard_normal((drawn_rows(k, h), ell.shape[1]))
+        rows = drawn_rows(k, h)
+        z = reference_normals(rng, rows * ell.shape[1]).reshape(rows, ell.shape[1])
         bits = sample_bits(z @ ell.T, k, h)
         counts += np.bincount(bits @ pow2, minlength=2 ** n)
     return BinaryLaw.from_counts(counts, m)
@@ -245,7 +247,7 @@ def reference_sym_stable(alpha, sigma, m, seed):
     and (cos(v) / w)^((1 - alpha)/alpha) = ((1 + tan(v)^2) w^2)^((alpha - 1)/(2 alpha))."""
     rng = np.random.default_rng(seed)
     if alpha == 2.0:
-        return sigma * math.sqrt(2.0) * rng.standard_normal(m)
+        return sigma * math.sqrt(2.0) * reference_normals(rng, m)
     u = (rng.random(m) - 0.5) * math.pi
     if alpha == 1.0:
         return sigma * np.tan(u)
@@ -303,7 +305,7 @@ def sincos_cms(alpha, u, w, theta0=0.0):
 
 def reference_sincos_sym_stable(alpha, m, rng):
     if alpha == 2.0:
-        return math.sqrt(2.0) * rng.standard_normal(m)
+        return math.sqrt(2.0) * reference_normals(rng, m)
     u = (rng.random(m) - 0.5) * math.pi
     if alpha == 1.0:
         return np.tan(u)
@@ -500,6 +502,35 @@ def test_a_block_that_raises_passes_its_error_out_and_leaves_no_block_queued(
     started = len(calls)
     pool.shutdown()     # runs whatever was left queued
     assert len(calls) == started
+
+
+V2, V1_QUOTA, V1_PERIOD = ("/sys/fs/cgroup/cpu.max", "/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+                           "/sys/fs/cgroup/cpu/cpu.cfs_period_us")
+QUOTAS = {
+    "v2 no quota": ({V2: "max 100000"}, None),
+    "v2 one and a half CPUs": ({V2: "150000 100000"}, 2),
+    "v2 half a CPU": ({V2: "50000 100000"}, 1),
+    "v2 a sliver": ({V2: "1000 100000"}, 1),
+    "v2 before v1": ({V2: "max 100000", V1_QUOTA: "100000", V1_PERIOD: "100000"}, None),
+    "v1 no quota": ({V1_QUOTA: "-1", V1_PERIOD: "100000"}, None),
+    "v1 three CPUs": ({V1_QUOTA: "300000", V1_PERIOD: "100000"}, 3),
+    "v1 no period": ({V1_QUOTA: "300000"}, None),
+    "unreadable": ({}, None),
+    "malformed": ({V2: "lots"}, None),
+}
+
+
+@pytest.mark.parametrize("files, cpus", QUOTAS.values(), ids=QUOTAS)
+def test_mc_workers_honour_a_cgroup_cpu_quota(files, cpus, monkeypatch):
+    """ceil(quota / period) CPUs and at least one, capping the affinity
+    count; no quota leaves the affinity count."""
+    monkeypatch.setattr(partitions, "_read_line", files.get)
+    assert partitions._cpu_quota() == cpus
+    for affinity in (1, 2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
+        want = affinity if cpus is None else min(affinity, cpus)
+        assert partitions._mc_workers() == want
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
