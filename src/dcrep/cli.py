@@ -34,7 +34,7 @@ from .csvtext import csv_lines
 from .gaussian import (CovarianceSpec, square_threshold_laws_exact,
                        square_threshold_law_exact, threshold_law_mc)  # noqa: F401
 from .laws import threshold_law
-from .partitions import BinaryLaw, _column_keys, _is_number, simulate_color_process
+from .partitions import BinaryLaw, _column_keys, _is_number, push_forward, simulate_color_process
 from .reports import _plain
 from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3, square_circle_intervals,
                      symmetric_rep_family_3, square_circle_solver)  # noqa: F401
@@ -288,19 +288,18 @@ def cmd_simulate(args) -> dict | None:
             raise UsageError("simulator 'color' needs --model with an explicit law; "
                              "solve it first to get a partition distribution")
         res = lp_feasibility(law)
-        # an MC law that passes the strict LP reads Borderline, not Feasible,
-        # with no relaxed objective: its q reproduces the law all the same
-        strict = res.feasible or (law.stderr is not None
-                                  and "relaxed_objective" not in res.detail)
-        if not strict:
+        # an MC law is at best Borderline: the q of its box LP is a point
+        # within its half-widths, and the draws are checked against the law
+        # of that q, which can miss the input law by a half-width
+        if res.q is None or not (res.feasible or law.stderr is not None):
             raise UsageError("law has no representation; nothing to simulate")
         _, emp = simulate_color_process(res.q, law.marginal_p, m, seed)
-        dev = np.abs(emp.probs - law.probs)
-        bound = 4.0 * np.sqrt(np.maximum(law.probs * (1 - law.probs), 1.0 / m) / m)
+        drawn = push_forward(res.q, law.marginal_p).probs
+        bound = 4.0 * np.sqrt(np.maximum(drawn * (1 - drawn), 1.0 / m) / m)
         return {"simulator": sim,
                 "empirical": emp,
-                "max_abs_dev": float(np.max(dev)),
-                "within_4se": bool(np.all(dev <= bound))}
+                "max_abs_dev": float(np.max(np.abs(emp.probs - law.probs))),
+                "within_4se": bool(np.all(np.abs(emp.probs - drawn) <= bound))}
     if sim == "ou":
         batch = emb.ou_partition_batch(args.a, args.n, m, seed)
     else:   # stable-chain: argparse admits no other --simulator

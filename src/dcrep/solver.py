@@ -7,9 +7,9 @@ Three routes, used where each is exact:
   * general n: phase-I LP feasibility over the coloring map, solved by one
     direct call into the HiGHS bindings that scipy ships
     (``scipy.optimize._highspy._core``), with a Farkas certificate on
-    infeasibility.  An MC law that fails strictly gets the same LP again
-    with its rows widened from [b, b] to b +- its half-widths.  The map exists
-    on this path only as a CSC matrix whose columns are the cached cells
+    infeasibility: the strict LP, rows [b, b], on an exact law, and only the
+    box LP, rows b +- the half-widths, on an MC law.  The map exists on this
+    path only as a CSC matrix whose columns are the cached cells
     (``color_map_csc``); it goes to HiGHS by one array ``passModel``, with
     presolve off, and the margin and the certificate check read the cells
     too (``push_forward``, ``A.T @ y``).  At p = 1/2 the strict LP starts
@@ -25,8 +25,8 @@ Three routes, used where each is exact:
 
 Every tolerance that a law's noise sets reads ``BinaryLaw.halfwidth``.  The
 kind of law (``stderr is None``) picks only what an exact law alone has: a
-Feasible verdict (an MC law is at best Borderline), the strict verdict,
-``_misses_a_cell`` and ``signed_rep_3``'s rounding factors.
+Feasible verdict (an MC law is at best Borderline), the strict LP, its
+100 tol band, ``_misses_a_cell`` and ``signed_rep_3``'s rounding factors.
 """
 
 from __future__ import annotations
@@ -468,20 +468,20 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
                    exact: bool = False) -> FeasibilityResult:
     """Phase-I LP: is nu = color_map(n, p) q solvable with q >= 0?
 
-    At p = 1/2 the strict LP starts from the cached basis of
-    ``_start_basis``, other LPs from the slack basis.  A phase-I objective up
-    to ``tol`` is Feasible on an exact law whose q found reproduces every
+    An exact law gets the strict LP, rows [b, b], at p = 1/2 from the cached
+    basis of ``_start_basis`` and at other p from the slack basis.  An
+    objective up to ``tol`` is Feasible when the q found reproduces every
     cell (``_misses_a_cell``): a warm q that does not is solved again from
-    the slack basis, and one that still does not is Borderline.  An MC law
-    is never Feasible: one that passes the strict LP is Borderline with the
-    strict q, since a law within its noise may have no representation (an
-    h = 0 law of reflected pairs is flip-symmetric with p = 1/2, and can
-    pass where its exact law is Infeasible).  Exact laws get the strict
-    verdict, Borderline up to 100 tol; MC laws that fail strictly are
-    retried on the polytope widened by each cell's half-width
-    (``RELAX_SIGMA`` stderr), and only a failure there is reported
-    Infeasible, with the relaxed LP's duals as the certificate of the whole
-    box.  An Infeasible verdict always carries its Farkas certificate: when
+    the slack basis, and one that still does not is Borderline; so is an
+    objective up to 100 tol.  An MC law gets only the box LP, from the slack
+    basis, each row widened by its cell's half-width (``RELAX_SIGMA``
+    stderr).  The box contains the strict polytope, and an MC law is never
+    Feasible: an objective up to ``tol`` is Borderline with the box q, since
+    a law within its noise may have no representation (an h = 0 law of
+    reflected pairs is flip-symmetric with p = 1/2, and can pass where its
+    exact law is Infeasible); above it the box LP's duals certify the whole
+    box.  ``detail`` holds ``phase1_objective`` or ``relaxed_objective``.
+    An Infeasible verdict always carries its Farkas certificate: when
     ``_clean_certificate`` rejects the duals, the verdict is Borderline.  It
     rejects them unless their margin over every law within the half-widths,
     shifted as ``phase_one_exact`` shifts it, clears ``CERT_EPS``: HiGHS can
@@ -503,50 +503,42 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
         raise ValueError(f"stated p={p} inconsistent with marginals {p_detected:.6g}")
     n = nu.n
     mat = color_map_csc(n, p)
-
+    mc = nu.stderr is not None
     # at another p the basis is not dual feasible, and the start costs more
     # than it saves: at n = 8, p = 0.3, 130 ms cold against 300 ms warm
     warm = abs(p - 0.5) <= NOISE_FLOOR
-    strict = phase_one(mat, nu.probs, basis=_start_basis(n) if warm else None)
-    detail = {"phase1_objective": strict.objective}
+    lp = (phase_one(mat, nu.probs, slack=nu.halfwidth) if mc
+          else phase_one(mat, nu.probs, basis=_start_basis(n) if warm else None))
+    detail = {"relaxed_objective" if mc else "phase1_objective": lp.objective}
     if exact:
         detail["mode"] = "exact"
-    mc = nu.stderr is not None
-    if strict.objective <= tol:
-        q, miss = _q_and_miss(n, p, strict.x, nu.probs)
-        missed = not mc and _misses_a_cell(miss, nu.probs)
+    if lp.objective <= tol:
+        q, miss = _q_and_miss(n, p, lp.x, nu.probs)
+        if mc:
+            return FeasibilityResult("Borderline", q, float(np.max(miss)), detail=detail)
+        missed = _misses_a_cell(miss, nu.probs)
         if missed and warm:
             # the vertex a warm start ends at can leave the LP's tolerance in
             # small or zero cells (1e-13 on zero cells of n = 6 laws on two
             # partitions) where the slack basis's vertex is exact
-            strict = phase_one(mat, nu.probs)
-            q, miss = _q_and_miss(n, p, strict.x, nu.probs)
-            missed = strict.objective > tol or _misses_a_cell(miss, nu.probs)
-            detail["phase1_objective"] = strict.objective
-        return FeasibilityResult("Borderline" if missed or mc else "Feasible", q,
+            lp = phase_one(mat, nu.probs)
+            q, miss = _q_and_miss(n, p, lp.x, nu.probs)
+            missed = lp.objective > tol or _misses_a_cell(miss, nu.probs)
+            detail["phase1_objective"] = lp.objective
+        return FeasibilityResult("Borderline" if missed else "Feasible", q,
                                  float(np.max(miss)), detail=detail)
 
-    # an MC law's certificate is the relaxed LP's duals: y'A <= 0 and
-    # y'nu - halfwidth'|y| = objective > 0 rule out every law within the
-    # half-widths of nu, where the strict duals rule out nu alone
-    objective, status, duals = strict.objective, "Infeasible", strict.y
-    if mc:
-        relaxed = phase_one(mat, nu.probs, slack=nu.halfwidth)
-        objective = detail["relaxed_objective"] = relaxed.objective
-        if objective <= tol:
-            q, miss = _q_and_miss(n, p, relaxed.x, nu.probs)
-            return FeasibilityResult("Borderline", q, float(np.max(miss)), detail=detail)
-        duals = relaxed.y
-    elif objective <= 100.0 * tol:
-        status = "Borderline"
-    cert = _clean_certificate(mat, nu.probs, duals, nu.halfwidth)
+    # the box LP's duals have y'A <= 0 and y'nu - halfwidth'|y| = objective
+    # > 0: they rule out every law within the half-widths of nu
+    status = "Borderline" if not mc and lp.objective <= 100.0 * tol else "Infeasible"
+    cert = _clean_certificate(mat, nu.probs, lp.y, nu.halfwidth)
     if exact:
         verified = cert is not None and phase_one_exact(n, p, nu.probs, cert)
         detail["certificate_verified"] = verified
         status = "Infeasible" if verified else "Borderline"
     elif cert is None:
         status = "Borderline"
-    return FeasibilityResult(status, None, objective,
+    return FeasibilityResult(status, None, lp.objective,
                              certificate=cert if status == "Infeasible" else None,
                              detail=detail)
 

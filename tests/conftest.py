@@ -32,6 +32,17 @@ def edge_of_family_law():
     return BinaryLaw(3, probs)
 
 
+def law_scales_into_the_box(pi, nu, tol=2e-9):
+    """Does some s > 0 put s pi within [nu - w - tol, nu + w + tol], w the
+    half-widths of nu and tol twice the solver's FEAS_TOL?  The law pi of a box q is A x / sum(x) for an LP
+    point x whose A x lies within the half-widths (s = sum(x)); a cell of
+    pi with no mass needs nu - w <= tol."""
+    lo, hi = nu.probs - nu.halfwidth - tol, nu.probs + nu.halfwidth + tol
+    mass = pi > 0.0
+    return bool(np.all(lo[~mass] <= 0.0)
+                and np.max(lo[mass] / pi[mass]) <= np.min(hi[mass] / pi[mass]))
+
+
 @functools.cache
 def plackett_law3(rho, h):
     """The law of the signs 1{X_i > h} of a standard normal triple with

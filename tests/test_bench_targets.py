@@ -67,7 +67,7 @@ def test_installed_tracer_counts_the_phase_one_lp_shapes(monkeypatch, name):
         solver.lp_feasibility(law)
     finally:
         tracer.uninstall()
-    assert len(calls) == (2 if name.endswith("MC") else 1)
+    assert len(calls) == 1
     assert all(shape == (2 ** law.n, bell_number(law.n)) for shape, _ in calls)
     counts = {key: tracer.counts[f"simplex.phase_one.{key}"] for key in ("rows", "cols", "pivots")}
     assert counts == {"rows": sum(shape[0] for shape, _ in calls),

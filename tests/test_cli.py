@@ -13,17 +13,22 @@ from dcrep import cli
 from dcrep.cli import main
 from dcrep.gaussian import (CovarianceSpec, fully_symmetric_cov, threshold_law_mc,
                             zero_threshold_law_3)
-from dcrep.partitions import BinaryLaw
+from dcrep.partitions import BinaryLaw, color_map_csc, push_forward
 from dcrep.reports import _plain
-from dcrep.solver import lp_feasibility, signed_rep_3
+from dcrep.solver import lp_feasibility, phase_one, signed_rep_3
 
-from conftest import edge_of_family_law
+from conftest import edge_of_family_law, law_scales_into_the_box
 
 GAUSS3 = json.dumps({"a": [[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]]})
 STABLE3 = json.dumps({"alpha": 1.0,
                       "loadings": [[0.5, 0.8660254037844386, 0, 0],
                                    [0.5, 0, 0.8660254037844386, 0],
                                    [0.5, 0, 0, 0.8660254037844386]]})
+# an MC law of a Gaussian triple at h = 0 that fails the strict LP and passes
+# the box LP
+SEED_95_SOLVE = ["solve", "--model", json.dumps({"kind": "gaussian", "a": [
+    [1, 0.535, 0.849], [0.535, 1, 0.047], [0.849, 0.047, 1]]}),
+    "--h", "0", "--samples", "5000", "--seed", "95"]
 
 
 def run(args, tmp_path, name="out.json"):
@@ -198,8 +203,8 @@ def test_simulate_color_from_solved_law(tmp_path):
     assert payload["results"]["within_4se"] is True
 
 
-def test_simulate_color_from_an_mc_law_that_passes_the_strict_lp(tmp_path):
-    """An MC law is never Feasible, but one that passes the strict LP still
+def test_simulate_color_from_an_mc_law_that_passes_the_box_lp(tmp_path):
+    """An MC law is never Feasible, but one that passes the box LP still
     has the q that the color process is drawn from."""
     law = zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json_dict()
     law["stderr"] = [1e-3] * 8
@@ -207,6 +212,31 @@ def test_simulate_color_from_an_mc_law_that_passes_the_strict_lp(tmp_path):
                      "--samples", "50000", "--seed", "4"], tmp_path)
     assert code == 0
     assert json.loads(out.read_text())["results"]["within_4se"] is True
+
+
+def test_simulate_color_from_an_mc_law_that_passes_only_the_box_lp(tmp_path):
+    """The law that ``solve`` writes for the seed-95 triple fails the strict
+    LP, so the color process is drawn from the box LP's q.  That q's law
+    misses the input law by up to a half-width, so ``within_4se`` compares
+    the draws with the law they are drawn from, and ``max_abs_dev`` reads
+    the distance to the input law: that q's law scales into the box, so the
+    draws stay within it and 4 standard errors."""
+    code, out = run(SEED_95_SOLVE, tmp_path)
+    assert code == 0
+    law = json.loads(out.read_text())["results"]["law"]
+    nu = BinaryLaw.from_json_dict(law)
+    assert phase_one(color_map_csc(3, nu.marginal_p), nu.probs).objective > cli.FEAS_TOL
+    drawn = push_forward(lp_feasibility(nu).q, nu.marginal_p).probs
+    assert law_scales_into_the_box(drawn, nu)
+    m = 50000
+    code, out = run(["simulate", "--simulator", "color", "--model", json.dumps(law),
+                     "--samples", str(m), "--seed", "4"], tmp_path, "sim.json")
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["within_4se"] is True
+    se = np.sqrt(np.maximum(drawn * (1 - drawn), 1.0 / m) / m)
+    assert results["max_abs_dev"] <= np.max(np.abs(drawn - nu.probs) + 4.0 * se)
+    assert results["max_abs_dev"] <= np.max(nu.halfwidth) + 4.0 * np.sqrt(0.25 / m)
 
 
 def test_asymptotics_gaussian(tmp_path):
@@ -466,14 +496,12 @@ def test_solve_shows_the_family_of_an_mc_law_within_its_noise(tmp_path):
     it keeps its family, beside the LP's Borderline: the interval and its
     signed t_lo member, where FEAS_TOL alone once gave null.  The seed draws
     a law that fails the strict LP and passes the relaxed one."""
-    model = json.dumps({"kind": "gaussian",
-                        "a": [[1, 0.535, 0.849], [0.535, 1, 0.047], [0.849, 0.047, 1]]})
-    code, out = run(["solve", "--model", model, "--h", "0", "--samples", "5000",
-                     "--seed", "95"], tmp_path)
+    code, out = run(SEED_95_SOLVE, tmp_path)
     assert code == 0
     results = json.loads(out.read_text())["results"]
+    law = BinaryLaw.from_json_dict(results["law"])
+    assert phase_one(color_map_csc(3, law.marginal_p), law.probs).objective > cli.FEAS_TOL
     assert results["lp"]["status"] == "Borderline"
-    assert results["lp"]["detail"]["phase1_objective"] > cli.FEAS_TOL
     assert results["lp"]["detail"]["relaxed_objective"] == 0.0
     family = results["symmetric_family"]
     t_lo, t_hi = family["t_interval"]

@@ -703,7 +703,9 @@ def test_phase_one_matches_linprog_bit_for_bit(monkeypatch, name):
     monkeypatch.setattr(solver, "phase_one", recording)
     status = lp_feasibility(law).status
     if name.endswith("MC"):
-        assert status == "Borderline" and [c[2] is not None for c in calls] == [False, True]
+        # one LP, the box LP, from the slack basis
+        assert status == "Borderline" and len(calls) == 1
+        assert calls[0][2] is not None and calls[0][3] is None
     elif name.startswith("dirichlet"):
         assert status == "Feasible" and len(calls) == 1
     else:
@@ -764,8 +766,9 @@ def test_boxed_rows_decide_as_the_e_block_did(monkeypatch, name):
 
 def test_every_lp_has_one_shape_and_relaxed_rows_are_boxed(monkeypatch):
     """Strict and relaxed LPs alike reach HiGHS with the k + 2m columns of
-    [A | I | -I]; only the row bounds differ: [b, b] strictly, and
-    b -+ RELAX_SIGMA stderr on the relaxed LP of an MC law."""
+    [A | I | -I], one model per law; only the row bounds differ: [b, b] on
+    the strict LP of an exact law, and b -+ RELAX_SIGMA stderr on the
+    relaxed (box) LP of an MC law, its only LP."""
     models = []
 
     def recording(model, basis=None, limit=None):
@@ -782,18 +785,19 @@ def test_every_lp_has_one_shape_and_relaxed_rows_are_boxed(monkeypatch):
         m, k = mat.shape
         relaxed = "relaxed_objective" in lp_feasibility(law).detail
         assert relaxed == (law.stderr is not None)
-        assert len(models) == 1 + relaxed
+        assert len(models) == 1
         for model in models:
             cols, rows, cost, lower, upper = model[0], model[1], model[6], model[7], model[8]
             indptr = model[11]
             assert (cols, rows, len(cost), len(lower), len(upper), len(indptr)) \
                 == (k + 2 * m, m, k + 2 * m, k + 2 * m, k + 2 * m, k + 2 * m + 1)
             assert np.all(lower == 0.0) and np.all(upper == math.inf)
-        assert models[0][9].tobytes() == models[0][10].tobytes() == law.probs.tobytes()
         if relaxed:
             slack = solver.RELAX_SIGMA * law.stderr
-            assert models[1][9].tobytes() == (law.probs - slack).tobytes()
-            assert models[1][10].tobytes() == (law.probs + slack).tobytes()
+            assert models[0][9].tobytes() == (law.probs - slack).tobytes()
+            assert models[0][10].tobytes() == (law.probs + slack).tobytes()
+        else:
+            assert models[0][9].tobytes() == models[0][10].tobytes() == law.probs.tobytes()
 
 
 @pytest.mark.parametrize("which", ["b", "slack"])
@@ -994,16 +998,16 @@ def test_no_feasible_lp_beside_an_infeasible_signed_representation(rho, h):
 
 def test_mc_laws_keep_the_objective_rule():
     """The same cells with a standard error are a Monte Carlo law, which the
-    relative check leaves alone: a phase-I objective up to the tolerance
-    reads Borderline with the strict LP's q, since an MC law is never
-    Feasible."""
+    relative check leaves alone: a relaxed (box) objective up to the
+    tolerance reads Borderline with the box LP's q, since an MC law is never
+    Feasible, and no strict LP runs."""
     law = plackett_law3(NOT_DC_AT_LARGE_H[0], 5)
     assert lp_feasibility(law).status == "Borderline"
     mc = BinaryLaw(3, law.probs, stderr=np.full(8, 1e-12))
     result = lp_feasibility(mc)
     assert result.status == "Borderline" and result.q is not None
-    assert result.detail["phase1_objective"] <= solver.FEAS_TOL
-    assert "relaxed_objective" not in result.detail
+    assert result.detail["relaxed_objective"] <= solver.FEAS_TOL
+    assert "phase1_objective" not in result.detail
 
 
 def test_an_mc_law_beside_an_infeasible_exact_law_never_reads_feasible():
@@ -1013,10 +1017,10 @@ def test_an_mc_law_beside_an_infeasible_exact_law_never_reads_feasible():
     Feasible, 5 of these 40 were wrong with confidence."""
     theta = math.pi / 4 + 0.02
     assert lp_feasibility(square_threshold_law_exact(theta)).status == "Infeasible"
-    results = [lp_feasibility(threshold_law_mc(square_on_sphere_cov(theta), 0.0, 1000, seed))
-               for seed in range(40)]
-    assert all(res.status != "Feasible" for res in results)
-    assert sum("relaxed_objective" not in res.detail for res in results) >= 3
+    laws = [threshold_law_mc(square_on_sphere_cov(theta), 0.0, 1000, seed) for seed in range(40)]
+    assert all(lp_feasibility(law).status != "Feasible" for law in laws)
+    strict = [phase_one(color_map_csc(4, law.marginal_p), law.probs) for law in laws]
+    assert sum(lp.objective <= solver.FEAS_TOL for lp in strict) >= 3
 
 
 @pytest.mark.parametrize("theta, h, seeds", [

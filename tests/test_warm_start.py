@@ -78,8 +78,9 @@ def test_a_warm_start_has_the_verdict_and_optimum_of_a_cold_one(monkeypatch, nam
     assert got.status == want.status
     assert got.status == ("Borderline" if name.endswith("MC") else
                           "Infeasible" if name.startswith(("negative", "square")) else "Feasible")
-    assert got.detail["phase1_objective"] == pytest.approx(want.detail["phase1_objective"],
-                                                           rel=0.0, abs=1e-12)
+    # an MC law runs only the box LP, whose objective is relaxed_objective
+    key = "relaxed_objective" if name.endswith("MC") else "phase1_objective"
+    assert got.detail[key] == pytest.approx(want.detail[key], rel=0.0, abs=1e-12)
     assert got.detail.get("relaxed_objective") == want.detail.get("relaxed_objective")
 
 
@@ -223,9 +224,9 @@ def test_lp_feasibility_starts_warm_only_at_p_half(monkeypatch):
     monkeypatch.setattr(solver, "phase_one", recording)
     for p in (0.3, 0.5, 0.7):
         assert lp_feasibility(dirichlet_law(5, p)).feasible
-    # an MC law at p = 1/2: the strict LP starts warm, the relaxed one cold
+    # an MC law at p = 1/2 runs only the box LP, and it starts cold
     lp_feasibility(BinaryLaw(3, negative_pair_law(0.5).probs, stderr=np.full(8, 1e-3)))
-    assert seen == [False, True, False, True, False]
+    assert seen == [False, True, False, False]
 
 
 def test_a_warm_q_that_misses_a_cell_is_solved_again_cold(monkeypatch):
