@@ -19,14 +19,14 @@ Three routes, used where each is exact:
     other p start, with a 14 MiB ``tracemalloc`` peak once the caches are
     warm.  Every LP on a thread runs on that thread's one HiGHS instance
     (``_highs_run``).  A Feasible q on an exact law must reproduce every cell to a
-    relative ``REL_TOL``.  ``exact=True`` keeps the float solve and checks
-    the certificate by an integer check over the cells before calling a law
-    Infeasible.
+    relative ``REL_TOL``.  An Infeasible verdict on either kind of law rests
+    on one rule: its certificate passes an integer check over the coloring
+    map's cells and the law's whole half-width box (``phase_one_exact``).
 
 Every tolerance that a law's noise sets reads ``BinaryLaw.halfwidth``.  The
 kind of law (``stderr is None``) picks only what an exact law alone has: a
-Feasible verdict (an MC law is at best Borderline), the strict LP, its
-100 tol band, ``_misses_a_cell`` and ``signed_rep_3``'s rounding factors.
+Feasible verdict (an MC law is at best Borderline), the strict LP,
+``_misses_a_cell`` and ``signed_rep_3``'s rounding factors.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ except ImportError as exc:
 
 # color_map and enumerate_partitions are on no path here: they are imported
 # only so that bench/tracing.py can time them under these names
-from .partitions import (MAX_N, PROB_TOL, RELAX_SIGMA, BinaryLaw, PartitionDistribution,
+from .partitions import (PROB_TOL, RELAX_SIGMA, BinaryLaw, PartitionDistribution,
                          _color_map_cells, _frozen, _keyed,
                          color_map, color_map_csc, color_map_exact,  # noqa: F401
                          enumerate_partitions, push_forward)  # noqa: F401
@@ -64,12 +64,6 @@ PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 # that misses every cell smaller than that
 REL_TOL = 1e-9
 ZERO_CELL = float(np.finfo(float).eps)
-# the rounding that a certificate's float margin (``_clean_certificate``) may
-# carry: with max |y| = 1, y'nu, each (A'y)_j and sum(nu) sum at most 2^MAX_N
-# terms whose magnitudes add up to at most 1 (nu and each column of A sum to
-# 1), so each is off by at most 2^MAX_N eps; a fourth such allowance covers
-# halfwidth'|y| and the subtractions
-CERT_EPS = 4.0 * 2.0 ** MAX_N * float(np.finfo(float).eps)
 NOISE_FLOOR = 1e-9  # the least tolerance of a screen (``_screen_tol``): an exact law's
 
 
@@ -439,22 +433,27 @@ def _start_basis(n: int):
     return _run_phase_one(mat, uniform, None, None)[0].getBasis()
 
 
-def phase_one_exact(n: int, p: float, nu, y) -> bool:
-    """Does y prove, in exact arithmetic, that nu = color_map(n, p) q has no
-    solution q >= 0?  The floats p, nu and y are taken exactly.
+def phase_one_exact(n: int, p: float, nu, y, halfwidth) -> bool:
+    """Does y prove, in exact arithmetic, that no law within ``halfwidth`` of
+    nu (nu alone where it is 0) is color_map(n, p) q for any q >= 0?  The
+    floats p, nu, halfwidth and y are taken exactly.
 
     Every column of the coloring map sums to 1, so with delta = max_j (y'A)_j
-    the shifted y - delta 1 satisfies y'A <= 0 exactly; it is a certificate
-    iff y'nu - delta sum(nu) > 0.  Scaled to integers (A = cells / b^n, and
-    y and nu by their largest denominators), that is
-    y'nu b^n - max_j (y'cells)_j sum(nu) > 0.
+    the shifted z = y - delta 1 satisfies z'A <= 0 exactly; it is a
+    certificate for the box iff its least value there, z'nu - halfwidth'|z|,
+    is > 0.  Scaled to integers (A = cells / b^n, y by its largest
+    denominator, nu and halfwidth by their common one), z b^n is the
+    integer y b^n - max_j (y'cells)_j.
     """
-    ys, nus = _dyadic_integers(y), _dyadic_integers(nu)
+    ys = _dyadic_integers(y)
+    scaled = _dyadic_integers(np.concatenate([nu, halfwidth]))
+    nus, ws = scaled[:len(ys)], scaled[len(ys):]
     cells, den = color_map_exact(n, p)
     row, col, _, _ = _color_map_cells(n)
     starts = np.flatnonzero(np.diff(col, prepend=-1))
-    columns = np.add.reduceat(np.array(ys, dtype=object)[row] * cells, starts)
-    return sum(yi * vi for yi, vi in zip(ys, nus)) * den - max(columns) * sum(nus) > 0
+    delta = max(np.add.reduceat(np.array(ys, dtype=object)[row] * cells, starts))
+    zs = [yi * den - delta for yi in ys]
+    return sum(z * v - abs(z) * wi for z, v, wi in zip(zs, nus, ws)) > 0
 
 
 def _dyadic_integers(values) -> list[int]:
@@ -472,26 +471,24 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     basis of ``_start_basis`` and at other p from the slack basis.  An
     objective up to ``tol`` is Feasible when the q found reproduces every
     cell (``_misses_a_cell``): a warm q that does not is solved again from
-    the slack basis, and one that still does not is Borderline; so is an
-    objective up to 100 tol.  An MC law gets only the box LP, from the slack
-    basis, each row widened by its cell's half-width (``RELAX_SIGMA``
-    stderr).  The box contains the strict polytope, and an MC law is never
-    Feasible: an objective up to ``tol`` is Borderline with the box q, since
-    a law within its noise may have no representation (an h = 0 law of
-    reflected pairs is flip-symmetric with p = 1/2, and can pass where its
-    exact law is Infeasible); above it the box LP's duals certify the whole
-    box.  ``detail`` holds ``phase1_objective`` or ``relaxed_objective``.
-    An Infeasible verdict always carries its Farkas certificate: when
-    ``_clean_certificate`` rejects the duals, the verdict is Borderline.  It
-    rejects them unless their margin over every law within the half-widths,
-    shifted as ``phase_one_exact`` shifts it, clears ``CERT_EPS``: HiGHS can
-    end phase I at an objective of 3e-9 on a feasible law whose cells are
-    that small, with duals that are no certificate.
-    With ``exact=True`` a verdict that would be Infeasible or Borderline
-    becomes Infeasible exactly when the Farkas certificate verifies in an
-    integer check over the coloring map's cells (the float inputs taken
-    exactly), and Borderline otherwise; ``detail["certificate_verified"]``
-    holds the outcome.
+    the slack basis, and one that still does not is Borderline.  An MC law
+    gets only the box LP, from the slack basis, each row widened by its
+    cell's half-width (``RELAX_SIGMA`` stderr).  The box contains the strict
+    polytope, and an MC law is never Feasible: an objective up to ``tol`` is
+    Borderline with the box q, since a law within its noise may have no
+    representation (an h = 0 law of reflected pairs is flip-symmetric with
+    p = 1/2, and can pass where its exact law is Infeasible).  ``detail``
+    holds ``phase1_objective`` or ``relaxed_objective``.
+
+    Above ``tol``, on either kind of law, the verdict is Infeasible exactly
+    when the LP's duals, cleaned by ``_clean_certificate``, pass the integer
+    check of ``phase_one_exact`` over every law within the half-widths of nu
+    (an exact law's are its rounding); otherwise it is Borderline, with no
+    certificate.  ``detail["certificate_verified"]`` holds the outcome.
+    HiGHS can end phase I at an objective of 3e-9 on a feasible law whose
+    cells are that small, with duals that are no certificate.  ``exact`` is
+    read nowhere: bench/workloads.py still passes it, and it goes with that
+    call (ROADMAP item 2).
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -510,8 +507,6 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     lp = (phase_one(mat, nu.probs, slack=nu.halfwidth) if mc
           else phase_one(mat, nu.probs, basis=_start_basis(n) if warm else None))
     detail = {"relaxed_objective" if mc else "phase1_objective": lp.objective}
-    if exact:
-        detail["mode"] = "exact"
     if lp.objective <= tol:
         q, miss = _q_and_miss(n, p, lp.x, nu.probs)
         if mc:
@@ -528,19 +523,11 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
         return FeasibilityResult("Borderline" if missed else "Feasible", q,
                                  float(np.max(miss)), detail=detail)
 
-    # the box LP's duals have y'A <= 0 and y'nu - halfwidth'|y| = objective
-    # > 0: they rule out every law within the half-widths of nu
-    status = "Borderline" if not mc and lp.objective <= 100.0 * tol else "Infeasible"
-    cert = _clean_certificate(mat, nu.probs, lp.y, nu.halfwidth)
-    if exact:
-        verified = cert is not None and phase_one_exact(n, p, nu.probs, cert)
-        detail["certificate_verified"] = verified
-        status = "Infeasible" if verified else "Borderline"
-    elif cert is None:
-        status = "Borderline"
-    return FeasibilityResult(status, None, lp.objective,
-                             certificate=cert if status == "Infeasible" else None,
-                             detail=detail)
+    cert = _clean_certificate(mat, nu.probs, lp.y)
+    verified = cert is not None and phase_one_exact(n, p, nu.probs, cert, nu.halfwidth)
+    detail["certificate_verified"] = verified
+    return FeasibilityResult("Infeasible" if verified else "Borderline", None, lp.objective,
+                             certificate=cert if verified else None, detail=detail)
 
 
 def _misses_a_cell(miss: np.ndarray, nu: np.ndarray) -> bool:
@@ -550,26 +537,14 @@ def _misses_a_cell(miss: np.ndarray, nu: np.ndarray) -> bool:
     return bool(np.any(miss > np.where(nu > ZERO_CELL, REL_TOL * nu, ZERO_CELL)))
 
 
-def _clean_certificate(mat: csc_array, nu: np.ndarray, y: np.ndarray,
-                       halfwidth: np.ndarray | None = None) -> np.ndarray | None:
-    """The Farkas certificate y scaled to max |y| = 1, or None if it fails to
-    verify in floats: it needs max A'y <= 1e-7, y'nu > 0 and the margin
-
-        y'nu - max(0, max A'y) sum(nu) - halfwidth'|y| > CERT_EPS,
-
-    the rule of ``phase_one_exact`` (y shifted by max A'y, since every column
-    of A sums to 1) over every law within ``halfwidth`` of nu (none when
-    None), with the rounding of its float sums allowed for."""
+def _clean_certificate(mat: csc_array, nu: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """The duals y scaled to max |y| = 1, or None unless they then have
+    max A'y <= 1e-7 and y'nu > 0."""
     scale = float(np.max(np.abs(y)))
     if scale == 0.0:
         return None
     y = y / scale
-    top = float(np.max(mat.T @ y))
-    value = float(y @ nu)
-    if top > 1e-7 or value <= 0.0:
-        return None
-    box = 0.0 if halfwidth is None else float(halfwidth @ np.abs(y))
-    return y if value - max(0.0, top) * float(np.sum(nu)) - box > CERT_EPS else None
+    return y if float(np.max(mat.T @ y)) <= 1e-7 and float(y @ nu) > 0.0 else None
 
 
 # -- the four-points-on-a-circle t-interval (``scan theta``) -------------------

@@ -108,7 +108,7 @@ def test_05_small_h_limits():
 def test_06_sphere_square_phase_transition():
     t0 = time.time()
     theta = math.pi / 4
-    res = lp_feasibility(square_threshold_law_exact(theta), exact=True)
+    res = lp_feasibility(square_threshold_law_exact(theta))
     gap = math.pi / 8 - (math.acos(math.cos(theta) ** 2) - theta)
     degenerate = classify_degenerate(square_on_sphere_cov(theta))
     ok = (res.status == "Feasible"

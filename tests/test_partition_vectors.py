@@ -329,7 +329,7 @@ def reference_scan_lines(kind: str, step: float, a: float = 0.5) -> list[str]:
         for th in np.arange(step, math.pi / 2, step):
             law = BinaryLaw(4, reference_square_law(float(th)))
             _, (t_lo, t_hi, _) = reference_interval(law)
-            rows.append([float(th), int(lp_feasibility(law, exact=True).feasible), t_lo, t_hi,
+            rows.append([float(th), int(lp_feasibility(law).feasible), t_lo, t_hi,
                          math.pi / 8 - (math.acos(math.cos(th) ** 2) - th)])
     else:
         from dcrep import asymptotics as asym

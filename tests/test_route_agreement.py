@@ -4,9 +4,8 @@ Each law goes through every route that applies to it, and the verdicts must
 agree wherever both are confident:
 
 * square laws: ``scan theta``'s ``feasible`` column, from
-  ``square_circle_intervals``, against ``lp_feasibility(exact=True)`` on the
-  same exact law, with every Infeasible certificate checked in exact
-  arithmetic;
+  ``square_circle_intervals``, against ``lp_feasibility`` on the same exact
+  law, with every Infeasible certificate checked in exact arithmetic;
 * n = 3 Gaussian laws at thresholds up to h = 8, exact and with a relative
   stderr: no LP ``Infeasible`` beside a ``signed_rep_3`` that calls the law
   feasible, and every ``Infeasible`` certificate verifies exactly;
@@ -16,8 +15,11 @@ agree wherever both are confident:
 * seeded MC laws at n = 3..8, Gaussian at h = 0 and h != 0, stable, and the
   color processes of 5-partition q: ``lp_feasibility``, which solves only
   the box LP of an MC law, gives the verdict of the strict LP followed by
-  the box LP, with every ``Infeasible`` certificate clean over the box and
-  every ``Borderline`` q's law within the box's reach of the input law.
+  the box LP, with every ``Infeasible`` certificate verified exactly over
+  the box and every ``Borderline`` q's law within the box's reach of the
+  input law.
+
+Every ``Infeasible`` here reports ``certificate_verified: true``.
 """
 
 import json
@@ -55,10 +57,12 @@ def test_scan_theta_feasible_column_is_the_lps_verdict(tmp_path):
     verdicts = set()
     for theta, feasible, *_ in rows:
         law = square_threshold_law_exact(float(theta))
-        res = lp_feasibility(law, exact=True)
+        res = lp_feasibility(law)
         assert res.status == ("Feasible" if feasible == "1" else "Infeasible"), theta
         if res.status == "Infeasible":
-            assert phase_one_exact(4, law.marginal_p, law.probs, res.certificate), theta
+            assert res.detail["certificate_verified"] is True, theta
+            assert phase_one_exact(4, law.marginal_p, law.probs, res.certificate,
+                                   law.halfwidth), theta
         verdicts.add(res.status)
     assert verdicts == {"Feasible", "Infeasible"}
 
@@ -78,12 +82,13 @@ def test_no_lp_infeasible_beside_a_feasible_signed_representation(rho, relative)
     for h in N3_THRESHOLDS:
         law = n3_law(rho, h, relative)
         rep = signed_rep_3(law)
-        for exact in (False, True):
-            res = lp_feasibility(law, exact=exact)
-            assert not (rep.feasible and res.status == "Infeasible"), (h, exact)
-            assert not (res.status == "Feasible" and not rep.feasible), (h, exact)
-            if res.status == "Infeasible":
-                assert phase_one_exact(3, law.marginal_p, law.probs, res.certificate), h
+        res = lp_feasibility(law)
+        assert not (rep.feasible and res.status == "Infeasible"), h
+        assert not (res.status == "Feasible" and not rep.feasible), h
+        if res.status == "Infeasible":
+            assert res.detail["certificate_verified"] is True, h
+            assert phase_one_exact(3, law.marginal_p, law.probs, res.certificate,
+                                   law.halfwidth), h
 
 
 def test_solve_never_prints_infeasible_beside_a_feasible_signed_representation(tmp_path):
@@ -113,13 +118,11 @@ def random_q(rng, n, kind):
 @pytest.mark.parametrize("kind", ["dirichlet1", "dirichlet0.1", "five"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_no_route_calls_an_exact_push_forward_infeasible(n, kind, p):
-    """A color process by construction is never ``Infeasible``, by the
-    default LP or with ``exact=True``; at n = 3 its representation shows
-    through the route that decides its p."""
+    """A color process by construction is never ``Infeasible``; at n = 3
+    its representation shows through the route that decides its p."""
     for seed in PUSH_FORWARD_SEEDS:
         law = push_forward(random_q(np.random.default_rng([n, seed]), n, kind), p)
-        for exact in (False, True):
-            assert lp_feasibility(law, exact=exact).status != "Infeasible", (seed, exact)
+        assert lp_feasibility(law).status != "Infeasible", seed
         if n == 3 and p == 0.5:
             assert not symmetric_rep_family_3(law).is_empty, seed
         elif n == 3:
@@ -132,7 +135,8 @@ def strict_then_box(nu):
     """The verdict of an MC law as the strict LP followed by the box LP gave
     it: Borderline when the strict LP (warm at p = 1/2) or the box LP
     reaches an objective up to FEAS_TOL, otherwise Infeasible when the box
-    LP's duals pass ``_clean_certificate`` and Borderline when they fail."""
+    LP's duals pass ``_clean_certificate`` and the exact check over the box,
+    and Borderline when they fail."""
     p = nu.marginal_p
     mat = color_map_csc(nu.n, p)
     warm = solver._start_basis(nu.n) if abs(p - 0.5) <= solver.NOISE_FLOOR else None
@@ -141,8 +145,9 @@ def strict_then_box(nu):
     box = phase_one(mat, nu.probs, slack=nu.halfwidth)
     if box.objective <= FEAS_TOL:
         return "Borderline"
-    clean = solver._clean_certificate(mat, nu.probs, box.y, nu.halfwidth)
-    return "Borderline" if clean is None else "Infeasible"
+    clean = solver._clean_certificate(mat, nu.probs, box.y)
+    verified = clean is not None and phase_one_exact(nu.n, p, nu.probs, clean, nu.halfwidth)
+    return "Infeasible" if verified else "Borderline"
 
 
 def five_partition_law(n, draw, m):
@@ -179,9 +184,8 @@ def test_the_box_lp_alone_decides_an_mc_law_as_strict_then_box(family, n):
         assert "phase1_objective" not in res.detail, draw
         p = law.marginal_p
         if res.status == "Infeasible":
-            mat = color_map_csc(n, p)
-            assert solver._clean_certificate(mat, law.probs, res.certificate,
-                                             law.halfwidth) is not None, draw
+            assert res.detail["certificate_verified"] is True, draw
+            assert phase_one_exact(n, p, law.probs, res.certificate, law.halfwidth), draw
         elif res.q is not None:
             assert law_scales_into_the_box(push_forward(res.q, p).probs, law), draw
 

@@ -19,7 +19,7 @@ from dcrep import solver
 from dcrep.gaussian import (correlations3, markov_chain_cov, square_on_sphere_cov,
                             square_threshold_law_exact, symmetric_plus_mean_cov,
                             threshold_law_mc, zero_threshold_law_3)
-from dcrep.partitions import (BinaryLaw, PartitionDistribution, _color_map_cells,
+from dcrep.partitions import (RELAX_SIGMA, BinaryLaw, PartitionDistribution, _color_map_cells,
                               _coloring_weights, bell_number, color_map, color_map_csc,
                               enumerate_partitions, push_forward, simulate_color_process)
 from dcrep.solver import (gaussian_sym_family_interval, lp_feasibility, phase_one,
@@ -251,19 +251,90 @@ def test_lp_feasibility_negative_correlation_certificate():
     assert float(y @ nu.probs) > 0.0
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_a_rejected_certificate_gives_borderline(monkeypatch, exact):
-    """A positive phase-I objective whose duals ``_clean_certificate``
-    rejects is Borderline in both modes: Infeasible always carries a
-    certificate."""
-    def zero_duals(a, b, slack=None, basis=None):
-        return solver.PhaseOneResult(objective=0.1, x=np.zeros(a.shape[1]),
-                                     y=np.zeros(a.shape[0]), pivots=0)
+def planted_duals(monkeypatch, objective, y):
+    """Make every ``phase_one`` call of ``lp_feasibility`` end at
+    ``objective`` with the duals ``y``."""
+    def planted(a, b, slack=None, basis=None):
+        return solver.PhaseOneResult(objective=objective, x=np.zeros(a.shape[1]),
+                                     y=np.asarray(y, dtype=float), pivots=0)
 
-    monkeypatch.setattr(solver, "phase_one", zero_duals)
-    res = lp_feasibility(BinaryLaw(2, [0.2, 0.3, 0.3, 0.2]), exact=exact)
+    monkeypatch.setattr(solver, "phase_one", planted)
+
+
+def test_a_rejected_certificate_gives_borderline(monkeypatch):
+    """A positive phase-I objective whose duals ``_clean_certificate``
+    rejects is Borderline: Infeasible always carries a certificate."""
+    planted_duals(monkeypatch, 0.1, np.zeros(4))
+    res = lp_feasibility(BinaryLaw(2, [0.2, 0.3, 0.3, 0.2]))
     assert (res.status, res.q, res.certificate) == ("Borderline", None, None)
     assert res.infeasibility_margin == 0.1
+    assert res.detail["certificate_verified"] is False
+
+
+def test_a_certificate_is_checked_over_the_box_after_its_shift(monkeypatch):
+    """y = (y0 + c 1) / (1 + c) has max A'y = c / (1 + c) within the 1e-7
+    that ``_clean_certificate`` allows; its shift y - max(A'y) 1 is
+    y0 / (1 + c), whose margin over the box is -5e-9 / (1 + c).  The box of
+    half-widths 0.1 + 2.5e-9 on 00 and 11 holds A q for q = 1.2 on 1|2, so
+    no certificate exists.  A float margin y'nu - max(A'y) sum(nu) -
+    halfwidth'|y| on the unshifted y reads 5e-9, and would pass this y."""
+    c, w = 5e-8, 0.1 + 2.5e-9
+    nu = BinaryLaw(2, [0.2, 0.3, 0.3, 0.2], stderr=np.array([w, 0.0, 0.0, w]) / RELAX_SIGMA)
+    assert phase_one(color_map_csc(2, 0.5), nu.probs, slack=nu.halfwidth).objective == 0.0
+    y = (np.array([-1.0, 1.0, 1.0, -1.0]) + c) / (1.0 + c)
+    assert 0.0 < float(np.max(color_map_csc(2, 0.5).T @ y)) <= 1e-7
+    planted_duals(monkeypatch, 1e-3, y)
+    res = lp_feasibility(nu)
+    assert (res.status, res.certificate) == ("Borderline", None)
+    assert res.detail["certificate_verified"] is False
+
+
+def test_an_exact_law_is_infeasible_when_its_certificate_verifies(monkeypatch):
+    """An objective just above ``tol`` with duals that verify exactly is
+    Infeasible on an exact law: there is no band of Borderline objectives
+    above ``tol``."""
+    nu = BinaryLaw(2, [0.2, 0.3, 0.3, 0.2])
+    planted_duals(monkeypatch, 2.0 * solver.FEAS_TOL, [-1.0, 1.0, 1.0, -1.0])
+    res = lp_feasibility(nu)
+    assert res.status == "Infeasible" and res.detail["certificate_verified"] is True
+    assert res.certificate.tolist() == [-1.0, 1.0, 1.0, -1.0]
+
+
+def tiny_cell_mc_law():
+    """An h = 6 color process whose cells, some below 1e-9, have stderr 1e-3
+    of themselves: the law of the CI's ``tiny.json``."""
+    law = plackett_law3((0.3, 0.5, 0.2), 6)
+    return BinaryLaw(3, law.probs, stderr=1e-3 * law.probs)
+
+
+DETAIL_LAWS = {
+    "negative pair": (negative_pair_law, "Infeasible"),
+    "no color process, h = 4": (lambda: plackett_law3((0.0, 0.5, 0.5), 4), "Infeasible"),
+    "tiny MC cells": (tiny_cell_mc_law, "Borderline"),
+    "MC gaussian": (lambda: threshold_law_mc(correlations3(0.5, 0.3, 0.2), 0.0, 10 ** 4, 1),
+                    "Borderline"),
+    "color process": (lambda: push_forward(random_probability_q(np.random.default_rng(3), 4),
+                                           0.4), "Feasible"),
+}
+
+
+@pytest.mark.parametrize("name", DETAIL_LAWS)
+def test_detail_records_the_certificate_check_on_every_objective_above_tol(name):
+    """``certificate_verified`` is in ``detail`` exactly when the objective is
+    above ``tol``, and it is True exactly on Infeasible; ``mode`` is gone, and
+    the ``exact`` keyword, read nowhere, changes nothing."""
+    make, status = DETAIL_LAWS[name]
+    law = make()
+    res = lp_feasibility(law)
+    assert res.status == status
+    objective = res.detail.get("phase1_objective", res.detail.get("relaxed_objective"))
+    assert ("certificate_verified" in res.detail) == (objective > solver.FEAS_TOL)
+    assert res.detail.get("certificate_verified", False) == (status == "Infeasible")
+    assert (res.certificate is not None) == (status == "Infeasible")
+    assert "mode" not in res.detail
+    again = lp_feasibility(law, exact=True)
+    assert again.status == res.status and again.detail == res.detail
+    assert again.infeasibility_margin == res.infeasibility_margin
 
 
 def test_clean_certificate_refuses_a_y_with_a_positive_column():
@@ -295,14 +366,15 @@ def mc_infeasible_corpus():
 def test_an_mc_certificate_rules_out_every_law_within_the_half_widths():
     """y'A <= 0 and y'nu - halfwidth'|y| > 0: y proves infeasible every law
     in [nu - halfwidth, nu + halfwidth], the box the relaxed LP searched,
-    and its exact check verifies."""
+    and its exact check over that box verifies."""
     found = list(mc_infeasible_corpus())
     assert len(found) >= 100 and found[-1][0].n == 4
     for law, res in found:
         y = res.certificate
+        assert res.detail["certificate_verified"] is True
         assert float(np.max(color_map_csc(law.n, law.marginal_p).T @ y)) <= 1e-7
         assert float(y @ law.probs - law.halfwidth @ np.abs(y)) > 0.0
-        assert phase_one_exact(law.n, law.marginal_p, law.probs, y)
+        assert phase_one_exact(law.n, law.marginal_p, law.probs, y, law.halfwidth)
 
 
 def test_lp_roundtrip_and_oracle_agreement(rng):
@@ -359,21 +431,21 @@ def shifted_farkas_value(y, nu):
     return sum(a * b for a, b in zip(ys, nus)) - best * sum(nus)
 
 
-def test_lp_exact_mode():
+def test_every_infeasible_certificate_verifies_exactly():
     for nu in (BinaryLaw(2, [0.2, 0.3, 0.3, 0.2]), negative_pair_law(),
                square_threshold_law_exact(1.2)):
-        res = lp_feasibility(nu, exact=True)
+        res = lp_feasibility(nu)
         assert res.status == "Infeasible"
         assert res.detail["certificate_verified"] is True
         assert shifted_farkas_value(res.certificate, nu) > 0
     q = PartitionDistribution(2, {"12": 0.5, "1|2": 0.5})
-    res = lp_feasibility(push_forward(q, 0.25), exact=True)
+    res = lp_feasibility(push_forward(q, 0.25))
     assert res.status == "Feasible"
     assert np.allclose(res.q.vector, q.vector, atol=1e-12)
     # feasible by construction: float roundoff must not read as infeasibility
     for n, p in itertools.product((3, 4, 5), (0.25, 0.3)):
         nu = push_forward(random_probability_q(np.random.default_rng(n), n), p)
-        res = lp_feasibility(nu, exact=True)
+        res = lp_feasibility(nu)
         assert res.status == "Feasible", (n, p)
         assert np.allclose(push_forward(res.q, p).probs, nu.probs, atol=1e-8)
 
@@ -394,13 +466,18 @@ def reference_color_map_exact(n, p):
     return rows
 
 
-def reference_phase_one_exact(n, p, nu, y):
-    """The Farkas check of ``phase_one_exact`` over the dense Fraction map."""
+def reference_phase_one_exact(n, p, nu, y, halfwidth):
+    """The Farkas check of ``phase_one_exact`` over the dense Fraction map:
+    z = y - max(y'A) 1 has a positive least value z'nu' over the laws nu'
+    within ``halfwidth`` of nu, reached where nu' - nu = -halfwidth sign(z)."""
     ys = [Fraction(float(v)) for v in y]
-    nus = [Fraction(float(v)) for v in nu]
     columns = zip(*reference_color_map_exact(n, p))
     delta = max(sum(yi * a for yi, a in zip(ys, col) if a) for col in columns)
-    return sum(yi * vi for yi, vi in zip(ys, nus)) - delta * sum(nus) > 0
+    least = 0
+    for yi, vi, wi in zip(ys, nu, halfwidth):
+        z = yi - delta
+        least += z * (Fraction(float(vi)) - (1 if z > 0 else -1) * Fraction(float(wi)))
+    return least > 0
 
 
 def test_integer_certificate_check_matches_fraction_map():
@@ -410,12 +487,15 @@ def test_integer_certificate_check_matches_fraction_map():
         mat = color_map(n, p)
         nu = gen.dirichlet(np.full(2 ** n, 0.3))
         y = gen.normal(size=2 ** n)
-        # shifted so that y'A <= 0 in floats: the certificates that the LP
-        # route hands to the check, true or off by a rounding
-        for cand in (y, y - np.max(y @ mat), nu - np.max(nu @ mat)):
-            got = phase_one_exact(n, p, nu, cand)
-            assert got == reference_phase_one_exact(n, p, nu, cand), (n, p)
-            verdicts.append(got)
+        # half-widths of every size up to the cells, and none
+        for halfwidth in (gen.uniform(0.0, 1.0, 2 ** n) * nu * 10.0 ** -gen.integers(0, 4),
+                          np.zeros(2 ** n)):
+            # shifted so that y'A <= 0 in floats: the certificates that the
+            # LP route hands to the check, true or off by a rounding
+            for cand in (y, y - np.max(y @ mat), nu - np.max(nu @ mat)):
+                got = phase_one_exact(n, p, nu, cand, halfwidth)
+                assert got == reference_phase_one_exact(n, p, nu, cand, halfwidth), (n, p)
+                verdicts.append(got)
     assert True in verdicts and False in verdicts
 
 
@@ -428,8 +508,6 @@ def test_lp_mc_relaxation_borderline():
     nu = BinaryLaw.from_counts(counts, m)
     res = lp_feasibility(nu)
     assert res.status in ("Feasible", "Borderline")
-    # exact mode checks certificates, it does not drop the MC relaxation
-    assert lp_feasibility(nu, exact=True).status in ("Feasible", "Borderline")
 
 
 def test_lp_dimension_and_marginal_errors():
@@ -444,7 +522,7 @@ def test_lp_dimension_and_marginal_errors():
 
 def test_square_law_feasible_at_quarter_pi():
     law = square_threshold_law_exact(math.pi / 4)
-    res = lp_feasibility(law, exact=True)
+    res = lp_feasibility(law)
     assert res.status == "Feasible"
     assert res.infeasibility_margin <= 1e-10
 
@@ -465,7 +543,7 @@ def test_permute_law_matches_bit_loop(rng):
 
 def test_square_law_small_theta_is_feasible():
     law = square_threshold_law_exact(0.25)
-    res = lp_feasibility(law, exact=True)
+    res = lp_feasibility(law)
     assert res.status == "Feasible"
 
 
@@ -474,7 +552,7 @@ def test_square_law_large_h_infeasible():
     law = threshold_law_mc(square_on_sphere_cov(theta), h, m, seed=37)
     res = lp_feasibility(law)
     assert res.status == "Infeasible"
-    assert phase_one_exact(4, law.marginal_p, law.probs, res.certificate)
+    assert phase_one_exact(4, law.marginal_p, law.probs, res.certificate, law.halfwidth)
 
 
 def test_square_circle_intervals_reject_bad_input():
@@ -948,25 +1026,23 @@ def test_signed_rep_3_refuses_marginal_zero_and_one(key):
 NOT_DC_AT_LARGE_H = [(0.0, 0.5, 0.5), (0.05, 0.6825, 0.6825)]
 
 
-@pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("h", range(4, 9))
 @pytest.mark.parametrize("rho", NOT_DC_AT_LARGE_H)
-def test_a_law_with_tiny_cells_that_is_no_color_process_is_never_feasible(rho, h, exact):
+def test_a_law_with_tiny_cells_that_is_no_color_process_is_never_feasible(rho, h):
     """Both laws are NoColorRep for large h (``classify_large_h_3``), and
     their unique signed representation has a negative weight.  Their cells
     fall below the LP's absolute tolerance, so an objective of 0 found a q
     that missed them by up to 1e12 of a cell: each cell is now checked to a
     relative 1e-9."""
     law = plackett_law3(rho, h)
-    assert lp_feasibility(law, exact=exact).status != "Feasible"
+    assert lp_feasibility(law).status != "Feasible"
 
 
-@pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("h", [2, 3])
-def test_a_color_process_with_small_cells_stays_feasible(h, exact):
+def test_a_color_process_with_small_cells_stays_feasible(h):
     law = plackett_law3((0.1, 0.5, 0.5), h)
     assert law.probs.min() < 1e-3
-    res = lp_feasibility(law, exact=exact)
+    res = lp_feasibility(law)
     assert res.status == "Feasible"
     pushed = push_forward(res.q, law.marginal_p).probs
     assert np.all(np.abs(pushed - law.probs) <= solver.REL_TOL * law.probs)
@@ -1039,7 +1115,7 @@ def test_the_lp_decides_every_mc_square_law(theta, h, seeds):
     cov = square_on_sphere_cov(theta)
     results = [lp_feasibility(threshold_law_mc(cov, h, 1000, seed)) for seed in seeds]
     if theta < math.pi / 4:
-        assert lp_feasibility(square_threshold_law_exact(theta), exact=True).feasible
+        assert lp_feasibility(square_threshold_law_exact(theta)).feasible
         assert all(res.status != "Infeasible" for res in results)
     assert all(res.status in ("Borderline", "Infeasible") for res in results)
 
@@ -1055,7 +1131,7 @@ def test_the_n4_counterexample_reads_infeasible_at_every_sample_count(m):
     y = res.certificate
     assert float(np.max(color_map_csc(4, law.marginal_p).T @ y)) <= 1e-7
     assert float(y @ law.probs - law.halfwidth @ np.abs(y)) > 0.0
-    assert phase_one_exact(4, law.marginal_p, law.probs, y)
+    assert phase_one_exact(4, law.marginal_p, law.probs, y, law.halfwidth)
 
 
 @pytest.mark.parametrize("miss, missed", [

@@ -101,9 +101,26 @@ INFEASIBLE = {
 def test_exact_infeasible_certificates_still_verify(name):
     make, *args = INFEASIBLE[name]
     law = make(*args)
-    res = lp_feasibility(law, exact=True)
+    res = lp_feasibility(law)
     assert res.status == "Infeasible" and res.detail["certificate_verified"] is True
-    assert phase_one_exact(law.n, law.marginal_p, law.probs, res.certificate)
+    assert phase_one_exact(law.n, law.marginal_p, law.probs, res.certificate, law.halfwidth)
+
+
+@pytest.mark.parametrize("name", INFEASIBLE)
+def test_no_certificate_clears_a_box_that_holds_a_color_process(name):
+    """A box around the law wide enough to hold the law of a color process
+    at the same p holds a law with a representation, so the check over it
+    fails, however far the certificate clears the law itself."""
+    make, *args = INFEASIBLE[name]
+    law = make(*args)
+    y = lp_feasibility(law).certificate
+    assert phase_one_exact(law.n, law.marginal_p, law.probs, y, np.zeros(law.probs.size))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        dc = push_forward(random_probability_q(rng, law.n), law.marginal_p).probs
+        # 1e-12 covers the rounding of the float push-forward
+        reach = np.abs(law.probs - dc) + 1e-12
+        assert not phase_one_exact(law.n, law.marginal_p, law.probs, y, reach)
 
 
 ORDER_SCRIPT = """
@@ -137,7 +154,7 @@ def test_q_does_not_depend_on_the_laws_decided_before():
         lp_feasibility(dirichlet_law(n, p, seed=1))
     mc = threshold_law_mc(symmetric_plus_mean_cov(4, 0.0), 0.0, 20_000, 0)
     assert "relaxed_objective" in lp_feasibility(mc).detail
-    assert lp_feasibility(negative_pair_law(0.5), exact=True).detail["certificate_verified"]
+    assert lp_feasibility(negative_pair_law(0.5)).detail["certificate_verified"]
     stalled = stalled_phase_one()
     assert stalled.pivots > solver.WARM_PIVOTS_PER_ROW * 256
     with pytest.raises(RuntimeError, match="HiGHS phase I failed: Infeasible"):
