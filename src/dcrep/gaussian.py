@@ -69,11 +69,11 @@ class CovarianceSpec:
         self.is_standard = bool(np.max(np.abs(np.diagonal(a) - 1.0)) <= SYM_TOL)
         if self.is_standard:
             off = a[~np.eye(self.n, dtype=bool)]
+            if off.size and np.max(np.abs(off)) > 1.0 + SYM_TOL:
+                raise ValueError("correlations must lie in [-1, 1]")
             if off.size and np.max(off) >= 1.0 - SYM_TOL:
                 raise ValueError("a_ij = 1 on a unit-diagonal matrix: "
                                  "coordinates i and j would be a.s. equal")
-            if off.size and np.min(off) < -1.0 - SYM_TOL:
-                raise ValueError("correlations must lie in [-1, 1]")
         self._inverse = None
 
     @property

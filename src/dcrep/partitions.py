@@ -3,13 +3,14 @@
 
 A partition distribution q together with a coin bias p induces a law nu on
 binary strings: pick a partition, then color each block 1 with probability p,
-independently across blocks.  ``color_map`` materializes that map as a
-2^n x Bell(n) column-stochastic matrix, ``push_forward`` applies it, and
-``simulate_color_process`` samples from it.  The first two read the same
-cells (``_color_map_cells``), one per (partition, coloring) pair.  A color
-process sample is a draw from nu itself, so the sampler draws each sample's
-string with one uniform, by a guide-table categorical over nu's 2^n cells,
-rather than a partition and then one uniform per block.
+independently across blocks.  That map is a 2^n x Bell(n) column-stochastic
+matrix, kept once per n as its nonzero cells in CSC order, one per
+(partition, coloring) pair (``_color_map_cells``): ``color_map_csc`` is the
+matrix at p, ``push_forward`` applies it to q, and ``simulate_color_process``
+samples from the law it gives.  A color process sample is a draw from nu
+itself, so the sampler draws each sample's string with one uniform, by a
+guide-table categorical over nu's 2^n cells, rather than a partition and
+then one uniform per block.
 """
 
 from __future__ import annotations
@@ -299,47 +300,29 @@ def index_string(idx: int, n: int) -> str:
 
 @lru_cache(maxsize=None)
 def _color_map_cells(n: int) -> tuple[np.ndarray, ...]:
-    """Nonzero cells of ``color_map(n, .)`` as read-only index arrays shared by
-    every call: row, column, #blocks colored 1 (k) and #blocks (K).  The
-    cells of each column are contiguous."""
+    """The nonzero cells of the coloring map at n, one per (partition,
+    coloring) pair, as three read-only arrays shared by every p: int32
+    ``indptr`` and ``rows`` of the cells sorted by (column, row), the layout
+    of ``color_map_csc``, and each cell's ``index`` K (n+1) + k into the
+    flattened ``_coloring_weights``, where the cell colors k of its column's
+    K blocks 1.  Column j's cells are ``indptr[j]:indptr[j+1]``.
+
+    The cells are built per K and cast before the one sort: rows < 2^9 and
+    columns < Bell(9) fit int16, and indices < (n+1)^2 int8."""
     table = _partition_table(n)
     parts = []
     for big in range(1, n + 1):
         cols = np.flatnonzero(table.num_blocks == big)
         # the 2^K colorings of K blocks
         colorings = np.array(list(itertools.product((0, 1), repeat=big)))
-        parts.append(((table.bits[cols, :big] @ colorings.T).ravel(),
-                      np.repeat(cols, 2 ** big),
-                      np.tile(colorings.sum(axis=1), len(cols)),
-                      np.full(len(cols) * 2 ** big, big)))
-    # rows < 2^9 and columns < Bell(9) fit int16, block counts int8
-    dtypes = (np.int16, np.int16, np.int8, np.int8)
-    arrays = tuple(np.concatenate(a).astype(t) for a, t in zip(zip(*parts), dtypes))
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-@lru_cache(maxsize=None)
-def _cell_weight_index(n: int) -> np.ndarray:
-    """Each cell's index K (n+1) + k into the flattened ``_coloring_weights``,
-    in ``_color_map_cells`` order: one 1-D gather reads every cell's weight."""
-    _, _, k, kk = _color_map_cells(n)
-    index = kk.astype(np.intp) * (n + 1) + k
-    index.setflags(write=False)
-    return index
-
-
-@lru_cache(maxsize=None)
-def _color_map_csc_structure(n: int) -> tuple[np.ndarray, ...]:
-    """The sparsity structure of ``color_map_csc(n, .)``, shared by every p:
-    int32 ``indptr`` and ``indices`` of the cells sorted by (column, row),
-    and each sorted cell's index into the flattened ``_coloring_weights``."""
-    row, col, _, _ = _color_map_cells(n)
+        parts.append(((table.bits[cols, :big] @ colorings.T).ravel().astype(np.int16),
+                      np.repeat(cols, 2 ** big).astype(np.int16),
+                      np.tile(big * (n + 1) + colorings.sum(axis=1), len(cols)).astype(np.int8)))
+    row, col, index = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((row, col))
     indptr = np.zeros(BELL[n] + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=BELL[n]), out=indptr[1:])
-    arrays = (indptr, row[order].astype(np.int32), _cell_weight_index(n)[order])
+    arrays = (indptr, row[order].astype(np.int32), index[order])
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -349,16 +332,16 @@ def color_map_csc(n: int, p: float) -> csc_array:
     """The 2^n x Bell(n) coloring map at bias p, as a CSC matrix.
 
     Column sigma puts weight p^k (1-p)^(K-k) on each string that colors k of
-    sigma's K blocks 1; every column sums to 1.  Its arrays equal those of
-    ``csc_array(color_map(n, p))``; only ``data`` is computed per p, by one
-    gather from the (n+1) x (n+1) weight table.
+    sigma's K blocks 1; every column sums to 1.  Its ``indptr`` and
+    ``indices`` are those of ``_color_map_cells``; only ``data`` is computed
+    per p, by one gather from the (n+1) x (n+1) weight table.
     """
     _check_n(n)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0,1), got {p}")
-    indptr, indices, weight = _color_map_csc_structure(n)
-    data = _coloring_weights(n, p).ravel()[weight]
-    return csc_array((data, indices, indptr), shape=(2 ** n, BELL[n]))
+    indptr, rows, index = _color_map_cells(n)
+    data = _coloring_weights(n, p).ravel()[index]
+    return csc_array((data, rows, indptr), shape=(2 ** n, BELL[n]))
 
 
 def color_map(n: int, p: float) -> np.ndarray:
@@ -369,26 +352,19 @@ def color_map(n: int, p: float) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _coloring_weights(n: int, p: float) -> np.ndarray:
     """weight[K, k] = p^k (1-p)^(K-k) for k <= K, and 0 past K, by scalar
-    powers: the bits of the cell formula.  Indexed by the K and k arrays of
-    ``_color_map_cells``.  Read-only and cached per (n, p): a decision reads
-    it twice, in ``color_map_csc`` and in ``push_forward``."""
+    powers: the bits of the cell formula.  Read flattened, at the cells'
+    ``index`` of ``_color_map_cells``.  Read-only and cached per (n, p): a
+    decision reads it twice, in ``color_map_csc`` and in ``push_forward``."""
     weight = np.array([[p ** j * (1.0 - p) ** (big - j) if j <= big else 0.0
                         for j in range(n + 1)] for big in range(n + 1)])
     weight.setflags(write=False)
     return weight
 
 
-def _cell_weights(q: "PartitionDistribution", p: float) -> np.ndarray:
-    """The mass q(sigma) p^k (1-p)^(K-k) of each cell of ``_color_map_cells``:
-    the law of the color process, one (partition, coloring) pair per cell."""
-    _, col, _, _ = _color_map_cells(q.n)
-    return q.vector[col] * _coloring_weights(q.n, p).ravel()[_cell_weight_index(q.n)]
-
-
 def color_map_exact(n: int, p) -> tuple[np.ndarray, int]:
-    """The cells of ``color_map(n, p)`` in exact arithmetic, for certificate
-    checks: Python integers in ``_color_map_cells`` order, and their common
-    denominator.  With p = a/b exactly, cell (k, K) is
+    """The cells of ``color_map_csc(n, p)`` in exact arithmetic, for
+    certificate checks: Python integers in the order of its ``data``, and
+    their common denominator.  With p = a/b exactly, cell (k, K) is
     a^k (b-a)^(K-k) b^(n-K) over the denominator b^n."""
     _check_n(n)
     a, b = Fraction(p).as_integer_ratio()
@@ -396,8 +372,7 @@ def color_map_exact(n: int, p) -> tuple[np.ndarray, int]:
     for big in range(n + 1):
         for j in range(big + 1):
             weight[big, j] = a ** j * (b - a) ** (big - j) * b ** (n - big)
-    _, _, k, kk = _color_map_cells(n)
-    return weight[kk, k], b ** n
+    return weight.ravel()[_color_map_cells(n)[2]], b ** n
 
 
 class PartitionDistribution:
@@ -797,11 +772,16 @@ def _subset_cells(n: int, subset: tuple[int, ...]) -> np.ndarray:
 
 
 def push_forward(q: PartitionDistribution, p: float) -> BinaryLaw:
-    """Law of the color process with partition distribution q and bias p."""
+    """Law of the color process with partition distribution q and bias p:
+    the coloring map applied to q.  Each cell's q(sigma) p^k (1-p)^(K-k) is
+    added into its row in the cells' (column, row) order, the order in which
+    ``color_map_csc(q.n, p) @ q.vector`` adds them, so the two agree bit for
+    bit."""
     if q.signed or q.vector.min() < -PROB_TOL:
         raise ValueError("push_forward requires a probability distribution over partitions")
-    row = _color_map_cells(q.n)[0]
-    return BinaryLaw(q.n, np.bincount(row, weights=_cell_weights(q, p), minlength=2 ** q.n))
+    indptr, rows, index = _color_map_cells(q.n)
+    mass = np.repeat(q.vector, np.diff(indptr)) * _coloring_weights(q.n, p).ravel()[index]
+    return BinaryLaw(q.n, np.bincount(rows, weights=mass, minlength=2 ** q.n))
 
 
 @lru_cache(maxsize=None)

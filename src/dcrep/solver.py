@@ -9,10 +9,11 @@ Three routes, used where each is exact:
     (``scipy.optimize._highspy._core``), with a Farkas certificate on
     infeasibility: the strict LP, rows [b, b], on an exact law, and only the
     box LP, rows b +- the half-widths, on an MC law.  The map exists on this
-    path only as a CSC matrix whose columns are the cached cells
+    path only as the CSC matrix of the cells cached per n
     (``color_map_csc``); it goes to HiGHS by one array ``passModel``, with
-    presolve off, and the margin and the certificate check read the cells
-    too (``push_forward``, ``A.T @ y``).  At p = 1/2 the strict LP starts
+    presolve off.  The margin applies it to q (``push_forward``), and the
+    certificate checks read it by column (``A.T @ y``, and
+    ``phase_one_exact`` in integers).  At p = 1/2 the strict LP starts
     from a basis cached per n (``_start_basis``).  At n = 9 (512 x 21,147)
     the LP of a Dirichlet law takes 0.2-0.4 s at p = 1/2 from that basis on
     a 2-core x86-64 box, against 0.9-2.1 s from the slack basis, where the
@@ -449,9 +450,8 @@ def phase_one_exact(n: int, p: float, nu, y, halfwidth) -> bool:
     scaled = _dyadic_integers(np.concatenate([nu, halfwidth]))
     nus, ws = scaled[:len(ys)], scaled[len(ys):]
     cells, den = color_map_exact(n, p)
-    row, col, _, _ = _color_map_cells(n)
-    starts = np.flatnonzero(np.diff(col, prepend=-1))
-    delta = max(np.add.reduceat(np.array(ys, dtype=object)[row] * cells, starts))
+    indptr, rows, _ = _color_map_cells(n)
+    delta = max(np.add.reduceat(np.array(ys, dtype=object)[rows] * cells, indptr[:-1]))
     zs = [yi * den - delta for yi in ys]
     return sum(z * v - abs(z) * wi for z, v, wi in zip(zs, nus, ws)) > 0
 

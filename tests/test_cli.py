@@ -271,6 +271,15 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("a12, message", [
+    (2, "error: correlations must lie in [-1, 1]"),
+    (1, "error: a_ij = 1 on a unit-diagonal matrix: coordinates i and j would be a.s. equal"),
+])
+def test_analyze_names_why_a_correlation_is_refused(a12, message, capsys):
+    assert main(["analyze", "--model", json.dumps({"a": [[1, a12], [a12, 1]]})]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 @pytest.mark.parametrize("command", ["analyze", "solve", "asymptotics"])
 def test_a_command_without_a_model_is_a_usage_error(command, tmp_path, capsys):
     """No --model, bare or from a config file that has none, exits 2 with a

@@ -184,6 +184,21 @@ def test_covariance_spec_validation():
     assert sub.n == 3 and sub.is_pd
 
 
+@pytest.mark.parametrize("a12, message", [
+    (2.0, r"correlations must lie in \[-1, 1\]"),
+    (1.0 + 1e-9, r"correlations must lie in \[-1, 1\]"),
+    (-2.0, r"correlations must lie in \[-1, 1\]"),
+    (1.0, "a.s. equal"),
+    (1.0 + 5e-13, "a.s. equal"),
+    (1.0 - 5e-13, "a.s. equal"),
+], ids=["2", "1+1e-9", "-2", "1", "1+5e-13", "1-5e-13"])
+def test_an_off_diagonal_entry_past_1_is_no_correlation(a12, message):
+    """Above 1 + ``SYM_TOL`` an entry is out of range; only one within
+    ``SYM_TOL`` of 1 makes two coordinates a.s. equal."""
+    with pytest.raises(ValueError, match=message):
+        CovarianceSpec([[1.0, a12], [a12, 1.0]])
+
+
 def test_covariance_angles_and_points():
     cov = correlations3(0.5, 0.0, -0.5)
     th = cov.angles

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import dcrep
 from dcrep.partitions import (BinaryLaw, Partition, PartitionDistribution, _column_keys,
-                              bell_number, color_map, enumerate_partitions,
+                              bell_number, color_map, color_map_csc, enumerate_partitions,
                               marginalize_partition, push_forward,
                               simulate_color_process)
+from dcrep.solver import lp_feasibility
 
 from conftest import brute_force_partitions, random_probability_q
 
@@ -166,6 +167,69 @@ def test_push_forward_marginals(rng, n, p):
     q = random_probability_q(rng, n)
     law = push_forward(q, p)
     assert np.allclose(law.marginals(), p, atol=1e-12)
+
+
+def reference_push_forward(q, p):
+    """The double-loop map applied to q by a Python loop over its columns,
+    each column's cells added in row order."""
+    mat = reference_color_map(q.n, p)
+    out = [0.0] * 2 ** q.n
+    for j, weight in enumerate(q.vector.tolist()):
+        column = mat[:, j].tolist()
+        for row in np.flatnonzero(mat[:, j]).tolist():
+            out[row] += weight * column[row]
+    return np.array(out)
+
+
+def map_test_qs(n):
+    """A Dirichlet q over all of B_n, a q on 5 partitions (all of B_n when
+    there are fewer), and the LP's vertex q for the first one's law at
+    p = 0.3, which has at most 2^n nonzero weights."""
+    rng = np.random.default_rng([n, 39])
+    dense = random_probability_q(rng, n)
+    support = min(5, bell_number(n))
+    v = np.zeros(bell_number(n))
+    v[rng.choice(len(v), support, replace=False)] = rng.dirichlet(np.ones(support))
+    vertex = lp_feasibility(push_forward(dense, 0.3)).q
+    assert np.count_nonzero(vertex.vector) <= 2 ** n
+    return dense, PartitionDistribution.from_vector(n, v), vertex
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_push_forward_is_the_map_applied_to_q(n):
+    """Bit for bit the CSC map times q, and at n <= 6 a Python loop over
+    the columns: every route to a color process's law adds its cells in one
+    order, by column and then by row."""
+    for q, p in itertools.product(map_test_qs(n), (0.3, 1 / 3, 0.5)):
+        law = push_forward(q, p).probs
+        assert law.tobytes() == (color_map_csc(n, p) @ q.vector).tobytes(), p
+        if n <= 6:
+            assert law.tobytes() == reference_push_forward(q, p).tobytes(), p
+
+
+def test_the_cold_coloring_map_at_nine_is_small():
+    """In a fresh interpreter, the first ``push_forward`` and ``color_map_csc``
+    at n = 9 build the map's cells once, in one (column, row) order, and keep
+    them in int32 rows and int8 weight indices: at most 8 MiB stay allocated
+    once their results are dropped, with a peak of at most 24 MiB."""
+    script = """
+import tracemalloc
+import numpy as np
+from dcrep.partitions import BELL, PartitionDistribution, _partition_table, color_map_csc
+from dcrep.partitions import push_forward
+_partition_table(9)
+q = PartitionDistribution.from_vector(9, np.full(BELL[9], 1.0 / BELL[9]))
+tracemalloc.start()
+law, mat = push_forward(q, 0.3), color_map_csc(9, 0.3)
+del law, mat
+print(*tracemalloc.get_traced_memory())
+"""
+    src = Path(dcrep.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    retained, peak = map(int, proc.stdout.split())
+    assert retained <= 8 * 2 ** 20 and peak <= 24 * 2 ** 20, (retained, peak)
 
 
 def test_push_forward_rejects_signed():
