@@ -259,9 +259,9 @@ def stable_order2_limit_101_markov(a: float, alpha: float) -> float:
     return (1.0 - a ** alpha) * val
 
 
-def phase_transition_alpha(tol: float = 1e-9) -> float:
-    """Root of gamma_factor(alpha) = 1 on (0.01, 0.99); lands at 1/2."""
-    root = brentq(lambda al: gamma_factor(al) - 1.0, 0.01, 0.99, xtol=tol)
+def phase_transition_alpha() -> float:
+    """Root of gamma_factor(alpha) = 1 on (0.01, 0.99), to 1e-9; lands at 1/2."""
+    root = brentq(lambda al: gamma_factor(al) - 1.0, 0.01, 0.99, xtol=1e-9)
     return float(root)
 
 

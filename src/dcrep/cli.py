@@ -36,7 +36,7 @@ from .gaussian import (CovarianceSpec, square_threshold_laws_exact,
 from .laws import threshold_law
 from .partitions import BinaryLaw, _column_keys, _is_number, push_forward, simulate_color_process
 from .reports import _plain
-from .solver import (FEAS_TOL, lp_feasibility, signed_rep_3, square_circle_intervals,
+from .solver import (lp_feasibility, signed_rep_3, square_circle_intervals,
                      symmetric_rep_family_3, square_circle_solver)  # noqa: F401
 
 SCHEMA = "dcrep/1"
@@ -172,7 +172,7 @@ def cmd_analyze(args) -> dict:
             results["order1_limits"] = asym.stable_limit_report(measure).to_json_dict()
     if args.h is not None or isinstance(model, BinaryLaw):
         law = threshold_law(model, args.h, args.samples, args.seed)
-        results["lp"] = lp_feasibility(law, p=args.p, tol=args.tol)
+        results["lp"] = lp_feasibility(law, p=args.p)
     return results
 
 
@@ -194,7 +194,7 @@ def cmd_solve(args) -> dict:
     else:
         out["symmetric_family"] = {"t_interval": fam.t_interval,
                                    "canonical": None if fam.is_empty else fam.canonical()}
-    out["lp"] = lp_feasibility(law, p=args.p, tol=args.tol)
+    out["lp"] = lp_feasibility(law, p=args.p)
     return out
 
 
@@ -345,7 +345,6 @@ _FLAGS = {
     "p": {"type": float},
     "samples": {"type": int},
     "seed": {"type": int},
-    "tol": {"type": float},
     "format": {"choices": ["json", "csv"]},
     "scan": {"required": True},
     "a-step": {"type": float},
@@ -369,9 +368,9 @@ class _Command(NamedTuple):
 # no Monte Carlo law
 _COMMANDS = {
     "analyze": _Command("condition checkers + regime classifiers", cmd_analyze, None, {None: {
-        "model": None, "h": None, "p": None, "samples": None, "seed": 0, "tol": FEAS_TOL}}),
+        "model": None, "h": None, "p": None, "samples": None, "seed": 0}}),
     "solve": _Command("representations of a law", cmd_solve, None, {None: {
-        "model": None, "h": 0.0, "p": None, "samples": None, "seed": 0, "tol": FEAS_TOL}}),
+        "model": None, "h": 0.0, "p": None, "samples": None, "seed": 0}}),
     "scan": _Command("parameter-region scans (CSV)", cmd_scan, "scan", {
         "ab": {"a-step": 0.005},
         "theta": {"a-step": math.pi / 80},

@@ -6,11 +6,11 @@ binary strings: pick a partition, then color each block 1 with probability p,
 independently across blocks.  That map is a 2^n x Bell(n) column-stochastic
 matrix, kept once per n as its nonzero cells in CSC order, one per
 (partition, coloring) pair (``_color_map_cells``): ``color_map_csc`` is the
-matrix at p, ``push_forward`` applies it to q, and ``simulate_color_process``
-samples from the law it gives.  A color process sample is a draw from nu
-itself, so the sampler draws each sample's string with one uniform, by a
-guide-table categorical over nu's 2^n cells, rather than a partition and
-then one uniform per block.
+matrix at p in [0, 1], ``push_forward`` is that matrix times q, and
+``simulate_color_process`` samples from the law it gives.  A color process
+sample is a draw from nu itself, so the sampler draws each sample's string
+with one uniform, by a guide-table categorical over nu's 2^n cells, rather
+than a partition and then one uniform per block.
 """
 
 from __future__ import annotations
@@ -337,8 +337,8 @@ def color_map_csc(n: int, p: float) -> csc_array:
     per p, by one gather from the (n+1) x (n+1) weight table.
     """
     _check_n(n)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0,1), got {p}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
     indptr, rows, index = _color_map_cells(n)
     data = _coloring_weights(n, p).ravel()[index]
     return csc_array((data, rows, indptr), shape=(2 ** n, BELL[n]))
@@ -353,8 +353,8 @@ def color_map(n: int, p: float) -> np.ndarray:
 def _coloring_weights(n: int, p: float) -> np.ndarray:
     """weight[K, k] = p^k (1-p)^(K-k) for k <= K, and 0 past K, by scalar
     powers: the bits of the cell formula.  Read flattened, at the cells'
-    ``index`` of ``_color_map_cells``.  Read-only and cached per (n, p): a
-    decision reads it twice, in ``color_map_csc`` and in ``push_forward``."""
+    ``index`` of ``_color_map_cells``.  Read-only and cached per (n, p), for
+    the maps that one p is built for again and again (p = 1/2 above all)."""
     weight = np.array([[p ** j * (1.0 - p) ** (big - j) if j <= big else 0.0
                         for j in range(n + 1)] for big in range(n + 1)])
     weight.setflags(write=False)
@@ -557,7 +557,7 @@ class BinaryLaw:
         m = self.marginals()
         return float(m.max() - m.min())
 
-    def is_zero_one_symmetric(self, tol: float = 1e-9) -> bool:
+    def is_zero_one_symmetric(self, tol: float) -> bool:
         flipped = self.probs[::-1]  # index of 1-rho is 2^n-1-index of rho
         return bool(np.max(np.abs(self.probs - flipped)) <= tol)
 
@@ -740,7 +740,11 @@ def threshold_mc_law(draw, n: int, h: float, m: int, seed) -> BinaryLaw:
     law is exactly flip-symmetric when m is even.  A cell's count is
     Binomial(m/2, 2 nu_c) over the pairs, so its variance nu_c(1 - 2 nu_c)/m
     is at most the plug-in stderr^2 nu_c(1 - nu_c)/m of ``from_counts``.
+    A non-finite h raises ValueError before any draw.
     """
+    if not math.isfinite(h):
+        raise ValueError(f"h must be finite, got {h!r}")
+
     def count(start, k, rng):
         if h == 0.0:
             x = draw(k - k // 2, rng)
@@ -772,16 +776,11 @@ def _subset_cells(n: int, subset: tuple[int, ...]) -> np.ndarray:
 
 
 def push_forward(q: PartitionDistribution, p: float) -> BinaryLaw:
-    """Law of the color process with partition distribution q and bias p:
-    the coloring map applied to q.  Each cell's q(sigma) p^k (1-p)^(K-k) is
-    added into its row in the cells' (column, row) order, the order in which
-    ``color_map_csc(q.n, p) @ q.vector`` adds them, so the two agree bit for
-    bit."""
+    """Law of the color process with partition distribution q and bias p in
+    [0, 1]: the coloring map applied to q."""
     if q.signed or q.vector.min() < -PROB_TOL:
         raise ValueError("push_forward requires a probability distribution over partitions")
-    indptr, rows, index = _color_map_cells(q.n)
-    mass = np.repeat(q.vector, np.diff(indptr)) * _coloring_weights(q.n, p).ravel()[index]
-    return BinaryLaw(q.n, np.bincount(rows, weights=mass, minlength=2 ** q.n))
+    return BinaryLaw(q.n, color_map_csc(q.n, p) @ q.vector)
 
 
 @lru_cache(maxsize=None)
@@ -880,8 +879,6 @@ def simulate_color_process(q: PartitionDistribution, p: float, m: int, seed):
         raise ValueError("m must be >= 1")
     if q.signed:
         raise ValueError("cannot simulate a signed distribution")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
     n = q.n
     nu = push_forward(q, p).probs
     cells = np.flatnonzero(nu > 0.0)

@@ -11,7 +11,7 @@ Three routes, used where each is exact:
     box LP, rows b +- the half-widths, on an MC law.  The map exists on this
     path only as the CSC matrix of the cells cached per n
     (``color_map_csc``); it goes to HiGHS by one array ``passModel``, with
-    presolve off.  The margin applies it to q (``push_forward``), and the
+    presolve off.  The margin applies that same matrix to q, and the
     certificate checks read it by column (``A.T @ y``, and
     ``phase_one_exact`` in integers).  At p = 1/2 the strict LP starts
     from a basis cached per n (``_start_basis``).  At n = 9 (512 x 21,147)
@@ -50,8 +50,8 @@ except ImportError as exc:
                       "bindings scipy.optimize._highspy._core, which older scipy "
                       "releases do not ship") from exc
 
-# color_map and enumerate_partitions are on no path here: they are imported
-# only so that bench/tracing.py can time them under these names
+# color_map, enumerate_partitions and push_forward are on no path here: they
+# are imported only so that bench/tracing.py can time them under these names
 from .partitions import (PROB_TOL, RELAX_SIGMA, BinaryLaw, PartitionDistribution,
                          _color_map_cells, _frozen, _keyed,
                          color_map, color_map_csc, color_map_exact,  # noqa: F401
@@ -246,12 +246,12 @@ class FeasibilityResult:
         return self.status == "Feasible"
 
 
-def _q_and_miss(n: int, p: float, x: np.ndarray, nu: np.ndarray):
+def _q_and_miss(n: int, mat: csc_array, x: np.ndarray, nu: np.ndarray):
     """The q of an LP point x (clipped at 0 and normalized), and how far its
-    push-forward misses each cell of nu."""
+    push-forward, the LP's coloring map ``mat`` times q, misses each cell."""
     x = np.clip(x, 0.0, None)
     q = PartitionDistribution.from_vector(n, x / x.sum())
-    return q, np.abs(push_forward(q, p).probs - nu)
+    return q, np.abs(mat @ q.vector - nu)
 
 
 @dataclass(frozen=True)
@@ -463,24 +463,24 @@ def _dyadic_integers(values) -> list[int]:
     return [f.numerator * (scale // f.denominator) for f in fracs]
 
 
-def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
+def lp_feasibility(nu: BinaryLaw, p: float | None = None,
                    exact: bool = False) -> FeasibilityResult:
     """Phase-I LP: is nu = color_map(n, p) q solvable with q >= 0?
 
     An exact law gets the strict LP, rows [b, b], at p = 1/2 from the cached
     basis of ``_start_basis`` and at other p from the slack basis.  An
-    objective up to ``tol`` is Feasible when the q found reproduces every
+    objective up to ``FEAS_TOL`` is Feasible when the q found reproduces every
     cell (``_misses_a_cell``): a warm q that does not is solved again from
     the slack basis, and one that still does not is Borderline.  An MC law
     gets only the box LP, from the slack basis, each row widened by its
     cell's half-width (``RELAX_SIGMA`` stderr).  The box contains the strict
-    polytope, and an MC law is never Feasible: an objective up to ``tol`` is
+    polytope; an MC law is never Feasible: an objective up to ``FEAS_TOL`` is
     Borderline with the box q, since a law within its noise may have no
     representation (an h = 0 law of reflected pairs is flip-symmetric with
     p = 1/2, and can pass where its exact law is Infeasible).  ``detail``
     holds ``phase1_objective`` or ``relaxed_objective``.
 
-    Above ``tol``, on either kind of law, the verdict is Infeasible exactly
+    Above ``FEAS_TOL``, on either kind of law, the law is Infeasible exactly
     when the LP's duals, cleaned by ``_clean_certificate``, pass the integer
     check of ``phase_one_exact`` over every law within the half-widths of nu
     (an exact law's are its rounding); otherwise it is Borderline, with no
@@ -488,16 +488,16 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     HiGHS can end phase I at an objective of 3e-9 on a feasible law whose
     cells are that small, with duals that are no certificate.  ``exact`` is
     read nowhere: bench/workloads.py still passes it, and it goes with that
-    call (ROADMAP item 2).
+    call (ROADMAP item 2).  A p outside (0, 1) raises ValueError.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     marginal_tol = _screen_tol(float(np.max(nu.halfwidth)), 5.0 * nu.n)
     p_detected = _require_equal_marginals(nu, marginal_tol)
     if p is None:
         p = p_detected
     elif abs(p - p_detected) > max(marginal_tol, 1e-6):
         raise ValueError(f"stated p={p} inconsistent with marginals {p_detected:.6g}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0,1), got {p}")
     n = nu.n
     mat = color_map_csc(n, p)
     mc = nu.stderr is not None
@@ -507,8 +507,8 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
     lp = (phase_one(mat, nu.probs, slack=nu.halfwidth) if mc
           else phase_one(mat, nu.probs, basis=_start_basis(n) if warm else None))
     detail = {"relaxed_objective" if mc else "phase1_objective": lp.objective}
-    if lp.objective <= tol:
-        q, miss = _q_and_miss(n, p, lp.x, nu.probs)
+    if lp.objective <= FEAS_TOL:
+        q, miss = _q_and_miss(n, mat, lp.x, nu.probs)
         if mc:
             return FeasibilityResult("Borderline", q, float(np.max(miss)), detail=detail)
         missed = _misses_a_cell(miss, nu.probs)
@@ -517,8 +517,8 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None, tol: float = FEAS_TOL,
             # small or zero cells (1e-13 on zero cells of n = 6 laws on two
             # partitions) where the slack basis's vertex is exact
             lp = phase_one(mat, nu.probs)
-            q, miss = _q_and_miss(n, p, lp.x, nu.probs)
-            missed = lp.objective > tol or _misses_a_cell(miss, nu.probs)
+            q, miss = _q_and_miss(n, mat, lp.x, nu.probs)
+            missed = lp.objective > FEAS_TOL or _misses_a_cell(miss, nu.probs)
             detail["phase1_objective"] = lp.objective
         return FeasibilityResult("Borderline" if missed else "Feasible", q,
                                  float(np.max(miss)), detail=detail)

@@ -137,7 +137,7 @@ def test_07_stable_order1_limits():
 
 def test_08_phase_transition_at_half():
     t0 = time.time()
-    root = phase_transition_alpha(tol=1e-9)
+    root = phase_transition_alpha()
     grid = np.linspace(0.05, 0.95, 100)
     vals = [gamma_factor(float(al)) for al in grid]
     ok = abs(root - 0.5) <= 1e-6 and all(x < y for x, y in zip(vals, vals[1:]))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dcrep
-from dcrep import cli
+from dcrep import cli, solver
 from dcrep.cli import main
 from dcrep.gaussian import (CovarianceSpec, fully_symmetric_cov, threshold_law_mc,
                             zero_threshold_law_3)
@@ -225,7 +225,7 @@ def test_simulate_color_from_an_mc_law_that_passes_only_the_box_lp(tmp_path):
     assert code == 0
     law = json.loads(out.read_text())["results"]["law"]
     nu = BinaryLaw.from_json_dict(law)
-    assert phase_one(color_map_csc(3, nu.marginal_p), nu.probs).objective > cli.FEAS_TOL
+    assert phase_one(color_map_csc(3, nu.marginal_p), nu.probs).objective > solver.FEAS_TOL
     drawn = push_forward(lp_feasibility(nu).q, nu.marginal_p).probs
     assert law_scales_into_the_box(drawn, nu)
     m = 50000
@@ -401,14 +401,35 @@ def test_scan_alpha_refuses_an_a_outside_0_1(a, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
-def test_bad_tol_exits_2(tol, tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["analyze", "--h", "0"], ["solve"]], ids=["analyze", "solve"])
+def test_an_echoed_config_that_holds_tol_exits_2(argv, tmp_path, capsys):
+    """The LP has no tolerance knob: a config echoed before it went, with
+    its "tol" key, is refused by name, and writes nothing."""
     model = json.dumps({"a": [[1, .5, .3], [.5, 1, .2], [.3, .2, 1]]})
-    code, out = run(["solve", "--model", model], tmp_path)
+    code, out = run(argv + ["--model", model], tmp_path)
     assert code == 0
+    config = json.loads(out.read_text())["config"]
     assert json.loads(out.read_text())["results"]["lp"]["status"] == "Feasible"
-    assert main(["solve", "--model", model, "--tol", tol]) == 2
-    assert "tol must be a finite number >= 0" in capsys.readouterr().err
+    assert "tol" not in config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "tol": 1e-9}))
+    code, out = run([argv[0], "--config", str(cfg)], tmp_path, "again.json")
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "config key 'tol' names no flag" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_solve_refuses_a_non_finite_h_before_sampling(h, tmp_path, capsys, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(dcrep.partitions, "_count_blocks", no_draws)
+    model = json.dumps({"a": [[1, .5], [.5, 1]]})
+    code, out = run(["solve", "--model", model, "--h", h, "--samples", "1000"], tmp_path)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: h must be finite, got {float(h)!r}\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -494,7 +515,7 @@ def test_solve_shows_the_family_of_a_law_at_its_edge(tmp_path):
     assert results["lp"]["status"] == "Feasible"
     family = results["symmetric_family"]
     t_lo, t_hi = family["t_interval"]
-    assert 0.0 < t_lo - t_hi < cli.FEAS_TOL
+    assert 0.0 < t_lo - t_hi < solver.FEAS_TOL
     weights = family["canonical"]["weights"]
     assert weights["1|2|3"] == pytest.approx(2 * t_lo, rel=1e-15)
     assert min(weights.values()) == pytest.approx(-8e-11, rel=1e-6)
@@ -509,12 +530,12 @@ def test_solve_shows_the_family_of_an_mc_law_within_its_noise(tmp_path):
     assert code == 0
     results = json.loads(out.read_text())["results"]
     law = BinaryLaw.from_json_dict(results["law"])
-    assert phase_one(color_map_csc(3, law.marginal_p), law.probs).objective > cli.FEAS_TOL
+    assert phase_one(color_map_csc(3, law.marginal_p), law.probs).objective > solver.FEAS_TOL
     assert results["lp"]["status"] == "Borderline"
     assert results["lp"]["detail"]["relaxed_objective"] == 0.0
     family = results["symmetric_family"]
     t_lo, t_hi = family["t_interval"]
-    assert cli.FEAS_TOL < t_lo - t_hi < 0.01
+    assert solver.FEAS_TOL < t_lo - t_hi < 0.01
     canonical = family["canonical"]
     assert canonical["signed"] is True and min(canonical["weights"].values()) < 0.0
 
@@ -565,8 +586,8 @@ BASE_ARGV = {
     "asymptotics": ["asymptotics", "--model", STABLE3],
 }
 UNREAD_FLAGS = {
-    "analyze": ["format"],
-    "solve": ["format"],
+    "analyze": ["tol", "format"],
+    "solve": ["tol", "format"],
     "scan": ["model", "h", "p", "samples", "seed", "tol", "format"],
     "simulate": ["h", "p", "tol"],
     "asymptotics": ["h", "p", "samples", "seed", "tol", "format"],
@@ -589,8 +610,8 @@ def test_a_flag_the_command_does_not_read_exits_2(command, flag, tmp_path, capsy
 def test_config_echo_holds_only_what_the_command_read(tmp_path):
     law = json.dumps(zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json_dict())
     cases = [
-        (BASE_ARGV["analyze"], {"model", "seed", "tol"}),
-        (BASE_ARGV["solve"], {"model", "h", "seed", "tol"}),
+        (BASE_ARGV["analyze"], {"model", "seed"}),
+        (BASE_ARGV["solve"], {"model", "h", "seed"}),
         (BASE_ARGV["asymptotics"], {"model"}),
         (BASE_ARGV["simulate"], {"simulator", "samples", "seed", "format", "a", "n"}),
         (["simulate", "--simulator", "stable-chain", "--samples", "10000"],
@@ -611,7 +632,7 @@ def test_config_echo_holds_only_what_the_command_read(tmp_path):
 
 def test_one_config_file_serves_scan_with_keys_it_does_not_read(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": "dcrep/1", "tol": 3.0, "format": "csv",
+    cfg.write_text(json.dumps({"schema": "dcrep/1", "seed": 3, "format": "csv",
                                "a_step": 0.5}))
     code, out = run(["scan", "--scan", "theta", "--config", str(cfg)], tmp_path, "scan.csv")
     assert code == 0
@@ -760,7 +781,7 @@ def test_defaults_are_echoed_and_read(tmp_path):
     code, out = run(["solve", "--model", GAUSS3], tmp_path)
     assert code == 0
     config = json.loads(out.read_text())["config"]
-    assert (config["h"], config["tol"]) == (0.0, 1e-9)
+    assert config["h"] == 0.0 and "tol" not in config
 
 
 def test_analyze_reads_an_absent_h_or_samples_as_no_lp(tmp_path):

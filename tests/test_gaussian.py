@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dcrep import partitions
 from dcrep.gaussian import (CovarianceSpec, bivariate_threshold_exact,
                             correlations3, fully_symmetric_cov, markov_chain_cov,
                             normal_sf, pair_cluster_weight, sheppard_pair,
@@ -100,6 +101,16 @@ def test_bivariate_monotone_in_h():
     for a in [0.0, 0.3, 0.8]:
         vals = [bivariate_threshold_exact(a, h) for h in np.linspace(-2, 4, 25)]
         assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_threshold_mc_refuses_a_non_finite_h_before_any_draw(h, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(partitions, "_count_blocks", no_draws)
+    with pytest.raises(ValueError, match="h must be finite"):
+        threshold_law_mc(markov_chain_cov(3, 0.4), h, 1000, seed=0)
 
 
 def test_threshold_mc_marginals():

@@ -199,8 +199,9 @@ def map_test_qs(n):
 def test_push_forward_is_the_map_applied_to_q(n):
     """Bit for bit the CSC map times q, and at n <= 6 a Python loop over
     the columns: every route to a color process's law adds its cells in one
-    order, by column and then by row."""
-    for q, p in itertools.product(map_test_qs(n), (0.3, 1 / 3, 0.5)):
+    order, by column and then by row.  That holds on all of push_forward's
+    domain, p = 0 and 1 included, where the map has cells of weight 0."""
+    for q, p in itertools.product(map_test_qs(n), (0.0, 0.3, 1 / 3, 0.5, 1.0)):
         law = push_forward(q, p).probs
         assert law.tobytes() == (color_map_csc(n, p) @ q.vector).tobytes(), p
         if n <= 6:

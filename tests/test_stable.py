@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dcrep import partitions
 from dcrep.stable import (Corr2DVerdict, SpectralMeasure, StableLinearModel,
                           common_shock_model, corr2d_criterion, corr2d_inequality_mc,
                           corr2d_model, sample_pos_stable, sample_sym_stable,
@@ -169,6 +170,16 @@ def test_threshold_mc_refuses_unequal_marginals():
     with pytest.raises(ValueError):
         stable_threshold_law_mc(model, 0.5, M, seed=0)
     stable_threshold_law_mc(model, 0.0, 1000, seed=0)  # h = 0 is fine
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_threshold_mc_refuses_a_non_finite_h_before_any_draw(h, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(partitions, "_count_blocks", no_draws)
+    with pytest.raises(ValueError, match="h must be finite"):
+        stable_threshold_law_mc(common_shock_model(0.5, 1.2), h, 1000, seed=0)
 
 
 def test_corr2d_equality_point():

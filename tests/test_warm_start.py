@@ -253,7 +253,7 @@ def test_a_warm_q_that_misses_a_cell_is_solved_again_cold(monkeypatch):
     law = sparse_law(6, 0.5, seed=0, support=2)
     mat = color_map_csc(6, law.marginal_p)
     warm = phase_one(mat, law.probs, basis=solver._start_basis(6))
-    _, miss = solver._q_and_miss(6, law.marginal_p, warm.x, law.probs)
+    _, miss = solver._q_and_miss(6, mat, warm.x, law.probs)
     assert solver._misses_a_cell(miss, law.probs)
     seen = []
 
@@ -265,7 +265,39 @@ def test_a_warm_q_that_misses_a_cell_is_solved_again_cold(monkeypatch):
     res = lp_feasibility(law)
     assert res.status == "Feasible" and seen == [True, False]
     assert res.q.vector.tobytes() == solver._q_and_miss(
-        6, law.marginal_p, phase_one(mat, law.probs).x, law.probs)[0].vector.tobytes()
+        6, mat, phase_one(mat, law.probs).x, law.probs)[0].vector.tobytes()
+
+
+def test_one_decision_builds_the_coloring_map_once(monkeypatch):
+    """Each decision builds its coloring map once, and its LPs, its margin
+    and its certificate check all read that one matrix: ``push_forward`` is
+    never called.  The laws: Feasible from the slack basis (p = 0.3), the
+    warm q that misses a cell and is solved again cold, Infeasible with a
+    verified certificate, and the box LP of an MC law of each verdict.
+    ``_start_basis`` keeps its own map per n, built before the count starts."""
+    laws = [dirichlet_law(5, 0.3), sparse_law(6, 0.5, seed=0, support=2), negative_pair_law(),
+            BinaryLaw(5, dirichlet_law(5, 0.3).probs, stderr=np.full(32, 1e-3)),
+            BinaryLaw(3, negative_pair_law(0.5).probs, stderr=np.full(8, 1e-3))]
+    solver._start_basis(6)
+    built = []
+
+    def counting(n, p):
+        built.append((n, p))
+        return color_map_csc(n, p)
+
+    def refused(q, p):
+        raise AssertionError("a decision called push_forward")
+
+    monkeypatch.setattr(solver, "color_map_csc", counting)
+    monkeypatch.setattr(dcrep.partitions, "color_map_csc", counting)
+    monkeypatch.setattr(solver, "push_forward", refused)
+    monkeypatch.setattr(dcrep.partitions, "push_forward", refused)
+    statuses = []
+    for law in laws:
+        built.clear()
+        statuses.append(lp_feasibility(law).status)
+        assert built == [(law.n, law.marginal_p)], built
+    assert statuses == ["Feasible", "Feasible", "Infeasible", "Borderline", "Infeasible"]
 
 
 def uniform_basis(n, p):
