@@ -172,15 +172,15 @@ def cmd_analyze(args) -> dict:
             results["order1_limits"] = asym.stable_limit_report(measure).to_json_dict()
     if args.h is not None or isinstance(model, BinaryLaw):
         law = threshold_law(model, args.h, args.samples, args.seed)
-        results["lp"] = lp_feasibility(law, p=args.p)
+        results["lp"] = lp_feasibility(law)
     return results
 
 
 def cmd_solve(args) -> dict:
     law = threshold_law(load_model(args.model), args.h, args.samples, args.seed)
     out: dict = {"law": law}
-    # the closed-form n = 3 routes raise ValueError on a law they do not fit;
-    # only that refusal is caught, not an error past the fit
+    # the n = 3 closed forms raise ValueError on a law they do not fit, an MC
+    # law among them; only that refusal is caught, not an error past the fit
     try:
         rep = signed_rep_3(law)
     except ValueError:
@@ -194,7 +194,7 @@ def cmd_solve(args) -> dict:
     else:
         out["symmetric_family"] = {"t_interval": fam.t_interval,
                                    "canonical": None if fam.is_empty else fam.canonical()}
-    out["lp"] = lp_feasibility(law, p=args.p)
+    out["lp"] = lp_feasibility(law)
     return out
 
 
@@ -292,7 +292,7 @@ def cmd_simulate(args) -> dict | None:
         # within its half-widths, and the draws are checked against the law
         # of that q, which can miss the input law by a half-width
         if res.q is None or not (res.feasible or law.stderr is not None):
-            raise UsageError("law has no representation; nothing to simulate")
+            raise UsageError(f"lp_feasibility reads the law {res.status}; nothing to simulate")
         _, emp = simulate_color_process(res.q, law.marginal_p, m, seed)
         drawn = push_forward(res.q, law.marginal_p).probs
         bound = 4.0 * np.sqrt(np.maximum(drawn * (1 - drawn), 1.0 / m) / m)
@@ -342,7 +342,6 @@ _FLAGS = {
     "out": {},
     "model": {"help": "model JSON (inline or path)"},
     "h": {"type": float},
-    "p": {"type": float},
     "samples": {"type": int},
     "seed": {"type": int},
     "format": {"choices": ["json", "csv"]},
@@ -368,9 +367,9 @@ class _Command(NamedTuple):
 # no Monte Carlo law
 _COMMANDS = {
     "analyze": _Command("condition checkers + regime classifiers", cmd_analyze, None, {None: {
-        "model": None, "h": None, "p": None, "samples": None, "seed": 0}}),
+        "model": None, "h": None, "samples": None, "seed": 0}}),
     "solve": _Command("representations of a law", cmd_solve, None, {None: {
-        "model": None, "h": 0.0, "p": None, "samples": None, "seed": 0}}),
+        "model": None, "h": 0.0, "samples": None, "seed": 0}}),
     "scan": _Command("parameter-region scans (CSV)", cmd_scan, "scan", {
         "ab": {"a-step": 0.005},
         "theta": {"a-step": math.pi / 80},

@@ -2,7 +2,7 @@
 
 Three routes, used where each is exact:
   * n = 3, p != 1/2: the unique signed representation in closed form, whose
-    weights may fall below 0 on an exact law only by their own rounding;
+    weights may fall below 0 only by their own rounding;
   * n = 3, p = 1/2 ({0,1}-symmetric): the one-parameter t-family;
   * general n: phase-I LP feasibility over the coloring map, solved by one
     direct call into the HiGHS bindings that scipy ships
@@ -24,10 +24,13 @@ Three routes, used where each is exact:
     on one rule: its certificate passes an integer check over the coloring
     map's cells and the law's whole half-width box (``phase_one_exact``).
 
-Every tolerance that a law's noise sets reads ``BinaryLaw.halfwidth``.  The
-kind of law (``stderr is None``) picks only what an exact law alone has: a
-Feasible verdict (an MC law is at best Borderline), the strict LP,
-``_misses_a_cell`` and ``signed_rep_3``'s rounding factors.
+The two closed forms are identities of exact laws, and refuse a Monte Carlo
+law: the box LP alone decides it, so one law gets one verdict.  Every
+decision reads p from the law's own marginals.  Every tolerance that a law's
+noise sets reads ``BinaryLaw.halfwidth``.  The kind of law (``stderr is
+None``) picks only what an exact law alone has: a Feasible verdict (an MC law
+is at best Borderline), the strict LP, ``_misses_a_cell`` and the closed
+forms.
 """
 
 from __future__ import annotations
@@ -65,14 +68,7 @@ PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 # that misses every cell smaller than that
 REL_TOL = 1e-9
 ZERO_CELL = float(np.finfo(float).eps)
-NOISE_FLOOR = 1e-9  # the least tolerance of a screen (``_screen_tol``): an exact law's
-
-
-def _screen_tol(width, stderrs: float):
-    """``stderrs`` standard errors of a law whose largest half-width is
-    ``width`` (a scalar, or one per law), at least ``NOISE_FLOOR``: 5 per
-    cell, 5 n per marginal and 2 on p = 1/2 (the n = 3 t-family route)."""
-    return np.maximum(NOISE_FLOOR, stderrs * (width / RELAX_SIGMA))
+NOISE_FLOOR = 1e-9  # an exact law's identity tolerance: marginals, flip, p = 1/2, square t-gap
 
 
 def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
@@ -99,23 +95,25 @@ class SignedRep3:
 
 
 def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
-    """Closed-form signed representation for n = 3, marginal p not 0, 1/2, 1.
+    """Closed-form signed representation of an exact n = 3 law, marginal p
+    not 0, 1/2, 1.
 
     q_{1,2,3} = (nu_100 - nu_011) / ((1-p) p (1-2p)) and cyclic variants;
     the law is a color process iff all five entries are nonnegative.  Raises
-    ValueError where the law does not fit: n != 3, unequal marginals, or
-    (1-p) p (1-2p) = 0 (p = 1/2 within noise has ``symmetric_rep_family_3``).
-    ``feasible`` reads each weight down to what the law's half-widths can
-    move it.  On an exact law that is the rounding of the formula, per cell
-    and per p (read from the cells), about 1e-15 on a weight of order 1.  On
-    a Monte Carlo law it is the relaxed LP's widening (so a law that LP calls
-    Borderline reads feasible), or FEAS_TOL, the larger.
+    ValueError where the law does not fit: n != 3, a Monte Carlo law (the box
+    LP of ``lp_feasibility`` decides it), marginals that differ by more than
+    ``NOISE_FLOOR``, or (1-p) p (1-2p) = 0 (p within ``NOISE_FLOOR`` of 1/2
+    has ``symmetric_rep_family_3``).  ``feasible`` reads each weight down to
+    the rounding of its formula, per cell and per p (read from the cells),
+    about 1e-15 on a weight of order 1.
     """
     if nu.n != 3:
         raise ValueError("signed_rep_3 needs n = 3")
-    width = float(np.max(nu.halfwidth))
-    p = _require_equal_marginals(nu, _screen_tol(width, 5.0 * nu.n))
-    if abs(p - 0.5) <= _screen_tol(width, 2.0):
+    if nu.stderr is not None:
+        raise ValueError("signed_rep_3 reads exact laws only; "
+                         "lp_feasibility decides a Monte Carlo law")
+    p = _require_equal_marginals(nu, NOISE_FLOOR)
+    if abs(p - 0.5) <= NOISE_FLOOR:
         raise ValueError("p = 1/2 has a one-parameter family; "
                          "use symmetric_rep_family_3")
     den = (1.0 - p) * p * (1.0 - 2.0 * p)
@@ -128,27 +126,27 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
               1.0 - (p * c[0b000] - (1.0 - p) * c[0b111]) / den,     # 123
               ((1.0 - p) * c[0b101] - p * c[0b010]) / den)           # 13|2
     # a weight (a cell_1 + b cell_2) / den moves by up to (|a| e_1 + |b| e_2)
-    # / |den| when each cell moves by up to its half-width e.  On an exact law
-    # that rounding moves p (a sum of cells) too, and with it a = 1 - p or
+    # / |den| when each cell moves by up to its rounding e, its half-width.
+    # That rounding moves p (a sum of cells) too, and with it a = 1 - p or
     # b = p by up to p ROUNDING_EPS: the factors become 1 and 2 p
-    floor, u, v = (0.0, 1.0, 2.0 * p) if nu.stderr is None else (FEAS_TOL, 1.0 - p, p)
+    v = 2.0 * p
     e = (nu.halfwidth / abs(den)).tolist()
-    slack = (e[0b100] + e[0b011], u * e[0b011] + v * e[0b100], u * e[0b110] + v * e[0b001],
-             v * e[0b000] + u * e[0b111], u * e[0b101] + v * e[0b010])
-    feasible = all(q >= -max(floor, sl) for q, sl in zip(vector, slack))
+    slack = (e[0b100] + e[0b011], e[0b011] + v * e[0b100], e[0b110] + v * e[0b001],
+             v * e[0b000] + e[0b111], e[0b101] + v * e[0b010])
+    feasible = all(q >= -sl for q, sl in zip(vector, slack))
     return SignedRep3(p=p, vector=_frozen(vector), feasible=feasible)
 
 
 @dataclass(frozen=True)
 class SymmetricRepFamily3:
-    """The t-family of representations of a {0,1}-symmetric 3-dim law: at t
-    the weights of 1|2|3, 1|23, 12|3, 123, 13|2 (column order) are
+    """The t-family of representations of an exact {0,1}-symmetric 3-dim
+    law: at t the weights of 1|2|3, 1|23, 12|3, 123, 13|2 (column order) are
 
     2t,  4 nu_100 - t,  4 nu_001 - t,  1 - 4(nu_001 + nu_010 + nu_100) + t,
     4 nu_010 - t,
 
     valid (all nonnegative) exactly for t in [t_lo, t_hi], empty where t_lo
-    exceeds t_hi by more than ``slack``.
+    exceeds t_hi by more than ``FEAS_TOL``.
     """
 
     nu_001: float
@@ -156,11 +154,10 @@ class SymmetricRepFamily3:
     nu_100: float
     t_lo: float
     t_hi: float
-    slack: float = FEAS_TOL
 
     @property
     def is_empty(self) -> bool:
-        return self.t_lo > self.t_hi + self.slack
+        return self.t_lo > self.t_hi + FEAS_TOL
 
     @property
     def t_interval(self) -> tuple[float, float] | None:
@@ -181,22 +178,21 @@ class SymmetricRepFamily3:
 
 
 def symmetric_rep_family_3(nu: BinaryLaw) -> SymmetricRepFamily3:
-    """All representations of a {0,1}-symmetric n=3 law, as the t-interval.
-
-    Its ``slack`` is how far the half-widths w of the cells move t_lo - t_hi,
-    4(w_001 + w_010 + w_100) + 4 max w, and at least FEAS_TOL (an exact law's)."""
+    """All representations of an exact {0,1}-symmetric n = 3 law, as the
+    t-interval.  Raises ValueError on n != 3, on a Monte Carlo law (the box
+    LP of ``lp_feasibility`` decides it) and on a law that its flip moves by
+    more than ``NOISE_FLOOR`` in a cell."""
     if nu.n != 3:
         raise ValueError("symmetric_rep_family_3 needs n = 3")
-    hw = nu.halfwidth
-    if not nu.is_zero_one_symmetric(_screen_tol(float(np.max(hw)), 5.0)):
+    if nu.stderr is not None:
+        raise ValueError("symmetric_rep_family_3 reads exact laws only; "
+                         "lp_feasibility decides a Monte Carlo law")
+    if not nu.is_zero_one_symmetric(NOISE_FLOOR):
         raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
     c = nu.probs.tolist()
-    nu001, nu010, nu100 = c[0b001], c[0b010], c[0b100]
-    t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
-    w = hw[[0b001, 0b010, 0b100]].tolist()
-    return SymmetricRepFamily3(nu_001=nu001, nu_010=nu010, nu_100=nu100,
-                               t_lo=float(t_lo), t_hi=float(t_hi),
-                               slack=max(FEAS_TOL, 4.0 * (w[0] + w[1] + w[2]) + 4.0 * max(w)))
+    t_lo, t_hi = _t_family_bounds(c[0b001], c[0b010], c[0b100])
+    return SymmetricRepFamily3(nu_001=c[0b001], nu_010=c[0b010], nu_100=c[0b100],
+                               t_lo=float(t_lo), t_hi=float(t_hi))
 
 
 def _first_max(*values):
@@ -463,9 +459,9 @@ def _dyadic_integers(values) -> list[int]:
     return [f.numerator * (scale // f.denominator) for f in fracs]
 
 
-def lp_feasibility(nu: BinaryLaw, p: float | None = None,
-                   exact: bool = False) -> FeasibilityResult:
-    """Phase-I LP: is nu = color_map(n, p) q solvable with q >= 0?
+def lp_feasibility(nu: BinaryLaw, exact: bool = False) -> FeasibilityResult:
+    """Phase-I LP: is nu = color_map(n, p) q solvable with q >= 0, at the
+    law's own marginal p?
 
     An exact law gets the strict LP, rows [b, b], at p = 1/2 from the cached
     basis of ``_start_basis`` and at other p from the slack basis.  An
@@ -488,14 +484,12 @@ def lp_feasibility(nu: BinaryLaw, p: float | None = None,
     HiGHS can end phase I at an objective of 3e-9 on a feasible law whose
     cells are that small, with duals that are no certificate.  ``exact`` is
     read nowhere: bench/workloads.py still passes it, and it goes with that
-    call (ROADMAP item 2).  A p outside (0, 1) raises ValueError.
+    call (ROADMAP item 2).  Marginals that differ by more than 5 n stderr
+    (``NOISE_FLOOR`` on an exact law), or a p outside (0, 1), raise
+    ValueError.
     """
-    marginal_tol = _screen_tol(float(np.max(nu.halfwidth)), 5.0 * nu.n)
-    p_detected = _require_equal_marginals(nu, marginal_tol)
-    if p is None:
-        p = p_detected
-    elif abs(p - p_detected) > max(marginal_tol, 1e-6):
-        raise ValueError(f"stated p={p} inconsistent with marginals {p_detected:.6g}")
+    p = _require_equal_marginals(
+        nu, max(NOISE_FLOOR, 5.0 * nu.n * (float(np.max(nu.halfwidth)) / RELAX_SIGMA)))
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
     n = nu.n

@@ -13,11 +13,11 @@ from dcrep import cli, solver
 from dcrep.cli import main
 from dcrep.gaussian import (CovarianceSpec, fully_symmetric_cov, threshold_law_mc,
                             zero_threshold_law_3)
-from dcrep.partitions import BinaryLaw, color_map_csc, push_forward
+from dcrep.partitions import BinaryLaw, PartitionDistribution, color_map_csc, push_forward
 from dcrep.reports import _plain
-from dcrep.solver import lp_feasibility, phase_one, signed_rep_3
+from dcrep.solver import lp_feasibility, phase_one, signed_rep_3, symmetric_rep_family_3
 
-from conftest import edge_of_family_law, law_scales_into_the_box
+from conftest import edge_of_family_law, law_scales_into_the_box, plackett_law3
 
 GAUSS3 = json.dumps({"a": [[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]]})
 STABLE3 = json.dumps({"alpha": 1.0,
@@ -80,17 +80,50 @@ def test_solve_explicit_law(tmp_path):
     assert payload["results"]["symmetric_family"]["t_interval"] is not None
 
 
-def test_solve_takes_the_n3_routes_of_an_mc_law_by_the_solver_rules(tmp_path):
-    """An MC n = 3 law has marginals equal within its noise, not within 1e-6:
-    ``solve`` still gives its closed form, the one ``signed_rep_3`` gives."""
-    code, out = run(["solve", "--model", GAUSS3, "--h", "0.5", "--samples", "20000"], tmp_path)
+# Monte Carlo n = 3 laws: a Gaussian triple at h = 0 (flip-symmetric, of
+# reflected pairs) and at h = 0.5, and an exact law given a stderr in JSON
+MC_N3_SOLVES = {
+    "gaussian_h0": ["--model", GAUSS3, "--h", "0", "--samples", "5000"],
+    "gaussian_h05": ["--model", GAUSS3, "--h", "0.5", "--samples", "20000"],
+    "json_stderr": ["--model", json.dumps({
+        **zero_threshold_law_3(fully_symmetric_cov(3, 0.4)).to_json_dict(),
+        "stderr": [1e-3] * 8})],
+}
+
+
+@pytest.mark.parametrize("argv", MC_N3_SOLVES.values(), ids=MC_N3_SOLVES)
+def test_solve_decides_an_mc_n3_law_by_the_lp_alone(argv, tmp_path):
+    """The closed forms are identities of exact laws: ``solve`` on an MC law
+    prints the law and the box LP's verdict only."""
+    code, out = run(["solve"] + argv, tmp_path)
     assert code == 0
     results = json.loads(out.read_text())["results"]
+    assert set(results) == {"law", "lp"}
     law = BinaryLaw.from_json_dict(results["law"])
-    assert law.max_marginal_gap() > 1e-6
-    rep = signed_rep_3(law)
-    assert results["signed_rep_3"] == {"weights": rep.weights, "feasible": rep.feasible}
-    assert "symmetric_family" not in results
+    assert law.stderr is not None
+    assert results["lp"] == _plain(lp_feasibility(law))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_solve_keeps_the_closed_form_of_an_exact_n3_law(p, tmp_path):
+    """An exact color process at n = 3: the signed representation at p != 1/2
+    and the t-family at p = 1/2, beside the LP's Feasible."""
+    q = PartitionDistribution.from_vector(3, np.random.default_rng(3).dirichlet(np.ones(5)))
+    law = push_forward(q, p)
+    code, out = run(["solve", "--model", json.dumps(law.to_json_dict())], tmp_path)
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["lp"]["status"] == "Feasible"
+    if p == 0.5:
+        assert set(results) == {"law", "symmetric_family", "lp"}
+        fam = symmetric_rep_family_3(law)
+        assert results["symmetric_family"] == _plain({"t_interval": fam.t_interval,
+                                                      "canonical": fam.canonical()})
+    else:
+        assert set(results) == {"law", "signed_rep_3", "lp"}
+        rep = signed_rep_3(law)
+        assert rep.feasible
+        assert results["signed_rep_3"] == {"weights": rep.weights, "feasible": True}
 
 
 def test_samples_ask_for_the_mc_law_where_an_exact_law_is_known(tmp_path):
@@ -237,6 +270,26 @@ def test_simulate_color_from_an_mc_law_that_passes_only_the_box_lp(tmp_path):
     se = np.sqrt(np.maximum(drawn * (1 - drawn), 1.0 / m) / m)
     assert results["max_abs_dev"] <= np.max(np.abs(drawn - nu.probs) + 4.0 * se)
     assert results["max_abs_dev"] <= np.max(nu.halfwidth) + 4.0 * np.sqrt(0.25 / m)
+
+
+SIMULATE_REFUSED = {
+    "infeasible": (BinaryLaw(2, np.array([0.2, 0.3, 0.3, 0.2])), "Infeasible"),
+    "borderline": (plackett_law3((0.0, 0.5, 0.5), 5), "Borderline"),
+}
+
+
+@pytest.mark.parametrize("law, status", SIMULATE_REFUSED.values(), ids=SIMULATE_REFUSED)
+def test_simulate_color_names_the_lp_status_of_a_law_it_does_not_draw(law, status, tmp_path,
+                                                                       capsys):
+    """An exact law is drawn from only where the LP reads it Feasible; any
+    other exits 2, and the error names the LP's status, since a Borderline
+    law is not shown to lack a representation."""
+    assert lp_feasibility(law).status == status
+    code, out = run(["simulate", "--simulator", "color",
+                     "--model", json.dumps(law.to_json_dict())], tmp_path)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (f"error: lp_feasibility reads the law {status}; "
+                                       "nothing to simulate\n")
 
 
 def test_asymptotics_gaussian(tmp_path):
@@ -419,6 +472,18 @@ def test_an_echoed_config_that_holds_tol_exits_2(argv, tmp_path, capsys):
     assert "config key 'tol' names no flag" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+def test_a_config_that_holds_p_exits_2(command, tmp_path, capsys):
+    """The LP reads p from the law's own marginals: a config with "p" is
+    refused by name, and writes nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": "dcrep/1", "model": GAUSS3, "h": 0.0, "p": 0.5}))
+    code, out = run([command, "--config", str(cfg)], tmp_path)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "config key 'p' names no flag" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("h", ["nan", "inf"])
 def test_solve_refuses_a_non_finite_h_before_sampling(h, tmp_path, capsys, monkeypatch):
     def no_draws(*args):
@@ -521,25 +586,6 @@ def test_solve_shows_the_family_of_a_law_at_its_edge(tmp_path):
     assert min(weights.values()) == pytest.approx(-8e-11, rel=1e-6)
 
 
-def test_solve_shows_the_family_of_an_mc_law_within_its_noise(tmp_path):
-    """An MC law whose t_lo exceeds t_hi by less than its cells' noise moves
-    it keeps its family, beside the LP's Borderline: the interval and its
-    signed t_lo member, where FEAS_TOL alone once gave null.  The seed draws
-    a law that fails the strict LP and passes the relaxed one."""
-    code, out = run(SEED_95_SOLVE, tmp_path)
-    assert code == 0
-    results = json.loads(out.read_text())["results"]
-    law = BinaryLaw.from_json_dict(results["law"])
-    assert phase_one(color_map_csc(3, law.marginal_p), law.probs).objective > solver.FEAS_TOL
-    assert results["lp"]["status"] == "Borderline"
-    assert results["lp"]["detail"]["relaxed_objective"] == 0.0
-    family = results["symmetric_family"]
-    t_lo, t_hi = family["t_interval"]
-    assert solver.FEAS_TOL < t_lo - t_hi < 0.01
-    canonical = family["canonical"]
-    assert canonical["signed"] is True and min(canonical["weights"].values()) < 0.0
-
-
 def test_solve_marks_a_signed_canonical_and_only_it(tmp_path):
     """The JSON of a signed q says so, ``{"signed": true, "weights": {...}}``;
     an unsigned q, such as the LP's, stays its bare {key: weight} map."""
@@ -586,8 +632,8 @@ BASE_ARGV = {
     "asymptotics": ["asymptotics", "--model", STABLE3],
 }
 UNREAD_FLAGS = {
-    "analyze": ["tol", "format"],
-    "solve": ["tol", "format"],
+    "analyze": ["p", "tol", "format"],
+    "solve": ["p", "tol", "format"],
     "scan": ["model", "h", "p", "samples", "seed", "tol", "format"],
     "simulate": ["h", "p", "tol"],
     "asymptotics": ["h", "p", "samples", "seed", "tol", "format"],
@@ -757,7 +803,7 @@ def test_the_cached_parser_carries_nothing_from_one_command_to_the_next(tmp_path
         first[case] = out.read_bytes()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema": "dcrep/1", "model": GAUSS3, "h": 0.3,
-                               "samples": 500, "seed": 7, "p": 0.5}))
+                               "samples": 500, "seed": 7}))
     for order in (cases[::-1], cases):
         code, _ = run(["analyze", "--config", str(cfg)], tmp_path, "config.json")
         assert code == 0

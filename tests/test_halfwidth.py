@@ -4,10 +4,10 @@ solver reads, against the rules it replaced.
 The parity tests write out each tolerance as the solver computed it from
 ``stderr`` before the half-width: from 0 noise on an exact law, and from the
 largest stderr of an MC law.  Exact laws give the same bits.  On MC laws the
-screens read the largest stderr back as width / RELAX_SIGMA, which can move a
-tolerance by up to 2 ulps: RELAX_SIGMA * stderr is rounded, and the stderr
-cannot be read back from it exactly.  The verdict of each screen stays the
-same.
+marginal screen reads the largest stderr back as width / RELAX_SIGMA, which can
+move its tolerance by up to 2 ulps: RELAX_SIGMA * stderr is rounded, and the
+stderr cannot be read back from it exactly.  The verdict of the screen stays
+the same.
 """
 
 import json
@@ -115,7 +115,7 @@ def test_each_rule_reads_the_tolerance_it_read_from_stderr(i):
     noise, width = reference_noise(law), float(np.max(law.halfwidth))
     assert law.stderr is None or noise > 0.0
 
-    # the relaxed LP's row box and signed_rep_3's per-cell bound: the same bits
+    # the box LP's rows and signed_rep_3's per-cell bound (exact laws): the same bits
     if law.stderr is not None:
         assert np.array_equal(law.halfwidth, RELAX_SIGMA * law.stderr)
     den = 0.21
@@ -127,19 +127,8 @@ def test_each_rule_reads_the_tolerance_it_read_from_stderr(i):
     # the square's cell tolerance: the same bits
     assert max(1e-9, RELAX_SIGMA * noise) == float(np.maximum(solver.NOISE_FLOOR, width))
 
-    # the screens, each with its parent formula and its verdict
-    marginal = solver._screen_tol(width, 5.0 * law.n)
+    # the marginal screen of lp_feasibility, with its parent formula and its verdict
+    marginal = max(solver.NOISE_FLOOR, 5.0 * law.n * (width / RELAX_SIGMA))
     assert_same_tolerance(law, marginal, max(1e-9, 5.0 * noise * law.n))
     gap = law.max_marginal_gap()
     assert (gap > marginal) == (gap > max(1e-9, 5.0 * noise * law.n))
-
-    half = solver._screen_tol(width, 2.0)
-    assert_same_tolerance(law, half, max(1e-9, 2.0 * noise))
-    off = abs(law.marginal_p - 0.5)
-    assert (off <= half) == (off <= max(1e-9, 2.0 * noise))
-
-    cell = solver._screen_tol(width, 5.0)
-    assert_same_tolerance(law, cell, max(1e-9, 5.0 * noise))
-    assert law.is_zero_one_symmetric(cell) == law.is_zero_one_symmetric(max(1e-9, 5.0 * noise))
-
-

@@ -88,40 +88,28 @@ def test_signed_rep_3_rejects_half_and_unequal():
         signed_rep_3(BinaryLaw(3, probs))
 
 
-def test_signed_rep_3_reads_p_half_within_noise():
-    """An MC law whose p is within 2 stderr of 1/2 takes the t-family route
-    in ``signed_rep_3``.  Here p = 0.5072
-    at h = 0: the closed form would give q_12_3 = -1.33 for a law that the
-    t-family represents.  The law is frozen: the cells and stderr of
-    ``threshold_law_mc(correlations3(0.5, 0.3, 0.2), 0.0, 10 ** 4, seed=1)``
-    drawn by a former stream, as counts, since p lands this close to 1/2
-    only on some draws."""
-    nu = BinaryLaw.from_counts([2013, 1162, 915, 770, 780, 968, 1293, 2099], 10 ** 4)
-    assert abs(nu.marginal_p - 0.5) > 0.007
-    with pytest.raises(ValueError, match="p = 1/2"):
-        signed_rep_3(nu)
-    fam = symmetric_rep_family_3(nu)
-    assert not fam.is_empty and fam.t_lo == pytest.approx(0.1428, abs=1e-4)
+# Monte Carlo n = 3 laws, each of the shape that one closed form fits: a
+# Gaussian triple at h = 0, flip-symmetric with p = 1/2 (reflected pairs),
+# and two laws off p = 1/2, a Gaussian triple at h = 0.5 and an exact law
+# given a stderr in JSON
+MC_N3_LAWS = {
+    "gaussian_h0": lambda: threshold_law_mc(correlations3(0.5, 0.3, 0.2), 0.0, 5000, 1),
+    "gaussian_h05": lambda: threshold_law_mc(correlations3(0.5, 0.5, 0.5), 0.5, 20_000, 0),
+    "json_stderr": lambda: BinaryLaw.from_json_dict(
+        {**product_law(3, 0.3).to_json_dict(), "stderr": [1e-3] * 8}),
+}
 
 
-def test_signed_rep_3_reads_feasible_within_noise_as_the_relaxed_lp():
-    """On an MC law each cell may be off by RELAX_SIGMA stderr, as in the
-    relaxed LP: a weight of -0.0015 that the LP calls Borderline is feasible,
-    and a weight of -0.13 that the LP calls Infeasible is not.  The first law
-    is frozen: the cells and stderr of
-    ``threshold_law_mc(correlations3(0.1, 0.5, 0.5), 0.5, 20_000, seed=0)``
-    drawn by a former stream, as counts, since q_12_3 lands within noise of 0
-    only on some draws."""
-    nu = BinaryLaw.from_counts([8610, 1224, 2321, 1650, 2305, 1635, 548, 1707], 20_000)
-    rep = signed_rep_3(nu)
-    assert -0.01 < rep.weights["12|3"] < -solver.FEAS_TOL
-    assert rep.feasible
-    assert lp_feasibility(nu).status == "Borderline"
-    nu = threshold_law_mc(correlations3(-0.3, 0.2, 0.2), 0.5, 10 ** 5, seed=0)
-    rep = signed_rep_3(nu)
-    assert min(rep.weights.values()) < -0.1
-    assert not rep.feasible
-    assert lp_feasibility(nu).status == "Infeasible"
+@pytest.mark.parametrize("route", [signed_rep_3, symmetric_rep_family_3],
+                         ids=["signed_rep_3", "symmetric_rep_family_3"])
+@pytest.mark.parametrize("make", MC_N3_LAWS.values(), ids=MC_N3_LAWS)
+def test_the_closed_forms_refuse_an_mc_law(route, make):
+    """They are identities of exact laws; the box LP alone decides an MC law."""
+    law = make()
+    assert law.stderr is not None
+    with pytest.raises(ValueError, match="exact laws only; lp_feasibility decides"):
+        route(law)
+    assert lp_feasibility(law).status in ("Borderline", "Infeasible")
 
 
 @pytest.mark.parametrize("eps, feasible", [(2e-9, False), (0.5e-9, False), (1e-13, False),
@@ -166,7 +154,7 @@ def test_symmetric_family_gaussian_interval(a):
     lo, hi = gaussian_sym_family_interval(cov)
     assert fam.t_lo == pytest.approx(lo, abs=1e-12)
     assert fam.t_hi == pytest.approx(hi, abs=1e-12)
-    assert not fam.is_empty and fam.slack == solver.FEAS_TOL
+    assert not fam.is_empty
     theta = math.acos(a)
     assert lo == pytest.approx(max(0.0, 3 * theta / math.pi - 1.0), abs=1e-12)
     assert hi == pytest.approx(theta / math.pi, abs=1e-12)
@@ -186,45 +174,12 @@ def test_symmetric_family_members_push_forward(rng):
 
 def test_symmetric_family_at_its_edge_gives_a_signed_canonical():
     """``at`` calls a q signed by PROB_TOL, the rule PartitionDistribution
-    enforces, so a member negative by less than FEAS_TOL is still built.  An
-    exact law's half-widths (at most 1e-15) leave its slack at FEAS_TOL."""
+    enforces, so a member negative by less than FEAS_TOL is still built."""
     fam = symmetric_rep_family_3(edge_of_family_law())
-    assert fam.slack == solver.FEAS_TOL
     assert 0.0 < fam.t_lo - fam.t_hi < solver.FEAS_TOL and not fam.is_empty
     rep = fam.canonical()
     assert rep.signed
     assert min(rep.weights.values()) == pytest.approx(-8e-11, rel=1e-6)
-
-
-def test_the_family_of_an_mc_law_is_never_empty_where_its_lp_is_borderline():
-    """The family's slack bounds how far the half-widths of the cells 001,
-    010 and 100 move t_lo - t_hi, so sampling noise alone never empties the
-    family of a law that the relaxed LP calls Borderline.  At 5,000 samples
-    FEAS_TOL alone emptied it on 36 of 400 such seeded laws."""
-    rng = np.random.default_rng(2704)
-    statuses = []
-    for seed in range(240):
-        law = threshold_law_mc(random_standard_pd(rng, 3), 0.0, 5000, seed)
-        try:
-            fam = symmetric_rep_family_3(law)
-        except ValueError:      # {0,1}-symmetry fails by more than 5 stderr
-            continue
-        status = lp_feasibility(law).status
-        statuses.append(status)
-        assert not (fam.is_empty and status == "Borderline"), seed
-    assert len(statuses) >= 200
-    assert statuses.count("Borderline") >= 40 and statuses.count("Infeasible") >= 40
-
-
-def test_the_family_of_an_mc_law_without_a_representation_stays_empty():
-    """Power: at 10^5 samples the gap of correlations3(-0.5, 0.2, 0.2), 0.34,
-    is far above the family's slack, about 0.05."""
-    law = threshold_law_mc(correlations3(-0.5, 0.2, 0.2), 0.0, 10 ** 5, 7)
-    fam = symmetric_rep_family_3(law)
-    assert fam.t_lo - fam.t_hi == pytest.approx(0.34, abs=0.02)
-    assert 0.03 < fam.slack < 0.07
-    assert fam.is_empty and fam.t_interval is None
-    assert lp_feasibility(law).status == "Infeasible"
 
 
 def test_symmetric_family_rejects_asymmetric():
@@ -516,8 +471,6 @@ def test_lp_dimension_and_marginal_errors():
     probs[0] = 0.6
     with pytest.raises(ValueError):
         lp_feasibility(BinaryLaw(3, probs))
-    with pytest.raises(ValueError):
-        lp_feasibility(product_law(2, 0.3), p=0.6)
 
 
 def test_square_law_feasible_at_quarter_pi():
