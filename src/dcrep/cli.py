@@ -48,8 +48,10 @@ class UsageError(Exception):
 
 
 def _is_matrix(x) -> bool:
+    """A list of equal-length lists of finite numbers."""
     return isinstance(x, list) and all(
-        isinstance(row, list) and all(map(_is_number, row)) for row in x)
+        isinstance(row, list) and len(row) == len(x[0]) and all(map(_is_number, row))
+        for row in x)
 
 
 # The JSON fields each model kind needs, checked before they are read; a law's
@@ -163,11 +165,12 @@ def cmd_analyze(args) -> dict:
                                   "verdict": lims.verdict()}
     elif isinstance(model, stb.StableLinearModel):
         measure = stb.spectral_from_matrix(model)
-        integral, support = stb.stablegood_integral(measure)
         results["spectral_measure"] = measure.to_json_dict()
-        results["second_coordinate_integral"] = {"value": integral,
-                                                 "below_one": integral < 1.0,
-                                                 "full_orthant_support": support}
+        if model.d >= 2:
+            integral, support = stb.stablegood_integral(measure)
+            results["second_coordinate_integral"] = {"value": integral,
+                                                     "below_one": integral < 1.0,
+                                                     "full_orthant_support": support}
         if model.d == 3:
             results["order1_limits"] = asym.stable_limit_report(measure).to_json_dict()
     if args.h is not None or isinstance(model, BinaryLaw):
@@ -207,24 +210,22 @@ def _scan_ab_columns(values: np.ndarray) -> list:
     small = np.full(len(usable), "", dtype="U1")
     q, _ = asym.small_h_limits_stack(grid.classified.mats[usable],
                                      grid.classified.eigvals[usable])
-    small[usable] = np.where(q.min(axis=1) > 1e-10, "1", "0")
+    small[usable] = np.where(q.min(axis=1) > asym.LIMIT_TOL, "1", "0")
     return [grid.a, grid.b, grid.pd.astype(int), grid.dgff.astype(int),
-            grid.large_h_color.astype(int), (np.abs(grid.markov_gap) <= 1e-12).astype(int),
+            grid.large_h_color.astype(int), cond.on_markov_boundary(grid.markov_gap).astype(int),
             small, grid.savage_min, grid.pd_margin, grid.markov_gap,
             np.where(usable, grid.classified.case_tag, "")]
-
-
-SCAN_BLOCK_ROWS = 1024  # scan theta's rows per array pass: bounds its temporaries
 
 
 def _scan_theta_columns(values: np.ndarray) -> list:
     """Columns of ``scan theta`` after theta: the exact square law at h = 0
     and its t-interval, in one array pass per block of rows.  Every such law
-    has p = 1/2, so its row is feasible iff the interval is not empty."""
+    has p = 1/2, so its row is feasible iff the interval is not empty.  A
+    block of ``CSV_BLOCK_ROWS`` rows per array pass bounds the temporaries."""
     feasible = np.empty(len(values), dtype=bool)
     t_lo, t_hi, gap = np.empty(len(values)), np.empty(len(values)), np.empty(len(values))
-    for start in range(0, len(values), SCAN_BLOCK_ROWS):
-        rows = slice(start, start + SCAN_BLOCK_ROWS)
+    for start in range(0, len(values), CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
         laws = square_threshold_laws_exact(values[rows])
         iv = square_circle_intervals(laws.probs)
         feasible[rows], t_lo[rows], t_hi[rows] = ~iv.infeasible, iv.t_lo, iv.t_hi
@@ -233,9 +234,11 @@ def _scan_theta_columns(values: np.ndarray) -> list:
 
 
 def _scan_values(args, stop: float, square: bool = False) -> np.ndarray:
-    """The scan axis ``arange(step, stop, step)``; the ab scan writes the
-    square of the axis.  A step that gives more than ``SCAN_MAX_ROWS`` rows is
-    refused before the axis is built."""
+    """The scan axis ``arange(step, stop, step)`` without the values at or
+    above ``stop`` that its rounding can add (``--a-step`` 1/3 gives 1/3, 2/3
+    and a last value of 1.0); the ab scan writes the square of the axis.  A
+    step that gives more than ``SCAN_MAX_ROWS`` rows is refused before the
+    axis is built."""
     step = args.a_step
     if not 0.0 < step < math.inf:
         raise UsageError(f"--a-step must be a finite number > 0, got {step!r}")
@@ -244,7 +247,8 @@ def _scan_values(args, stop: float, square: bool = False) -> np.ndarray:
             or max(math.ceil(length), 0) ** (2 if square else 1) > SCAN_MAX_ROWS):
         raise UsageError(f"--a-step {step!r} gives a scan of more than "
                          f"{SCAN_MAX_ROWS} rows, the limit; use a larger step")
-    return np.arange(step, stop, step)
+    values = np.arange(step, stop, step)
+    return values[values < stop]
 
 
 def cmd_scan(args) -> None:

@@ -253,8 +253,7 @@ def classify_degenerate(cov: CovarianceSpec) -> list[ClassificationReport]:
                          "reason": "not fully supported"}))
 
     vals, vecs = np.linalg.eigh(cov.a)
-    cutoff = 1e-10 * vals[-1]
-    null = vecs[:, vals <= cutoff]
+    null = vecs[:, vals <= RANK_RTOL * vals[-1]]
     if null.shape[1] > 0:
         coeff = null @ (null.T @ np.ones(cov.n))  # projection of 1 onto the null space
         norm = float(np.linalg.norm(coeff))
@@ -263,7 +262,7 @@ def classify_degenerate(cov: CovarianceSpec) -> list[ClassificationReport]:
             support = [i for i in range(cov.n) if abs(a[i]) > 1e-9]
             sub = cov.a[np.ix_(support, support)]
             sub_vals = np.linalg.eigvalsh(sub)
-            sub_rank = int(np.sum(sub_vals > 1e-10 * sub_vals[-1]))
+            sub_rank = int(np.sum(sub_vals > RANK_RTOL * sub_vals[-1]))
             if sub_rank == len(support) - 1 and len(support) >= 2:
                 pos = sum(a[i] for i in support if a[i] > 0)
                 neg = -sum(a[i] for i in support if a[i] < 0)
@@ -284,6 +283,12 @@ def classify_degenerate(cov: CovarianceSpec) -> list[ClassificationReport]:
 
 # -- the (a, b) example region map --------------------------------------------
 
+def on_markov_boundary(gap):
+    """Is b - a^2 = ``gap`` within 1e-12 of 0, on the Markov-chain boundary
+    b = a^2?  Elementwise on an array of gaps."""
+    return np.abs(gap) <= 1e-12
+
+
 @dataclass(frozen=True)
 class ABRegion:
     """Region data for the family (1, a, a; a, 1, b; a, b, 1)."""
@@ -301,7 +306,7 @@ class ABRegion:
 
     @property
     def markov_boundary(self) -> bool:
-        return abs(self.markov_gap) <= 1e-12
+        return bool(on_markov_boundary(self.markov_gap))
 
     def cov(self) -> CovarianceSpec:
         return ab_cov(self.a, self.b)
@@ -336,22 +341,21 @@ class ABGrid:
 def ab_region_grid(a, b) -> ABGrid:
     """``ab_region_classify`` on the points (a[k], b[k]) in one array pass.
 
-    Points are taken in order, and the first one outside (0,1)^2 or with
-    classifier and closed form in disagreement raises, as a loop over
-    ``ab_region_classify`` would: ValueError where b <= POS_ENTRY_TOL, which
-    the classifier reads as a zero covariance and the closed form as a
+    A point outside (0,1)^2 anywhere in the grid raises ValueError before any
+    point is classified.  Then the first point, in order, with classifier and
+    closed form in disagreement raises: ValueError where b <= POS_ENTRY_TOL,
+    which the classifier reads as a zero covariance and the closed form as a
     positive one, AssertionError anywhere else.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    outside = ~((0.0 < a) & (a < 1.0) & (0.0 < b) & (b < 1.0))
-    stop = int(np.argmax(outside)) if outside.any() else len(a)
-    a, b = a[:stop], b[:stop]
+    if not np.all((0.0 < a) & (a < 1.0) & (0.0 < b) & (b < 1.0)):
+        raise ValueError("a and b must lie in (0,1)")
     pd = 2.0 * a * a < 1.0 + b
     # float_power is libm pow, as Python's ** on floats; x * x differs from it
     # in the last ulp on about one input in a thousand
     large = (2.0 * a - 1.0 <= b) | (np.float_power(2.0 * a - 1.0, 2.0) < b)
-    mats = np.empty((stop, 3, 3))
+    mats = np.empty((len(a), 3, 3))
     mats[:] = np.eye(3)
     mats[:, 0, 1] = mats[:, 1, 0] = mats[:, 0, 2] = mats[:, 2, 0] = a
     mats[:, 1, 2] = mats[:, 2, 1] = b
@@ -371,8 +375,6 @@ def ab_region_grid(a, b) -> ABGrid:
                              f"{POS_ENTRY_TOL} of 0 leaves the large-h verdict unresolved")
         raise AssertionError("classifier and closed-form region disagree at "
                              f"(a={float(a[i])}, b={float(b[i])})")
-    if stop < len(outside):
-        raise ValueError("a and b must lie in (0,1)")
     case = np.where(usable, k.case_tag, None)
     return ABGrid(a=a, b=b, pd=pd, numerically_pd=usable, large_h_color=large,
                   dgff=usable & k.dgff, markov_gap=b - a * a,

@@ -31,8 +31,7 @@ The tables are built on first use, not at import.
 Integer, bool and string columns, and those fallback bit patterns, are
 spelled once per distinct cell: one ``np.unique(..., return_inverse=True)``
 finds the distinct cells, Python spells only those, and one gather spreads
-their text to the cells.  An object column (None beside str, say) is first
-turned into str cell by cell.
+their text to the cells.
 """
 
 from __future__ import annotations
@@ -219,12 +218,9 @@ def float_text(x) -> np.ndarray:
 def _column_text(col: np.ndarray) -> np.ndarray:
     """Integers and bools by ``str(int(v))``, any other non-float column by
     the ``str`` of its cells, once per distinct value.  Bools are read as
-    their bytes 0 and 1; an object column is spelled cell by cell first,
-    since ``np.unique`` cannot sort None beside str."""
+    their bytes 0 and 1."""
     if col.dtype.kind == "b":
         col = col.view(np.uint8)
-    elif col.dtype.kind == "O":
-        col = np.array(list(map(str, col.tolist())), dtype=str)
     return _distinct_text(col, lambda d: list(map(str, d.tolist())))
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .partitions import BinaryLaw, _check_n, _normals, threshold_mc_law
+from .partitions import PROB_TOL, BinaryLaw, _check_n, _normals, threshold_mc_law
 
 SYM_TOL = 1e-12
 RANK_RTOL = 1e-10  # eigenvalue cutoff, relative to the largest
@@ -199,7 +199,7 @@ def zero_threshold_law_3(cov: CovarianceSpec) -> BinaryLaw:
     # cell i and its flip 7 - i share a value
     probs = np.array([nu000, nu110, nu101, nu011, nu011, nu101, nu110, nu111])
     for i in (0b000, 0b110, 0b101, 0b011):
-        if probs[i] < -1e-12:
+        if probs[i] < -PROB_TOL:
             raise ValueError(f"matrix is not a valid correlation matrix: "
                              f"cell {i:03b} = {probs[i]}")
     probs[probs < 0.0] = 0.0
@@ -282,7 +282,7 @@ def square_threshold_laws_exact(theta) -> SquareLaws:
     probs = signs[:, 0] * masses[:, kinds[:, 0]]
     for t in range(1, 16):
         probs += signs[:, t] * masses[:, kinds[:, t]]
-    if probs.size and probs.min() < -1e-12:
+    if probs.size and probs.min() < -PROB_TOL:
         raise ValueError(f"inconsistent construction: min cell {probs.min()}")
     np.clip(probs, 0.0, None, out=probs)
     r = probs[:, :8] + probs[:, 8:]

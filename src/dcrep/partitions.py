@@ -816,9 +816,6 @@ def marginalize_partition(q: PartitionDistribution, subset) -> PartitionDistribu
     return PartitionDistribution.from_vector(len(s), vec, signed=q.signed)
 
 
-GUIDE_MAX = 1 << 20   # guide-table cells of ``_guide``
-
-
 def _guide(masses: np.ndarray) -> np.ndarray:
     """Turn ``masses`` into their normalized CDF, in place, and return its
     guide table, for ``_categorical``.  Both are read-only to the draws, so
@@ -826,14 +823,13 @@ def _guide(masses: np.ndarray) -> np.ndarray:
 
     ``rng.choice`` looks up each uniform u in this CDF by binary search.  The
     guide table (Chen & Asau 1974) covers [0, 1) with K = 2^k > 8 len(masses)
-    equal cells, at most ``GUIDE_MAX``, and holds, per cell, the first index
-    whose CDF value exceeds the cell's left end, as intp.  A color process
-    has at most 2^MAX_N masses, so its table has at most 8,192 cells; the cap
-    binds only on longer inputs, whose table it keeps at 8 MiB.
+    equal cells and holds, per cell, the first index whose CDF value exceeds
+    the cell's left end, as intp.  A color process has at most 2^MAX_N
+    masses, so its table has at most 8,192 cells.
     """
     cdf = np.cumsum(masses, out=masses)
     cdf /= cdf[-1]
-    k = min(1 << (8 * len(cdf)).bit_length(), GUIDE_MAX)
+    k = 1 << (8 * len(cdf)).bit_length()
     return np.searchsorted(cdf, np.arange(k) / k, side="right")
 
 
@@ -844,10 +840,10 @@ def _categorical(cdf: np.ndarray, guide: np.ndarray, k: int, rng) -> np.ndarray:
 
     u K is exact, so the guide cell of a uniform u holds a lower bound of its
     index, and that is the index unless the CDF steps again inside the cell
-    before u: at most about one uniform in 16 (more once the cap binds, past
-    131,072 masses).  Such a uniform steps one index on, and only if the CDF
-    steps twice in the cell before it does it take the binary search.  A
-    step never passes the last index, whose CDF value 1 exceeds every u.
+    before u: at most about one uniform in 16.  Such a uniform steps one
+    index on, and only if the CDF steps twice in the cell before it does it
+    take the binary search.  A step never passes the last index, whose CDF
+    value 1 exceeds every u.
     """
     u = rng.random(k)
     idx = guide[(u * len(guide)).astype(np.intp)]

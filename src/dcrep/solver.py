@@ -60,7 +60,7 @@ from .partitions import (PROB_TOL, RELAX_SIGMA, BinaryLaw, PartitionDistribution
                          color_map, color_map_csc, color_map_exact,  # noqa: F401
                          enumerate_partitions, push_forward)  # noqa: F401
 
-FEAS_TOL = 1e-9
+FEAS_TOL = 1e-9  # the phase-I objective that reads as 0
 PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 # a Feasible q on an exact law reproduces each cell to this relative error,
 # and the cells at most ZERO_CELL, zero to within the rounding of their sum
@@ -68,7 +68,7 @@ PRIMAL_FEAS_TOL = 1e-10  # HiGHS primal feasibility tolerance in phase I
 # that misses every cell smaller than that
 REL_TOL = 1e-9
 ZERO_CELL = float(np.finfo(float).eps)
-NOISE_FLOOR = 1e-9  # an exact law's identity tolerance: marginals, flip, p = 1/2, square t-gap
+NOISE_FLOOR = 1e-9  # an exact law's identity tolerance: marginals, flip, p = 1/2, t-family gap
 
 
 def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
@@ -77,6 +77,15 @@ def _require_equal_marginals(nu: BinaryLaw, tol: float) -> float:
         raise ValueError(f"marginals differ by {gap:.3g} (> {tol:.3g}); "
                          "a color process has equal marginals")
     return nu.marginal_p
+
+
+def _require_exact_3(nu: BinaryLaw, route: str) -> None:
+    """The fit of both n = 3 closed forms: n = 3 and an exact law."""
+    if nu.n != 3:
+        raise ValueError(f"{route} needs n = 3")
+    if nu.stderr is not None:
+        raise ValueError(f"{route} reads exact laws only; "
+                         "lp_feasibility decides a Monte Carlo law")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +116,7 @@ def signed_rep_3(nu: BinaryLaw) -> SignedRep3:
     the rounding of its formula, per cell and per p (read from the cells),
     about 1e-15 on a weight of order 1.
     """
-    if nu.n != 3:
-        raise ValueError("signed_rep_3 needs n = 3")
-    if nu.stderr is not None:
-        raise ValueError("signed_rep_3 reads exact laws only; "
-                         "lp_feasibility decides a Monte Carlo law")
+    _require_exact_3(nu, "signed_rep_3")
     p = _require_equal_marginals(nu, NOISE_FLOOR)
     if abs(p - 0.5) <= NOISE_FLOOR:
         raise ValueError("p = 1/2 has a one-parameter family; "
@@ -146,7 +151,8 @@ class SymmetricRepFamily3:
     4 nu_010 - t,
 
     valid (all nonnegative) exactly for t in [t_lo, t_hi], empty where t_lo
-    exceeds t_hi by more than ``FEAS_TOL``.
+    exceeds t_hi by more than ``NOISE_FLOOR``, as ``square_circle_intervals``
+    reads its capped interval.
     """
 
     nu_001: float
@@ -157,7 +163,7 @@ class SymmetricRepFamily3:
 
     @property
     def is_empty(self) -> bool:
-        return self.t_lo > self.t_hi + FEAS_TOL
+        return self.t_lo > self.t_hi + NOISE_FLOOR
 
     @property
     def t_interval(self) -> tuple[float, float] | None:
@@ -182,11 +188,7 @@ def symmetric_rep_family_3(nu: BinaryLaw) -> SymmetricRepFamily3:
     t-interval.  Raises ValueError on n != 3, on a Monte Carlo law (the box
     LP of ``lp_feasibility`` decides it) and on a law that its flip moves by
     more than ``NOISE_FLOOR`` in a cell."""
-    if nu.n != 3:
-        raise ValueError("symmetric_rep_family_3 needs n = 3")
-    if nu.stderr is not None:
-        raise ValueError("symmetric_rep_family_3 reads exact laws only; "
-                         "lp_feasibility decides a Monte Carlo law")
+    _require_exact_3(nu, "symmetric_rep_family_3")
     if not nu.is_zero_one_symmetric(NOISE_FLOOR):
         raise ValueError("law is not {0,1}-symmetric; use signed_rep_3 / lp_feasibility")
     c = nu.probs.tolist()
@@ -195,28 +197,11 @@ def symmetric_rep_family_3(nu: BinaryLaw) -> SymmetricRepFamily3:
                                t_lo=float(t_lo), t_hi=float(t_hi))
 
 
-def _first_max(*values):
-    """Elementwise ``max(*values)`` as Python's ``max`` picks it: the first
-    of the values that no later one exceeds."""
-    out = values[0]
-    for v in values[1:]:
-        out = np.where(v > out, v, out)
-    return out
-
-
-def _first_min(*values):
-    """Elementwise ``min(*values)`` as Python's ``min`` picks it."""
-    out = values[0]
-    for v in values[1:]:
-        out = np.where(v < out, v, out)
-    return out
-
-
 def _t_family_bounds(nu001, nu010, nu100):
     """t_lo = max(0, 4(nu_001 + nu_010 + nu_100) - 1) and
     t_hi = 4 min(nu_001, nu_010, nu_100), elementwise."""
-    return (_first_max(0.0, 4.0 * (nu001 + nu010 + nu100) - 1.0),
-            4.0 * _first_min(nu001, nu010, nu100))
+    return (np.maximum(0.0, 4.0 * (nu001 + nu010 + nu100) - 1.0),
+            4.0 * np.minimum(np.minimum(nu001, nu010), nu100))
 
 
 def gaussian_sym_family_interval(cov) -> tuple[float, float]:
@@ -572,9 +557,9 @@ def square_circle_intervals(probs) -> SquareIntervals:
     nu001, nu010, nu100 = nu3[:, 1], nu3[:, 2], nu3[:, 4]
     t_lo, t_hi = _t_family_bounds(nu001, nu010, nu100)
     singles = nu001 + nu010 + nu100
-    # the caps of the dihedral zero pattern, linear in t:
-    lo = _first_max(t_lo, (4.0 * nu010 + 4.0 * singles - 1.0) / 2.0, 0.0)
-    hi = _first_min(t_hi, 4.0 * (nu001 - nu010))
+    # the caps of the dihedral zero pattern, linear in t (t_lo is >= 0 already):
+    lo = np.maximum(t_lo, (4.0 * nu010 + 4.0 * singles - 1.0) / 2.0)
+    hi = np.minimum(t_hi, 4.0 * (nu001 - nu010))
     return SquareIntervals(t_lo=lo, t_hi=hi, infeasible=lo > hi + NOISE_FLOOR)
 
 

@@ -70,6 +70,18 @@ def test_analyze_stable(tmp_path):
     assert payload["results"]["second_coordinate_integral"]["value"] == pytest.approx(0.5)
 
 
+def test_analyze_a_one_coordinate_stable_model(tmp_path):
+    """The second-coordinate integral needs d >= 2, so analyze leaves it out
+    of a d = 1 model, as it leaves out the order-1 limits off d = 3, and
+    prints the spectral measure."""
+    model = json.dumps({"alpha": 1.5, "loadings": [[1.0]]})
+    code, out = run(["analyze", "--model", model], tmp_path)
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert set(results) == {"spectral_measure"}
+    assert results["spectral_measure"]["d"] == 1
+
+
 def test_solve_explicit_law(tmp_path):
     law = zero_threshold_law_3(fully_symmetric_cov(3, 0.5))
     model = json.dumps(law.to_json_dict())
@@ -216,6 +228,21 @@ def test_scan_row_limit_counts_the_rows_exactly(scan, fits, refused, tmp_path, m
     assert code == 0
     assert len(out.read_text().splitlines()) - 2 <= 100
     assert main(["scan", "--scan", scan, "--a-step", str(refused)]) == 2
+
+
+@pytest.mark.parametrize("scan, step, stop, rows", [
+    ("ab", 1 / 3, 1.0, 2 ** 2), ("ab", 1 / 7, 1.0, 6 ** 2), ("ab", 1 / 19, 1.0, 18 ** 2),
+    ("ab", 1 / 27, 1.0, 26 ** 2), ("ab", 1 / 63, 1.0, 62 ** 2),
+    ("alpha", 2 / 3, 2.0, 2), ("theta", math.pi / 6, math.pi / 2, 2)])
+def test_scan_axis_stops_below_its_stop(scan, step, stop, rows, tmp_path):
+    """Steps for which ``np.arange(step, stop, step)`` rounds its last value
+    up to ``stop`` itself: the axis drops it."""
+    code, out = run(["scan", "--scan", scan, "--a-step", repr(step)], tmp_path, "scan.csv")
+    assert code == 0
+    lines = out.read_text().splitlines()[2:]
+    assert len(lines) == rows
+    axes = 2 if scan == "ab" else 1
+    assert all(float(v) < stop for line in lines for v in line.split(",")[:axes])
 
 
 def test_simulate_ou(tmp_path):
@@ -882,6 +909,16 @@ def test_malformed_model_exits_2_naming_the_field(model, field, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"field {field!r}" in err
+
+
+@pytest.mark.parametrize("model, field", [({"a": [[1, 0.2], [0.2]]}, "a"),
+                                          ({"alpha": 1.5, "loadings": [[1, 0.2], [0.2]]},
+                                           "loadings")])
+def test_ragged_model_matrix_exits_2_naming_the_field(model, field, tmp_path, capsys):
+    code, out = run(["analyze", "--model", json.dumps(model)], tmp_path)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (f"error: model field {field!r} must be a list of "
+                                       "lists of finite numbers, got [[1, 0.2], [0.2]]\n")
 
 
 @pytest.mark.parametrize("key", ["000", "111"])

@@ -6,6 +6,9 @@ agree wherever both are confident:
 * square laws: ``scan theta``'s ``feasible`` column, from
   ``square_circle_intervals``, against ``lp_feasibility`` on the same exact
   law, with every Infeasible certificate checked in exact arithmetic;
+* (a, b) covariances: ``scan ab``'s ``small_h_feasible`` and
+  ``markov_boundary`` columns, from the stacked classifiers, against
+  ``small_h_limits_3`` and ``ab_region_classify`` on the same point;
 * n = 3 Gaussian laws at thresholds up to h = 8, exact and with a relative
   stderr: every ``Infeasible`` certificate verifies exactly, and on the exact
   laws no LP ``Infeasible`` stands beside a ``signed_rep_3`` that calls the
@@ -29,10 +32,14 @@ import numpy as np
 import pytest
 
 from dcrep import cli, solver
-from dcrep.gaussian import (fully_symmetric_cov, markov_chain_cov, square_threshold_law_exact,
-                            symmetric_plus_mean_cov, threshold_law_mc)
+from dcrep.asymptotics import small_h_limits_3
+from dcrep.conditions import ab_region_classify
+from dcrep.gaussian import (ab_cov, fully_symmetric_cov, markov_chain_cov,
+                            square_threshold_law_exact, symmetric_plus_mean_cov,
+                            threshold_law_mc)
 from dcrep.partitions import (BELL, BinaryLaw, PartitionDistribution, color_map_csc,
                               push_forward, simulate_color_process)
+from dcrep.reports import Verdict
 from dcrep.solver import (FEAS_TOL, lp_feasibility, phase_one, phase_one_exact, signed_rep_3,
                           symmetric_rep_family_3)
 from dcrep.stable import common_shock_model, stable_markov_model, stable_threshold_law_mc
@@ -66,6 +73,32 @@ def test_scan_theta_feasible_column_is_the_lps_verdict(tmp_path):
                                    law.halfwidth), theta
         verdicts.add(res.status)
     assert verdicts == {"Feasible", "Infeasible"}
+
+
+def test_scan_ab_columns_are_the_per_point_verdicts(tmp_path):
+    """Every 7th row of ``scan ab --a-step 0.01`` and every row on the
+    Markov boundary: ``small_h_feasible`` is the verdict of
+    ``small_h_limits_3`` ("" off the numerically PD region), and
+    ``markov_boundary`` that of ``ab_region_classify``."""
+    out = tmp_path / "ab.csv"
+    assert cli.main(["scan", "--scan", "ab", "--a-step", "0.01", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    sample = [row for k, row in enumerate(rows) if k % 7 == 0 or row["markov_boundary"] == "1"]
+    seen = set()
+    for row in sample:
+        a, b = float(row["a"]), float(row["b"])
+        region = ab_region_classify(a, b)
+        assert row["markov_boundary"] == str(int(region.markov_boundary)), (a, b)
+        if row["small_h_feasible"] == "":
+            assert not region.numerically_pd, (a, b)
+        else:
+            color = small_h_limits_3(ab_cov(a, b)).verdict() is Verdict.COLOR_REP
+            assert row["small_h_feasible"] == str(int(color)), (a, b)
+        seen.add((row["markov_boundary"], row["small_h_feasible"]))
+    assert {m for m, _ in seen} == {"0", "1"}
+    assert {f for _, f in seen} == {"0", "1", ""}
 
 
 def n3_law(rho, h, relative):

@@ -23,7 +23,7 @@ from dcrep.embeddings import (EmbeddingBatch, ou_partition_batch, ou_star_partit
                               stable_chain_partition_batch, stable_star_partition_batch)
 from dcrep.gaussian import (markov_chain_cov, sampling_factor, symmetric_plus_mean_cov,
                             threshold_law_mc)
-from dcrep.partitions import (BELL, GUIDE_MAX, MC_BLOCK, MC_WORKERS, BinaryLaw,
+from dcrep.partitions import (BELL, MC_BLOCK, MC_WORKERS, BinaryLaw,
                               PartitionDistribution, _categorical, _guide, simulate_color_process,
                               threshold_mc_law)
 from dcrep.stable import (_cms, common_shock_model, corr2d_inequality_mc, sample_pos_stable,
@@ -628,13 +628,6 @@ def test_categorical_matches_choice_with_many_steps_in_one_guide_cell():
     # 1000 steps of 1e-8 right after 0.4: a guide cell is about 1.2e-4 wide
     weights = np.r_[0.4, np.full(1000, 1e-8), 0.6 - 1e-5]
     assert_categorical_matches_choice(weights, m=10 ** 6)
-
-
-def test_categorical_matches_choice_past_the_guide_table_cap():
-    # as many weights as the (partition, coloring) cells of n = 9: more than GUIDE_MAX / 8
-    weights = np.random.default_rng(6).dirichlet(np.ones(610_182))
-    assert 8 * len(weights) > GUIDE_MAX
-    assert_categorical_matches_choice(weights)
 
 
 @pytest.mark.parametrize("ulps", (-3, 3))

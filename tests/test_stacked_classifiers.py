@@ -180,6 +180,18 @@ def test_ab_region_grid_stops_where_the_loop_would():
     assert len(ab_region_grid([], []).a) == 0
 
 
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("outside", [(0.0, 0.5), (0.5, 1.0), (1.2, 0.3), (math.nan, 0.5)])
+def test_ab_region_grid_refuses_one_point_outside_wherever_it_is(where, outside):
+    """The whole grid is checked before any point is classified: the point
+    (0.4, 1e-13), whose covariance within POS_ENTRY_TOL of 0 would raise its
+    own ValueError, never gets that far."""
+    a, b = [0.3, 0.4, 0.5, 0.6, 0.7], [0.5, 1e-13, 0.3, 0.2, 0.1]
+    a[where], b[where] = outside
+    with pytest.raises(ValueError, match=r"a and b must lie in \(0,1\)"):
+        ab_region_grid(a, b)
+
+
 def test_scan_ab_csv_matches_reference_loop(tmp_path):
     out = tmp_path / "ab.csv"
     assert cli.main(["scan", "--scan", "ab", "--a-step", "0.02", "--out", str(out)]) == 0
